@@ -6,16 +6,33 @@ reproduces one kernel invocation exactly — bit-identical
 :class:`PerfCounters`, output arrays, and board/accelerator state —
 split into two explicit planes:
 
-* the **data plane** (:meth:`_gather` → :meth:`_compute_functional` →
-  :meth:`_scatter_receives`, plus the staging-region payload writes):
-  pure numpy over the tile payloads.  All staged tiles of a class are
-  bulk-gathered with one strided fancy-index; all accelerator tile
-  products of a flow segment run as one batched matmul (with the
-  guarded exact-float64 shortcut for integer data, which is
-  modular-arithmetic-identical to the per-tile path); received tiles
-  are scattered back in duplicate-free vectorized rounds that preserve
-  accumulate order.  This plane runs on every invocation — it is the
-  only part that touches input data.
+* the **data plane**, itself split the way the paper splits host code:
+  everything fixed by the trace and the decoded plan is resolved once,
+  only payload moves per call.
+
+  - the *schedule* (:class:`DataSchedule`, built on the first replay of
+    a ``(trace, decoded plan)`` pair and reused afterwards): per send
+    class the distinct tile starts and each tile's row among them; the
+    compute sequence cut into blocks of constant geometry and operand
+    class with their operand rows, push ids, push counts and target
+    receive rows (conv runs that differ only by filter fused into one
+    ``windows @ filters`` product); per receive class the
+    sequential-vs-rounds decision and the per-round selections.  It
+    holds tile *starts*, never element indices — tiles are reached
+    through a strided window view of the argument storage — so it is
+    O(tiles) resident, and descriptor offsets enter only when that view
+    is made, so one schedule serves every offset.  It lives on the
+    decoded plan as a private attribute, which the store codec and the
+    pickle state both skip: a loaded or unpickled trace rebuilds it.
+    There is no switch and no second path: the first call builds the
+    schedule and then runs the same code as every later call.
+
+  - the *payload* (every call; the only part that touches input data):
+    gather each send class's distinct tiles once, elect the exact-float
+    type from the class maxima (modular-arithmetic-identical to the
+    per-tile path), one batched product per block, fold products into
+    pushes in order, scatter received tiles in duplicate-free rounds
+    that preserve accumulate order, write the staging-region payloads.
 
 * the **metrics plane** (:mod:`repro.execution.metrics`): every
   performance-model quantity — per-event copy/cache charges, the exact
@@ -35,8 +52,9 @@ split into two explicit planes:
   workers report stage-timing deltas that merge back into the parent,
   so the accounting is placement-independent.
 
-Any assumption violation raises :class:`ReplayUnsupported`; the caller
-falls back to per-tile execution.
+Any assumption violation raises :class:`ReplayUnsupported` — from a
+cached schedule as from a fresh one — before anything is mutated; the
+caller falls back to per-tile execution.
 """
 
 from __future__ import annotations
@@ -49,7 +67,7 @@ import numpy as np
 from .. import faults
 from ..accelerators.conv import ConvAccelerator
 from ..accelerators.matmul import MatMulAccelerator
-from ..numerics import float64_exact_bound, max_abs
+from ..numerics import max_abs
 from ..soc.dma_engine import DmaEngine
 from . import metrics
 from .trace import (
@@ -58,7 +76,6 @@ from .trace import (
     STAGE_TIMINGS,
     TraceUnsupported,
     add_stage_time,
-    _tile_indices,
     decode_for_accelerator,
     decode_key,
 )
@@ -67,6 +84,12 @@ ReplayUnsupported = TraceUnsupported
 
 #: Upper bound on elements materialized per batched compute block.
 _BLOCK_ELEMENTS = 1 << 23
+
+#: Largest distinct-tile matrix of one send class gathered up front per
+#: call; beyond it operands are gathered per block from the live window.
+_CLASS_ELEMENTS = 1 << 24
+
+_INDEX_MASK = (1 << 40) - 1
 
 
 def replay_kernel(trace: DriverTrace, board, rt, descriptors,
@@ -96,24 +119,221 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
         add_stage_time("replay_s", time.perf_counter() - start)
 
 
-class _PushRows:
-    """Lazy ``push_data``: ordinal -> row view of its receive buffer.
+# -- the schedule half of the data plane ------------------------------------
 
-    Push payloads live in per-receive-class row matrices; only the
-    rarely-taken fallback paths (sequential scatters, uneven push runs,
-    region winners) need per-ordinal views, so they are materialized on
-    demand instead of building tens of thousands up front.
+class _Block:
+    """One batched product: computes of one geometry and operand class.
+
+    ``a`` / ``b`` are ``(send class, value rows)`` — or ``(None, count)``
+    for an operand the stream never loaded (zeros).  A matmul block has
+    one row pair per compute; a conv block has its windows in ``a`` and
+    one row per filter in ``b``, computes ordered filter-major.
+    The computes fold, in order, into pushes of ``count`` computes each
+    (0: uneven, cut at ``offsets``), whose payloads land at ``target``:
+    ``(None, push ordinals)``, narrowed to ``(recv class, its rows)``
+    when all of them land in one receive class.
     """
 
-    __slots__ = ("buffers", "cls", "row")
+    __slots__ = ("tm", "tn", "tk", "a", "b", "count", "offsets", "target")
 
-    def __init__(self, buffers, cls, row):
-        self.buffers = buffers
-        self.cls = cls
-        self.row = row
 
-    def __getitem__(self, ordinal: int) -> np.ndarray:
-        return self.buffers[int(self.cls[ordinal])][int(self.row[ordinal])]
+class DataSchedule:
+    """Everything the data plane derives from ``(trace, plan)`` alone."""
+
+    __slots__ = ("send", "send_extent", "recv_extent", "blocks",
+                 "sequential", "rounds")
+
+    def __init__(self, trace: DriverTrace, plan: DecodedPlan):
+        #: Per send class ``(uniq, rows)``: the distinct tile starts and
+        #: each tile's row among them — or ``(None, starts)`` for a
+        #: class too large to gather whole.  Rows are kept 32-bit when
+        #: they fit: the blocks' operand rows are drawn from them and
+        #: are most of a schedule's resident bytes.
+        self.send = []
+        for tile_class in trace.send_classes:
+            uniq, rows = np.unique(tile_class.starts, return_inverse=True)
+            if uniq.size * tile_class.num_elements() > _CLASS_ELEMENTS:
+                uniq, rows = None, tile_class.starts
+            if int(rows.max()) < 2 ** 31:
+                rows = rows.astype(np.int32)
+            self.send.append((uniq, rows))
+        #: Per class ``(tile span, furthest start)``: what its window
+        #: view is sized and bounds-checked with.
+        self.send_extent = [_extent(tc) for tc in trace.send_classes]
+        self.recv_extent = [_extent(tc) for tc in trace.recv_classes]
+        self.blocks: List[_Block] = []
+        self._cut_blocks(trace, plan)
+        self._plan_scatter(trace)
+
+    # -- compute blocks ---------------------------------------------------
+    def _cut_blocks(self, trace: DriverTrace, plan: DecodedPlan) -> None:
+        push_counts = np.asarray(plan.push_counts, dtype=np.int64)
+        if push_counts.size and int(push_counts.min()) == 0:
+            # A push with no contributing computes has no payload the
+            # functional batch can reconstruct.
+            raise ReplayUnsupported("push with an empty compute set")
+        comp_a = np.asarray(plan.compute_a, dtype=np.int64)
+        n_computes = comp_a.size
+        if n_computes == 0:
+            return
+        comp_b = np.asarray(plan.compute_b, dtype=np.int64)
+        geom = np.asarray(plan.compute_geom, dtype=np.int64)
+        push_of = np.asarray(plan.compute_push, dtype=np.int64)
+        conv = plan.kind == "conv"
+
+        # Segment the compute sequence into runs of constant
+        # (geometry, operand class) — the generated loop nests produce
+        # long such runs — and cut each run into bounded blocks.  A run
+        # never mixes loaded and never-loaded (-1) operands: -1 is its
+        # own class here.
+        a_cls = np.where(comp_a >= 0, comp_a >> 40, -1)
+        b_cls = np.where(comp_b >= 0, comp_b >> 40, -1)
+        key = np.stack([geom[:, 0], geom[:, 1], geom[:, 2], a_cls, b_cls],
+                       axis=1)
+        change = np.any(key[1:] != key[:-1], axis=1)
+        if conv:
+            # Window dots share one filter per run: split on filter swaps.
+            change = change | (comp_b[1:] != comp_b[:-1])
+        run_starts = np.r_[0, np.flatnonzero(change) + 1, n_computes]
+        for lo, hi in zip(run_starts[:-1].tolist(), run_starts[1:].tolist()):
+            tm, tn, tk = (int(v) for v in geom[lo])
+            limit = max(1, _BLOCK_ELEMENTS // max(tm * tk, tk * tn, tm * tn))
+            start = lo
+            while start < hi:
+                # Block boundaries must not split a push's compute run.
+                end = min(start + limit, hi)
+                if end < hi:
+                    while end > start and push_of[end] >= 0 \
+                            and push_of[end] == push_of[end - 1]:
+                        end -= 1
+                    if end == start:  # one push larger than the block
+                        end = start + 1
+                        while end < hi and push_of[end] == push_of[start]:
+                            end += 1
+                # Computes no push collects (reset before a push) have
+                # no observable result: drop them here, once.
+                kept = start + np.flatnonzero(push_of[start:end] >= 0)
+                start = end
+                if kept.size == 0:
+                    continue
+                push_ids = push_of[kept]
+                # Push ordinals are assigned in compute order, so the
+                # sequence is sorted: first occurrences mark the pushes.
+                pushes = push_ids[np.r_[True, push_ids[1:] != push_ids[:-1]]]
+                if int(push_counts[pushes].sum()) != kept.size:
+                    raise ReplayUnsupported("push runs split across blocks")
+                block = _Block()
+                block.tm, block.tn, block.tk = tm, tn, tk
+                block.a = self._side(comp_a[kept])
+                block.b = self._side(comp_b[kept[:1]] if conv
+                                     else comp_b[kept])
+                block.target = (None, pushes)
+                if not (conv and self._fuse_filter(block)):
+                    self.blocks.append(block)
+        refs = np.asarray(trace.recv_refs, dtype=np.int64).reshape(-1, 2)
+        for block in self.blocks:
+            ordinals = block.target[1]
+            counts = push_counts[ordinals]
+            uniform = bool((counts == counts[0]).all())
+            block.count = int(counts[0]) if uniform else 0
+            block.offsets = None if uniform else np.r_[0, np.cumsum(counts)]
+            classes = refs[ordinals, 0]
+            if (classes == classes[0]).all():
+                # Every push lands in one receive class (a block stays
+                # within one flow segment): one write per block, into
+                # one run of rows when they are consecutive.
+                rows = refs[ordinals, 1]
+                if (np.diff(rows) == 1).all():
+                    rows = slice(int(rows[0]), int(rows[-1]) + 1)
+                block.target = (int(classes[0]), rows)
+
+    def _side(self, packed: np.ndarray):
+        if packed[0] < 0:
+            return None, packed.size  # never loaded: an all-zero operand
+        class_id = int(packed[0] >> 40)
+        return class_id, self.send[class_id][1][packed & _INDEX_MASK]
+
+    def _fuse_filter(self, block: _Block) -> bool:
+        """Fold a conv block into its predecessor when only the filter
+        differs: the windows are gathered once and all filters applied
+        in one ``windows @ filters`` product."""
+        if not self.blocks:
+            return False
+        last = self.blocks[-1]
+        (a_cls, a_rows), (b_cls, b_rows) = block.a, block.b
+        if a_cls is None or b_cls is None or last.tk != block.tk \
+                or last.a[0] != a_cls or last.b[0] != b_cls \
+                or not np.array_equal(last.a[1], a_rows):
+            return False
+        filters = last.b[1].size + 1
+        if filters * max(block.tk, a_rows.size) > _BLOCK_ELEMENTS:
+            return False
+        last.b = (b_cls, np.r_[last.b[1], b_rows])
+        last.target = (None, np.r_[last.target[1], block.target[1]])
+        return True
+
+    # -- receive scatter --------------------------------------------------
+    def _plan_scatter(self, trace: DriverTrace) -> None:
+        # Classes are applied class-by-class in vectorized rounds, which
+        # is only order-safe when at most one class writes an argument
+        # and distinct tiles do not overlap; multiple classes on one
+        # argument (e.g. store + accumulate receives of the same tiles)
+        # and overlapping tiles replay strictly in event order.
+        classes_per_arg: Dict[int, int] = {}
+        for tile_class in trace.recv_classes:
+            classes_per_arg[tile_class.arg] = \
+                classes_per_arg.get(tile_class.arg, 0) + 1
+        in_order = set()
+        #: ``(recv class, tile selection or None for all, their starts)``
+        #: — within a round every target is unique, across rounds time
+        #: order per target is preserved.
+        self.rounds = []
+        for class_id, tile_class in enumerate(trace.recv_classes):
+            if classes_per_arg[tile_class.arg] > 1 \
+                    or not trace.recv_disjoint[class_id]:
+                in_order.add(class_id)
+                continue
+            occurrence = _occurrence_counts(tile_class.starts)
+            last = int(occurrence.max())
+            if last == 0:
+                self.rounds.append((class_id, None, tile_class.starts))
+                continue
+            for ro in range(last + 1):
+                sel = np.flatnonzero(occurrence == ro)
+                self.rounds.append((class_id, sel, tile_class.starts[sel]))
+        #: ``(recv class, tile, start)`` of every in-order receive.
+        self.sequential = [
+            (class_id, index, int(trace.recv_classes[class_id].starts[index]))
+            for class_id, index in trace.recv_refs if class_id in in_order
+        ]
+
+
+def _extent(tile_class):
+    if min(tile_class.strides, default=0) < 0:
+        raise ReplayUnsupported("negative tile stride")
+    span = sum((size - 1) * stride for size, stride
+               in zip(tile_class.sizes, tile_class.strides))
+    return span, int(tile_class.starts.max())
+
+
+def data_schedule(trace: DriverTrace, plan: DecodedPlan) -> DataSchedule:
+    """The pair's :class:`DataSchedule`, built on its first replay.
+
+    Kept on the plan under a private name: it shares the plan's
+    lifetime, and private attributes are left out of both the store
+    codec and the pickle state.  A schedule-time refusal is cached as
+    its message, so later calls refuse as cheaply.
+    """
+    schedule = getattr(plan, "_data_schedule", None)
+    if schedule is None:
+        try:
+            schedule = DataSchedule(trace, plan)
+        except ReplayUnsupported as exc:
+            schedule = str(exc)
+        plan._data_schedule = schedule
+    if isinstance(schedule, str):
+        raise ReplayUnsupported(schedule)
+    return schedule
 
 
 class ReplayExecutor:
@@ -127,11 +347,12 @@ class ReplayExecutor:
         self.double_buffered = double_buffered
         self.plan_source = plan_source
         self.engine: Optional[DmaEngine] = None
-        #: Per-class full flat-index arrays, memoized for the replay's
-        #: lifetime: operand tiles are re-gathered across many compute
-        #: blocks and the strided index lattice is identical each time.
-        self._index_cache: Dict = {}
         self._validate()
+        self.schedule = data_schedule(trace, plan)
+        #: This call's payload: distinct tiles per (send class, cast)
+        #: and max|value| per send class.
+        self._values_memo: Dict = {}
+        self._max_memo: Dict[int, int] = {}
 
     # -- validation -------------------------------------------------------
     def _validate(self) -> None:
@@ -180,7 +401,7 @@ class ReplayExecutor:
         # The functional compute runs first: it is the only stage that
         # can still raise ReplayUnsupported, and it mutates nothing, so
         # a fallback to per-tile execution stays bit-identical.
-        push_data = self._compute_functional()
+        self._compute_functional()
         self._install_engine()
         # Metrics plane: cached per (trace, runtime-config/state
         # fingerprint), rebuilt from scratch on a miss — or served from
@@ -192,9 +413,9 @@ class ReplayExecutor:
         # every send precedes the first receive of its argument, so the
         # pre-scatter arrays hold exactly the at-send-time values.
         self._apply_input_region(mplan)
-        self._scatter_receives(push_data)
+        self._scatter_receives()
         metrics.apply_plan(self, mplan)
-        self._apply_output_region(mplan, push_data)
+        self._apply_output_region(mplan)
         self._finalize_accelerator(self.board.accelerator)
 
     def _install_engine(self) -> None:
@@ -212,106 +433,79 @@ class ReplayExecutor:
         board.install_dma(self.engine)
         self.rt.dma = self.engine
 
-    # -- functional execution (data plane) --------------------------------
-    def _class_table(self, class_id: int, is_recv: bool = False):
-        """Memoized (inverse, unique-tile flat indices) of one class.
+    # -- functional execution (data plane, payload half) ------------------
+    def _window(self, tile_class, extent) -> np.ndarray:
+        """Every tile-shaped window of one class's argument storage.
 
-        Tile sweeps re-stage the same tiles every outer loop iteration
-        (CPU-tiled drivers repeat each operand tile dozens of times), so
-        the strided index lattice is built once over the *unique* tile
-        starts and composed through ``inverse`` everywhere else.
+        ``window[start]`` is the tile whose first element sits ``start``
+        elements past the descriptor offset: gathers and scatters index
+        it by tile start, so no per-element index lattice is ever built
+        or kept.  Checked here, before anything is mutated, against the
+        furthest start the schedule uses.
         """
-        key = ("tbl", is_recv, class_id)
-        cached = self._index_cache.get(key, False)
-        if cached is not False:
-            return cached
-        tile_class = (self.trace.recv_classes if is_recv
-                      else self.trace.send_classes)[class_id]
-        uniq, inverse = np.unique(tile_class.starts, return_inverse=True)
-        if uniq.size * tile_class.num_elements() > (1 << 24):
-            cached = None  # too large to keep around: gather per call
-        else:
-            desc = self.descriptors[tile_class.arg]
-            idx_unique = _tile_indices(desc.offset + uniq,
-                                       tile_class.sizes,
-                                       tile_class.strides)
-            cached = (inverse, idx_unique)
-        self._index_cache[key] = cached
-        return cached
-
-    def _gather(self, class_id: int, indices: np.ndarray,
-                is_recv: bool = False) -> np.ndarray:
-        """Tiles (as flat element rows) for a subset of one class."""
-        tile_class = (self.trace.recv_classes if is_recv
-                      else self.trace.send_classes)[class_id]
+        span, last_start = extent
         desc = self.descriptors[tile_class.arg]
-        if not is_recv:
-            vals = self._class_values(class_id)
-            if vals is not None:
-                inverse, _ = self._class_table(class_id)
-                tiles = vals[inverse[indices]]
-                return tiles.reshape(len(tiles), -1)
-        table = self._class_table(class_id, is_recv)
-        if table is not None:
-            inverse, idx_unique = table
-            tiles = desc.allocated[idx_unique[inverse[indices]]]
-            return tiles.reshape(len(tiles), -1)
-        starts = desc.offset + tile_class.starts[indices]
-        idx = _tile_indices(starts, tile_class.sizes, tile_class.strides)
-        tiles = desc.allocated[idx]
-        return tiles.reshape(len(starts), -1)
+        item = desc.itemsize
+        length = desc.allocated.size - desc.offset - span
+        if last_start >= length:
+            raise ReplayUnsupported("tiles reach beyond argument storage")
+        try:
+            return np.ndarray(
+                (length,) + tuple(tile_class.sizes), desc.dtype,
+                desc.allocated, desc.offset * item,
+                (item,) + tuple(s * item for s in tile_class.strides),
+            )
+        except (TypeError, ValueError):
+            raise ReplayUnsupported("argument storage is not one flat "
+                                    "buffer") from None
 
-    def _class_values(self, class_id: int,
-                      cast=None) -> Optional[np.ndarray]:
-        """Unique tiles of a send class as one (tiles, elements) matrix.
+    def _values(self, class_id: int, cast=None) -> np.ndarray:
+        """Distinct tiles of a send class as one (tiles, elements) matrix.
 
-        Operand tiles are referenced by many compute blocks (every tile
-        of A participates in a whole row of products), so the gather —
-        and, for the exact-float compute paths, the f32/f64 conversion —
-        is done once per *unique* tile instead of once per reference;
-        row lookups compose with the class table's ``inverse``.
+        Operand tiles are referenced by many computes (every tile of A
+        participates in a whole row of products), so the gather — and,
+        for the exact-float compute paths, the f32/f64 conversion — is
+        done once per *distinct* tile instead of once per reference; the
+        schedule's rows index the result.  A class too large for that
+        returns its live window, which the same rows (tile starts, then)
+        index block by block.
         """
-        key = ("vals", cast, class_id)
-        cached = self._index_cache.get(key, False)
-        if cached is not False:
-            return cached
-        if cast is not None:
-            base = self._class_values(class_id)
-            vals = None if base is None else base.astype(cast)
-        else:
-            table = self._class_table(class_id, False)
-            if table is None:
-                vals = None  # too large to materialize: gather per call
+        uniq = self.schedule.send[class_id][0]
+        if uniq is None:
+            return self._send_windows[class_id]
+        key = (class_id, cast)
+        values = self._values_memo.get(key)
+        if values is None:
+            if cast is None:
+                values = self._send_windows[class_id][uniq] \
+                    .reshape(uniq.size, -1)
             else:
-                _, idx_unique = table
-                tile_class = self.trace.send_classes[class_id]
-                desc = self.descriptors[tile_class.arg]
-                vals = desc.allocated[idx_unique].reshape(
-                    idx_unique.shape[0], -1
-                )
-        self._index_cache[key] = vals
-        return vals
+                values = self._values(class_id).astype(cast)
+            self._values_memo[key] = values
+        return values
 
-    def _class_max(self, class_id: int) -> Optional[int]:
+    def _tiles(self, class_id: int, index) -> np.ndarray:
+        """Tiles (as flat element rows) for a subset of one send class."""
+        rows = self.schedule.send[class_id][1][index]
+        tiles = self._values(class_id)[rows]
+        return tiles.reshape(len(tiles), -1)
+
+    def _class_max(self, class_id: int) -> int:
         """max(|values|) over a whole send class (exact Python int)."""
-        key = ("max", class_id)
-        cached = self._index_cache.get(key, False)
-        if cached is not False:
-            return cached
-        vals = self._class_values(class_id)
-        bound = None if vals is None else max_abs(vals)
-        self._index_cache[key] = bound
+        bound = self._max_memo.get(class_id)
+        if bound is None:
+            if self.schedule.send[class_id][0] is None:
+                # Too large to gather whole: bound it by the argument's
+                # whole storage — a superset of the tiles.
+                arg = self.trace.send_classes[class_id].arg
+                values = self.descriptors[arg].allocated
+            else:
+                values = self._values(class_id)
+            bound = self._max_memo[class_id] = max_abs(values)
         return bound
 
-    @staticmethod
-    def _packed_class(packed: np.ndarray) -> Optional[int]:
-        missing = packed < 0
-        if missing.all():
-            return None  # all-zero operand
-        return int(packed[~missing][0] >> 40)
-
-    def _pair_cast(self, packed_a, packed_b, tk):
-        """Exact-float election for one integer compute run.
+    def _elect_cast(self, block: _Block):
+        """Exact-float election for one integer compute block.
 
         Every per-product partial sum is bounded by ``tk * max|a| *
         max|b|``; below 2**24 every such integer is exactly
@@ -319,344 +513,152 @@ class ReplayExecutor:
         product is rounding-free and bit-identical to the per-tile
         integer accumulation (and the remaining cases are
         modular-identical through int64).  Uses whole-class maxima, so
-        a run whose block maximum is lower may pick a wider type than
+        a block whose own maximum is lower may pick a wider type than
         the live engine's per-tile check — all paths are exact or
         modular-identical, so outputs do not change.  Returns the
-        numpy cast dtype, ``None`` for the int64 path, or the string
-        ``"uncached"`` when a class is too large to keep maxima for.
+        numpy cast dtype, or ``None`` for the int64 path.
         """
-        ca = self._packed_class(packed_a)
-        ma = 0 if ca is None else self._class_max(ca)
-        if ma is None:
-            return "uncached"
-        cb = self._packed_class(packed_b)
-        mb = 0 if cb is None else self._class_max(cb)
-        if mb is None:
-            return "uncached"
-        bound = tk * ma * mb
+        a_cls, b_cls = block.a[0], block.b[0]
+        bound = block.tk \
+            * (0 if a_cls is None else self._class_max(a_cls)) \
+            * (0 if b_cls is None else self._class_max(b_cls))
         if bound < 2 ** 24:
             return np.float32
         if bound < 2 ** 53:
             return np.float64
         return None
 
-    def _compute_functional(self) -> List[np.ndarray]:
-        """All accelerator outputs, batched per flow segment.
-
-        Push payloads are written straight into per-receive-class
-        row matrices (``self._recv_buffers``); ``push_data[ordinal]``
-        is a row view, so the scatter stage can apply a whole class
-        with zero re-packing.
-        """
-        plan = self.plan
-        n_pushes = len(plan.push_counts)
-        push_data: List[Optional[np.ndarray]] = [None] * n_pushes
-        self._recv_buffers: Dict[int, np.ndarray] = {}
-        if n_pushes and int(np.min(plan.push_counts)) == 0:
-            # A push with no contributing computes has no payload the
-            # functional batch can reconstruct.
-            raise ReplayUnsupported("push with an empty compute set")
-        n_computes = len(plan.compute_a)
-        if n_computes == 0:
-            return push_data
-        accel_dtype = self.board.accelerator.dtype
-        trace = self.trace
-        for class_id, tile_class in enumerate(trace.recv_classes):
-            n = len(tile_class.starts)
-            if n:
-                self._recv_buffers[class_id] = np.empty(
-                    (n, tile_class.num_elements()), dtype=accel_dtype
-                )
-        if getattr(plan, "_push_class", None) is None:
-            n_recvs = len(trace.recv_refs)
-            plan._push_class = np.fromiter(
-                (c for c, _ in trace.recv_refs), dtype=np.int64,
-                count=n_recvs,
-            )
-            plan._push_row = np.fromiter(
-                (i for _, i in trace.recv_refs), dtype=np.int64,
-                count=n_recvs,
-            )
-        self._push_class = plan._push_class
-        self._push_row = plan._push_row
-        push_data = _PushRows(self._recv_buffers, self._push_class,
-                              self._push_row)
-        comp_a = np.asarray(plan.compute_a, dtype=np.int64)
-        comp_b = np.asarray(plan.compute_b, dtype=np.int64)
-        geom = np.asarray(plan.compute_geom, dtype=np.int64)
-        push_of = np.asarray(plan.compute_push, dtype=np.int64)
-        self._push_counts = np.asarray(plan.push_counts, dtype=np.int64)
-
-        # Segment the compute sequence into runs of constant
-        # (geometry, operand class) — the generated loop nests produce
-        # long such runs — and process each run in bounded blocks.
-        a_cls = np.where(comp_a >= 0, comp_a >> 40, -1)
-        b_cls = np.where(comp_b >= 0, comp_b >> 40, -1)
-        key = np.stack([geom[:, 0], geom[:, 1], geom[:, 2], a_cls, b_cls],
-                       axis=1)
-        change = np.any(key[1:] != key[:-1], axis=1)
-        if plan.kind == "conv":
-            # Window dots share one filter per run: split on filter swaps.
-            change = change | (comp_b[1:] != comp_b[:-1])
-        run_starts = np.r_[0, np.flatnonzero(change) + 1, n_computes]
-        for lo, hi in zip(run_starts[:-1], run_starts[1:]):
-            self._compute_run(int(lo), int(hi), comp_a, comp_b, geom,
-                              push_of, push_data, accel_dtype)
-        return push_data
-
-    def _compute_run(self, lo, hi, comp_a, comp_b, geom, push_of,
-                     push_data, accel_dtype) -> None:
-        plan = self.plan
-        tm, tn, tk = (int(v) for v in geom[lo])
-        numel_out = tm * tn
-        block = max(1, _BLOCK_ELEMENTS // max(tm * tk, tk * tn, numel_out))
-        start = lo
-        while start < hi:
-            # Block boundaries must not split a push's compute run.
-            end = min(start + block, hi)
-            if end < hi:
-                while end > start and push_of[end] >= 0 \
-                        and push_of[end] == push_of[end - 1]:
-                    end -= 1
-                if end == start:  # a single push larger than the block
-                    end = start + 1
-                    while end < hi and push_of[end] == push_of[start]:
-                        end += 1
-            products = self._products(start, end, comp_a, comp_b,
-                                      tm, tn, tk, accel_dtype)
-            self._reduce_pushes(start, end, push_of, products, tm, tn,
-                                accel_dtype, push_data)
-            start = end
-
-    def _operand(self, packed: np.ndarray, rows: int, shape, dtype,
-                 cast=None):
-        """Gather one operand side of a compute block (zeros for -1)."""
-        missing = packed < 0
-        any_missing = bool(missing.any())
-        if any_missing and missing.all():
+    def _operand(self, side, shape, dtype, cast=None) -> np.ndarray:
+        """Gather one operand side of a block (zeros if never loaded)."""
+        class_id, rows = side
+        if class_id is None:
             return np.zeros((rows,) + shape, dtype=cast or dtype)
-        if any_missing:
-            class_id = int(packed[~missing][0] >> 40)
-            index = np.where(missing, 0, packed & ((1 << 40) - 1))
-        else:
-            class_id = int(packed[0] >> 40)
-            index = packed & ((1 << 40) - 1)
-        src = self._class_values(class_id, cast=cast)
-        if src is not None:
-            inverse, _ = self._class_table(class_id)
-            tiles = src[inverse[index]].reshape((rows,) + shape)
-        else:
-            tiles = self._gather(class_id, index).reshape((rows,) + shape)
-            if cast is not None:
-                tiles = tiles.astype(cast)
-        if any_missing:
-            tiles[missing] = 0  # fancy indexing returned a fresh array
-        return tiles
+        tiles = self._values(class_id, cast)[rows]
+        if cast is not None:
+            tiles = tiles.astype(cast, copy=False)  # live-window gathers
+        return tiles.reshape((rows.size,) + shape)
 
-    def _products(self, start, end, comp_a, comp_b, tm, tn, tk,
-                  accel_dtype) -> np.ndarray:
-        rows = end - start
-        packed_a = comp_a[start:end]
-        if self.plan.kind == "conv":
-            # One dot product per window against the (shared) filter —
-            # replicates ConvAccelerator._send_input_compute's exact
-            # int64 arithmetic (exact-float BLAS when provably safe).
-            packed_b = comp_b[start:end]
-            if (packed_b != packed_b[0]).any():
-                raise ReplayUnsupported("filter changes inside a push run")
-            cast = self._pair_cast(packed_a, packed_b[:1], tk)
-            if cast == "uncached":
-                windows = self._operand(packed_a, rows, (1, tk),
-                                        accel_dtype).reshape(rows, tk)
-                filt = self._operand(packed_b[:1], 1, (1, tk),
-                                     accel_dtype).reshape(tk)
-                if float64_exact_bound(tk, windows, filt):
-                    cast = np.float64
-                    windows = windows.astype(cast)
-                    filt = filt.astype(cast)
-                else:
-                    cast = None
-            else:
-                windows = self._operand(packed_a, rows, (1, tk),
-                                        accel_dtype,
-                                        cast=cast).reshape(rows, tk)
-                filt = self._operand(packed_b[:1], 1, (1, tk), accel_dtype,
-                                     cast=cast).reshape(tk)
-            if cast is not None:
-                values = (windows @ filt).astype(np.int64)
-            else:
-                values = windows.astype(np.int64) @ filt.astype(np.int64)
-            return values.reshape(rows, 1, 1)
-        packed_b = comp_b[start:end]
-        if accel_dtype.kind != "i":
-            a = self._operand(packed_a, rows, (tm, tk), accel_dtype)
-            b = self._operand(packed_b, rows, (tk, tn), accel_dtype)
-            return a @ b
+    def _products(self, block: _Block, conv: bool, dtype) -> np.ndarray:
+        """All products of a block, in compute order."""
+        tm, tn, tk = block.tm, block.tn, block.tk
+        if conv:
+            # One dot product per (filter, window) — replicates
+            # ConvAccelerator._send_input_compute's exact int64
+            # arithmetic (exact-float BLAS when provably safe).
+            a_shape = b_shape = (tk,)
+        else:
+            a_shape, b_shape = (tm, tk), (tk, tn)
+        if not conv and dtype.kind != "i":
+            return self._operand(block.a, a_shape, dtype) \
+                @ self._operand(block.b, b_shape, dtype)
         # Integer tiles: any exact-or-modular path is bit-identical
         # to the per-tile accumulation (wraparound is mod 2^32
         # regardless of where it happens).
-        cast = self._pair_cast(packed_a, packed_b, tk)
-        if cast == "uncached":
-            a = self._operand(packed_a, rows, (tm, tk), accel_dtype)
-            b = self._operand(packed_b, rows, (tk, tn), accel_dtype)
-            if float64_exact_bound(tk, a, b):
-                return (a.astype(np.float64)
-                        @ b.astype(np.float64)).astype(np.int64)
-            return a.astype(np.int64) @ b.astype(np.int64)
-        a = self._operand(packed_a, rows, (tm, tk), accel_dtype, cast=cast)
-        b = self._operand(packed_b, rows, (tk, tn), accel_dtype, cast=cast)
+        cast = self._elect_cast(block)
+        a = self._operand(block.a, a_shape, dtype, cast)
+        b = self._operand(block.b, b_shape, dtype, cast)
+        if conv:
+            b = b.T
         if cast is not None:
-            return (a @ b).astype(np.int64)
-        return a.astype(np.int64) @ b.astype(np.int64)
+            products = (a @ b).astype(np.int64)
+        else:
+            products = a.astype(np.int64) @ b.astype(np.int64)
+        # conv: (windows, filters) -> filter-major compute order.
+        return products.T.reshape(-1) if conv else products
 
-    def _store_push_rows(self, uniq: np.ndarray, flat: np.ndarray,
-                         push_data) -> None:
-        """Write per-push payload rows into the receive-class buffers.
+    def _fold(self, block: _Block, products, conv: bool, dtype):
+        """One payload row per push of the block, preserving order.
 
-        When every push of the block lands in one class (the common
-        case — a block stays within one flow segment), the whole write
-        is a single fancy-index scatter into that class's row matrix.
+        A matmul push drains the *sum* of its tile products, a conv push
+        the *stack* of its window dots (the slice buffer).
         """
-        classes = self._push_class[uniq]
-        if classes.size and (classes == classes[0]).all():
-            buffer = self._recv_buffers[int(classes[0])]
-            buffer[self._push_row[uniq]] = flat
-            return
-        for i, p in enumerate(uniq):
-            push_data[int(p)][:] = flat[i]
-
-    def _reduce_pushes(self, start, end, push_of, products, tm, tn,
-                       accel_dtype, push_data) -> None:
-        """Fold a block of products into its pushes, preserving order."""
-        plan = self.plan
-        segment = push_of[start:end]
-        kept = segment >= 0
-        if not kept.any():
-            return
-        if kept.all():
-            push_ids = segment
-            prods = products
-        else:
-            push_ids = segment[kept]
-            prods = products[kept]
-        # Push ordinals are assigned in compute order, so the block's
-        # sequence is already sorted: first occurrences mark the runs.
-        uniq = push_ids[np.r_[True, push_ids[1:] != push_ids[:-1]]]
-        counts = self._push_counts[uniq]
-        if plan.kind == "conv":
-            # Pushes drain the slice buffer: stack scalars in order.
-            if counts.sum() != prods.shape[0]:
-                raise ReplayUnsupported("push runs split across blocks")
-            flat = prods.reshape(-1)
-            if (counts == counts[0]).all():
-                rows = flat.reshape(len(uniq), int(counts[0]))
-                self._store_push_rows(
-                    uniq, rows.astype(accel_dtype, copy=False), push_data
-                )
-                return
-            offsets = np.r_[0, np.cumsum(counts)]
-            for i, p in enumerate(uniq):
-                values = flat[offsets[i]:offsets[i + 1]]
-                push_data[int(p)][:] = np.asarray(values, dtype=accel_dtype)
-            return
-        if counts.sum() != prods.shape[0]:
-            raise ReplayUnsupported("push runs split across blocks")
-        if (counts == counts[0]).all():
-            c = int(counts[0])
-            stacked = prods.reshape(len(uniq), c, tm, tn)
-            if accel_dtype.kind == "i":
-                summed = stacked.sum(axis=1).astype(accel_dtype)
+        if block.count:
+            pushes = len(products) // block.count
+            stacked = products.reshape(pushes, block.count, -1)
+            if conv:
+                return stacked.reshape(pushes, -1).astype(dtype, copy=False)
+            if dtype.kind == "i":
+                return stacked.sum(axis=1).astype(dtype)
+            summed = np.zeros((pushes, stacked.shape[2]), dtype=dtype)
+            for j in range(block.count):
+                summed += stacked[:, j]
+            return summed
+        rows = []
+        for lo, hi in zip(block.offsets[:-1], block.offsets[1:]):
+            chunk = products[lo:hi].reshape(hi - lo, -1)
+            if conv:
+                rows.append(chunk.reshape(-1).astype(dtype))
+            elif dtype.kind == "i":
+                rows.append(chunk.sum(axis=0).astype(dtype))
             else:
-                summed = np.zeros((len(uniq), tm, tn), dtype=accel_dtype)
-                for j in range(c):
-                    summed += stacked[:, j]
-            self._store_push_rows(uniq, summed.reshape(len(uniq), -1),
-                                  push_data)
-        else:
-            offsets = np.r_[0, np.cumsum(counts)]
-            for i, p in enumerate(uniq):
-                chunk = prods[offsets[i]:offsets[i + 1]]
-                if accel_dtype.kind == "i":
-                    out = chunk.sum(axis=0).astype(accel_dtype)
-                else:
-                    out = np.zeros((tm, tn), dtype=accel_dtype)
-                    for row in chunk:
-                        out += row
-                push_data[int(p)][:] = out.reshape(-1)
+                out = np.zeros(chunk.shape[1], dtype=dtype)
+                for row in chunk:
+                    out += row
+                rows.append(out)
+        return rows
 
-    def _scatter_receives(self, push_data: List[np.ndarray]) -> None:
-        trace = self.trace
-        # Receive classes are applied class-by-class below, which is
-        # only order-safe when at most one class writes an argument;
-        # multiple classes on one argument (e.g. store + accumulate
-        # receives of the same tiles) replay strictly in event order.
-        classes_per_arg: Dict[int, int] = {}
-        for tile_class in trace.recv_classes:
-            classes_per_arg[tile_class.arg] = \
-                classes_per_arg.get(tile_class.arg, 0) + 1
-        sequential_args = {arg for arg, count in classes_per_arg.items()
-                           if count > 1}
-        for ordinal, (class_id, index) in enumerate(
-            trace.recv_refs if sequential_args else ()
-        ):
+    def _payload(self, ordinal: int) -> np.ndarray:
+        """Push ``ordinal``'s payload: a row view of its receive buffer."""
+        class_id, row = self.trace.recv_refs[ordinal]
+        return self._recv_buffers[class_id][row]
+
+    def _compute_functional(self) -> None:
+        """All accelerator outputs, one batched product per block.
+
+        Push payloads are written straight into per-receive-class row
+        matrices (``self._recv_buffers``, rows in tile-index order), so
+        the scatter stage applies a whole class with zero re-packing.
+        """
+        trace, schedule = self.trace, self.schedule
+        dtype = self.board.accelerator.dtype
+        conv = self.plan.kind == "conv"
+        self._send_windows = [
+            self._window(tile_class, extent) for tile_class, extent
+            in zip(trace.send_classes, schedule.send_extent)
+        ]
+        self._recv_windows = [
+            self._window(tile_class, extent) for tile_class, extent
+            in zip(trace.recv_classes, schedule.recv_extent)
+        ]
+        self._recv_buffers = [
+            np.empty((tile_class.starts.size, tile_class.num_elements()),
+                     dtype=dtype)
+            for tile_class in trace.recv_classes
+        ]
+        for block in schedule.blocks:
+            rows = self._fold(block, self._products(block, conv, dtype),
+                              conv, dtype)
+            class_id, target = block.target
+            if class_id is not None:
+                self._recv_buffers[class_id][target] = rows
+            else:
+                for ordinal, row in zip(target, rows):
+                    self._payload(ordinal)[:] = row
+
+    def _scatter_receives(self) -> None:
+        trace, schedule = self.trace, self.schedule
+        for class_id, index, start in schedule.sequential:
             tile_class = trace.recv_classes[class_id]
-            if tile_class.arg not in sequential_args:
-                continue
             desc = self.descriptors[tile_class.arg]
-            start = desc.offset + int(tile_class.starts[index])
-            idx = _tile_indices(np.asarray([start], dtype=np.int64),
-                                tile_class.sizes,
-                                tile_class.strides).reshape(-1)
-            data = push_data[ordinal].view(desc.dtype)
+            tile = self._recv_windows[class_id][start]
+            data = self._recv_buffers[class_id][index].view(desc.dtype) \
+                .reshape(tile.shape)
             if tile_class.accumulate:
-                desc.allocated[idx] += data
+                tile += data
             else:
-                desc.allocated[idx] = data
-        for class_id, tile_class in enumerate(trace.recv_classes):
-            if tile_class.arg in sequential_args:
-                continue
+                tile[...] = data
+        for class_id, sel, starts in schedule.rounds:
+            tile_class = trace.recv_classes[class_id]
             desc = self.descriptors[tile_class.arg]
-            n = len(tile_class.starts)
-            if n == 0:
-                continue
-            # Buffer rows are already in tile-index order (push payloads
-            # land directly in the class matrix, see _compute_functional).
+            window = self._recv_windows[class_id]
             data = self._recv_buffers[class_id].view(desc.dtype)
-            starts = desc.offset + tile_class.starts
-            flat = desc.allocated
-            accumulate = bool(tile_class.accumulate)
-            table = self._class_table(class_id, is_recv=True)
-            inverse = idx_unique = None
-            if table is not None:
-                inverse, idx_unique = table
-            if not trace.recv_disjoint[class_id]:
-                for i in range(n):
-                    if idx_unique is not None:
-                        idx = idx_unique[inverse[i]].reshape(-1)
-                    else:
-                        idx = _tile_indices(starts[i:i + 1],
-                                            tile_class.sizes,
-                                            tile_class.strides).reshape(-1)
-                    if accumulate:
-                        flat[idx] += data[i]
-                    else:
-                        flat[idx] = data[i]
-                continue
-            # Vectorized rounds: within a round every target is unique,
-            # across rounds time order per target is preserved.
-            occurrence = _occurrence_counts(tile_class.starts)
-            for ro in range(int(occurrence.max()) + 1):
-                sel = occurrence == ro
-                if idx_unique is not None:
-                    idx = idx_unique[inverse[sel]]
-                else:
-                    idx = _tile_indices(starts[sel], tile_class.sizes,
-                                        tile_class.strides)
-                rows = data[sel].reshape(idx.shape)
-                if accumulate:
-                    flat[idx] += rows
-                else:
-                    flat[idx] = rows
+            if sel is not None:
+                data = data[sel]
+            tiles = data.reshape((starts.size,) + window.shape[1:])
+            if tile_class.accumulate:
+                window[starts] += tiles
+            else:
+                window[starts] = tiles
 
     # -- staging-region payloads (data plane, plan-indexed) ---------------
     def _apply_input_region(self, mplan) -> None:
@@ -672,25 +674,24 @@ class ReplayExecutor:
                 mplan.input_word_values
         for class_id, tile_idx, dest_pos, src_pos in \
                 mplan.input_tile_writes:
-            rows = self._gather(class_id, tile_idx)
+            rows = self._tiles(class_id, tile_idx)
             words = np.ascontiguousarray(rows).view(np.uint32)
             engine.input_words[dest_pos] = words.reshape(-1)[src_pos]
 
-    def _apply_output_region(self, mplan, push_data) -> None:
+    def _apply_output_region(self, mplan) -> None:
         """Write the plan's winning output-region receive payloads."""
         engine = self.engine
         for ordinal, dest_pos, src_pos in mplan.output_writes:
-            data = np.ascontiguousarray(push_data[ordinal]).view(np.uint32)
+            data = np.ascontiguousarray(self._payload(ordinal)) \
+                .view(np.uint32)
             engine.output_words[dest_pos] = data[src_pos]
 
     # -- accelerator end-state (data plane: final operand tiles) ----------
     def _one_tile(self, packed: int, dtype) -> Optional[np.ndarray]:
         if packed < 0:
             return None
-        class_id, index = packed >> 40, packed & ((1 << 40) - 1)
-        return self._gather(
-            class_id, np.asarray([index], dtype=np.int64)
-        )[0].astype(dtype, copy=False)
+        return self._tiles(packed >> 40, [packed & _INDEX_MASK])[0] \
+            .astype(dtype, copy=False)
 
     def _finalize_accelerator(self, accel) -> None:
         plan = self.plan

@@ -221,6 +221,18 @@ class _TileClass:
         self.order = np.asarray(self.order, dtype=np.int64)
 
 
+def _public_state(obj) -> Dict[str, object]:
+    """Pickle state of a trace or plan: private attributes stay behind.
+
+    Underscore-prefixed instance attributes are process-local derived
+    state hung on the object for its lifetime (the replay data
+    schedule); they are rebuilt on demand wherever the copy lands, and
+    the kernel store's codec skips them by the same rule.
+    """
+    return {name: value for name, value in vars(obj).items()
+            if not name.startswith("_")}
+
+
 class DriverTrace:
     """The compiled, runtime-independent schedule of one kernel driver."""
 
@@ -276,7 +288,7 @@ class DriverTrace:
         return 0 if self.staged_is_word is None else self.staged_is_word.size
 
     def __getstate__(self):
-        state = self.__dict__.copy()
+        state = _public_state(self)
         state["metrics_plans"] = None  # persisted under its own schema
         # component_digest (a lazily computed content hash, see
         # repro.execution.metrics._trace_component_digest) stays in the
@@ -633,6 +645,9 @@ class DecodedPlan:
     @staticmethod
     def pack(class_id: int, index: int) -> int:
         return (class_id << 40) | index
+
+    def __getstate__(self):
+        return _public_state(self)
 
 
 def decode_key(accelerator: StreamAccelerator) -> Tuple:

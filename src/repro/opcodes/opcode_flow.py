@@ -15,6 +15,7 @@ a nested group lands in a deeper loop than its siblings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Tuple, Union
 
 from ..ir.attributes import Attribute
@@ -127,8 +128,13 @@ def _tokenize(text: str) -> List[str]:
     return tokens
 
 
+@lru_cache(maxsize=256)
 def parse_opcode_flow(text: str) -> OpcodeFlow:
-    """Parse an ``opcode_flow < ... >`` string into an :class:`OpcodeFlow`."""
+    """Parse an ``opcode_flow < ... >`` string into an :class:`OpcodeFlow`.
+
+    Memoized on the text, like :func:`parse_opcode_map`: flows are
+    frozen dataclasses over tuples.
+    """
     body = text.strip()
     if body.startswith("opcode_flow"):
         body = body[len("opcode_flow"):].strip()

@@ -17,6 +17,7 @@ Integer literals accept decimal and ``0x`` hexadecimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 from ..ir.attributes import Attribute
@@ -213,8 +214,14 @@ def _parse_action(lexer: _Lexer) -> Action:
     return action
 
 
+@lru_cache(maxsize=256)
 def parse_opcode_map(text: str) -> OpcodeMap:
-    """Parse an ``opcode_map < ... >`` string into an :class:`OpcodeMap`."""
+    """Parse an ``opcode_map < ... >`` string into an :class:`OpcodeMap`.
+
+    Memoized on the text: the catalog re-parses the same few constant
+    strings for every system it builds, and the result is immutable all
+    the way down (frozen dataclasses over tuples), so sharing it is safe.
+    """
     lexer = _Lexer(text.strip())
     if lexer.text.startswith("opcode_map"):
         lexer.pos += len("opcode_map")

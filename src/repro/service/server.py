@@ -331,6 +331,12 @@ class ServiceServer:
 
     def _close_listener(self) -> None:
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so drain's join returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already shut down: drain is idempotent
             try:
                 self._listener.close()
             except OSError:

@@ -69,11 +69,12 @@ class Cache:
         # order; front = least recent).  Stored behind the ``_sets``
         # property: replay installs end-states as way *arrays* (see
         # :func:`install_ways`), and the dict expansion is deferred
-        # until someone actually needs the dict form.
+        # until someone actually needs the dict form.  The dicts
+        # themselves are only built on first use (``None`` = all sets
+        # empty): a replayed board installs way arrays and never reads
+        # them, and a hierarchy has thousands of sets.
         self._ways_mirror: Optional[np.ndarray] = None
-        self._sets_store: List[Dict[int, None]] = [
-            {} for _ in range(self.num_sets)
-        ]
+        self._sets_store: Optional[List[Dict[int, None]]] = None
         self.hits = 0
         self.misses = 0
 
@@ -85,6 +86,8 @@ class Cache:
         to mutate the dicts — so array-to-array replay sequences (apply
         a plan, export for the next build) never pay the expansion.
         """
+        if self._sets_store is None:
+            self._sets_store = [{} for _ in range(self.num_sets)]
         mirror = self._ways_mirror
         if mirror is not None:
             self._ways_mirror = None
@@ -618,7 +621,7 @@ def _export_ways(cache: Cache) -> np.ndarray:
         return mirror.copy()
     ways = np.full(cache.num_sets * cache.associativity, -1, dtype=np.int64)
     assoc = cache.associativity
-    for index, resident in enumerate(cache._sets_store):
+    for index, resident in enumerate(cache._sets_store or ()):
         if resident:
             stack = list(resident)  # dict order: LRU -> MRU
             stack.reverse()

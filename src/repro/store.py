@@ -190,10 +190,11 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
 #: DriverTrace attributes never persisted: ``metrics_plans`` has its
 #: own schema slot in the kernel payload; ``decoded`` is filtered to
 #: drop cached TraceUnsupported sentinels (cheap to rediscover).
+#: Private (underscore-prefixed) instance attributes of a DriverTrace or
+#: DecodedPlan are process-local derived state (e.g. the replay data
+#: schedule): the encoder takes the same ``_public_state`` pickling
+#: does, and the decoder has always dropped them.
 _TRACE_SKIP = ("metrics_plans",)
-
-#: DecodedPlan attributes lazily attached by the replay executor.
-_PLAN_SKIP = ("_push_class", "_push_row")
 
 
 class _Encoder:
@@ -243,12 +244,12 @@ class _Encoder:
         )
 
     def _encode_fields(self, tag: str, value: Any) -> List[List[Any]]:
-        from .execution.trace import TraceUnsupported
+        from .execution.trace import TraceUnsupported, _public_state
 
         _, fields = self._registry[tag]
         items: List[List[Any]] = []
         if fields is None:
-            pairs = list(vars(value).items())
+            pairs = list(_public_state(value).items())
         else:
             pairs = [(name, getattr(value, name)) for name in fields]
         for name, field in pairs:
@@ -258,8 +259,6 @@ class _Encoder:
                 if name == "decoded":
                     field = {k: v for k, v in field.items()
                              if not isinstance(v, TraceUnsupported)}
-            if tag == "DecodedPlan" and name in _PLAN_SKIP:
-                continue
             items.append([name, self.encode(field)])
         return items
 

@@ -526,6 +526,19 @@ class TestService:
                                sleep=lambda _s: None) as client:
                 client.submit(matmul_spec(seed=16))
 
+    def test_idle_server_drains_promptly(self):
+        """Closing the listener must wake the thread parked in
+        accept(); drain used to sit out its whole 5 s join timeout."""
+        server = ServiceServer(workers=1, queue_max=4).start()
+        acceptor = server._threads[-1]
+        assert acceptor.name == "service-accept"
+        start = time.monotonic()
+        summary = server.drain()
+        elapsed = time.monotonic() - start
+        assert elapsed < 1.0, f"idle drain took {elapsed:.2f} s"
+        assert not acceptor.is_alive()
+        assert summary["queued"] == 0 and summary["executing"] == 0
+
     def test_health_reports_queue_breakers_and_faults(self):
         server = ServiceServer(workers=1, queue_max=4).start()
         try:

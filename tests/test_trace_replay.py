@@ -16,18 +16,28 @@ behaviour).  Their staging/copy cost paths share the memoized copy
 plans exercised by test_copy_equivalence.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
+from repro.execution import (
+    TraceUnsupported,
+    interpret_function,
+    record_trace,
+    replay_kernel,
+)
 from repro.runtime import (
     AxiRuntime,
     CALL_STYLE_MANUAL,
     DoubleBufferedRuntime,
 )
+from repro.runtime.memref import MemRefDescriptor
 from repro.soc import make_pynq_z2
+from repro.store import decode_payload, encode_payload
 
 
 def _board_state(board, hw):
@@ -287,3 +297,412 @@ class TestFallbacks:
             except Exception as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+# -- the scheduled data plane: schedule once per trace, payload per call ----
+#
+# The replay data plane derives everything that is fixed by the trace
+# and the decoded plan once (the DataSchedule, kept on the plan) and
+# touches only operand bytes afterwards.  These tests pin the *reused*
+# schedule — across invocations with different data, at moved
+# descriptor offsets, after the trace went through the store codec and
+# through pickle — to the per-tile driver and the interpreter.
+
+_PAD = 0x5A5A5A5  # guard value around every argument's storage
+
+
+def _row_major(shape):
+    strides = [1] * len(shape)
+    for axis in range(len(shape) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * shape[axis + 1]
+    return tuple(strides)
+
+
+def _padded_memref(rt, array, pad, name):
+    """``array`` as a memref ``pad`` elements into guarded storage."""
+    guard = np.full(pad + 3, _PAD, array.dtype)
+    flat = np.concatenate([guard[:pad], array.reshape(-1), guard[pad:]])
+    region = rt.board.memory.allocate(int(flat.nbytes), name)
+    return MemRefDescriptor(flat, pad, array.shape, _row_major(array.shape),
+                            region.base, name)
+
+
+def _accel_state(hw):
+    names = ("_a", "_b", "_c", "tile_m", "tile_n", "tile_k") \
+        if hasattr(hw, "_a") else ("_filter", "_slice", "ic", "fhw")
+    return {name: np.asarray(getattr(hw, name)).tolist() for name in names}
+
+
+def _fresh(case, arrays, pads):
+    """A fresh board with the case's accelerator, and its arguments."""
+    hw = case.make_hw()
+    board = make_pynq_z2()
+    board.attach_accelerator(hw)
+    rt = case.make_runtime(board)
+    descriptors = [_padded_memref(rt, array.copy(), pad, f"arg{i}")
+                   for i, (array, pad) in enumerate(zip(arrays, pads))]
+    return hw, board, rt, descriptors
+
+
+def _invoke(mode, case, arrays, pads, trace=None):
+    """One invocation on a fresh board; everything that must agree."""
+    hw, board, rt, descriptors = _fresh(case, arrays, pads)
+    before = board.snapshot()
+    if mode == "per_tile":
+        case.entry_point(rt, *descriptors)
+    elif mode == "interpreted":
+        interpret_function(case.func_op, descriptors, rt)
+    else:
+        replay_kernel(trace, board, rt, descriptors, False)
+    counters = board.measure_since(before)
+    return (counters.as_dict(),
+            [d.allocated.tobytes() for d in descriptors],
+            _accel_state(hw), _board_state(board, hw))
+
+
+class _Case:
+    """A driver under test: a compiled kernel or a hand-written body."""
+
+    def __init__(self, make_hw, entry_point, shapes, func_op=None,
+                 make_runtime=AxiRuntime):
+        self.make_hw = make_hw
+        self.entry_point = entry_point
+        self.shapes = shapes
+        self.func_op = func_op
+        self.make_runtime = make_runtime
+        self._trace = None
+
+    def trace(self):
+        """One trace per case, so later examples reuse its schedule."""
+        if self._trace is None:
+            self._trace = record_trace(self.entry_point, tuple(
+                (shape, _row_major(shape), 4, "int32")
+                for shape in self.shapes))
+        return self._trace
+
+    def arrays(self, rng):
+        return [rng.integers(-9, 9, shape).astype(np.int32)
+                for shape in self.shapes]
+
+
+def _compiled_case(kind, **params):
+    if kind == "matmul":
+        m, n, k = params.pop("shape")
+        system = dict(params)
+        make_hw = lambda: make_matmul_system(**system)[0]  # noqa: E731
+        info = make_matmul_system(**system)[1]
+        kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
+            .compile_matmul(m, n, k)
+        shapes = [(m, k), (k, n), (m, n)]
+    else:
+        in_ch, f_hw, out_ch, in_hw, stride = params["shape"]
+        make_hw = lambda: make_conv_system(in_ch, f_hw)[0]  # noqa: E731
+        info = make_conv_system(in_ch, f_hw)[1]
+        kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
+            .compile_conv(1, in_ch, in_hw, out_ch, f_hw, stride)
+        out_hw = (in_hw - f_hw) // stride + 1
+        shapes = [(1, in_ch, in_hw, in_hw), (out_ch, in_ch, f_hw, f_hw),
+                  (1, out_ch, out_hw, out_hw)]
+    return _Case(make_hw, kernel.entry_point, shapes,
+                 func_op=kernel.func_op, make_runtime=kernel.make_runtime)
+
+
+def _conv_body(receives):
+    """A hand-written 2-channel 3x3 conv body over a 4x4 image (2x2
+    windows per filter, three passes of two filters);
+    ``receives(rt, out, f, pass_)`` places each filter's 4-element
+    slice, which is what the cases below vary."""
+    def body(rt, image, weights, out):
+        rt.dma_init(0, 0x4000_0000, 0x2000, 0x4010_0000, 0x2000)
+        off = rt.send_literal(32, 0)            # cfg_fsize
+        off = rt.send_dim(weights, 3, off)
+        off = rt.send_literal(16, off)          # cfg_ic
+        off = rt.send_dim(image, 1, off)
+        rt.flush_send(off)
+        for pass_ in range(3):
+            for f in range(2):
+                off = rt.send_literal(1, 0)     # sF
+                off = rt.send_memref(
+                    weights.subview((2 * pass_ + f, 0, 0, 0), (1, 2, 3, 3)),
+                    off)
+                for oh in range(2):
+                    for ow in range(2):
+                        off = rt.send_literal(70, off)  # sIcO
+                        off = rt.send_memref(
+                            image.subview((0, 0, oh, ow), (1, 2, 3, 3)), off)
+                off = rt.send_literal(8, off)   # rO
+                rt.flush_send(off)
+                receives(rt, out, f, pass_)
+    return body
+
+
+def _two_classes_per_argument(rt, out, f, pass_):
+    # Store, accumulate, store into the same tiles: two receive classes
+    # on one argument.  Class by class (both stores, then the
+    # accumulate) would keep the accumulate the last store wipes.
+    rt.recv_memref(out.subview((0, f, 0, 0), (1, 1, 2, 2)), 0,
+                   accumulate=pass_ == 1)
+
+
+def _overlapping_tiles(rt, out, f, pass_):
+    # Accumulates at rows 0..5 of a 7-row plane: distinct starts whose
+    # 2x2 tiles overlap.  One vectorized round would add only the last
+    # tile into each shared row.
+    rt.recv_memref(out.subview((0, 0, 2 * pass_ + f, 0), (1, 1, 2, 2)), 0,
+                   accumulate=True)
+
+
+def _conv_uneven_body(rt, image, weights, out):
+    # One filter, a 4-window slice then a 2-window slice: uneven push
+    # counts inside one block, landing in two receive classes.
+    rt.dma_init(0, 0x4000_0000, 0x2000, 0x4010_0000, 0x2000)
+    off = rt.send_literal(32, 0)
+    off = rt.send_dim(weights, 3, off)
+    off = rt.send_literal(16, off)
+    off = rt.send_dim(image, 1, off)
+    off = rt.send_literal(1, off)
+    off = rt.send_memref(weights.subview((0, 0, 0, 0), (1, 2, 3, 3)), off)
+    for rows, target in ((2, (0, 0, 0, 0)), (1, (0, 1, 0, 0))):
+        for oh in range(rows):
+            for ow in range(2):
+                off = rt.send_literal(70, off)
+                off = rt.send_memref(
+                    image.subview((0, 0, oh, ow), (1, 2, 3, 3)), off)
+        off = rt.send_literal(8, off)
+        rt.flush_send(off)
+        rt.recv_memref(out.subview(target, (1, 1, rows, 2)), 0,
+                       accumulate=True)
+        off = 0
+
+
+def _matmul_corner_body(rt, a, b, c):
+    """v3 opcodes by hand: products on never-loaded operand buffers
+    (zeros), then pushes that collect one and two products."""
+    def tile(ref, row, col):
+        return ref.subview((4 * row, 4 * col), (4, 4))
+
+    rt.dma_init(0, 0x4000_0000, 0x1000, 0x4010_0000, 0x1000)
+    off = rt.send_literal(0xF0, 0)              # cC on the reset state
+    rt.flush_send(rt.send_literal(0x24, off))   # rC
+    rt.recv_memref(tile(c, 0, 0), 0, accumulate=False)
+    off = rt.send_memref(tile(a, 0, 0), rt.send_literal(0x22, 0))  # sA only
+    off = rt.send_literal(0xF0, off)
+    rt.flush_send(rt.send_literal(0x24, off))
+    rt.recv_memref(tile(c, 0, 1), 0, accumulate=False)
+    for col, depth in ((0, 1), (1, 2)):
+        off = 0
+        for k in range(depth):
+            off = rt.send_memref(tile(a, 0, k), rt.send_literal(0x22, off))
+            off = rt.send_memref(tile(b, k, col), rt.send_literal(0x23, off))
+            off = rt.send_literal(0xF0, off)
+        rt.flush_send(rt.send_literal(0x24, off))
+        rt.recv_memref(tile(c, 1, col), 0, accumulate=True)
+
+
+_CASES = {}
+
+
+def _case(name):
+    """Cases are built on first use and kept: every hypothesis example
+    of one case shares its trace and therefore its cached schedule."""
+    if name not in _CASES:
+        builders = {
+            "v1": lambda: _compiled_case("matmul", version=1, size=4,
+                                         flow="Ns", shape=(8, 12, 8)),
+            "v2": lambda: _compiled_case("matmul", version=2, size=4,
+                                         flow="As", shape=(8, 8, 12)),
+            "v3": lambda: _compiled_case("matmul", version=3, size=4,
+                                         flow="Cs", shape=(12, 8, 8)),
+            "v4-flex": lambda: _compiled_case(
+                "matmul", version=4, size=4, flow="Bs",
+                accel_size=(8, 4, 8), shape=(16, 8, 16)),
+            "conv": lambda: _compiled_case("conv", shape=(2, 3, 3, 6, 1)),
+            "conv-stride": lambda: _compiled_case(
+                "conv", shape=(3, 3, 2, 7, 2)),
+            "conv-two-classes": lambda: _Case(
+                lambda: make_conv_system(2, 3, max_slice=4)[0],
+                _conv_body(_two_classes_per_argument),
+                [(1, 2, 4, 4), (6, 2, 3, 3), (1, 2, 2, 2)]),
+            "conv-overlap": lambda: _Case(
+                lambda: make_conv_system(2, 3, max_slice=4)[0],
+                _conv_body(_overlapping_tiles),
+                [(1, 2, 4, 4), (6, 2, 3, 3), (1, 1, 7, 2)]),
+            "conv-uneven": lambda: _Case(
+                lambda: make_conv_system(2, 3, max_slice=4)[0],
+                _conv_uneven_body,
+                [(1, 2, 4, 4), (1, 2, 3, 3), (1, 2, 2, 2)]),
+            "v3-corners": lambda: _Case(
+                lambda: make_matmul_system(3, 4)[0], _matmul_corner_body,
+                [(4, 8), (8, 8), (8, 8)]),
+        }
+        _CASES[name] = builders[name]()
+    return _CASES[name]
+
+
+_CASE_NAMES = ["v1", "v2", "v3", "v4-flex", "conv", "conv-stride",
+               "conv-two-classes", "conv-overlap", "conv-uneven",
+               "v3-corners"]
+
+
+def _schedules(trace):
+    return [getattr(plan, "_data_schedule", None)
+            for plan in trace.decoded.values()]
+
+
+@pytest.mark.parametrize("name", _CASE_NAMES)
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    pads=st.lists(st.tuples(*[st.integers(0, 9)] * 3), min_size=3,
+                  max_size=3),
+)
+def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
+    case = _case(name)
+    trace = case.trace()
+    rng = np.random.default_rng(seed)
+    for round_, round_pads in enumerate(pads):
+        arrays = case.arrays(rng)  # fresh data every invocation
+        reference = _invoke("per_tile", case, arrays, round_pads)
+        if case.func_op is not None:
+            assert _invoke("interpreted", case, arrays, round_pads) \
+                == reference, "interpreter and per-tile driver differ"
+        if round_ == 1:
+            # The schedule is derived state: neither the store codec
+            # nor pickle carries it, and the copy rebuilds its own.
+            built = _schedules(trace)
+            assert built and all(s is not None for s in built)
+            trace = pickle.loads(pickle.dumps(trace))
+            assert _schedules(trace) == [None] * len(built)
+        if round_ == 2:
+            trace = decode_payload(*encode_payload(trace))
+            assert all(s is None for s in _schedules(trace))
+        got = _invoke("replay", case, arrays, round_pads, trace=trace)
+        assert got[0] == reference[0], "PerfCounters differ"
+        assert got[1] == reference[1], "argument storage differs"
+        assert got[2] == reference[2], "accelerator end-state differs"
+        assert got[3] == reference[3], "board/DMA region state differs"
+        # ... and once more on the schedule that call just built.
+        assert _invoke("replay", case, arrays, round_pads, trace=trace) \
+            == got
+
+
+class TestScheduleIsDerivedState:
+    def test_hand_written_cases_take_the_in_order_scatter(self):
+        for name, rounds in (("conv-two-classes", 0), ("conv-overlap", 0)):
+            case = _case(name)
+            _invoke("replay", case, case.arrays(np.random.default_rng(0)),
+                    (0, 0, 0), trace=case.trace())
+            (schedule,) = _schedules(case.trace())
+            assert len(schedule.rounds) == rounds
+            assert len(schedule.sequential) == 6
+
+    def test_conv_filters_fuse_into_one_product(self):
+        case = _case("conv")
+        _invoke("replay", case, case.arrays(np.random.default_rng(0)),
+                (0, 0, 0), trace=case.trace())
+        (schedule,) = _schedules(case.trace())
+        (block,) = schedule.blocks
+        assert block.b[1].size == 3 and block.target == (0, slice(0, 3))
+
+    def test_private_attributes_never_persist(self):
+        """Anything hung on a trace or plan under a private name stays
+        out of the store manifest and the pickle state."""
+        case = _case("v3")
+        _invoke("replay", case, case.arrays(np.random.default_rng(0)),
+                (0, 0, 0), trace=case.trace())
+        trace = pickle.loads(pickle.dumps(case.trace()))  # no schedule
+        (plan,) = trace.decoded.values()
+        manifest, npz = encode_payload(trace)
+        state = (sorted(trace.__getstate__()), sorted(plan.__getstate__()))
+        trace._scratch = np.arange(1 << 12)
+        plan._scratch = {"not": "encodable", "by": object}
+        assert encode_payload(trace) == (manifest, npz)
+        assert (sorted(trace.__getstate__()),
+                sorted(plan.__getstate__())) == state
+        copy = pickle.loads(pickle.dumps(trace))
+        assert not hasattr(copy, "_scratch")
+        assert not hasattr(next(iter(copy.decoded.values())), "_scratch")
+
+    def test_large_class_gathers_from_the_live_window(self, monkeypatch):
+        """Classes past the up-front gather bound index their window
+        block by block; same results."""
+        import repro.execution.replay as replay_mod
+
+        monkeypatch.setattr(replay_mod, "_CLASS_ELEMENTS", 8)
+        for name in ("v3", "conv"):
+            case = _case(name)
+            trace = pickle.loads(pickle.dumps(case.trace()))
+            arrays = case.arrays(np.random.default_rng(3))
+            assert _invoke("replay", case, arrays, (2, 0, 5), trace=trace) \
+                == _invoke("per_tile", case, arrays, (2, 0, 5))
+            (schedule,) = _schedules(trace)
+            assert all(uniq is None for uniq, _ in schedule.send)
+
+
+class TestRefusalsLeaveNoTrace:
+    """Whatever refuses a replay — an injected fault, a schedule-time
+    verdict served from the cache, storage the tiles do not fit — the
+    board and the arguments are exactly as the per-tile path expects."""
+
+    def _refused(self, case, trace, arrays, match):
+        hw, board, rt, descriptors = _fresh(case, arrays, (4, 0, 2))
+        before = ([d.allocated.tobytes() for d in descriptors],
+                  _accel_state(hw), _board_state(board, hw))
+        with pytest.raises(TraceUnsupported, match=match):
+            replay_kernel(trace, board, rt, descriptors, False)
+        assert ([d.allocated.tobytes() for d in descriptors],
+                _accel_state(hw), _board_state(board, hw)) == before
+        assert board.dma is None and rt.dma is None
+        # ... so the per-tile driver picks up as if nothing happened.
+        snapshot = board.snapshot()
+        case.entry_point(rt, *descriptors)
+        return (board.measure_since(snapshot).as_dict(),
+                [d.allocated.tobytes() for d in descriptors],
+                _accel_state(hw), _board_state(board, hw))
+
+    def test_injected_replay_fault(self, monkeypatch):
+        from repro import faults
+
+        case = _case("v2")
+        arrays = case.arrays(np.random.default_rng(8))
+        reference = _invoke("per_tile", case, arrays, (4, 0, 2))
+        _invoke("replay", case, arrays, (4, 0, 2), trace=case.trace())
+        monkeypatch.setenv("REPRO_FAULTS", "replay:fail")
+        faults.reset_faults()
+        try:
+            assert self._refused(case, case.trace(), arrays,
+                                 "injected replay fault") == reference
+        finally:
+            monkeypatch.delenv("REPRO_FAULTS")
+            faults.reset_faults()
+
+    def test_refusal_served_from_the_cached_schedule(self):
+        def body(rt, a, c):
+            rt.dma_init(0, 0x4000_0000, 0x1000, 0x4010_0000, 0x1000)
+            off = rt.send_literal(0x22, 0)      # sA: loads, never computes
+            off = rt.send_memref(a.subview((0, 0), (4, 4)), off)
+            off = rt.send_literal(0x24, off)    # rC: pushes an empty sum
+            rt.flush_send(off)
+            rt.recv_memref(c.subview((0, 0), (4, 4)), 0, accumulate=False)
+
+        case = _Case(lambda: make_matmul_system(3, 4)[0], body,
+                     [(4, 4), (4, 4)])
+        arrays = case.arrays(np.random.default_rng(9))
+        reference = _invoke("per_tile", case, arrays, (4, 0))
+        for _ in range(3):  # builds the verdict, then serves it twice
+            assert self._refused(case, case.trace(), arrays,
+                                 "empty compute set") == reference
+            assert _schedules(case.trace()) \
+                == ["push with an empty compute set"]
+
+    def test_storage_too_short_for_the_tiles(self):
+        case = _case("v3")
+        arrays = case.arrays(np.random.default_rng(10))
+        _invoke("replay", case, arrays, (0, 0, 0), trace=case.trace())
+        hw, board, rt, descriptors = _fresh(case, arrays, (0, 0, 0))
+        short = descriptors[2]
+        short.allocated = short.aligned = short.allocated[:-8].copy()
+        before = _board_state(board, hw)
+        with pytest.raises(TraceUnsupported, match="beyond argument"):
+            replay_kernel(case.trace(), board, rt, descriptors, False)
+        assert _board_state(board, hw) == before and board.dma is None

@@ -23,23 +23,8 @@ the same session re-run against a hot store (see
 ``benchmarks/conftest.py``'s ``REPRO_BENCH_RECORD_WARM`` mode) — so a
 cold-path win cannot mask a warm-path regression or vice versa.
 
-**The stage-accounting rule.**  ``per_stage_s`` entries are wall-clock
-seconds accumulated *in whichever process ran the stage*: every pool
-worker (model-replay jobs, plan prebuilds, tuning sweep points,
-service requests) snapshots the cumulative counters at job entry and
-reports the end-minus-start *delta*, which exactly one merge site
-folds back into the parent (``run_model_jobs`` per job, the sweep
-driver per reply, the service per request plus one drain-time residue
-merge per worker).  Deltas are disjoint by construction, so each
-stage-second is counted exactly once — never double-counted, never
-silently dropped.  Inline fallbacks accumulate directly and report no
-delta.  Two consequences for reading the numbers: (1) fanning work
-onto N workers does **not** shrink a stage's seconds — the workers'
-seconds merge back, and stage totals can exceed session wall-clock;
-parallel wins show up in ``benchmarks_total_s`` / ``warm_total_s``
-only.  (2) a stage second belongs to the stage that *ran*, wherever it
-ran — a plan prebuilt by ``prebuild_plans()`` lands in
-``metrics_plan_build_s`` exactly as an inline build would.
+**The stage-accounting rule** (each stage-second merged exactly once, wherever
+it ran) lives at the merge site that enforces it: ``repro.counters.merge``.
 
 Usage (as wired in .github/workflows/ci.yml)::
 

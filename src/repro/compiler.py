@@ -20,11 +20,11 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from threading import Lock
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import counters
 from .accel_config import AcceleratorInfo, CPUInfo
 from .codegen import (
     compile_host_function,
@@ -241,19 +241,20 @@ class KernelCache:
     build locks, so each kernel is compiled once.
     """
 
+    #: The instance attributes counting lookups by outcome.
+    _TALLIES = ("hits", "misses", "disk_hits", "disk_misses",
+                "disk_corrupt", "disk_stale")
+
     def __init__(self, maxsize: int = 256,
                  disk_dir: Optional[str] = None):
         self.maxsize = maxsize
         self.disk_dir = disk_dir
         self._entries: "OrderedDict[Tuple, CompiledKernel]" = OrderedDict()
-        self._lock = Lock()
+        # Fork-safe, like every lock a pool worker can reach: the
+        # default cache is inherited by forked workers.
+        self._lock = counters.fork_safe_lock()
         self._stores: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_corrupt = 0
-        self.disk_stale = 0
+        self._zero_tallies()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -261,22 +262,21 @@ class KernelCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.disk_hits = 0
-            self.disk_misses = 0
-            self.disk_corrupt = 0
-            self.disk_stale = 0
+            self._zero_tallies()
+
+    def _zero_tallies(self) -> None:
+        for name in self._TALLIES:
+            setattr(self, name, 0)
+
+    def tallies(self) -> dict:
+        """The hit/miss tallies a pool worker can advance."""
+        return {name: getattr(self, name) for name in self._TALLIES}
 
     def merge_stats(self, delta: dict) -> None:
         """Fold a pool worker's hit/miss deltas into this cache's totals."""
         with self._lock:
-            self.hits += delta.get("hits", 0)
-            self.misses += delta.get("misses", 0)
-            self.disk_hits += delta.get("disk_hits", 0)
-            self.disk_misses += delta.get("disk_misses", 0)
-            self.disk_corrupt += delta.get("disk_corrupt", 0)
-            self.disk_stale += delta.get("disk_stale", 0)
+            for name in self._TALLIES:
+                setattr(self, name, getattr(self, name) + delta.get(name, 0))
 
     def stats(self) -> dict:
         from .execution.model_plan import MODEL_PLAN_COUNTERS
@@ -287,11 +287,7 @@ class KernelCache:
                            **MODEL_PLAN_COUNTERS}}
         disk_dir = self._resolve_disk_dir()
         if disk_dir is not None:
-            stats.update(disk_hits=self.disk_hits,
-                         disk_misses=self.disk_misses,
-                         disk_corrupt=self.disk_corrupt,
-                         disk_stale=self.disk_stale,
-                         disk_dir=str(disk_dir),
+            stats.update(self.tallies(), disk_dir=str(disk_dir),
                          store={**STORE_COUNTERS})
         return stats
 
@@ -302,7 +298,9 @@ class KernelCache:
         directory = self.disk_dir or os.environ.get(KERNEL_CACHE_DIR_ENV)
         return Path(directory) if directory else None
 
-    def _resolve_store(self) -> Optional[KernelStore]:
+    def resolve_store(self) -> Optional[KernelStore]:
+        """The on-disk store behind this cache (shared with the fused
+        model plans), or ``None`` when there is none or it is suspended."""
         directory = self._resolve_disk_dir()
         if directory is None:
             return None
@@ -404,7 +402,7 @@ class KernelCache:
         return kernel
 
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
-        store = self._resolve_store()
+        store = self.resolve_store()
         if store is None:
             return
         trace = kernel.trace_state.trace
@@ -438,7 +436,7 @@ class KernelCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return cached
-        store = self._resolve_store()
+        store = self.resolve_store()
         kernel = None
         if store is not None:
             name = self._entry_name(key)
@@ -478,6 +476,8 @@ class KernelCache:
 #: Process-wide default cache; ``AXI4MLIRCompiler(use_kernel_cache=False)``
 #: opts out, tests reset it via ``default_kernel_cache().clear()``.
 _GLOBAL_KERNEL_CACHE = KernelCache()
+counters.register_external("kernel_cache", _GLOBAL_KERNEL_CACHE.tallies,
+                           _GLOBAL_KERNEL_CACHE.merge_stats)
 
 
 def default_kernel_cache() -> KernelCache:
@@ -495,7 +495,7 @@ class KernelTraceState:
     __slots__ = ("lock", "trace", "failed", "persist", "persisted")
 
     def __init__(self):
-        self.lock = Lock()
+        self.lock = counters.fork_safe_lock()
         self.trace = None
         self.failed = False
         #: Set by KernelCache when a disk store is active: re-persists

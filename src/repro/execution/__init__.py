@@ -33,7 +33,6 @@ from .model_plan import (
     ModelPlan,
     ModelPlanMismatch,
     ModelSession,
-    merge_worker_diagnostics,
     model_check_requested,
     model_plan_enabled,
     model_workers,
@@ -41,12 +40,15 @@ from .model_plan import (
     reset_model_plans,
     run_model_jobs,
 )
-from .prebuild import (
-    PREBUILD_WORKERS_ENV,
-    prebuild_plans,
-    prebuild_workers,
-)
+from .prebuild import prebuild_plans
 from .replay import ReplayExecutor, replay_kernel
+
+
+#: Sections of :func:`diagnostics`, in the order it has always had.
+_DIAGNOSTICS_LAYOUT = (
+    "stage_timings", "trace_sources", "metrics_plan", "model_plan",
+    "store", "tuning", "faults", "native", "service",
+)
 
 
 def diagnostics() -> dict:
@@ -71,10 +73,9 @@ def diagnostics() -> dict:
     ModelPlan sessions replayed vs recorded, per-step sub-plan hits,
     divergences, and how many pool workers merged their deltas back.
 
-    All counters include work merged back from replay pool workers
-    (see :func:`repro.execution.model_plan.run_model_jobs`) — they are
-    totals for the work this process *observed*, not just the work it
-    did on its own threads.
+    All counters include work merged back from pool workers (see
+    :func:`repro.counters.merge`) — they are totals for the work this
+    process *observed*, not just the work it did on its own threads.
 
     ``store`` counts on-disk kernel-store events — ``store_corrupt`` /
     ``store_quarantined`` are distinct from ``store_misses``, so a
@@ -88,26 +89,17 @@ def diagnostics() -> dict:
     poisoned, journal appends and recovery anomalies, sweep-worker
     crashes and restarts) — nonzero only after a sweep ran.
     """
-    # Lazy imports: repro.store and repro.soc._native both import
-    # execution machinery, so pulling them in at module scope would be
-    # circular.
-    from ..faults import fault_counters
-    from ..service.server import service_counters
+    # Lazy imports: the service and tuning packages import execution
+    # machinery, so pulling them in at module scope would be circular;
+    # importing them here makes sure their sections are registered.
+    from .. import counters
+    from ..service import server  # noqa: F401
     from ..soc._native import native_status
-    from ..store import STORE_COUNTERS
-    from ..tuning.counters import tuning_counters
+    from ..tuning import counters as tuning  # noqa: F401
 
-    return {
-        "stage_timings": dict(STAGE_TIMINGS),
-        "trace_sources": dict(TRACE_COUNTERS),
-        "metrics_plan": dict(METRICS_PLAN_COUNTERS),
-        "model_plan": dict(MODEL_PLAN_COUNTERS),
-        "store": dict(STORE_COUNTERS),
-        "tuning": tuning_counters(),
-        "faults": fault_counters(),
-        "native": native_status(),
-        "service": service_counters(),
-    }
+    report = counters.snapshot()
+    report["native"] = native_status()
+    return {name: report[name] for name in _DIAGNOSTICS_LAYOUT}
 
 
 __all__ = [
@@ -120,10 +112,9 @@ __all__ = [
     "MetricsPlanMismatch", "metrics_check_requested",
     "metrics_plan_enabled", "reset_metrics_plan_counters",
     "MODEL_PLAN_COUNTERS", "MODEL_PLAN_SCHEMA_VERSION", "ModelPlan",
-    "ModelPlanMismatch", "ModelSession", "merge_worker_diagnostics",
-    "model_check_requested", "model_plan_enabled", "model_workers",
+    "ModelPlanMismatch", "ModelSession", "model_check_requested",
+    "model_plan_enabled", "model_workers",
     "reset_model_plan_counters", "reset_model_plans", "run_model_jobs",
-    "PREBUILD_WORKERS_ENV", "prebuild_plans", "prebuild_workers",
-    "ReplayExecutor", "replay_kernel",
+    "prebuild_plans", "ReplayExecutor", "replay_kernel",
     "diagnostics",
 ]

@@ -64,14 +64,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import threading
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import faults
+from .. import counters, faults
 from ..runtime.copy import CopyKinds, copy_charge_terms, plan_for_geometry
 from ..soc.cache import OfflineLruSimulator, _export_ways, install_ways
 from .trace import (
@@ -114,7 +113,7 @@ METRICS_PLAN_SCHEMA_VERSION = 2
 #: the live metrics plane, then cached), ``fallback`` (the kill switch
 #: forced a live computation; a nonzero value under benchmark configs
 #: means the plan path was silently bypassed).
-METRICS_PLAN_COUNTERS: Dict[str, int] = {
+METRICS_PLAN_COUNTERS: Dict[str, int] = counters.section("metrics_plan", {
     "metrics_plan_hits": 0,
     "metrics_plan_misses": 0,
     "metrics_plan_fallback": 0,
@@ -125,7 +124,7 @@ METRICS_PLAN_COUNTERS: Dict[str, int] = {
     #: winner maps — up to three lookups per build).
     "component_memo_hits": 0,
     "component_memo_misses": 0,
-}
+})
 
 #: Cached plans kept per trace (distinct board states/layouts).
 _MAX_PLANS_PER_TRACE = 8
@@ -149,8 +148,7 @@ def incremental_plan_enabled() -> bool:
 
 
 def reset_metrics_plan_counters() -> None:
-    for key in METRICS_PLAN_COUNTERS:
-        METRICS_PLAN_COUNTERS[key] = 0
+    counters.reset(METRICS_PLAN_COUNTERS)
 
 
 # -- the component memo -----------------------------------------------------
@@ -165,7 +163,10 @@ def reset_metrics_plan_counters() -> None:
 # GC'd traces can never alias a new trace's products.
 
 _COMPONENT_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-_COMPONENT_LOCK = threading.Lock()
+#: Fork-safe: a plan build on one parent thread (a service warmup
+#: that runs inline on the reader thread) holds this while a dispatcher
+#: thread may be forking a replacement worker.
+_COMPONENT_LOCK = counters.fork_safe_lock()
 _MAX_COMPONENT_ENTRIES = 64
 _MAX_COMPONENT_BYTES = 192 << 20
 _component_bytes = 0

@@ -47,35 +47,31 @@ rebuilds every fused-step hit from the live metrics plane and raises
 implies the same check, so the CI cross-check leg covers fused steps
 too); ``REPRO_MODEL_WORKERS=N`` sizes the replay worker pool.
 
-**run_model_jobs** is the worker pool: independent model jobs (the
-manual and generated legs of fig16, the two fig17 strategies) fork into
-a ``ProcessPoolExecutor`` over the shared sharded store and run
-concurrently.  Each worker returns its diagnostics *delta* — stage
-timings, trace/metrics/model/store/fault counters, kernel-cache stats —
-which the parent merges back under locks, so ``stage_timings()`` and
+**run_model_jobs** fans independent model jobs (the manual and
+generated legs of fig16, the two fig17 strategies, plan prebuilds) onto
+the supervised fork pool (:mod:`repro.pool`) over the shared sharded
+store.  Workers report counter *deltas* — stage timings, trace/metrics/
+model/store/fault counters, kernel-cache stats — which the pool merges
+back (:func:`repro.counters.merge`), so ``stage_timings()`` and
 ``diagnostics()`` keep counting work that happened in workers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import pickle
-import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict, deque
 from dataclasses import astuple
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import faults
+from .. import counters, faults, pool
 from ..envutil import env_int
 from . import metrics
-from .trace import TRACE_COUNTERS, add_stage_time, merge_stage_timings
+from .trace import add_stage_time
 
 #: Env kill-switch: set REPRO_NO_MODEL_PLAN=1 to run every session step
 #: through the per-kernel metrics-plan path.
@@ -88,9 +84,6 @@ MODEL_CHECK_ENV = "REPRO_MODEL_CHECK"
 #: Worker-pool size for run_model_jobs (default: min(4, cpu_count)).
 MODEL_WORKERS_ENV = "REPRO_MODEL_WORKERS"
 
-#: Set in pool workers so nested run_model_jobs calls stay inline.
-_WORKER_FLAG_ENV = "_REPRO_MODEL_POOL_WORKER"
-
 #: On-disk ModelPlan schema version.  Bump whenever the fused payload
 #: (step-config encoding, fingerprint recipe, MetricsPlan shape) changes
 #: so stale persisted model plans are evicted — the kernel entries the
@@ -98,7 +91,7 @@ _WORKER_FLAG_ENV = "_REPRO_MODEL_POOL_WORKER"
 MODEL_PLAN_SCHEMA_VERSION = 1
 
 #: How session steps obtained their metrics plane, plus pool activity.
-MODEL_PLAN_COUNTERS: Dict[str, int] = {
+MODEL_PLAN_COUNTERS: Dict[str, int] = counters.section("model_plan", {
     "model_plan_hits": 0,        # sessions fully replayed from a fused plan
     "model_plan_misses": 0,      # sessions that recorded a fresh fused plan
     "model_plan_step_hits": 0,   # steps served from a fused sub-plan
@@ -106,26 +99,15 @@ MODEL_PLAN_COUNTERS: Dict[str, int] = {
     "model_plan_divergence": 0,  # steps that fell off a fused plan
     "model_plan_stale": 0,       # persisted plans evicted (bad schema)
     "model_plan_workers": 0,     # pool workers merged back into the parent
-}
+})
 
 #: In-process fused-plan registry, LRU over (name, fingerprint).
 _MAX_MEMORY_PLANS = 16
 _MODEL_PLANS: "OrderedDict[Tuple[str, str], ModelPlan]" = OrderedDict()
-_REGISTRY_LOCK = threading.Lock()
+#: Fork-safe: forked children (service workers, model-pool workers)
+#: must not inherit it held by another parent thread.
+_REGISTRY_LOCK = counters.fork_safe_lock()
 
-_STORES: Dict[Path, object] = {}
-_STORE_LOCK = threading.Lock()
-
-
-def _fresh_locks_after_fork() -> None:
-    # Forked children (service workers, model-pool workers) must not
-    # inherit registry/store locks another parent thread held.
-    global _REGISTRY_LOCK, _STORE_LOCK
-    _REGISTRY_LOCK = threading.Lock()
-    _STORE_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_locks_after_fork)
 
 def model_plan_enabled() -> bool:
     """Fused model plans are on unless killed (theirs or the metrics one)."""
@@ -139,8 +121,7 @@ def model_check_requested() -> bool:
 
 
 def reset_model_plan_counters() -> None:
-    for key in MODEL_PLAN_COUNTERS:
-        MODEL_PLAN_COUNTERS[key] = 0
+    counters.reset(MODEL_PLAN_COUNTERS)
 
 
 def reset_model_plans() -> None:
@@ -245,22 +226,6 @@ def _step_config(step_key, ex, decode_key: Tuple) -> str:
 
 # -- persistence ------------------------------------------------------------
 
-def _resolve_store():
-    """The shared KernelStore (same REPRO_KERNEL_CACHE_DIR as kernels)."""
-    from ..compiler import KERNEL_CACHE_DIR_ENV, disk_store_suspended
-    from ..store import KernelStore
-
-    directory = os.environ.get(KERNEL_CACHE_DIR_ENV)
-    if not directory or disk_store_suspended():
-        return None
-    path = Path(directory)
-    with _STORE_LOCK:
-        store = _STORES.get(path)
-        if store is None:
-            store = _STORES[path] = KernelStore(path)
-        return store
-
-
 def _store_entry_name(name: str) -> str:
     """Entry name: ``model-<src digest>-<name digest>``.
 
@@ -292,10 +257,11 @@ def _lookup_plan(name: str, fingerprint: str) -> Optional["ModelPlan"]:
         if plan is not None:
             _MODEL_PLANS.move_to_end(key)
             return plan
-    store = _resolve_store()
+    from ..compiler import KERNEL_STORE_VERSION, default_kernel_cache
+
+    store = default_kernel_cache().resolve_store()
     if store is None:
         return None
-    from ..compiler import KERNEL_STORE_VERSION
 
     entry = _store_entry_name(name)
     status, payload = store.load(entry)
@@ -321,10 +287,11 @@ def _lookup_plan(name: str, fingerprint: str) -> Optional["ModelPlan"]:
 
 
 def _persist_plan(plan: "ModelPlan") -> None:
-    store = _resolve_store()
+    from ..compiler import KERNEL_STORE_VERSION, default_kernel_cache
+
+    store = default_kernel_cache().resolve_store()
     if store is None:
         return
-    from ..compiler import KERNEL_STORE_VERSION
 
     store.store(_store_entry_name(plan.name), {
         "store_version": KERNEL_STORE_VERSION,
@@ -493,88 +460,12 @@ def model_workers() -> int:
     return env_int(MODEL_WORKERS_ENV, default, minimum=1)
 
 
-def snapshot_diagnostics() -> dict:
-    """Flat snapshot of every cumulative counter a worker can advance."""
-    from ..compiler import default_kernel_cache
-    from ..store import STORE_COUNTERS
-    from ..tuning.counters import tuning_counters
-    from .trace import STAGE_TIMINGS
-
-    cache = default_kernel_cache()
-    return {
-        "stage_timings": dict(STAGE_TIMINGS),
-        "trace": dict(TRACE_COUNTERS),
-        "metrics": dict(metrics.METRICS_PLAN_COUNTERS),
-        "model": dict(MODEL_PLAN_COUNTERS),
-        "store": dict(STORE_COUNTERS),
-        "tuning": tuning_counters(),
-        "faults": faults.fault_counters(),
-        "kernel_cache": {
-            "hits": cache.hits, "misses": cache.misses,
-            "disk_hits": cache.disk_hits, "disk_misses": cache.disk_misses,
-            "disk_corrupt": cache.disk_corrupt,
-            "disk_stale": cache.disk_stale,
-        },
-    }
-
-
-def _diagnostics_delta(end: dict, base: dict) -> dict:
-    return {
-        section: {
-            key: value - base.get(section, {}).get(key, 0)
-            for key, value in counters.items()
-            if value - base.get(section, {}).get(key, 0)
-        }
-        for section, counters in end.items()
-    }
-
-
-def merge_worker_diagnostics(delta: dict, count_worker: bool = True) -> None:
-    """Fold one worker's diagnostics delta into this process's totals.
-
-    ``count_worker=False`` merges without advancing the
-    ``model_plan_workers`` tally — the service layer reports one delta
-    per *request* and counts each worker process exactly once itself.
-    """
-    from ..compiler import default_kernel_cache
-    from ..store import STORE_COUNTERS
-
-    merge_stage_timings(delta.get("stage_timings", {}))
-    with _REGISTRY_LOCK:
-        for key, value in delta.get("trace", {}).items():
-            TRACE_COUNTERS[key] = TRACE_COUNTERS.get(key, 0) + value
-        for key, value in delta.get("metrics", {}).items():
-            metrics.METRICS_PLAN_COUNTERS[key] = \
-                metrics.METRICS_PLAN_COUNTERS.get(key, 0) + value
-        for key, value in delta.get("model", {}).items():
-            MODEL_PLAN_COUNTERS[key] = \
-                MODEL_PLAN_COUNTERS.get(key, 0) + value
-        for key, value in delta.get("store", {}).items():
-            STORE_COUNTERS[key] = STORE_COUNTERS.get(key, 0) + value
-    if delta.get("tuning"):
-        from ..tuning.counters import merge_tuning_counters
-
-        merge_tuning_counters(delta["tuning"])
-    faults.merge_fault_counters(delta.get("faults", {}))
-    default_kernel_cache().merge_stats(delta.get("kernel_cache", {}))
-    if count_worker:
-        MODEL_PLAN_COUNTERS["model_plan_workers"] += 1
-
-
-def _init_worker() -> None:
-    os.environ[_WORKER_FLAG_ENV] = "1"
-
-
-def _pool_entry(fn: Callable, args: tuple):
-    """Worker-side wrapper: run the job, return (result, counter delta).
-
-    Forked workers inherit the parent's cumulative counters, so the
-    delta against the at-entry snapshot is exactly the work this job
-    did — the parent merges it and loses nothing to process isolation.
-    """
-    base = snapshot_diagnostics()
-    result = fn(*args)
-    return result, _diagnostics_delta(snapshot_diagnostics(), base)
+def _call_job(job: dict) -> dict:
+    """Pool handler: one ``(callable, args)`` model job."""
+    try:
+        return {"result": job["fn"](*job["args"])}
+    except Exception as exc:  # noqa: BLE001 — re-raised in the parent
+        return {"error": exc}
 
 
 def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
@@ -583,35 +474,43 @@ def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
 
     ``jobs`` is a sequence of ``(callable, args)`` pairs; both must be
     picklable (module-level functions, plain-data args).  Results come
-    back in submission order.  Falls back to inline sequential execution
-    — bit-identical, the jobs are deterministic — when the pool is
-    sized <= 1, fork is unavailable, or we are already inside a worker.
+    back in submission order; a job's exception is re-raised here.
+    Falls back to inline sequential execution — bit-identical, the
+    jobs are deterministic — when the pool is sized <= 1, fork is
+    unavailable, or we are already inside a pool worker.  A worker that
+    dies mid-job raises :class:`repro.pool.WorkerDied`; nothing is
+    retried.
 
-    ``workers`` overrides the REPRO_MODEL_WORKERS sizing — the plan
-    prebuilder passes its own REPRO_PLAN_PREBUILD_WORKERS figure here
-    so both fan-outs share one pool implementation (and one
-    delta-merging discipline) while staying independently tunable.
+    ``workers`` overrides the REPRO_MODEL_WORKERS sizing.
     """
     jobs = list(jobs)
     if workers is None:
         workers = model_workers()
     workers = min(workers, len(jobs))
-    if (workers <= 1 or os.environ.get(_WORKER_FLAG_ENV)
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if workers <= 1 or pool.in_worker() or not pool.fork_available():
         return [fn(*args) for fn, args in jobs]
-    # Load the native fast path once in the parent: forked workers
-    # inherit the compiled library instead of each re-running the C
-    # compiler probe (~0.2s of duplicated subprocess work per worker).
-    from ..soc._native import native_lib
-
-    native_lib()
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=_init_worker) as pool:
-        futures = [pool.submit(_pool_entry, fn, args) for fn, args in jobs]
-        results = []
-        for future in futures:
-            result, delta = future.result()
-            merge_worker_diagnostics(delta)
-            results.append(result)
+    results: list = [None] * len(jobs)
+    queued = deque(enumerate(jobs))
+    idle = list(range(workers))
+    running: Dict[int, int] = {}
+    job_pool = pool.Pool(workers, _call_job)
+    try:
+        while queued or running:
+            while idle and queued:
+                index, (fn, args) = queued.popleft()
+                slot = idle.pop()
+                job_pool.submit(slot, {"fn": fn, "args": args})
+                running[slot] = index
+            for slot, reply in job_pool.wait(list(running), None):
+                index = running.pop(slot)
+                if reply is None:
+                    raise pool.WorkerDied(
+                        f"pool worker {slot} died running model job "
+                        f"{index}")
+                if "error" in reply:
+                    raise reply["error"]
+                results[index] = reply["result"]
+                idle.append(slot)
+    finally:
+        MODEL_PLAN_COUNTERS["model_plan_workers"] += job_pool.shutdown()
     return results

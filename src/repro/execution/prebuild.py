@@ -21,9 +21,8 @@ store-persisted artifact (kernel, trace, plan) is keyed by shape and
 configuration, never by input *values*, so zero inputs warm exactly
 the entries real data will hit.
 
-Pool sizing: ``REPRO_PLAN_PREBUILD_WORKERS`` (malformed values warn
-once and fall back, like every other env knob), default
-``min(4, cpus)``.  Sized <= 1 — or inside a worker, or without fork —
+Pool sizing is ``run_model_jobs``'s (``REPRO_MODEL_WORKERS``, default
+``min(4, cpus)``).  Sized <= 1 — or inside a worker, or without fork —
 the builds run inline, bit-identical.
 
 Entry points: :func:`prebuild_plans` directly, the tuning
@@ -32,22 +31,9 @@ Entry points: :func:`prebuild_plans` directly, the tuning
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
-
-from ..envutil import env_int
-
-#: Pool-size knob for prebuild fan-out (distinct from
-#: REPRO_MODEL_WORKERS so serving and figure runs tune independently).
-PREBUILD_WORKERS_ENV = "REPRO_PLAN_PREBUILD_WORKERS"
-
-
-def prebuild_workers() -> int:
-    """Requested pool size: REPRO_PLAN_PREBUILD_WORKERS, else min(4, cpus)."""
-    default = max(1, min(4, os.cpu_count() or 1))
-    return env_int(PREBUILD_WORKERS_ENV, default, minimum=1)
 
 
 def _zero_inputs(spec: Dict[str, Any]) -> List[np.ndarray]:
@@ -97,14 +83,9 @@ def prebuild_plans(specs: Sequence[Dict[str, Any]],
     Worker counter deltas merge back into this process's diagnostics,
     so the prebuilt plan builds appear in ``metrics_plan_build_s`` and
     ``metrics_plan_misses`` exactly as if they had run inline — the
-    accounting rule ``benchmarks/perf_guard.py`` documents.
+    accounting rule of :func:`repro.counters.merge`.
     """
     from .model_plan import run_model_jobs
 
-    specs = list(specs)
-    if not specs:
-        return []
-    if workers is None:
-        workers = prebuild_workers()
     return run_model_jobs([(_prebuild_job, (spec,)) for spec in specs],
                           workers=workers)

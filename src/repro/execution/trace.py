@@ -28,13 +28,13 @@ tracing is always an optimization, never a semantics change.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import counters
 from ..accelerators.base import StreamAccelerator
 from ..accelerators.conv import CONV_LITERALS, CONV_OPS_PER_CYCLE, \
     ConvAccelerator
@@ -59,7 +59,7 @@ TRACE_SCHEMA_VERSION = 2
 #: Wall-clock spent per pipeline stage, cumulative for the process.
 #: ``compile_s`` is fed by the compiler; the benchmark harness snapshots
 #: this into BENCH_perf.json so future PRs can see where time goes.
-STAGE_TIMINGS: Dict[str, float] = {
+STAGE_TIMINGS: Dict[str, float] = counters.section("stage_timings", {
     "compile_s": 0.0,
     "trace_record_s": 0.0,
     "trace_synth_s": 0.0,
@@ -85,35 +85,17 @@ STAGE_TIMINGS: Dict[str, float] = {
     # prebuilt work itself lands in compile_s / metrics_plan_build_s
     # etc. via the workers' merged deltas).
     "sweep_prebuild_s": 0.0,
-}
-
-#: Guards STAGE_TIMINGS mutation: stage times are accumulated from
-#: arbitrary threads (and merged wholesale from pool workers), and
-#: float ``+=`` on a dict slot is not atomic.
-_TIMINGS_LOCK = threading.Lock()
-
-
-def _fresh_timings_lock_after_fork() -> None:
-    # Forked children (service workers, model-pool workers) must not
-    # inherit a lock another parent thread held mid-accumulate.
-    global _TIMINGS_LOCK
-    _TIMINGS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_timings_lock_after_fork)
+})
 
 
 def add_stage_time(stage: str, seconds: float) -> None:
-    """Thread-safely accumulate wall-clock into one pipeline stage."""
-    with _TIMINGS_LOCK:
-        STAGE_TIMINGS[stage] += seconds
+    """Thread-safely accumulate wall-clock into one pipeline stage.
 
+    Stage times come from arbitrary threads, and float ``+=`` on a
+    dict slot is not atomic.
+    """
+    counters.count(STAGE_TIMINGS, stage, seconds)
 
-def merge_stage_timings(delta: Dict[str, float]) -> None:
-    """Fold a worker's per-stage deltas into this process's totals."""
-    with _TIMINGS_LOCK:
-        for stage, seconds in delta.items():
-            STAGE_TIMINGS[stage] = STAGE_TIMINGS.get(stage, 0.0) + seconds
 
 #: How each kernel's DriverTrace was obtained this process:
 #: ``synthesized`` (ahead-of-time from the schedule side table),
@@ -124,19 +106,18 @@ def merge_stage_timings(delta: Dict[str, float]) -> None:
 #: bodies: traced, or permanently per-tile because recording/replay
 #: failed — a nonzero fallback here means cpp_MANUAL silently left
 #: the batched path).
-TRACE_COUNTERS: Dict[str, int] = {
+TRACE_COUNTERS: Dict[str, int] = counters.section("trace_sources", {
     "synthesized": 0,
     "recorded": 0,
     "synth_fallback": 0,
     "disk_loaded": 0,
     "manual_recorded": 0,
     "manual_fallback": 0,
-}
+})
 
 
 def reset_trace_counters() -> None:
-    for key in TRACE_COUNTERS:
-        TRACE_COUNTERS[key] = 0
+    counters.reset(TRACE_COUNTERS)
 
 
 def trace_enabled() -> bool:

@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 from typing import Dict, Optional, Tuple
+
+from . import counters
 
 #: Env var holding the fault spec (see module docstring for grammar).
 FAULTS_ENV = "REPRO_FAULTS"
@@ -139,24 +140,17 @@ def parse_faults(spec: str, seed: int = 0) -> Dict[str, _FaultClause]:
 
 
 #: Counters of fired faults per site, surfaced via ``diagnostics()``.
-FAULT_COUNTERS: Dict[str, int] = {}
+FAULT_COUNTERS: Dict[str, int] = counters.section("faults", {})
 
-_lock = threading.Lock()
+#: Guards the memo and the per-site streams.  Fork-safe: a child forked
+#: while another thread held it (e.g. a service worker replacement
+#: forked mid-dispatch) would otherwise deadlock on its first fires()
+#: call.  Stream/memo state is deliberately inherited — restarted
+#: workers seeing the parent's pristine streams is part of the
+#: determinism contract.
+_lock = counters.fork_safe_lock()
 _memo_key: Optional[Tuple[str, str]] = None
 _memo_clauses: Dict[str, _FaultClause] = {}
-
-
-def _fresh_lock_after_fork() -> None:
-    # A child forked while another thread held _lock (e.g. a service
-    # worker replacement forked mid-dispatch) would inherit it locked
-    # and deadlock on its first fires() call.  Stream/memo state is
-    # deliberately kept — restarted workers inheriting the parent's
-    # pristine streams is part of the determinism contract.
-    global _lock
-    _lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 def _active_clauses() -> Dict[str, _FaultClause]:
@@ -204,11 +198,12 @@ def fires(site: str) -> Optional[str]:
     clause = clauses.get(site)
     if clause is None:
         return None
-    with _lock:
-        if clause.probability < 1.0 and \
-                clause.stream.random() >= clause.probability:
+    if clause.probability < 1.0:
+        with _lock:
+            draw = clause.stream.random()
+        if draw >= clause.probability:
             return None
-        FAULT_COUNTERS[site] = FAULT_COUNTERS.get(site, 0) + 1
+    counters.count(FAULT_COUNTERS, site)
     return clause.kind
 
 
@@ -231,22 +226,13 @@ def keyed_fires(site: str, key: str) -> Optional[str]:
     draw = random.Random(f"{clause.seed}:{site}:{key}").random()
     if draw >= clause.probability:
         return None
-    with _lock:
-        FAULT_COUNTERS[site] = FAULT_COUNTERS.get(site, 0) + 1
+    counters.count(FAULT_COUNTERS, site)
     return clause.kind
 
 
 def fault_counters() -> Dict[str, int]:
     """Snapshot of fired-fault counts per site."""
-    with _lock:
-        return dict(FAULT_COUNTERS)
-
-
-def merge_fault_counters(delta: Dict[str, int]) -> None:
-    """Fold a pool worker's fired-fault deltas into this process."""
-    with _lock:
-        for site, count in delta.items():
-            FAULT_COUNTERS[site] = FAULT_COUNTERS.get(site, 0) + count
+    return counters.read(FAULT_COUNTERS)
 
 
 def reset_faults() -> None:

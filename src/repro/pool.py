@@ -1,0 +1,249 @@
+"""The one supervised fork pool.
+
+Model jobs and plan prebuilds (``run_model_jobs``), service requests
+(``ServiceServer``) and sweep points (``SweepDriver``) all run on this
+pool; it is the only place in ``repro`` that creates fork contexts or
+processes.  What to run, when to give up on a job and what a crash
+means for it stay with the caller; the pool owns the mechanism.
+
+* **Child side** — :func:`worker_loop` over one duplex pipe: receive a
+  job dict, run the caller's *handler* under the job's breaker verdicts
+  (:func:`run_seamed`), reply with the handler's fields, the seam
+  evidence and the counter *delta* since the previous reply.  ``None``
+  asks for shutdown: the worker answers ``bye`` with its residue delta
+  and exits.  A handler may ``os._exit`` (the callers' injected-crash
+  rules) — to the parent that is a crash like any other.
+* **Parent side** — :class:`Pool`: slot-stable :class:`Worker` handles
+  with ``submit``, ``wait``, ``restart`` and ``shutdown``.
+
+Without ``fork`` (or inside a pool worker) callers run the same handler
+inline through the same :func:`run_seamed`; counters then advance
+directly and there is no delta to merge.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import multiprocessing
+import multiprocessing.connection
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from . import counters
+from .store import STORE_COUNTERS
+
+#: Seconds a worker gets to answer the shutdown handshake, and a killed
+#: process to be reaped.
+_HANDSHAKE_S = 5.0
+
+_in_worker = False
+
+
+def fork_available() -> bool:
+    """Can this platform fork pool workers?  (The only such probe.)"""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def in_worker() -> bool:
+    """True inside a pool worker: nested fan-outs must stay inline
+    (workers are daemonic and may not have children)."""
+    return _in_worker
+
+
+# -- child side ---------------------------------------------------------------
+
+def _store_failures() -> int:
+    return STORE_COUNTERS["store_io_errors"] \
+        + STORE_COUNTERS["store_write_failures"]
+
+
+def run_seamed(handler: Callable[[dict], dict], job: dict) -> dict:
+    """Run ``handler(job)`` under the job's breaker verdicts.
+
+    An open store breaker routes the job through the memory-only
+    compile path (``suspend_disk_store``); an open native breaker
+    forces the pure-Python kernels (``suspend_native``).  Both are
+    existing degradation rungs — bit-identical, just different latency.
+
+    Returns the handler's reply fields plus the breaker evidence:
+    ``store_failures`` (store I/O and write failures during the job)
+    and ``native_ok``.  Used by :func:`worker_loop` and by the callers'
+    no-fork rungs alike, so a breaker sees the same evidence either way.
+    """
+    from .compiler import suspend_disk_store
+    from .soc._native import native_healthy, suspend_native
+
+    failures_before = _store_failures()
+    with contextlib.ExitStack() as seams:
+        if job.get("disable_store"):
+            seams.enter_context(suspend_disk_store())
+        if job.get("disable_native"):
+            seams.enter_context(suspend_native())
+        reply = handler(job)
+    reply["store_failures"] = _store_failures() - failures_before
+    reply["native_ok"] = native_healthy()
+    return reply
+
+
+def worker_loop(conn, index: int, handler: Callable[[dict], dict]) -> None:
+    """Job loop of one pool worker (runs in a forked child)."""
+    global _in_worker
+    _in_worker = True
+    reported = counters.snapshot()
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            break  # parent went away; nothing left to report to
+        if job is None:
+            reply = {"op": "bye"}
+        else:
+            reply = run_seamed(handler, job)
+            reply["op"] = "result"
+        reply["worker"] = index
+        now = counters.snapshot()
+        reply["delta"] = counters.delta(now, reported)
+        reported = now
+        try:
+            conn.send(reply)
+        except (BrokenPipeError, OSError):
+            break
+        if job is None:
+            break
+    conn.close()
+
+
+# -- parent side --------------------------------------------------------------
+
+class WorkerDied(RuntimeError):
+    """A pool worker died while running a job the caller does not retry."""
+
+
+class Worker:
+    """One forked worker and its duplex pipe."""
+
+    def __init__(self, context, slot: int, handler) -> None:
+        self.slot = slot
+        self.conn, child_conn = context.Pipe(duplex=True)
+        self.process = context.Process(
+            target=self._child_main, args=(child_conn, handler),
+            name=f"repro-pool-{slot}", daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
+
+    def _child_main(self, child_conn, handler) -> None:
+        # The fork copied the parent's end of the pipe into the child.
+        # While that copy is open the child never sees EOF, so a
+        # SIGKILLed parent would leave it blocked in recv() for good.
+        self.conn.close()
+        worker_loop(child_conn, self.slot, handler)
+
+    def kill(self) -> None:
+        self.process.kill()
+        self.process.join(timeout=_HANDSHAKE_S)
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+
+
+class Pool:
+    """``size`` forked workers running ``handler``, at stable slots.
+
+    A slot holds one job at a time; the caller tracks which slots are
+    busy and passes exactly those to :meth:`wait`.  Threads may share a
+    pool as long as no two use the same slot (the service runs one
+    dispatcher thread per slot).
+    """
+
+    def __init__(self, size: int, handler: Callable[[dict], dict]) -> None:
+        # Load the native fast path once in the parent: forked workers
+        # inherit the compiled library instead of each re-running the C
+        # compiler probe (~0.2s of duplicated subprocess work per worker).
+        from .soc._native import native_lib
+
+        native_lib()
+        self._context = multiprocessing.get_context("fork")
+        self._handler = handler
+        self.workers: List[Worker] = [
+            Worker(self._context, slot, handler) for slot in range(size)
+        ]
+
+    def submit(self, slot: int, job: dict) -> None:
+        """Send one job to the slot's worker.  If it is already dead,
+        :meth:`wait` reports that (its sentinel is ready), so a failed
+        send is not an error here."""
+        try:
+            self.workers[slot].conn.send(job)
+        except (BrokenPipeError, OSError):
+            pass
+
+    def wait(self, slots: Sequence[int],
+             timeout: Optional[float]) -> List[Tuple[int, Optional[dict]]]:
+        """Block until a worker in ``slots`` replied or died.
+
+        Waits on each worker's pipe *and* process sentinel, so a death
+        is seen at once, with or without a half-written reply.  Returns
+        ``(slot, reply)`` pairs — ``reply`` is ``None`` for a dead
+        worker — or ``[]`` on timeout.  This is the only place replies
+        are read: each one's counter delta is merged here, exactly once
+        (the rule is at :func:`repro.counters.merge`).
+        """
+        by_waitable: Dict[object, int] = {}
+        for slot in slots:
+            worker = self.workers[slot]
+            by_waitable[worker.conn] = slot
+            by_waitable[worker.process.sentinel] = slot
+        ready = multiprocessing.connection.wait(list(by_waitable), timeout)
+        events = []
+        for slot in sorted({by_waitable[waitable] for waitable in ready}):
+            conn = self.workers[slot].conn
+            try:
+                reply = conn.recv() if conn.poll() else None
+            except (EOFError, OSError):
+                reply = None
+            if isinstance(reply, dict):
+                counters.merge(reply.pop("delta", {}))
+            else:
+                reply = None
+            events.append((slot, reply))
+        return events
+
+    def restart(self, slot: int) -> None:
+        """Kill the slot's worker and fork a fresh one at the same slot
+        (after a crash or a deadline kill alike): a deterministic
+        restart point, same index, same parent image."""
+        self.workers[slot].kill()
+        self.workers[slot] = Worker(self._context, slot, self._handler)
+
+    def shutdown(self) -> int:
+        """Drain handshake: every live worker says ``bye``.
+
+        Returns how many workers' residue deltas were merged.  A reply
+        still in a pipe from a job the caller abandoned is merged too,
+        not dropped.  Workers that do not answer in time are killed.
+        """
+        waiting = []
+        for slot, worker in enumerate(self.workers):
+            if worker.process.is_alive():
+                self.submit(slot, None)
+                waiting.append(slot)
+        merged = 0
+        deadline = time.monotonic() + _HANDSHAKE_S
+        while waiting:
+            events = self.wait(waiting,
+                               max(0.0, deadline - time.monotonic()))
+            if not events:
+                break
+            for slot, reply in events:
+                if reply is None:
+                    waiting.remove(slot)
+                elif reply["op"] == "bye":
+                    waiting.remove(slot)
+                    merged += 1
+        for worker in self.workers:
+            if worker.process.is_alive() and worker.slot not in waiting:
+                worker.process.join(timeout=_HANDSHAKE_S)
+            worker.kill()
+        return merged

@@ -1,8 +1,8 @@
 """The multi-tenant compile/simulate server.
 
 One long-lived process owns a listener socket, a bounded admission
-queue, and a pool of forked worker processes sharing the on-disk
-:class:`~repro.store.KernelStore` (``REPRO_KERNEL_CACHE_DIR``).
+queue, and a :class:`repro.pool.Pool` of forked workers sharing the
+on-disk :class:`~repro.store.KernelStore` (``REPRO_KERNEL_CACHE_DIR``).
 Clients submit kernel requests (:mod:`repro.service.protocol`) and get
 back ``PerfCounters`` + outputs bit-identical to a local run.
 
@@ -37,9 +37,9 @@ The robustness ladder, top to bottom:
   ``WORKER_CRASH``.
 * **Graceful drain** — :meth:`ServiceServer.drain` (SIGTERM in the
   ``python -m repro.service`` runner) stops admissions, finishes every
-  in-flight request, collects each worker's final diagnostics delta,
-  and merges them into :func:`repro.execution.diagnostics` exactly as
-  ``run_model_jobs`` merges pool workers.
+  in-flight request, and runs the pool's shutdown handshake, which
+  merges each worker's final counter delta into
+  :func:`repro.execution.diagnostics` (:meth:`repro.pool.Pool.shutdown`).
 
 ``health``/``stats`` RPCs expose queue depth, breaker states, fault
 counters, and the full diagnostics bundle for observability.
@@ -48,7 +48,6 @@ counters, and the full diagnostics bundle for observability.
 from __future__ import annotations
 
 import collections
-import multiprocessing
 import os
 import socket
 import tempfile
@@ -57,12 +56,12 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import faults
+from .. import counters, faults, pool
 from ..envutil import env_float, env_int
-from ..execution.model_plan import merge_worker_diagnostics
+from ..execution.model_plan import MODEL_PLAN_COUNTERS
 from . import errors, protocol
 from .breaker import CircuitBreaker
-from .worker import run_request, worker_main
+from .worker import execute_job, worker_job
 
 #: Env knobs (see README switch matrix).
 WORKERS_ENV = "REPRO_SERVICE_WORKERS"
@@ -90,7 +89,7 @@ _IDEMPOTENCY_LRU = 64
 
 #: Process-wide service event counters, surfaced via
 #: ``repro.execution.diagnostics()["service"]`` and the health RPC.
-SERVICE_COUNTERS: Dict[str, int] = {
+SERVICE_COUNTERS: Dict[str, int] = counters.section("service", {
     "service_requests": 0,        # submits admitted into the queue
     "service_ok": 0,              # successful responses
     "service_errors": 0,          # error responses (all codes)
@@ -104,25 +103,19 @@ SERVICE_COUNTERS: Dict[str, int] = {
     "service_workers_merged": 0,  # drain-time worker deltas merged
     "service_rpc_errors": 0,      # connection-level failures observed
     "service_warmups": 0,         # warmup RPCs accepted (plan prebuilds)
-}
-
-_COUNTER_LOCK = threading.Lock()
+})
 
 
 def _count(key: str, amount: int = 1) -> None:
-    with _COUNTER_LOCK:
-        SERVICE_COUNTERS[key] += amount
+    counters.count(SERVICE_COUNTERS, key, amount)
 
 
 def service_counters() -> Dict[str, int]:
-    with _COUNTER_LOCK:
-        return dict(SERVICE_COUNTERS)
+    return counters.read(SERVICE_COUNTERS)
 
 
 def reset_service_counters() -> None:
-    with _COUNTER_LOCK:
-        for key in SERVICE_COUNTERS:
-            SERVICE_COUNTERS[key] = 0
+    counters.reset(SERVICE_COUNTERS)
 
 
 class _Connection:
@@ -162,34 +155,6 @@ class _Pending:
         #: [(connection, request_id)] — leader first.
         self.waiters: List[Tuple[_Connection, str]] = []
         self.responded = False
-
-
-class _WorkerHandle:
-    """One forked pool worker and its duplex pipe."""
-
-    def __init__(self, index: int, context) -> None:
-        self.index = index
-        self._context = context
-        self.conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=worker_main, args=(child_conn, index), daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, AttributeError):
-            pass
-        self.process.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
 
 
 class ServiceServer:
@@ -233,12 +198,12 @@ class ServiceServer:
         self._stopped = False
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
-        self._handles: List[Optional[_WorkerHandle]] = []
+        #: None until :meth:`start`, and for good on platforms without
+        #: fork — dispatchers then run jobs inline (a ladder rung).
+        self._pool: Optional[pool.Pool] = None
+        #: The pool's live slot list (``None`` entries without fork).
+        self._handles: List[Optional[pool.Worker]] = [None] * self.workers
         self._tmpdir: Optional[str] = None
-        self._fork_ok = \
-            "fork" in multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context("fork") \
-            if self._fork_ok else None
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -254,17 +219,9 @@ class ServiceServer:
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(self.socket_path)
         self._listener.listen(128)
-        if self._fork_ok:
-            # Prewarm the native fast path once: forked workers inherit
-            # the compiled library instead of re-probing the C compiler
-            # (same trick as run_model_jobs).
-            from ..soc._native import native_lib
-
-            native_lib()
-            self._handles = [_WorkerHandle(i, self._context)
-                             for i in range(self.workers)]
-        else:
-            self._handles = [None] * self.workers
+        if pool.fork_available():
+            self._pool = pool.Pool(self.workers, worker_job)
+            self._handles = self._pool.workers
         for index in range(self.workers):
             thread = threading.Thread(target=self._dispatch_loop,
                                       args=(index,), daemon=True,
@@ -300,31 +257,11 @@ class ServiceServer:
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=5)
-        # Dispatchers are parked; the pipes are ours now.  The shutdown
-        # handshake collects each worker's final diagnostics delta.
-        for handle in self._handles:
-            if handle is None:
-                continue
-            delta = None
-            try:
-                handle.conn.send({"op": "shutdown"})
-                if handle.conn.poll(5):
-                    reply = handle.conn.recv()
-                    if isinstance(reply, dict) and reply.get("op") == "bye":
-                        delta = reply.get("delta")
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            if delta:
-                merge_worker_diagnostics(delta, count_worker=True)
-                _count("service_workers_merged")
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.kill()
-            else:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
+        # Dispatchers are parked; the pipes are ours now.
+        if self._pool is not None:
+            merged = self._pool.shutdown()
+            _count("service_workers_merged", merged)
+            MODEL_PLAN_COUNTERS["model_plan_workers"] += merged
         with self._cond:
             self._stopped = True
         return self._summary()
@@ -582,31 +519,22 @@ class ServiceServer:
         store_verdict = self.store_breaker.allow()
         native_verdict = self.native_breaker.allow()
         job = {
-            "op": "run", "spec": pending.spec,
+            "spec": pending.spec,
             "deadline": pending.deadline,
             "disable_store": not store_verdict["enabled"],
             "disable_native": not native_verdict["enabled"],
         }
-        if self._handles[index] is None and self._fork_ok:
-            # Deterministic restart point: a fresh worker at the same
-            # slot, forked from the same parent image.
-            self._handles[index] = _WorkerHandle(index, self._context)
-            _count("service_worker_restarts")
         reply = self._run_job(index, job, pending)
         if reply is None:
             # Worker crashed mid-request: restart the slot and requeue
             # (or fail) the request.
             _count("service_worker_crashes")
-            handle = self._handles[index]
-            if handle is not None:
-                handle.kill()
-                self._handles[index] = None
-            if self._fork_ok and not self._stopping:
+            if not self._stopping:
                 # Restart eagerly, not at the next dispatch: the pool
                 # keeps its capacity, and a crash on a slot's *last*
                 # job doesn't leave the slot dead at drain time (its
                 # replacement's delta still gets merged).
-                self._handles[index] = _WorkerHandle(index, self._context)
+                self._pool.restart(index)
                 _count("service_worker_restarts")
             if pending.responded:
                 return
@@ -623,15 +551,11 @@ class ServiceServer:
         # Breaker evidence: only seams that were actually enabled for
         # this request carry information about the seam's health.
         if store_verdict["enabled"]:
-            self.store_breaker.record(
-                reply.get("store_failures", 0) == 0,
-                probe=store_verdict["probe"])
+            self.store_breaker.record(reply["store_failures"] == 0,
+                                      probe=store_verdict["probe"])
         if native_verdict["enabled"]:
-            self.native_breaker.record(bool(reply.get("native_ok", True)),
+            self.native_breaker.record(reply["native_ok"],
                                        probe=native_verdict["probe"])
-        delta = reply.get("delta")
-        if delta:
-            merge_worker_diagnostics(delta, count_worker=False)
         if reply.get("ok"):
             self._finish(pending, {
                 "status": "ok",
@@ -657,13 +581,14 @@ class ServiceServer:
         worker gets a cooperative-cancellation grace window before the
         slot is recycled.
         """
-        handle = self._handles[index]
-        if handle is None:
-            return self._run_inline(job)
-        try:
-            handle.conn.send(job)
-        except (OSError, BrokenPipeError):
-            return None
+        if self._pool is None:
+            # No-fork platforms: run the job in this thread (a ladder
+            # rung).  Counters advance directly in this process, so
+            # there is no delta to merge.
+            reply = pool.run_seamed(execute_job, job)
+            reply["worker"] = -1
+            return reply
+        self._pool.submit(index, job)
         timed_out = False
         while True:
             remaining = pending.deadline - time.time()
@@ -676,45 +601,13 @@ class ServiceServer:
                 }, cache=False)
                 timed_out = True
             wait = _KILL_GRACE_S if timed_out else max(0.01, remaining)
-            try:
-                if handle.conn.poll(wait):
-                    reply = handle.conn.recv()
-                    if not isinstance(reply, dict):
-                        return None
-                    return reply
-            except (OSError, EOFError):
-                return None
-            if not handle.alive():
-                return None
+            events = self._pool.wait([index], wait)
+            if events:
+                return events[0][1]
             if timed_out:
                 # The worker ignored its cooperative checkpoints for a
                 # whole grace window: recycle the slot.
                 return None
-
-    def _run_inline(self, job: dict) -> dict:
-        """No-fork platforms: run the job in this thread (ladder rung).
-
-        Counters advance directly in this process, so no delta is
-        reported (merging one would double-count).
-        """
-        from ..soc._native import native_status
-        from .worker import _seam_overrides
-
-        reply: Dict[str, Any] = {"op": "result", "worker": -1, "ok": False,
-                                 "store_failures": 0}
-        try:
-            with _seam_overrides(job.get("disable_store", False),
-                                 job.get("disable_native", False)):
-                counters, output = run_request(job["spec"],
-                                               job.get("deadline"))
-            reply.update(ok=True, counters=counters, output=output)
-        except errors.ServiceError as exc:
-            reply.update(code=exc.code, message=str(exc))
-        except Exception as exc:  # pragma: no cover - defensive
-            reply.update(code=errors.INTERNAL, message=repr(exc))
-        reply["native_ok"] = native_status()["status"] not in (
-            "compile-failed", "load-failed", "fault-injected")
-        return reply
 
     # -- observability -----------------------------------------------------
     def health(self) -> dict:

@@ -6,24 +6,22 @@ bit-identity baseline) is literally the same function — so a result
 served over the socket can only differ from a local run if the wire
 codec breaks, which the protocol tests pin.
 
-Each worker process runs :func:`worker_main` over one duplex pipe:
-``run`` jobs carry a decoded spec plus per-request degradation flags
-(store / native seams pre-disabled when the server's circuit breakers
-are open), replies carry the result plus a diagnostics *delta* since
-the previous report (the parent merges deltas exactly as
-``run_model_jobs`` does, so ``diagnostics()`` keeps counting work done
-in service workers).  A ``shutdown`` job yields a final ``bye`` reply
-and a clean exit — that is the graceful-drain handshake.
+The server's pool workers (:mod:`repro.pool`) run :func:`worker_job`:
+jobs carry a decoded spec plus per-request degradation flags (store /
+native seams pre-disabled when the server's circuit breakers are
+open); :func:`execute_job` turns the outcome into reply fields, and
+the pool adds the seam evidence and the counter delta.  On platforms
+without fork the server calls :func:`execute_job` in its own thread.
 
-The ``service.worker:crash`` fault site fires at the top of each job
-and terminates the process with ``os._exit`` — the hardest failure a
-worker can produce short of SIGKILL — so the parent's crash-detection,
-deterministic-restart, and requeue ladder is chaos-testable.
+The ``service.worker:crash`` fault site fires at the top of each
+worker job and terminates the process with ``os._exit`` — the hardest
+failure a worker can produce short of SIGKILL — so the parent's
+crash-detection, deterministic-restart, and requeue ladder is
+chaos-testable.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 import traceback
@@ -153,98 +151,25 @@ def run_request(spec: Dict[str, Any],
     return counters, output
 
 
-# -- the worker process -----------------------------------------------------
+# -- the pool job ----------------------------------------------------------
 
-@contextlib.contextmanager
-def _seam_overrides(disable_store: bool, disable_native: bool):
-    """Apply the server's breaker verdicts for one request.
-
-    An open store breaker routes the request through the memory-only
-    compile path (``suspend_disk_store``); an open native breaker
-    forces the pure-Python kernels (``suspend_native``).  Both are
-    existing degradation rungs — bit-identical, just different latency.
-    """
-    from ..compiler import suspend_disk_store
-    from ..soc._native import suspend_native
-
-    with contextlib.ExitStack() as stack:
-        if disable_store:
-            stack.enter_context(suspend_disk_store())
-        if disable_native:
-            stack.enter_context(suspend_native())
-        yield
+def execute_job(job: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one job's request; the outcome as reply fields."""
+    try:
+        counters, output = run_request(job["spec"], job.get("deadline"))
+    except errors.ServiceError as exc:
+        return {"ok": False, "code": exc.code, "message": str(exc)}
+    except Exception:
+        return {"ok": False, "code": errors.INTERNAL,
+                "message": traceback.format_exc(limit=8)}
+    return {"ok": True, "counters": counters, "output": output}
 
 
-def _store_failures(store_counters: Dict[str, int]) -> int:
-    return store_counters.get("store_io_errors", 0) \
-        + store_counters.get("store_write_failures", 0)
-
-
-def worker_main(conn, worker_index: int) -> None:
-    """Job loop of one pool worker (runs in a forked child)."""
-    from ..execution.model_plan import snapshot_diagnostics
-    from ..soc._native import native_status
-
-    last_snapshot = snapshot_diagnostics()
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError):
-            break  # parent went away; nothing left to report to
-        op = job.get("op")
-        if op == "shutdown":
-            from ..execution.model_plan import _diagnostics_delta
-
-            snapshot = snapshot_diagnostics()
-            try:
-                conn.send({"op": "bye", "worker": worker_index,
-                           "delta": _diagnostics_delta(snapshot,
-                                                       last_snapshot)})
-            except (BrokenPipeError, OSError):
-                pass
-            break
-        if op != "run":
-            continue
-        if faults.fires("service.worker") == "crash":
-            # The chaos profile's hard worker death: skip every Python
-            # cleanup layer so the parent sees exactly what a segfault
-            # or OOM kill would produce.
-            os._exit(CRASH_EXIT_CODE)
-        reply: Dict[str, Any] = {"op": "result", "worker": worker_index,
-                                 "ok": False}
-        store_before = None
-        try:
-            from ..store import STORE_COUNTERS
-
-            store_before = dict(STORE_COUNTERS)
-            with _seam_overrides(job.get("disable_store", False),
-                                 job.get("disable_native", False)):
-                counters, output = run_request(job["spec"],
-                                               job.get("deadline"))
-            reply.update(ok=True, counters=counters, output=output)
-        except errors.ServiceError as exc:
-            reply.update(code=exc.code, message=str(exc))
-        except Exception:
-            reply.update(code=errors.INTERNAL,
-                         message=traceback.format_exc(limit=8))
-        # Seam evidence for the breakers: only meaningful for seams
-        # that were actually enabled this request.
-        if store_before is not None:
-            from ..store import STORE_COUNTERS
-
-            reply["store_failures"] = \
-                _store_failures(STORE_COUNTERS) \
-                - _store_failures(store_before)
-        reply["native_ok"] = native_status()["status"] not in (
-            "compile-failed", "load-failed", "fault-injected",
-        )
-        from ..execution.model_plan import _diagnostics_delta
-
-        snapshot = snapshot_diagnostics()
-        reply["delta"] = _diagnostics_delta(snapshot, last_snapshot)
-        last_snapshot = snapshot
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
+def worker_job(job: Dict[str, Any]) -> Dict[str, Any]:
+    """Pool handler: the injected-crash rule, then :func:`execute_job`."""
+    if faults.fires("service.worker") == "crash":
+        # The chaos profile's hard worker death: skip every Python
+        # cleanup layer so the parent sees exactly what a segfault
+        # or OOM kill would produce.
+        os._exit(CRASH_EXIT_CODE)
+    return execute_job(job)

@@ -596,6 +596,15 @@ def native_status() -> dict:
     return {"available": _lib is not None, "status": _status}
 
 
+def native_healthy() -> bool:
+    """False once the toolchain failed — the native breaker's evidence.
+
+    "untried", "disabled" and "no-compiler" are not failures: nothing
+    broke, there is just no fast path to protect.
+    """
+    return _status not in ("compile-failed", "load-failed", "fault-injected")
+
+
 def _degrade(status: str, detail: str = "") -> None:
     """Record an unexpected degradation and warn exactly once.
 

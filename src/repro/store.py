@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import faults
+from . import counters, faults
 from .envutil import env_float, env_int
 
 try:
@@ -94,7 +94,7 @@ _TMP_MAX_AGE_S = 300.0
 
 #: Process-wide store event counters (mirrors TRACE_COUNTERS /
 #: METRICS_PLAN_COUNTERS); surfaced via ``diagnostics()``.
-STORE_COUNTERS: Dict[str, int] = {
+STORE_COUNTERS: Dict[str, int] = counters.section("store", {
     "store_hits": 0,
     "store_misses": 0,
     "store_corrupt": 0,
@@ -105,12 +105,11 @@ STORE_COUNTERS: Dict[str, int] = {
     "store_quarantined": 0,
     "store_evictions": 0,
     "store_lock_timeouts": 0,
-}
+})
 
 
 def reset_store_counters() -> None:
-    for key in STORE_COUNTERS:
-        STORE_COUNTERS[key] = 0
+    counters.reset(STORE_COUNTERS)
 
 
 class StoreFormatError(ValueError):
@@ -405,18 +404,8 @@ def unpack_entry(blob: bytes) -> Tuple[bytes, bytes]:
 # The store
 # ---------------------------------------------------------------------------
 
-_tmp_counter_lock = threading.Lock()
+_tmp_counter_lock = counters.fork_safe_lock()
 _tmp_counter = 0
-
-
-def _fresh_tmp_lock_after_fork() -> None:
-    # Forked children (service workers, model-pool workers) must not
-    # inherit a lock some other parent thread held mid-publish.
-    global _tmp_counter_lock
-    _tmp_counter_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_tmp_lock_after_fork)
 
 
 def _next_tmp_suffix() -> str:

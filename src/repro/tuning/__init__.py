@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from .counters import (
     TUNING_COUNTERS,
-    merge_tuning_counters,
     reset_tuning_counters,
     tuning_counters,
 )
 
 __all__ = [
     "TUNING_COUNTERS",
-    "merge_tuning_counters",
     "reset_tuning_counters",
     "tuning_counters",
     "SweepPoint",

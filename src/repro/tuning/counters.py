@@ -9,11 +9,11 @@ own threads did.
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import Dict
 
-TUNING_COUNTERS: Dict[str, int] = {
+from .. import counters
+
+TUNING_COUNTERS: Dict[str, int] = counters.section("tuning", {
     "tuning_points_total": 0,        # points enumerated for the run
     "tuning_points_completed": 0,    # simulated + verified this run
     "tuning_points_pruned": 0,       # skipped via traffic estimate
@@ -36,40 +36,17 @@ TUNING_COUNTERS: Dict[str, int] = {
     "tuning_journal_corrupt": 0,     # checksum/JSON-invalid records skipped
     "tuning_journal_duplicates": 0,  # re-journaled results (first wins)
     "tuning_journal_compactions": 0,
-}
-
-_lock = threading.Lock()
-
-
-def _fresh_lock_after_fork() -> None:
-    # Same contract as the fault/store counter locks: a child forked
-    # while another thread held the lock must not inherit it locked.
-    global _lock
-    _lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_fresh_lock_after_fork)
+})
 
 
 def count(key: str, amount: int = 1) -> None:
-    with _lock:
-        TUNING_COUNTERS[key] = TUNING_COUNTERS.get(key, 0) + amount
+    counters.count(TUNING_COUNTERS, key, amount)
 
 
 def tuning_counters() -> Dict[str, int]:
     """Snapshot of the sweep counters."""
-    with _lock:
-        return dict(TUNING_COUNTERS)
-
-
-def merge_tuning_counters(delta: Dict[str, int]) -> None:
-    """Fold a sweep pool worker's counter deltas into this process."""
-    with _lock:
-        for key, value in delta.items():
-            TUNING_COUNTERS[key] = TUNING_COUNTERS.get(key, 0) + value
+    return counters.read(TUNING_COUNTERS)
 
 
 def reset_tuning_counters() -> None:
-    with _lock:
-        for key in list(TUNING_COUNTERS):
-            TUNING_COUNTERS[key] = 0
+    counters.reset(TUNING_COUNTERS)

@@ -12,11 +12,12 @@ common case it is built for:
   simulating.  Plans the analyzer cannot model
   (:class:`~repro.analysis.traffic.TrafficUnsupported`) are counted
   and simulated anyway.
-* **Supervision** — points run in forked pool workers (the service
-  worker idiom: duplex pipes, crash detection via process sentinels,
-  deterministic restarts).  A worker death costs one attempt of one
-  point, never the sweep.  Per-point deadlines are enforced both
-  cooperatively in the worker and by a hard parent-side kill.
+* **Supervision** — points run on the supervised fork pool
+  (:mod:`repro.pool`: duplex pipes, crash detection via process
+  sentinels, restarts at the same slot).  A worker death costs one
+  attempt of one point, never the sweep.  Per-point deadlines are
+  enforced both cooperatively in the worker and by a hard parent-side
+  kill.
 * **Retries with taxonomy** — crashes and deadline kills are
   retryable (seeded :class:`~repro.retry.BackoffSchedule` per point);
   in-worker exceptions are permanent (``failed``).  A point whose
@@ -44,15 +45,12 @@ both with the envutil one-shot-warning fallback on malformed values.
 from __future__ import annotations
 
 import collections
-import contextlib
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
-from .. import faults
+from .. import faults, pool
 from ..envutil import env_float, env_int
 from ..execution.trace import add_stage_time
 from ..retry import BackoffSchedule, retryable
@@ -208,118 +206,44 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
     }
 
 
-@contextlib.contextmanager
-def _seam_overrides(disable_store: bool, disable_native: bool):
-    """Breaker verdicts -> the PR 6/PR 8 degradation rungs."""
-    from ..compiler import suspend_disk_store
-    from ..soc._native import suspend_native
+def evaluate_job(job: dict) -> dict:
+    """Evaluate one job's point; the outcome as reply fields.
 
-    with contextlib.ExitStack() as stack:
-        if disable_store:
-            stack.enter_context(suspend_disk_store())
-        if disable_native:
-            stack.enter_context(suspend_native())
-        yield
-
-
-def _store_failures(store_counters: Dict[str, int]) -> int:
-    return store_counters.get("store_io_errors", 0) \
-        + store_counters.get("store_write_failures", 0)
-
-
-def worker_main(conn, worker_index: int) -> None:
-    """Job loop of one sweep pool worker (runs in a forked child)."""
-    from ..execution.model_plan import (
-        _diagnostics_delta,
-        snapshot_diagnostics,
-    )
-    from ..soc._native import native_status
-    from ..store import STORE_COUNTERS
-
-    last_snapshot = snapshot_diagnostics()
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = job.get("op")
-        if op == "shutdown":
-            snapshot = snapshot_diagnostics()
-            try:
-                conn.send({"op": "bye", "worker": worker_index,
-                           "delta": _diagnostics_delta(snapshot,
-                                                       last_snapshot)})
-            except (BrokenPipeError, OSError):
-                pass
-            break
-        if op != "run":
-            continue
-        digest = job["digest"]
-        if _poisoned(digest) or _injected_crash(digest, job["attempt"]):
-            # Hard process death, skipping every Python cleanup layer —
-            # exactly what the parent's crash ladder must absorb.
-            os._exit(CRASH_EXIT_CODE)
-        reply: Dict = {"op": "result", "worker": worker_index,
-                       "digest": digest, "ok": False}
-        store_before = dict(STORE_COUNTERS)
-        try:
-            with _seam_overrides(job.get("disable_store", False),
-                                 job.get("disable_native", False)):
-                outcome = evaluate_point(job["spec"],
-                                         job.get("prune_bytes"),
-                                         job.get("deadline"))
-            reply.update(ok=True, outcome=outcome)
-        except DeadlinePassed as exc:
-            reply.update(code="deadline", error=str(exc))
-        except Exception as exc:
-            reply.update(
-                code="error",
-                error=f"{type(exc).__name__}: {exc}",
-                trace=traceback.format_exc(limit=8),
-            )
-        reply["store_failures"] = \
-            _store_failures(STORE_COUNTERS) - _store_failures(store_before)
-        reply["native_ok"] = native_status()["status"] not in (
-            "compile-failed", "load-failed", "fault-injected",
-        )
-        snapshot = snapshot_diagnostics()
-        reply["delta"] = _diagnostics_delta(snapshot, last_snapshot)
-        last_snapshot = snapshot
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
+    Runs in pool workers and on the inline rung alike.  An expired
+    deadline is retryable (``code="deadline"``); any other exception is
+    a deterministic failure of the point (``code="error"``).
+    """
+    try:
+        outcome = evaluate_point(job["spec"], job.get("prune_bytes"),
+                                 job.get("deadline"))
+    except DeadlinePassed as exc:
+        return {"ok": False, "code": "deadline", "error": str(exc)}
+    except Exception as exc:
+        return {"ok": False, "code": "error",
+                "error": f"{type(exc).__name__}: {exc}",
+                "trace": traceback.format_exc(limit=8)}
+    return {"ok": True, "outcome": outcome}
 
 
-class _WorkerHandle:
-    """One forked sweep worker and its duplex pipe."""
+def worker_job(job: dict) -> dict:
+    """Pool handler: the injected crash/poison rule, then the point."""
+    if _poisoned(job["digest"]) \
+            or _injected_crash(job["digest"], job["attempt"]):
+        # Hard process death, skipping every Python cleanup layer —
+        # exactly what the parent's crash ladder must absorb.
+        os._exit(CRASH_EXIT_CODE)
+    return evaluate_job(job)
 
-    def __init__(self, index: int, context) -> None:
-        self.index = index
-        self.conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=worker_main, args=(child_conn, index), daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        #: Digest of the in-flight point, None when idle.
-        self.busy: Optional[str] = None
-        #: Monotonic hard-kill time for the in-flight point.
-        self.kill_at: Optional[float] = None
-        self.seam_probe: Tuple[bool, bool] = (False, False)
-        self.seam_enabled: Tuple[bool, bool] = (True, True)
 
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, AttributeError):
-            pass
-        self.process.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+class _Flight(NamedTuple):
+    """One dispatched attempt: the point, its breaker verdicts, and —
+    on the pool — the monotonic time of its hard parent-side kill."""
+
+    point: object
+    job: dict
+    store: dict
+    native: dict
+    kill_at: float
 
 
 class SweepDriver:
@@ -359,8 +283,6 @@ class SweepDriver:
         self._backoffs: Dict[str, BackoffSchedule] = {}
         self._retry_at: Dict[str, float] = {}
         self._results: Dict[str, dict] = {}
-        self._pending: collections.deque = collections.deque()
-        self._by_digest: Dict[str, object] = {}
 
     # -- public control ------------------------------------------------------
     def request_stop(self) -> None:
@@ -422,24 +344,46 @@ class SweepDriver:
             self._resolve(point, {"status": "failed", "error": error})
         return None
 
-    def _seam_flags(self) -> Tuple[dict, dict]:
+    def _begin_attempt(self, point) -> int:
+        attempt = self._attempts.get(point.digest, 0) + 1
+        self._attempts[point.digest] = attempt
+        self.journal.append_attempt(point.digest, attempt)
+        return attempt
+
+    def _flight(self, point, attempt: int, thresholds) -> _Flight:
+        """Consult the breakers and build the attempt's job."""
         store = self.store_breaker.allow()
         native = self.native_breaker.allow()
         if not store["enabled"]:
             count("tuning_store_degraded")
         if not native["enabled"]:
             count("tuning_native_degraded")
-        return store, native
+        job = {
+            "digest": point.digest, "spec": point.spec(),
+            "attempt": attempt,
+            "prune_bytes": thresholds[point.digest],
+            "deadline": time.time() + self.deadline_s,
+            "disable_store": not store["enabled"],
+            "disable_native": not native["enabled"],
+        }
+        return _Flight(point, job, store, native,
+                       time.monotonic() + self.deadline_s * 1.5 + 0.25)
 
-    def _record_seams(self, handle: "_WorkerHandle", reply: dict) -> None:
-        store_enabled, native_enabled = handle.seam_enabled
-        store_probe, native_probe = handle.seam_probe
-        if store_enabled:
-            self.store_breaker.record(reply.get("store_failures", 0) == 0,
-                                      store_probe)
-        if native_enabled:
-            self.native_breaker.record(bool(reply.get("native_ok", True)),
-                                       native_probe)
+    def _settle(self, flight: _Flight, reply: dict) -> Optional[float]:
+        """Account for one attempt's reply; retry delay, or None."""
+        if flight.store["enabled"]:
+            self.store_breaker.record(reply["store_failures"] == 0,
+                                      flight.store["probe"])
+        if flight.native["enabled"]:
+            self.native_breaker.record(reply["native_ok"],
+                                       flight.native["probe"])
+        if reply["ok"]:
+            self._resolve(flight.point, reply["outcome"])
+            return None
+        if reply["code"] == "deadline":
+            count("tuning_deadline_kills")
+        return self._classify_failure(flight.point, reply["code"],
+                                      reply["error"])
 
     # -- the run -------------------------------------------------------------
     def run(self) -> dict:
@@ -484,8 +428,7 @@ class SweepDriver:
             add_stage_time("sweep_prebuild_s",
                            time.perf_counter() - prebuild_started)
         if pending:
-            if self.workers > 1 and "fork" in \
-                    multiprocessing.get_all_start_methods():
+            if self.workers > 1 and pool.fork_available():
                 self._run_pool(pending, thresholds)
             else:
                 self._run_inline(pending, thresholds)
@@ -519,149 +462,86 @@ class SweepDriver:
         """
         while pending and not self._stop:
             point = pending.popleft()
-            digest = point.digest
-            attempt = self._attempts.get(digest, 0) + 1
-            self._attempts[digest] = attempt
-            self.journal.append_attempt(digest, attempt)
-            if _poisoned(digest) or _injected_crash(digest, attempt):
+            attempt = self._begin_attempt(point)
+            if _poisoned(point.digest) \
+                    or _injected_crash(point.digest, attempt):
                 count("tuning_worker_crashes")
                 delay = self._classify_failure(point, "crash",
                                                "injected crash")
-                if delay is not None:
-                    self._sleep(delay)
-                    pending.appendleft(point)
-                continue
-            store, native = self._seam_flags()
-            deadline = time.time() + self.deadline_s
-            try:
-                with _seam_overrides(not store["enabled"],
-                                     not native["enabled"]):
-                    from ..store import STORE_COUNTERS
-
-                    store_before = dict(STORE_COUNTERS)
-                    outcome = evaluate_point(point.spec(),
-                                             thresholds[digest],
-                                             deadline)
-            except DeadlinePassed as exc:
-                count("tuning_deadline_kills")
-                delay = self._classify_failure(point, "deadline", str(exc))
-                if delay is not None:
-                    self._sleep(delay)
-                    pending.appendleft(point)
-                continue
-            except Exception as exc:
-                self._classify_failure(
-                    point, "error", f"{type(exc).__name__}: {exc}")
-                continue
-            from ..soc._native import native_status
-            from ..store import STORE_COUNTERS
-
-            if store["enabled"]:
-                self.store_breaker.record(
-                    _store_failures(STORE_COUNTERS)
-                    - _store_failures(store_before) == 0,
-                    store["probe"])
-            if native["enabled"]:
-                self.native_breaker.record(
-                    native_status()["status"] not in (
-                        "compile-failed", "load-failed",
-                        "fault-injected"),
-                    native["probe"])
-            self._resolve(point, outcome)
+            else:
+                flight = self._flight(point, attempt, thresholds)
+                delay = self._settle(
+                    flight, pool.run_seamed(evaluate_job, flight.job))
+            if delay is not None:
+                self._sleep(delay)
+                pending.appendleft(point)
 
     # -- pool execution -------------------------------------------------------
-    def _spawn(self, context, index: int) -> _WorkerHandle:
-        return _WorkerHandle(index, context)
-
-    def _dispatch(self, handle: _WorkerHandle, point,
-                  thresholds) -> None:
-        digest = point.digest
-        attempt = self._attempts.get(digest, 0) + 1
-        self._attempts[digest] = attempt
-        self.journal.append_attempt(digest, attempt)
-        store, native = self._seam_flags()
-        handle.seam_enabled = (store["enabled"], native["enabled"])
-        handle.seam_probe = (store["probe"], native["probe"])
-        handle.busy = digest
-        handle.kill_at = time.monotonic() + self.deadline_s * 1.5 + 0.25
-        handle.conn.send({
-            "op": "run", "digest": digest, "spec": point.spec(),
-            "attempt": attempt,
-            "prune_bytes": thresholds[digest],
-            "deadline": time.time() + self.deadline_s,
-            "disable_store": not store["enabled"],
-            "disable_native": not native["enabled"],
-        })
-
     def _run_pool(self, pending, thresholds) -> None:
-        context = multiprocessing.get_context("fork")
-        # Warm the native library once; forked workers inherit it.
-        from ..soc._native import native_lib
-
-        native_lib()
         size = min(self.workers, len(pending))
-        handles: List[_WorkerHandle] = [
-            self._spawn(context, index) for index in range(size)
-        ]
-        next_index = size
-        self._pending = pending
-        self._by_digest = {point.digest: point for point in pending}
+        workers = pool.Pool(size, worker_job)
+        flights: Dict[int, _Flight] = {}  # busy slot -> its attempt
 
-        def requeue_or_finalize(handle, code, error):
-            point = self._by_digest[handle.busy]
-            delay = self._classify_failure(point, code, error)
+        def retry_later(point, delay: Optional[float]) -> None:
             if delay is not None:
                 self._retry_at[point.digest] = time.monotonic() + delay
                 pending.append(point)
 
+        def replace_worker(slot: int, code: str, error: str) -> None:
+            # Dead or hung alike: the attempt failed, and a fresh
+            # worker takes over the same slot.
+            point = flights.pop(slot).point
+            retry_later(point, self._classify_failure(point, code, error))
+            workers.restart(slot)
+            count("tuning_worker_restarts")
+
         try:
-            while pending or any(h.busy for h in handles):
+            while pending or flights:
                 now = time.monotonic()
                 # Dispatch ready work onto idle workers.
                 if not self._stop:
-                    idle = [h for h in handles if h.busy is None]
-                    for handle in idle:
+                    for slot in range(size):
+                        if slot in flights:
+                            continue
                         point = self._next_ready(pending, now)
                         if point is None:
                             break
-                        self._dispatch(handle, point, thresholds)
-                elif all(h.busy is None for h in handles):
+                        flight = self._flight(
+                            point, self._begin_attempt(point), thresholds)
+                        workers.submit(slot, flight.job)
+                        flights[slot] = flight
+                elif not flights:
                     break  # drained: nothing in flight, stop dispatching
-                busy = [h for h in handles if h.busy is not None]
-                if not busy:
+                if not flights:
                     wait_until = self._next_event_time(pending)
                     if wait_until is None:
                         continue
                     self._sleep(min(0.05, max(0.0,
                                               wait_until - time.monotonic())))
                     continue
-                timeout = self._wait_timeout(busy, pending)
-                waitables = {h.conn: h for h in busy}
-                waitables.update({h.process.sentinel: h for h in busy})
-                ready = multiprocessing.connection.wait(
-                    list(waitables), timeout)
-                seen = set()
-                for waitable in ready:
-                    handle = waitables[waitable]
-                    if id(handle) in seen:
+                for slot, reply in workers.wait(
+                        list(flights), self._wait_timeout(flights, pending)):
+                    if reply is not None:
+                        flight = flights.pop(slot)
+                        retry_later(flight.point,
+                                    self._settle(flight, reply))
                         continue
-                    seen.add(id(handle))
-                    self._service_handle(handle, handles, context,
-                                         requeue_or_finalize)
+                    # The worker died (injected crash, OOM-shaped failure).
+                    process = workers.workers[slot].process
+                    process.join(timeout=5)
+                    count("tuning_worker_crashes")
+                    replace_worker(
+                        slot, "crash",
+                        f"worker {slot} crashed (exit {process.exitcode})")
                 # Hard deadline kills for hung workers.
                 now = time.monotonic()
-                for position, handle in enumerate(handles):
-                    if handle.busy is not None and handle.kill_at is not None \
-                            and now >= handle.kill_at:
+                for slot, flight in list(flights.items()):
+                    if now >= flight.kill_at:
                         count("tuning_deadline_kills")
-                        handle.kill()
-                        requeue_or_finalize(handle, "deadline",
-                                            "hard deadline kill")
-                        handles[position] = self._spawn(context, next_index)
-                        next_index += 1
-                        count("tuning_worker_restarts")
+                        replace_worker(slot, "deadline",
+                                       "hard deadline kill")
         finally:
-            self._shutdown_pool(handles)
+            count("tuning_workers_merged", workers.shutdown())
 
     def _next_ready(self, pending, now: float):
         """Pop the first pending point whose retry backoff has elapsed."""
@@ -677,89 +557,9 @@ class SweepDriver:
                  if p.digest in self._retry_at]
         return min(times) if times else None
 
-    def _wait_timeout(self, busy, pending) -> float:
-        deadlines = [h.kill_at for h in busy if h.kill_at is not None]
+    def _wait_timeout(self, flights, pending) -> float:
+        deadlines = [flight.kill_at for flight in flights.values()]
         event = self._next_event_time(pending)
         if event is not None:
             deadlines.append(event)
-        horizon = min(deadlines) - time.monotonic() if deadlines else 0.25
-        return min(0.25, max(0.01, horizon))
-
-    def _service_handle(self, handle, handles, context,
-                        requeue_or_finalize) -> None:
-        """Drain one worker's reply, or absorb its death."""
-        if handle.conn.poll():
-            try:
-                reply = handle.conn.recv()
-            except (EOFError, OSError):
-                reply = None
-        else:
-            reply = None
-        if reply is None:
-            # The worker died (injected crash, OOM-shaped failure).
-            handle.process.join(timeout=5)
-            count("tuning_worker_crashes")
-            position = handles.index(handle)
-            if handle.busy is not None:
-                requeue_or_finalize(handle, "crash",
-                                    f"worker {handle.index} crashed "
-                                    f"(exit {handle.process.exitcode})")
-            handle.kill()
-            handles[position] = self._spawn(context, handle.index)
-            count("tuning_worker_restarts")
-            return
-        if reply.get("op") != "result" or handle.busy is None:
-            return
-        point_digest = handle.busy
-        handle.busy = None
-        handle.kill_at = None
-        self._record_seams(handle, reply)
-        from ..execution.model_plan import merge_worker_diagnostics
-
-        merge_worker_diagnostics(reply.get("delta", {}),
-                                 count_worker=False)
-        point = self._by_digest.get(point_digest)
-        if point is None:
-            return
-        if reply.get("ok"):
-            self._resolve(point, reply["outcome"])
-        elif reply.get("code") == "deadline":
-            count("tuning_deadline_kills")
-            delay = self._classify_failure(point, "deadline",
-                                           reply.get("error", "deadline"))
-            if delay is not None:
-                self._retry_at[point.digest] = time.monotonic() + delay
-                self._pending_append(point)
-        else:
-            self._classify_failure(point, "error",
-                                   reply.get("error", "worker error"))
-
-    def _pending_append(self, point) -> None:
-        # Set by _run_pool before the loop; dispatching back onto it.
-        self._pending.append(point)
-
-    def _shutdown_pool(self, handles) -> None:
-        for handle in handles:
-            if not handle.process.is_alive():
-                handle.kill()
-                continue
-            try:
-                handle.conn.send({"op": "shutdown"})
-            except (BrokenPipeError, OSError):
-                handle.kill()
-                continue
-            if handle.conn.poll(5):
-                try:
-                    reply = handle.conn.recv()
-                except (EOFError, OSError):
-                    reply = None
-                if reply and reply.get("op") == "bye":
-                    from ..execution.model_plan import (
-                        merge_worker_diagnostics,
-                    )
-
-                    merge_worker_diagnostics(reply.get("delta", {}),
-                                             count_worker=False)
-                    count("tuning_workers_merged")
-            handle.process.join(timeout=5)
-            handle.kill()
+        return min(0.25, max(0.01, min(deadlines) - time.monotonic()))

@@ -361,6 +361,26 @@ class TestWorkerPool:
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] > \
             before_misses
 
+    def test_no_fork_rung_runs_inline_and_merges_nothing(
+            self, monkeypatch):
+        from repro import pool
+        from repro.experiments.harness import run_matmul_model
+
+        jobs = [(run_matmul_model, ((MATMUL_SPECS[0],),)),
+                (run_matmul_model, ((MATMUL_SPECS[1],),))]
+        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        pooled = run_model_jobs(jobs)
+        assert MODEL_PLAN_COUNTERS["model_plan_workers"] == 2
+        reset_model_plans()
+        reset_model_plan_counters()
+        monkeypatch.setattr(pool, "fork_available", lambda: False)
+        inline = run_model_jobs(jobs)
+        assert [[c.as_dict() for c in r] for r in inline] == \
+            [[c.as_dict() for c in r] for r in pooled]
+        # Counted where it ran: the sessions' own bumps, no worker merge.
+        assert MODEL_PLAN_COUNTERS["model_plan_workers"] == 0
+        assert sum(MODEL_PLAN_COUNTERS.values()) > 0
+
     def test_malformed_worker_count_warns_once(self, monkeypatch):
         monkeypatch.setenv("REPRO_MODEL_WORKERS", "three-ish")
         with pytest.warns(RuntimeWarning, match="REPRO_MODEL_WORKERS"):
@@ -369,6 +389,13 @@ class TestWorkerPool:
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
             model_workers()  # second read: no second warning
+
+    def test_worker_count_is_clamped_and_defaults_to_cpu_bound(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_MODEL_WORKERS", "0")
+        assert model_workers() == 1
+        monkeypatch.delenv("REPRO_MODEL_WORKERS")
+        assert 1 <= model_workers() <= 4
 
 
 class TestSwitches:

@@ -9,17 +9,10 @@ back into the parent's diagnostics, and the ``warmup`` RPC exposes the
 same machinery over the service wire.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.execution import (
-    METRICS_PLAN_COUNTERS,
-    PREBUILD_WORKERS_ENV,
-    prebuild_plans,
-    prebuild_workers,
-)
+from repro.execution import METRICS_PLAN_COUNTERS, prebuild_plans
 from repro.service import errors as service_errors
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer, service_counters
@@ -91,13 +84,13 @@ class TestPrebuildPlans:
 
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR",
                            str(tmp_path / "pool"))
-        monkeypatch.setenv(PREBUILD_WORKERS_ENV, "2")
+        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
         before = dict(METRICS_PLAN_COUNTERS)
         pooled = prebuild_plans(specs)
         assert pooled == inline
         # The forked workers' plan lookups merged back into this
-        # process's counters — the accounting rule perf_guard
-        # documents.  (They are hits here, not misses: the children
+        # process's counters — the accounting rule of
+        # repro.counters.merge.  (They are hits here, not misses: the children
         # inherit the inline leg's in-memory caches across the fork.)
         served = before["metrics_plan_misses"] + before["metrics_plan_hits"]
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] \
@@ -106,24 +99,6 @@ class TestPrebuildPlans:
 
     def test_empty_spec_list_is_a_no_op(self):
         assert prebuild_plans([]) == []
-
-
-class TestEnvKnob:
-    def test_malformed_prebuild_workers_warns_once(self, monkeypatch):
-        monkeypatch.setenv(PREBUILD_WORKERS_ENV, "a-few")
-        with pytest.warns(RuntimeWarning, match=PREBUILD_WORKERS_ENV):
-            assert prebuild_workers() >= 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            prebuild_workers()  # second read: no second warning
-
-    def test_workers_clamped_to_minimum(self, monkeypatch):
-        monkeypatch.setenv(PREBUILD_WORKERS_ENV, "0")
-        assert prebuild_workers() == 1
-
-    def test_unset_defaults_to_cpu_bound(self, monkeypatch):
-        monkeypatch.delenv(PREBUILD_WORKERS_ENV, raising=False)
-        assert 1 <= prebuild_workers() <= 4
 
 
 class TestServiceWarmup:

@@ -557,6 +557,72 @@ class TestService:
             server.drain()
 
 
+class TestNoForkRung:
+    """Platforms without fork: dispatchers run jobs in their own thread.
+
+    Same handler, same seam evidence (``repro.pool.run_seamed``) as the
+    forked workers — so results are bit-identical and the breakers see
+    what they would have seen."""
+
+    @pytest.fixture(autouse=True)
+    def _no_fork(self, monkeypatch):
+        from repro import pool
+
+        monkeypatch.setattr(pool, "fork_available", lambda: False)
+
+    def test_bit_identical_and_counters_advance_directly(self):
+        from repro.execution import METRICS_PLAN_COUNTERS
+
+        specs = [matmul_spec(m=8, seed=31), conv_spec(seed=32)]
+        direct = [result_tuple(*run_request(dict(s))) for s in specs]
+        workers_before = MODEL_PLAN_COUNTERS["model_plan_workers"]
+        served_before = METRICS_PLAN_COUNTERS["metrics_plan_hits"] \
+            + METRICS_PLAN_COUNTERS["metrics_plan_misses"]
+        server = ServiceServer(workers=2, queue_max=8).start()
+        try:
+            assert server._handles == [None, None]
+            with ServiceClient(server.address) as client:
+                for spec, expected in zip(specs, direct):
+                    reply = client.submit(spec)
+                    assert reply["worker"] == -1
+                    assert result_tuple(reply["counters"],
+                                        reply["output"]) == expected
+        finally:
+            summary = server.drain()
+        # The work was counted where it ran; there was no delta to merge.
+        assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] \
+            + METRICS_PLAN_COUNTERS["metrics_plan_misses"] \
+            >= served_before + len(specs)
+        assert summary["counters"]["service_workers_merged"] == 0
+        assert MODEL_PLAN_COUNTERS["model_plan_workers"] == workers_before
+
+    def test_store_breaker_opens_on_injected_write_failures(
+            self, monkeypatch, tmp_path):
+        from repro.compiler import default_kernel_cache
+
+        default_kernel_cache().clear()
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "s"))
+        monkeypatch.setenv("REPRO_FAULTS", "store.write:io")
+        server = ServiceServer(workers=1, queue_max=8,
+                               breaker_threshold=2,
+                               breaker_cooldown_s=60.0).start()
+        try:
+            with ServiceClient(server.address) as client:
+                for seed, m in ((1, 8), (2, 12)):
+                    client.submit(matmul_spec(m=m, seed=seed))
+                breaker = client.health()["breakers"]["store"]
+                assert (breaker["state"], breaker["trips"]) == ("open", 1)
+                spec = matmul_spec(m=16, seed=3)
+                reply = client.submit(spec)
+            monkeypatch.delenv("REPRO_FAULTS")
+            monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR")
+            faults.reset_faults()
+            assert result_tuple(reply["counters"], reply["output"]) \
+                == result_tuple(*run_request(dict(spec)))
+        finally:
+            server.drain()
+
+
 # -- multi-client stress: the acceptance criterion --------------------------
 
 STRESS_SPECS = [

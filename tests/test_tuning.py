@@ -8,7 +8,9 @@ to an uninterrupted run's.
 """
 
 import json
+import multiprocessing
 import os
+import time
 import warnings
 
 import pytest
@@ -369,6 +371,77 @@ class TestDriver:
         assert result["complete"]
         assert result["report"]["totals"]["completed"] \
             == len(SMALL.points())
+
+
+def _fake_outcome(spec, prune_bytes=None, deadline=None):
+    """An evaluate_point stand-in that reports which pool worker ran it."""
+    return {"status": "ok", "metric": 1.0, "counters": {},
+            "est_bytes": None,
+            "ran_on": multiprocessing.current_process().name}
+
+
+class TestPool:
+    """The sweep on the supervised pool (workers > 1)."""
+
+    def test_deadline_killed_worker_restarts_at_the_same_slot(
+            self, tmp_path, monkeypatch):
+        from repro.tuning import driver as driver_module
+
+        hang_once = tmp_path / "hung"
+
+        def evaluate(spec, prune_bytes=None, deadline=None):
+            try:
+                hang_once.touch(exist_ok=False)
+            except FileExistsError:
+                return _fake_outcome(spec)
+            time.sleep(60)  # ignores its cooperative deadline
+
+        monkeypatch.setattr(driver_module, "evaluate_point", evaluate)
+        result = _driver(SMALL, tmp_path, workers=2, deadline_s=0.1,
+                         sleep=time.sleep).run()
+        assert result["complete"]
+        assert result["report"]["totals"]["completed"] \
+            == len(SMALL.points())
+        counters = tuning_counters()
+        assert counters["tuning_deadline_kills"] == 1
+        assert counters["tuning_worker_restarts"] == 1
+        assert counters["tuning_workers_merged"] == 2
+        # The replacement took over the killed worker's slot: two slots
+        # ran every point, before and after the kill.
+        names = {record["ran_on"] for group in
+                 result["report"]["groups"].values()
+                 for record in group["ranked"]}
+        assert names == {"repro-pool-0", "repro-pool-1"}
+
+    def test_pool_report_matches_inline_and_merges_worker_deltas(
+            self, tmp_path):
+        from repro.execution import STAGE_TIMINGS
+
+        _driver(SMALL, tmp_path, name="inline", workers=1).run()
+        simulated = STAGE_TIMINGS["sweep_simulate_s"]
+        reset_tuning_counters()
+        _driver(SMALL, tmp_path, name="pooled", workers=2).run()
+        assert (tmp_path / "pooled.json").read_bytes() \
+            == (tmp_path / "inline.json").read_bytes()
+        # The points ran in workers; their stage seconds came home.
+        assert STAGE_TIMINGS["sweep_simulate_s"] > simulated
+        assert tuning_counters()["tuning_workers_merged"] == 2
+
+    def test_no_fork_rung_is_bit_identical_and_merges_nothing(
+            self, tmp_path, monkeypatch):
+        from repro import pool
+
+        _driver(SMALL, tmp_path, name="forked", workers=2).run()
+        reset_tuning_counters()
+        monkeypatch.setattr(pool, "fork_available", lambda: False)
+        result = _driver(SMALL, tmp_path, name="noforked",
+                         workers=2).run()
+        assert result["complete"]
+        assert (tmp_path / "noforked.json").read_bytes() \
+            == (tmp_path / "forked.json").read_bytes()
+        counters = tuning_counters()
+        assert counters["tuning_points_completed"] == len(SMALL.points())
+        assert counters["tuning_workers_merged"] == 0
 
 
 class TestEnvKnobs:

@@ -17,6 +17,14 @@ import numpy as np
 
 from ..accelerators.matmul import MATMUL_LITERALS, VERSION_OPCODES
 from ..accelerators.conv import CONV_LITERALS
+from ..compiler import (
+    default_kernel_cache,
+    load_entry,
+    publish_due,
+    publish_entry,
+    store_entry_name,
+    stored_trace,
+)
 from ..execution.replay import replay_kernel
 from ..execution.trace import (
     TRACE_COUNTERS,
@@ -40,7 +48,10 @@ def _make_runtime(board: Board) -> AxiRuntime:
 #: The manual drivers are as static as the generated ones — only their
 #: dma_init runs before the memref allocations, so their bodies record
 #: as *preinitialized* traces that replay against the live engine.
-#: ``None`` marks a body the trace machinery could not handle.
+#: ``None`` marks a body the trace machinery could not handle.  With a
+#: kernel store active each trace (+ its MetricsPlans) also lives there
+#: as a ``manual-*`` entry under the same key, so only the first process
+#: records.
 _MANUAL_TRACES: Dict[Tuple, Optional[object]] = {}
 
 #: Configs already counted in TRACE_COUNTERS["manual_fallback"] for a
@@ -48,6 +59,13 @@ _MANUAL_TRACES: Dict[Tuple, Optional[object]] = {}
 #: board-state-dependent, and decode results are cached on the trace)
 #: don't inflate the per-kernel accounting.
 _MANUAL_REPLAY_FAILED = set()
+
+
+def _load_manual_trace(store, name: str):
+    """The trace a ``manual-*`` entry holds, or ``None`` (a stale trace
+    schema is simply overwritten by the recording that follows)."""
+    status, payload = load_entry(store, name)
+    return stored_trace(payload) if status == "hit" else None
 
 
 def _run_manual_body(body, rt, board, before, descriptors, key,
@@ -62,23 +80,31 @@ def _run_manual_body(body, rt, board, before, descriptors, key,
         specs = tuple((d.sizes, d.strides, d.itemsize, str(d.dtype))
                       for d in descriptors)
         cache_key = key + (specs,)
+        store = default_kernel_cache().resolve_store()
         if cache_key not in _MANUAL_TRACES:
-            try:
-                trace = record_trace(
-                    body, specs,
-                    preinitialized=(_DMA_WORDS * 4, _DMA_WORDS * 4),
-                    stage="manual_record_s",
-                )
-                TRACE_COUNTERS["manual_recorded"] += 1
-            except Exception:
-                trace = None
-                TRACE_COUNTERS["manual_fallback"] += 1
+            trace = _load_manual_trace(
+                store, store_entry_name("manual", cache_key)
+            ) if store is not None else None
+            if trace is None:
+                try:
+                    trace = record_trace(
+                        body, specs,
+                        preinitialized=(_DMA_WORDS * 4, _DMA_WORDS * 4),
+                        stage="manual_record_s",
+                    )
+                    TRACE_COUNTERS["manual_recorded"] += 1
+                except Exception:
+                    TRACE_COUNTERS["manual_fallback"] += 1
             _MANUAL_TRACES[cache_key] = trace
         trace = _MANUAL_TRACES[cache_key]
         if trace is not None:
             try:
                 replay_kernel(trace, board, rt, descriptors, False,
                               plan_source=plan_source)
+                if store is not None and publish_due(trace):
+                    publish_entry(store,
+                                  store_entry_name("manual", cache_key),
+                                  {}, trace)
                 return board.measure_since(before)
             except TraceUnsupported:
                 # Count the kernel once, but keep retrying: replay

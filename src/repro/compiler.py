@@ -49,6 +49,7 @@ from .execution.trace import (
     STAGE_TIMINGS,
     TRACE_COUNTERS,
     TRACE_SCHEMA_VERSION,
+    DriverTrace,
     TraceUnsupported,
     add_stage_time,
     record_trace,
@@ -72,9 +73,10 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: library version can never load silently.  (The serialized trace has
 #: its own schema version, TRACE_SCHEMA_VERSION: a trace-only schema
 #: bump evicts just the trace, not the lowered kernel.)
-#: Version 3: pickle entries replaced by the checksummed JSON+npz
-#: container of :mod:`repro.store`.
-KERNEL_STORE_VERSION = 3
+#: Version 4: the checksummed, pickle-free container of
+#: :mod:`repro.store` with magic ``REPRO-KSTORE-2`` — a JSON manifest
+#: plus one zlib stream behind an array table.
+KERNEL_STORE_VERSION = 4
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -135,6 +137,93 @@ def _source_tree_digest() -> str:
                 pass
         _SOURCE_TREE_DIGEST = hasher.hexdigest()
     return _SOURCE_TREE_DIGEST
+
+
+def store_entry_name(kind: str, key) -> str:
+    """Entry name: ``<kind>-<src digest>-<key digest>``.
+
+    The source-tree digest rides in the name twice over — as a
+    greppable prefix (so CI can prune entries no current source can
+    ever hit, see ci.yml) and folded into the key digest (so collisions
+    on the truncated prefix still cannot alias).
+    """
+    source_digest = _source_tree_digest()
+    digest = hashlib.sha256(
+        repr((KERNEL_STORE_VERSION, source_digest, key)).encode()
+    ).hexdigest()
+    return f"{kind}-{source_digest[:12]}-{digest}"
+
+
+# -- the trace slots of a store entry ---------------------------------------
+#
+# Kernel entries and the manual baselines' entries carry a trace the
+# same way: the trace under TRACE_SCHEMA_VERSION and its MetricsPlans
+# under METRICS_PLAN_SCHEMA_VERSION (the trace's serialized form
+# excludes them), so a stale schema evicts just its own slot.  The plan
+# keys the disk entry holds ride on the loaded/published trace as the
+# process-local ``_stored_plans``: an entry is republished iff memory
+# holds a trace or a plan key the disk lacks, so a store converges —
+# a process that finds everything publishes nothing.
+
+def load_entry(store: KernelStore, name: str,
+               count: bool = True) -> Tuple[str, Optional[dict]]:
+    """``store.load`` plus the payload-version check.
+
+    A checksum-valid payload that is not a dict of this
+    KERNEL_STORE_VERSION is quarantined and reported as ``"stale"``.
+    """
+    status, payload = store.load(name, count=count)
+    if status == "hit" and (
+            not isinstance(payload, dict)
+            or payload.get("store_version") != KERNEL_STORE_VERSION):
+        store.quarantine(name)
+        return "stale", None
+    return status, payload
+
+
+def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
+    """Publish ``head`` plus the trace slots under ``name``.
+
+    Unencodable payloads (plans outside the codec whitelist) and write
+    failures stay memory-only — ``store()`` reports, never raises — and
+    are not retried by this process.
+    """
+    plans = dict(trace.metrics_plans) if trace is not None else None
+    store.store(name, {
+        **head,
+        "store_version": KERNEL_STORE_VERSION,
+        "trace_schema": TRACE_SCHEMA_VERSION,
+        "trace": trace,
+        "metrics_schema": METRICS_PLAN_SCHEMA_VERSION,
+        "metrics_plans": plans,
+    })
+    if trace is not None:
+        trace._stored_plans = frozenset(plans)
+
+
+def stored_trace(payload: dict):
+    """The trace ``payload`` carries, current-schema plans attached.
+
+    ``None`` when the entry has no trace or a stale-schema one; plans
+    are only ever attached to the trace they were built against.
+    """
+    trace = payload.get("trace")
+    if not isinstance(trace, DriverTrace) \
+            or payload.get("trace_schema") != TRACE_SCHEMA_VERSION:
+        return None
+    plans = payload.get("metrics_plans")
+    if isinstance(plans, dict) and payload.get("metrics_schema") \
+            == METRICS_PLAN_SCHEMA_VERSION:
+        trace.metrics_plans.update(plans)
+    trace._stored_plans = frozenset(trace.metrics_plans)
+    TRACE_COUNTERS["disk_loaded"] += 1
+    return trace
+
+
+def publish_due(trace) -> bool:
+    """True when ``trace`` or one of its plans is not on disk yet."""
+    stored = getattr(trace, "_stored_plans", None)
+    return stored is None or not trace.metrics_plans.keys() <= stored
 
 
 def _np_dtype(element_type) -> np.dtype:
@@ -233,12 +322,14 @@ class KernelCache:
     KernelStore` keyed by the same fingerprint: a memory miss first
     tries to load the lowered module + emitted source from disk, and
     fresh compilations are persisted, so repeated processes skip the
-    lowering pipeline entirely.  Entries are checksummed JSON+npz
-    containers (no pickle: an untrusted cache dir can fail to load but
-    never execute code); corrupt files are quarantined and counted as
-    ``disk_corrupt``, distinct from honest ``disk_misses``.  Concurrent
-    processes sharing one store coordinate through per-entry advisory
-    build locks, so each kernel is compiled once.
+    lowering pipeline entirely.  Entries are checksummed containers of
+    a JSON manifest plus one array stream (no pickle: an untrusted cache
+    dir can fail to load but never execute code); corrupt files are
+    quarantined and counted as ``disk_corrupt``, distinct from honest
+    ``disk_misses``.  Concurrent processes sharing one store coordinate
+    through per-entry advisory build locks, so each kernel is compiled
+    once, and an entry is rewritten only when memory holds a trace or a
+    MetricsPlan its disk copy lacks (``publish_due``).
     """
 
     #: The instance attributes counting lookups by outcome.
@@ -310,21 +401,6 @@ class KernelCache:
                 store = self._stores[directory] = KernelStore(directory)
             return store
 
-    @staticmethod
-    def _entry_name(key: Tuple) -> str:
-        """Entry name: ``kernel-<src digest>-<key digest>``.
-
-        The source-tree digest rides in the name twice over — as a
-        greppable prefix (so CI can prune entries no current source
-        can ever hit, see ci.yml) and folded into the key digest (so
-        collisions on the truncated prefix still cannot alias).
-        """
-        source_digest = _source_tree_digest()
-        digest = hashlib.sha256(
-            repr((KERNEL_STORE_VERSION, source_digest, key)).encode()
-        ).hexdigest()
-        return f"kernel-{source_digest[:12]}-{digest}"
-
     def _count_disk(self, status: str) -> None:
         with self._lock:
             if status == "hit":
@@ -345,16 +421,10 @@ class KernelCache:
         (wrong version field, unparsable IR) is quarantined here for
         the same reason — the next compile republishes it.
         """
-        status, payload = store.load(name, count=count)
+        status, payload = load_entry(store, name, count)
         if status != "hit":
             if count:
                 self._count_disk(status)
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("store_version") != KERNEL_STORE_VERSION:
-            store.quarantine(name)
-            if count:
-                self._count_disk("stale")
             return None
         try:
             module = parse_module(payload["ir"], verify=False)
@@ -377,55 +447,29 @@ class KernelCache:
             plan=payload.get("plan"),
             parameters=payload.get("parameters", {}),
             schedule_table=payload.get("schedule_table"),
+            _ir_text=payload["ir"],
         )
-        # A persisted trace (+ its decoded replay plans) lets warm
-        # processes skip both recording and synthesis; a stale schema
-        # evicts just the trace, never the lowered kernel.
-        trace = payload.get("trace")
-        if trace is not None \
-                and payload.get("trace_schema") == TRACE_SCHEMA_VERSION:
-            kernel.trace_state.trace = trace
-            TRACE_COUNTERS["disk_loaded"] += 1
-            # MetricsPlans ride in their own payload slot with their own
-            # schema version: a stale metrics schema evicts just the
-            # plans (the trace and the lowered kernel still load), and
-            # plans are only ever attached to the trace they were built
-            # against.  An entry whose plans were evicted (or never
-            # written) is NOT marked persisted, so the first replay's
-            # persist hook rewrites it with current-schema plans.
-            plans = payload.get("metrics_plans")
-            plans_current = bool(plans) and payload.get("metrics_schema") \
-                == METRICS_PLAN_SCHEMA_VERSION
-            if plans_current:
-                trace.metrics_plans.update(plans)
-            kernel.trace_state.persisted = plans_current
+        # A persisted trace (+ its decoded replay plans and
+        # MetricsPlans) lets warm processes skip recording, synthesis
+        # and plan builds; a stale schema evicts just that slot, never
+        # the lowered kernel.
+        kernel.trace_state.trace = stored_trace(payload)
         return kernel
 
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
         store = self.resolve_store()
         if store is None:
             return
-        trace = kernel.trace_state.trace
-        payload = {
-            "store_version": KERNEL_STORE_VERSION,
-            "ir": print_module(kernel.module),
+        if kernel._ir_text is None:
+            kernel._ir_text = print_module(kernel.module)
+        publish_entry(store, store_entry_name("kernel", key), {
+            "ir": kernel._ir_text,
             "func_name": kernel.func_name,
             "source": kernel.source,
             "parameters": kernel.parameters,
             "plan": kernel.plan,
             "schedule_table": kernel.schedule_table,
-            "trace_schema": TRACE_SCHEMA_VERSION,
-            "trace": trace,
-            # The trace's serialized form excludes metrics_plans; they
-            # persist here under their own schema version so stale
-            # plans evict independently of the trace.
-            "metrics_schema": METRICS_PLAN_SCHEMA_VERSION,
-            "metrics_plans": dict(trace.metrics_plans)
-            if trace is not None else None,
-        }
-        # Unencodable payloads (plans outside the codec whitelist) stay
-        # memory-only for this entry; store() reports, never raises.
-        store.store(self._entry_name(key), payload)
+        }, kernel.trace_state.trace)
 
     def get_or_compile(self, key: Tuple,
                        compile_fn: Callable[[], "CompiledKernel"]
@@ -439,7 +483,7 @@ class KernelCache:
         store = self.resolve_store()
         kernel = None
         if store is not None:
-            name = self._entry_name(key)
+            name = store_entry_name("kernel", key)
             kernel = self._disk_load(store, name)
             if kernel is None:
                 # Serialize concurrent builders of this entry: the
@@ -459,8 +503,8 @@ class KernelCache:
                         # the persist hook below rewrites the entry
                         # with the trace after the first replay.
                         self._disk_store(key, kernel)
-            # Re-persist the entry once the first run has built (and
-            # decoded) the kernel's trace, so later processes load it.
+            # Re-persist the entry whenever a run leaves a trace or a
+            # MetricsPlan the disk lacks, so later processes load it.
             kernel.trace_state.persist = \
                 lambda k=kernel, key=key: self._disk_store(key, k)
         else:
@@ -492,16 +536,16 @@ class KernelTraceState:
     variants) share one recording.
     """
 
-    __slots__ = ("lock", "trace", "failed", "persist", "persisted")
+    __slots__ = ("lock", "trace", "failed", "persist")
 
     def __init__(self):
         self.lock = counters.fork_safe_lock()
         self.trace = None
         self.failed = False
         #: Set by KernelCache when a disk store is active: re-persists
-        #: the entry (now carrying the trace + decoded plans) once.
+        #: the entry with the trace, decoded plans and MetricsPlans
+        #: memory holds (see ``publish_due``).
         self.persist = None
-        self.persisted = False
 
 
 @dataclass
@@ -520,6 +564,10 @@ class CompiledKernel:
     trace_state: KernelTraceState = field(
         default_factory=KernelTraceState, repr=False, compare=False
     )
+    #: ``module`` as printed IR, kept from the first publish (or the
+    #: disk load that parsed it) so later publishes never re-print.
+    _ir_text: Optional[str] = field(default=None, repr=False,
+                                    compare=False)
 
     @property
     def func_op(self):
@@ -633,10 +681,9 @@ class CompiledKernel:
                           plan_source=plan_source)
         except TraceUnsupported:
             return False
-        if state.persist is not None and not state.persisted:
-            # First successful replay: the trace and the decoded plan
-            # for this accelerator exist now — write them through.
-            state.persisted = True
+        if state.persist is not None and publish_due(state.trace):
+            # The trace, the decoded plan for this accelerator or a
+            # MetricsPlan for this runtime config is new: write through.
             state.persist()
         return True
 

@@ -227,20 +227,11 @@ def _step_config(step_key, ex, decode_key: Tuple) -> str:
 # -- persistence ------------------------------------------------------------
 
 def _store_entry_name(name: str) -> str:
-    """Entry name: ``model-<src digest>-<name digest>``.
+    """``model-<src digest>-<digest>``, as every store entry is named;
+    the model schema version rides in the key so a bump cannot alias."""
+    from ..compiler import store_entry_name
 
-    Mirrors KernelCache._entry_name: the source-tree digest prefix lets
-    CI prune entries no current source can hit, and the key digest folds
-    in the store + model schema versions so bumps can never alias.
-    """
-    from ..compiler import KERNEL_STORE_VERSION, _source_tree_digest
-
-    source_digest = _source_tree_digest()
-    digest = hashlib.sha256(
-        repr((KERNEL_STORE_VERSION, MODEL_PLAN_SCHEMA_VERSION,
-              source_digest, name)).encode()
-    ).hexdigest()
-    return f"model-{source_digest[:12]}-{digest}"
+    return store_entry_name("model", (MODEL_PLAN_SCHEMA_VERSION, name))
 
 
 def _register_plan(plan: "ModelPlan") -> None:

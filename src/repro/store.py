@@ -22,20 +22,33 @@ is removed in a ``finally`` on error paths and swept by ``gc()``.
 
 **Entry container.**  Each ``.entry`` file is::
 
-    REPRO-KSTORE-1\\n
-    <sha256 hex of manifest+arrays>\\n
+    REPRO-KSTORE-2\\n
+    <sha256 hex of manifest+segment>\\n
     <manifest byte length>\\n
-    <JSON manifest><npz archive>
+    <JSON manifest><zlib stream>
 
-The manifest is JSON (a whitelisted tagged encoding of the payload —
-see the codec below); bulk numeric data rides in an appended
-``numpy`` ``.npz`` archive loaded with ``allow_pickle=False``.  There
-is **no pickle anywhere in the load path**, so an untrusted cache
-directory can at worst fail to load — it can never execute code.  Any
-container violation (bad magic, short file, checksum mismatch,
-malformed JSON/npz, non-whitelisted tag) *quarantines* the file into
-``corrupt/`` and reports status ``"corrupt"``, which callers count
-separately from an honest miss.
+The manifest is JSON: a whitelisted tagged encoding of the payload (see
+the codec below), an array table with one ``[dtype.str, shape, offset]``
+row per array, and the inflated size of the segment.  The segment is
+**one** zlib stream over the 8-byte-aligned concatenation of every
+array's C-contiguous bytes — ndarray members first, then the int64
+arrays that carry long integer sequences (``recv_refs`` and friends),
+which are turned back into lists at decode and are dead afterwards.
+Decode inflates the stream once, bounded by the declared size, into a
+``bytearray`` and hands out one ``np.frombuffer`` view per table row:
+**an entry's arrays are writable, disjoint, and share that one buffer**,
+so any one of them keeps the whole inflated segment alive.
+
+The SHA-256 is checked before anything is parsed, and there is **no
+pickle and no object dtype anywhere in the load path**, so an untrusted
+cache directory can at worst fail to load — it can never execute code.
+Any container violation (bad magic, short file, checksum mismatch,
+malformed JSON, an inflated size other than the declared one, bytes
+after the stream, a table row whose dtype has objects, whose offset is
+unaligned or whose extent leaves the segment or overlaps another row, a
+non-whitelisted tag) *quarantines* the file into ``corrupt/`` and
+reports status ``"corrupt"``, which callers count separately from an
+honest miss.
 
 **Cross-process coordination.**  ``build_lock(name)`` takes an
 ``fcntl`` advisory lock with bounded retry/backoff so N processes
@@ -54,13 +67,14 @@ temporaries.  It runs opportunistically after each publish.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -77,7 +91,7 @@ except ImportError:  # non-POSIX: no cross-process coordination
 
 #: Container magic line; bump with the container *framing*, not the
 #: payload schema (that is KERNEL_STORE_VERSION in the manifest).
-MAGIC = b"REPRO-KSTORE-1\n"
+MAGIC = b"REPRO-KSTORE-2\n"
 
 #: Env knob: total bytes the object tree may occupy before the LRU
 #: garbage collector evicts oldest-used entries.  Unset/empty = no cap.
@@ -121,7 +135,7 @@ class UnencodablePayload(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Codec: whitelisted tagged JSON + npz side table
+# Codec: whitelisted tagged JSON + one array segment
 # ---------------------------------------------------------------------------
 #
 # JSON scalars (None/bool/int/float/str) encode as themselves; every
@@ -133,13 +147,36 @@ class UnencodablePayload(ValueError):
 #   ["s", [...]]            set (sorted for determinism)
 #   ["d", [[k, v], ...]]    dict
 #   ["od", [[k, v], ...]]   OrderedDict
-#   ["nd", "a3"]            ndarray, stored as npz member "a3"
+#   ["nd", 3]               ndarray, row 3 of the array table
+#   ["li", 4]               list of plain ints, as the 1-D int64 row 4
+#   ["ti", 5]               tuple of plain ints, as the 1-D int64 row 5
+#   ["lt", 6]               list of equal-width tuples of plain ints,
+#                           as the 2-D int64 row 6
 #   ["o", cls, [[f, v]..]]  whitelisted object, rebuilt field-by-field
 #   ["flow", "..."]         OpcodeFlow, via its textual form
+#
+# The packed tags (``li``/``ti``/``lt``) take sequences of at least
+# ``_PACK_MIN`` members whose every leaf is exactly ``int`` and fits
+# int64; anything else — bools, numpy scalars, ragged or empty tuples,
+# big ints, short sequences — stays on the element-wise path, so the
+# round trip is type-exact either way (``.tolist()`` yields plain ints).
+#
+# The array table is ``[[dtype.str, shape, offset], ...]`` in reference
+# order; offsets are into the inflated segment, which lays the ``nd``
+# rows out first and the packed rows after them.
 #
 # Objects are reconstructed with ``object.__new__`` + ``setattr`` over
 # an explicit per-class field list — no constructors run on untrusted
 # data and nothing outside the registry can ever be instantiated.
+
+#: Sequences shorter than this are not worth an array-table row.
+_PACK_MIN = 16
+
+#: Every array starts on a multiple of this in the inflated segment.
+_ALIGN = 8
+
+_INT64 = np.dtype(np.int64)
+
 
 def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
     """Tag -> (class, field whitelist).  ``None`` fields = instance dict.
@@ -198,7 +235,10 @@ _TRACE_SKIP = ("metrics_plans",)
 
 class _Encoder:
     def __init__(self) -> None:
-        self.arrays: Dict[str, np.ndarray] = {}
+        #: Array-table rows in reference order, and which of them carry
+        #: a packed sequence (laid out after the ndarray members).
+        self.arrays: List[np.ndarray] = []
+        self.packed: set = set()
         self._registry = _class_registry()
         self._tag_of = {cls: tag for tag, (cls, _) in
                         self._registry.items()}
@@ -214,15 +254,20 @@ class _Encoder:
         if isinstance(value, np.floating):
             return float(value)
         if isinstance(value, np.ndarray):
-            if value.dtype == object:
-                raise UnencodablePayload("object-dtype ndarray")
-            name = f"a{len(self.arrays)}"
-            self.arrays[name] = value
-            return ["nd", name]
-        if isinstance(value, list):
-            return ["l", [self.encode(v) for v in value]]
-        if isinstance(value, tuple):
-            return ["t", [self.encode(v) for v in value]]
+            dtype = value.dtype
+            if dtype.hasobject or not dtype.itemsize \
+                    or np.dtype(dtype.str) != dtype:
+                raise UnencodablePayload(f"{dtype} ndarray")
+            self.arrays.append(value)
+            return ["nd", len(self.arrays) - 1]
+        if isinstance(value, (list, tuple)):
+            is_list = isinstance(value, list)
+            if len(value) >= _PACK_MIN:
+                packed = self._pack(value, is_list)
+                if packed is not None:
+                    return packed
+            return ["l" if is_list else "t",
+                    [self.encode(v) for v in value]]
         if isinstance(value, (set, frozenset)):
             return ["s", [self.encode(v)
                           for v in sorted(value, key=repr)]]
@@ -241,6 +286,40 @@ class _Encoder:
         raise UnencodablePayload(
             f"cannot persist value of type {type(value).__name__}"
         )
+
+    def _pack(self, value: Any, is_list: bool) -> Optional[List[Any]]:
+        """``value`` as an int64 table row, or None to go element-wise."""
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            tag = "li" if is_list else "ti"
+        elif is_list and kinds == {tuple} \
+                and len(set(map(len, value))) == 1 and value[0] \
+                and set(map(type, chain.from_iterable(value))) == {int}:
+            tag = "lt"
+        else:
+            return None
+        try:
+            array = np.array(value, dtype=_INT64)
+        except OverflowError:  # a member outside int64
+            return None
+        self.packed.add(len(self.arrays))
+        self.arrays.append(array)
+        return [tag, len(self.arrays) - 1]
+
+    def segment(self) -> Tuple[List[List[Any]], bytes]:
+        """(array table, the aligned concatenation the table indexes)."""
+        table: List[Any] = [None] * len(self.arrays)
+        chunks: List[bytes] = []
+        offset = 0
+        # Stable sort: reference order within each group, packed last.
+        for index in sorted(range(len(table)),
+                            key=self.packed.__contains__):
+            array = self.arrays[index]
+            table[index] = [array.dtype.str, list(array.shape), offset]
+            padding = -array.nbytes % _ALIGN
+            chunks += (array.tobytes(), bytes(padding))
+            offset += array.nbytes + padding
+        return table, b"".join(chunks)
 
     def _encode_fields(self, tag: str, value: Any) -> List[List[Any]]:
         from .execution.trace import TraceUnsupported, _public_state
@@ -262,10 +341,78 @@ class _Encoder:
         return items
 
 
+def _is_count(value: Any) -> bool:
+    """A plain non-negative ``int`` (``bool`` is not one)."""
+    return type(value) is int and value >= 0
+
+
+def _open_segment(table: Any, size: Any, stream: bytes) -> List[np.ndarray]:
+    """Inflate ``stream`` once and view it through the array table.
+
+    Every row is validated before numpy sees it, so a hostile table can
+    only ever raise :class:`StoreFormatError`.
+    """
+    if not _is_count(size) or not isinstance(table, list):
+        raise StoreFormatError("malformed array table")
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(stream, size + 1)
+    except zlib.error as exc:
+        raise StoreFormatError(f"bad array segment: {exc}") from None
+    if len(data) != size or not inflater.eof:
+        raise StoreFormatError("array segment is not the declared size")
+    if inflater.unused_data:
+        raise StoreFormatError("trailing bytes after the array segment")
+    buffer = bytearray(data)
+    arrays: List[np.ndarray] = []
+    extents: List[Tuple[int, int]] = []
+    for row in table:
+        if not isinstance(row, list) or len(row) != 3 \
+                or not isinstance(row[0], str) \
+                or not isinstance(row[1], list) \
+                or not all(map(_is_count, row[1])) \
+                or not _is_count(row[2]) or row[2] % _ALIGN:
+            raise StoreFormatError(f"malformed array table row: {row!r}")
+        text, shape, offset = row
+        try:
+            dtype = np.dtype(text)
+        except (TypeError, ValueError):
+            raise StoreFormatError(f"bad dtype {text!r}") from None
+        if dtype.hasobject or not dtype.itemsize or dtype.str != text:
+            raise StoreFormatError(f"dtype {text!r} not allowed")
+        count = 1
+        for extent in shape:
+            count *= extent
+        end = offset + count * dtype.itemsize
+        if end > size:
+            raise StoreFormatError("array extends past the segment")
+        extents.append((offset, end))
+        arrays.append(np.frombuffer(buffer, dtype, count, offset)
+                      .reshape(shape))
+    extents.sort()
+    for (_, end), (start, _) in zip(extents, extents[1:]):
+        if start < end:
+            raise StoreFormatError("array table rows overlap")
+    return arrays
+
+
 class _Decoder:
-    def __init__(self, arrays) -> None:
+    def __init__(self, arrays: List[np.ndarray]) -> None:
         self.arrays = arrays
         self._registry = _class_registry()
+
+    def _array(self, index: Any) -> np.ndarray:
+        if not _is_count(index) or index >= len(self.arrays):
+            raise StoreFormatError(
+                f"manifest references missing array {index!r}")
+        return self.arrays[index]
+
+    def _unpack(self, index: Any, ndim: int) -> list:
+        array = self._array(index)
+        if array.dtype != _INT64 or array.ndim != ndim:
+            raise StoreFormatError("packed sequence over a "
+                                   f"{array.dtype} {array.ndim}-D array")
+        return array.tolist()
 
     def decode(self, value: Any) -> Any:
         if value is None or isinstance(value, (bool, int, float, str)):
@@ -287,12 +434,13 @@ class _Decoder:
                 (self.decode(k), self.decode(v)) for k, v in value[1]
             )
         if tag == "nd":
-            try:
-                return self.arrays[value[1]]
-            except KeyError:
-                raise StoreFormatError(
-                    f"manifest references missing array {value[1]!r}"
-                ) from None
+            return self._array(value[1])
+        if tag == "li":
+            return self._unpack(value[1], 1)
+        if tag == "ti":
+            return tuple(self._unpack(value[1], 1))
+        if tag == "lt":
+            return list(map(tuple, self._unpack(value[1], 2)))
         if tag == "flow":
             from .opcodes import parse_opcode_flow
             return parse_opcode_flow(value[1])
@@ -332,7 +480,7 @@ class _Decoder:
 
 
 def encode_payload(payload: Any) -> Tuple[bytes, bytes]:
-    """Payload -> (manifest JSON bytes, npz bytes).
+    """Payload -> (manifest JSON bytes, zlib stream of the arrays).
 
     Raises :class:`UnencodablePayload` when the payload reaches outside
     the codec whitelist (e.g. an object-dtype array); callers keep such
@@ -340,27 +488,26 @@ def encode_payload(payload: Any) -> Tuple[bytes, bytes]:
     """
     encoder = _Encoder()
     tree = encoder.encode(payload)
-    manifest = json.dumps({"format": 1, "payload": tree},
+    table, data = encoder.segment()
+    manifest = json.dumps({"format": 2, "payload": tree, "arrays": table,
+                           "size": len(data)},
                           separators=(",", ":")).encode()
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **encoder.arrays)
-    return manifest, buffer.getvalue()
+    # Level 1: the arrays are mostly small-valued integers, where the
+    # higher levels buy a few percent for several times the CPU.
+    return manifest, zlib.compress(data, 1)
 
 
-def decode_payload(manifest: bytes, npz: bytes) -> Any:
+def decode_payload(manifest: bytes, stream: bytes) -> Any:
     """Inverse of :func:`encode_payload`; raises StoreFormatError."""
     try:
         document = json.loads(manifest)
     except ValueError as exc:
         raise StoreFormatError(f"bad manifest JSON: {exc}") from None
-    if not isinstance(document, dict) or document.get("format") != 1:
+    if not isinstance(document, dict) or document.get("format") != 2:
         raise StoreFormatError("unknown manifest format")
     try:
-        with np.load(io.BytesIO(npz), allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except Exception as exc:
-        raise StoreFormatError(f"bad npz archive: {exc}") from None
-    try:
+        arrays = _open_segment(document.get("arrays"),
+                               document.get("size"), stream)
         return _Decoder(arrays).decode(document["payload"])
     except StoreFormatError:
         raise
@@ -374,11 +521,11 @@ def decode_payload(manifest: bytes, npz: bytes) -> Any:
 # Container framing
 # ---------------------------------------------------------------------------
 
-def pack_entry(manifest: bytes, npz: bytes) -> bytes:
-    digest = hashlib.sha256(manifest + npz).hexdigest()
+def pack_entry(manifest: bytes, stream: bytes) -> bytes:
+    digest = hashlib.sha256(manifest + stream).hexdigest()
     header = MAGIC + digest.encode() + b"\n" + \
         str(len(manifest)).encode() + b"\n"
-    return header + manifest + npz
+    return header + manifest + stream
 
 
 def unpack_entry(blob: bytes) -> Tuple[bytes, bytes]:
@@ -393,11 +540,11 @@ def unpack_entry(blob: bytes) -> Tuple[bytes, bytes]:
         raise StoreFormatError("truncated header") from None
     if manifest_len < 0 or manifest_len > len(rest):
         raise StoreFormatError("truncated entry")
-    manifest, npz = rest[:manifest_len], rest[manifest_len:]
-    actual = hashlib.sha256(manifest + npz).hexdigest().encode()
+    manifest, stream = rest[:manifest_len], rest[manifest_len:]
+    actual = hashlib.sha256(manifest + stream).hexdigest().encode()
     if actual != digest_line:
         raise StoreFormatError("checksum mismatch")
-    return manifest, npz
+    return manifest, stream
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +659,7 @@ class KernelStore:
         try:
             if injected == "corrupt":
                 raise StoreFormatError("injected store.read corruption")
-            manifest, npz = unpack_entry(blob)
-            payload = decode_payload(manifest, npz)
+            payload = decode_payload(*unpack_entry(blob))
         except StoreFormatError:
             self.quarantine(name)
             if count:
@@ -555,10 +701,9 @@ class KernelStore:
         entry, no leaked temp file.
         """
         try:
-            manifest, npz = encode_payload(payload)
+            blob = pack_entry(*encode_payload(payload))
         except UnencodablePayload:
             return False
-        blob = pack_entry(manifest, npz)
         path = self.entry_path(name)
         tmp = path.parent / (path.name + _next_tmp_suffix())
         try:

@@ -1,5 +1,7 @@
 """Tests for the compiled-kernel cache (flow-exploration sweeps)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -411,3 +413,125 @@ class TestDiskKernelStore:
         self._run(kernel)  # persist hook rewrites the entry
         leftovers = [p for p in store.rglob("*") if ".tmp-" in p.name]
         assert leftovers == []
+
+    def test_ir_is_printed_once_per_kernel(self, tmp_path, monkeypatch):
+        """Every publish of a kernel shares one IR text, and a kernel
+        loaded from disk keeps the text it was parsed from."""
+        import repro.compiler as compiler_mod
+
+        calls = []
+        real = compiler_mod.print_module
+        monkeypatch.setattr(compiler_mod, "print_module",
+                            lambda module: calls.append(1) or real(module))
+        store = str(tmp_path / "repro_cache")
+        writer = KernelCache(disk_dir=store)
+        kernel = make_compiler(writer).compile_matmul(32, 32, 32)
+        self._run(kernel)           # compile publish + trace publish
+        assert calls == [1]
+        loaded = make_compiler(KernelCache(disk_dir=store)) \
+            .compile_matmul(32, 32, 32)
+        slow = make_compiler(KernelCache(disk_dir=store),
+                             specialized_copies=False) \
+            .compile_matmul(32, 32, 32)
+        self._run(slow)             # new plan key: republished
+        assert calls == [1]
+        assert loaded._ir_text == kernel._ir_text
+        # The cached text is not part of the kernel's identity.
+        assert replace(kernel, _ir_text=None) == kernel
+        assert "_ir_text" not in repr(kernel)
+
+
+class TestManualTraceEntries:
+    """The cpp_MANUAL baselines' traces persist like kernel traces."""
+
+    @pytest.fixture(autouse=True)
+    def _store(self, tmp_path, monkeypatch):
+        self.store = tmp_path / "repro_cache"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(self.store))
+        self.fresh_process(monkeypatch)
+
+    @staticmethod
+    def fresh_process(monkeypatch):
+        import repro.baselines.manual as manual_mod
+
+        monkeypatch.setattr(manual_mod, "_MANUAL_TRACES", {})
+
+    @staticmethod
+    def run():
+        from repro.baselines import manual_matmul_driver
+
+        hw, _ = make_matmul_system(3, 8, flow="Cs")
+        board = make_pynq_z2()
+        board.attach_accelerator(hw)
+        rng = np.random.default_rng(3)
+        a = rng.integers(-5, 5, (32, 32)).astype(np.int32)
+        b = rng.integers(-5, 5, (32, 32)).astype(np.int32)
+        c = np.zeros((32, 32), np.int32)
+        counters = manual_matmul_driver(board, a, b, c, 3, 8, "Cs")
+        return counters.as_dict(), c.tobytes()
+
+    @staticmethod
+    def counts():
+        from repro.execution import METRICS_PLAN_COUNTERS, TRACE_COUNTERS
+        from repro.store import STORE_COUNTERS
+
+        return (TRACE_COUNTERS["manual_recorded"],
+                METRICS_PLAN_COUNTERS["metrics_plan_misses"],
+                STORE_COUNTERS["store_writes"])
+
+    def entries(self):
+        return sorted(p.name for p in self.store.glob("objects/*/*.entry"))
+
+    @pytest.mark.ambient_faults_incompatible
+    def test_second_process_records_builds_and_writes_nothing(
+            self, monkeypatch):
+        start = self.counts()
+        fresh = self.run()
+        assert self.counts() == tuple(n + 1 for n in start)
+        (name,) = self.entries()
+        assert name.startswith("manual-")
+        assert self.run() == fresh          # same process: memo hit
+        self.fresh_process(monkeypatch)
+        assert self.run() == fresh          # "new process": disk hit
+        assert self.counts() == tuple(n + 1 for n in start)
+
+    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.parametrize("schema, rerecorded, rebuilt", [
+        ("TRACE_SCHEMA_VERSION", 1, 1),
+        ("METRICS_PLAN_SCHEMA_VERSION", 0, 1),
+    ])
+    def test_stale_schema_evicts_only_its_slot(self, monkeypatch, schema,
+                                               rerecorded, rebuilt):
+        import repro.compiler as compiler_mod
+
+        fresh = self.run()
+        monkeypatch.setattr(compiler_mod, schema,
+                            getattr(compiler_mod, schema) + 1)
+        self.fresh_process(monkeypatch)
+        start = self.counts()
+        assert self.run() == fresh
+        # The stale slot is rebuilt and the entry refreshed in place...
+        assert self.counts() == (start[0] + rerecorded,
+                                 start[1] + rebuilt, start[2] + 1)
+        assert len(self.entries()) == 1
+        assert not (self.store / "corrupt").exists()
+        # ...so the process after that finds everything again.
+        self.fresh_process(monkeypatch)
+        assert self.run() == fresh
+        assert self.counts() == (start[0] + rerecorded,
+                                 start[1] + rebuilt, start[2] + 1)
+
+    @pytest.mark.ambient_faults_incompatible
+    def test_entry_from_another_source_digest_is_ignored(self,
+                                                         monkeypatch):
+        import repro.compiler as compiler_mod
+
+        fresh = self.run()
+        monkeypatch.setattr(compiler_mod, "_SOURCE_TREE_DIGEST", "f" * 64)
+        self.fresh_process(monkeypatch)
+        from repro.execution import TRACE_COUNTERS
+        recorded = TRACE_COUNTERS["manual_recorded"]
+        assert self.run() == fresh
+        assert TRACE_COUNTERS["manual_recorded"] == recorded + 1
+        assert len(self.entries()) == 2     # the foreign entry untouched
+        assert not (self.store / "corrupt").exists()

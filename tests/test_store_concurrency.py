@@ -10,16 +10,19 @@ kernel configuration.
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
 import time
 import warnings
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import faults
 from repro.accelerators import make_matmul_system
@@ -109,6 +112,98 @@ class TestCodec:
             decode_payload(json.dumps(document).encode(), npz)
 
 
+# Members a packed sequence may or may not hold: plain ints inside and
+# outside int64, bools, numpy integers, and int tuples of any width.
+_INT64_MAX = (1 << 63) - 1
+_plain_ints = st.integers(-_INT64_MAX - 1, _INT64_MAX)
+_members = st.one_of(
+    _plain_ints,
+    st.integers(_INT64_MAX + 1, 1 << 70),
+    st.booleans(),
+    _plain_ints.map(np.int64),
+    st.lists(_plain_ints, max_size=3).map(tuple),
+)
+_sequences = st.one_of(
+    st.lists(_plain_ints, max_size=40),
+    st.lists(st.tuples(_plain_ints, _plain_ints), max_size=40),
+    st.lists(st.lists(_plain_ints, max_size=3).map(tuple), max_size=40),
+    st.lists(_members, max_size=40),
+)
+
+
+def _packable(value):
+    """The codec's documented rule for riding in the array segment."""
+    def int64s(members):
+        return all(type(m) is int and -_INT64_MAX - 1 <= m <= _INT64_MAX
+                   for m in members)
+
+    if len(value) < 16:
+        return False
+    if int64s(value):
+        return True
+    return type(value) is list \
+        and all(type(m) is tuple and m for m in value) \
+        and len({len(m) for m in value}) == 1 \
+        and all(int64s(m) for m in value)
+
+
+def _types(value):
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_types(m) for m in value])
+    return type(value)
+
+
+class TestPackedSequences:
+    @settings(max_examples=300, deadline=None)
+    @given(_sequences, st.booleans())
+    def test_round_trip_is_type_exact(self, members, as_tuple):
+        value = tuple(members) if as_tuple else members
+        manifest, stream = encode_payload({"v": value, "a": np.arange(3)})
+        tag = json.loads(manifest)["payload"][1][0][1][0]
+        assert (tag in ("li", "ti", "lt")) == _packable(value)
+        assert tag[0] == ("t" if as_tuple else "l")  # list vs tuple
+        result = decode_payload(manifest, stream)["v"]
+        assert result == value
+        # numpy scalars come back as plain ints, as they always have;
+        # everything else is exactly the type that went in.
+        plain = type(value)(int(m) if isinstance(m, np.integer) else m
+                            for m in value)
+        assert _types(result) == _types(plain)
+
+    def test_component_digest_input_survives_byte_for_byte(self):
+        """``_trace_component_digest`` pickles ``recv_refs``: a store
+        round trip must not change a byte of that pickle."""
+        _, info = make_matmul_system(3, 8, flow="Cs")
+        kernel = AXI4MLIRCompiler(info, use_kernel_cache=False) \
+            .compile_matmul(64, 64, 64)
+        specs = tuple(((64, 64), (64, 1), 4, "int32") for _ in range(3))
+        trace = kernel._build_trace(specs)
+        assert len(trace.recv_refs) >= 16 and len(trace.recv_sizes) >= 16
+        manifest, stream = encode_payload(trace)
+        assert b'["lt",' in manifest
+        loaded = decode_payload(manifest, stream)
+        for name in ("recv_refs", "recv_sizes", "flush_item_counts"):
+            assert _types(getattr(loaded, name)) \
+                == _types(getattr(trace, name)), name
+        assert pickle.dumps((loaded.num_events, loaded.recv_refs),
+                            protocol=4) \
+            == pickle.dumps((trace.num_events, trace.recv_refs), protocol=4)
+
+    def test_packed_rows_sit_after_the_ndarray_members(self):
+        """Nothing but the segment itself pins the (dead after decode)
+        packed sequences: they are laid out behind every ndarray."""
+        payload = {"refs": [(i, i) for i in range(32)],
+                   "a": np.arange(5, dtype=np.int32),
+                   "counts": list(range(32)),
+                   "b": np.arange(4.0)}
+        manifest, _ = encode_payload(payload)
+        rows = dict(json.loads(manifest)["payload"][1])
+        table = json.loads(manifest)["arrays"]
+        nd_end = max(table[rows[k][1]][2] for k in ("a", "b"))
+        assert all(table[rows[k][1]][2] > nd_end
+                   for k in ("refs", "counts"))
+
+
 class TestContainer:
     def test_pack_unpack(self):
         manifest, npz = encode_payload({"k": np.arange(3)})
@@ -127,6 +222,156 @@ class TestContainer:
         blob = mutate(pack_entry(manifest, npz))
         with pytest.raises(StoreFormatError):
             unpack_entry(blob)
+
+
+# -- hostile containers -----------------------------------------------------
+#
+# Each case edits a well-formed entry and re-seals it with a correct
+# checksum, so only the manifest/table/stream validation stands between
+# the hostile bytes and numpy/zlib.
+
+def _hostile_payload():
+    return {"ints": np.arange(8, dtype=np.int64),
+            "floats": np.linspace(0.0, 1.0, 8),
+            "grid": np.arange(6, dtype=np.int32).reshape(2, 3),
+            "refs": [(i, i + 1) for i in range(20)],
+            "counts": list(range(20))}
+
+
+def _row(document, key):
+    """The array-table row behind payload member ``key``."""
+    return document["arrays"][dict(document["payload"][1])[key][1]]
+
+
+def _set_node(document, key, node):
+    for pair in document["payload"][1]:
+        if pair[0] == key:
+            pair[1] = node
+
+
+def _edit_row(key, index, value):
+    def edit(document, stream):
+        _row(document, key)[index] = value
+        return document, stream
+    return edit
+
+
+def _edit_node(key, make):
+    def edit(document, stream):
+        rows = dict(document["payload"][1])
+        _set_node(document, key, make(rows))
+        return document, stream
+    return edit
+
+
+def _edit_size(delta):
+    def edit(document, stream):
+        document["size"] += delta
+        return document, stream
+    return edit
+
+
+_HOSTILE = {
+    "object dtype": _edit_row("ints", 0, "|O"),
+    "zero itemsize": _edit_row("ints", 0, "<U0"),
+    "unparsable dtype": _edit_row("ints", 0, "not-a-dtype"),
+    "structured dtype": _edit_row("ints", 0, "i4,i4"),
+    "dtype not a string": _edit_row("ints", 0, 8),
+    "negative shape": _edit_row("ints", 1, [-8]),
+    "float shape": _edit_row("ints", 1, [8.0]),
+    "bool shape": _edit_row("ints", 1, [True]),
+    "string shape": _edit_row("ints", 1, "8"),
+    "huge shape": _edit_row("ints", 1, [1 << 62, 1 << 62]),
+    "unaligned offset": _edit_row("floats", 2, 4),
+    "negative offset": _edit_row("floats", 2, -8),
+    "offset past the segment": _edit_row("floats", 2, 1 << 20),
+    "extent past the segment": _edit_row("grid", 1, [2, 3000]),
+    "overlapping rows": lambda document, stream: (
+        _edit_row("floats", 2, _row(document, "ints")[2])(document,
+                                                          stream)),
+    "row not a triple": lambda document, stream: (
+        document["arrays"].__setitem__(0, ["<i8", [8]]) or document,
+        stream),
+    "table not a list": lambda document, stream: (
+        dict(document, arrays={"0": ["<i8", [8], 0]}), stream),
+    "declared size too small": _edit_size(-8),
+    "declared size too large": _edit_size(8),
+    "declared size not an int": lambda document, stream: (
+        dict(document, size="224"), stream),
+    "trailing bytes": lambda document, stream: (document, stream + b"\0"),
+    "truncated stream": lambda document, stream: (document, stream[:-3]),
+    "garbage stream": lambda document, stream: (document, b"\xff" * 40),
+    "packed tag over floats": _edit_node(
+        "counts", lambda rows: ["li", rows["floats"][1]]),
+    "packed tuple over floats": _edit_node(
+        "counts", lambda rows: ["ti", rows["floats"][1]]),
+    "li over a 2-D array": _edit_node(
+        "counts", lambda rows: ["li", rows["refs"][1]]),
+    "lt over a 1-D array": _edit_node(
+        "refs", lambda rows: ["lt", rows["counts"][1]]),
+    "lt over int32": _edit_node(
+        "refs", lambda rows: ["lt", rows["grid"][1]]),
+    "nd outside the table": _edit_node("ints", lambda rows: ["nd", 99]),
+    "nd negative": _edit_node("ints", lambda rows: ["nd", -1]),
+    "nd by name": _edit_node("ints", lambda rows: ["nd", "a0"]),
+    "packed outside the table": _edit_node(
+        "counts", lambda rows: ["li", 99]),
+    "v3 manifest": lambda document, stream: (
+        dict(document, format=1), stream),
+}
+
+
+class TestHostileContainers:
+    def _sealed(self, case):
+        manifest, stream = encode_payload(_hostile_payload())
+        document, stream = _HOSTILE[case](json.loads(manifest), stream)
+        return json.dumps(document).encode(), stream
+
+    def test_the_unedited_entry_loads(self, tmp_path):
+        store = KernelStore(tmp_path)
+        store.store("entry", _hostile_payload())
+        status, payload = store.load("entry")
+        assert status == "hit"
+        assert payload["refs"] == _hostile_payload()["refs"]
+        assert payload["counts"] == list(range(20))
+        # Views of one buffer, yet writable and disjoint.
+        payload["ints"][:] = -1
+        assert payload["floats"][0] == 0.0 and payload["grid"][0, 0] == 0
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_format_error_then_quarantine(self, case, tmp_path):
+        sealed = self._sealed(case)
+        with pytest.raises(StoreFormatError):  # never numpy's or zlib's
+            decode_payload(*sealed)
+        store = KernelStore(tmp_path)
+        path = store.entry_path("entry")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pack_entry(*sealed))
+        assert store.load("entry") == ("corrupt", None)
+        assert not path.exists()
+        assert len(list(store.corrupt_dir().iterdir())) == 1
+        assert STORE_COUNTERS["store_quarantined"] == 1
+
+    def test_v3_container_is_quarantined_unparsed(self, tmp_path):
+        """An entry under the previous magic never reaches the codec."""
+        manifest, stream = encode_payload(_hostile_payload())
+        blob = pack_entry(manifest, stream)
+        old = blob.replace(b"REPRO-KSTORE-2", b"REPRO-KSTORE-1", 1)
+        with pytest.raises(StoreFormatError, match="bad magic"):
+            unpack_entry(old)
+        store = KernelStore(tmp_path)
+        path = store.entry_path("entry")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(old)
+        assert store.load("entry") == ("corrupt", None)
+
+    def test_inflate_is_bounded_by_the_declared_size(self):
+        """A stream that would inflate far past its declared size is
+        refused after at most ``size + 1`` bytes."""
+        manifest, _ = encode_payload(_hostile_payload())
+        bomb = zlib.compress(bytes(1 << 24), 9)
+        with pytest.raises(StoreFormatError, match="declared size"):
+            decode_payload(manifest, bomb)
 
 
 # -- the store proper -------------------------------------------------------
@@ -365,6 +610,105 @@ class TestMultiProcessStress:
                 assert result["digest"] == expected["digest"]
         litter = [p for p in shared.rglob("*") if ".tmp-" in p.name]
         assert litter == []
+
+
+# -- convergence: every artifact is persisted once ---------------------------
+
+_FIGURE_SHAPED_JOB = r"""
+import hashlib, json
+import numpy as np
+from repro.accelerators import make_matmul_system
+from repro.baselines import manual_matmul_driver
+from repro.compiler import AXI4MLIRCompiler
+from repro.execution import ModelSession, diagnostics
+from repro.soc import make_pynq_z2
+
+results = []
+
+
+def operands(dims):
+    rng = np.random.default_rng(7)
+    return (rng.integers(-5, 5, (dims, dims)).astype(np.int32),
+            rng.integers(-5, 5, (dims, dims)).astype(np.int32),
+            np.zeros((dims, dims), np.int32))
+
+
+def board_with(version, size, flow):
+    hw, info = make_matmul_system(version, size, flow=flow)
+    board = make_pynq_z2()
+    board.attach_accelerator(hw)
+    return board, info
+
+
+def note(counters, out):
+    results.append([counters.as_dict(),
+                    hashlib.sha256(out.tobytes()).hexdigest()])
+
+
+# One generated kernel under two runtime configs (fig11 then fig12).
+for specialized in (True, False):
+    board, info = board_with(3, 8, "Ns")
+    kernel = AXI4MLIRCompiler(info, specialized_copies=specialized) \
+        .compile_matmul(32, 32, 32)
+    a, b, c = operands(32)
+    note(kernel.run(board, a, b, c), c)
+
+# One ModelSession kernel: its plans live in the fused ModelPlan, so
+# its own entry never holds any (fig16/fig17).
+board, info = board_with(2, 8, "As")
+session = ModelSession("convergence", board)
+a, b, c = operands(16)
+note(session.run(AXI4MLIRCompiler(info).compile_matmul(16, 16, 16),
+                 a, b, c, step_key=("step",)), c)
+session.finish()
+
+# One manual driver (the cpp_MANUAL baseline of fig13).
+board, _ = board_with(3, 8, "Cs")
+a, b, c = operands(32)
+note(manual_matmul_driver(board, a, b, c, version=3, size=8, flow="Cs"), c)
+
+report = diagnostics()
+print(json.dumps({
+    "results": results,
+    "store_writes": report["store"]["store_writes"],
+    "store_corrupt": report["store"]["store_corrupt"],
+    "metrics_plan_misses": report["metrics_plan"]["metrics_plan_misses"],
+    "manual_recorded": report["trace_sources"]["manual_recorded"],
+    "synthesized": report["trace_sources"]["synthesized"],
+}))
+"""
+
+
+class TestStoreConverges:
+    def test_third_process_publishes_builds_and_records_nothing(
+            self, tmp_path):
+        store = tmp_path / "store"
+        env = {key: value for key, value
+               in _subprocess_env(str(store)).items()
+               if not key.startswith("REPRO_")}
+        env["REPRO_KERNEL_CACHE_DIR"] = str(store)
+        runs = []
+        for _ in range(3):
+            done = subprocess.run(
+                [sys.executable, "-c", _FIGURE_SHAPED_JOB], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+        first, second, third = runs
+        # kernel x2 + model kernel (compile, trace, 2nd-config plan),
+        # the fused model plan, the manual trace.
+        assert first["store_writes"] > 0 and first["manual_recorded"] == 1
+        assert first["metrics_plan_misses"] >= 3
+        for warm in (second, third):
+            assert warm["store_writes"] == 0
+            assert warm["metrics_plan_misses"] == 0
+            assert warm["manual_recorded"] == 0
+            assert warm["synthesized"] == 0
+            assert warm["store_corrupt"] == 0
+            assert warm["results"] == first["results"]
+        names = sorted(path.name.split("-")[0] for path
+                       in (store / "objects").glob("*/*.entry"))
+        assert names == ["kernel", "kernel", "manual", "model"]
 
 
 class TestThreadSafety:

@@ -161,18 +161,19 @@ def store_entry_name(kind: str, key) -> str:
 # under METRICS_PLAN_SCHEMA_VERSION (the trace's serialized form
 # excludes them), so a stale schema evicts just its own slot.  The plan
 # keys the disk entry holds ride on the loaded/published trace as the
-# process-local ``_stored_plans``: an entry is republished iff memory
+# process-local ``_stored_plans``: an entry is (re)published iff memory
 # holds a trace or a plan key the disk lacks, so a store converges —
-# a process that finds everything publishes nothing.
+# a process that finds everything publishes nothing.  That rule is the
+# only publication rule: an entry exists on disk only once it carries a
+# trace, and is written once per new artifact set.
 
-def load_entry(store: KernelStore, name: str,
-               count: bool = True) -> Tuple[str, Optional[dict]]:
+def load_entry(store: KernelStore, name: str) -> Tuple[str, Optional[dict]]:
     """``store.load`` plus the payload-version check.
 
     A checksum-valid payload that is not a dict of this
     KERNEL_STORE_VERSION is quarantined and reported as ``"stale"``.
     """
-    status, payload = store.load(name, count=count)
+    status, payload = store.load(name)
     if status == "hit" and (
             not isinstance(payload, dict)
             or payload.get("store_version") != KERNEL_STORE_VERSION):
@@ -182,13 +183,16 @@ def load_entry(store: KernelStore, name: str,
 
 
 def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
-    """Publish ``head`` plus the trace slots under ``name``.
+    """Publish ``head`` plus the slots of the trace it was built for.
 
+    Entries persist traced kernels only: both callers (the kernel
+    cache's persist hook, the manual baselines) publish after a replay.
     Unencodable payloads (plans outside the codec whitelist) and write
     failures stay memory-only — ``store()`` reports, never raises — and
-    are not retried by this process.
+    are not retried by this process.  Timed into ``store_publish_s``.
     """
-    plans = dict(trace.metrics_plans) if trace is not None else None
+    start = time.perf_counter()
+    plans = dict(trace.metrics_plans)
     store.store(name, {
         **head,
         "store_version": KERNEL_STORE_VERSION,
@@ -197,8 +201,8 @@ def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
         "metrics_schema": METRICS_PLAN_SCHEMA_VERSION,
         "metrics_plans": plans,
     })
-    if trace is not None:
-        trace._stored_plans = frozenset(plans)
+    trace._stored_plans = frozenset(plans)
+    add_stage_time("store_publish_s", time.perf_counter() - start)
 
 
 def stored_trace(payload: dict):
@@ -320,16 +324,23 @@ class KernelCache:
     With ``REPRO_KERNEL_CACHE_DIR`` set (or ``disk_dir`` passed), the
     cache is additionally backed by the on-disk :class:`~repro.store.
     KernelStore` keyed by the same fingerprint: a memory miss first
-    tries to load the lowered module + emitted source from disk, and
-    fresh compilations are persisted, so repeated processes skip the
-    lowering pipeline entirely.  Entries are checksummed containers of
-    a JSON manifest plus one array stream (no pickle: an untrusted cache
-    dir can fail to load but never execute code); corrupt files are
-    quarantined and counted as ``disk_corrupt``, distinct from honest
-    ``disk_misses``.  Concurrent processes sharing one store coordinate
-    through per-entry advisory build locks, so each kernel is compiled
-    once, and an entry is rewritten only when memory holds a trace or a
-    MetricsPlan its disk copy lacks (``publish_due``).
+    tries to load the lowered module, emitted source, trace and
+    MetricsPlans from disk, so repeated processes skip lowering,
+    synthesis and plan builds.  **Entries persist traced kernels;
+    lowering alone is cheaper to repeat than to load**: the first
+    replay's persist hook is the only writer (one write per new
+    artifact set, ``publish_due``), and a kernel that is compiled but
+    never replayed — a pruned sweep point, ``trace=False``, a failed
+    trace — leaves nothing on disk and is lowered again by the next
+    process (measured over the hot pool plus three large kernels:
+    2.4–3.4 ms to lower against 4.7–7.4 ms to read, parse and
+    ``compile()`` a trace-less entry, plus ~4 ms to write it).
+    Processes racing on one key each lower it and publish the same
+    bytes atomically; nothing coordinates them.  Entries are
+    checksummed containers of a JSON manifest plus one array stream (no
+    pickle: an untrusted cache dir can fail to load but never execute
+    code); corrupt files are quarantined and counted as
+    ``disk_corrupt``, distinct from honest ``disk_misses``.
     """
 
     #: The instance attributes counting lookups by outcome.
@@ -412,19 +423,18 @@ class KernelCache:
             else:  # miss / io: the entry simply is not available
                 self.disk_misses += 1
 
-    def _disk_load(self, store: KernelStore, name: str,
-                   count: bool = True) -> Optional["CompiledKernel"]:
+    def _disk_load(self, store: KernelStore,
+                   name: str) -> Optional["CompiledKernel"]:
         """Load + reconstruct one stored kernel, or ``None``.
 
         Container/codec failures are already quarantined by the store;
         a checksum-valid payload that fails *semantic* reconstruction
         (wrong version field, unparsable IR) is quarantined here for
-        the same reason — the next compile republishes it.
+        the same reason — the next traced run republishes it.
         """
-        status, payload = load_entry(store, name, count)
+        status, payload = load_entry(store, name)
         if status != "hit":
-            if count:
-                self._count_disk(status)
+            self._count_disk(status)
             return None
         try:
             module = parse_module(payload["ir"], verify=False)
@@ -434,11 +444,9 @@ class KernelCache:
             )
         except Exception:
             store.quarantine(name)
-            if count:
-                self._count_disk("corrupt")
+            self._count_disk("corrupt")
             return None
-        if count:
-            self._count_disk("hit")
+        self._count_disk("hit")
         kernel = CompiledKernel(
             module=module,
             func_name=payload["func_name"],
@@ -457,6 +465,7 @@ class KernelCache:
         return kernel
 
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
+        """Publish ``kernel`` with the trace it carries (the persist hook)."""
         store = self.resolve_store()
         if store is None:
             return
@@ -483,32 +492,18 @@ class KernelCache:
         store = self.resolve_store()
         kernel = None
         if store is not None:
-            name = store_entry_name("kernel", key)
-            kernel = self._disk_load(store, name)
-            if kernel is None:
-                # Serialize concurrent builders of this entry: the
-                # losers block here, then find the winner's published
-                # entry on the double-checked load.  Lock acquisition
-                # failing only costs a redundant compile.
-                with store.build_lock(name) as acquired:
-                    if acquired:
-                        kernel = self._disk_load(store, name, count=False)
-                        if kernel is not None:
-                            self._count_disk("hit")
-                    if kernel is None:
-                        kernel = compile_fn()
-                        # Persist immediately (trace-less) so kernels
-                        # that are compiled but never run — flow
-                        # sweeps — still skip lowering next process;
-                        # the persist hook below rewrites the entry
-                        # with the trace after the first replay.
-                        self._disk_store(key, kernel)
-            # Re-persist the entry whenever a run leaves a trace or a
-            # MetricsPlan the disk lacks, so later processes load it.
+            start = time.perf_counter()
+            kernel = self._disk_load(store, store_entry_name("kernel", key))
+            add_stage_time("store_load_s", time.perf_counter() - start)
+        if kernel is None:
+            kernel = compile_fn()
+        if store is not None:
+            # The only writer of this entry: a traced run publishes it
+            # whenever memory holds a trace or a MetricsPlan the disk
+            # lacks.  A kernel that never replays is never written —
+            # lowering it again is cheaper than loading it back.
             kernel.trace_state.persist = \
                 lambda k=kernel, key=key: self._disk_store(key, k)
-        else:
-            kernel = compile_fn()
         with self._lock:
             self.misses += 1
             self._entries[key] = kernel
@@ -542,7 +537,7 @@ class KernelTraceState:
         self.lock = counters.fork_safe_lock()
         self.trace = None
         self.failed = False
-        #: Set by KernelCache when a disk store is active: re-persists
+        #: Set by KernelCache when a disk store is active: publishes
         #: the entry with the trace, decoded plans and MetricsPlans
         #: memory holds (see ``publish_due``).
         self.persist = None

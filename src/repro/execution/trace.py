@@ -73,6 +73,13 @@ STAGE_TIMINGS: Dict[str, float] = counters.section("stage_timings", {
     # ModelPlan vs serving a fused sub-plan (a subset of replay_s).
     "model_plan_build_s": 0.0,
     "model_plan_apply_s": 0.0,
+    # Kernel-store I/O at the kernel cache's two call sites: probing +
+    # reconstructing an entry on a memory miss, and publishing one after
+    # a replay (kernel and manual-baseline entries alike).  Disjoint
+    # from compile_s and replay_s; inside sweep_compile_s /
+    # sweep_simulate_s on a sweep.
+    "store_load_s": 0.0,
+    "store_publish_s": 0.0,
     # Autotuning sweep breakdown: total sweep wall-clock, journal I/O,
     # and the per-point pipeline stages measured inside the workers.
     "sweep_run_s": 0.0,

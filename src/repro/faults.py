@@ -20,11 +20,10 @@ crash every worker that touches them until quarantined.
 
 Grammar (``REPRO_FAULTS``)::
 
-    REPRO_FAULTS="store.read:io@0.3;native.compile:fail;store.lock:timeout@0.1"
+    REPRO_FAULTS="store.read:io@0.3;native.compile:fail;store.write:io@0.1"
 
 i.e. ``;``-separated ``site:kind[@probability]`` clauses.  Probability
-defaults to 1.0 (always fire).  ``lock`` is accepted as an alias for
-the registered site name ``store.lock``.  Unknown sites or kinds raise
+defaults to 1.0 (always fire).  Unknown sites or kinds raise
 ``FaultConfigError`` at parse time so typos fail loudly instead of
 silently injecting nothing.
 
@@ -56,7 +55,6 @@ FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 SITES = {
     "store.read": ("io", "corrupt"),
     "store.write": ("io",),
-    "store.lock": ("timeout",),
     "native.compile": ("fail",),
     "metrics.plan": ("fail",),
     "model.plan": ("fail",),
@@ -69,9 +67,6 @@ SITES = {
     "tuning.worker": ("crash",),
     "tuning.point": ("poison",),
 }
-
-#: Accepted shorthand for site names.
-_ALIASES = {"lock": "store.lock"}
 
 
 class FaultConfigError(ValueError):
@@ -108,7 +103,7 @@ def parse_faults(spec: str, seed: int = 0) -> Dict[str, _FaultClause]:
                 f"fault clause {clause!r} is not of the form "
                 f"'site:kind[@probability]'"
             )
-        site = _ALIASES.get(site_text.strip(), site_text.strip())
+        site = site_text.strip()
         kind = kind.strip()
         if site not in SITES:
             raise FaultConfigError(

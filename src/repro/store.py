@@ -7,10 +7,9 @@ independently of the compilation pipeline.  Design points:
 **Layout.**  Entries live under ``<root>/objects/<shard>/<name>.entry``
 where ``shard`` is the first two hex digits of the entry-name digest —
 directories stay small even for many thousands of kernels.  Quarantined
-files move to ``<root>/corrupt/``; advisory lock files live under
-``<root>/locks/``.  Legacy flat ``kernel-*.pkl`` entries (store
-version <= 2) are never consulted: they simply age out of the directory
-(CI prunes them; ``gc()`` ignores them).
+files move to ``<root>/corrupt/``.  Legacy flat ``kernel-*.pkl`` entries
+(store version <= 2) are never consulted: they simply age out of the
+directory (CI prunes them; ``gc()`` ignores them).
 
 **Atomic publish.**  Writers create a uniquely named temporary file
 (pid + thread id + counter, so neither concurrent processes nor threads
@@ -50,13 +49,13 @@ non-whitelisted tag) *quarantines* the file into ``corrupt/`` and
 reports status ``"corrupt"``, which callers count separately from an
 honest miss.
 
-**Cross-process coordination.**  ``build_lock(name)`` takes an
-``fcntl`` advisory lock with bounded retry/backoff so N processes
-sharing ``REPRO_KERNEL_CACHE_DIR`` compile each kernel once: the loser
-of the race waits, then finds the winner's published entry on its
-second look.  Lock acquisition failing (timeout, no fcntl, injected
-fault) is never an error — the caller just compiles redundantly,
-exactly as the store-less path would.
+**What gets published.**  Entries persist *traced* kernels: the kernel
+cache publishes an entry from the first replay's persist hook, never at
+compile time, because lowering alone is cheaper to repeat (2.4–3.4 ms)
+than to read, parse and ``compile()`` back (4.7–7.4 ms, after ~4 ms to
+write it).  There is no cross-process build lock: processes racing on
+one key each lower it and publish atomically, and the entry converges
+(``repro.compiler.publish_due``).
 
 **Garbage collection.**  ``gc(max_bytes)`` (env:
 ``REPRO_KERNEL_CACHE_MAX_BYTES``) evicts least-recently-*used* entries
@@ -73,21 +72,14 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import counters, faults
-from .envutil import env_float, env_int
-
-try:
-    import fcntl
-    _HAVE_FCNTL = True
-except ImportError:  # non-POSIX: no cross-process coordination
-    _HAVE_FCNTL = False
+from .envutil import env_int
 
 #: Container magic line; bump with the container *framing*, not the
 #: payload schema (that is KERNEL_STORE_VERSION in the manifest).
@@ -96,12 +88,6 @@ MAGIC = b"REPRO-KSTORE-2\n"
 #: Env knob: total bytes the object tree may occupy before the LRU
 #: garbage collector evicts oldest-used entries.  Unset/empty = no cap.
 MAX_BYTES_ENV = "REPRO_KERNEL_CACHE_MAX_BYTES"
-
-#: Env knob: seconds a build lock is retried before giving up and
-#: compiling redundantly.
-LOCK_TIMEOUT_ENV = "REPRO_KERNEL_CACHE_LOCK_TIMEOUT_S"
-
-_DEFAULT_LOCK_TIMEOUT_S = 10.0
 
 #: Temp files older than this are considered crash litter by gc().
 _TMP_MAX_AGE_S = 300.0
@@ -118,7 +104,6 @@ STORE_COUNTERS: Dict[str, int] = counters.section("store", {
     "store_write_failures": 0,
     "store_quarantined": 0,
     "store_evictions": 0,
-    "store_lock_timeouts": 0,
 })
 
 
@@ -600,11 +585,9 @@ class KernelStore:
     (rebuild, or stay memory-only).
     """
 
-    def __init__(self, root, max_bytes: Optional[int] = None,
-                 lock_timeout_s: Optional[float] = None) -> None:
+    def __init__(self, root, max_bytes: Optional[int] = None) -> None:
         self.root = Path(root)
         self._max_bytes = max_bytes
-        self._lock_timeout_s = lock_timeout_s
 
     # -- paths ------------------------------------------------------------
     def objects_dir(self) -> Path:
@@ -612,9 +595,6 @@ class KernelStore:
 
     def corrupt_dir(self) -> Path:
         return self.root / "corrupt"
-
-    def _locks_dir(self) -> Path:
-        return self.root / "locks"
 
     def entry_path(self, name: str) -> Path:
         shard = hashlib.sha256(name.encode()).hexdigest()[:2]
@@ -625,22 +605,15 @@ class KernelStore:
             return self._max_bytes
         return env_int(MAX_BYTES_ENV, None)
 
-    def _resolve_lock_timeout(self) -> float:
-        if self._lock_timeout_s is not None:
-            return self._lock_timeout_s
-        return env_float(LOCK_TIMEOUT_ENV, _DEFAULT_LOCK_TIMEOUT_S)
-
     # -- load -------------------------------------------------------------
-    def load(self, name: str,
-             count: bool = True) -> Tuple[str, Optional[Any]]:
+    def load(self, name: str) -> Tuple[str, Optional[Any]]:
         """Read one entry.
 
         Returns ``(status, payload)`` with status one of ``"hit"``
         (payload decoded), ``"miss"`` (honest absence), ``"io"``
         (filesystem error — the entry may exist but is unreadable right
         now), or ``"corrupt"`` (container/codec violation; the file has
-        been quarantined into ``corrupt/``).  ``count=False`` suppresses
-        counter updates for double-checked reads under a build lock.
+        been quarantined into ``corrupt/``).
         """
         path = self.entry_path(name)
         injected = faults.fires("store.read")
@@ -649,12 +622,10 @@ class KernelStore:
                 raise OSError("injected store.read io fault")
             blob = path.read_bytes()
         except FileNotFoundError:
-            if count:
-                _count("store_misses")
+            _count("store_misses")
             return "miss", None
         except OSError:
-            if count:
-                _count("store_io_errors")
+            _count("store_io_errors")
             return "io", None
         try:
             if injected == "corrupt":
@@ -662,11 +633,9 @@ class KernelStore:
             payload = decode_payload(*unpack_entry(blob))
         except StoreFormatError:
             self.quarantine(name)
-            if count:
-                _count("store_corrupt")
+            _count("store_corrupt")
             return "corrupt", None
-        if count:
-            _count("store_hits")
+        _count("store_hits")
         try:
             os.utime(path)  # LRU recency for gc()
         except OSError:
@@ -678,7 +647,7 @@ class KernelStore:
 
         Quarantining rather than deleting keeps the evidence for
         inspection while guaranteeing the bad bytes are never read
-        again; the next compile republishes a fresh entry.
+        again; the next traced run republishes a fresh entry.
         """
         path = self.entry_path(name)
         target_dir = self.corrupt_dir()
@@ -731,54 +700,6 @@ class KernelStore:
         if max_bytes is not None:
             self.gc(max_bytes)
         return True
-
-    # -- cross-process build lock -----------------------------------------
-    @contextmanager
-    def build_lock(self, name: str) -> Iterator[bool]:
-        """Advisory per-entry lock; yields whether it was acquired.
-
-        Not acquiring (timeout, platform without fcntl, injected fault)
-        only costs duplicated compilation — the atomic publish keeps
-        the store consistent regardless of who wins.
-        """
-        if faults.fires("store.lock") == "timeout":
-            _count("store_lock_timeouts")
-            yield False
-            return
-        if not _HAVE_FCNTL:
-            yield False
-            return
-        lock_path = self._locks_dir() / f"{name}.lock"
-        try:
-            lock_path.parent.mkdir(parents=True, exist_ok=True)
-            handle = open(lock_path, "a+b")
-        except OSError:
-            yield False
-            return
-        acquired = False
-        try:
-            deadline = time.monotonic() + self._resolve_lock_timeout()
-            delay = 0.001
-            while True:
-                try:
-                    fcntl.flock(handle.fileno(),
-                                fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    acquired = True
-                    break
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        _count("store_lock_timeouts")
-                        break
-                    time.sleep(delay)
-                    delay = min(delay * 2, 0.05)
-            yield acquired
-        finally:
-            if acquired:
-                try:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-                except OSError:
-                    pass
-            handle.close()
 
     # -- garbage collection ------------------------------------------------
     def gc(self, max_bytes: Optional[int] = None) -> int:

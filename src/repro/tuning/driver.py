@@ -245,6 +245,11 @@ class _Flight(NamedTuple):
     native: dict
     kill_at: float
 
+    @property
+    def digest(self) -> str:
+        """The point's digest, hashed once per sweep in ``run()``."""
+        return self.job["digest"]
+
 
 class SweepDriver:
     """Run (or resume) one sweep; see the module docstring."""
@@ -281,6 +286,8 @@ class SweepDriver:
         self._attempts: Dict[str, int] = {}
         self._crashes: Dict[str, int] = {}
         self._backoffs: Dict[str, BackoffSchedule] = {}
+        #: Points backing off right now (digest -> monotonic retry
+        #: time); an entry lives from retry_later to its re-dispatch.
         self._retry_at: Dict[str, float] = {}
         self._results: Dict[str, dict] = {}
 
@@ -296,30 +303,30 @@ class SweepDriver:
                 self.seed, site=f"tuning.point.{digest}")
         return self._backoffs[digest]
 
-    def _prune_thresholds(self, points) -> Dict[str, Optional[int]]:
+    def _prune_thresholds(self, keyed) -> Dict[str, Optional[int]]:
         # ``prune_ratio <= 0`` disables pruning, same as the CLI flag:
         # a zero threshold would prune every point.
         if self.prune_ratio is None or self.prune_ratio <= 0:
-            return {point.digest: None for point in points}
-        floors = group_floors(points)
+            return {digest: None for digest, _ in keyed}
+        floors = group_floors([point for _, point in keyed])
         return {
-            point.digest: int(self.prune_ratio * floors[point.group])
-            for point in points
+            digest: int(self.prune_ratio * floors[point.group])
+            for digest, point in keyed
         }
 
-    def _resolve(self, point, record_fields: dict) -> None:
+    def _resolve(self, digest: str, point, record_fields: dict) -> None:
         """Journal one point's final outcome and account for it."""
-        record = {"digest": point.digest, "spec": point.spec(),
+        record = {"digest": digest, "spec": point.spec(),
                   **record_fields}
-        self._results[point.digest] = record
-        self.journal.append_result(point.digest, record)
+        self._results[digest] = record
+        self.journal.append_result(digest, record)
         status = record["status"]
         count({"ok": "tuning_points_completed",
                "pruned": "tuning_points_pruned",
                "poisoned": "tuning_points_poisoned",
                "failed": "tuning_points_failed"}[status])
 
-    def _classify_failure(self, point, code: str,
+    def _classify_failure(self, digest: str, point, code: str,
                           error: str) -> Optional[float]:
         """One failed attempt: retry delay, or None when final.
 
@@ -327,7 +334,6 @@ class SweepDriver:
         (:data:`RETRYABLE_OUTCOMES`); anything a worker *reported* is a
         deterministic failure and final on the first occurrence.
         """
-        digest = point.digest
         if code == "crash":
             self._crashes[digest] = self._crashes.get(digest, 0) + 1
         attempts = self._attempts.get(digest, 0)
@@ -338,19 +344,22 @@ class SweepDriver:
             return self._backoff(digest).next_delay()
         if code == "crash" \
                 and self._crashes.get(digest, 0) >= attempts:
-            self._resolve(point, {"status": "poisoned",
-                                  "crashes": self._crashes[digest]})
+            self._resolve(digest, point,
+                          {"status": "poisoned",
+                           "crashes": self._crashes[digest]})
         else:
-            self._resolve(point, {"status": "failed", "error": error})
+            self._resolve(digest, point,
+                          {"status": "failed", "error": error})
         return None
 
-    def _begin_attempt(self, point) -> int:
-        attempt = self._attempts.get(point.digest, 0) + 1
-        self._attempts[point.digest] = attempt
-        self.journal.append_attempt(point.digest, attempt)
+    def _begin_attempt(self, digest: str) -> int:
+        attempt = self._attempts.get(digest, 0) + 1
+        self._attempts[digest] = attempt
+        self.journal.append_attempt(digest, attempt)
         return attempt
 
-    def _flight(self, point, attempt: int, thresholds) -> _Flight:
+    def _flight(self, digest: str, point, attempt: int,
+                thresholds) -> _Flight:
         """Consult the breakers and build the attempt's job."""
         store = self.store_breaker.allow()
         native = self.native_breaker.allow()
@@ -359,9 +368,9 @@ class SweepDriver:
         if not native["enabled"]:
             count("tuning_native_degraded")
         job = {
-            "digest": point.digest, "spec": point.spec(),
+            "digest": digest, "spec": point.spec(),
             "attempt": attempt,
-            "prune_bytes": thresholds[point.digest],
+            "prune_bytes": thresholds[digest],
             "deadline": time.time() + self.deadline_s,
             "disable_store": not store["enabled"],
             "disable_native": not native["enabled"],
@@ -378,17 +387,20 @@ class SweepDriver:
             self.native_breaker.record(reply["native_ok"],
                                        flight.native["probe"])
         if reply["ok"]:
-            self._resolve(flight.point, reply["outcome"])
+            self._resolve(flight.digest, flight.point, reply["outcome"])
             return None
         if reply["code"] == "deadline":
             count("tuning_deadline_kills")
-        return self._classify_failure(flight.point, reply["code"],
-                                      reply["error"])
+        return self._classify_failure(flight.digest, flight.point,
+                                      reply["code"], reply["error"])
 
     # -- the run -------------------------------------------------------------
     def run(self) -> dict:
         started = time.perf_counter()
         points = self.space.points()
+        # Every point is hashed here, once: the event loops below carry
+        # (digest, point) pairs and never ask a point for its digest.
+        keyed = [(point.digest, point) for point in points]
         space_digest = self.space.digest()
         count("tuning_points_total", len(points))
 
@@ -396,7 +408,7 @@ class SweepDriver:
         replay = self.journal.replay(expect_space=space_digest)
         add_stage_time("sweep_journal_s",
                        time.perf_counter() - journal_started)
-        known = {point.digest for point in points}
+        known = {digest for digest, _ in keyed}
         for digest, record in replay.results.items():
             if digest in known:
                 self._results[digest] = record
@@ -406,11 +418,9 @@ class SweepDriver:
         if replay.meta is None:
             self.journal.append_meta(space_digest)
 
-        thresholds = self._prune_thresholds(points)
+        thresholds = self._prune_thresholds(keyed)
         pending = collections.deque(
-            point for point in points
-            if point.digest not in self._results
-        )
+            pair for pair in keyed if pair[0] not in self._results)
         if pending and self.prebuild:
             # Opt-in prewarm: pay every pending point's cold path
             # (compile, trace, plan build) on the plan-prebuild pool
@@ -424,7 +434,7 @@ class SweepDriver:
 
             prebuild_started = time.perf_counter()
             prebuild_plans([_prebuild_spec(point.spec())
-                            for point in pending])
+                            for _, point in pending])
             add_stage_time("sweep_prebuild_s",
                            time.perf_counter() - prebuild_started)
         if pending:
@@ -433,7 +443,7 @@ class SweepDriver:
             else:
                 self._run_inline(pending, thresholds)
 
-        complete = all(point.digest in self._results for point in points)
+        complete = all(digest in self._results for digest in known)
         report = None
         if complete:
             journal_started = time.perf_counter()
@@ -461,20 +471,19 @@ class SweepDriver:
         the resulting outcome records are identical to the pool's.
         """
         while pending and not self._stop:
-            point = pending.popleft()
-            attempt = self._begin_attempt(point)
-            if _poisoned(point.digest) \
-                    or _injected_crash(point.digest, attempt):
+            digest, point = pending.popleft()
+            attempt = self._begin_attempt(digest)
+            if _poisoned(digest) or _injected_crash(digest, attempt):
                 count("tuning_worker_crashes")
-                delay = self._classify_failure(point, "crash",
+                delay = self._classify_failure(digest, point, "crash",
                                                "injected crash")
             else:
-                flight = self._flight(point, attempt, thresholds)
+                flight = self._flight(digest, point, attempt, thresholds)
                 delay = self._settle(
                     flight, pool.run_seamed(evaluate_job, flight.job))
             if delay is not None:
                 self._sleep(delay)
-                pending.appendleft(point)
+                pending.appendleft((digest, point))
 
     # -- pool execution -------------------------------------------------------
     def _run_pool(self, pending, thresholds) -> None:
@@ -482,16 +491,17 @@ class SweepDriver:
         workers = pool.Pool(size, worker_job)
         flights: Dict[int, _Flight] = {}  # busy slot -> its attempt
 
-        def retry_later(point, delay: Optional[float]) -> None:
+        def retry_later(flight: _Flight, delay: Optional[float]) -> None:
             if delay is not None:
-                self._retry_at[point.digest] = time.monotonic() + delay
-                pending.append(point)
+                self._retry_at[flight.digest] = time.monotonic() + delay
+                pending.append((flight.digest, flight.point))
 
         def replace_worker(slot: int, code: str, error: str) -> None:
             # Dead or hung alike: the attempt failed, and a fresh
             # worker takes over the same slot.
-            point = flights.pop(slot).point
-            retry_later(point, self._classify_failure(point, code, error))
+            flight = flights.pop(slot)
+            retry_later(flight, self._classify_failure(
+                flight.digest, flight.point, code, error))
             workers.restart(slot)
             count("tuning_worker_restarts")
 
@@ -503,28 +513,29 @@ class SweepDriver:
                     for slot in range(size):
                         if slot in flights:
                             continue
-                        point = self._next_ready(pending, now)
-                        if point is None:
+                        ready = self._next_ready(pending, now)
+                        if ready is None:
                             break
+                        digest, point = ready
                         flight = self._flight(
-                            point, self._begin_attempt(point), thresholds)
+                            digest, point, self._begin_attempt(digest),
+                            thresholds)
                         workers.submit(slot, flight.job)
                         flights[slot] = flight
                 elif not flights:
                     break  # drained: nothing in flight, stop dispatching
                 if not flights:
-                    wait_until = self._next_event_time(pending)
+                    wait_until = self._next_event_time()
                     if wait_until is None:
                         continue
                     self._sleep(min(0.05, max(0.0,
                                               wait_until - time.monotonic())))
                     continue
                 for slot, reply in workers.wait(
-                        list(flights), self._wait_timeout(flights, pending)):
+                        list(flights), self._wait_timeout(flights)):
                     if reply is not None:
                         flight = flights.pop(slot)
-                        retry_later(flight.point,
-                                    self._settle(flight, reply))
+                        retry_later(flight, self._settle(flight, reply))
                         continue
                     # The worker died (injected crash, OOM-shaped failure).
                     process = workers.workers[slot].process
@@ -544,22 +555,22 @@ class SweepDriver:
             count("tuning_workers_merged", workers.shutdown())
 
     def _next_ready(self, pending, now: float):
-        """Pop the first pending point whose retry backoff has elapsed."""
+        """Pop the first pending pair whose retry backoff has elapsed."""
         for _ in range(len(pending)):
-            point = pending.popleft()
-            if self._retry_at.get(point.digest, 0.0) <= now:
-                return point
-            pending.append(point)
+            pair = pending.popleft()
+            if self._retry_at.get(pair[0], 0.0) <= now:
+                self._retry_at.pop(pair[0], None)
+                return pair
+            pending.append(pair)
         return None
 
-    def _next_event_time(self, pending) -> Optional[float]:
-        times = [self._retry_at[p.digest] for p in pending
-                 if p.digest in self._retry_at]
-        return min(times) if times else None
+    def _next_event_time(self) -> Optional[float]:
+        """When the earliest backing-off point becomes dispatchable."""
+        return min(self._retry_at.values(), default=None)
 
-    def _wait_timeout(self, flights, pending) -> float:
+    def _wait_timeout(self, flights) -> float:
         deadlines = [flight.kill_at for flight in flights.values()]
-        event = self._next_event_time(pending)
+        event = self._next_event_time()
         if event is not None:
             deadlines.append(event)
         return min(0.25, max(0.01, min(deadlines) - time.monotonic()))

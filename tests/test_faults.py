@@ -39,15 +39,19 @@ class TestGrammar:
         assert clauses["store.read"].probability == 1.0
 
     def test_full_spec(self):
-        spec = "store.read:io@0.3;native.compile:fail;lock:timeout@0.1"
+        spec = "store.read:io@0.3;native.compile:fail;store.write:io@0.1"
         clauses = faults.parse_faults(spec)
         assert set(clauses) == {"store.read", "native.compile",
-                                "store.lock"}
-        assert clauses["store.lock"].kind == "timeout"
-        assert clauses["store.lock"].probability == 0.1
+                                "store.write"}
+        assert clauses["store.write"].kind == "io"
+        assert clauses["store.write"].probability == 0.1
 
     def test_lock_alias(self):
-        assert "store.lock" in faults.parse_faults("lock:timeout")
+        # The alias went with the ``store.lock`` site it named: both
+        # spellings are unknown sites now, and unknown sites raise.
+        for spec in ("lock:timeout", "store.lock:timeout"):
+            with pytest.raises(faults.FaultConfigError):
+                faults.parse_faults(spec)
 
     @pytest.mark.parametrize("bad", [
         "unknown.site:io",            # unknown site
@@ -95,7 +99,7 @@ class TestDocstringContract:
     def test_grammar_example_covers_service_sites(self):
         sites = {clause.split(":")[0]
                  for clause in self._docstring_clauses()}
-        assert "store.lock" in sites  # the canonical name, not 'lock'
+        assert "store.write" in sites
         assert "service.worker" in sites
 
     def test_every_registered_kind_parses(self):
@@ -238,7 +242,6 @@ FAULT_SPECS = [
     "store.read:io",
     "store.read:corrupt",
     "store.write:io",
-    "store.lock:timeout",
     "native.compile:fail",
     "metrics.plan:fail",
     "replay:fail",
@@ -332,10 +335,9 @@ class TestSingleFaultBitIdentity:
                 if spec == "native.compile:fail" else _nullcontext():
             results = _run_config(kind, params, shape, str(tmp_path))
         assert results == clean_baselines[config_index]
-        if spec not in ("store.lock:timeout",):
-            # Probability 1.0: the fault must actually have fired.
-            site = spec.split(":")[0]
-            assert faults.fault_counters().get(site, 0) > 0
+        # Probability 1.0: the fault must actually have fired.
+        site = spec.split(":")[0]
+        assert faults.fault_counters().get(site, 0) > 0
 
 
 def _nullcontext():
@@ -404,16 +406,8 @@ class TestDegradationCounters:
         store = tmp_path / "s"
         self._compile_and_run(store_dir=str(store))
         assert STORE_COUNTERS["store_write_failures"] > 0
-        files = [p for p in store.rglob("*") if p.is_file()
-                 and not p.name.endswith(".lock")]
+        files = [p for p in store.rglob("*") if p.is_file()]
         assert files == []  # nothing published, nothing leaked
-
-    def test_lock_timeout_fault_still_compiles(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "store.lock:timeout")
-        cache = self._compile_and_run(store_dir=str(tmp_path / "s"))
-        assert STORE_COUNTERS["store_lock_timeouts"] > 0
-        assert cache.misses == 1  # compiled despite no coordination
 
 
 class TestNativeFaultMemo:

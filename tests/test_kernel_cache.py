@@ -165,6 +165,8 @@ class TestDiskKernelStore:
         writer = KernelCache(disk_dir=store)
         built = make_compiler(writer).compile_matmul(32, 32, 32)
         assert writer.disk_hits == 0 and writer.disk_misses == 1
+        assert self.entry_files(store) == []  # lowering alone: no entry
+        self._run(built)  # the first replay publishes it
 
         reader = KernelCache(disk_dir=store)  # fresh memory cache
         loaded = make_compiler(reader).compile_matmul(32, 32, 32)
@@ -179,7 +181,7 @@ class TestDiskKernelStore:
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR",
                            str(tmp_path / "env_cache"))
         writer = KernelCache()
-        make_compiler(writer).compile_matmul(16, 16, 16)
+        self._run(make_compiler(writer).compile_matmul(16, 16, 16), size=16)
         reader = KernelCache()
         make_compiler(reader).compile_matmul(16, 16, 16)
         assert reader.disk_hits == 1
@@ -219,23 +221,44 @@ class TestDiskKernelStore:
 
         store = str(tmp_path / "repro_cache")
         writer = KernelCache(disk_dir=store)
-        make_compiler(writer).compile_matmul(16, 16, 16)
+        self._run(make_compiler(writer).compile_matmul(16, 16, 16), size=16)
+        assert len(self.entry_files(store)) == 1
         monkeypatch.setattr(compiler_mod, "KERNEL_STORE_VERSION",
                             compiler_mod.KERNEL_STORE_VERSION + 1)
         reader = KernelCache(disk_dir=store)
         make_compiler(reader).compile_matmul(16, 16, 16)
         assert reader.disk_hits == 0  # old-format entry never loads
 
-    def _run(self, kernel, seed=33):
+    def _run(self, kernel, seed=33, size=32, trace=None):
         hw, _ = make_matmul_system(3, 8, flow="Ns")
         board = make_pynq_z2()
         board.attach_accelerator(hw)
         rng = np.random.default_rng(seed)
-        a = rng.integers(-5, 5, (32, 32)).astype(np.int32)
-        b = rng.integers(-5, 5, (32, 32)).astype(np.int32)
-        c = np.zeros((32, 32), np.int32)
-        counters = kernel.run(board, a, b, c)
+        a = rng.integers(-5, 5, (size, size)).astype(np.int32)
+        b = rng.integers(-5, 5, (size, size)).astype(np.int32)
+        c = np.zeros((size, size), np.int32)
+        counters = kernel.run(board, a, b, c, trace=trace)
         return counters.as_dict(), c.tobytes()
+
+    @pytest.mark.ambient_faults_incompatible
+    def test_kernel_that_never_replays_is_never_written(self, tmp_path):
+        """Entries persist traced kernels: lowering alone (or a
+        per-tile run) publishes nothing, and the next process lowers
+        the kernel again instead of loading it."""
+        from repro.store import STORE_COUNTERS
+
+        store = str(tmp_path / "repro_cache")
+        writes = STORE_COUNTERS["store_writes"]
+        first = KernelCache(disk_dir=store)
+        kernel = make_compiler(first).compile_matmul(32, 32, 32)
+        self._run(kernel, trace=False)
+        assert STORE_COUNTERS["store_writes"] == writes
+        assert self.entry_files(store) == []
+        second = KernelCache(disk_dir=store)
+        again = make_compiler(second).compile_matmul(32, 32, 32)
+        assert (second.disk_misses, second.disk_hits, second.misses) \
+            == (1, 0, 1)
+        assert again.source == kernel.source
 
     def test_trace_round_trip(self, tmp_path):
         """Warm processes skip recording *and* synthesis entirely."""
@@ -359,7 +382,7 @@ class TestDiskKernelStore:
         corrupt/, and the rebuild republishes a loadable entry."""
         store = tmp_path / "repro_cache"
         writer = KernelCache(disk_dir=str(store))
-        make_compiler(writer).compile_matmul(16, 16, 16)
+        self._run(make_compiler(writer).compile_matmul(16, 16, 16), size=16)
         entries = self.entry_files(store)
         assert len(entries) == 1
         entries[0].write_bytes(b"not a kernel store entry")
@@ -372,7 +395,9 @@ class TestDiskKernelStore:
         quarantined = list((store / "corrupt").iterdir())
         assert len(quarantined) == 1  # evidence kept, never re-read
 
-        # The rebuild republished: a third process loads cleanly.
+        # The rebuilt kernel's first replay republishes: a third
+        # process loads cleanly.
+        self._run(kernel, size=16)
         third = KernelCache(disk_dir=str(store))
         make_compiler(third).compile_matmul(16, 16, 16)
         assert third.disk_hits == 1
@@ -384,7 +409,7 @@ class TestDiskKernelStore:
         fail the checksum, not load garbage."""
         store = tmp_path / "repro_cache"
         writer = KernelCache(disk_dir=str(store))
-        make_compiler(writer).compile_matmul(16, 16, 16)
+        self._run(make_compiler(writer).compile_matmul(16, 16, 16), size=16)
         entry = self.entry_files(store)[0]
         blob = entry.read_bytes()
         entry.write_bytes(blob[: len(blob) // 2])
@@ -399,8 +424,9 @@ class TestDiskKernelStore:
         store.mkdir()
         (store / "kernel-deadbeef0000-abc.pkl").write_bytes(b"\x80\x04old")
         cache = KernelCache(disk_dir=str(store))
-        make_compiler(cache).compile_matmul(16, 16, 16)
+        kernel = make_compiler(cache).compile_matmul(16, 16, 16)
         assert cache.disk_misses == 1 and cache.disk_corrupt == 0
+        self._run(kernel, size=16)
         reader = KernelCache(disk_dir=str(store))
         make_compiler(reader).compile_matmul(16, 16, 16)
         assert reader.disk_hits == 1
@@ -410,7 +436,7 @@ class TestDiskKernelStore:
         store = tmp_path / "repro_cache"
         cache = KernelCache(disk_dir=str(store))
         kernel = make_compiler(cache).compile_matmul(32, 32, 32)
-        self._run(kernel)  # persist hook rewrites the entry
+        self._run(kernel)  # persist hook publishes the entry
         leftovers = [p for p in store.rglob("*") if ".tmp-" in p.name]
         assert leftovers == []
 
@@ -426,7 +452,7 @@ class TestDiskKernelStore:
         store = str(tmp_path / "repro_cache")
         writer = KernelCache(disk_dir=store)
         kernel = make_compiler(writer).compile_matmul(32, 32, 32)
-        self._run(kernel)           # compile publish + trace publish
+        self._run(kernel)           # the one publish
         assert calls == [1]
         loaded = make_compiler(KernelCache(disk_dir=store)) \
             .compile_matmul(32, 32, 32)
@@ -439,6 +465,30 @@ class TestDiskKernelStore:
         # The cached text is not part of the kernel's identity.
         assert replace(kernel, _ir_text=None) == kernel
         assert "_ir_text" not in repr(kernel)
+
+
+class TestPublicationRule:
+    """Entries are published after a replay, from two places only."""
+
+    @staticmethod
+    def call_sites(pattern):
+        import pathlib
+        import re
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        return sorted(
+            (str(path.relative_to(src)), line.strip())
+            for path in src.rglob("*.py")
+            for line in path.read_text().splitlines()
+            if re.search(pattern, line) and not line.lstrip().startswith("def "))
+
+    def test_publish_entry_has_two_call_sites(self):
+        files = [path for path, _ in self.call_sites(r"\bpublish_entry\(")]
+        assert files == ["repro/baselines/manual.py", "repro/compiler.py"]
+
+    def test_persist_hook_is_the_only_disk_store_caller(self):
+        (site,) = self.call_sites(r"\b_disk_store\(")
+        assert site[0] == "repro/compiler.py" and "lambda" in site[1]
 
 
 class TestManualTraceEntries:

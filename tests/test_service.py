@@ -719,7 +719,7 @@ class TestMultiClientStress:
         monkeypatch.setenv(
             "REPRO_FAULTS",
             "store.read:io@0.2;store.write:io@0.1;"
-            "store.lock:timeout@0.2;native.compile:fail;"
+            "native.compile:fail;"
             "service.worker:crash@0.1;service.queue:full@0.1")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "2")
         faults.reset_faults()

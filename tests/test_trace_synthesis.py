@@ -261,6 +261,8 @@ class TestTraceSources:
         assert "metrics_plan_apply_s" in report["stage_timings"]
         assert "model_plan_build_s" in report["stage_timings"]
         assert "model_plan_apply_s" in report["stage_timings"]
+        assert "store_load_s" in report["stage_timings"]
+        assert "store_publish_s" in report["stage_timings"]
         assert set(report["trace_sources"]) == {
             "synthesized", "recorded", "synth_fallback", "disk_loaded",
             "manual_recorded", "manual_fallback",

@@ -444,6 +444,93 @@ class TestPool:
         assert counters["tuning_workers_merged"] == 0
 
 
+#: 224 points: enough pending work that a supervisor re-hashing the
+#: queue on every event is quadratic in plain sight.
+WIDE = SweepSpace(shapes=((16, 16, 16), (8, 16, 16), (8, 8, 8)),
+                  versions=(3, 4), sizes=(4,))
+
+
+class TestSupervisorCost:
+    """The event loop is O(events): points are hashed once per sweep,
+    never per pending point per event (before, this sweep hashed
+    ~70-110 digests per point on the pool and ~17 inline)."""
+
+    @pytest.mark.parametrize("profile", ["", "tuning.worker:crash@0.2"])
+    @pytest.mark.parametrize("rung", ["pool", "inline", "nofork"])
+    def test_digest_computations_are_linear_in_points(
+            self, tmp_path, monkeypatch, rung, profile):
+        import hashlib
+        import types
+
+        from repro import pool
+        from repro.tuning import driver as driver_module
+        from repro.tuning import space as space_module
+
+        hashed = []
+
+        def counting_sha256(*args):
+            hashed.append(1)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(space_module, "hashlib",
+                            types.SimpleNamespace(sha256=counting_sha256))
+        monkeypatch.setattr(driver_module, "evaluate_point", _fake_outcome)
+        if rung == "nofork":
+            monkeypatch.setattr(pool, "fork_available", lambda: False)
+        if profile:
+            monkeypatch.setenv("REPRO_FAULTS", profile)
+            monkeypatch.setenv("REPRO_FAULTS_SEED", "3")
+            faults.reset_faults()
+        points = len(WIDE.points())
+        assert points >= 200
+        hashed.clear()
+        result = _driver(WIDE, tmp_path,
+                         workers=1 if rung == "inline" else 2,
+                         sleep=time.sleep if rung == "pool"
+                         else (lambda seconds: None)).run()
+        assert result["complete"]
+        totals = result["report"]["totals"]
+        assert totals["completed"] + totals["poisoned"] == points
+        if profile:  # the retry/backoff path is inside the bound
+            assert tuning_counters()["tuning_retries"] > 0
+        assert len(hashed) <= 8 * points
+
+
+class TestSweepStore:
+    """A sweep writes one store entry per *simulated* point, once."""
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        from repro.compiler import default_kernel_cache
+        from repro.store import reset_store_counters
+
+        directory = tmp_path / "store"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(directory))
+        default_kernel_cache().clear()
+        reset_store_counters()
+        yield directory
+        default_kernel_cache().clear()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_write_and_one_entry_per_simulated_point(
+            self, tmp_path, store, workers):
+        from repro.store import STORE_COUNTERS
+
+        space = SweepSpace(shapes=((16, 16, 16),), versions=(2, 3),
+                           sizes=(4,))
+        result = _driver(space, tmp_path, prune_ratio=1.1,
+                         workers=workers).run()
+        totals = result["report"]["totals"]
+        simulated = len(space.points()) - totals["pruned"]
+        assert totals["pruned"] >= 1
+        assert totals["completed"] == simulated >= 1
+        # Pruned points compile but never replay: nothing is written
+        # for them, and nothing is written twice for the rest.
+        assert STORE_COUNTERS["store_writes"] == simulated
+        assert len(list(store.glob("objects/*/*.entry"))) == simulated
+        assert not (store / "locks").exists()
+
+
 class TestEnvKnobs:
     def test_defaults(self):
         assert tuning_workers() >= 1

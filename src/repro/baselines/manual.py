@@ -62,8 +62,8 @@ _MANUAL_REPLAY_FAILED = set()
 
 
 def _load_manual_trace(store, name: str):
-    """The trace a ``manual-*`` entry holds, or ``None`` (a stale trace
-    schema is simply overwritten by the recording that follows)."""
+    """The trace a ``manual-*`` entry holds, or ``None`` (the recording
+    that follows then overwrites the entry)."""
     status, payload = load_entry(store, name)
     return stored_trace(payload) if status == "hit" else None
 

@@ -32,23 +32,18 @@ from .codegen import (
     schedule_event_count,
 )
 from .dialects import func, linalg
+from .envutil import check_requested
 from .execution import interpret_function
-from .execution.metrics import (
-    METRICS_PLAN_COUNTERS,
-    METRICS_PLAN_SCHEMA_VERSION,
-)
+from .execution.metrics import METRICS_PLAN_COUNTERS
 from .execution.replay import replay_kernel
 from .execution.synthesize import (
     TraceMismatch,
-    cross_check_requested,
     diff_traces,
-    synthesis_enabled,
     synthesize_trace,
 )
 from .execution.trace import (
     STAGE_TIMINGS,
     TRACE_COUNTERS,
-    TRACE_SCHEMA_VERSION,
     DriverTrace,
     TraceUnsupported,
     add_stage_time,
@@ -67,12 +62,14 @@ from .transforms.lower_to_accel import LoweringPlan
 #: (conventionally ``.repro_cache/`` at the repo root).
 KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 
-#: On-disk store format/compatibility version.  Folded into every entry
-#: filename and payload: bump it whenever lowering, emission, or the
-#: CompiledKernel payload changes shape, so stale entries from an older
-#: library version can never load silently.  (The serialized trace has
-#: its own schema version, TRACE_SCHEMA_VERSION: a trace-only schema
-#: bump evicts just the trace, not the lowered kernel.)
+#: The one on-disk payload version, folded into every entry name and
+#: checked on every load (:func:`load_entry`).  One suffices: an entry
+#: name already carries a digest of every ``repro`` source file
+#: (:func:`store_entry_name`), so a change to the shape of a kernel
+#: payload, DriverTrace, MetricsPlan or ModelPlan renames every entry
+#: before any per-artifact version could be compared.  What is left
+#: for this number is a payload that reaches a current name some other
+#: way (a copied or hand-written file): it is quarantined, not loaded.
 #: Version 4: the checksummed, pickle-free container of
 #: :mod:`repro.store` with magic ``REPRO-KSTORE-2`` — a JSON manifest
 #: plus one zlib stream behind an array table.
@@ -157,11 +154,10 @@ def store_entry_name(kind: str, key) -> str:
 # -- the trace slots of a store entry ---------------------------------------
 #
 # Kernel entries and the manual baselines' entries carry a trace the
-# same way: the trace under TRACE_SCHEMA_VERSION and its MetricsPlans
-# under METRICS_PLAN_SCHEMA_VERSION (the trace's serialized form
-# excludes them), so a stale schema evicts just its own slot.  The plan
-# keys the disk entry holds ride on the loaded/published trace as the
-# process-local ``_stored_plans``: an entry is (re)published iff memory
+# same way: the trace and, in a slot of their own, its MetricsPlans
+# (the trace's serialized form excludes them).  The plan keys the disk
+# entry holds ride on the loaded/published trace as the process-local
+# ``_stored_plans``: an entry is (re)published iff memory
 # holds a trace or a plan key the disk lacks, so a store converges —
 # a process that finds everything publishes nothing.  That rule is the
 # only publication rule: an entry exists on disk only once it carries a
@@ -196,9 +192,7 @@ def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
     store.store(name, {
         **head,
         "store_version": KERNEL_STORE_VERSION,
-        "trace_schema": TRACE_SCHEMA_VERSION,
         "trace": trace,
-        "metrics_schema": METRICS_PLAN_SCHEMA_VERSION,
         "metrics_plans": plans,
     })
     trace._stored_plans = frozenset(plans)
@@ -206,18 +200,16 @@ def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
 
 
 def stored_trace(payload: dict):
-    """The trace ``payload`` carries, current-schema plans attached.
+    """The trace ``payload`` carries, its stored plans attached.
 
-    ``None`` when the entry has no trace or a stale-schema one; plans
-    are only ever attached to the trace they were built against.
+    ``None`` when the entry has no trace; plans are only ever attached
+    to the trace they were built against.
     """
     trace = payload.get("trace")
-    if not isinstance(trace, DriverTrace) \
-            or payload.get("trace_schema") != TRACE_SCHEMA_VERSION:
+    if not isinstance(trace, DriverTrace):
         return None
     plans = payload.get("metrics_plans")
-    if isinstance(plans, dict) and payload.get("metrics_schema") \
-            == METRICS_PLAN_SCHEMA_VERSION:
+    if isinstance(plans, dict):
         trace.metrics_plans.update(plans)
     trace._stored_plans = frozenset(trace.metrics_plans)
     TRACE_COUNTERS["disk_loaded"] += 1
@@ -459,8 +451,7 @@ class KernelCache:
         )
         # A persisted trace (+ its decoded replay plans and
         # MetricsPlans) lets warm processes skip recording, synthesis
-        # and plan builds; a stale schema evicts just that slot, never
-        # the lowered kernel.
+        # and plan builds.
         kernel.trace_state.trace = stored_trace(payload)
         return kernel
 
@@ -583,7 +574,7 @@ class CompiledKernel:
         ``trace`` selects trace-compiled execution: the kernel's static
         schedule is synthesized ahead-of-time from the emitter's side
         table (or recorded by a shadow run when synthesis cannot prove
-        the schedule — ``REPRO_NO_SYNTH=1`` forces that path) and
+        the schedule — ``REPRO_FAULTS="synth:fail"`` forces that path) and
         replayed as batched numpy, bit-identical to the per-tile path.
         ``None`` (the default) enables it unless ``REPRO_NO_TRACE=1``;
         unsupported drivers or runtimes fall back to per-tile execution
@@ -615,21 +606,20 @@ class CompiledKernel:
         """Synthesize the trace from the schedule table, else record.
 
         Synthesis failing is never an error — it falls back to the
-        recording path — but ``REPRO_TRACE_CHECK=1`` records every
+        recording path — but ``REPRO_CHECK=1`` records every
         synthesized kernel as well and raises :class:`TraceMismatch`
         if the two traces differ anywhere.
         """
         synthesized = None
-        if synthesis_enabled():
-            # Any synthesis failure — proven-unsupported constructs or
-            # unexpected blowups (recursion/memory on pathological
-            # schedules) — falls back to the recording path; only the
-            # recorder erring may disable tracing for the kernel.
-            try:
-                synthesized = synthesize_trace(self.schedule_table, specs)
-            except Exception:
-                TRACE_COUNTERS["synth_fallback"] += 1
-        if synthesized is not None and not cross_check_requested():
+        # Any synthesis failure — proven-unsupported constructs or
+        # unexpected blowups (recursion/memory on pathological
+        # schedules) — falls back to the recording path; only the
+        # recorder erring may disable tracing for the kernel.
+        try:
+            synthesized = synthesize_trace(self.schedule_table, specs)
+        except Exception:
+            TRACE_COUNTERS["synth_fallback"] += 1
+        if synthesized is not None and not check_requested():
             TRACE_COUNTERS["synthesized"] += 1
             return synthesized
         recorded = record_trace(

@@ -1,4 +1,4 @@
-"""One-shot-warning environment knob parsing.
+"""Environment knobs: one-shot-warning parsing and the check selector.
 
 Every ``REPRO_*`` tuning knob follows the same contract (established in
 PR 7 for the store/model-worker knobs): a malformed value is never
@@ -6,6 +6,8 @@ silently ignored and never fatal — it emits exactly one
 ``RuntimeWarning`` naming the variable and the fallback, then behaves
 as if the variable were unset.  This module centralizes that contract
 so new knobs (the service layer adds several) cannot drift from it.
+:func:`check_requested` lives here because three execution modules read
+the same ``REPRO_CHECK`` switch.
 """
 
 from __future__ import annotations
@@ -14,9 +16,22 @@ import os
 import warnings
 from typing import Optional
 
+#: Cross-check mode.  With ``REPRO_CHECK=1`` every fast tier re-derives
+#: what it is about to serve from the tier below and fails loudly on a
+#: difference: a synthesized trace is also recorded and diffed
+#: (``TraceMismatch``), a cached MetricsPlan hit is rebuilt from the
+#: live metrics plane (``MetricsPlanMismatch``), and so is a fused
+#: ModelPlan step hit (``ModelPlanMismatch``).
+CHECK_ENV = "REPRO_CHECK"
+
 #: (env var, malformed text) pairs already warned about: a bad value is
 #: reported exactly once per process instead of once per consultation.
 _warned_env_values: set = set()
+
+
+def check_requested() -> bool:
+    """Whether ``REPRO_CHECK=1`` asks the three check sites to verify."""
+    return os.environ.get(CHECK_ENV, "") == "1"
 
 
 def warn_once_malformed_env(var: str, text: str, fallback,

@@ -7,34 +7,24 @@ from .trace import (
     TraceRecorder,
     TraceUnsupported,
     record_trace,
-    reset_trace_counters,
     trace_enabled,
 )
 from .synthesize import (
     SynthesisUnsupported,
     TraceMismatch,
-    cross_check_requested,
     diff_traces,
-    synthesis_enabled,
     synthesize_trace,
 )
 from .metrics import (
     METRICS_PLAN_COUNTERS,
-    METRICS_PLAN_SCHEMA_VERSION,
     MetricsPlan,
     MetricsPlanMismatch,
-    metrics_check_requested,
-    metrics_plan_enabled,
-    reset_metrics_plan_counters,
 )
 from .model_plan import (
     MODEL_PLAN_COUNTERS,
-    MODEL_PLAN_SCHEMA_VERSION,
     ModelPlan,
     ModelPlanMismatch,
     ModelSession,
-    model_check_requested,
-    model_plan_enabled,
     model_workers,
     reset_model_plan_counters,
     reset_model_plans,
@@ -60,15 +50,13 @@ def diagnostics() -> dict:
     — a benchmark run that silently fell back to recording shows up
     here as a nonzero ``recorded`` count.  ``metrics_plan`` counts how
     replays obtained their metrics plane (cached-plan hits, fresh
-    builds, kill-switch fallbacks) — a nonzero
+    builds, injected-fault fallbacks) — a nonzero
     ``metrics_plan_fallback`` means the plan path was bypassed.
-    Within the fresh builds, ``plan_incremental_hits`` counts builds
-    that resumed a still-valid cross-kernel LRU characterization
-    instead of re-exporting the hierarchy (zero under
-    ``REPRO_NO_INCREMENTAL_PLAN``), and ``component_memo_hits`` /
-    ``component_memo_misses`` count lookups of memoized build
-    sub-products (copy-cost tables, line streams, winner maps) shared
-    across builds with matching trace content.
+    ``component_memo_hits`` / ``component_memo_misses`` count lookups
+    of memoized build sub-products (copy-cost tables, line streams,
+    winner maps) shared across builds with matching trace content;
+    ``plan_incremental_hits`` is always zero (kept for one frozen
+    reader, see ``METRICS_PLAN_COUNTERS``).
     ``model_plan`` counts the model-granularity layer on top: fused
     ModelPlan sessions replayed vs recorded, per-step sub-plan hits,
     divergences, and how many pool workers merged their deltas back.
@@ -81,7 +69,7 @@ def diagnostics() -> dict:
     ``store_quarantined`` are distinct from ``store_misses``, so a
     corrupted cache directory is visible as such rather than as a cold
     cache.  ``faults`` counts injected faults per ``REPRO_FAULTS``
-    site, and ``native`` reports why the C fast path is (un)available.
+    site — the proof that a forced fallback rung actually fired — and ``native`` reports why the C fast path is (un)available.
     ``service`` counts compile/simulate-service events in this process
     (admissions, sheds, coalesced submits, worker crashes, drain-time
     worker merges) — nonzero only in a server process.  ``tuning``
@@ -105,15 +93,12 @@ def diagnostics() -> dict:
 __all__ = [
     "Interpreter", "interpret_function",
     "STAGE_TIMINGS", "TRACE_COUNTERS", "TraceRecorder", "TraceUnsupported",
-    "record_trace", "reset_trace_counters", "trace_enabled",
-    "SynthesisUnsupported", "TraceMismatch", "cross_check_requested",
-    "diff_traces", "synthesis_enabled", "synthesize_trace",
-    "METRICS_PLAN_COUNTERS", "METRICS_PLAN_SCHEMA_VERSION", "MetricsPlan",
-    "MetricsPlanMismatch", "metrics_check_requested",
-    "metrics_plan_enabled", "reset_metrics_plan_counters",
-    "MODEL_PLAN_COUNTERS", "MODEL_PLAN_SCHEMA_VERSION", "ModelPlan",
-    "ModelPlanMismatch", "ModelSession", "model_check_requested",
-    "model_plan_enabled", "model_workers",
+    "record_trace", "trace_enabled",
+    "SynthesisUnsupported", "TraceMismatch", "diff_traces",
+    "synthesize_trace",
+    "METRICS_PLAN_COUNTERS", "MetricsPlan", "MetricsPlanMismatch",
+    "MODEL_PLAN_COUNTERS", "ModelPlan", "ModelPlanMismatch",
+    "ModelSession", "model_workers",
     "reset_model_plan_counters", "reset_model_plans", "run_model_jobs",
     "prebuild_plans", "ReplayExecutor", "replay_kernel",
     "diagnostics",

@@ -18,38 +18,27 @@ region-write summaries.  Subsequent invocations with a matching
 fingerprint apply the plan in O(state) — an import of the final cache
 ways plus a handful of scalar assignments — instead of re-simulating
 O(events) work.  Plans are persisted alongside traces in the kernel
-store under their own schema version (see ``repro.compiler``), so warm
-processes skip the metrics plane entirely.
+store (see ``repro.compiler``), so warm processes skip the metrics
+plane entirely.
 
-Switches:
+Selectors (see the README tables):
 
-* ``REPRO_NO_METRICS_PLAN=1`` — kill switch: the metrics plane is
-  recomputed live on every invocation (counted as ``fallback``);
-* ``REPRO_METRICS_CHECK=1`` — cross-check mode: every cached-plan hit
-  *also* rebuilds the plan from the live metrics plane and raises
-  :class:`MetricsPlanMismatch` on any divergence;
-* ``REPRO_NO_INCREMENTAL_PLAN=1`` — kill switch for the incremental
-  build path: every build re-characterizes the cache hierarchy from
-  the live board state instead of resuming from a
-  :class:`PlanBuildCarrier` (results are bit-identical either way —
-  only first-run build latency changes).
+* ``REPRO_FAULTS="metrics.plan:fail"`` — forces the fallback rung: the
+  metrics plane is recomputed live on every invocation, nothing is
+  cached (counted as ``metrics_plan_fallback``);
+* ``REPRO_CHECK=1`` — cross-check mode: every cached-plan hit *also*
+  rebuilds the plan from the live metrics plane and raises
+  :class:`MetricsPlanMismatch` on any divergence.
 
-First-run builds are additionally *incremental* and *shared*:
-
-* a :class:`PlanBuildCarrier` (owned by a
-  :class:`~repro.execution.model_plan.ModelSession`) carries the LRU
-  classification state from one step's build to the next, so a model's
-  kernel sequence is characterized as one concatenated line stream —
-  each step is a single fused native call resuming from the previous
-  step's end-state (``plan_incremental_hits`` counts the resumed
-  builds);
-* the expensive state-independent sub-products of :func:`build_plan` —
-  copy-cost tables, line-stream tables, and the input/output
-  last-writer maps — live in a process-wide memo keyed by (trace
-  content digest, cache geometry/config), so repeated invocations of
-  the same kernel shape (ablation re-runs, tuning-sweep variants,
-  service requests) reuse them across board states instead of
-  rebuilding (``component_memo_hits`` / ``component_memo_misses``).
+First-run builds are *shared*: the expensive state-independent
+sub-products of :func:`build_plan` — copy-cost tables, line-stream
+tables, and the input/output last-writer maps — live in a process-wide
+memo keyed by (trace content digest, cache geometry/config), so
+repeated invocations of the same kernel shape (ablation re-runs,
+tuning-sweep variants, service requests) reuse them across board
+states instead of rebuilding (``component_memo_hits`` /
+``component_memo_misses``).  Every build seeds its LRU classification
+from the board it runs on.
 
 Bit-identity: a plan is only ever applied when the fingerprint —
 covering every input of the metrics plane, including the floating-point
@@ -62,15 +51,15 @@ computation by determinism.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .. import counters, faults
+from ..envutil import check_requested
 from ..runtime.copy import CopyKinds, copy_charge_terms, plan_for_geometry
 from ..soc.cache import OfflineLruSimulator, _export_ways, install_ways
 from .trace import (
@@ -87,38 +76,18 @@ from .trace import (
     add_stage_time,
 )
 
-#: Kill switch: set REPRO_NO_METRICS_PLAN=1 to recompute the metrics
-#: plane live on every invocation (no caching, no persistence).
-METRICS_PLAN_KILL_SWITCH = "REPRO_NO_METRICS_PLAN"
-
-#: Cross-check mode: set REPRO_METRICS_CHECK=1 to rebuild the plan on
-#: every cache hit and raise MetricsPlanMismatch on divergence.
-METRICS_CHECK_ENV = "REPRO_METRICS_CHECK"
-
-#: Kill switch: set REPRO_NO_INCREMENTAL_PLAN=1 to disable the
-#: resumable cross-kernel classification carrier (every build then
-#: re-exports the LRU state from the live board).
-INCREMENTAL_PLAN_KILL_SWITCH = "REPRO_NO_INCREMENTAL_PLAN"
-
-#: On-disk MetricsPlan schema version.  Persisted next to (but
-#: independent of) the trace in every kernel-store payload: bump it
-#: whenever MetricsPlan changes shape so stale persisted plans are
-#: evicted (the trace and the lowered kernel still load).  Version 2:
-#: plans carry the precomputed winner tables (input word/tile writes,
-#: output writes) produced by the vectorized backward scans.
-METRICS_PLAN_SCHEMA_VERSION = 2
-
 #: How replays obtained their metrics plane this process:
 #: ``hits`` (a cached plan applied in O(state)), ``misses`` (built from
-#: the live metrics plane, then cached), ``fallback`` (the kill switch
-#: forced a live computation; a nonzero value under benchmark configs
-#: means the plan path was silently bypassed).
+#: the live metrics plane, then cached), ``fallback`` (an injected
+#: ``metrics.plan`` fault forced a live computation; a nonzero value
+#: under benchmark configs means the plan path was bypassed).
 METRICS_PLAN_COUNTERS: Dict[str, int] = counters.section("metrics_plan", {
     "metrics_plan_hits": 0,
     "metrics_plan_misses": 0,
     "metrics_plan_fallback": 0,
-    #: Builds that resumed from a PlanBuildCarrier's warm LRU end-state
-    #: instead of re-exporting the cache hierarchy from the board.
+    #: Never incremented; declared because perf/perfbench/harness.py:281
+    #: is its only reader.  Drop it with ``metrics.incremental_hits``
+    #: in the next benchmark-only PR.
     "plan_incremental_hits": 0,
     #: build_plan sub-product memo traffic (cost tables, stream tables,
     #: winner maps — up to three lookups per build).
@@ -133,22 +102,6 @@ _MAX_PLANS_PER_TRACE = 8
 #: (Python-fallback classification only; the native path streams
 #: lines straight out of the group tables and never materializes them).
 _LINE_CHUNK = 1 << 24
-
-
-def metrics_plan_enabled() -> bool:
-    return os.environ.get(METRICS_PLAN_KILL_SWITCH, "") != "1"
-
-
-def metrics_check_requested() -> bool:
-    return os.environ.get(METRICS_CHECK_ENV, "") == "1"
-
-
-def incremental_plan_enabled() -> bool:
-    return os.environ.get(INCREMENTAL_PLAN_KILL_SWITCH, "") != "1"
-
-
-def reset_metrics_plan_counters() -> None:
-    counters.reset(METRICS_PLAN_COUNTERS)
 
 
 # -- the component memo -----------------------------------------------------
@@ -250,61 +203,6 @@ def _trace_component_digest(trace) -> str:
         digest = h.hexdigest()
         trace.component_digest = digest
     return digest
-
-
-# -- the incremental build carrier ------------------------------------------
-
-class PlanBuildCarrier:
-    """Resumable cross-kernel LRU characterization state.
-
-    A :class:`~repro.execution.model_plan.ModelSession` owns one
-    carrier per board: after a step's build, the carrier keeps that
-    build's LRU end-state (native way arrays, or the Python fallback's
-    :class:`OfflineLruSimulator`), so the next step's build resumes
-    from it instead of re-exporting the hierarchy — the model's kernel
-    sequence is classified as one concatenated line stream.
-
-    Validity is checked against the live cache hit/miss counters:
-    every cache access changes them, so counters matching the value
-    recorded at the previous build (plus that plan's deltas, i.e. the
-    state after it was applied) proves the board's LRU state still
-    equals the carrier's.  Any mismatch — a per-tile fallback step, a
-    replayed fused-plan prefix, an interleaved foreign run — silently
-    reseeds from the board, which is always correct.
-    """
-
-    __slots__ = ("board", "_expected", "_ways1", "_ways2", "_sim")
-
-    def __init__(self, board):
-        self.board = board
-        self._expected: Optional[Tuple[int, int, int, int]] = None
-        self._ways1: Optional[np.ndarray] = None
-        self._ways2: Optional[np.ndarray] = None
-        self._sim: Optional[OfflineLruSimulator] = None
-
-    def _live_counts(self) -> Tuple[int, int, int, int]:
-        caches = self.board.caches
-        return (caches.l1.hits, caches.l1.misses,
-                caches.l2.hits, caches.l2.misses)
-
-    def valid(self) -> bool:
-        return (self._expected is not None
-                and self._expected == self._live_counts())
-
-    def _set_expected(self, totals) -> None:
-        live = self._live_counts()
-        self._expected = (live[0] + totals[0], live[1] + totals[1],
-                          live[2] + totals[2], live[3] + totals[3])
-
-    def adopt_native(self, ways1, ways2, totals) -> None:
-        self._ways1, self._ways2 = ways1, ways2
-        self._sim = None
-        self._set_expected(totals)
-
-    def adopt_sim(self, sim, totals) -> None:
-        self._sim = sim
-        self._ways1 = self._ways2 = None
-        self._set_expected(totals)
 
 
 class MetricsPlanMismatch(RuntimeError):
@@ -424,7 +322,6 @@ def plan_fingerprint(ex, decode_key: Tuple) -> str:
     caches = board.caches
     counters = board.counters
     config = (
-        METRICS_PLAN_SCHEMA_VERSION,
         decode_key,
         _timing_sig(board.timing),
         (caches.l1.size_bytes, caches.l1.line_size, caches.l1.associativity),
@@ -455,7 +352,7 @@ def plan_fingerprint(ex, decode_key: Tuple) -> str:
 def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
     """Look up (or build and cache) the MetricsPlan for one invocation."""
     trace = ex.trace
-    if not metrics_plan_enabled() or faults.fires("metrics.plan") == "fail":
+    if faults.fires("metrics.plan") == "fail":
         METRICS_PLAN_COUNTERS["metrics_plan_fallback"] += 1
         return _timed_build(ex)
     key = plan_fingerprint(ex, decode_key)
@@ -463,7 +360,7 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
     if cached is not None:
         trace.metrics_plans.move_to_end(key)
         METRICS_PLAN_COUNTERS["metrics_plan_hits"] += 1
-        if metrics_check_requested():
+        if check_requested():
             problems = diff_plans(cached, _timed_build(ex))
             if problems:
                 raise MetricsPlanMismatch(
@@ -479,11 +376,10 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
     return plan
 
 
-def _timed_build(ex, carrier: Optional[PlanBuildCarrier] = None
-                 ) -> MetricsPlan:
+def _timed_build(ex) -> MetricsPlan:
     start = time.perf_counter()
     try:
-        return build_plan(ex, carrier)
+        return build_plan(ex)
     finally:
         add_stage_time("metrics_plan_build_s", time.perf_counter() - start)
 
@@ -541,27 +437,21 @@ def apply_plan(ex, plan: MetricsPlan) -> None:
 
 # -- plan construction ------------------------------------------------------
 
-def build_plan(ex, carrier: Optional[PlanBuildCarrier] = None
-               ) -> MetricsPlan:
+def build_plan(ex) -> MetricsPlan:
     """Evaluate the live metrics plane for one invocation into a plan.
 
     Reads board/cache/engine state but mutates nothing — the caller
     applies the result (and may instead diff it against a cached plan).
-    With a ``carrier`` (and the incremental path enabled), the LRU
-    characterization resumes from the carrier's warm end-state when it
-    still matches the board.
     """
     trace = ex.trace
     decoded = ex.plan
     board = ex.board
     plan = MetricsPlan()
-    if carrier is not None and not incremental_plan_enabled():
-        carrier = None
 
     cost = _cost_tables(ex)
     stream = _stream_tables(ex, cost)
     (l1_hits_ev, l1_miss_ev, l2_miss_ev, l1_ways, l2_ways,
-     totals) = _classify_cache(ex, cost.counts, stream, carrier)
+     totals) = _classify_cache(ex, cost.counts, stream)
     plan.l1_ways = l1_ways
     plan.l2_ways = l2_ways
     (plan.l1_hits_d, plan.l1_misses_d,
@@ -948,17 +838,11 @@ def _cache_is_cold(cache) -> bool:
         and cache._ways_mirror is None
 
 
-def _classify_cache(ex, counts, stream: _StreamTables,
-                    carrier: Optional[PlanBuildCarrier] = None):
+def _classify_cache(ex, counts, stream: _StreamTables):
     """Classify the whole run's cache traffic without mutating state.
 
     Returns per-event (l1_hits, l1_miss, l2_miss) plus the final LRU
     way arrays and (l1_hits, l1_misses, l2_hits, l2_misses) totals.
-    With a still-valid ``carrier``, classification resumes from the
-    carrier's warm end-state instead of exporting the hierarchy from
-    the board — the resumed state equals the board state by
-    construction (the previous plan was applied unchanged), so results
-    are bit-identical to a scratch build.
     """
     from ..soc import _native  # late bind: tests patch native_lib
 
@@ -974,13 +858,7 @@ def _classify_cache(ex, counts, stream: _StreamTables,
         import ctypes
 
         i64p = ctypes.POINTER(ctypes.c_int64)
-        carried = (carrier is not None and carrier._ways1 is not None
-                   and carrier.valid())
-        if carried:
-            METRICS_PLAN_COUNTERS["plan_incremental_hits"] += 1
-            ways1, ways2 = carrier._ways1, carrier._ways2
-            state_sig = (ways1.tobytes(), ways2.tobytes())
-        elif _cache_is_cold(l1) and _cache_is_cold(l2):
+        if _cache_is_cold(l1) and _cache_is_cold(l2):
             # Deferred: the all--1 arrays are only materialized on a
             # memo miss.  Serializing them into the key would copy and
             # hash ~l2-size bytes per build for the overwhelmingly
@@ -1011,12 +889,8 @@ def _classify_cache(ex, counts, stream: _StreamTables,
         cached = _component_get(cls_key)
         if cached is not None:
             # Plans treat the ways/event arrays as read-only, so they
-            # share the memo masters; the carrier mutates its arrays
-            # in place on the next step and gets private copies.
-            (l1_hits, l1_miss, l2_miss, end1, end2, totals) = cached
-            if carrier is not None:
-                carrier.adopt_native(end1.copy(), end2.copy(), totals)
-            return l1_hits, l1_miss, l2_miss, end1, end2, totals
+            # share the memo masters.
+            return cached
         if ways1 is None:
             ways1 = np.full(l1.num_sets * l1.associativity, -1,
                             dtype=np.int64)
@@ -1044,31 +918,14 @@ def _classify_cache(ex, counts, stream: _StreamTables,
         l2_miss_total = int(l2_miss.sum())
         totals = (l1_hit_total, l1_miss_total,
                   l1_miss_total - l2_miss_total, l2_miss_total)
-        # Memo masters are private copies of the end state — the
-        # carrier (and, via adopt, the next step) mutates its arrays
-        # in place, and the plan's arrays travel into the store.
-        end1, end2 = ways1.copy(), ways2.copy()
-        _component_put(
-            cls_key, (l1_hits, l1_miss, l2_miss, end1, end2, totals),
-            l1_hits.nbytes * 3 + end1.nbytes + end2.nbytes)
-        if carrier is not None:
-            # The carrier keeps the (in-place mutated) end-state for
-            # the next step; the plan gets private copies so later
-            # steps cannot corrupt it.
-            carrier.adopt_native(ways1, ways2, totals)
-            return l1_hits, l1_miss, l2_miss, end1, end2, totals
-        return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
+        result = (l1_hits, l1_miss, l2_miss, ways1, ways2, totals)
+        _component_put(cls_key, result,
+                       l1_hits.nbytes * 3 + ways1.nbytes + ways2.nbytes)
+        return result
 
     # Python fallback: the offline stack-distance classifier, with the
     # per-event attribution recovered by bincount over event ids.
-    carried = (carrier is not None and carrier._sim is not None
-               and carrier.valid())
-    if carried:
-        METRICS_PLAN_COUNTERS["plan_incremental_hits"] += 1
-        sim = carrier._sim
-    else:
-        sim = OfflineLruSimulator(board.caches)
-    base = sim.counts_snapshot()
+    sim = OfflineLruSimulator(board.caches)
     for e0, e1, boundaries, lines in \
             _chunked_line_streams(ex, counts, stream.groups):
         event_ids = np.repeat(np.arange(e1 - e0), counts[e0:e1])
@@ -1082,11 +939,8 @@ def _classify_cache(ex, counts, stream: _StreamTables,
                                       minlength=span)
     ways1 = _ways_from_sim_state(l1, sim._state[l1.name])
     ways2 = _ways_from_sim_state(l2, sim._state[l2.name])
-    now = sim.counts_snapshot()
-    totals = (now[0] - base[0], now[1] - base[1],
-              now[2] - base[2], now[3] - base[3])
-    if carrier is not None:
-        carrier.adopt_sim(sim, totals)
+    c1, c2 = sim._counts[l1.name], sim._counts[l2.name]
+    totals = (c1[0], c1[1], c2[0], c2[1])
     return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
 
 

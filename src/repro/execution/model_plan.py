@@ -14,13 +14,7 @@ carries between kernels exactly the way ``OfflineLruSimulator`` already
 carries it *within* one kernel: each step's metrics plane starts from
 the previous step's live LRU contents, so back-to-back layers see a
 realistically warm cache instead of the cold-cache-per-kernel
-accounting the figure harnesses used to do.  Recording sessions make
-that carry *incremental* too: the session owns one
-:class:`~repro.execution.metrics.PlanBuildCarrier`, so each first-run
-step's characterization resumes from the previous step's warm LRU
-end-state (skipping the per-step cache-ways export) and classifies its
-whole concatenated copy-event line stream in **one** fused native call
-per step instead of one call per line chunk.
+accounting the figure harnesses used to do.
 
 **ModelPlan** is the fused artifact a session records: one fingerprint
 pinning the board configuration and start state, plus the ordered
@@ -29,23 +23,22 @@ same name/fingerprint each step's sub-plan is served by an O(1) config
 comparison — no per-step state pickling, hashing, or cache-ways export
 — and the stitched timeline of per-step final states is available via
 :meth:`ModelPlan.timeline`.  Plans persist in the PR 6
-:class:`~repro.store.KernelStore` under ``model-*`` entry names with
-their own schema version; a stale schema evicts only the model plan,
-never the kernel entries it refers to.
+:class:`~repro.store.KernelStore` under ``model-*`` entry names; a
+foreign payload under such a name is quarantined on its own (counted
+as ``model_plan_stale``), never the kernel entries it refers to.
 
 Correctness is inductive: the fingerprint pins the start state, each
 recorded sub-plan deterministically reproduces the exact state the
 per-kernel path would compute from that state, and any step that falls
-off the fused plan (kill switch, injected ``model.plan`` fault, config
-divergence) degrades to :func:`repro.execution.metrics.obtain_plan`
+off the fused plan (injected ``model.plan`` fault, config divergence)
+degrades to :func:`repro.execution.metrics.obtain_plan`
 for that step — bit-identical by the per-kernel guarantees.
 
-Switches: ``REPRO_NO_MODEL_PLAN=1`` disables recording and replaying of
-fused plans (each step takes the per-kernel path); ``REPRO_MODEL_CHECK=1``
-rebuilds every fused-step hit from the live metrics plane and raises
-:class:`ModelPlanMismatch` on divergence (``REPRO_METRICS_CHECK=1``
-implies the same check, so the CI cross-check leg covers fused steps
-too); ``REPRO_MODEL_WORKERS=N`` sizes the replay worker pool.
+Selectors: ``REPRO_FAULTS="model.plan:fail"`` forces the fallback rung
+(every step takes the per-kernel path, nothing is recorded, counted as
+``model_plan_fallback``); ``REPRO_CHECK=1`` rebuilds every fused-step
+hit from the live metrics plane and raises :class:`ModelPlanMismatch`
+on divergence; ``REPRO_MODEL_WORKERS=N`` sizes the replay worker pool.
 
 **run_model_jobs** fans independent model jobs (the manual and
 generated legs of fig16, the two fig17 strategies, plan prebuilds) onto
@@ -69,26 +62,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import counters, faults, pool
-from ..envutil import env_int
+from ..envutil import check_requested, env_int
 from . import metrics
 from .trace import add_stage_time
 
-#: Env kill-switch: set REPRO_NO_MODEL_PLAN=1 to run every session step
-#: through the per-kernel metrics-plan path.
-MODEL_PLAN_KILL_SWITCH = "REPRO_NO_MODEL_PLAN"
-
-#: Cross-check mode: set REPRO_MODEL_CHECK=1 to rebuild every fused-step
-#: hit from the live metrics plane and fail loudly on divergence.
-MODEL_CHECK_ENV = "REPRO_MODEL_CHECK"
-
 #: Worker-pool size for run_model_jobs (default: min(4, cpu_count)).
 MODEL_WORKERS_ENV = "REPRO_MODEL_WORKERS"
-
-#: On-disk ModelPlan schema version.  Bump whenever the fused payload
-#: (step-config encoding, fingerprint recipe, MetricsPlan shape) changes
-#: so stale persisted model plans are evicted — the kernel entries the
-#: plan's steps were recorded against still load.
-MODEL_PLAN_SCHEMA_VERSION = 1
 
 #: How session steps obtained their metrics plane, plus pool activity.
 MODEL_PLAN_COUNTERS: Dict[str, int] = counters.section("model_plan", {
@@ -97,7 +76,7 @@ MODEL_PLAN_COUNTERS: Dict[str, int] = counters.section("model_plan", {
     "model_plan_step_hits": 0,   # steps served from a fused sub-plan
     "model_plan_fallback": 0,    # steps forced onto the per-kernel path
     "model_plan_divergence": 0,  # steps that fell off a fused plan
-    "model_plan_stale": 0,       # persisted plans evicted (bad schema)
+    "model_plan_stale": 0,       # foreign persisted payloads quarantined
     "model_plan_workers": 0,     # pool workers merged back into the parent
 })
 
@@ -107,17 +86,6 @@ _MODEL_PLANS: "OrderedDict[Tuple[str, str], ModelPlan]" = OrderedDict()
 #: Fork-safe: forked children (service workers, model-pool workers)
 #: must not inherit it held by another parent thread.
 _REGISTRY_LOCK = counters.fork_safe_lock()
-
-
-def model_plan_enabled() -> bool:
-    """Fused model plans are on unless killed (theirs or the metrics one)."""
-    return os.environ.get(MODEL_PLAN_KILL_SWITCH, "") != "1" \
-        and metrics.metrics_plan_enabled()
-
-
-def model_check_requested() -> bool:
-    return os.environ.get(MODEL_CHECK_ENV, "") == "1" \
-        or metrics.metrics_check_requested()
 
 
 def reset_model_plan_counters() -> None:
@@ -182,7 +150,6 @@ def board_fingerprint(board) -> str:
     """
     caches = board.caches
     config = (
-        MODEL_PLAN_SCHEMA_VERSION,
         astuple(board.timing),
         (caches.l1.size_bytes, caches.l1.line_size, caches.l1.associativity),
         (caches.l2.size_bytes, caches.l2.line_size, caches.l2.associativity),
@@ -227,11 +194,10 @@ def _step_config(step_key, ex, decode_key: Tuple) -> str:
 # -- persistence ------------------------------------------------------------
 
 def _store_entry_name(name: str) -> str:
-    """``model-<src digest>-<digest>``, as every store entry is named;
-    the model schema version rides in the key so a bump cannot alias."""
+    """``model-<src digest>-<digest>``, as every store entry is named."""
     from ..compiler import store_entry_name
 
-    return store_entry_name("model", (MODEL_PLAN_SCHEMA_VERSION, name))
+    return store_entry_name("model", name)
 
 
 def _register_plan(plan: "ModelPlan") -> None:
@@ -248,29 +214,27 @@ def _lookup_plan(name: str, fingerprint: str) -> Optional["ModelPlan"]:
         if plan is not None:
             _MODEL_PLANS.move_to_end(key)
             return plan
-    from ..compiler import KERNEL_STORE_VERSION, default_kernel_cache
+    from ..compiler import default_kernel_cache, load_entry
 
     store = default_kernel_cache().resolve_store()
     if store is None:
         return None
 
     entry = _store_entry_name(name)
-    status, payload = store.load(entry)
-    if status != "hit":
-        return None
-    plan = payload.get("plan") if isinstance(payload, dict) else None
-    if (not isinstance(payload, dict)
-            or payload.get("store_version") != KERNEL_STORE_VERSION
-            or payload.get("model_schema") != MODEL_PLAN_SCHEMA_VERSION
-            or not isinstance(plan, ModelPlan)):
-        # Semantically stale/foreign container: evict just this model
-        # plan — the kernel entries its steps point at are untouched.
+    status, payload = load_entry(store, entry)
+    plan = payload.get("plan") if status == "hit" else None
+    if status == "hit" and not isinstance(plan, ModelPlan):
         store.quarantine(entry)
+        status = "stale"
+    if status == "stale":
+        # A foreign payload under this name was quarantined (here or by
+        # load_entry's version check): only the model entry goes, the
+        # kernel entries its steps point at are untouched.
         MODEL_PLAN_COUNTERS["model_plan_stale"] += 1
-        return None
-    if plan.fingerprint != fingerprint:
-        # Same model name from a different board/start state (not
-        # stale): leave the entry for the config that wrote it.
+    if status != "hit" or plan.fingerprint != fingerprint:
+        # A fingerprint mismatch is the same model name from a
+        # different board/start state (not stale): leave the entry for
+        # the config that wrote it.
         return None
     plan.steps = [tuple(step) for step in plan.steps]
     _register_plan(plan)
@@ -286,7 +250,6 @@ def _persist_plan(plan: "ModelPlan") -> None:
 
     store.store(_store_entry_name(plan.name), {
         "store_version": KERNEL_STORE_VERSION,
-        "model_schema": MODEL_PLAN_SCHEMA_VERSION,
         "plan": plan,
     })
 
@@ -316,18 +279,12 @@ class ModelSession:
         self._fingerprint = board_fingerprint(board)
         self._steps: List[Tuple[str, "metrics.MetricsPlan"]] = []
         self._cursor = 0
-        self._plan: Optional[ModelPlan] = None
-        self._replaying = False
+        self._plan: Optional[ModelPlan] = \
+            _lookup_plan(name, self._fingerprint)
+        self._replaying = self._plan is not None
         self._dirty = False
         self._finished = False
         self._result: Optional[ModelPlan] = None
-        # Resumable LRU characterization across recording steps; the
-        # kill switch (REPRO_NO_INCREMENTAL_PLAN) is honored inside
-        # build_plan so flipping it mid-session degrades cleanly.
-        self._carrier = metrics.PlanBuildCarrier(board)
-        if model_plan_enabled():
-            self._plan = _lookup_plan(name, self._fingerprint)
-            self._replaying = self._plan is not None
 
     # -- step execution ---------------------------------------------------
     def run(self, kernel, *arrays, step_key, runtime=None, trace=None):
@@ -350,8 +307,7 @@ class ModelSession:
         return source
 
     def _step_plan(self, step_key, ex, decode_key):
-        if not model_plan_enabled() \
-                or faults.fires("model.plan") == "fail":
+        if faults.fires("model.plan") == "fail":
             MODEL_PLAN_COUNTERS["model_plan_fallback"] += 1
             return metrics.obtain_plan(ex, decode_key)
         config = _step_config(step_key, ex, decode_key)
@@ -365,7 +321,7 @@ class ModelSession:
                 MODEL_PLAN_COUNTERS["model_plan_step_hits"] += 1
                 add_stage_time("model_plan_apply_s",
                                time.perf_counter() - start)
-                if model_check_requested():
+                if check_requested():
                     problems = metrics.diff_plans(
                         plan, metrics._timed_build(ex)
                     )
@@ -398,22 +354,12 @@ class ModelSession:
         overhead; build directly instead.  The build is the identical
         deterministic computation ``obtain_plan`` runs on a miss, so
         the accounting mirrors it too.
-
-        The session's :class:`~repro.execution.metrics.PlanBuildCarrier`
-        rides along: when nothing else touched the board's caches since
-        the previous step's build, this build resumes from that step's
-        warm LRU end-state instead of re-exporting and re-seeding the
-        hierarchy (``plan_incremental_hits`` counts these).  The
-        check-mode scratch rebuilds in ``_step_plan`` stay carrier-less
-        on purpose — they independently re-derive the same plans, which
-        is exactly what makes ``REPRO_METRICS_CHECK=1`` a validation of
-        the incremental path.
         """
         if faults.fires("metrics.plan") == "fail":
             metrics.METRICS_PLAN_COUNTERS["metrics_plan_fallback"] += 1
         else:
             metrics.METRICS_PLAN_COUNTERS["metrics_plan_misses"] += 1
-        return metrics._timed_build(ex, self._carrier)
+        return metrics._timed_build(ex)
 
     # -- fusion -----------------------------------------------------------
     def finish(self) -> Optional[ModelPlan]:
@@ -421,7 +367,7 @@ class ModelSession:
 
         Returns the session's fused ModelPlan: the replayed one on a
         full hit, the freshly recorded one otherwise, or ``None`` when
-        nothing was recorded (kill switch, no replayed steps).
+        nothing was recorded (every step fell back, or none ran).
         """
         if self._finished:
             return self._result
@@ -431,7 +377,7 @@ class ModelSession:
                 MODEL_PLAN_COUNTERS["model_plan_hits"] += 1
             self._result = self._plan
             return self._result
-        if not self._steps or not model_plan_enabled():
+        if not self._steps:
             return None
         start = time.perf_counter()
         plan = ModelPlan(self.name, self._fingerprint, list(self._steps))

@@ -25,8 +25,8 @@ Pool sizing is ``run_model_jobs``'s (``REPRO_MODEL_WORKERS``, default
 ``min(4, cpus)``).  Sized <= 1 — or inside a worker, or without fork —
 the builds run inline, bit-identical.
 
-Entry points: :func:`prebuild_plans` directly, the tuning
-``SweepDriver``'s pool prewarm, and the service's ``warmup`` RPC.
+Entry points: :func:`prebuild_plans` directly and the service's
+``warmup`` RPC.
 """
 
 from __future__ import annotations

@@ -42,12 +42,10 @@ split into two explicit planes:
   evaluated once per ``(trace, fingerprint)`` into a cached,
   serializable :class:`~repro.execution.metrics.MetricsPlan` and applied
   in O(state) on subsequent invocations.  First-time (cold) builds are
-  themselves incremental and shared: a ``plan_source`` supplied by a
-  :class:`~repro.execution.model_plan.ModelSession` threads the
-  session's resumable LRU characterization into each build, expensive
-  build sub-products are memoized across builds with matching trace
-  content, and :func:`~repro.execution.prebuild.prebuild_plans` can
-  pay the whole cold path up front on a worker pool.  Wherever the
+  shared: expensive build sub-products are memoized across builds with
+  matching trace content, and
+  :func:`~repro.execution.prebuild.prebuild_plans` can pay the whole
+  cold path up front on a worker pool.  Wherever the
   build runs, its seconds land in ``metrics_plan_build_s`` — pool
   workers report stage-timing deltas that merge back into the parent,
   so the accounting is placement-independent.

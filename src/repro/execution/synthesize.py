@@ -27,14 +27,14 @@ Anything the synthesizer cannot prove — data-dependent loop trip
 counts, non-affine values, structurally divergent flushes, schedules
 from an older emitter — raises :class:`SynthesisUnsupported` and the
 caller falls back to the recording path, so synthesis is always an
-optimization, never a semantics change.  ``REPRO_TRACE_CHECK=1``
+optimization, never a semantics change.  ``REPRO_FAULTS="synth:fail"``
+forces that fallback (counted as ``synth_fallback``); ``REPRO_CHECK=1``
 additionally records every synthesized kernel and diffs the two traces
 table-by-table (:func:`diff_traces`), failing loudly on any mismatch.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -59,25 +59,9 @@ from .trace import (
     _scatter_is_disjoint,
 )
 
-#: Env kill-switch: set REPRO_NO_SYNTH=1 to force recording-based
-#: tracing (REPRO_NO_TRACE=1 disables tracing altogether).
-SYNTH_KILL_SWITCH = "REPRO_NO_SYNTH"
-
-#: Env debug switch: set REPRO_TRACE_CHECK=1 to record every
-#: synthesized kernel as well and fail loudly if the traces differ.
-CROSS_CHECK_SWITCH = "REPRO_TRACE_CHECK"
-
 #: Schedules expanding past this many events fall back to recording
 #: rather than materializing multi-GB position tables.
 _MAX_EVENTS = 1 << 26
-
-
-def synthesis_enabled() -> bool:
-    return os.environ.get(SYNTH_KILL_SWITCH, "") != "1"
-
-
-def cross_check_requested() -> bool:
-    return os.environ.get(CROSS_CHECK_SWITCH, "") == "1"
 
 
 class SynthesisUnsupported(TraceUnsupported):

@@ -48,14 +48,6 @@ from ..accelerators.matmul import (
 #: Env kill-switch: set REPRO_NO_TRACE=1 to force per-tile execution.
 TRACE_KILL_SWITCH = "REPRO_NO_TRACE"
 
-#: On-disk DriverTrace schema version.  Folded into every kernel-store
-#: payload next to the serialized trace: bump it whenever DriverTrace,
-#: _TileClass, or DecodedPlan change shape so stale persisted traces
-#: are evicted (the kernel entry itself still loads) instead of being
-#: replayed with mismatched tables.  (v2: the staged-item stream became
-#: four parallel numpy arrays instead of a list of tuples.)
-TRACE_SCHEMA_VERSION = 2
-
 #: Wall-clock spent per pipeline stage, cumulative for the process.
 #: ``compile_s`` is fed by the compiler; the benchmark harness snapshots
 #: this into BENCH_perf.json so future PRs can see where time goes.
@@ -87,11 +79,6 @@ STAGE_TIMINGS: Dict[str, float] = counters.section("stage_timings", {
     "sweep_compile_s": 0.0,
     "sweep_estimate_s": 0.0,
     "sweep_simulate_s": 0.0,
-    # Opt-in sweep prewarm: wall-clock spent prebuilding pending
-    # points' cold-path artifacts before the measured sweep (the
-    # prebuilt work itself lands in compile_s / metrics_plan_build_s
-    # etc. via the workers' merged deltas).
-    "sweep_prebuild_s": 0.0,
 })
 
 
@@ -121,10 +108,6 @@ TRACE_COUNTERS: Dict[str, int] = counters.section("trace_sources", {
     "manual_recorded": 0,
     "manual_fallback": 0,
 })
-
-
-def reset_trace_counters() -> None:
-    counters.reset(TRACE_COUNTERS)
 
 
 def trace_enabled() -> bool:
@@ -264,8 +247,8 @@ class DriverTrace:
         self.decoded: Dict[Tuple, object] = {}
         #: Cached MetricsPlans per runtime-config/state fingerprint
         #: (see repro.execution.metrics).  Persisted *separately* from
-        #: the trace in the kernel store — its own schema version — so
-        #: it is excluded from the trace's pickle state below.
+        #: the trace in the kernel store — a payload slot of its own —
+        #: so it is excluded from the trace's pickle state below.
         self.metrics_plans: "OrderedDict" = OrderedDict()
         #: Whether the scatter of each recv class is round-safe (the
         #: flat index sets of distinct tile starts are disjoint).
@@ -277,7 +260,7 @@ class DriverTrace:
 
     def __getstate__(self):
         state = _public_state(self)
-        state["metrics_plans"] = None  # persisted under its own schema
+        state["metrics_plans"] = None  # persisted in its own slot
         # component_digest (a lazily computed content hash, see
         # repro.execution.metrics._trace_component_digest) stays in the
         # state on purpose: model/service workers receiving the trace

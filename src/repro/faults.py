@@ -10,9 +10,17 @@ points in ``store.py``, ``soc/_native.py``, ``execution/metrics.py``,
 ``execution/model_plan.py``, ``execution/replay.py``,
 ``execution/synthesize.py`` and the ``service`` package translate a
 firing into the exact failure the fallback is designed to absorb
-(``model.plan:fail`` degrades fused model-plan steps to the per-kernel
-metrics-plan path; ``service.worker:crash`` kills a pool worker
-mid-request).  The autotuning sweep adds three sites of its own:
+(``service.worker:crash`` kills a pool worker mid-request).
+
+An always-firing clause is also how a fallback rung is *selected*
+(only the oracle tiers have switches of their own, ``REPRO_NO_TRACE``
+and ``REPRO_NO_NATIVE``): ``replay:fail`` runs every kernel per tile,
+``synth:fail`` records instead of synthesizing, ``metrics.plan:fail``
+recomputes the metrics plane live on every invocation, and
+``model.plan:fail`` sends every model-session step down the per-kernel
+path.  Each firing counts itself in ``diagnostics()["faults"]``.
+
+The autotuning sweep adds three sites of its own:
 ``tuning.journal:io`` fails journal appends (the sweep degrades to
 memory-only progress tracking), ``tuning.worker:crash`` kills sweep
 workers mid-point, and ``tuning.point:poison`` makes specific points

@@ -67,13 +67,9 @@ from .worker import execute_job, worker_job
 WORKERS_ENV = "REPRO_SERVICE_WORKERS"
 QUEUE_MAX_ENV = "REPRO_SERVICE_QUEUE_MAX"
 TIMEOUT_ENV = "REPRO_SERVICE_TIMEOUT_S"
-BREAKER_THRESHOLD_ENV = "REPRO_SERVICE_BREAKER_THRESHOLD"
-BREAKER_COOLDOWN_ENV = "REPRO_SERVICE_BREAKER_COOLDOWN_S"
 
 _DEFAULT_QUEUE_MAX = 32
 _DEFAULT_TIMEOUT_S = 60.0
-_DEFAULT_BREAKER_THRESHOLD = 3
-_DEFAULT_BREAKER_COOLDOWN_S = 1.0
 
 #: Grace period for cooperative cancellation: how long after a
 #: deadline expiry the dispatcher waits for the worker to abort at a
@@ -161,16 +157,17 @@ class ServiceServer:
     """The long-lived compile/simulate service (see module docstring).
 
     Construct, :meth:`start`, hand :attr:`address` to clients, and
-    :meth:`drain` when done.  All knobs fall back to ``REPRO_SERVICE_*``
-    environment variables, then to defaults.
+    :meth:`drain` when done.  ``workers``, ``queue_max`` and
+    ``timeout_s`` fall back to their environment variables, then to
+    defaults.
     """
 
     def __init__(self, socket_path: Optional[str] = None,
                  workers: Optional[int] = None,
                  queue_max: Optional[int] = None,
                  timeout_s: Optional[float] = None,
-                 breaker_threshold: Optional[int] = None,
-                 breaker_cooldown_s: Optional[float] = None) -> None:
+                 breaker_threshold: int = 3,
+                 breaker_cooldown_s: float = 1.0) -> None:
         self.socket_path = socket_path
         self.workers = workers if workers is not None else env_int(
             WORKERS_ENV, max(1, min(4, os.cpu_count() or 1)), minimum=1)
@@ -178,14 +175,10 @@ class ServiceServer:
             QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, minimum=1)
         self.timeout_s = timeout_s if timeout_s is not None else env_float(
             TIMEOUT_ENV, _DEFAULT_TIMEOUT_S, minimum=0.001)
-        threshold = breaker_threshold if breaker_threshold is not None \
-            else env_int(BREAKER_THRESHOLD_ENV,
-                         _DEFAULT_BREAKER_THRESHOLD, minimum=1)
-        cooldown = breaker_cooldown_s if breaker_cooldown_s is not None \
-            else env_float(BREAKER_COOLDOWN_ENV,
-                           _DEFAULT_BREAKER_COOLDOWN_S, minimum=0.0)
-        self.store_breaker = CircuitBreaker("store", threshold, cooldown)
-        self.native_breaker = CircuitBreaker("native", threshold, cooldown)
+        self.store_breaker = CircuitBreaker("store", breaker_threshold,
+                                            breaker_cooldown_s)
+        self.native_breaker = CircuitBreaker("native", breaker_threshold,
+                                             breaker_cooldown_s)
 
         self._cond = threading.Condition()
         self._queue: "collections.deque[_Pending]" = collections.deque()

@@ -209,7 +209,7 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
 
 
 #: DriverTrace attributes never persisted: ``metrics_plans`` has its
-#: own schema slot in the kernel payload; ``decoded`` is filtered to
+#: own slot in the kernel payload; ``decoded`` is filtered to
 #: drop cached TraceUnsupported sentinels (cheap to rediscover).
 #: Private (underscore-prefixed) instance attributes of a DriverTrace or
 #: DecodedPlan are process-local derived state (e.g. the replay data

@@ -118,22 +118,6 @@ def _poisoned(digest: str) -> bool:
     return faults.keyed_fires("tuning.point", digest) == "poison"
 
 
-def _prebuild_spec(spec: dict) -> dict:
-    """A sweep-point spec in the plan-prebuilder's (service) vocabulary."""
-    job = {
-        "kind": "matmul",
-        "m": spec["m"], "n": spec["n"], "k": spec["k"],
-        "size": spec["size"], "version": spec["version"],
-        "flow": spec["flow"],
-        "cpu_tiling": bool(spec["cpu_tiling"]),
-    }
-    if spec["version"] == 4:
-        job["accel_size"] = list(spec["tiles"])
-    if spec.get("permutation"):
-        job["permutation"] = list(spec["permutation"])
-    return job
-
-
 # -- point evaluation (runs in pool workers and inline) ---------------------
 
 def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
@@ -263,7 +247,6 @@ class SweepDriver:
                  seed: int = 0,
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 1.0,
-                 prebuild: bool = False,
                  sleep=time.sleep) -> None:
         self.space = space
         self.journal = SweepJournal(journal_path)
@@ -281,7 +264,6 @@ class SweepDriver:
                                              breaker_threshold,
                                              breaker_cooldown_s)
         self._sleep = sleep
-        self.prebuild = prebuild
         self._stop = False
         self._attempts: Dict[str, int] = {}
         self._crashes: Dict[str, int] = {}
@@ -421,22 +403,6 @@ class SweepDriver:
         thresholds = self._prune_thresholds(keyed)
         pending = collections.deque(
             pair for pair in keyed if pair[0] not in self._results)
-        if pending and self.prebuild:
-            # Opt-in prewarm: pay every pending point's cold path
-            # (compile, trace, plan build) on the plan-prebuild pool
-            # before the sweep proper.  The artifacts land in the
-            # shared store — and in this parent's in-memory caches and
-            # component memo, which the forked sweep workers inherit —
-            # so the measured sweep runs warm.  Off by default: it
-            # simulates points the traffic pruner would have skipped,
-            # which only pays off when the store outlives one sweep.
-            from ..execution.prebuild import prebuild_plans
-
-            prebuild_started = time.perf_counter()
-            prebuild_plans([_prebuild_spec(point.spec())
-                            for _, point in pending])
-            add_stage_time("sweep_prebuild_s",
-                           time.perf_counter() - prebuild_started)
         if pending:
             if self.workers > 1 and pool.fork_available():
                 self._run_pool(pending, thresholds)

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.service import reset_service_counters
 from repro.soc import Board, make_pynq_z2
 
 
@@ -14,10 +16,16 @@ def pytest_configure(config):
         "ambient_faults_incompatible: exact store-counter assertions that "
         "cannot hold when the environment injects REPRO_FAULTS",
     )
+    config.addinivalue_line(
+        "markers",
+        "matrix: the tier matrix repeated inside pool workers; deselected "
+        "unless run with -m matrix",
+    )
 
 
 def pytest_collection_modifyitems(config, items):
-    """CI's chaos leg runs the whole tier-1 suite under REPRO_FAULTS.
+    """The ``matrix`` cases only run when asked for (``-m matrix``);
+    CI's chaos leg runs the whole tier-1 suite under REPRO_FAULTS.
 
     Numeric results must stay bit-identical under injected faults —
     that is the point of the leg — but tests asserting *exact disk
@@ -26,6 +34,11 @@ def pytest_collection_modifyitems(config, items):
     REPRO_FAULTS themselves via monkeypatch are unaffected: the marker
     covers only ambient, externally injected faults.)
     """
+    if "matrix" not in (config.getoption("-m") or ""):
+        extra = [item for item in items if item.get_closest_marker("matrix")]
+        if extra:
+            config.hook.pytest_deselected(items=extra)
+            items[:] = [item for item in items if item not in extra]
     if not os.environ.get("REPRO_FAULTS"):
         return
     skip = pytest.mark.skip(
@@ -45,6 +58,24 @@ def _isolate_kernel_store(monkeypatch):
     stats and must not see an ambient store.
     """
     monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR", raising=False)
+
+
+@pytest.fixture
+def clean_service_env(monkeypatch):
+    """Every test that starts a ``ServiceServer`` owns its fault spec
+    and counters — even under the CI chaos leg, whose ambient
+    REPRO_FAULTS would otherwise leak into forked workers (and, at
+    ``service.worker:crash`` seed 1, crash-loop a single worker)."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
+    for var in ("REPRO_SERVICE_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
+                "REPRO_SERVICE_TIMEOUT_S"):
+        monkeypatch.delenv(var, raising=False)
+    faults.reset_faults()
+    reset_service_counters()
+    yield
+    faults.reset_faults()
+    reset_service_counters()
 
 
 @pytest.fixture

@@ -284,23 +284,6 @@ class TestDiskKernelStore:
         assert TRACE_COUNTERS["synthesized"] == before["synthesized"]
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
 
-    def test_stale_trace_schema_evicts_trace_only(self, tmp_path,
-                                                  monkeypatch):
-        import repro.compiler as compiler_mod
-
-        store = str(tmp_path / "repro_cache")
-        writer = KernelCache(disk_dir=store)
-        kernel = make_compiler(writer).compile_matmul(32, 32, 32)
-        fresh = self._run(kernel)
-
-        monkeypatch.setattr(compiler_mod, "TRACE_SCHEMA_VERSION",
-                            compiler_mod.TRACE_SCHEMA_VERSION + 1)
-        reader = KernelCache(disk_dir=store)
-        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
-        assert reader.disk_hits == 1      # the lowered kernel still loads
-        assert loaded.trace_state.trace is None  # stale trace evicted
-        assert self._run(loaded) == fresh  # rebuilt via synthesis
-
     def test_metrics_plan_round_trip(self, tmp_path):
         """Warm processes apply the persisted MetricsPlan in O(state)."""
         from repro.execution import METRICS_PLAN_COUNTERS
@@ -352,30 +335,6 @@ class TestDiskKernelStore:
         assert getattr(trace, "component_digest", None) == digest
         # _trace_component_digest must serve the persisted value as-is.
         assert _trace_component_digest(trace) == digest
-
-    def test_stale_metrics_schema_evicts_only_plan(self, tmp_path,
-                                                   monkeypatch):
-        import repro.compiler as compiler_mod
-
-        store = str(tmp_path / "repro_cache")
-        writer = KernelCache(disk_dir=store)
-        kernel = make_compiler(writer).compile_matmul(32, 32, 32)
-        fresh = self._run(kernel)
-
-        monkeypatch.setattr(compiler_mod, "METRICS_PLAN_SCHEMA_VERSION",
-                            compiler_mod.METRICS_PLAN_SCHEMA_VERSION + 1)
-        reader = KernelCache(disk_dir=store)
-        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
-        assert reader.disk_hits == 1           # the kernel still loads
-        trace = loaded.trace_state.trace
-        assert trace is not None               # ...and so does the trace
-        assert not trace.metrics_plans         # stale plans evicted
-        assert self._run(loaded) == fresh      # rebuilt from the trace
-        # That replay must refresh the store with current-schema plans:
-        # a third process loads them and takes the O(state) hit path.
-        refreshed = KernelCache(disk_dir=store)
-        reloaded = make_compiler(refreshed).compile_matmul(32, 32, 32)
-        assert reloaded.trace_state.trace.metrics_plans
 
     def test_corrupt_entry_is_quarantined_and_rebuilt(self, tmp_path):
         """Corruption is counted apart from misses, the file moves to
@@ -546,30 +505,29 @@ class TestManualTraceEntries:
         assert self.counts() == tuple(n + 1 for n in start)
 
     @pytest.mark.ambient_faults_incompatible
-    @pytest.mark.parametrize("schema, rerecorded, rebuilt", [
-        ("TRACE_SCHEMA_VERSION", 1, 1),
-        ("METRICS_PLAN_SCHEMA_VERSION", 0, 1),
-    ])
-    def test_stale_schema_evicts_only_its_slot(self, monkeypatch, schema,
-                                               rerecorded, rebuilt):
-        import repro.compiler as compiler_mod
+    def test_foreign_store_version_is_quarantined_and_rerecorded(
+            self, monkeypatch):
+        """The one payload check: a checksum-valid payload of another
+        KERNEL_STORE_VERSION under a current name never loads."""
+        from repro.compiler import KERNEL_STORE_VERSION
+        from repro.store import KernelStore
 
         fresh = self.run()
-        monkeypatch.setattr(compiler_mod, schema,
-                            getattr(compiler_mod, schema) + 1)
+        (name,) = self.entries()
+        assert KernelStore(self.store).store(
+            name[:-len(".entry")],
+            {"store_version": KERNEL_STORE_VERSION - 1, "trace": None})
         self.fresh_process(monkeypatch)
         start = self.counts()
         assert self.run() == fresh
-        # The stale slot is rebuilt and the entry refreshed in place...
-        assert self.counts() == (start[0] + rerecorded,
-                                 start[1] + rebuilt, start[2] + 1)
-        assert len(self.entries()) == 1
-        assert not (self.store / "corrupt").exists()
+        # Re-recorded, rebuilt and republished under the same name...
+        assert self.counts() == tuple(n + 1 for n in start)
+        assert self.entries() == [name]
+        assert len(list((self.store / "corrupt").iterdir())) == 1
         # ...so the process after that finds everything again.
         self.fresh_process(monkeypatch)
         assert self.run() == fresh
-        assert self.counts() == (start[0] + rerecorded,
-                                 start[1] + rebuilt, start[2] + 1)
+        assert self.counts() == tuple(n + 1 for n in start)
 
     @pytest.mark.ambient_faults_incompatible
     def test_entry_from_another_source_digest_is_ignored(self,

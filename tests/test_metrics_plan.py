@@ -3,20 +3,17 @@
 The contract under test: applying a cached :class:`MetricsPlan` (the
 O(state) path a fingerprint hit takes) produces **bit-identical**
 results to evaluating the live metrics plane on every invocation (the
-``REPRO_NO_METRICS_PLAN=1`` path) — PerfCounters, output arrays, the
-board clock, cache hit/miss totals *and* final LRU contents, the DMA
-staging regions, and the accelerator statistics.
+``REPRO_FAULTS="metrics.plan:fail"`` rung) — PerfCounters, output
+arrays, the board clock, cache hit/miss totals *and* final LRU
+contents, the DMA staging regions, and the accelerator statistics.
 
 Each scenario runs the same kernel twice on two *fresh* boards: the
 first invocation builds and caches the plan, the second starts from an
 identical board state and must take the plan-hit path (asserted via the
-``metrics_plan_hits`` counter).  The kill-switch run recomputes the
+``metrics_plan_hits`` counter).  The faulted run recomputes the
 metrics plane live both times; the resulting states must agree
 bit-for-bit.
 """
-
-import os
-import uuid
 
 import numpy as np
 import pytest
@@ -24,11 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
-from repro.execution import (
-    METRICS_PLAN_COUNTERS,
-    MetricsPlanMismatch,
-    reset_model_plans,
-)
+from repro.execution import METRICS_PLAN_COUNTERS, MetricsPlanMismatch
 from repro.execution.metrics import reset_component_memo
 from repro.runtime import DoubleBufferedRuntime
 from repro.soc import make_pynq_z2
@@ -83,7 +76,7 @@ class TestPlanBitIdentity:
         # The second fresh-board invocation fingerprints identically.
         assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] > before_hits
         # Live (uncached) metrics plane, same kernel, fresh boards.
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         kernel2, hw_factory2 = _matmul_setup(version, size, flow, m, n, k)
         live_states = _measure_matmul(kernel2, hw_factory2, m, n, k)
         assert cached_states[0] == cached_states[1]
@@ -93,18 +86,18 @@ class TestPlanBitIdentity:
         kernel, hw_factory = _matmul_setup(3, 8, "As", 32, 32, 32)
         cached = _measure_matmul(kernel, hw_factory, 32, 32, 32,
                                  runtime_cls=DoubleBufferedRuntime)
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         kernel2, hw_factory2 = _matmul_setup(3, 8, "As", 32, 32, 32)
         live = _measure_matmul(kernel2, hw_factory2, 32, 32, 32,
                                runtime_cls=DoubleBufferedRuntime)
         assert cached == live
 
     def test_conv_plan_hit_matches_live_plane(self, monkeypatch):
-        def run(kill_switch):
-            if kill_switch:
-                monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
+        def run(faulted):
+            if faulted:
+                monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
             else:
-                monkeypatch.delenv("REPRO_NO_METRICS_PLAN", raising=False)
+                monkeypatch.delenv("REPRO_FAULTS", raising=False)
             hw, info = make_conv_system(4, 3)
             kernel = AXI4MLIRCompiler(
                 info, kernel_cache=KernelCache()
@@ -123,8 +116,8 @@ class TestPlanBitIdentity:
                                _board_state(board, hw)))
             return states
 
-        cached = run(kill_switch=False)
-        live = run(kill_switch=True)
+        cached = run(faulted=False)
+        live = run(faulted=True)
         assert cached[0] == cached[1]
         assert cached == live
 
@@ -172,7 +165,7 @@ def test_property_plan_hit_bit_identical(tiles_m, tiles_n, tiles_k,
 
 class TestSwitches:
     def test_kill_switch_counts_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
         before = dict(METRICS_PLAN_COUNTERS)
         _measure_matmul(kernel, hw_factory, 16, 16, 16)
@@ -184,14 +177,14 @@ class TestSwitches:
             == before["metrics_plan_misses"]
 
     def test_check_mode_passes_on_sound_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         kernel, hw_factory = _matmul_setup(3, 8, "Cs", 32, 32, 32)
         states = _measure_matmul(kernel, hw_factory, 32, 32, 32)
         assert states[0] == states[1]
 
     def test_check_mode_raises_on_divergence(self, monkeypatch):
         """A corrupted cached plan must fail loudly under
-        REPRO_METRICS_CHECK=1 instead of silently applying."""
+        REPRO_CHECK=1 instead of silently applying."""
         kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
         _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
         trace = kernel.trace_state.trace
@@ -199,7 +192,7 @@ class TestSwitches:
         plan = next(iter(trace.metrics_plans.values()))
         plan.final_state = plan.final_state.copy()
         plan.final_state[0] += 1.0  # corrupt the cpu-cycle end state
-        monkeypatch.setenv("REPRO_METRICS_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         with pytest.raises(MetricsPlanMismatch, match="final_state"):
             _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
 
@@ -239,117 +232,6 @@ class TestResultsTables:
         assert rendered == results.read_text()
 
 
-# -- incremental cross-kernel builds ----------------------------------------
-#
-# The contract: a recording ModelSession resuming each step's LRU
-# characterization from the previous step's warm end-state (the
-# PlanBuildCarrier path) is bit-identical to scratch builds that
-# re-export the hierarchy per step (the REPRO_NO_INCREMENTAL_PLAN=1
-# path) — per-step PerfCounters, outputs, board clock, and LRU
-# end-state digests all match, as do the fused plans' timelines.
-
-def _run_matmul_session(specs, *, incremental, name=None):
-    """One fresh recording session over matmul ``specs``."""
-    from test_model_plan import run_matmul_sequence
-
-    name = name or f"incr-{uuid.uuid4().hex}"
-    if incremental:
-        return run_matmul_sequence(name, specs)
-    os.environ["REPRO_NO_INCREMENTAL_PLAN"] = "1"
-    try:
-        return run_matmul_sequence(name, specs)
-    finally:
-        del os.environ["REPRO_NO_INCREMENTAL_PLAN"]
-
-
-class TestIncrementalBuilds:
-    def test_kill_switch_skips_resumption_bit_identically(self):
-        from test_model_plan import MATMUL_SPECS
-
-        reset_model_plans()
-        before = dict(METRICS_PLAN_COUNTERS)
-        warm_states, warm_plan = _run_matmul_session(
-            MATMUL_SPECS, incremental=True)
-        # Step 1 seeds the carrier; every later step resumes it.
-        assert METRICS_PLAN_COUNTERS["plan_incremental_hits"] \
-            == before["plan_incremental_hits"] + len(MATMUL_SPECS) - 1
-
-        reset_model_plans()
-        before = dict(METRICS_PLAN_COUNTERS)
-        cold_states, cold_plan = _run_matmul_session(
-            MATMUL_SPECS, incremental=False)
-        assert METRICS_PLAN_COUNTERS["plan_incremental_hits"] \
-            == before["plan_incremental_hits"]
-        assert warm_states == cold_states
-        assert np.array_equal(warm_plan.timeline(), cold_plan.timeline())
-
-    def test_conv_session_incremental_bit_identical(self):
-        from test_model_plan import run_conv_sequence
-
-        reset_model_plans()
-        warm = run_conv_sequence(f"incr-conv-{uuid.uuid4().hex}")
-        reset_model_plans()
-        os.environ["REPRO_NO_INCREMENTAL_PLAN"] = "1"
-        try:
-            cold = run_conv_sequence(f"incr-conv-{uuid.uuid4().hex}")
-        finally:
-            del os.environ["REPRO_NO_INCREMENTAL_PLAN"]
-        assert warm[0] == cold[0]
-        assert np.array_equal(warm[1].timeline(), cold[1].timeline())
-
-    def test_mid_sequence_divergence_bit_identical(self):
-        """A replaying session that falls off the fused plan mid-way
-        records the divergent tail with a carrier whose state no longer
-        matches the board (replayed steps applied plans without
-        touching it) — the carrier must detect that and reseed, giving
-        the same bits as the scratch path."""
-        from test_model_plan import MATMUL_SPECS, run_matmul_sequence
-
-        divergent = (MATMUL_SPECS[0], (16, 32, 16, 8, 3, "Cs", None))
-        results = {}
-        for mode in ("warm", "cold"):
-            reset_model_plans()
-            name = f"diverge-{mode}-{uuid.uuid4().hex}"
-            if mode == "cold":
-                os.environ["REPRO_NO_INCREMENTAL_PLAN"] = "1"
-            try:
-                run_matmul_sequence(name)  # record the straight run
-                results[mode] = run_matmul_sequence(name, divergent)
-            finally:
-                os.environ.pop("REPRO_NO_INCREMENTAL_PLAN", None)
-        warm_states, warm_plan = results["warm"]
-        cold_states, cold_plan = results["cold"]
-        assert warm_states == cold_states
-        assert np.array_equal(warm_plan.timeline(), cold_plan.timeline())
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    tiles=st.tuples(st.integers(1, 3), st.integers(1, 3),
-                    st.integers(1, 3)),
-    version_flow=st.sampled_from([(1, "Ns"), (2, "As"), (2, "Bs"),
-                                  (3, "Cs"), (3, "Ns")]),
-    repeat=st.booleans(),
-)
-def test_property_incremental_matches_scratch(tiles, version_flow, repeat):
-    """Incremental-vs-scratch bit-identity across flows and tilings.
-
-    ``repeat`` alternates between a repeated-layer sequence (same
-    kernel twice, the memo-friendly case) and a grown second step."""
-    version, flow = version_flow
-    size = 4
-    m, n, k = size * tiles[0], size * tiles[1], size * tiles[2]
-    second = (m, n, k) if repeat else (m, 2 * n, k)
-    specs = ((m, n, k, size, version, flow, None),
-             second + (size, version, flow, None))
-    reset_model_plans()
-    warm_states, warm_plan = _run_matmul_session(specs, incremental=True)
-    reset_model_plans()
-    cold_states, cold_plan = _run_matmul_session(specs, incremental=False)
-    assert warm_states == cold_states
-    assert np.array_equal(warm_plan.timeline(), cold_plan.timeline())
-
-
 class TestComponentMemo:
     #: Memoized sub-products of one live build: cost tables, stream
     #: tables, winner maps, timeline sync/aux tables, and (on the
@@ -362,7 +244,7 @@ class TestComponentMemo:
         stream tables, winner maps, cold-state classification), the
         second hits them all."""
         per_build = self.COMPONENTS_PER_BUILD
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         reset_component_memo()
         kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
         before = dict(METRICS_PLAN_COUNTERS)
@@ -379,7 +261,7 @@ class TestComponentMemo:
 
     def test_distinct_shapes_do_not_alias(self, monkeypatch):
         per_build = self.COMPONENTS_PER_BUILD
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         reset_component_memo()
         before = dict(METRICS_PLAN_COUNTERS)
         for m in (16, 32):

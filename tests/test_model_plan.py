@@ -4,8 +4,8 @@ The contract under test: running a kernel *sequence* through a
 :class:`ModelSession` — fused ModelPlan record/replay, inter-kernel
 cache warm-state carry, worker-pool dispatch — is **bit-identical** to
 running the same sequence step-by-step through the per-kernel metrics
-plane (the ``REPRO_NO_MODEL_PLAN=1`` path): PerfCounters, output
-arrays, the board clock, and the exact LRU warm state
+plane (the ``REPRO_FAULTS="model.plan:fail"`` rung): PerfCounters,
+output arrays, the board clock, and the exact LRU warm state
 (:func:`repro.soc.cache.warm_state_digest`) all match.
 
 Every scenario drives the same tiny two-kernel sequences (a matmul
@@ -24,8 +24,6 @@ from repro.execution import (
     MODEL_PLAN_COUNTERS,
     ModelPlanMismatch,
     ModelSession,
-    model_check_requested,
-    model_plan_enabled,
     model_workers,
     reset_model_plan_counters,
     reset_model_plans,
@@ -114,12 +112,12 @@ def run_conv_sequence(name="model-test-conv"):
 class TestFusedBitIdentity:
     @pytest.mark.ambient_faults_incompatible
     def test_matmul_record_and_replay_match_per_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail")
         kill, none_plan = run_matmul_sequence()
         assert none_plan is None
         assert MODEL_PLAN_COUNTERS["model_plan_fallback"] == \
             len(MATMUL_SPECS)
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
+        monkeypatch.delenv("REPRO_FAULTS")
 
         recorded, plan = run_matmul_sequence()
         assert MODEL_PLAN_COUNTERS["model_plan_misses"] == 1
@@ -135,9 +133,9 @@ class TestFusedBitIdentity:
 
     @pytest.mark.ambient_faults_incompatible
     def test_conv_manual_and_generated_steps_fuse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail")
         kill, _ = run_conv_sequence()
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
+        monkeypatch.delenv("REPRO_FAULTS")
         recorded, plan = run_conv_sequence()
         replayed, _ = run_conv_sequence()
         assert kill == recorded == replayed
@@ -162,9 +160,9 @@ class TestFusedBitIdentity:
         run_matmul_sequence()
         diverged_specs = (MATMUL_SPECS[0],
                           (16, 32, 16, 8, 3, "Bs", None))
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail")
         kill, _ = run_matmul_sequence(specs=diverged_specs)
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
+        monkeypatch.delenv("REPRO_FAULTS")
         reset_model_plan_counters()
         live, plan = run_matmul_sequence(specs=diverged_specs)
         assert MODEL_PLAN_COUNTERS["model_plan_divergence"] == 1
@@ -178,27 +176,41 @@ class TestFusedBitIdentity:
         assert MODEL_PLAN_COUNTERS["model_plan_hits"] == 1
 
     def test_fault_site_forces_per_kernel_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
-        kill, _ = run_matmul_sequence()
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
+        from repro import faults
+
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        recorded, _ = run_matmul_sequence()
+        reset_model_plans()
+        reset_model_plan_counters()
+        fired = faults.fault_counters().get("model.plan", 0)
         monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail@1.0")
         faulted, plan = run_matmul_sequence()
         assert plan is None
-        assert MODEL_PLAN_COUNTERS["model_plan_fallback"] >= \
+        assert MODEL_PLAN_COUNTERS["model_plan_fallback"] == \
             len(MATMUL_SPECS)
-        assert faulted == kill
+        # The rung counts itself: one firing per forced step.
+        assert faults.fault_counters()["model.plan"] == \
+            fired + len(MATMUL_SPECS)
+        assert faulted == recorded
 
 
 class TestCrossCheck:
     def test_metrics_check_implies_model_check(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MODEL_CHECK", raising=False)
-        monkeypatch.setenv("REPRO_METRICS_CHECK", "1")
-        assert model_check_requested()
+        """One switch: the value that checks cached MetricsPlan hits is
+        the one the fused-step site reads, and only ``1`` requests it."""
+        from repro.envutil import check_requested
+
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        assert not check_requested()
+        monkeypatch.setenv("REPRO_CHECK", "0")
+        assert not check_requested()
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        assert check_requested()
 
     @pytest.mark.ambient_faults_incompatible
     def test_clean_replay_passes_under_check(self, monkeypatch):
         run_matmul_sequence()
-        monkeypatch.setenv("REPRO_MODEL_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         replayed, _ = run_matmul_sequence()
         assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == \
             len(MATMUL_SPECS)
@@ -209,7 +221,7 @@ class TestCrossCheck:
         tampered = plan.steps[1][1]
         tampered.final_state = \
             np.asarray(tampered.final_state, dtype=np.float64) + 1.0
-        monkeypatch.setenv("REPRO_MODEL_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         with pytest.raises(ModelPlanMismatch):
             run_matmul_sequence()
 
@@ -239,7 +251,7 @@ class TestWarmStateCarry:
         return states, boards
 
     def test_second_step_sees_warm_state(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail")
         cold, cold_boards = self._step_pair(shared_board=False)
         warm, warm_boards = self._step_pair(shared_board=True)
         # Identical kernel, identical data: only the carried board
@@ -258,9 +270,9 @@ class TestWarmStateCarry:
             warm_state_digest(cold_boards[0].caches)
 
     def test_session_path_equals_shared_board_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_MODEL_PLAN", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "model.plan:fail")
         warm, _ = self._step_pair(shared_board=True)
-        monkeypatch.delenv("REPRO_NO_MODEL_PLAN")
+        monkeypatch.delenv("REPRO_FAULTS")
         spec = (32, 32, 32, 8, 3, "Ns", None)
         session_states, _ = run_matmul_sequence(
             name="warm-carry", specs=(spec, spec))
@@ -297,20 +309,25 @@ class TestPersistence:
         objects = tmp_path / "objects"
         kernel_entries = sorted(objects.rglob("kernel-*.entry"))
         assert kernel_entries  # generated kernels persisted alongside
-        # Overwrite the model entry with a stale-schema payload.
+        # Overwrite the model entry with a foreign payload — another
+        # store version (load_entry's check), then the current version
+        # holding no ModelPlan (the session's own isinstance guard).
+        # Either way it is quarantined and counted, and the session
+        # re-records.
         store = KernelStore(tmp_path)
         entry = _store_entry_name("stale-schema")
-        assert store.store(entry, {"store_version": KERNEL_STORE_VERSION,
-                                   "model_schema": -1, "plan": None})
-        reset_model_plans()
-        reset_model_plan_counters()
-        rerecorded, plan = run_matmul_sequence(name="stale-schema")
-        assert MODEL_PLAN_COUNTERS["model_plan_stale"] == 1
-        assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == 0
-        assert MODEL_PLAN_COUNTERS["model_plan_misses"] == 1
-        assert plan is not None
-        # Eviction was surgical: every kernel entry survived.
-        assert sorted(objects.rglob("kernel-*.entry")) == kernel_entries
+        for version in (KERNEL_STORE_VERSION - 1, KERNEL_STORE_VERSION):
+            assert store.store(entry, {"store_version": version,
+                                       "plan": None})
+            reset_model_plans()
+            reset_model_plan_counters()
+            rerecorded, plan = run_matmul_sequence(name="stale-schema")
+            assert MODEL_PLAN_COUNTERS["model_plan_stale"] == 1
+            assert MODEL_PLAN_COUNTERS["model_plan_step_hits"] == 0
+            assert MODEL_PLAN_COUNTERS["model_plan_misses"] == 1
+            assert plan is not None
+            # Eviction was surgical: every kernel entry survived.
+            assert sorted(objects.rglob("kernel-*.entry")) == kernel_entries
 
     def test_foreign_fingerprint_leaves_entry_alone(self, monkeypatch,
                                                     tmp_path):
@@ -400,8 +417,21 @@ class TestWorkerPool:
 
 class TestSwitches:
     def test_metrics_kill_switch_disables_model_plans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_METRICS_PLAN", "1")
-        assert not model_plan_enabled()
+        """No plan of either kind: both rungs forced, nothing recorded,
+        every step computed live."""
+        from repro.execution import METRICS_PLAN_COUNTERS
+
+        monkeypatch.setenv("REPRO_FAULTS",
+                           "metrics.plan:fail;model.plan:fail")
+        before = dict(METRICS_PLAN_COUNTERS)
+        _, plan = run_matmul_sequence()
+        assert plan is None
+        assert MODEL_PLAN_COUNTERS["model_plan_fallback"] == \
+            len(MATMUL_SPECS)
+        assert METRICS_PLAN_COUNTERS["metrics_plan_fallback"] == \
+            before["metrics_plan_fallback"] + len(MATMUL_SPECS)
+        assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] == \
+            before["metrics_plan_misses"]
 
     def test_finished_session_rejects_new_steps(self):
         board = make_pynq_z2()

@@ -101,6 +101,7 @@ class TestPrebuildPlans:
         assert prebuild_plans([]) == []
 
 
+@pytest.mark.usefixtures("clean_service_env")
 class TestServiceWarmup:
     def test_warmup_rpc_prebuilds_and_reports(self, monkeypatch,
                                               tmp_path):

@@ -315,6 +315,27 @@ class TestStructure:
             and re.search(pattern, path.read_text(), re.MULTILINE))
         assert offenders == []
 
+    def test_environment_names_are_the_pinned_fourteen(self):
+        """One selector per axis: a new ``REPRO_*`` name is a new axis
+        of the configuration product tests/test_tier_matrix.py covers."""
+        names = {name for path in SRC.rglob("*.py")
+                 for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}
+        assert names == {"REPRO_" + suffix for suffix in (
+            "CHECK", "FAULTS", "FAULTS_SEED", "FULL_SCALE",
+            "KERNEL_CACHE_DIR", "KERNEL_CACHE_MAX_BYTES", "MODEL_WORKERS",
+            "NO_NATIVE", "NO_TRACE", "SERVICE_QUEUE_MAX",
+            "SERVICE_TIMEOUT_S", "SERVICE_WORKERS", "TUNING_DEADLINE_S",
+            "TUNING_WORKERS")}
+
+    def test_the_store_has_one_version(self):
+        """Entry names carry the source digest, so only the sweep
+        journal and its report — files that outlive a source change —
+        version themselves."""
+        homes = sorted(
+            str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+            if "SCHEMA_VERSION" in path.read_text())
+        assert homes == ["tuning/journal.py", "tuning/report.py"]
+
     def test_exactly_one_fork_hook(self):
         text = (SRC / "counters.py").read_text()
         assert len(re.findall(r"os\.register_at_fork\(", text)) == 1

@@ -28,7 +28,6 @@ from repro.service import (
     ServiceTimeout,
     WorkerCrashed,
     errors,
-    reset_service_counters,
     service_counters,
 )
 from repro.service import protocol
@@ -38,21 +37,7 @@ from repro.soc import PerfCounters
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture(autouse=True)
-def _clean_service_env(monkeypatch):
-    """Service tests own their fault spec and counters — even under
-    the CI chaos leg, whose ambient REPRO_FAULTS would otherwise leak
-    into forked workers."""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    for var in ("REPRO_SERVICE_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
-                "REPRO_SERVICE_TIMEOUT_S"):
-        monkeypatch.delenv(var, raising=False)
-    faults.reset_faults()
-    reset_service_counters()
-    yield
-    faults.reset_faults()
-    reset_service_counters()
+pytestmark = pytest.mark.usefixtures("clean_service_env")
 
 
 def matmul_spec(m=8, n=8, k=8, seed=0, size=4, version=1, flow="Ns"):

@@ -12,9 +12,10 @@ Contracts under test:
   execution) for counters, outputs, and board state.
 * The benchmark configurations take the synthesis path — no silent
   fallback to recording.
-* Unsupported schedules fall back to recording; ``REPRO_NO_SYNTH=1``
-  forces recording; ``REPRO_TRACE_CHECK=1`` records every synthesized
-  kernel and raises :class:`TraceMismatch` on any divergence.
+* Unsupported schedules fall back to recording;
+  ``REPRO_FAULTS="synth:fail"`` forces recording; ``REPRO_CHECK=1``
+  records every synthesized kernel and raises :class:`TraceMismatch`
+  on any divergence.
 * The hand-written manual drivers replay their recorded
   (preinitialized) traces bit-identically to per-tile execution.
 """
@@ -166,7 +167,7 @@ class TestReplayEquivalence:
             return _run_kernel(kernel, hw, m, n, k, runs=2)
 
         synthesized = measure()
-        monkeypatch.setenv("REPRO_NO_SYNTH", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
         recorded = measure()
         assert synthesized == recorded
 
@@ -236,7 +237,7 @@ class TestTraceSources:
         assert TRACE_COUNTERS["recorded"] == before["recorded"] + 1
 
     def test_kill_switch_forces_recording(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SYNTH", "1")
+        monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
         hw, info = make_matmul_system(3, 8, flow="Ns")
         kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
             .compile_matmul(16, 16, 16)
@@ -249,6 +250,9 @@ class TestTraceSources:
         kernel.run(board, a, b, np.zeros((16, 16), np.int32))
         assert TRACE_COUNTERS["recorded"] == before["recorded"] + 1
         assert TRACE_COUNTERS["synthesized"] == before["synthesized"]
+        # The forced rung is visible as what it is: a fallback.
+        assert TRACE_COUNTERS["synth_fallback"] \
+            == before["synth_fallback"] + 1
 
     def test_diagnostics_shape(self):
         report = diagnostics()
@@ -282,7 +286,7 @@ class TestTraceSources:
 
 class TestCrossCheck:
     def test_cross_check_passes_on_sound_schedule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         hw, info = make_matmul_system(3, 8, flow="As")
         kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
             .compile_matmul(32, 32, 32)
@@ -297,7 +301,7 @@ class TestCrossCheck:
 
     def test_cross_check_raises_on_divergent_schedule(self, monkeypatch):
         """A side table that disagrees with the driver fails loudly."""
-        monkeypatch.setenv("REPRO_TRACE_CHECK", "1")
+        monkeypatch.setenv("REPRO_CHECK", "1")
         hw, info = make_matmul_system(3, 8, flow="As")
         kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
             .compile_matmul(32, 32, 32)

@@ -6,12 +6,11 @@ than ``--threshold`` slower — in total, on any of the three slowest
 baseline harnesses (the ones a perf regression would hide in), or on
 any pipeline *stage* (``compile_s`` / ``trace_synth_s`` /
 ``trace_record_s`` / ``manual_record_s`` / ``replay_s`` /
-``metrics_plan_build_s`` / ``metrics_plan_apply_s`` /
-``model_plan_build_s`` / ``model_plan_apply_s``): a stage-level
+``metrics_plan_build_s`` / ``metrics_plan_apply_s``): a stage-level
 guard catches e.g. a change that silently knocks every kernel off the
-synthesis path onto recording — or every replay off the cached
-metrics-plan path onto a full rebuild — even when harness totals still
-squeak under the threshold.  Stages below ``_STAGE_FLOOR_S`` in the
+synthesis path onto per-tile execution — or every replay off the
+cached metrics-plan path onto a full rebuild — even when harness totals
+still squeak under the threshold.  Stages below ``_STAGE_FLOOR_S`` in the
 baseline are skipped — their ratios are noise (and a near-zero
 baseline stage like ``trace_record_s`` or ``metrics_plan_apply_s``
 *growing* past the floor is exactly what the floor-crossing check

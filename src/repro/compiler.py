@@ -35,6 +35,7 @@ from .dialects import func, linalg
 from .envutil import check_requested
 from .execution import interpret_function
 from .execution.metrics import METRICS_PLAN_COUNTERS
+from .execution.recorder import record_trace
 from .execution.replay import replay_kernel
 from .execution.synthesize import (
     TraceMismatch,
@@ -47,7 +48,6 @@ from .execution.trace import (
     DriverTrace,
     TraceUnsupported,
     add_stage_time,
-    record_trace,
     trace_enabled,
 )
 from .ir import Module, MemRefType, element_type_from_string, parse_module
@@ -66,7 +66,7 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: checked on every load (:func:`load_entry`).  One suffices: an entry
 #: name already carries a digest of every ``repro`` source file
 #: (:func:`store_entry_name`), so a change to the shape of a kernel
-#: payload, DriverTrace, MetricsPlan or ModelPlan renames every entry
+#: payload, DriverTrace or MetricsPlan renames every entry
 #: before any per-artifact version could be compared.  What is left
 #: for this number is a payload that reaches a current name some other
 #: way (a copied or hand-written file): it is quarantined, not loaded.
@@ -373,12 +373,9 @@ class KernelCache:
                 setattr(self, name, getattr(self, name) + delta.get(name, 0))
 
     def stats(self) -> dict:
-        from .execution.model_plan import MODEL_PLAN_COUNTERS
-
         stats = {"hits": self.hits, "misses": self.misses,
                  "entries": len(self._entries),
-                 "trace": {**TRACE_COUNTERS, **METRICS_PLAN_COUNTERS,
-                           **MODEL_PLAN_COUNTERS}}
+                 "trace": {**TRACE_COUNTERS, **METRICS_PLAN_COUNTERS}}
         disk_dir = self._resolve_disk_dir()
         if disk_dir is not None:
             stats.update(self.tallies(), disk_dir=str(disk_dir),
@@ -393,8 +390,8 @@ class KernelCache:
         return Path(directory) if directory else None
 
     def resolve_store(self) -> Optional[KernelStore]:
-        """The on-disk store behind this cache (shared with the fused
-        model plans), or ``None`` when there is none or it is suspended."""
+        """The on-disk store behind this cache (shared with the manual
+        baselines), or ``None`` when there is none or it is suspended."""
         directory = self._resolve_disk_dir()
         if directory is None:
             return None
@@ -450,8 +447,8 @@ class KernelCache:
             _ir_text=payload["ir"],
         )
         # A persisted trace (+ its decoded replay plans and
-        # MetricsPlans) lets warm processes skip recording, synthesis
-        # and plan builds.
+        # MetricsPlans) lets warm processes skip synthesis and plan
+        # builds.
         kernel.trace_state.trace = stored_trace(payload)
         return kernel
 
@@ -519,7 +516,7 @@ class KernelTraceState:
 
     Lives outside the :class:`CompiledKernel` dataclass fields proper so
     that ``dataclasses.replace`` rebinds (``specialized_copies``
-    variants) share one recording.
+    variants) share one trace.
     """
 
     __slots__ = ("lock", "trace", "failed", "persist")
@@ -565,31 +562,26 @@ class CompiledKernel:
 
     def run(self, board: Board, *arrays: np.ndarray,
             runtime: Optional[AxiRuntime] = None,
-            trace: Optional[bool] = None,
-            plan_source=None):
+            trace: Optional[bool] = None):
         """Execute the emitted host code against ``board``.
 
         Returns the perf counter delta for this invocation.
 
         ``trace`` selects trace-compiled execution: the kernel's static
         schedule is synthesized ahead-of-time from the emitter's side
-        table (or recorded by a shadow run when synthesis cannot prove
-        the schedule — ``REPRO_FAULTS="synth:fail"`` forces that path) and
-        replayed as batched numpy, bit-identical to the per-tile path.
-        ``None`` (the default) enables it unless ``REPRO_NO_TRACE=1``;
-        unsupported drivers or runtimes fall back to per-tile execution
-        transparently.
-
-        ``plan_source`` overrides how the replay obtains its metrics
-        plane (see :func:`repro.execution.replay.replay_kernel`); model
-        sessions use it to serve fused per-step sub-plans.
+        table and replayed as batched numpy, bit-identical to the
+        per-tile path.  ``None`` (the default) enables it unless
+        ``REPRO_NO_TRACE=1``.  The per-tile path is the only fallback:
+        a schedule synthesis cannot prove (``REPRO_FAULTS="synth:fail"``
+        forces that), a replay refusal (``replay:fail``) and an
+        unsupported runtime all land on it, transparently.
         """
         rt = runtime or self.make_runtime(board)
         descriptors = [rt.make_memref(np.ascontiguousarray(a), f"arg{i}")
                        for i, a in enumerate(arrays)]
         before = board.snapshot()
         if self._trace_applicable(trace, rt) \
-                and self._run_traced(board, rt, descriptors, plan_source):
+                and self._run_traced(board, rt, descriptors):
             return board.measure_since(before)
         self.entry_point(rt, *descriptors)
         return board.measure_since(before)
@@ -603,42 +595,35 @@ class CompiledKernel:
         return type(rt) in (AxiRuntime, DoubleBufferedRuntime)
 
     def _build_trace(self, specs):
-        """Synthesize the trace from the schedule table, else record.
+        """Synthesize the trace from the schedule table.
 
-        Synthesis failing is never an error — it falls back to the
-        recording path — but ``REPRO_CHECK=1`` records every
-        synthesized kernel as well and raises :class:`TraceMismatch`
-        if the two traces differ anywhere.
+        A synthesis failure — a proven-unsupported construct or an
+        unexpected blowup (recursion/memory on a pathological schedule)
+        — is counted and raised: :meth:`_run_traced` then runs the
+        kernel per tile.  ``REPRO_CHECK=1`` also records the driver and
+        raises :class:`TraceMismatch` if the two traces differ
+        anywhere.
         """
-        synthesized = None
-        # Any synthesis failure — proven-unsupported constructs or
-        # unexpected blowups (recursion/memory on pathological
-        # schedules) — falls back to the recording path; only the
-        # recorder erring may disable tracing for the kernel.
         try:
             synthesized = synthesize_trace(self.schedule_table, specs)
         except Exception:
             TRACE_COUNTERS["synth_fallback"] += 1
-        if synthesized is not None and not check_requested():
-            TRACE_COUNTERS["synthesized"] += 1
-            return synthesized
-        recorded = record_trace(
-            self.entry_point, specs,
-            expected_events=schedule_event_count(self.schedule_table),
-        )
-        if synthesized is not None:
+            raise
+        if check_requested():
+            recorded = record_trace(
+                self.entry_point, specs,
+                expected_events=schedule_event_count(self.schedule_table),
+            )
             mismatches = diff_traces(synthesized, recorded)
             if mismatches:
                 raise TraceMismatch(
                     f"synthesized trace for {self.func_name!r} differs "
                     f"from the recorded one: {', '.join(mismatches)}"
                 )
-            TRACE_COUNTERS["synthesized"] += 1
-            return synthesized
-        TRACE_COUNTERS["recorded"] += 1
-        return recorded
+        TRACE_COUNTERS["synthesized"] += 1
+        return synthesized
 
-    def _run_traced(self, board, rt, descriptors, plan_source=None) -> bool:
+    def _run_traced(self, board, rt, descriptors) -> bool:
         state = self.trace_state
         if state.failed:
             return False
@@ -654,16 +639,15 @@ class CompiledKernel:
                     except TraceMismatch:
                         raise  # cross-check mode fails loudly
                     except Exception:
-                        # Unsupported or erroring drivers: record once,
-                        # then always use the per-tile path (which will
+                        # No trace for this kernel: try once, then
+                        # always use the per-tile path (which will
                         # surface any real error to the caller).
                         state.failed = True
         if state.trace is None:
             return False
         try:
             replay_kernel(state.trace, board, rt, descriptors,
-                          type(rt) is DoubleBufferedRuntime,
-                          plan_source=plan_source)
+                          type(rt) is DoubleBufferedRuntime)
         except TraceUnsupported:
             return False
         if state.persist is not None and publish_due(state.trace):

@@ -6,8 +6,8 @@ silently ignored and never fatal — it emits exactly one
 ``RuntimeWarning`` naming the variable and the fallback, then behaves
 as if the variable were unset.  This module centralizes that contract
 so new knobs (the service layer adds several) cannot drift from it.
-:func:`check_requested` lives here because three execution modules read
-the same ``REPRO_CHECK`` switch.
+:func:`check_requested` lives here because the compiler and the metrics
+plane read the same ``REPRO_CHECK`` switch.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Optional
 #: Cross-check mode.  With ``REPRO_CHECK=1`` every fast tier re-derives
 #: what it is about to serve from the tier below and fails loudly on a
 #: difference: a synthesized trace is also recorded and diffed
-#: (``TraceMismatch``), a cached MetricsPlan hit is rebuilt from the
-#: live metrics plane (``MetricsPlanMismatch``), and so is a fused
-#: ModelPlan step hit (``ModelPlanMismatch``).
+#: (``TraceMismatch``), and a cached MetricsPlan hit is rebuilt from
+#: the live metrics plane (``MetricsPlanMismatch``).
 CHECK_ENV = "REPRO_CHECK"
 
 #: (env var, malformed text) pairs already warned about: a bad value is
@@ -30,7 +29,7 @@ _warned_env_values: set = set()
 
 
 def check_requested() -> bool:
-    """Whether ``REPRO_CHECK=1`` asks the three check sites to verify."""
+    """Whether ``REPRO_CHECK=1`` asks the two check sites to verify."""
     return os.environ.get(CHECK_ENV, "") == "1"
 
 

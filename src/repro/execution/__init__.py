@@ -4,11 +4,10 @@ from .interpreter import Interpreter, interpret_function
 from .trace import (
     STAGE_TIMINGS,
     TRACE_COUNTERS,
-    TraceRecorder,
     TraceUnsupported,
-    record_trace,
     trace_enabled,
 )
+from .recorder import TraceRecorder, record_trace
 from .synthesize import (
     SynthesisUnsupported,
     TraceMismatch,
@@ -20,18 +19,11 @@ from .metrics import (
     MetricsPlan,
     MetricsPlanMismatch,
 )
-from .model_plan import (
-    MODEL_PLAN_COUNTERS,
-    ModelPlan,
-    ModelPlanMismatch,
-    ModelSession,
-    model_workers,
-    reset_model_plan_counters,
-    reset_model_plans,
-    run_model_jobs,
-)
 from .prebuild import prebuild_plans
 from .replay import ReplayExecutor, replay_kernel
+# Re-exported from the pool they are an ordered map over: the frozen
+# perf/perfbench/layers.py imports run_model_jobs from here.
+from ..pool import MODEL_PLAN_COUNTERS, model_workers, run_model_jobs
 
 
 #: Sections of :func:`diagnostics`, in the order it has always had.
@@ -41,25 +33,42 @@ _DIAGNOSTICS_LAYOUT = (
 )
 
 
+# Names kept only because the frozen benchmark (``perf/``) reads them.
+# The next benchmark-only PR drops them together with the layer metrics
+# that read them (``model_plan.*``, ``metrics.incremental_hits``):
+#
+# * ``diagnostics()["model_plan"]["model_plan_step_hits"]`` — declared
+#   in :mod:`repro.pool`, never incremented (perf/perfbench/layers.py
+#   :181,184; ``model_plan.step_hit_ratio`` therefore reads 0 and
+#   ``model_plan.replay_s`` measures a plan-cache replay).
+#   ``model_plan_workers`` beside it is live.
+# * ``diagnostics()["metrics_plan"]["plan_incremental_hits"]`` — never
+#   incremented (perf/perfbench/harness.py:281).
+# * ``diagnostics()["trace_sources"]["recorded"]`` — never incremented
+#   (perf/perfbench/harness.py:268).
+# * the ``trace_record_s`` stage — fed only by ``REPRO_CHECK=1``'s
+#   reference recordings (in harness.py's ``DISJOINT_STAGES``).
+# * ``repro.execution.record_trace`` / ``TraceRecorder`` and
+#   ``repro.execution.metrics.reset_component_memo`` stay importable
+#   from these paths (perf/perfbench/layers.py:83-84).
+
 def diagnostics() -> dict:
     """Where execution time goes and where each kernel's trace came from.
 
     ``stage_timings`` is cumulative wall-clock per pipeline stage for
     this process; ``trace_sources`` counts how kernels obtained their
-    DriverTrace (synthesized / recorded / synth_fallback / disk_loaded)
-    — a benchmark run that silently fell back to recording shows up
-    here as a nonzero ``recorded`` count.  ``metrics_plan`` counts how
-    replays obtained their metrics plane (cached-plan hits, fresh
-    builds, injected-fault fallbacks) — a nonzero
-    ``metrics_plan_fallback`` means the plan path was bypassed.
+    DriverTrace (synthesized / disk_loaded / manual_recorded) or why
+    they have none — a nonzero ``synth_fallback`` means that many
+    kernels failed synthesis and run per tile.  ``metrics_plan`` counts
+    how replays obtained their metrics plane (cached-plan hits, fresh
+    builds, injected-fault cache bypasses) — a nonzero
+    ``metrics_plan_fallback`` means the plan cache was bypassed.
     ``component_memo_hits`` / ``component_memo_misses`` count lookups
     of memoized build sub-products (copy-cost tables, line streams,
-    winner maps) shared across builds with matching trace content;
-    ``plan_incremental_hits`` is always zero (kept for one frozen
-    reader, see ``METRICS_PLAN_COUNTERS``).
-    ``model_plan`` counts the model-granularity layer on top: fused
-    ModelPlan sessions replayed vs recorded, per-step sub-plan hits,
-    divergences, and how many pool workers merged their deltas back.
+    LRU classifications, timeline tables, winner maps) shared across
+    builds with matching trace content.  ``model_plan`` holds
+    ``model_plan_workers``: how many pool workers merged their deltas
+    back.
 
     All counters include work merged back from pool workers (see
     :func:`repro.counters.merge`) — they are totals for the work this
@@ -69,7 +78,8 @@ def diagnostics() -> dict:
     ``store_quarantined`` are distinct from ``store_misses``, so a
     corrupted cache directory is visible as such rather than as a cold
     cache.  ``faults`` counts injected faults per ``REPRO_FAULTS``
-    site — the proof that a forced fallback rung actually fired — and ``native`` reports why the C fast path is (un)available.
+    site — the proof that a forced fallback rung actually fired — and
+    ``native`` reports why the C fast path is (un)available.
     ``service`` counts compile/simulate-service events in this process
     (admissions, sheds, coalesced submits, worker crashes, drain-time
     worker merges) — nonzero only in a server process.  ``tuning``
@@ -97,9 +107,7 @@ __all__ = [
     "SynthesisUnsupported", "TraceMismatch", "diff_traces",
     "synthesize_trace",
     "METRICS_PLAN_COUNTERS", "MetricsPlan", "MetricsPlanMismatch",
-    "MODEL_PLAN_COUNTERS", "ModelPlan", "ModelPlanMismatch",
-    "ModelSession", "model_workers",
-    "reset_model_plan_counters", "reset_model_plans", "run_model_jobs",
+    "MODEL_PLAN_COUNTERS", "model_workers", "run_model_jobs",
     "prebuild_plans", "ReplayExecutor", "replay_kernel",
     "diagnostics",
 ]

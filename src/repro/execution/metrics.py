@@ -23,9 +23,9 @@ plane entirely.
 
 Selectors (see the README tables):
 
-* ``REPRO_FAULTS="metrics.plan:fail"`` — forces the fallback rung: the
-  metrics plane is recomputed live on every invocation, nothing is
-  cached (counted as ``metrics_plan_fallback``);
+* ``REPRO_FAULTS="metrics.plan:fail"`` — a cache bypass, not a rung of
+  its own: every invocation runs the same build a miss runs and
+  nothing is looked up or cached (counted as ``metrics_plan_fallback``);
 * ``REPRO_CHECK=1`` — cross-check mode: every cached-plan hit *also*
   rebuilds the plan from the live metrics plane and raises
   :class:`MetricsPlanMismatch` on any divergence.
@@ -79,18 +79,19 @@ from .trace import (
 #: How replays obtained their metrics plane this process:
 #: ``hits`` (a cached plan applied in O(state)), ``misses`` (built from
 #: the live metrics plane, then cached), ``fallback`` (an injected
-#: ``metrics.plan`` fault forced a live computation; a nonzero value
-#: under benchmark configs means the plan path was bypassed).
+#: ``metrics.plan`` fault bypassed the cache: the same build a miss
+#: runs, neither looked up nor kept; a nonzero value under benchmark
+#: configs means the plan cache was bypassed).
 METRICS_PLAN_COUNTERS: Dict[str, int] = counters.section("metrics_plan", {
     "metrics_plan_hits": 0,
     "metrics_plan_misses": 0,
     "metrics_plan_fallback": 0,
-    #: Never incremented; declared because perf/perfbench/harness.py:281
-    #: is its only reader.  Drop it with ``metrics.incremental_hits``
-    #: in the next benchmark-only PR.
+    #: Never incremented: a frozen-reader key (the list is at
+    #: ``repro.execution.diagnostics``).
     "plan_incremental_hits": 0,
-    #: build_plan sub-product memo traffic (cost tables, stream tables,
-    #: winner maps — up to three lookups per build).
+    #: build_plan sub-product memo traffic.  Five kinds are memoized:
+    #: cost tables, stream tables, LRU classifications, timeline
+    #: tables and winner maps.
     "component_memo_hits": 0,
     "component_memo_misses": 0,
 })

@@ -6,7 +6,7 @@ applies.  When the set of upcoming shapes is known (a tuning sweep's
 points, a service's expected request mix, a model's layer schedule),
 that tax can be paid *up front and in parallel*: :func:`prebuild_plans`
 fans the independent first-run builds onto the same forked worker pool
-:func:`~repro.execution.model_plan.run_model_jobs` uses, each worker
+:func:`~repro.pool.run_model_jobs` uses, each worker
 persisting its compiled kernel, synthesized trace, and MetricsPlan
 into the shared sharded store and returning its diagnostics *delta*
 (stage timings, plan counters, store counters) for the parent to merge
@@ -85,7 +85,7 @@ def prebuild_plans(specs: Sequence[Dict[str, Any]],
     ``metrics_plan_misses`` exactly as if they had run inline — the
     accounting rule of :func:`repro.counters.merge`.
     """
-    from .model_plan import run_model_jobs
+    from ..pool import run_model_jobs
 
     return run_model_jobs([(_prebuild_job, (spec,)) for spec in specs],
                           workers=workers)

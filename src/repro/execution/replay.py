@@ -91,15 +91,8 @@ _INDEX_MASK = (1 << 40) - 1
 
 
 def replay_kernel(trace: DriverTrace, board, rt, descriptors,
-                  double_buffered: bool, plan_source=None) -> None:
-    """Execute one invocation of a traced kernel against ``board``.
-
-    ``plan_source`` optionally overrides how the metrics plane is
-    obtained — ``(executor, decode_key) -> MetricsPlan`` — and is how a
-    :class:`~repro.execution.model_plan.ModelSession` serves fused
-    per-step sub-plans; ``None`` uses the per-kernel
-    :func:`~repro.execution.metrics.obtain_plan` path.
-    """
+                  double_buffered: bool) -> None:
+    """Execute one invocation of a traced kernel against ``board``."""
     start = time.perf_counter()
     try:
         # Fault hook: fires before any board/descriptor mutation, so
@@ -111,7 +104,7 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
             raise ReplayUnsupported("no accelerator attached")
         plan = decode_for_accelerator(trace, accelerator)
         executor = ReplayExecutor(trace, plan, board, rt, descriptors,
-                                  double_buffered, plan_source)
+                                  double_buffered)
         executor.execute()
     finally:
         add_stage_time("replay_s", time.perf_counter() - start)
@@ -336,14 +329,13 @@ def data_schedule(trace: DriverTrace, plan: DecodedPlan) -> DataSchedule:
 
 class ReplayExecutor:
     def __init__(self, trace: DriverTrace, plan: DecodedPlan, board, rt,
-                 descriptors, double_buffered: bool, plan_source=None):
+                 descriptors, double_buffered: bool):
         self.trace = trace
         self.plan = plan
         self.board = board
         self.rt = rt
         self.descriptors = descriptors
         self.double_buffered = double_buffered
-        self.plan_source = plan_source
         self.engine: Optional[DmaEngine] = None
         self._validate()
         self.schedule = data_schedule(trace, plan)
@@ -402,10 +394,9 @@ class ReplayExecutor:
         self._compute_functional()
         self._install_engine()
         # Metrics plane: cached per (trace, runtime-config/state
-        # fingerprint), rebuilt from scratch on a miss — or served from
-        # a fused ModelPlan when a session supplied a plan_source.
-        source = self.plan_source or metrics.obtain_plan
-        mplan = source(self, decode_key(self.board.accelerator))
+        # fingerprint), rebuilt from scratch on a miss.
+        mplan = metrics.obtain_plan(self,
+                                    decode_key(self.board.accelerator))
         # Input-region reconstruction must read the argument arrays
         # before receives land in them: the recording guard guarantees
         # every send precedes the first receive of its argument, so the

@@ -1,6 +1,6 @@
 """Ahead-of-time trace synthesis: schedule side table → DriverTrace.
 
-:func:`~repro.execution.trace.record_trace` discovers a kernel's
+:func:`~repro.execution.recorder.record_trace` discovers a kernel's
 schedule by *executing* the emitted driver once against a shadow
 runtime — one Python call per event, millions of events for the large
 benchmark kernels.  But the driver is a fully static loop nest: every
@@ -26,11 +26,11 @@ global table is assembled with array sorts and scatters.
 Anything the synthesizer cannot prove — data-dependent loop trip
 counts, non-affine values, structurally divergent flushes, schedules
 from an older emitter — raises :class:`SynthesisUnsupported` and the
-caller falls back to the recording path, so synthesis is always an
-optimization, never a semantics change.  ``REPRO_FAULTS="synth:fail"``
-forces that fallback (counted as ``synth_fallback``); ``REPRO_CHECK=1``
-additionally records every synthesized kernel and diffs the two traces
-table-by-table (:func:`diff_traces`), failing loudly on any mismatch.
+kernel runs per tile, so synthesis is always an optimization, never a
+semantics change.  ``REPRO_FAULTS="synth:fail"`` forces that fallback
+(counted as ``synth_fallback``); ``REPRO_CHECK=1`` additionally records
+every synthesized kernel and diffs the two traces table-by-table
+(:func:`diff_traces`), failing loudly on any mismatch.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from .trace import (
     _scatter_is_disjoint,
 )
 
-#: Schedules expanding past this many events fall back to recording
-#: rather than materializing multi-GB position tables.
+#: Schedules expanding past this many events run per tile rather
+#: than materializing multi-GB position tables.
 _MAX_EVENTS = 1 << 26
 
 
@@ -241,8 +241,8 @@ class _Synthesizer:
         # Bound the iteration space *before* materializing any array
         # over it (every loop body records at least its loop_iteration
         # event, so cells is a lower bound on total events): schedules
-        # past the cap fall back to recording instead of allocating
-        # multi-GB value tables during the walk.
+        # past the cap run per tile instead of allocating multi-GB
+        # value tables during the walk.
         cells = trips
         for frame in chain:
             cells *= frame.trips
@@ -624,7 +624,7 @@ def synthesize_trace(schedule_table: Optional[dict],
     """Expand the emitter's schedule side table into a DriverTrace.
 
     Raises :class:`SynthesisUnsupported` when the schedule cannot be
-    proven static/affine; callers fall back to :func:`record_trace`.
+    proven static/affine; the kernel then runs per tile.
     """
     start = time.perf_counter()
     try:

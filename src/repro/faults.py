@@ -1,24 +1,24 @@
 """Deterministic fault injection for the degradation ladder.
 
 Every layer of the execution pipeline has a graceful-degradation
-fallback (metrics plan -> live metrics plane, synthesis -> recording,
-native C -> pure Python, trace replay -> per-tile execution, disk
-store -> memory-only, service worker -> restart + requeue).  This
-module lets tests and CI *prove* those rungs: a seeded registry
-decides, per call site, whether an injected fault fires, and the hook
-points in ``store.py``, ``soc/_native.py``, ``execution/metrics.py``,
-``execution/model_plan.py``, ``execution/replay.py``,
+fallback (trace synthesis or replay -> per-tile execution, native C ->
+pure Python, disk store -> memory-only, service worker -> restart +
+requeue).  This module lets tests and CI *prove* those rungs: a seeded
+registry decides, per call site, whether an injected fault fires, and
+the hook points in ``store.py``, ``soc/_native.py``,
+``execution/metrics.py``, ``execution/replay.py``,
 ``execution/synthesize.py`` and the ``service`` package translate a
 firing into the exact failure the fallback is designed to absorb
 (``service.worker:crash`` kills a pool worker mid-request).
 
-An always-firing clause is also how a fallback rung is *selected*
+An always-firing clause is also how the fallback rung is *selected*
 (only the oracle tiers have switches of their own, ``REPRO_NO_TRACE``
-and ``REPRO_NO_NATIVE``): ``replay:fail`` runs every kernel per tile,
-``synth:fail`` records instead of synthesizing, ``metrics.plan:fail``
-recomputes the metrics plane live on every invocation, and
-``model.plan:fail`` sends every model-session step down the per-kernel
-path.  Each firing counts itself in ``diagnostics()["faults"]``.
+and ``REPRO_NO_NATIVE``): ``replay:fail`` and ``synth:fail`` are two
+doors to the same rung — either runs every generated kernel per tile,
+the first by refusing each replay, the second by leaving the kernel
+without a trace.  ``metrics.plan:fail`` selects no rung: it bypasses
+the per-trace plan cache, so every replay runs the build a cache miss
+runs.  Each firing counts itself in ``diagnostics()["faults"]``.
 
 The autotuning sweep adds three sites of its own:
 ``tuning.journal:io`` fails journal appends (the sweep degrades to
@@ -65,7 +65,6 @@ SITES = {
     "store.write": ("io",),
     "native.compile": ("fail",),
     "metrics.plan": ("fail",),
-    "model.plan": ("fail",),
     "replay": ("fail",),
     "synth": ("fail",),
     "service.worker": ("crash",),
@@ -231,11 +230,6 @@ def keyed_fires(site: str, key: str) -> Optional[str]:
         return None
     counters.count(FAULT_COUNTERS, site)
     return clause.kind
-
-
-def fault_counters() -> Dict[str, int]:
-    """Snapshot of fired-fault counts per site."""
-    return counters.read(FAULT_COUNTERS)
 
 
 def reset_faults() -> None:

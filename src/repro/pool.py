@@ -1,10 +1,11 @@
 """The one supervised fork pool.
 
-Model jobs and plan prebuilds (``run_model_jobs``), service requests
-(``ServiceServer``) and sweep points (``SweepDriver``) all run on this
-pool; it is the only place in ``repro`` that creates fork contexts or
-processes.  What to run, when to give up on a job and what a crash
-means for it stay with the caller; the pool owns the mechanism.
+Model jobs and plan prebuilds (:func:`run_model_jobs`, the ordered map
+at the bottom of this module), service requests (``ServiceServer``) and
+sweep points (``SweepDriver``) all run on this pool; it is the only
+place in ``repro`` that creates fork contexts or processes.  What to
+run, when to give up on a job and what a crash means for it stay with
+the caller; the pool owns the mechanism.
 
 * **Child side** — :func:`worker_loop` over one duplex pipe: receive a
   job dict, run the caller's *handler* under the job's breaker verdicts
@@ -26,11 +27,26 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import multiprocessing.connection
+import os
 import time
+from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import counters
+from .envutil import env_int
 from .store import STORE_COUNTERS
+
+#: Worker-pool size for run_model_jobs (default: min(4, cpu_count)).
+MODEL_WORKERS_ENV = "REPRO_MODEL_WORKERS"
+
+#: ``diagnostics()["model_plan"]``: ``model_plan_workers`` counts pool
+#: workers whose deltas merged back into the parent (model jobs here,
+#: the service's drain).  ``model_plan_step_hits`` is a frozen-reader
+#: key (the list is at ``repro.execution.diagnostics``).
+MODEL_PLAN_COUNTERS: Dict[str, int] = counters.section("model_plan", {
+    "model_plan_step_hits": 0,
+    "model_plan_workers": 0,
+})
 
 #: Seconds a worker gets to answer the shutdown handshake, and a killed
 #: process to be reaped.
@@ -247,3 +263,71 @@ class Pool:
                 worker.process.join(timeout=_HANDSHAKE_S)
             worker.kill()
         return merged
+
+
+# -- the ordered map over the pool --------------------------------------------
+
+def model_workers() -> int:
+    """Requested pool size: REPRO_MODEL_WORKERS, else min(4, cpus)."""
+    default = max(1, min(4, os.cpu_count() or 1))
+    return env_int(MODEL_WORKERS_ENV, default, minimum=1)
+
+
+def _call_job(job: dict) -> dict:
+    """Pool handler: one ``(callable, args)`` model job."""
+    try:
+        return {"result": job["fn"](*job["args"])}
+    except Exception as exc:  # noqa: BLE001 — re-raised in the parent
+        return {"error": exc}
+
+
+def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
+                   workers: Optional[int] = None) -> list:
+    """Run independent model jobs, in parallel when the pool allows.
+
+    The jobs are the independent legs of the model figures (the manual
+    and generated legs of fig16, the two fig17 strategies) and plan
+    prebuilds, over the shared sharded store.  ``jobs`` is a sequence
+    of ``(callable, args)`` pairs; both must be picklable (module-level
+    functions, plain-data args).  Results come back in submission
+    order; a job's exception is re-raised here.  Falls back to inline
+    sequential execution — bit-identical, the jobs are deterministic —
+    when the pool is sized <= 1, fork is unavailable, or we are already
+    inside a pool worker.  A worker that dies mid-job raises
+    :class:`WorkerDied`; nothing is retried.  Workers report counter
+    *deltas* which :meth:`Pool.wait` merges back, so ``diagnostics()``
+    keeps counting work that happened in workers.
+
+    ``workers`` overrides the REPRO_MODEL_WORKERS sizing.
+    """
+    jobs = list(jobs)
+    if workers is None:
+        workers = model_workers()
+    workers = min(workers, len(jobs))
+    if workers <= 1 or in_worker() or not fork_available():
+        return [fn(*args) for fn, args in jobs]
+    results: list = [None] * len(jobs)
+    queued = deque(enumerate(jobs))
+    idle = list(range(workers))
+    running: Dict[int, int] = {}
+    job_pool = Pool(workers, _call_job)
+    try:
+        while queued or running:
+            while idle and queued:
+                index, (fn, args) = queued.popleft()
+                slot = idle.pop()
+                job_pool.submit(slot, {"fn": fn, "args": args})
+                running[slot] = index
+            for slot, reply in job_pool.wait(list(running), None):
+                index = running.pop(slot)
+                if reply is None:
+                    raise WorkerDied(
+                        f"pool worker {slot} died running model job "
+                        f"{index}")
+                if "error" in reply:
+                    raise reply["error"]
+                results[index] = reply["result"]
+                idle.append(slot)
+    finally:
+        MODEL_PLAN_COUNTERS["model_plan_workers"] += job_pool.shutdown()
+    return results

@@ -24,12 +24,7 @@ from .errors import (
     ServiceTimeout,
     WorkerCrashed,
 )
-from .server import (
-    SERVICE_COUNTERS,
-    ServiceServer,
-    reset_service_counters,
-    service_counters,
-)
+from .server import SERVICE_COUNTERS, ServiceServer
 from .worker import run_request
 
 __all__ = [
@@ -47,7 +42,5 @@ __all__ = [
     "ServiceShuttingDown",
     "ServiceTimeout",
     "WorkerCrashed",
-    "reset_service_counters",
     "run_request",
-    "service_counters",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict
+from typing import Dict, Tuple
 
 CLOSED = "closed"
 OPEN = "open"
@@ -108,3 +108,47 @@ class CircuitBreaker:
                 "threshold": self.threshold,
                 "cooldown_s": self.cooldown_s,
             }
+
+
+class SeamBreakers:
+    """A supervisor's store and native breakers, consulted as a pair.
+
+    The handshake around one pool job (the service's requests, the
+    sweep's points): :meth:`admit` before dispatch, :meth:`settle` with
+    the reply — or not at all when the worker died, which says nothing
+    about either seam.
+    """
+
+    def __init__(self, threshold: int, cooldown_s: float) -> None:
+        self.store = CircuitBreaker("store", threshold, cooldown_s)
+        self.native = CircuitBreaker("native", threshold, cooldown_s)
+
+    def admit(self) -> Tuple[Dict[str, bool], Dict[str, dict]]:
+        """Decide one job's use of both seams.
+
+        Returns ``(flags, verdicts)``: ``flags`` are the job fields
+        :func:`repro.pool.run_seamed` reads (``disable_store`` /
+        ``disable_native``), ``verdicts`` goes back into
+        :meth:`settle`.
+        """
+        verdicts = {"store": self.store.allow(),
+                    "native": self.native.allow()}
+        flags = {"disable_" + seam: not verdict["enabled"]
+                 for seam, verdict in verdicts.items()}
+        return flags, verdicts
+
+    def settle(self, verdicts: Dict[str, dict], reply: dict) -> None:
+        """Feed one reply's seam evidence (``store_failures``,
+        ``native_ok``) back.  Only an enabled seam carries evidence: a
+        job that ran with a seam disabled says nothing about its
+        health."""
+        if verdicts["store"]["enabled"]:
+            self.store.record(reply["store_failures"] == 0,
+                              probe=verdicts["store"]["probe"])
+        if verdicts["native"]["enabled"]:
+            self.native.record(reply["native_ok"],
+                               probe=verdicts["native"]["probe"])
+
+    def snapshot(self) -> dict:
+        return {"store": self.store.snapshot(),
+                "native": self.native.snapshot()}

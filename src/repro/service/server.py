@@ -58,9 +58,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import counters, faults, pool
 from ..envutil import env_float, env_int
-from ..execution.model_plan import MODEL_PLAN_COUNTERS
+from ..pool import MODEL_PLAN_COUNTERS
 from . import errors, protocol
-from .breaker import CircuitBreaker
+from .breaker import SeamBreakers
 from .worker import execute_job, worker_job
 
 #: Env knobs (see README switch matrix).
@@ -104,14 +104,6 @@ SERVICE_COUNTERS: Dict[str, int] = counters.section("service", {
 
 def _count(key: str, amount: int = 1) -> None:
     counters.count(SERVICE_COUNTERS, key, amount)
-
-
-def service_counters() -> Dict[str, int]:
-    return counters.read(SERVICE_COUNTERS)
-
-
-def reset_service_counters() -> None:
-    counters.reset(SERVICE_COUNTERS)
 
 
 class _Connection:
@@ -175,10 +167,7 @@ class ServiceServer:
             QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, minimum=1)
         self.timeout_s = timeout_s if timeout_s is not None else env_float(
             TIMEOUT_ENV, _DEFAULT_TIMEOUT_S, minimum=0.001)
-        self.store_breaker = CircuitBreaker("store", breaker_threshold,
-                                            breaker_cooldown_s)
-        self.native_breaker = CircuitBreaker("native", breaker_threshold,
-                                             breaker_cooldown_s)
+        self.breakers = SeamBreakers(breaker_threshold, breaker_cooldown_s)
 
         self._cond = threading.Condition()
         self._queue: "collections.deque[_Pending]" = collections.deque()
@@ -281,11 +270,10 @@ class ServiceServer:
         with self._cond:
             queued, executing = len(self._queue), self._executing
         return {
-            "counters": service_counters(),
+            "counters": counters.read(SERVICE_COUNTERS),
             "queued": queued,
             "executing": executing,
-            "breakers": {"store": self.store_breaker.snapshot(),
-                         "native": self.native_breaker.snapshot()},
+            "breakers": self.breakers.snapshot(),
         }
 
     # -- accept / read -----------------------------------------------------
@@ -509,14 +497,8 @@ class ServiceServer:
             }, cache=False)
             return
         pending.attempts += 1
-        store_verdict = self.store_breaker.allow()
-        native_verdict = self.native_breaker.allow()
-        job = {
-            "spec": pending.spec,
-            "deadline": pending.deadline,
-            "disable_store": not store_verdict["enabled"],
-            "disable_native": not native_verdict["enabled"],
-        }
+        flags, verdicts = self.breakers.admit()
+        job = {"spec": pending.spec, "deadline": pending.deadline, **flags}
         reply = self._run_job(index, job, pending)
         if reply is None:
             # Worker crashed mid-request: restart the slot and requeue
@@ -541,14 +523,7 @@ class ServiceServer:
                            "running this request",
             }, cache=False)
             return
-        # Breaker evidence: only seams that were actually enabled for
-        # this request carry information about the seam's health.
-        if store_verdict["enabled"]:
-            self.store_breaker.record(reply["store_failures"] == 0,
-                                      probe=store_verdict["probe"])
-        if native_verdict["enabled"]:
-            self.native_breaker.record(reply["native_ok"],
-                                       probe=native_verdict["probe"])
+        self.breakers.settle(verdicts, reply)
         if reply.get("ok"):
             self._finish(pending, {
                 "status": "ok",
@@ -613,8 +588,7 @@ class ServiceServer:
             "queue_max": self.queue_max,
             "executing": executing,
             "workers": self.workers,
-            "breakers": {"store": self.store_breaker.snapshot(),
-                         "native": self.native_breaker.snapshot()},
-            "counters": service_counters(),
-            "faults": faults.fault_counters(),
+            "breakers": self.breakers.snapshot(),
+            "counters": counters.read(SERVICE_COUNTERS),
+            "faults": counters.read(faults.FAULT_COUNTERS),
         }

@@ -632,8 +632,9 @@ def install_ways(cache: Cache, ways: np.ndarray) -> None:
 
     O(copy): the array is kept as a private mirror and only expanded
     into the per-set dicts when ``Cache._sets`` is next read — which a
-    replay-to-replay step sequence never does, so model sessions hand
-    cache end-states from one step's plan to the next build as arrays.
+    replay-to-replay step sequence never does, so a model's kernels
+    hand cache end-states from one step's plan to the next build as
+    arrays.
     """
     cache._ways_mirror = np.array(ways, dtype=np.int64)
 

@@ -107,10 +107,6 @@ STORE_COUNTERS: Dict[str, int] = counters.section("store", {
 })
 
 
-def reset_store_counters() -> None:
-    counters.reset(STORE_COUNTERS)
-
-
 class StoreFormatError(ValueError):
     """The entry container or its manifest violates the format."""
 
@@ -170,7 +166,6 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
     execution/transform modules import numpy-heavy machinery).
     """
     from .execution.metrics import MetricsPlan
-    from .execution.model_plan import ModelPlan
     from .execution.trace import DecodedPlan, DriverTrace, _TileClass
     from .transforms.flow_analysis import (
         FlowPlacement,
@@ -202,9 +197,6 @@ def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
             "input_word_dest", "input_word_values", "input_tile_writes",
             "output_writes",
         )),
-        # Fused model plans: steps is a list of (config-repr, MetricsPlan)
-        # tuples, both already covered by the codec.
-        "ModelPlan": (ModelPlan, ("name", "fingerprint", "steps")),
     }
 
 

@@ -15,16 +15,10 @@ diagnostics surface does — stays cheap.
 
 from __future__ import annotations
 
-from .counters import (
-    TUNING_COUNTERS,
-    reset_tuning_counters,
-    tuning_counters,
-)
+from .counters import TUNING_COUNTERS
 
 __all__ = [
     "TUNING_COUNTERS",
-    "reset_tuning_counters",
-    "tuning_counters",
     "SweepPoint",
     "SweepSpace",
     "all_permutations",

@@ -16,6 +16,8 @@ import json
 import signal
 import sys
 
+from .. import counters
+from .counters import TUNING_COUNTERS
 from .driver import SweepDriver
 from .space import SweepSpace, all_permutations, smoke_space
 
@@ -110,10 +112,9 @@ def main(argv=None) -> int:
         result = driver.run()
     finally:
         signal.signal(signal.SIGTERM, previous)
-    from .counters import tuning_counters
-
     _emit("done", complete=result["complete"], points=result["points"],
-          resolved=result["resolved"], counters=tuning_counters())
+          resolved=result["resolved"],
+          counters=counters.read(TUNING_COUNTERS))
     return 0 if result["complete"] else EXIT_INCOMPLETE
 
 

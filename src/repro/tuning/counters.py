@@ -41,12 +41,3 @@ TUNING_COUNTERS: Dict[str, int] = counters.section("tuning", {
 
 def count(key: str, amount: int = 1) -> None:
     counters.count(TUNING_COUNTERS, key, amount)
-
-
-def tuning_counters() -> Dict[str, int]:
-    """Snapshot of the sweep counters."""
-    return counters.read(TUNING_COUNTERS)
-
-
-def reset_tuning_counters() -> None:
-    counters.reset(TUNING_COUNTERS)

@@ -55,7 +55,7 @@ from ..envutil import env_float, env_int
 from ..execution.trace import add_stage_time
 from ..retry import BackoffSchedule, retryable
 from ..service import protocol
-from ..service.breaker import CircuitBreaker
+from ..service.breaker import SeamBreakers
 from .counters import count
 from .journal import SweepJournal
 from .report import build_report, write_report
@@ -225,8 +225,7 @@ class _Flight(NamedTuple):
 
     point: object
     job: dict
-    store: dict
-    native: dict
+    verdicts: dict
     kill_at: float
 
     @property
@@ -257,12 +256,7 @@ class SweepDriver:
         self.max_attempts = max(1, max_attempts)
         self.prune_ratio = prune_ratio
         self.seed = seed
-        self.store_breaker = CircuitBreaker("tuning-store",
-                                            breaker_threshold,
-                                            breaker_cooldown_s)
-        self.native_breaker = CircuitBreaker("tuning-native",
-                                             breaker_threshold,
-                                             breaker_cooldown_s)
+        self.breakers = SeamBreakers(breaker_threshold, breaker_cooldown_s)
         self._sleep = sleep
         self._stop = False
         self._attempts: Dict[str, int] = {}
@@ -343,31 +337,24 @@ class SweepDriver:
     def _flight(self, digest: str, point, attempt: int,
                 thresholds) -> _Flight:
         """Consult the breakers and build the attempt's job."""
-        store = self.store_breaker.allow()
-        native = self.native_breaker.allow()
-        if not store["enabled"]:
+        flags, verdicts = self.breakers.admit()
+        if flags["disable_store"]:
             count("tuning_store_degraded")
-        if not native["enabled"]:
+        if flags["disable_native"]:
             count("tuning_native_degraded")
         job = {
             "digest": digest, "spec": point.spec(),
             "attempt": attempt,
             "prune_bytes": thresholds[digest],
             "deadline": time.time() + self.deadline_s,
-            "disable_store": not store["enabled"],
-            "disable_native": not native["enabled"],
+            **flags,
         }
-        return _Flight(point, job, store, native,
+        return _Flight(point, job, verdicts,
                        time.monotonic() + self.deadline_s * 1.5 + 0.25)
 
     def _settle(self, flight: _Flight, reply: dict) -> Optional[float]:
         """Account for one attempt's reply; retry delay, or None."""
-        if flight.store["enabled"]:
-            self.store_breaker.record(reply["store_failures"] == 0,
-                                      flight.store["probe"])
-        if flight.native["enabled"]:
-            self.native_breaker.record(reply["native_ok"],
-                                       flight.native["probe"])
+        self.breakers.settle(flight.verdicts, reply)
         if reply["ok"]:
             self._resolve(flight.digest, flight.point, reply["outcome"])
             return None

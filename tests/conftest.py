@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro import faults
-from repro.service import reset_service_counters
+from repro import counters, faults
+from repro.service import SERVICE_COUNTERS
 from repro.soc import Board, make_pynq_z2
 
 
@@ -72,10 +72,10 @@ def clean_service_env(monkeypatch):
                 "REPRO_SERVICE_TIMEOUT_S"):
         monkeypatch.delenv(var, raising=False)
     faults.reset_faults()
-    reset_service_counters()
+    counters.reset(SERVICE_COUNTERS)
     yield
     faults.reset_faults()
-    reset_service_counters()
+    counters.reset(SERVICE_COUNTERS)
 
 
 @pytest.fixture

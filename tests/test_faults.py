@@ -11,14 +11,14 @@ import os
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import counters, faults
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import diagnostics
 from repro.execution.metrics import METRICS_PLAN_COUNTERS
 from repro.execution.trace import TRACE_COUNTERS
 from repro.soc import make_pynq_z2
-from repro.store import STORE_COUNTERS, reset_store_counters
+from repro.store import STORE_COUNTERS
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +27,7 @@ def _clean_fault_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     faults.reset_faults()
-    reset_store_counters()
+    counters.reset(STORE_COUNTERS)
     yield
     faults.reset_faults()
 
@@ -101,6 +101,29 @@ class TestDocstringContract:
                  for clause in self._docstring_clauses()}
         assert "store.write" in sites
         assert "service.worker" in sites
+
+    def test_readme_rung_table_names_the_real_sites(self):
+        """README's "Forcing a fallback rung" table cannot drift: every
+        clause in its second column parses, and the sites it names are
+        exactly the registered ones outside the service and the sweep
+        (those have the site table under **Robustness**)."""
+        import re
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = iter(readme.read_text().splitlines())
+        assert any(line.startswith("| Rung ") for line in lines)
+        next(lines)  # the |---| separator
+        clauses = []
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            clauses += re.findall(r"`([^`]+)`", line.split("|")[2])
+        for clause in clauses:
+            assert len(faults.parse_faults(clause)) == 1
+        assert {clause.split(":")[0] for clause in clauses} == {
+            site for site in faults.SITES
+            if not site.startswith(("service.", "tuning."))}
 
     def test_every_registered_kind_parses(self):
         for site, kinds in faults.SITES.items():
@@ -181,7 +204,7 @@ class TestDeterminism:
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
         for _ in range(3):
             assert faults.fires("synth") == "fail"
-        assert faults.fault_counters()["synth"] == 3
+        assert faults.FAULT_COUNTERS["synth"] == 3
 
 
 class TestKeyedDraws:
@@ -227,7 +250,7 @@ class TestKeyedDraws:
         faults.reset_faults()
         assert faults.keyed_fires("tuning.point", "a") == "poison"
         assert faults.keyed_fires("tuning.point", "b") == "poison"
-        assert faults.fault_counters()["tuning.point"] == 2
+        assert faults.FAULT_COUNTERS["tuning.point"] == 2
 
 
 # -- bit-identity under every single fault ----------------------------------
@@ -337,7 +360,7 @@ class TestSingleFaultBitIdentity:
         assert results == clean_baselines[config_index]
         # Probability 1.0: the fault must actually have fired.
         site = spec.split(":")[0]
-        assert faults.fault_counters().get(site, 0) > 0
+        assert faults.FAULT_COUNTERS.get(site, 0) > 0
 
 
 def _nullcontext():
@@ -364,19 +387,36 @@ class TestDegradationCounters:
         return cache
 
     def test_synth_fault_falls_back_to_recording(self, monkeypatch):
+        """The fallback is the per-tile driver: the kernel is left
+        without a trace, and nothing is recorded in its place."""
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
         before = dict(TRACE_COUNTERS)
-        self._compile_and_run()
+        cache = self._compile_and_run()
         assert TRACE_COUNTERS["synth_fallback"] \
             == before["synth_fallback"] + 1
-        assert TRACE_COUNTERS["recorded"] == before["recorded"] + 1
+        assert TRACE_COUNTERS["recorded"] == before["recorded"]
+        (kernel,) = cache._entries.values()
+        assert kernel.trace_state.failed
+        assert kernel.trace_state.trace is None
 
     def test_metrics_fault_counts_as_fallback(self, monkeypatch):
+        """``metrics.plan:fail`` is a cache bypass: the replay runs the
+        build a miss runs, but looks nothing up and keeps nothing."""
+        from repro.execution import STAGE_TIMINGS
+
         monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         before = dict(METRICS_PLAN_COUNTERS)
-        self._compile_and_run()
+        built_s = STAGE_TIMINGS["metrics_plan_build_s"]
+        cache = self._compile_and_run()
         assert METRICS_PLAN_COUNTERS["metrics_plan_fallback"] \
-            > before["metrics_plan_fallback"]
+            == before["metrics_plan_fallback"] + 1
+        assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] \
+            == before["metrics_plan_misses"]
+        assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] \
+            == before["metrics_plan_hits"]
+        assert STAGE_TIMINGS["metrics_plan_build_s"] > built_s
+        (kernel,) = cache._entries.values()
+        assert not kernel.trace_state.trace.metrics_plans
 
     def test_store_read_io_counts_io_not_miss(self, tmp_path,
                                               monkeypatch):
@@ -421,13 +461,13 @@ class TestNativeFaultMemo:
         faults.reset_faults()
         with pytest.warns(RuntimeWarning, match="fault-injected"):
             assert _native.native_lib() is None
-        fired = faults.fault_counters()["native.compile"]
+        fired = faults.FAULT_COUNTERS["native.compile"]
         # Memoized: later calls neither warn nor re-probe the fault.
         import warnings as warnings_mod
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
             assert _native.native_lib() is None
-        assert faults.fault_counters()["native.compile"] == fired
+        assert faults.FAULT_COUNTERS["native.compile"] == fired
         assert _native.native_status() == {
             "available": False, "status": "fault-injected",
         }

@@ -41,14 +41,7 @@ class TestKernelCache:
                                     "metrics_plan_fallback",
                                     "plan_incremental_hits",
                                     "component_memo_hits",
-                                    "component_memo_misses",
-                                    "model_plan_hits",
-                                    "model_plan_misses",
-                                    "model_plan_step_hits",
-                                    "model_plan_fallback",
-                                    "model_plan_divergence",
-                                    "model_plan_stale",
-                                    "model_plan_workers"}
+                                    "component_memo_misses"}
         assert kernel_a.entry_point is kernel_b.entry_point
         assert kernel_a.source == kernel_b.source
 

@@ -15,7 +15,7 @@ import pytest
 from repro.execution import METRICS_PLAN_COUNTERS, prebuild_plans
 from repro.service import errors as service_errors
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceServer, service_counters
+from repro.service.server import SERVICE_COUNTERS, ServiceServer
 from repro.service.worker import run_request
 
 
@@ -118,7 +118,7 @@ class TestServiceWarmup:
                 assert np.array_equal(
                     reply["output"],
                     a.astype(np.int64) @ b.astype(np.int64))
-            assert service_counters()["service_warmups"] == 1
+            assert SERVICE_COUNTERS["service_warmups"] == 1
         finally:
             server.drain()
 

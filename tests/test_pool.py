@@ -287,13 +287,12 @@ class TestForkSafety:
 
     def test_child_can_take_every_fork_safe_lock(self):
         from repro import faults
-        from repro.execution import model_plan
         from repro import store
 
         import repro.service.server  # noqa: F401 — registers its section
         locks = counters.fork_safe_locks()
         for lock in (_COMPONENT_LOCK, counters._LOCK, faults._lock,
-                     model_plan._REGISTRY_LOCK, store._tmp_counter_lock):
+                     store._tmp_counter_lock):
             assert any(lock is known for known in locks)
         assert self._fork_while_held(locks) == 0
 

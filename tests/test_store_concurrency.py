@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import faults
+from repro import counters, faults
 from repro.accelerators import make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.soc import make_pynq_z2
@@ -36,7 +36,6 @@ from repro.store import (
     decode_payload,
     encode_payload,
     pack_entry,
-    reset_store_counters,
     unpack_entry,
 )
 
@@ -48,7 +47,7 @@ def _clean_fault_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_KERNEL_CACHE_MAX_BYTES", raising=False)
     faults.reset_faults()
-    reset_store_counters()
+    counters.reset(STORE_COUNTERS)
 
 
 # -- codec / container units ------------------------------------------------
@@ -592,7 +591,7 @@ import numpy as np
 from repro.accelerators import make_matmul_system
 from repro.baselines import manual_matmul_driver
 from repro.compiler import AXI4MLIRCompiler
-from repro.execution import ModelSession, diagnostics
+from repro.execution import diagnostics
 from repro.soc import make_pynq_z2
 
 results = []
@@ -625,14 +624,13 @@ for specialized in (True, False):
     a, b, c = operands(32)
     note(kernel.run(board, a, b, c), c)
 
-# One ModelSession kernel: its plans live in the fused ModelPlan, so
-# its own entry never holds any (fig16/fig17).
+# One kernel twice on a shared board (fig16/fig17): the second run
+# starts from the warm state the first left, so it needs its own plan.
 board, info = board_with(2, 8, "As")
-session = ModelSession("convergence", board)
-a, b, c = operands(16)
-note(session.run(AXI4MLIRCompiler(info).compile_matmul(16, 16, 16),
-                 a, b, c, step_key=("step",)), c)
-session.finish()
+kernel = AXI4MLIRCompiler(info).compile_matmul(16, 16, 16)
+for _ in range(2):
+    a, b, c = operands(16)
+    note(kernel.run(board, a, b, c), c)
 
 # One manual driver (the cpp_MANUAL baseline of fig13).
 board, _ = board_with(3, 8, "Cs")
@@ -651,14 +649,47 @@ print(json.dumps({
 """
 
 
-def _figure_shaped_run(store) -> dict:
-    """One fresh process of the figure-shaped job on ``store``."""
+#: fig16 (both legs) and fig17 (both strategies) at default scale, the
+#: model runners called directly: 30 kernel runs on 4 shared boards.
+_MODEL_FIGURES_JOB = r"""
+import json
+from repro.baselines import manual
+from repro.compiler import default_kernel_cache
+from repro.execution import diagnostics
+from repro.experiments.figures import _fig17_specs, fig16_layers
+from repro.experiments.harness import run_conv_model, run_matmul_model
+from repro.frontends.tinybert import TinyBertConfig, tinybert_matmul_shapes
+
+layers = tuple(fig16_layers())
+shapes = tinybert_matmul_shapes(TinyBertConfig())
+models = [run_conv_model(layers, "manual"),
+          run_conv_model(layers, "generated")]
+models += [run_matmul_model(_fig17_specs(shapes, strategy))
+           for strategy in ("Ns-SquareTile", "AXI4MLIR Best")]
+traces = [kernel.trace_state.trace
+          for kernel in default_kernel_cache()._entries.values()]
+traces += manual._MANUAL_TRACES.values()
+report = diagnostics()
+print(json.dumps({
+    "results": [[step.as_dict() for step in model] for model in models],
+    "plans_per_trace": max(len(trace.metrics_plans) for trace in traces),
+    "store_writes": report["store"]["store_writes"],
+    "metrics_plan_hits": report["metrics_plan"]["metrics_plan_hits"],
+    "metrics_plan_misses": report["metrics_plan"]["metrics_plan_misses"],
+    "manual_recorded": report["trace_sources"]["manual_recorded"],
+    "synthesized": report["trace_sources"]["synthesized"],
+}))
+"""
+
+
+def _figure_shaped_run(store, script=_FIGURE_SHAPED_JOB) -> dict:
+    """One fresh process of a figure-shaped job on ``store``."""
     env = {key: value for key, value
            in _subprocess_env(str(store)).items()
            if not key.startswith("REPRO_")}
     env["REPRO_KERNEL_CACHE_DIR"] = str(store)
     done = subprocess.run(
-        [sys.executable, "-c", _FIGURE_SHAPED_JOB], env=env,
+        [sys.executable, "-c", script], env=env,
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -669,11 +700,11 @@ class TestStoreConverges:
             self, tmp_path):
         """No trace-less compile-time publish: the generated kernel is
         written by its first replay and again for the second runtime
-        config's plan, the model kernel, the fused model plan and the
-        manual trace once each."""
+        config's plan, the shared-board kernel by its first replay and
+        again for its warm-start plan, the manual trace once."""
         store = tmp_path / "store"
         assert _figure_shaped_run(store)["store_writes"] == 5
-        assert len(list((store / "objects").glob("*/*.entry"))) == 4
+        assert len(list((store / "objects").glob("*/*.entry"))) == 3
         assert not (store / "locks").exists()
 
     def test_third_process_publishes_builds_and_records_nothing(
@@ -681,10 +712,10 @@ class TestStoreConverges:
         store = tmp_path / "store"
         first, second, third = (_figure_shaped_run(store)
                                 for _ in range(3))
-        # kernel x2 + model kernel (compile, trace, 2nd-config plan),
-        # the fused model plan, the manual trace.
+        # Two plans each for the two generated kernels, one for the
+        # manual trace.
         assert first["store_writes"] > 0 and first["manual_recorded"] == 1
-        assert first["metrics_plan_misses"] >= 3
+        assert first["metrics_plan_misses"] == 5
         for warm in (second, third):
             assert warm["store_writes"] == 0
             assert warm["metrics_plan_misses"] == 0
@@ -694,7 +725,28 @@ class TestStoreConverges:
             assert warm["results"] == first["results"]
         names = sorted(path.name.split("-")[0] for path
                        in (store / "objects").glob("*/*.entry"))
-        assert names == ["kernel", "kernel", "manual", "model"]
+        assert names == ["kernel", "kernel", "manual"]
+
+    def test_model_figures_rerun_from_the_per_trace_plan_cache(
+            self, tmp_path):
+        """The per-trace plan cache is all a kernel sequence needs: on
+        a filled store a fresh process gets every one of the 30 shared-
+        board kernel runs of fig16 + fig17 from it — nothing built,
+        synthesized, recorded or written — and no trace needs more
+        plans than the cache keeps, or an evicted one would show up as
+        a miss."""
+        from repro.execution.metrics import _MAX_PLANS_PER_TRACE
+
+        store = tmp_path / "store"
+        cold = _figure_shaped_run(store, _MODEL_FIGURES_JOB)
+        warm = _figure_shaped_run(store, _MODEL_FIGURES_JOB)
+        steps = sum(len(model) for model in cold["results"])
+        assert steps == 30 and cold["metrics_plan_misses"] == steps
+        assert warm["metrics_plan_hits"] == steps
+        assert warm["metrics_plan_misses"] == warm["store_writes"] == 0
+        assert warm["synthesized"] == warm["manual_recorded"] == 0
+        assert warm["plans_per_trace"] <= _MAX_PLANS_PER_TRACE
+        assert warm["results"] == cold["results"]
 
 
 class TestThreadSafety:

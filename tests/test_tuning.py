@@ -15,9 +15,10 @@ import warnings
 
 import pytest
 
-from repro import faults
+from repro import counters, faults
 from repro.retry import BackoffSchedule, retryable
 from repro.tuning import (
+    TUNING_COUNTERS,
     JournalMismatch,
     SweepDriver,
     SweepJournal,
@@ -25,9 +26,7 @@ from repro.tuning import (
     build_report,
     render_report,
     smoke_space,
-    tuning_counters,
 )
-from repro.tuning.counters import reset_tuning_counters
 from repro.tuning.driver import (
     TUNING_DEADLINE_ENV,
     TUNING_WORKERS_ENV,
@@ -47,10 +46,10 @@ def _clean_tuning_env(monkeypatch):
     monkeypatch.delenv(TUNING_WORKERS_ENV, raising=False)
     monkeypatch.delenv(TUNING_DEADLINE_ENV, raising=False)
     faults.reset_faults()
-    reset_tuning_counters()
+    counters.reset(TUNING_COUNTERS)
     yield
     faults.reset_faults()
-    reset_tuning_counters()
+    counters.reset(TUNING_COUNTERS)
 
 
 def _driver(space, tmp_path, name="j", **kwargs):
@@ -180,7 +179,7 @@ class TestJournal:
         journal.close()
         replay = self._journal(tmp_path).replay()
         assert set(replay.results) == {"p2"}
-        assert tuning_counters()["tuning_journal_io_errors"] == 1
+        assert TUNING_COUNTERS["tuning_journal_io_errors"] == 1
 
     def test_compaction_under_a_concurrent_reader(self, tmp_path):
         journal = self._journal(tmp_path)
@@ -232,9 +231,9 @@ class TestDriver:
         # The report file is the canonical rendering, atomically placed.
         assert (tmp_path / "j.json").read_text() == render_report(report)
         assert not list(tmp_path.glob("*.tmp-*"))
-        counters = tuning_counters()
-        assert counters["tuning_points_completed"] == len(SMALL.points())
-        assert counters["tuning_journal_compactions"] == 1
+        seen = counters.read(TUNING_COUNTERS)
+        assert seen["tuning_points_completed"] == len(SMALL.points())
+        assert seen["tuning_journal_compactions"] == 1
 
     def test_diagnostics_expose_tuning_counters(self, tmp_path):
         from repro.execution import diagnostics
@@ -273,11 +272,11 @@ class TestDriver:
             return real_evaluate(spec, prune_bytes, deadline)
 
         monkeypatch.setattr(driver_module, "evaluate_point", counting)
-        reset_tuning_counters()
+        counters.reset(TUNING_COUNTERS)
         resumed = _driver(SMALL, tmp_path, name="resumed").run()
         assert resumed["complete"]
         assert len(recomputed) == len(SMALL.points()) - 2
-        assert tuning_counters()["tuning_points_resumed"] == 2
+        assert TUNING_COUNTERS["tuning_points_resumed"] == 2
 
         # And the final report is bit-identical to an uninterrupted run.
         monkeypatch.setattr(driver_module, "evaluate_point", real_evaluate)
@@ -303,8 +302,8 @@ class TestDriver:
         assert totals["completed"] == 0
         for record in result["report"]["poisoned"]:
             assert record["crashes"] == 3
-        counters = tuning_counters()
-        assert counters["tuning_worker_crashes"] == 3 * len(SMALL.points())
+        seen = counters.read(TUNING_COUNTERS)
+        assert seen["tuning_worker_crashes"] == 3 * len(SMALL.points())
 
     def test_injected_crashes_retry_then_succeed(self, tmp_path,
                                                  monkeypatch):
@@ -313,7 +312,7 @@ class TestDriver:
         faults.reset_faults()
         chaotic = _driver(SMALL, tmp_path, name="chaotic").run()
         assert chaotic["complete"]
-        assert tuning_counters()["tuning_worker_crashes"] > 0
+        assert TUNING_COUNTERS["tuning_worker_crashes"] > 0
         # Bit-identical to the fault-free report: crashes cost retries,
         # never results.
         monkeypatch.delenv("REPRO_FAULTS")
@@ -402,10 +401,10 @@ class TestPool:
         assert result["complete"]
         assert result["report"]["totals"]["completed"] \
             == len(SMALL.points())
-        counters = tuning_counters()
-        assert counters["tuning_deadline_kills"] == 1
-        assert counters["tuning_worker_restarts"] == 1
-        assert counters["tuning_workers_merged"] == 2
+        seen = counters.read(TUNING_COUNTERS)
+        assert seen["tuning_deadline_kills"] == 1
+        assert seen["tuning_worker_restarts"] == 1
+        assert seen["tuning_workers_merged"] == 2
         # The replacement took over the killed worker's slot: two slots
         # ran every point, before and after the kill.
         names = {record["ran_on"] for group in
@@ -419,29 +418,29 @@ class TestPool:
 
         _driver(SMALL, tmp_path, name="inline", workers=1).run()
         simulated = STAGE_TIMINGS["sweep_simulate_s"]
-        reset_tuning_counters()
+        counters.reset(TUNING_COUNTERS)
         _driver(SMALL, tmp_path, name="pooled", workers=2).run()
         assert (tmp_path / "pooled.json").read_bytes() \
             == (tmp_path / "inline.json").read_bytes()
         # The points ran in workers; their stage seconds came home.
         assert STAGE_TIMINGS["sweep_simulate_s"] > simulated
-        assert tuning_counters()["tuning_workers_merged"] == 2
+        assert TUNING_COUNTERS["tuning_workers_merged"] == 2
 
     def test_no_fork_rung_is_bit_identical_and_merges_nothing(
             self, tmp_path, monkeypatch):
         from repro import pool
 
         _driver(SMALL, tmp_path, name="forked", workers=2).run()
-        reset_tuning_counters()
+        counters.reset(TUNING_COUNTERS)
         monkeypatch.setattr(pool, "fork_available", lambda: False)
         result = _driver(SMALL, tmp_path, name="noforked",
                          workers=2).run()
         assert result["complete"]
         assert (tmp_path / "noforked.json").read_bytes() \
             == (tmp_path / "forked.json").read_bytes()
-        counters = tuning_counters()
-        assert counters["tuning_points_completed"] == len(SMALL.points())
-        assert counters["tuning_workers_merged"] == 0
+        seen = counters.read(TUNING_COUNTERS)
+        assert seen["tuning_points_completed"] == len(SMALL.points())
+        assert seen["tuning_workers_merged"] == 0
 
 
 #: 224 points: enough pending work that a supervisor re-hashing the
@@ -492,7 +491,7 @@ class TestSupervisorCost:
         totals = result["report"]["totals"]
         assert totals["completed"] + totals["poisoned"] == points
         if profile:  # the retry/backoff path is inside the bound
-            assert tuning_counters()["tuning_retries"] > 0
+            assert TUNING_COUNTERS["tuning_retries"] > 0
         assert len(hashed) <= 8 * points
 
 
@@ -502,12 +501,12 @@ class TestSweepStore:
     @pytest.fixture
     def store(self, tmp_path, monkeypatch):
         from repro.compiler import default_kernel_cache
-        from repro.store import reset_store_counters
+        from repro.store import STORE_COUNTERS
 
         directory = tmp_path / "store"
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(directory))
         default_kernel_cache().clear()
-        reset_store_counters()
+        counters.reset(STORE_COUNTERS)
         yield directory
         default_kernel_cache().clear()
 

@@ -34,7 +34,7 @@ from .codegen import (
 from .dialects import func, linalg
 from .envutil import check_requested
 from .execution import interpret_function
-from .execution.metrics import METRICS_PLAN_COUNTERS
+from .execution.metrics import METRICS_PLAN_COUNTERS, plans_snapshot
 from .execution.recorder import record_trace
 from .execution.replay import replay_kernel
 from .execution.synthesize import (
@@ -155,13 +155,17 @@ def store_entry_name(kind: str, key) -> str:
 #
 # Kernel entries and the manual baselines' entries carry a trace the
 # same way: the trace and, in a slot of their own, its MetricsPlans
-# (the trace's serialized form excludes them).  The plan keys the disk
-# entry holds ride on the loaded/published trace as the process-local
-# ``_stored_plans``: an entry is (re)published iff memory
-# holds a trace or a plan key the disk lacks, so a store converges —
-# a process that finds everything publishes nothing.  That rule is the
-# only publication rule: an entry exists on disk only once it carries a
-# trace, and is written once per new artifact set.
+# (the trace's serialized form excludes them).  In memory traces of
+# equal content share one plan dict (``execution.metrics.shared_plans``)
+# but each has an entry of its own, so the plan keys the disk entry
+# holds ride on the loaded/published trace *object* as the
+# process-local ``_stored_plans``: an entry is (re)published iff its
+# trace, or the plan a replay of it was just served, is not in it.
+# The other plans of the shared dict ride along in that write but
+# never cause one, so a store converges whatever order its entries are
+# loaded in: a process that finds everything publishes nothing.  That
+# rule is the only publication rule: an entry exists on disk only once
+# it carries a trace, and is written once per new artifact set.
 
 def load_entry(store: KernelStore, name: str) -> Tuple[str, Optional[dict]]:
     """``store.load`` plus the payload-version check.
@@ -188,7 +192,7 @@ def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
     are not retried by this process.  Timed into ``store_publish_s``.
     """
     start = time.perf_counter()
-    plans = dict(trace.metrics_plans)
+    plans = plans_snapshot(trace)
     store.store(name, {
         **head,
         "store_version": KERNEL_STORE_VERSION,
@@ -217,9 +221,16 @@ def stored_trace(payload: dict):
 
 
 def publish_due(trace) -> bool:
-    """True when ``trace`` or one of its plans is not on disk yet."""
+    """True when ``trace``, or the plan its replay was just served, is
+    not on disk yet.
+
+    That plan is the most recently used key of the trace's plan dict
+    (``obtain_plan`` keeps the LRU order); the tuple is one C call, so
+    a content-equal kernel inserting on another thread cannot tear it.
+    """
     stored = getattr(trace, "_stored_plans", None)
-    return stored is None or not trace.metrics_plans.keys() <= stored
+    served = tuple(trace.metrics_plans)[-1:]
+    return stored is None or not stored.issuperset(served)
 
 
 def _np_dtype(element_type) -> np.dtype:

@@ -35,7 +35,8 @@ _DIAGNOSTICS_LAYOUT = (
 
 # Names kept only because the frozen benchmark (``perf/``) reads them.
 # The next benchmark-only PR drops them together with the layer metrics
-# that read them (``model_plan.*``, ``metrics.incremental_hits``):
+# that read them (``model_plan.*``, ``metrics.incremental_hits``,
+# ``metrics.component_memo_hit_ratio``):
 #
 # * ``diagnostics()["model_plan"]["model_plan_step_hits"]`` — declared
 #   in :mod:`repro.pool`, never incremented (perf/perfbench/layers.py
@@ -48,9 +49,15 @@ _DIAGNOSTICS_LAYOUT = (
 #   (perf/perfbench/harness.py:268).
 # * the ``trace_record_s`` stage — fed only by ``REPRO_CHECK=1``'s
 #   reference recordings (in harness.py's ``DISJOINT_STAGES``).
-# * ``repro.execution.record_trace`` / ``TraceRecorder`` and
-#   ``repro.execution.metrics.reset_component_memo`` stay importable
-#   from these paths (perf/perfbench/layers.py:83-84).
+# * ``repro.execution.record_trace`` / ``TraceRecorder`` stay
+#   importable from this path (perf/perfbench/layers.py:83).
+# * ``repro.execution.metrics.reset_component_memo`` — now "forget which
+#   traces share plans"; perf/perfbench/layers.py:139 calls it so that
+#   ``replay.first_ms`` measures a build on a fresh trace.
+# * ``diagnostics()["metrics_plan"]["component_memo_hits"]`` /
+#   ``["component_memo_misses"]`` — never incremented, the memo they
+#   counted is gone (perf/perfbench/harness.py:278-280;
+#   ``metrics.component_memo_hit_ratio`` therefore reads 0).
 
 def diagnostics() -> dict:
     """Where execution time goes and where each kernel's trace came from.
@@ -62,11 +69,9 @@ def diagnostics() -> dict:
     kernels failed synthesis and run per tile.  ``metrics_plan`` counts
     how replays obtained their metrics plane (cached-plan hits, fresh
     builds, injected-fault cache bypasses) — a nonzero
-    ``metrics_plan_fallback`` means the plan cache was bypassed.
-    ``component_memo_hits`` / ``component_memo_misses`` count lookups
-    of memoized build sub-products (copy-cost tables, line streams,
-    LRU classifications, timeline tables, winner maps) shared across
-    builds with matching trace content.  ``model_plan`` holds
+    ``metrics_plan_fallback`` means the plan cache was bypassed.  A hit
+    may be on a plan another kernel built: traces of equal content
+    share their plans.  ``model_plan`` holds
     ``model_plan_workers``: how many pool workers merged their deltas
     back.
 

@@ -11,10 +11,10 @@ call styles, double buffering), the simulated address layout, and the
 board state the invocation starts from.  Only the tile *payloads* depend
 on input data.
 
-This module evaluates that function once per ``(trace, runtime-config
-fingerprint)`` into a :class:`MetricsPlan`: precomputed counter totals,
-the absolute timeline end-state, the cache LRU end-state, and
-region-write summaries.  Subsequent invocations with a matching
+This module evaluates that function once per ``(trace content,
+runtime-config fingerprint)`` into a :class:`MetricsPlan`: precomputed
+counter totals, the absolute timeline end-state, the cache LRU
+end-state, and region-write summaries.  Subsequent invocations with a matching
 fingerprint apply the plan in O(state) — an import of the final cache
 ways plus a handful of scalar assignments — instead of re-simulating
 O(events) work.  Plans are persisted alongside traces in the kernel
@@ -30,15 +30,13 @@ Selectors (see the README tables):
   rebuilds the plan from the live metrics plane and raises
   :class:`MetricsPlanMismatch` on any divergence.
 
-First-run builds are *shared*: the expensive state-independent
-sub-products of :func:`build_plan` — copy-cost tables, line-stream
-tables, and the input/output last-writer maps — live in a process-wide
-memo keyed by (trace content digest, cache geometry/config), so
-repeated invocations of the same kernel shape (ablation re-runs,
-tuning-sweep variants, service requests) reuse them across board
-states instead of rebuilding (``component_memo_hits`` /
-``component_memo_misses``).  Every build seeds its LRU classification
-from the board it runs on.
+Plans are *shared by content*: a plan is a pure function of the trace
+content (``component_digest``) and the fingerprint, never of which
+trace object carries that content, so traces with equal content — a
+sweep's ``cpu_tiling``/version/permutation twins, a re-lowered kernel,
+a synthesized trace next to its store-loaded twin — resolve to one plan
+dict (see :func:`shared_plans`) and hit each other's plans.  Every
+build seeds its LRU classification from the board it runs on.
 
 Bit-identity: a plan is only ever applied when the fingerprint —
 covering every input of the metrics plane, including the floating-point
@@ -53,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
+import weakref
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
@@ -89,14 +88,14 @@ METRICS_PLAN_COUNTERS: Dict[str, int] = counters.section("metrics_plan", {
     #: Never incremented: a frozen-reader key (the list is at
     #: ``repro.execution.diagnostics``).
     "plan_incremental_hits": 0,
-    #: build_plan sub-product memo traffic.  Five kinds are memoized:
-    #: cost tables, stream tables, LRU classifications, timeline
-    #: tables and winner maps.
+    #: Never incremented either: the build sub-product memo they
+    #: counted is gone (frozen-reader keys, same list).
     "component_memo_hits": 0,
     "component_memo_misses": 0,
 })
 
-#: Cached plans kept per trace (distinct board states/layouts).
+#: Cached plans kept per trace *content* (distinct board
+#: states/layouts/accelerators of every trace that shares it).
 _MAX_PLANS_PER_TRACE = 8
 
 #: Upper bound on cache-line stream entries classified per chunk
@@ -105,59 +104,65 @@ _MAX_PLANS_PER_TRACE = 8
 _LINE_CHUNK = 1 << 24
 
 
-# -- the component memo -----------------------------------------------------
+# -- the plan cache ---------------------------------------------------------
 #
-# build_plan's expensive sub-products are pure functions of the trace
-# *content* plus a handful of config scalars — never of the board
-# state.  They are memoized process-wide so distinct invocations that
-# share a kernel shape (ablation re-runs on a warmed board, sweep
-# points across flow/permutation variants with identical tilings,
-# repeated service requests) skip straight to classification+timeline.
-# Keys start from a content digest, not object identity, so digests of
-# GC'd traces can never alias a new trace's products.
+# One level: content digest -> the ``fingerprint -> MetricsPlan`` dict
+# that every live trace of that content carries as ``metrics_plans``.
+# Keyed by content, not object identity, because that is what a plan is
+# a function of: 190 distinct contents served the 512 simulated points
+# of the benchmark sweep.  Held weakly — a dict lives as long as a trace
+# that carries it, so what bounds traces (``KernelCache.maxsize``, the
+# manual baselines' table) bounds this too.
 
-_COMPONENT_MEMO: "OrderedDict[tuple, tuple]" = OrderedDict()
-#: Fork-safe: a plan build on one parent thread (a service warmup
-#: that runs inline on the reader thread) holds this while a dispatcher
-#: thread may be forking a replacement worker.
-_COMPONENT_LOCK = counters.fork_safe_lock()
-_MAX_COMPONENT_ENTRIES = 64
-_MAX_COMPONENT_BYTES = 192 << 20
-_component_bytes = 0
+_SHARED_PLANS: "weakref.WeakValueDictionary[str, OrderedDict]" = \
+    weakref.WeakValueDictionary()
+#: Guards the registry and every insert/evict/reorder/snapshot of the
+#: dicts in it (content-equal kernels run on different threads).
+#: Fork-safe: a replay on one parent thread (a service warmup that runs
+#: inline on the reader thread) holds this while a dispatcher thread
+#: may be forking a replacement worker.
+_PLANS_LOCK = counters.fork_safe_lock()
 
 
 def reset_component_memo() -> None:
-    """Drop all memoized build sub-products (test isolation hook)."""
-    global _component_bytes
-    with _COMPONENT_LOCK:
-        _COMPONENT_MEMO.clear()
-        _component_bytes = 0
+    """Forget which traces share plans (test isolation hook).
+
+    Live traces keep the dicts they hold; a trace synthesized afterwards
+    starts from its own empty one.  The name is a frozen-reader name
+    (the list is at ``repro.execution.diagnostics``).
+    """
+    with _PLANS_LOCK:
+        _SHARED_PLANS.clear()
 
 
-def _component_get(key):
-    with _COMPONENT_LOCK:
-        entry = _COMPONENT_MEMO.get(key)
-        if entry is not None:
-            _COMPONENT_MEMO.move_to_end(key)
-            METRICS_PLAN_COUNTERS["component_memo_hits"] += 1
-            return entry[0]
-    METRICS_PLAN_COUNTERS["component_memo_misses"] += 1
-    return None
+def shared_plans(trace) -> "OrderedDict":
+    """The plan dict of ``trace``'s content; ``_PLANS_LOCK`` is held.
+
+    The first live trace of a content donates its ``metrics_plans``;
+    later ones (store-loaded ones arrive with plans) merge theirs in
+    and adopt the shared object.
+    """
+    digest = _trace_component_digest(trace)
+    plans = _SHARED_PLANS.get(digest)
+    if plans is None:
+        _SHARED_PLANS[digest] = plans = trace.metrics_plans
+    elif plans is not trace.metrics_plans:
+        plans.update(trace.metrics_plans)
+        _evict(plans)
+        trace.metrics_plans = plans
+    return plans
 
 
-def _component_put(key, value, nbytes: int) -> None:
-    global _component_bytes
-    with _COMPONENT_LOCK:
-        if key in _COMPONENT_MEMO:
-            return
-        _COMPONENT_MEMO[key] = (value, nbytes)
-        _component_bytes += nbytes
-        while len(_COMPONENT_MEMO) > _MAX_COMPONENT_ENTRIES or (
-            _component_bytes > _MAX_COMPONENT_BYTES
-            and len(_COMPONENT_MEMO) > 1
-        ):
-            _, (_, dropped) = _COMPONENT_MEMO.popitem(last=False)
-            _component_bytes -= dropped
+def _evict(plans) -> None:
+    while len(plans) > _MAX_PLANS_PER_TRACE:
+        plans.popitem(last=False)
+
+
+def plans_snapshot(trace) -> Dict[str, "MetricsPlan"]:
+    """A copy of ``trace``'s plans, consistent against concurrent
+    ``obtain_plan`` calls on content-equal traces (the publish path)."""
+    with _PLANS_LOCK:
+        return dict(trace.metrics_plans)
 
 
 def _trace_component_digest(trace) -> str:
@@ -170,7 +175,7 @@ def _trace_component_digest(trace) -> str:
     """
     digest = getattr(trace, "component_digest", None)
     if digest is None:
-        # The digest only keys the in-process component memo, so a fast
+        # The digest only keys the in-process plan registry, so a fast
         # keyed hash beats a cryptographic one; blake2b is the quickest
         # collision-resistant option in hashlib without SHA extensions.
         h = hashlib.blake2b(digest_size=16)
@@ -357,9 +362,12 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
         METRICS_PLAN_COUNTERS["metrics_plan_fallback"] += 1
         return _timed_build(ex)
     key = plan_fingerprint(ex, decode_key)
-    cached = trace.metrics_plans.get(key)
+    with _PLANS_LOCK:
+        plans = shared_plans(trace)
+        cached = plans.get(key)
+        if cached is not None:
+            plans.move_to_end(key)
     if cached is not None:
-        trace.metrics_plans.move_to_end(key)
         METRICS_PLAN_COUNTERS["metrics_plan_hits"] += 1
         if check_requested():
             problems = diff_plans(cached, _timed_build(ex))
@@ -371,9 +379,9 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
         return cached
     METRICS_PLAN_COUNTERS["metrics_plan_misses"] += 1
     plan = _timed_build(ex)
-    trace.metrics_plans[key] = plan
-    while len(trace.metrics_plans) > _MAX_PLANS_PER_TRACE:
-        trace.metrics_plans.popitem(last=False)
+    with _PLANS_LOCK:
+        plans[key] = plan
+        _evict(plans)
     return plan
 
 
@@ -450,9 +458,8 @@ def build_plan(ex) -> MetricsPlan:
     plan = MetricsPlan()
 
     cost = _cost_tables(ex)
-    stream = _stream_tables(ex, cost)
     (l1_hits_ev, l1_miss_ev, l2_miss_ev, l1_ways, l2_ways,
-     totals) = _classify_cache(ex, cost.counts, stream)
+     totals) = _classify_cache(ex, cost)
     plan.l1_ways = l1_ways
     plan.l2_ways = l2_ways
     (plan.l1_hits_d, plan.l1_misses_d,
@@ -467,17 +474,15 @@ def build_plan(ex) -> MetricsPlan:
 
     # Final per-event cycles, with the same add chain as the live
     # charge paths (all quantities are exactly-representable sums,
-    # so elementwise evaluation is bit-identical).  The memoized base
-    # tables are never mutated: np.where allocates the working array,
-    # and the timeline gets private copies of the arrays it writes.
+    # so elementwise evaluation is bit-identical).
     kinds = trace.kinds
     cyc = cost.base_c
     copy_mask = kinds == K_COPY
     cyc = np.where(copy_mask, cyc + cost.extra_c, cyc)
     cyc = cyc + penalty
 
-    plan.final_state = _run_timeline(ex, cyc, cost.base_b.copy(),
-                                     cost.base_r.copy(), cost.extra_r)
+    plan.final_state = _run_timeline(ex, cyc, cost.base_b, cost.base_r,
+                                     cost.extra_r)
 
     plan.stats = {
         "dma_transactions": len(trace.flush_pos) + len(trace.recv_pos),
@@ -492,25 +497,23 @@ def build_plan(ex) -> MetricsPlan:
                                 + len(trace.recv_bytes)),
     }
 
+    # Last-writer index maps of both DMA staging regions.  The regions
+    # are write-before-read per flush, so their final contents never
+    # influence later runs; the winning writes are precomputed so each
+    # invocation rebuilds the region with a handful of vectorized
+    # writes — for debugging fidelity, exactly matching the per-tile
+    # path's end state.
     (plan.input_word_dest, plan.input_word_values,
-     plan.input_tile_writes, plan.output_writes) = _winner_tables(ex)
+     plan.input_tile_writes) = _input_winners(ex)
+    plan.output_writes = _output_winners(ex)
     return plan
 
 
 class _CostTables:
-    """Memoized state-independent per-event cost tables of one build."""
+    """State-independent per-event cost tables of one build."""
 
     __slots__ = ("counts", "base_c", "base_b", "base_r", "extra_c",
                  "extra_r", "group_specs")
-
-    def nbytes(self) -> int:
-        total = sum(getattr(self, name).nbytes for name in
-                    ("counts", "base_c", "base_b", "base_r", "extra_c",
-                     "extra_r"))
-        for _, _, sub in self.group_specs:
-            for pos, sel, _ in sub:
-                total += pos.nbytes + sel.nbytes
-        return total
 
 
 def _cost_tables(ex) -> _CostTables:
@@ -518,10 +521,7 @@ def _cost_tables(ex) -> _CostTables:
 
     Every quantity is computed with the same floating-point expressions
     as ``charge_memref_copy`` — per alignment group, via the shared
-    memoized copy plans.  The result depends on descriptor/region
-    *alignments* (addresses mod line size), never on absolute
-    addresses, so the memo key folds the alignments in and the tables
-    are shared across invocations at different layouts.
+    memoized copy plans.
     """
     trace = ex.trace
     board = ex.board
@@ -529,23 +529,6 @@ def _cost_tables(ex) -> _CostTables:
     style = ex.rt.copy_style
     region_bases = {False: ex.engine.input_region.base,
                     True: ex.engine.output_region.base}
-    align_sig = []
-    for is_recv, classes in ((False, trace.send_classes),
-                             (True, trace.recv_classes)):
-        for tile_class in classes:
-            desc = ex.descriptors[tile_class.arg]
-            align_sig.append((
-                (desc.base_address + desc.offset * tile_class.itemsize)
-                % line,
-                region_bases[is_recv] % line,
-            ))
-    key = ("cost", _trace_component_digest(trace),
-           _timing_sig(board.timing), line, style, ex.rt._call_cost,
-           tuple(align_sig))
-    cached = _component_get(key)
-    if cached is not None:
-        return cached
-
     timing = board.timing
     M = trace.num_events
     tables = _CostTables()
@@ -606,8 +589,8 @@ def _cost_tables(ex) -> _CostTables:
                     extra_r[pos] = r_extra
                 sub.append((pos, sel, copy_plan))
             group_specs.append((is_recv, class_id, sub))
-    # Kind-constant charges, prefetched into the memoized base tables
-    # so the per-build timeline prep needn't re-scan ``kinds``.  Event
+    # Kind-constant charges, prefilled into the base tables so the
+    # timeline needn't scan ``kinds`` for them.  Event
     # kinds are disjoint, none of these kinds carries copy charges, and
     # the cache-penalty term is zero everywhere off copy/word events,
     # so build_plan's ``base + penalty`` sum reproduces the live charge
@@ -635,91 +618,23 @@ def _cost_tables(ex) -> _CostTables:
     tables.extra_c = extra_c
     tables.extra_r = extra_r
     tables.group_specs = group_specs
-    _component_put(key, tables, tables.nbytes())
     return tables
 
 
-class _StreamTables:
-    """Memoized absolute line streams of one build (layout-keyed).
-
-    ``groups`` holds the per-alignment-group absolute line starts (the
-    Python-fallback chunked classifier consumes them); ``flat()``
-    lazily assembles the concatenated per-event descriptor tables the
-    one-call native classifier consumes.
-    """
-
-    __slots__ = ("groups", "word_lines", "_flat")
-
-    def __init__(self, groups, word_lines):
-        self.groups = groups
-        self.word_lines = word_lines
-        self._flat = None
-
-    def nbytes(self) -> int:
-        total = self.word_lines.nbytes
-        for pos, src_lines, dst_lines, _ in self.groups:
-            total += pos.nbytes + src_lines.nbytes + dst_lines.nbytes
-        return total
-
-    def flat(self, trace):
-        flat = self._flat
-        if flat is None:
-            M = trace.num_events
-            ev_group = np.full(M, -2, dtype=np.int64)
-            ev_row = np.zeros(M, dtype=np.int64)
-            wp = trace.word_pos
-            ev_group[wp] = -1
-            ev_row[wp] = np.arange(wp.size, dtype=np.int64)
-            grp_off = np.zeros(len(self.groups), dtype=np.int64)
-            grp_width = np.zeros(len(self.groups), dtype=np.int64)
-            src_parts, dst_parts, fd_parts, rel_parts = [], [], [], []
-            row_base = 0
-            off = 0
-            for g, (pos, src_lines, dst_lines, copy_plan) in \
-                    enumerate(self.groups):
-                ev_group[pos] = g
-                ev_row[pos] = np.arange(pos.size, dtype=np.int64) \
-                    + row_base
-                row_base += pos.size
-                from_dst, rel = _fill_columns(copy_plan)
-                grp_off[g] = off
-                grp_width[g] = copy_plan.num_lines
-                off += copy_plan.num_lines
-                src_parts.append(src_lines)
-                dst_parts.append(dst_lines)
-                fd_parts.append(from_dst)
-                rel_parts.append(rel)
-
-            def cat(parts, dtype):
-                if not parts:
-                    return np.empty(0, dtype=dtype)
-                return np.ascontiguousarray(
-                    np.concatenate(parts).astype(dtype, copy=False))
-
-            flat = (ev_group, ev_row, grp_off, grp_width,
-                    cat(src_parts, np.int64), cat(dst_parts, np.int64),
-                    cat(fd_parts, np.uint8), cat(rel_parts, np.int64),
-                    np.ascontiguousarray(self.word_lines))
-            self._flat = flat
-        return flat
+def _word_lines(ex) -> np.ndarray:
+    """Absolute cache line of every staged scalar word."""
+    return (ex.engine.input_region.base
+            + ex.trace.word_offsets) // ex.board.caches.line_size
 
 
-def _stream_tables(ex, cost: _CostTables) -> _StreamTables:
-    """Absolute per-group line streams for one address layout."""
+def _line_groups(ex, cost: _CostTables):
+    """Absolute line starts of one address layout, per alignment group:
+    ``(event_pos, src_lines, dst_lines, copy_plan)``."""
     trace = ex.trace
-    board = ex.board
-    line = board.caches.line_size
-    key = ("stream", _trace_component_digest(trace), line,
-           ex.rt.copy_style,
-           tuple((d.base_address, d.offset) for d in ex.descriptors),
-           (ex.engine.input_region.base, ex.engine.output_region.base))
-    cached = _component_get(key)
-    if cached is not None:
-        return cached
-
+    line = ex.board.caches.line_size
     region_bases = {False: ex.engine.input_region.base,
                     True: ex.engine.output_region.base}
-    groups = []  # (event_pos, src_lines, dst_lines, plan)
+    groups = []
     for is_recv, class_id, sub in cost.group_specs:
         classes = trace.recv_classes if is_recv else trace.send_classes
         tile_class = classes[class_id]
@@ -731,11 +646,47 @@ def _stream_tables(ex, cost: _CostTables) -> _StreamTables:
         for pos, sel, copy_plan in sub:
             groups.append((pos, src_start[sel] // line,
                            dst_start[sel] // line, copy_plan))
-    word_lines = (ex.engine.input_region.base
-                  + trace.word_offsets) // line
-    tables = _StreamTables(groups, word_lines)
-    _component_put(key, tables, tables.nbytes())
-    return tables
+    return groups
+
+
+def _flat_streams(ex, groups):
+    """``groups`` as the concatenated per-event descriptor tables the
+    one-call native classifier consumes."""
+    trace = ex.trace
+    M = trace.num_events
+    ev_group = np.full(M, -2, dtype=np.int64)
+    ev_row = np.zeros(M, dtype=np.int64)
+    wp = trace.word_pos
+    ev_group[wp] = -1
+    ev_row[wp] = np.arange(wp.size, dtype=np.int64)
+    grp_off = np.zeros(len(groups), dtype=np.int64)
+    grp_width = np.zeros(len(groups), dtype=np.int64)
+    src_parts, dst_parts, fd_parts, rel_parts = [], [], [], []
+    row_base = 0
+    off = 0
+    for g, (pos, src_lines, dst_lines, copy_plan) in enumerate(groups):
+        ev_group[pos] = g
+        ev_row[pos] = np.arange(pos.size, dtype=np.int64) + row_base
+        row_base += pos.size
+        from_dst, rel = _fill_columns(copy_plan)
+        grp_off[g] = off
+        grp_width[g] = copy_plan.num_lines
+        off += copy_plan.num_lines
+        src_parts.append(src_lines)
+        dst_parts.append(dst_lines)
+        fd_parts.append(from_dst)
+        rel_parts.append(rel)
+
+    def cat(parts, dtype):
+        if not parts:
+            return np.empty(0, dtype=dtype)
+        return np.ascontiguousarray(
+            np.concatenate(parts).astype(dtype, copy=False))
+
+    return (ev_group, ev_row, grp_off, grp_width,
+            cat(src_parts, np.int64), cat(dst_parts, np.int64),
+            cat(fd_parts, np.uint8), cat(rel_parts, np.int64),
+            np.ascontiguousarray(_word_lines(ex)))
 
 
 def _fill_columns(copy_plan):
@@ -761,17 +712,13 @@ def _fill_columns(copy_plan):
 
 
 def _chunked_line_streams(ex, counts, groups):
-    """Yield (e0, e1, boundaries, lines) chunks of the global stream."""
-    from ..soc import _native
-
+    """Yield (e0, e1, boundaries, lines) chunks of the global stream
+    (the Python-fallback classifier's input)."""
     trace = ex.trace
-    line = ex.board.caches.line_size
     M = trace.num_events
     boundaries = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(counts, out=boundaries[1:])
-    word_lines = (ex.engine.input_region.base
-                  + trace.word_offsets) // line
-    lib = _native.native_lib()
+    word_lines = _word_lines(ex)
 
     chunk_edges = [0]
     while chunk_edges[-1] < M:
@@ -800,22 +747,6 @@ def _chunked_line_streams(ex, counts, groups):
                 sub_dst = dst_lines[sel]
             if not sub_pos.size:
                 continue
-            if lib is not None:
-                import ctypes
-
-                i64p = ctypes.POINTER(ctypes.c_int64)
-                from_dst, rel = _fill_columns(copy_plan)
-                slots = np.ascontiguousarray(boundaries[sub_pos] - lo)
-                lib.fill_copy_lines(
-                    slots.ctypes.data_as(i64p), slots.size,
-                    np.ascontiguousarray(sub_src).ctypes.data_as(i64p),
-                    np.ascontiguousarray(sub_dst).ctypes.data_as(i64p),
-                    from_dst.ctypes.data_as(
-                        ctypes.POINTER(ctypes.c_uint8)),
-                    rel.ctypes.data_as(i64p), copy_plan.num_lines,
-                    lines.ctypes.data_as(i64p),
-                )
-                continue
             left = sub_src[:, None] + copy_plan.src_rel[None, :]
             right = sub_dst[:, None] + copy_plan.dst_rel[None, :]
             block = np.hstack([left, right]).take(copy_plan.perm, axis=1)
@@ -826,20 +757,21 @@ def _chunked_line_streams(ex, counts, groups):
         yield e0, e1, boundaries, lines
 
 
-def _cache_is_cold(cache) -> bool:
-    """Whether every set is provably empty without walking them.
+def _start_ways(cache) -> np.ndarray:
+    """The way array a classification starts from (caller-owned).
 
     Same never-accessed invariant as ``_cache_digest``: zero hits and
     misses since construction/reset (and no installed mirror) means no
-    line was ever inserted.  Most first-run plan builds start exactly
-    there, so the classify memo can key such states with a constant
-    instead of serializing two all-``-1`` way arrays.
+    line was ever inserted, and most first-run plan builds start exactly
+    there — no need to walk the sets to find them all empty.
     """
-    return cache.hits == 0 and cache.misses == 0 \
-        and cache._ways_mirror is None
+    if cache.hits == 0 and cache.misses == 0 and cache._ways_mirror is None:
+        return np.full(cache.num_sets * cache.associativity, -1,
+                       dtype=np.int64)
+    return _export_ways(cache)
 
 
-def _classify_cache(ex, counts, stream: _StreamTables):
+def _classify_cache(ex, cost: _CostTables):
     """Classify the whole run's cache traffic without mutating state.
 
     Returns per-event (l1_hits, l1_miss, l2_miss) plus the final LRU
@@ -850,6 +782,7 @@ def _classify_cache(ex, counts, stream: _StreamTables):
     board = ex.board
     l1, l2 = board.caches.l1, board.caches.l2
     M = ex.trace.num_events
+    groups = _line_groups(ex, cost)
     l1_hits = np.zeros(M, dtype=np.int64)
     l1_miss = np.zeros(M, dtype=np.int64)
     l2_miss = np.zeros(M, dtype=np.int64)
@@ -859,46 +792,10 @@ def _classify_cache(ex, counts, stream: _StreamTables):
         import ctypes
 
         i64p = ctypes.POINTER(ctypes.c_int64)
-        if _cache_is_cold(l1) and _cache_is_cold(l2):
-            # Deferred: the all--1 arrays are only materialized on a
-            # memo miss.  Serializing them into the key would copy and
-            # hash ~l2-size bytes per build for the overwhelmingly
-            # common cold start.
-            ways1 = ways2 = None
-            state_sig = "cold"
-        else:
-            ways1 = _export_ways(l1)
-            ways2 = _export_ways(l2)
-            state_sig = (ways1.tobytes(), ways2.tobytes())
-        # The whole classification is a pure function of the absolute
-        # line streams (captured by the stream-table key fields), the
-        # hierarchy geometry, and the starting LRU contents — so its
-        # result is shared across entries through the component memo.
-        # Repeated replays of one shape re-fingerprint (the board's
-        # counters advanced) and rebuild their plan, but almost always
-        # from the same cold cache state: the expensive native pass
-        # runs once and later builds pay only the timeline.
-        cls_key = (
-            "cls", _trace_component_digest(ex.trace),
-            board.caches.line_size, ex.rt.copy_style,
-            tuple((d.base_address, d.offset) for d in ex.descriptors),
-            (ex.engine.input_region.base, ex.engine.output_region.base),
-            (l1.num_sets, l1.associativity, l1.set_mask),
-            (l2.num_sets, l2.associativity, l2.set_mask),
-            state_sig,
-        )
-        cached = _component_get(cls_key)
-        if cached is not None:
-            # Plans treat the ways/event arrays as read-only, so they
-            # share the memo masters.
-            return cached
-        if ways1 is None:
-            ways1 = np.full(l1.num_sets * l1.associativity, -1,
-                            dtype=np.int64)
-            ways2 = np.full(l2.num_sets * l2.associativity, -1,
-                            dtype=np.int64)
+        ways1 = _start_ways(l1)
+        ways2 = _start_ways(l2)
         (ev_group, ev_row, grp_off, grp_width, src_rows, dst_rows,
-         from_dst, rel, word_lines) = stream.flat(ex.trace)
+         from_dst, rel, word_lines) = _flat_streams(ex, groups)
         lib.lru_copy_event_stream(
             ev_group.ctypes.data_as(i64p), ev_row.ctypes.data_as(i64p),
             M,
@@ -919,16 +816,14 @@ def _classify_cache(ex, counts, stream: _StreamTables):
         l2_miss_total = int(l2_miss.sum())
         totals = (l1_hit_total, l1_miss_total,
                   l1_miss_total - l2_miss_total, l2_miss_total)
-        result = (l1_hits, l1_miss, l2_miss, ways1, ways2, totals)
-        _component_put(cls_key, result,
-                       l1_hits.nbytes * 3 + ways1.nbytes + ways2.nbytes)
-        return result
+        return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
 
     # Python fallback: the offline stack-distance classifier, with the
     # per-event attribution recovered by bincount over event ids.
+    counts = cost.counts
     sim = OfflineLruSimulator(board.caches)
     for e0, e1, boundaries, lines in \
-            _chunked_line_streams(ex, counts, stream.groups):
+            _chunked_line_streams(ex, counts, groups):
         event_ids = np.repeat(np.arange(e1 - e0), counts[e0:e1])
         l1_hit_mask, l2_hit_mask = sim.process(lines)
         miss_events = event_ids[~l1_hit_mask]
@@ -979,38 +874,26 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
     M = trace.num_events
 
     # The kind-constant cycle/branch/reference charges are prefilled
-    # into the memoized cost tables (see _cost_tables), so the only
-    # per-build prep left is the synchronization/aux tables — content-
-    # pure as well, hence memoized alongside the other components.
-    # All three arrays are read-only for both timeline backends.
-    flush_cycles = np.ascontiguousarray(decoded.flush_cycles,
-                                        dtype=np.float64)
-    tl_key = ("tl", _trace_component_digest(trace),
-              _timing_sig(timing), bool(ex.double_buffered),
-              flush_cycles.tobytes())
-    cached = _component_get(tl_key)
-    if cached is not None:
-        sync, taux, acaux = cached
-    else:
-        kinds = trace.kinds
-        sync = np.zeros(M, dtype=np.int8)
-        sync[kinds == K_FLUSH] = 1
-        sync[kinds == K_RECV] = 2
-        if ex.double_buffered:
-            sync[kinds == K_RWAIT] = 3
-        taux = np.zeros(M)
-        acaux = np.zeros(M)
-        t_flush = trace.flush_bytes / timing.axi_bytes_per_cycle
-        t_flush = t_flush / timing.accel_freq_hz
-        t_flush = timing.dma_latency_s + t_flush
-        taux[trace.flush_pos] = t_flush
-        acaux[trace.flush_pos] = flush_cycles
-        t_recv = trace.recv_bytes / timing.axi_bytes_per_cycle
-        t_recv = t_recv / timing.accel_freq_hz
-        t_recv = timing.dma_latency_s + t_recv
-        taux[trace.recv_pos] = t_recv
-        _component_put(tl_key, (sync, taux, acaux),
-                       sync.nbytes + taux.nbytes + acaux.nbytes)
+    # into the cost tables (see _cost_tables), so the only prep left is
+    # the synchronization/aux tables.  All three arrays are read-only
+    # for both timeline backends.
+    kinds = trace.kinds
+    sync = np.zeros(M, dtype=np.int8)
+    sync[kinds == K_FLUSH] = 1
+    sync[kinds == K_RECV] = 2
+    if ex.double_buffered:
+        sync[kinds == K_RWAIT] = 3
+    taux = np.zeros(M)
+    acaux = np.zeros(M)
+    t_flush = trace.flush_bytes / timing.axi_bytes_per_cycle
+    t_flush = t_flush / timing.accel_freq_hz
+    t_flush = timing.dma_latency_s + t_flush
+    taux[trace.flush_pos] = t_flush
+    acaux[trace.flush_pos] = decoded.flush_cycles
+    t_recv = trace.recv_bytes / timing.axi_bytes_per_cycle
+    t_recv = t_recv / timing.accel_freq_hz
+    t_recv = timing.dma_latency_s + t_recv
+    taux[trace.recv_pos] = t_recv
 
     f = timing.cpu_freq_hz
     af = timing.accel_freq_hz
@@ -1127,35 +1010,6 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
 #: only to discard everything past the covered span.
 _WINNER_BLOCK_WORDS = 1 << 19
 _WINNER_BLOCK_MIN_WORDS = 1 << 12
-
-
-def _winner_tables(ex):
-    """Last-writer index maps of both DMA staging regions (memoized).
-
-    The staged regions are write-before-read per flush, so their final
-    contents never influence later runs; the winning writes are
-    precomputed (a blocked backward last-writer scan over the staged
-    item stream) so each invocation rebuilds the region with a handful
-    of vectorized writes — for debugging fidelity, exactly matching
-    the per-tile path's end state.  Pure trace+region-size data, so
-    memoized across invocations and layouts.
-    """
-    trace = ex.trace
-    key = ("win", _trace_component_digest(trace),
-           ex.engine.input_words.size, ex.engine.output_words.size)
-    cached = _component_get(key)
-    if cached is not None:
-        return cached
-    word_dest, word_vals, tile_writes = _input_winners(ex)
-    output_writes = _output_winners(ex)
-    value = (word_dest, word_vals, tile_writes, output_writes)
-    nbytes = word_dest.nbytes + word_vals.nbytes
-    for _, tiles, dest, src in tile_writes:
-        nbytes += tiles.nbytes + dest.nbytes + src.nbytes
-    for _, dest, rel in output_writes:
-        nbytes += dest.nbytes + rel.nbytes
-    _component_put(key, value, nbytes)
-    return value
 
 
 def _scan_last_writers(fill_starts, widths, region_words, used_words):

@@ -210,10 +210,12 @@ class DriverTrace:
         self.recv_refs: List[Tuple[int, int]] = []
         #: Decoded plans per accelerator signature (lazily built).
         self.decoded: Dict[Tuple, object] = {}
-        #: Cached MetricsPlans per runtime-config/state fingerprint
-        #: (see repro.execution.metrics).  Persisted *separately* from
-        #: the trace in the kernel store — a payload slot of its own —
-        #: so it is excluded from the trace's pickle state below.
+        #: Cached MetricsPlans per runtime-config/state fingerprint.
+        #: Traces of equal content adopt one shared dict on their first
+        #: replay (see repro.execution.metrics.shared_plans).  Persisted
+        #: *separately* from the trace in the kernel store — a payload
+        #: slot of its own — so it is excluded from the trace's pickle
+        #: state below.
         self.metrics_plans: "OrderedDict" = OrderedDict()
         #: Whether the scatter of each recv class is round-safe (the
         #: flat index sets of distinct tile starts are disjoint).
@@ -229,7 +231,7 @@ class DriverTrace:
         # component_digest (a lazily computed content hash, see
         # repro.execution.metrics._trace_component_digest) stays in the
         # state on purpose: model/service workers receiving the trace
-        # then key the component memo without re-hashing it.
+        # then find their content's shared plans without re-hashing it.
         return state
 
     def __setstate__(self, state):

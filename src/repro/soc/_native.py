@@ -147,14 +147,16 @@ void lru_hierarchy_events(const int64_t *lines, const int64_t *bounds,
 /* One-call fused classification of a whole metrics-plane build: the
  * same LRU hierarchy state machine as lru_hierarchy_events, but the
  * line stream is generated on the fly from per-event descriptors
- * instead of being materialized by fill_copy_lines first (no O(lines)
- * temporary, no chunking).  ev_group[e] is the event's alignment-group
+ * instead of being materialized first (no O(lines) temporary, no
+ * chunking).  ev_group[e] is the event's alignment-group
  * id (-1 = single staged word, -2 = no cache traffic); ev_row[e]
  * indexes the concatenated src/dst line-start arrays for copy events,
  * or word_lines for word events.  Column j of group g is
  * src+rel[grp_off[g]+j] or dst+rel[grp_off[g]+j] depending on
- * from_dst, exactly like fill_copy_lines, so the touch order (and
- * therefore every LRU decision) is identical to the two-pass path.
+ * from_dst (rel already permuted to the access order of the copy
+ * plan), exactly the numpy hstack/take sequence of the Python
+ * fallback, so the touch order (and therefore every LRU decision) is
+ * identical to the two-pass path.
  * A touch of the line accessed immediately before is short-circuited
  * to an L1 hit without consulting the way arrays: the previous access
  * left that line at MRU of its L1 set, so the full lookup would count
@@ -227,25 +229,6 @@ void lru_copy_event_stream(const int64_t *ev_group, const int64_t *ev_row,
         l1_hits[e] += h1;
         l1_miss[e] += mi1;
         l2_miss[e] += mi2;
-    }
-}
-
-/* Copy-event line-stream assembly for the metrics-plane build: one
- * copy event covers `width` consecutive slots of the global stream at
- * `slots[i]`; column j of the block is src_lines[i]+rel[j] when
- * from_dst[j] == 0, else dst_lines[i]+rel[j] (rel already permuted to
- * the access order of the copy plan).  Equivalent to the numpy
- * hstack/take/scatter sequence, without the temporaries. */
-void fill_copy_lines(const int64_t *slots, int64_t n,
-                     const int64_t *src_lines, const int64_t *dst_lines,
-                     const uint8_t *from_dst, const int64_t *rel,
-                     int64_t width, int64_t *lines)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t *row = lines + slots[i];
-        int64_t s = src_lines[i], d = dst_lines[i];
-        for (int64_t j = 0; j < width; j++)
-            row[j] = (from_dst[j] ? d : s) + rel[j];
     }
 }
 
@@ -690,11 +673,6 @@ def native_lib() -> Optional[ctypes.CDLL]:
             i64p, i64p, i64p,
         ]
         lib.lru_copy_event_stream.restype = None
-        lib.fill_copy_lines.argtypes = [
-            i64p, ctypes.c_int64, i64p, i64p, u8p, i64p,
-            ctypes.c_int64, i64p,
-        ]
-        lib.fill_copy_lines.restype = None
         lib.decode_matmul_stream.argtypes = [
             u8p, i64p, i64p, i64p, ctypes.c_int64,
             i64p, ctypes.c_int64,

@@ -482,10 +482,9 @@ class OfflineLruSimulator:
     """Replays a known line-access sequence through a hierarchy offline.
 
     Produces the exact per-access L1 hit mask and (for L1 misses) L2
-    hit mask that :meth:`CacheHierarchy.touch_lines_batch` would, then
-    installs the final LRU state and hit/miss totals back into the live
-    :class:`Cache` objects.  Warm caches are honoured, so a replay can
-    start from any hierarchy state.
+    hit mask that :meth:`CacheHierarchy.touch_lines_batch` would; the
+    live :class:`Cache` objects are read, never written.  Warm caches
+    are honoured, so a replay can start from any hierarchy state.
 
     Two backends share the exact per-access semantics: a compiled C
     state machine (:mod:`repro.soc._native`, the common case) and a
@@ -577,18 +576,6 @@ class OfflineLruSimulator:
         l1_hit = codes == 0
         l2_hit = codes[~l1_hit] == 1
         return l1_hit, l2_hit
-
-    def finalize(self) -> None:
-        """Install the final LRU contents and totals into the caches."""
-        for cache in (self.hierarchy.l1, self.hierarchy.l2):
-            if self._lib is not None:
-                install_ways(cache, self._ways[cache.name])
-            else:
-                for index, resident in self._state[cache.name].items():
-                    cache._sets[index] = dict.fromkeys(resident)
-            hits, misses = self._counts[cache.name]
-            cache.hits += hits
-            cache.misses += misses
 
 
 def _export_ways(cache: Cache) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import counters, faults
+from repro.execution.metrics import reset_component_memo
 from repro.service import SERVICE_COUNTERS
 from repro.soc import Board, make_pynq_z2
 
@@ -58,6 +59,14 @@ def _isolate_kernel_store(monkeypatch):
     stats and must not see an ambient store.
     """
     monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _isolate_shared_plans():
+    """Traces of equal content share their MetricsPlans process-wide;
+    a test's exact hit/miss counts must not depend on which kernels an
+    earlier test left alive."""
+    reset_component_memo()
 
 
 @pytest.fixture

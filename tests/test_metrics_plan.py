@@ -15,6 +15,8 @@ metrics plane live both times; the resulting states must agree
 bit-for-bit.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +24,13 @@ from hypothesis import given, settings, strategies as st
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import METRICS_PLAN_COUNTERS, MetricsPlanMismatch
-from repro.execution.metrics import reset_component_memo
+from repro.execution.metrics import (
+    _SHARED_PLANS,
+    _cache_digest,
+    reset_component_memo,
+)
 from repro.runtime import DoubleBufferedRuntime
 from repro.soc import make_pynq_z2
-from repro.soc._native import native_lib
 
 from test_trace_replay import _board_state
 
@@ -232,42 +237,115 @@ class TestResultsTables:
         assert rendered == results.read_text()
 
 
-class TestComponentMemo:
-    #: Memoized sub-products of one live build: cost tables, stream
-    #: tables, winner maps, timeline sync/aux tables, and (on the
-    #: native path) the classification result keyed by LRU start state.
-    COMPONENTS_PER_BUILD = 5 if native_lib() is not None else 4
+def _twin_run(cpu_tiling, interpreted=False, runs=1, **compiler_kwargs):
+    """One 32x16x16 v3 matmul, ``runs`` times on one fresh board;
+    ``cpu_tiling`` is a no-op at this size, so both settings lower to
+    traces of equal content under different kernel-cache keys.  Returns
+    the kernel and what must agree with the interpreter."""
+    kernel, hw_factory = _matmul_setup(3, 4, "Ns", 32, 16, 16,
+                                       enable_cpu_tiling=cpu_tiling,
+                                       **compiler_kwargs)
+    rng = np.random.default_rng(3)
+    a = rng.integers(-7, 7, (32, 16)).astype(np.int32)
+    b = rng.integers(-7, 7, (16, 16)).astype(np.int32)
+    c = np.zeros((32, 16), np.int32)
+    board = make_pynq_z2()
+    board.attach_accelerator(hw_factory())
+    run = kernel.run_interpreted if interpreted else kernel.run
+    for _ in range(runs):
+        counters = run(board, a, b, c)
+    return kernel, (counters.as_dict(), c.tobytes(), board.clock,
+                    _cache_digest(board.caches.l1),
+                    _cache_digest(board.caches.l2))
 
-    def test_identical_layout_builds_hit_memo(self, monkeypatch):
-        """Two live builds of the same kernel on identically laid-out
-        fresh boards: the first misses every component (cost tables,
-        stream tables, winner maps, cold-state classification), the
-        second hits them all."""
-        per_build = self.COMPONENTS_PER_BUILD
-        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
-        reset_component_memo()
-        kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
-        before = dict(METRICS_PLAN_COUNTERS)
-        _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
-        assert METRICS_PLAN_COUNTERS["component_memo_hits"] \
-            == before["component_memo_hits"]
-        assert METRICS_PLAN_COUNTERS["component_memo_misses"] \
-            == before["component_memo_misses"] + per_build
-        _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
-        assert METRICS_PLAN_COUNTERS["component_memo_hits"] \
-            == before["component_memo_hits"] + per_build
-        assert METRICS_PLAN_COUNTERS["component_memo_misses"] \
-            == before["component_memo_misses"] + per_build
 
-    def test_distinct_shapes_do_not_alias(self, monkeypatch):
-        per_build = self.COMPONENTS_PER_BUILD
-        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
-        reset_component_memo()
-        before = dict(METRICS_PLAN_COUNTERS)
+def _plan_traffic():
+    return (METRICS_PLAN_COUNTERS["metrics_plan_hits"],
+            METRICS_PLAN_COUNTERS["metrics_plan_misses"])
+
+
+class TestSharedPlans:
+    """Traces of equal content share one plan dict, so a kernel's first
+    run can be a hit on a plan another kernel built."""
+
+    def test_content_equal_kernels_hit_each_others_plans(self):
+        _, oracle = _twin_run(False, interpreted=True)
+        hits, misses = _plan_traffic()
+        first, seen = _twin_run(False)
+        assert seen == oracle
+        assert _plan_traffic() == (hits, misses + 1)
+        second, seen = _twin_run(True)
+        assert seen == oracle
+        assert _plan_traffic() == (hits + 1, misses + 1)
+        assert second.trace_state.trace is not first.trace_state.trace
+        assert second.trace_state.trace.metrics_plans \
+            is first.trace_state.trace.metrics_plans
+
+    def test_distinct_shapes_do_not_alias(self):
+        hits, misses = _plan_traffic()
+        dicts = []
         for m in (16, 32):
             kernel, hw_factory = _matmul_setup(3, 4, "Ns", m, 16, 16)
             _measure_matmul(kernel, hw_factory, m, 16, 16, runs=1)
-        assert METRICS_PLAN_COUNTERS["component_memo_hits"] \
-            == before["component_memo_hits"]
-        assert METRICS_PLAN_COUNTERS["component_memo_misses"] \
-            == before["component_memo_misses"] + 2 * per_build
+            dicts.append(kernel.trace_state.trace.metrics_plans)
+        assert _plan_traffic() == (hits, misses + 2)
+        assert dicts[0] is not dicts[1]
+        assert len(dicts[0]) == len(dicts[1]) == 1
+
+    def test_equal_fingerprints_of_other_content_do_not_alias(self):
+        """A permuted loop order runs on the same accelerator, layout
+        and board state — one fingerprint — but its trace, and what it
+        costs, differ: only the content digest keeps it off its
+        neighbour's plan."""
+        permuted = {"permutation": ("k", "n", "m")}
+        _, oracle = _twin_run(False, interpreted=True, **permuted)
+        first, other = _twin_run(False)
+        hits, misses = _plan_traffic()
+        second, seen = _twin_run(False, **permuted)
+        assert seen == oracle != other
+        assert _plan_traffic() == (hits, misses + 1)
+        ours = second.trace_state.trace.metrics_plans
+        theirs = first.trace_state.trace.metrics_plans
+        assert ours is not theirs and list(ours) == list(theirs)
+
+    def test_check_mode_catches_a_wrong_shared_plan(self, monkeypatch):
+        """The shared hit is verified like any other: a plan corrupted
+        through kernel A fails kernel B's first run."""
+        first, _ = _twin_run(False)
+        (plan,) = first.trace_state.trace.metrics_plans.values()
+        plan.final_state = plan.final_state.copy()
+        plan.final_state[0] += 1.0
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        with pytest.raises(MetricsPlanMismatch, match="final_state"):
+            _twin_run(True)
+
+    @pytest.mark.ambient_faults_incompatible
+    def test_a_twins_plans_ride_along_but_cause_no_write(
+            self, tmp_path, monkeypatch):
+        """Entries are per kernel, plans per content: a kernel's entry
+        is rewritten when *it* is served a plan the entry lacks, not
+        because a twin's plan sits in the shared dict — so a process
+        that finds everything writes nothing, whichever entry it loads
+        first."""
+        from repro.store import STORE_COUNTERS
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
+        _twin_run(False)            # entry A: the cold-board plan
+        _twin_run(True, runs=2)     # entry B: that one and a warm one
+        writes = STORE_COUNTERS["store_writes"]
+        assert writes >= 3
+        reset_component_memo()      # "a new process", other order
+        hits, misses = _plan_traffic()
+        _twin_run(True, runs=2)
+        first, _ = _twin_run(False)
+        assert len(first.trace_state.trace.metrics_plans) == 2
+        assert _plan_traffic() == (hits + 3, misses)
+        assert STORE_COUNTERS["store_writes"] == writes
+
+    def test_registry_does_not_outlive_its_traces(self):
+        first, _ = _twin_run(False)
+        second, _ = _twin_run(True)
+        assert len(_SHARED_PLANS) == 1
+        del first, second
+        gc.collect()
+        assert len(_SHARED_PLANS) == 0

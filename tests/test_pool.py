@@ -21,7 +21,7 @@ import pytest
 
 from repro import counters, pool
 from repro.execution import STAGE_TIMINGS, run_model_jobs
-from repro.execution.metrics import _COMPONENT_LOCK
+from repro.execution.metrics import _PLANS_LOCK
 from repro.execution.trace import add_stage_time
 from repro.store import STORE_COUNTERS
 from repro.tuning.counters import TUNING_COUNTERS, count as tuning_count
@@ -280,10 +280,11 @@ class TestForkSafety:
         return os.waitstatus_to_exitcode(status)
 
     def test_child_forked_while_component_memo_lock_is_held(self):
-        """A warmup plan build on the server's reader thread holds
-        ``_COMPONENT_LOCK`` while a dispatcher forks a replacement
-        worker; the child must not inherit it held."""
-        assert self._fork_while_held([_COMPONENT_LOCK]) == 0
+        """A warmup replay on the server's reader thread holds
+        ``_PLANS_LOCK`` (the plan registry's; the former component-memo
+        lock) while a dispatcher forks a replacement worker; the child
+        must not inherit it held."""
+        assert self._fork_while_held([_PLANS_LOCK]) == 0
 
     def test_child_can_take_every_fork_safe_lock(self):
         from repro import faults
@@ -291,7 +292,7 @@ class TestForkSafety:
 
         import repro.service.server  # noqa: F401 — registers its section
         locks = counters.fork_safe_locks()
-        for lock in (_COMPONENT_LOCK, counters._LOCK, faults._lock,
+        for lock in (_PLANS_LOCK, counters._LOCK, faults._lock,
                      store._tmp_counter_lock):
             assert any(lock is known for known in locks)
         assert self._fork_while_held(locks) == 0

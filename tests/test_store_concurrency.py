@@ -788,6 +788,67 @@ class TestThreadSafety:
         assert litter == []
 
 
+    def test_content_equal_kernels_share_one_plan_dict(self, tmp_path):
+        """Content-equal kernels on different threads look up, insert
+        into, evict from and (publishing) snapshot ONE plan dict.  Each
+        thread replays the same warm-board sequence — more fingerprints
+        than the dict keeps — so any thread may be served or evict what
+        another built; a torn dict raises or shows up as a result that
+        differs from the single-threaded sequence."""
+        import sys
+
+        from repro.execution.metrics import _MAX_PLANS_PER_TRACE
+
+        store_dir = str(tmp_path / "store")
+        ones = np.ones((16, 16), np.int32)
+
+        def sequence(cpu_tiling):
+            hw, info = make_matmul_system(3, 4, flow="Ns")
+            kernel = AXI4MLIRCompiler(
+                info, kernel_cache=KernelCache(disk_dir=store_dir),
+                enable_cpu_tiling=cpu_tiling).compile_matmul(16, 16, 16)
+            board = make_pynq_z2()
+            board.attach_accelerator(hw)
+            seen = []
+            for _ in range(_MAX_PLANS_PER_TRACE + 4):
+                out = np.zeros((16, 16), np.int32)
+                seen.append((kernel.run(board, ones, ones, out).as_dict(),
+                             out.tobytes()))
+            return kernel, seen
+
+        _, reference = sequence(False)
+        results = [None] * 8
+        errors = []
+
+        def worker(index):
+            try:
+                results[index] = sequence(bool(index % 2))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [seen for _, seen in results] == [reference] * len(results)
+        shared = {id(kernel.trace_state.trace.metrics_plans)
+                  for kernel, _ in results}
+        assert len(shared) == 1
+        assert len(results[0][0].trace_state.trace.metrics_plans) \
+            <= _MAX_PLANS_PER_TRACE
+        assert [p for p in Path(store_dir).rglob("*")
+                if ".tmp-" in p.name] == []
+
+
 class TestEnvKnobWarnings:
     """Malformed store env knobs warn once, then fall back to defaults."""
 

@@ -34,6 +34,7 @@ from repro.execution import METRICS_PLAN_COUNTERS, TRACE_COUNTERS
 from repro.execution.metrics import _cache_digest
 from repro.runtime import DoubleBufferedRuntime
 from repro.soc import _native, make_pynq_z2
+from repro.store import KernelStore
 
 from test_model_plan import MATMUL_SPECS, _matmul_data
 
@@ -48,12 +49,14 @@ PRODUCT = list(itertools.product(
     (False, True), (False, True)))
 
 
-def _matmul_step(m, n, k, size, version, flow, runtime_cls=None):
+def _matmul_step(m, n, k, size, version, flow, runtime_cls=None,
+                 **compiler_kwargs):
     a, b = _matmul_data(m, n, k)
 
     def make(cache):
         hw, info = make_matmul_system(version, size, flow=flow)
-        return hw, AXI4MLIRCompiler(info, kernel_cache=cache) \
+        return hw, AXI4MLIRCompiler(info, kernel_cache=cache,
+                                    **compiler_kwargs) \
             .compile_matmul(m, n, k)
     return make, (a, b, np.zeros((m, n), np.int32)), runtime_cls
 
@@ -70,6 +73,15 @@ def _conv_step():
     return make, (image, weights, np.zeros((1, 2, 6, 6), np.int32)), None
 
 
+#: The config whose steps each start on a fresh board, so all three
+#: replays have one plan fingerprint.  The first two kernels sit under
+#: different cache keys (``cpu_tiling`` is a no-op at this size) but their
+#: traces have equal content: the second's first replay is a hit on the
+#: plan the first one built (and, on the warm pass, stored).  The third
+#: is the stranger — a permuted loop order, so other content (and other
+#: counters) under the same fingerprint — that must not be served it.
+TWINS_AND_STRANGER = "content-equal-pair-and-stranger"
+
 #: name -> [(make, arrays, runtime class)]; a config's steps share one
 #: board, so the second kernel of ``model-two-step`` starts warm.
 CONFIGS = {
@@ -78,6 +90,11 @@ CONFIGS = {
         32, 16, 64, 8, 3, "Cs", DoubleBufferedRuntime)],
     "conv-ic4-f3": [_conv_step()],
     "model-two-step": [_matmul_step(*spec[:6]) for spec in MATMUL_SPECS],
+    TWINS_AND_STRANGER: [
+        _matmul_step(32, 16, 16, 4, 3, "Ns", **options)
+        for options in ({"enable_cpu_tiling": False},
+                        {"enable_cpu_tiling": True},
+                        {"permutation": ("k", "n", "m")})],
 }
 
 
@@ -86,6 +103,8 @@ def _run(name, interpreted=False):
     board = make_pynq_z2()
     seen = []
     for make, arrays, runtime_cls in CONFIGS[name]:
+        if name == TWINS_AND_STRANGER:
+            board = make_pynq_z2()
         hw, kernel = make(KernelCache())
         board.attach_accelerator(hw)
         arrays = [array.copy() for array in arrays]
@@ -179,8 +198,18 @@ def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
     loads its traces from the store and applies stored plans, so a
     wrong plan application cannot hide behind a rebuild."""
     with _selected((), False, False, tmp_path):
+        built = METRICS_PLAN_COUNTERS["metrics_plan_misses"]
         _run(name)
         loaded, applied = _hit_paths()
         _run(name)
         steps = len(CONFIGS[name])
         assert _hit_paths() == (loaded + steps, applied + steps)
+        if name == TWINS_AND_STRANGER:
+            # The second kernel never built, yet its entry holds a
+            # plan: the first kernel's, which the warm pass applied.
+            assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] == built + 2
+            store = KernelStore(tmp_path)
+            stored = [set(store.load(path.name[:-len(".entry")])[1]
+                          ["metrics_plans"])
+                      for path in tmp_path.glob("objects/*/*.entry")]
+            assert len(stored) == 3 and len(set.union(*stored)) == 1

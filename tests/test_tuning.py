@@ -235,6 +235,31 @@ class TestDriver:
         assert seen["tuning_points_completed"] == len(SMALL.points())
         assert seen["tuning_journal_compactions"] == 1
 
+    def test_content_equal_points_are_served_one_plan(self, tmp_path,
+                                                      monkeypatch):
+        """``cpu_tiling`` is a no-op at 8^3, so every ``cpu_tiling=True``
+        point replays a trace with its twin's content and is served the
+        twin's MetricsPlan — and the report cannot tell: it is
+        byte-identical to the one where every plan was built."""
+        from repro.compiler import default_kernel_cache
+        from repro.execution import METRICS_PLAN_COUNTERS
+
+        twins = sum(point.cpu_tiling for point in SMALL.points())
+        default_kernel_cache().clear()
+        hits = METRICS_PLAN_COUNTERS["metrics_plan_hits"]
+        _driver(SMALL, tmp_path, name="shared").run()
+        assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] - hits \
+            >= twins >= 1
+        monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
+        faults.reset_faults()
+        default_kernel_cache().clear()
+        built = METRICS_PLAN_COUNTERS["metrics_plan_fallback"]
+        _driver(SMALL, tmp_path, name="built").run()
+        assert METRICS_PLAN_COUNTERS["metrics_plan_fallback"] - built \
+            == len(SMALL.points())
+        assert (tmp_path / "built.json").read_bytes() \
+            == (tmp_path / "shared.json").read_bytes()
+
     def test_diagnostics_expose_tuning_counters(self, tmp_path):
         from repro.execution import diagnostics
 

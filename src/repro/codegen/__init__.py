@@ -5,10 +5,11 @@ from .python_emitter import (
     compile_host_function,
     emit_function,
     emit_function_source,
+    exec_host_source,
     schedule_event_count,
 )
 
 __all__ = [
     "PythonEmitter", "compile_host_function", "emit_function",
-    "emit_function_source", "schedule_event_count",
+    "emit_function_source", "exec_host_source", "schedule_event_count",
 ]

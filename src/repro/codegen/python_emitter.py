@@ -394,13 +394,22 @@ def emit_function(func_op: Operation) -> Tuple[str, dict]:
     return source, emitter.schedule
 
 
+def exec_host_source(source: str, func_name: str):
+    """``exec`` driver source; returns the function ``func_name`` it defines.
+
+    The one place emitted source becomes code — including source read
+    back from a kernel store, which therefore runs whatever that
+    store's files say.
+    """
+    namespace: dict = {}
+    exec(compile(source, f"<axi4mlir:{func_name}>", "exec"), namespace)
+    return namespace[func_name]
+
+
 def compile_host_function(func_op: Operation,
                           source: Optional[str] = None):
     """Emit and ``exec`` the driver; returns ``(callable, source)``."""
     text = source or emit_function_source(func_op)
     sym = func_op.get_attr("sym_name")
     func_name = sym.value if isinstance(sym, StringAttr) else "host_func"
-    namespace: dict = {}
-    code = compile(text, f"<axi4mlir:{func_name}>", "exec")
-    exec(code, namespace)
-    return namespace[func_name], text
+    return exec_host_source(text, func_name), text

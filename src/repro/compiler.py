@@ -29,6 +29,7 @@ from .accel_config import AcceleratorInfo, CPUInfo
 from .codegen import (
     compile_host_function,
     emit_function,
+    exec_host_source,
     schedule_event_count,
 )
 from .dialects import func, linalg
@@ -329,21 +330,24 @@ class KernelCache:
     KernelStore` keyed by the same fingerprint: a memory miss first
     tries to load the lowered module, emitted source, trace and
     MetricsPlans from disk, so repeated processes skip lowering,
-    synthesis and plan builds.  **Entries persist traced kernels;
-    lowering alone is cheaper to repeat than to load**: the first
-    replay's persist hook is the only writer (one write per new
-    artifact set, ``publish_due``), and a kernel that is compiled but
-    never replayed — a pruned sweep point, ``trace=False``, a failed
-    trace — leaves nothing on disk and is lowered again by the next
-    process (measured over the hot pool plus three large kernels:
-    2.4–3.4 ms to lower against 4.7–7.4 ms to read, parse and
-    ``compile()`` a trace-less entry, plus ~4 ms to write it).
+    synthesis and plan builds.  **Entries persist traced kernels**:
+    the first replay's persist hook is the only writer (one write per
+    new artifact set, ``publish_due``), and a kernel that is compiled
+    but never replayed — a pruned sweep point, ``trace=False``, a
+    failed trace — leaves nothing on disk and is lowered again by the
+    next process.  The rule was set when a load cost more than a
+    lowering; measured again over the hot pool plus three large
+    kernels, lowering costs 1.2–1.7 ms against 0.5–0.7 ms to read,
+    decode and ``exec`` a trace-less entry (its IR parse, 1.3–2.2 ms,
+    waits for a reader of ``kernel.module``) plus 0.6–0.8 ms to write
+    it.
     Processes racing on one key each lower it and publish the same
     bytes atomically; nothing coordinates them.  Entries are
     checksummed containers of a JSON manifest plus one array stream (no
-    pickle: an untrusted cache dir can fail to load but never execute
-    code); corrupt files are quarantined and counted as
-    ``disk_corrupt``, distinct from honest ``disk_misses``.
+    pickle), but the driver source in one is ``exec``'d on load and
+    anyone can compute the checksum: the store directory must be one
+    its user would let run code.  Corrupt files are quarantined and
+    counted as ``disk_corrupt``, distinct from honest ``disk_misses``.
     """
 
     #: The instance attributes counting lookups by outcome.
@@ -429,34 +433,34 @@ class KernelCache:
 
         Container/codec failures are already quarantined by the store;
         a checksum-valid payload that fails *semantic* reconstruction
-        (wrong version field, unparsable IR) is quarantined here for
-        the same reason — the next traced run republishes it.
+        (wrong version field, a driver source that does not define its
+        function) is quarantined here for the same reason — the next
+        traced run republishes it.  The IR is not parsed here: a
+        replay-served kernel never reads it, and the first read of
+        :attr:`CompiledKernel.module` parses it (and quarantines the
+        entry if it cannot).
         """
         status, payload = load_entry(store, name)
         if status != "hit":
             self._count_disk(status)
             return None
         try:
-            module = parse_module(payload["ir"], verify=False)
-            entry, source = compile_host_function(
-                module.lookup(payload["func_name"]),
-                source=payload["source"],
-            )
+            entry = exec_host_source(payload["source"], payload["func_name"])
         except Exception:
             store.quarantine(name)
             self._count_disk("corrupt")
             return None
         self._count_disk("hit")
         kernel = CompiledKernel(
-            module=module,
             func_name=payload["func_name"],
-            source=source,
+            source=payload["source"],
             entry_point=entry,
             plan=payload.get("plan"),
             parameters=payload.get("parameters", {}),
             schedule_table=payload.get("schedule_table"),
             _ir_text=payload["ir"],
         )
+        kernel.trace_state.origin = (store, name)
         # A persisted trace (+ its decoded replay plans and
         # MetricsPlans) lets warm processes skip synthesis and plan
         # builds.
@@ -500,7 +504,7 @@ class KernelCache:
             # The only writer of this entry: a traced run publishes it
             # whenever memory holds a trace or a MetricsPlan the disk
             # lacks.  A kernel that never replays is never written —
-            # lowering it again is cheaper than loading it back.
+            # see the class docstring for the measured trade.
             kernel.trace_state.persist = \
                 lambda k=kernel, key=key: self._disk_store(key, k)
         with self._lock:
@@ -523,14 +527,14 @@ def default_kernel_cache() -> KernelCache:
 
 
 class KernelTraceState:
-    """Shared (mutable) trace bookkeeping for one lowered kernel.
+    """Shared (mutable) state of one lowered kernel: trace and IR.
 
     Lives outside the :class:`CompiledKernel` dataclass fields proper so
     that ``dataclasses.replace`` rebinds (``specialized_copies``
-    variants) share one trace.
+    variants) share one trace and one parsed module.
     """
 
-    __slots__ = ("lock", "trace", "failed", "persist")
+    __slots__ = ("lock", "trace", "failed", "persist", "module", "origin")
 
     def __init__(self):
         self.lock = counters.fork_safe_lock()
@@ -540,13 +544,22 @@ class KernelTraceState:
         #: the entry with the trace, decoded plans and MetricsPlans
         #: memory holds (see ``publish_due``).
         self.persist = None
+        #: The kernel's IR; ``None`` until a stored kernel's text is
+        #: first read (:attr:`CompiledKernel.module`).
+        self.module = None
+        #: ``(store, entry name)`` a disk-loaded kernel came from.
+        self.origin = None
 
 
-@dataclass
+@dataclass(init=False)
 class CompiledKernel:
-    """The result of one compilation: IR, emitted source, callable."""
+    """The result of one compilation: IR, emitted source, callable.
 
-    module: Module
+    ``module`` is an argument but not a field: it is kept in the shared
+    ``trace_state``, so ``dataclasses.replace`` never reads it — which
+    would parse a stored kernel's IR that nothing else asked for.
+    """
+
     func_name: str
     source: str
     entry_point: object
@@ -559,9 +572,54 @@ class CompiledKernel:
         default_factory=KernelTraceState, repr=False, compare=False
     )
     #: ``module`` as printed IR, kept from the first publish (or the
-    #: disk load that parsed it) so later publishes never re-print.
+    #: disk load it is parsed from) so later publishes never re-print.
     _ir_text: Optional[str] = field(default=None, repr=False,
                                     compare=False)
+
+    def __init__(self, module: Optional[Module] = None, *, func_name: str,
+                 source: str, entry_point: object,
+                 plan: Optional[LoweringPlan] = None,
+                 specialized_copies: bool = True,
+                 parameters: Optional[dict] = None,
+                 schedule_table: Optional[dict] = None,
+                 trace_state: Optional[KernelTraceState] = None,
+                 _ir_text: Optional[str] = None):
+        self.func_name = func_name
+        self.source = source
+        self.entry_point = entry_point
+        self.plan = plan
+        self.specialized_copies = specialized_copies
+        self.parameters = {} if parameters is None else parameters
+        self.schedule_table = schedule_table
+        self.trace_state = KernelTraceState() if trace_state is None \
+            else trace_state
+        self._ir_text = _ir_text
+        if module is not None:
+            self.trace_state.module = module
+
+    @property
+    def module(self) -> Module:
+        """The lowered IR; a stored kernel parses its text on first read.
+
+        Text that does not parse quarantines the entry it was loaded
+        from (the store's rule for a payload the compiler cannot
+        reconstruct) and raises :class:`CompileError` naming it.
+        """
+        state = self.trace_state
+        if state.module is None:
+            try:
+                state.module = parse_module(self._ir_text, verify=False)
+            except Exception as exc:
+                where = "a kernel"
+                if state.origin is not None:
+                    store, name = state.origin
+                    store.quarantine(name)
+                    where = f"kernel-store entry {name!r} (quarantined)"
+                    # Never republish the text this process cannot read.
+                    state.persist = None
+                raise CompileError(
+                    f"the IR of {where} does not parse: {exc}") from exc
+        return state.module
 
     @property
     def func_op(self):

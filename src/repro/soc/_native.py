@@ -19,11 +19,20 @@ dominate its runtime when executed in Python:
   instruction records.
 
 All are tiny, dependency-free state machines, so when a system C
-compiler is available they are compiled once per process into a shared
-library and driven through :mod:`ctypes`.  The C code performs exactly
-the same operations as the Python reference paths (IEEE double
-arithmetic with contraction disabled), so results are bit-identical —
-property tests exercise both backends.
+compiler is available they are compiled into a shared library and
+driven through :mod:`ctypes`.  The C code performs exactly the same
+operations as the Python reference paths (IEEE double arithmetic with
+contraction disabled), so results are bit-identical — property tests
+exercise both backends.
+
+The library is built once per user and machine, not once per process
+(:func:`native_lib`): it is kept as ``kernels-<key>.so`` in the private
+directory ``<tempfile.gettempdir()>/repro-native-<euid>/``, where the
+key is a SHA-256 of the C source, the flags and the compiler's resolved
+path, size and mtime.  That directory is trusted only while it is a
+real directory owned by this user with no group or other permission
+bits; otherwise the library is built in a throw-away directory as
+before and nothing is kept.
 
 No compiler, a failed compile, or ``REPRO_NO_NATIVE=1`` simply disables
 the fast path; callers fall back to the Python implementations.
@@ -33,16 +42,20 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import hashlib
 import os
 import shutil
+import stat
 import subprocess
+import sys
 import tempfile
 import threading as _threading
 import warnings
 from contextlib import contextmanager as _contextmanager
-from typing import Optional
+from typing import Optional, Tuple
 
 from .. import faults
+from ..store import fsync_dir, next_tmp_suffix
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -609,9 +622,137 @@ def _cleanup() -> None:
         shutil.rmtree(_build_dir, ignore_errors=True)
 
 
+class _CompileFailed(Exception):
+    """The compiler ran and refused the source (message: its stderr)."""
+
+
+def _compile(compiler: str, flags: Tuple[str, ...], shared: str) -> None:
+    """Compile :data:`_SOURCE` into ``shared`` via a sibling ``.c`` file."""
+    source = shared + ".c"
+    try:
+        with open(source, "w") as handle:
+            handle.write(_SOURCE)
+        result = subprocess.run([compiler, *flags, source, "-o", shared],
+                                capture_output=True, timeout=120)
+    finally:
+        try:
+            os.unlink(source)
+        except OSError:
+            pass
+    if result.returncode != 0:
+        raise _CompileFailed(
+            result.stderr.decode(errors="replace").strip()[:200])
+
+
+def _private_dir() -> Optional[str]:
+    """This user's library directory, or ``None`` if it is not trusted.
+
+    Anyone who can write into the directory can replace the library
+    this process is about to ``dlopen``, so it is used only while
+    ``lstat`` shows a real directory (no symlink) owned by the effective
+    user with no group or other permission bits.
+    """
+    if not hasattr(os, "geteuid"):
+        return None
+    euid = os.geteuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-native-{euid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return None
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != euid \
+            or info.st_mode & 0o077:
+        return None
+    return path
+
+
+def _library_key(compiler: str, flags: Tuple[str, ...]) -> str:
+    """SHA-256 of what the library is a function of.
+
+    The compiler is identified by its resolved path, size and mtime
+    (ccache's default ``compiler_check``), not by running it: an
+    upgrade in place changes the mtime.
+    """
+    real = os.path.realpath(shutil.which(compiler) or compiler)
+    info = os.stat(real)
+    identity = (_SOURCE, flags, real, info.st_size, info.st_mtime_ns,
+                sys.platform, os.uname().machine)
+    return hashlib.sha256(repr(identity).encode()).hexdigest()
+
+
+def _owned_file(path: str) -> bool:
+    """A regular file of this user that nobody else can write."""
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return False
+    return stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid() \
+        and not info.st_mode & 0o022
+
+
+def _cached_library(compiler: str, flags: Tuple[str, ...],
+                    directory: str) -> ctypes.CDLL:
+    """Load this machine's library, building and publishing it on a miss.
+
+    A kept file that fails to load is unlinked and rebuilt once; the
+    build follows the store's publish idiom (``*.tmp-*`` sibling, fsync,
+    ``os.replace``, directory fsync), so concurrent processes converge
+    on one file and a reader never maps a torn one.
+    """
+    path = os.path.join(directory,
+                        f"kernels-{_library_key(compiler, flags)}.so")
+    if _owned_file(path):
+        try:
+            return _load(path)
+        except (OSError, AttributeError):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+    tmp = path + next_tmp_suffix()
+    try:
+        _compile(compiler, flags, tmp)
+        os.chmod(tmp, 0o700)
+        fd = os.open(tmp, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    finally:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+    fsync_dir(directory)
+    return _load(path)
+
+
+def _temporary_library(compiler: str,
+                       flags: Tuple[str, ...]) -> ctypes.CDLL:
+    """Build in a throw-away directory removed at exit; keep nothing."""
+    global _build_dir
+    _build_dir = tempfile.mkdtemp(prefix="repro-native-")
+    atexit.register(_cleanup)
+    shared = os.path.join(_build_dir, "kernels.so")
+    _compile(compiler, flags, shared)
+    return _load(shared)
+
+
 def native_lib() -> Optional[ctypes.CDLL]:
-    """The compiled kernel library, or ``None`` when unavailable."""
-    global _lib, _tried, _build_dir, _status
+    """The compiled kernel library, or ``None`` when unavailable.
+
+    ``REPRO_NO_NATIVE=1`` and the ``native.compile`` fault are decided
+    before any kept library is looked at, so both still force the
+    Python kernels on a machine that has one.
+    """
+    global _lib, _tried, _status
     if native_suspended():
         return None
     if _tried:
@@ -628,86 +769,82 @@ def native_lib() -> Optional[ctypes.CDLL]:
     if compiler is None:
         _degrade("no-compiler")
         return None
+    # -ffp-contract=off: no fused multiply-adds — the timeline must
+    # round after every operation exactly like the Python runtime.
+    flags = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
     try:
-        _build_dir = tempfile.mkdtemp(prefix="repro-native-")
-        atexit.register(_cleanup)
-        source = os.path.join(_build_dir, "kernels.c")
-        shared = os.path.join(_build_dir, "kernels.so")
-        with open(source, "w") as handle:
-            handle.write(_SOURCE)
-        # -ffp-contract=off: no fused multiply-adds — the timeline must
-        # round after every operation exactly like the Python runtime.
-        result = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-             source, "-o", shared],
-            capture_output=True, timeout=120,
-        )
-        if result.returncode != 0:
-            _degrade("compile-failed",
-                     result.stderr.decode(errors="replace").strip()[:200])
-            return None
-        lib = ctypes.CDLL(shared)
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        f64p = ctypes.POINTER(ctypes.c_double)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
-        i8p = ctypes.POINTER(ctypes.c_int8)
-        lib.lru_hierarchy_batch.argtypes = [
-            i64p, ctypes.c_int64,
-            i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            u8p,
-        ]
-        lib.lru_hierarchy_batch.restype = None
-        lib.lru_hierarchy_events.argtypes = [
-            i64p, i64p, ctypes.c_int64,
-            i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            i64p, i64p, i64p,
-        ]
-        lib.lru_hierarchy_events.restype = None
-        lib.lru_copy_event_stream.argtypes = [
-            i64p, i64p, ctypes.c_int64,
-            i64p, i64p, i64p, i64p, u8p, i64p, i64p,
-            i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            i64p, i64p, i64p,
-        ]
-        lib.lru_copy_event_stream.restype = None
-        lib.decode_matmul_stream.argtypes = [
-            u8p, i64p, i64p, i64p, ctypes.c_int64,
-            i64p, ctypes.c_int64,
-            i64p, i64p, i64p, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-            ctypes.c_int64,
-            i64p, i64p, i64p, i64p, i64p, i64p,
-            i64p, i64p, i64p,
-            f64p, i64p,
-            i64p, i64p,
-        ]
-        lib.decode_matmul_stream.restype = ctypes.c_int64
-        lib.decode_conv_stream.argtypes = [
-            u8p, i64p, i64p, i64p, ctypes.c_int64,
-            i64p, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double,
-            i64p, i64p, i64p, i64p,
-            i64p, i64p, i64p,
-            f64p, i64p,
-            i64p, i64p,
-        ]
-        lib.decode_conv_stream.restype = ctypes.c_int64
-        lib.timeline_batch.argtypes = [
-            i8p, f64p, f64p, f64p, f64p, f64p, f64p,
-            ctypes.c_int64, ctypes.c_int32,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, f64p,
-        ]
-        lib.timeline_batch.restype = None
-        _lib = lib
+        directory = _private_dir()
+        if directory is None:
+            _lib = _temporary_library(compiler, flags)
+        else:
+            _lib = _cached_library(compiler, flags, directory)
         _status = "ok"
+    except _CompileFailed as exc:
+        _degrade("compile-failed", str(exc))
     except Exception as exc:
-        _lib = None
         _degrade("load-failed", str(exc)[:200])
     return _lib
+
+
+def _load(path: str) -> ctypes.CDLL:
+    """``dlopen`` one built library and declare its signatures."""
+    lib = ctypes.CDLL(path)
+    i64p = ctypes.POINTER(ctypes.c_int64)
+    f64p = ctypes.POINTER(ctypes.c_double)
+    u8p = ctypes.POINTER(ctypes.c_uint8)
+    i8p = ctypes.POINTER(ctypes.c_int8)
+    lib.lru_hierarchy_batch.argtypes = [
+        i64p, ctypes.c_int64,
+        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        u8p,
+    ]
+    lib.lru_hierarchy_batch.restype = None
+    lib.lru_hierarchy_events.argtypes = [
+        i64p, i64p, ctypes.c_int64,
+        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, i64p, i64p,
+    ]
+    lib.lru_hierarchy_events.restype = None
+    lib.lru_copy_event_stream.argtypes = [
+        i64p, i64p, ctypes.c_int64,
+        i64p, i64p, i64p, i64p, u8p, i64p, i64p,
+        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, i64p, i64p,
+    ]
+    lib.lru_copy_event_stream.restype = None
+    lib.decode_matmul_stream.argtypes = [
+        u8p, i64p, i64p, i64p, ctypes.c_int64,
+        i64p, ctypes.c_int64,
+        i64p, i64p, i64p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+        ctypes.c_int64,
+        i64p, i64p, i64p, i64p, i64p, i64p,
+        i64p, i64p, i64p,
+        f64p, i64p,
+        i64p, i64p,
+    ]
+    lib.decode_matmul_stream.restype = ctypes.c_int64
+    lib.decode_conv_stream.argtypes = [
+        u8p, i64p, i64p, i64p, ctypes.c_int64,
+        i64p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_double,
+        i64p, i64p, i64p, i64p,
+        i64p, i64p, i64p,
+        f64p, i64p,
+        i64p, i64p,
+    ]
+    lib.decode_conv_stream.restype = ctypes.c_int64
+    lib.timeline_batch.argtypes = [
+        i8p, f64p, f64p, f64p, f64p, f64p, f64p,
+        ctypes.c_int64, ctypes.c_int32,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double, f64p,
+    ]
+    lib.timeline_batch.restype = None
+    return lib

@@ -39,23 +39,25 @@ Decode inflates the stream once, bounded by the declared size, into a
 so any one of them keeps the whole inflated segment alive.
 
 The SHA-256 is checked before anything is parsed, and there is **no
-pickle and no object dtype anywhere in the load path**, so an untrusted
-cache directory can at worst fail to load — it can never execute code.
-Any container violation (bad magic, short file, checksum mismatch,
-malformed JSON, an inflated size other than the declared one, bytes
-after the stream, a table row whose dtype has objects, whose offset is
-unaligned or whose extent leaves the segment or overlaps another row, a
-non-whitelisted tag) *quarantines* the file into ``corrupt/`` and
-reports status ``"corrupt"``, which callers count separately from an
-honest miss.
+pickle and no object dtype anywhere in the load path**, so a hostile
+manifest or array table can at worst fail to load.  That makes the
+codec safe, not the store: the kernel cache ``exec``s the driver source
+a kernel entry carries, and the SHA-256 is computed by whoever wrote
+the entry, so a store directory must be one its user would let run
+code (like a ``__pycache__``).  Any container violation (bad magic,
+short file, checksum mismatch, malformed JSON, an inflated size other
+than the declared one, bytes after the stream, a table row whose dtype
+has objects, whose offset is unaligned or whose extent leaves the
+segment or overlaps another row, a non-whitelisted tag) *quarantines*
+the file into ``corrupt/`` and reports status ``"corrupt"``, which
+callers count separately from an honest miss.
 
 **What gets published.**  Entries persist *traced* kernels: the kernel
 cache publishes an entry from the first replay's persist hook, never at
-compile time, because lowering alone is cheaper to repeat (2.4–3.4 ms)
-than to read, parse and ``compile()`` back (4.7–7.4 ms, after ~4 ms to
-write it).  There is no cross-process build lock: processes racing on
-one key each lower it and publish atomically, and the entry converges
-(``repro.compiler.publish_due``).
+compile time (see :class:`repro.compiler.KernelCache` for the measured
+cost of lowering against loading).  There is no cross-process build
+lock: processes racing on one key each lower it and publish
+atomically, and the entry converges (``repro.compiler.publish_due``).
 
 **Garbage collection.**  ``gc(max_bytes)`` (env:
 ``REPRO_KERNEL_CACHE_MAX_BYTES``) evicts least-recently-*used* entries

@@ -443,6 +443,198 @@ class TestPublicationRule:
         assert site[0] == "repro/compiler.py" and "lambda" in site[1]
 
 
+#: The eight kernels ``steady_replay`` keeps hot: (kind, shape, system).
+HOT_KERNELS = (
+    ("matmul", (64, 64, 64), (1, 8, "Ns", None)),
+    ("matmul", (64, 64, 64), (2, 8, "As", None)),
+    ("matmul", (64, 64, 64), (3, 16, "Ns", None)),
+    ("matmul", (128, 128, 128), (3, 16, "Cs", None)),
+    ("matmul", (128, 32, 256), (4, 16, "Bs", (32, 16, 32))),
+    ("matmul", (64, 64, 64), (4, 16, "Cs", (16, 16, 16))),
+    ("conv", (1, 256, 8, 16, 3, 1), None),
+    ("conv", (1, 64, 13, 16, 3, 2), None),
+)
+
+#: fig12 at its smoke scale: both copy panels, so every kernel is also
+#: served as a ``specialized_copies=False`` replace() variant.
+_FIG12_JOB = r"""
+import json
+from repro.ir.parser import Parser
+parses = []
+real = Parser.parse_module
+Parser.parse_module = lambda self: parses.append(1) or real(self)
+from repro.compiler import default_kernel_cache
+from repro.experiments.figures import fig12_rows
+rows = fig12_rows(32, 8, 3)
+print(json.dumps({"rows": rows, "parses": len(parses),
+                  "disk_hits": default_kernel_cache().disk_hits}))
+"""
+
+
+def _hot_kernel(cache, kind, shape, system, specialized=True):
+    """(hardware, kernel, operands) for one HOT_KERNELS row."""
+    from repro.accelerators import make_conv_system
+
+    rng = np.random.default_rng(3)
+    if kind == "matmul":
+        m, n, k = shape
+        version, size, flow, accel_size = system
+        hw, info = make_matmul_system(version, size, flow=flow,
+                                      accel_size=accel_size)
+        kernel = AXI4MLIRCompiler(info, kernel_cache=cache,
+                                  specialized_copies=specialized) \
+            .compile_matmul(m, n, k)
+        shapes = ((m, k), (k, n), (m, n))
+    else:
+        batch, in_ch, in_hw, out_ch, f_hw, stride = shape
+        out_hw = (in_hw - f_hw) // stride + 1
+        hw, info = make_conv_system(in_ch, f_hw, max_slice=out_hw ** 2)
+        kernel = AXI4MLIRCompiler(info, kernel_cache=cache,
+                                  specialized_copies=specialized) \
+            .compile_conv(*shape)
+        shapes = ((batch, in_ch, in_hw, in_hw), (out_ch, in_ch, f_hw, f_hw),
+                  (batch, out_ch, out_hw, out_hw))
+    operands = [rng.integers(-4, 4, s).astype(np.int32) for s in shapes[:2]]
+    return hw, kernel, operands + [np.zeros(shapes[2], np.int32)]
+
+
+def _observe(hw, kernel, operands, interpreted=False):
+    """Counters, output bytes and board clock of one run on a new board."""
+    board = make_pynq_z2()
+    board.attach_accelerator(hw)
+    operands = [array.copy() for array in operands]
+    run = kernel.run_interpreted if interpreted else kernel.run
+    counters = run(board, *operands)
+    return counters.as_dict(), operands[-1].tobytes(), board.clock
+
+
+@pytest.mark.ambient_faults_incompatible
+class TestDeferredParse:
+    """A disk hit decodes its entry and execs the driver, but parses
+    the IR only when something reads ``kernel.module``."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every IR parse in this process, whoever asks for it."""
+        from repro.ir.parser import Parser
+
+        calls = []
+        real = Parser.parse_module
+        monkeypatch.setattr(Parser, "parse_module",
+                            lambda self: calls.append(1) or real(self))
+        return calls
+
+    @staticmethod
+    def _published(store, size=32):
+        """A kernel compiled, replayed (so published) and its result."""
+        writer = KernelCache(disk_dir=store)
+        kernel = make_compiler(writer).compile_matmul(size, size, size)
+        hw, _ = make_matmul_system(3, 8, flow="Ns")
+        operands = [np.ones((size, size), np.int32),
+                    np.full((size, size), 2, np.int32),
+                    np.zeros((size, size), np.int32)]
+        return kernel, hw, operands, _observe(hw, kernel, operands)
+
+    def test_disk_load_does_not_parse(self):
+        import inspect
+
+        assert "parse_module" not in inspect.getsource(KernelCache._disk_load)
+
+    def test_replay_of_hot_kernels_parses_nothing(self, tmp_path, parses):
+        store = str(tmp_path / "store")
+        writer = KernelCache(disk_dir=store)
+        expected = [_observe(*_hot_kernel(writer, *row, specialized))
+                    for row in HOT_KERNELS for specialized in (True, False)]
+        del parses[:]
+        reader = KernelCache(disk_dir=store)
+        served = [_observe(*_hot_kernel(reader, *row, specialized))
+                  for row in HOT_KERNELS for specialized in (True, False)]
+        assert reader.disk_hits == len(HOT_KERNELS)
+        assert parses == []
+        assert served == expected
+
+    def test_replay_of_a_figure_parses_nothing(self, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["REPRO_KERNEL_CACHE_DIR"] = str(tmp_path / "store")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        cold, warm = (json.loads(subprocess.run(
+            [sys.executable, "-c", _FIG12_JOB], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+            for _ in range(2))
+        assert warm["disk_hits"] > 0 and warm["parses"] == 0
+        assert warm["rows"] == cold["rows"]
+
+    def test_module_is_parsed_on_first_read(self, tmp_path, parses):
+        from repro.ir.printer import print_module
+
+        store = str(tmp_path / "store")
+        built, hw, operands, _ = self._published(store)
+        loaded = make_compiler(KernelCache(disk_dir=store)) \
+            .compile_matmul(32, 32, 32)
+        del parses[:]
+        assert loaded.trace_state.module is None
+        assert print_module(loaded.module) == loaded._ir_text
+        assert loaded.module is loaded.module
+        assert len(parses) == 1
+        assert _observe(hw, loaded, operands, interpreted=True) \
+            == _observe(hw, built, operands, interpreted=True)
+
+    def test_replace_variants_share_one_parse(self, tmp_path, parses):
+        store = str(tmp_path / "store")
+        self._published(store)
+        loaded = make_compiler(KernelCache(disk_dir=store)) \
+            .compile_matmul(32, 32, 32)
+        del parses[:]
+        variant = replace(loaded, specialized_copies=False)
+        assert parses == []
+        assert variant.module is loaded.module
+        assert len(parses) == 1
+        assert not variant.specialized_copies and loaded.specialized_copies
+
+    def test_compiled_kernel_keeps_the_module_it_was_given(self):
+        from repro.compiler import CompiledKernel, build_matmul_module
+        from repro.ir import element_type_from_string
+
+        module = build_matmul_module(4, 4, 4, element_type_from_string("i32"))
+        kernel = CompiledKernel(module=module, func_name="matmul_call",
+                                source="", entry_point=None)
+        assert kernel.module is module
+        assert replace(kernel, source="x").module is module
+
+    def test_unparsable_ir_still_replays_then_quarantines(self, tmp_path):
+        from repro.store import KernelStore
+        from repro.transforms import CompileError
+
+        store = tmp_path / "store"
+        _, hw, operands, expected = self._published(str(store))
+        (path,) = TestDiskKernelStore.entry_files(store)
+        name = path.name[:-len(".entry")]
+        kernel_store = KernelStore(store)
+        status, payload = kernel_store.load(name)
+        assert status == "hit"
+        payload["ir"] = "this is not IR {"
+        assert kernel_store.store(name, payload)  # a valid checksum
+
+        reader = KernelCache(disk_dir=str(store))
+        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
+        assert reader.disk_hits == 1 and reader.disk_corrupt == 0
+        assert _observe(hw, loaded, operands) == expected
+        with pytest.raises(CompileError, match=name):
+            loaded.module
+        assert not path.exists()
+        assert (store / "corrupt" / path.name).exists()
+        # The text this process cannot read is never republished.
+        assert loaded.trace_state.persist is None
+
+
 class TestManualTraceEntries:
     """The cpp_MANUAL baselines' traces persist like kernel traces."""
 

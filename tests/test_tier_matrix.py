@@ -14,7 +14,9 @@ For each configuration the interpreter runs once; then every element of
 one fresh kernel store (the second pass starts from empty in-process
 caches, so it takes the store-hit paths) and must reproduce the
 interpreter's PerfCounters, output bytes, board clock and both cache
-levels' LRU digests after every step.
+levels' LRU digests after every step.  For one config a third pass runs
+the interpreter on the kernels the store hands back, whose IR is parsed
+from the stored text on that first read.
 
 Tier-1 runs the product in-process and through the pool's no-fork rung
 (:func:`repro.pool.run_seamed`); ``-m matrix`` runs it again with each
@@ -138,13 +140,21 @@ def _selected(rungs, no_native, check, store):
             faults.reset_faults()
 
 
+#: The config whose round trip also interprets the kernel it loaded:
+#: its IR is parsed from the stored text only then, on first read.
+LOADED_INTERPRETED = "matmul-v1-Ns"
+
+
 def _two_passes(job):
     """Cold then warm on ``job``'s store (also the pool handler).  Each
     step compiles into a fresh ``KernelCache``, so the warm pass reads
     the store."""
     with _selected(job["rungs"], job["no_native"], job["check"],
                    job["store"]):
-        return {"passes": [_run(job["name"]) for _ in range(2)]}
+        passes = [_run(job["name"]) for _ in range(2)]
+        if job["name"] == LOADED_INTERPRETED:
+            passes.append(_run(job["name"], interpreted=True))
+        return {"passes": passes}
 
 
 def _hit_paths():
@@ -177,7 +187,8 @@ def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
                 workers.submit(0, job)
                 ((_, reply),) = workers.wait([0], 120.0)
                 assert reply is not None, f"worker died on {job}"
-            assert reply["passes"] == [oracle, oracle], job
+            rounds = 3 if name == LOADED_INTERPRETED else 2
+            assert reply["passes"] == [oracle] * rounds, job
             # A generated kernel is never recorded; one that fails
             # synthesis has no trace and ran per tile, both passes.
             grew = {key: TRACE_COUNTERS[key] - sources[key]

@@ -57,8 +57,8 @@ print(source)
 print("=== 5. interpreter vs emitted code ===")
 from repro.compiler import CompiledKernel  # noqa: E402
 
-kernel = CompiledKernel(module=module, func_name="matmul_call",
-                        source=source, entry_point=entry, plan=plan)
+kernel = CompiledKernel(module=module, func_name="matmul_call", plan=plan)
+assert kernel.source == source  # the kernel emits the same driver
 rng = np.random.default_rng(0)
 a = rng.integers(-5, 5, (8, 8)).astype(np.int32)
 b = rng.integers(-5, 5, (8, 8)).astype(np.int32)

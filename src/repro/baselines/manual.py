@@ -23,7 +23,6 @@ from ..compiler import (
     publish_due,
     publish_entry,
     store_entry_name,
-    stored_trace,
 )
 from ..execution.recorder import record_trace
 from ..execution.replay import replay_kernel
@@ -65,7 +64,7 @@ def _load_manual_trace(store, name: str):
     """The trace a ``manual-*`` entry holds, or ``None`` (the recording
     that follows then overwrites the entry)."""
     status, payload = load_entry(store, name)
-    return stored_trace(payload) if status == "hit" else None
+    return payload["trace"] if status == "hit" else None
 
 
 def _run_manual_body(body, rt, board, before, descriptors, key):

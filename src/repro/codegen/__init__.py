@@ -4,12 +4,10 @@ from .python_emitter import (
     PythonEmitter,
     compile_host_function,
     emit_function,
-    emit_function_source,
-    exec_host_source,
     schedule_event_count,
 )
 
 __all__ = [
     "PythonEmitter", "compile_host_function", "emit_function",
-    "emit_function_source", "exec_host_source", "schedule_event_count",
+    "schedule_event_count",
 ]

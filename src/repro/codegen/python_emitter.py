@@ -3,10 +3,10 @@
 The paper lowers the ``accel`` dialect into C calls against the AXI DMA
 library and compiles them into the application binary.  Here the same
 lowering emits *Python source* whose calls target
-:class:`~repro.runtime.AxiRuntime`; ``exec`` turns it into a callable.
-Generated code is pure driver code — loops, subviews, staged sends,
-flushes, receives — and is the artifact benchmarked as
-``mlir_AXI4MLIR``.
+:class:`~repro.runtime.AxiRuntime`; ``exec`` turns it into a callable
+when the per-tile rung first runs it (a replay never does).  Generated
+code is pure driver code — loops, subviews, staged sends, flushes,
+receives — and is the artifact benchmarked as ``mlir_AXI4MLIR``.
 
 The emitted text is kept human-readable (it is part of this library's
 observable behaviour: examples print it), but is micro-optimized the
@@ -36,10 +36,18 @@ cross-checks a recorded schedule against :func:`schedule_event_count`
 ahead-of-time synthesizer (:mod:`repro.execution.synthesize`) expands
 it directly into a replayable :class:`DriverTrace` without ever
 executing the emitted driver.
+
+The kernel store keeps only the IR, so the emitter also runs on IR read
+back from disk: a name it interpolates must be a plain identifier the
+driver does not bind itself, and a value it formats as a literal must be
+a number.  Anything else is an :class:`EmitError`, never source.
 """
 
 from __future__ import annotations
 
+import keyword
+import math
+import re
 from typing import Dict, List, Optional, Tuple
 
 from ..dialects import accel
@@ -62,6 +70,29 @@ _RT_METHODS = (
 #: event (everything else — ``arith``, ``subview``, ``dim`` — is pure
 #: host-side index computation the recorder never sees).
 SCHEDULE_EVENT_OPS = frozenset(_RT_METHODS)
+
+#: Names the emitted code binds or calls itself, and the shape of the
+#: value names it generates (``arg0``, ``c3``, ``sub1``, ``off7``, ...):
+#: no name taken from the IR may shadow one.
+_BOUND_NAMES = frozenset(("rt", "range", "min") + _RT_METHODS)
+_GENERATED_NAME = re.compile(r"(?:arg|c|v|sub|sz|d|off)[0-9]+")
+
+
+def _identifier(name) -> str:
+    """``name`` if it is safe to interpolate as a Python identifier."""
+    if not isinstance(name, str) or not name.isidentifier() \
+            or keyword.iskeyword(name) or name in _BOUND_NAMES \
+            or _GENERATED_NAME.fullmatch(name):
+        raise EmitError(f"{name!r} is not a usable driver identifier")
+    return name
+
+
+def _literal(value):
+    """``value`` if its ``repr`` is a plain Python number literal."""
+    if type(value) not in (int, float, bool) \
+            or (type(value) is float and not math.isfinite(value)):
+        raise EmitError(f"{value!r} is not a numeric literal")
+    return value
 
 
 class PythonEmitter:
@@ -127,8 +158,7 @@ class PythonEmitter:
 
     # -- entry ------------------------------------------------------------
     def emit(self) -> str:
-        sym = self.func_op.get_attr("sym_name")
-        func_name = sym.value if isinstance(sym, StringAttr) else "host_func"
+        func_name = _func_name(self.func_op)
         entry = self.func_op.regions[0].entry_block
         arg_names = []
         for i, argument in enumerate(entry.arguments):
@@ -158,7 +188,7 @@ class PythonEmitter:
         """
         for op in block.operations:
             if op.name == "arith.constant":
-                value = unwrap(op.get_attr("value"))
+                value = _literal(unwrap(op.get_attr("value")))
                 name = self.fresh(op.results[0], "c")
                 self.const_values[op.results[0]] = value
                 self.schedule["constants"][name] = value
@@ -245,6 +275,7 @@ class PythonEmitter:
         while iv_name in self.loop_names:
             suffix += 1
             iv_name = f"{hint}{suffix}"
+        _identifier(iv_name)
         self.loop_names.append(iv_name)
         self.names[body.arguments[0]] = iv_name
         self.line(f"for {iv_name} in range({lower}, {upper}, {step}):")
@@ -273,7 +304,7 @@ class PythonEmitter:
     def _op_memref_subview(self, op: Operation) -> None:
         source = self.name_of(op.operands[0])
         offsets = ", ".join(self.name_of(v) for v in op.operands[1:])
-        sizes = tuple(unwrap(op.get_attr("static_sizes")))
+        sizes = tuple(map(_literal, unwrap(op.get_attr("static_sizes"))))
         name = self.fresh(op.results[0], "sub")
         trailing = "," if len(op.operands) == 2 else ""
         self.line(
@@ -288,11 +319,11 @@ class PythonEmitter:
 
     def _op_memref_dim(self, op: Operation) -> None:
         source = self.name_of(op.operands[0])
-        index = unwrap(op.get_attr("index"))
+        index = int(_literal(unwrap(op.get_attr("index"))))
         name = self.fresh(op.results[0], "d")
         self.line(f"{name} = {source}.sizes[{index}]")
         self._record({"op": "dim", "result": name, "ref": source,
-                      "index": int(index)})
+                      "index": index})
 
     # -- accel ------------------------------------------------------------
     def _op_accel_dma_init(self, op: Operation) -> None:
@@ -382,11 +413,6 @@ def schedule_event_count(table: Optional[dict]) -> Optional[int]:
     return count(table["body"])
 
 
-def emit_function_source(func_op: Operation) -> str:
-    """Emit Python driver source for one lowered function."""
-    return PythonEmitter(func_op).emit()
-
-
 def emit_function(func_op: Operation) -> Tuple[str, dict]:
     """Emit source plus the schedule side table."""
     emitter = PythonEmitter(func_op)
@@ -394,22 +420,21 @@ def emit_function(func_op: Operation) -> Tuple[str, dict]:
     return source, emitter.schedule
 
 
-def exec_host_source(source: str, func_name: str):
-    """``exec`` driver source; returns the function ``func_name`` it defines.
-
-    The one place emitted source becomes code — including source read
-    back from a kernel store, which therefore runs whatever that
-    store's files say.
-    """
-    namespace: dict = {}
-    exec(compile(source, f"<axi4mlir:{func_name}>", "exec"), namespace)
-    return namespace[func_name]
+def _func_name(func_op: Operation) -> str:
+    sym = func_op.get_attr("sym_name")
+    return _identifier(sym.value) if isinstance(sym, StringAttr) \
+        else "host_func"
 
 
 def compile_host_function(func_op: Operation,
                           source: Optional[str] = None):
-    """Emit and ``exec`` the driver; returns ``(callable, source)``."""
-    text = source or emit_function_source(func_op)
-    sym = func_op.get_attr("sym_name")
-    func_name = sym.value if isinstance(sym, StringAttr) else "host_func"
-    return exec_host_source(text, func_name), text
+    """Emit and ``exec`` the driver; returns ``(callable, source)``.
+
+    The one place driver source becomes code.  ``source``, when given,
+    must be what :func:`emit_function` made of ``func_op``.
+    """
+    text = source or emit_function(func_op)[0]
+    func_name = _func_name(func_op)
+    namespace: dict = {}
+    exec(compile(text, f"<axi4mlir:{func_name}>", "exec"), namespace)
+    return namespace[func_name], text

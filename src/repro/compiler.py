@@ -29,7 +29,6 @@ from .accel_config import AcceleratorInfo, CPUInfo
 from .codegen import (
     compile_host_function,
     emit_function,
-    exec_host_source,
     schedule_event_count,
 )
 from .dialects import func, linalg
@@ -71,10 +70,9 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: before any per-artifact version could be compared.  What is left
 #: for this number is a payload that reaches a current name some other
 #: way (a copied or hand-written file): it is quarantined, not loaded.
-#: Version 4: the checksummed, pickle-free container of
-#: :mod:`repro.store` with magic ``REPRO-KSTORE-2`` — a JSON manifest
-#: plus one zlib stream behind an array table.
-KERNEL_STORE_VERSION = 4
+#: Version 5: kernel payloads are data (IR, trace, plans) in the
+#: container of :mod:`repro.store`; the driver is re-emitted from the IR.
+KERNEL_STORE_VERSION = 5
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -169,17 +167,26 @@ def store_entry_name(kind: str, key) -> str:
 # it carries a trace, and is written once per new artifact set.
 
 def load_entry(store: KernelStore, name: str) -> Tuple[str, Optional[dict]]:
-    """``store.load`` plus the payload-version check.
+    """``store.load`` plus the payload checks.
 
     A checksum-valid payload that is not a dict of this
-    KERNEL_STORE_VERSION is quarantined and reported as ``"stale"``.
+    KERNEL_STORE_VERSION is quarantined and reported as ``"stale"``; one
+    whose trace fails :func:`stored_trace`'s checks is quarantined and
+    reported as ``"corrupt"``, so the caller builds the trace afresh.
+    A hit's ``"trace"`` is the checked trace, its plans attached.
     """
     status, payload = store.load(name)
-    if status == "hit" and (
-            not isinstance(payload, dict)
-            or payload.get("store_version") != KERNEL_STORE_VERSION):
+    if status != "hit":
+        return status, None
+    if not isinstance(payload, dict) \
+            or payload.get("store_version") != KERNEL_STORE_VERSION:
         store.quarantine(name)
         return "stale", None
+    try:
+        payload["trace"] = stored_trace(payload)
+    except Exception:  # a forged trace may break any attribute access
+        store.quarantine(name)
+        return "corrupt", None
     return status, payload
 
 
@@ -208,11 +215,50 @@ def stored_trace(payload: dict):
     """The trace ``payload`` carries, its stored plans attached.
 
     ``None`` when the entry has no trace; plans are only ever attached
-    to the trace they were built against.
+    to the trace they were built against.  Raises ``ValueError`` when
+    the trace's index tables break an invariant that synthesis and
+    recording always keep — the ones the C stream decoders and cache
+    classifier (:mod:`repro.soc._native`) index memory by: equal-length
+    staged arrays of the dtypes the decoders read, nondecreasing flush
+    item counts within the stream, tile ordinals within their classes,
+    and event positions within the event stream.
     """
     trace = payload.get("trace")
     if not isinstance(trace, DriverTrace):
         return None
+    items = trace.num_staged_items
+    staged = (trace.staged_is_word, trace.staged_values,
+              trace.staged_indices, trace.staged_widths)
+    if any(array.shape != (items,) or array.dtype != dtype
+           for array, dtype in zip(staged, (np.uint8,) + (np.int64,) * 3)):
+        raise ValueError("staged arrays differ in length or dtype")
+    counts = np.asarray(trace.flush_item_counts, dtype=np.int64)
+    if counts.ndim != 1 or (counts.size and (
+            counts[0] < 0 or counts[-1] > items
+            or (np.diff(counts) < 0).any())):
+        raise ValueError("flush item counts leave the staged stream")
+    refs = np.asarray(trace.recv_refs, dtype=np.int64).reshape(-1, 2)
+    tiles = trace.staged_is_word == 0
+    for classes, ids, indices in (
+            (trace.send_classes, trace.staged_values[tiles],
+             trace.staged_indices[tiles]),
+            (trace.recv_classes, refs[:, 0], refs[:, 1])):
+        sizes = np.asarray([tc.starts.size for tc in classes],
+                           dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(classes)
+                         or indices.min() < 0
+                         or (indices >= sizes[ids]).any()):
+            raise ValueError("tile ordinal outside its class")
+    events = trace.num_events
+    if trace.kinds.shape != (events,) \
+            or trace.word_offsets.shape != trace.word_pos.shape \
+            or trace.word_offsets.dtype != np.int64:
+        raise ValueError("event or word tables differ in length")
+    for positions in [trace.word_pos, trace.flush_pos, trace.recv_pos] + [
+            tc.event_pos for tc in trace.send_classes + trace.recv_classes]:
+        if positions.size and (positions.min() < 0
+                               or positions.max() >= events):
+            raise ValueError("event position outside the event stream")
     plans = payload.get("metrics_plans")
     if isinstance(plans, dict):
         trace.metrics_plans.update(plans)
@@ -328,26 +374,25 @@ class KernelCache:
     With ``REPRO_KERNEL_CACHE_DIR`` set (or ``disk_dir`` passed), the
     cache is additionally backed by the on-disk :class:`~repro.store.
     KernelStore` keyed by the same fingerprint: a memory miss first
-    tries to load the lowered module, emitted source, trace and
-    MetricsPlans from disk, so repeated processes skip lowering,
-    synthesis and plan builds.  **Entries persist traced kernels**:
-    the first replay's persist hook is the only writer (one write per
+    tries to load the lowered IR, trace and MetricsPlans from disk, so
+    repeated processes skip lowering, synthesis and plan builds.
+    **Entries persist traced kernels**: the first replay's persist
+    hook is the only writer (one write per
     new artifact set, ``publish_due``), and a kernel that is compiled
     but never replayed — a pruned sweep point, ``trace=False``, a
     failed trace — leaves nothing on disk and is lowered again by the
     next process.  The rule was set when a load cost more than a
     lowering; measured again over the hot pool plus three large
-    kernels, lowering costs 1.2–1.7 ms against 0.5–0.7 ms to read,
-    decode and ``exec`` a trace-less entry (its IR parse, 1.3–2.2 ms,
-    waits for a reader of ``kernel.module``) plus 0.6–0.8 ms to write
-    it.
+    kernels, lowering costs 1.0–1.8 ms against 0.1–0.2 ms to read and
+    decode a trace-less entry plus 0.6–0.8 ms to write it.
     Processes racing on one key each lower it and publish the same
-    bytes atomically; nothing coordinates them.  Entries are
-    checksummed containers of a JSON manifest plus one array stream (no
-    pickle), but the driver source in one is ``exec``'d on load and
-    anyone can compute the checksum: the store directory must be one
-    its user would let run code.  Corrupt files are quarantined and
-    counted as ``disk_corrupt``, distinct from honest ``disk_misses``.
+    bytes atomically; nothing coordinates them.  Entries are data (no
+    pickle, no code): a disk hit is read + decode, and the IR is parsed
+    and the driver re-emitted only when a rung needs them.  Anyone can
+    compute an entry's checksum, so names and trace indices are checked
+    before they become code (the emitter) or C indices
+    (:func:`stored_trace`).  Corrupt files are quarantined and counted
+    as ``disk_corrupt``, distinct from honest ``disk_misses``.
     """
 
     #: The instance attributes counting lookups by outcome.
@@ -429,42 +474,30 @@ class KernelCache:
 
     def _disk_load(self, store: KernelStore,
                    name: str) -> Optional["CompiledKernel"]:
-        """Load + reconstruct one stored kernel, or ``None``.
+        """Decode one stored kernel, or ``None``.
 
-        Container/codec failures are already quarantined by the store;
-        a checksum-valid payload that fails *semantic* reconstruction
-        (wrong version field, a driver source that does not define its
-        function) is quarantined here for the same reason — the next
-        traced run republishes it.  The IR is not parsed here: a
-        replay-served kernel never reads it, and the first read of
-        :attr:`CompiledKernel.module` parses it (and quarantines the
-        entry if it cannot).
+        Container/codec failures and payloads :func:`load_entry` rejects
+        are already quarantined; the next traced run republishes them.
+        Nothing is parsed, emitted or ``exec``'d here: a replay-served
+        kernel needs only the trace, and the first reader of the IR or
+        the driver rebuilds them from ``ir`` (and quarantines the entry
+        if it cannot).
         """
         status, payload = load_entry(store, name)
+        self._count_disk(status)
         if status != "hit":
-            self._count_disk(status)
             return None
-        try:
-            entry = exec_host_source(payload["source"], payload["func_name"])
-        except Exception:
-            store.quarantine(name)
-            self._count_disk("corrupt")
-            return None
-        self._count_disk("hit")
         kernel = CompiledKernel(
             func_name=payload["func_name"],
-            source=payload["source"],
-            entry_point=entry,
             plan=payload.get("plan"),
             parameters=payload.get("parameters", {}),
-            schedule_table=payload.get("schedule_table"),
             _ir_text=payload["ir"],
         )
         kernel.trace_state.origin = (store, name)
         # A persisted trace (+ its decoded replay plans and
         # MetricsPlans) lets warm processes skip synthesis and plan
         # builds.
-        kernel.trace_state.trace = stored_trace(payload)
+        kernel.trace_state.trace = payload["trace"]
         return kernel
 
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
@@ -477,10 +510,8 @@ class KernelCache:
         publish_entry(store, store_entry_name("kernel", key), {
             "ir": kernel._ir_text,
             "func_name": kernel.func_name,
-            "source": kernel.source,
             "parameters": kernel.parameters,
             "plan": kernel.plan,
-            "schedule_table": kernel.schedule_table,
         }, kernel.trace_state.trace)
 
     def get_or_compile(self, key: Tuple,
@@ -527,14 +558,15 @@ def default_kernel_cache() -> KernelCache:
 
 
 class KernelTraceState:
-    """Shared (mutable) state of one lowered kernel: trace and IR.
+    """Shared (mutable) state of one lowered kernel: trace, IR, driver.
 
     Lives outside the :class:`CompiledKernel` dataclass fields proper so
     that ``dataclasses.replace`` rebinds (``specialized_copies``
-    variants) share one trace and one parsed module.
+    variants) share one trace, one parsed module and one driver.
     """
 
-    __slots__ = ("lock", "trace", "failed", "persist", "module", "origin")
+    __slots__ = ("lock", "trace", "failed", "persist", "module", "origin",
+                 "emitted", "entry_point")
 
     def __init__(self):
         self.lock = counters.fork_safe_lock()
@@ -549,25 +581,29 @@ class KernelTraceState:
         self.module = None
         #: ``(store, entry name)`` a disk-loaded kernel came from.
         self.origin = None
+        #: ``(driver source, schedule table)`` and the driver callable,
+        #: derived from ``module`` when first read (see CompiledKernel).
+        self.emitted = None
+        self.entry_point = None
 
 
 @dataclass(init=False)
 class CompiledKernel:
-    """The result of one compilation: IR, emitted source, callable.
+    """The result of one compilation: the lowered IR and its plan.
 
     ``module`` is an argument but not a field: it is kept in the shared
     ``trace_state``, so ``dataclasses.replace`` never reads it — which
-    would parse a stored kernel's IR that nothing else asked for.
+    would parse a stored kernel's IR that nothing else asked for.  The
+    driver — :attr:`source`, :attr:`schedule_table`, :attr:`entry_point`
+    — is derived from ``module`` by one path, cached there too: emitted
+    once (at compile time, or on first read for a stored kernel) and
+    ``exec``'d on the first per-tile run.
     """
 
     func_name: str
-    source: str
-    entry_point: object
     plan: Optional[LoweringPlan] = None
     specialized_copies: bool = True
     parameters: dict = field(default_factory=dict)
-    #: Schedule side table from the emitter (loop nest + rt calls).
-    schedule_table: Optional[dict] = None
     trace_state: KernelTraceState = field(
         default_factory=KernelTraceState, repr=False, compare=False
     )
@@ -577,20 +613,15 @@ class CompiledKernel:
                                     compare=False)
 
     def __init__(self, module: Optional[Module] = None, *, func_name: str,
-                 source: str, entry_point: object,
                  plan: Optional[LoweringPlan] = None,
                  specialized_copies: bool = True,
                  parameters: Optional[dict] = None,
-                 schedule_table: Optional[dict] = None,
                  trace_state: Optional[KernelTraceState] = None,
                  _ir_text: Optional[str] = None):
         self.func_name = func_name
-        self.source = source
-        self.entry_point = entry_point
         self.plan = plan
         self.specialized_copies = specialized_copies
         self.parameters = {} if parameters is None else parameters
-        self.schedule_table = schedule_table
         self.trace_state = KernelTraceState() if trace_state is None \
             else trace_state
         self._ir_text = _ir_text
@@ -599,31 +630,57 @@ class CompiledKernel:
 
     @property
     def module(self) -> Module:
-        """The lowered IR; a stored kernel parses its text on first read.
-
-        Text that does not parse quarantines the entry it was loaded
-        from (the store's rule for a payload the compiler cannot
-        reconstruct) and raises :class:`CompileError` naming it.
-        """
+        """The lowered IR; a stored kernel parses its text on first read."""
         state = self.trace_state
         if state.module is None:
-            try:
-                state.module = parse_module(self._ir_text, verify=False)
-            except Exception as exc:
-                where = "a kernel"
-                if state.origin is not None:
-                    store, name = state.origin
-                    store.quarantine(name)
-                    where = f"kernel-store entry {name!r} (quarantined)"
-                    # Never republish the text this process cannot read.
-                    state.persist = None
-                raise CompileError(
-                    f"the IR of {where} does not parse: {exc}") from exc
+            state.module = self._rebuilt(
+                "parse", lambda: parse_module(self._ir_text, verify=False))
         return state.module
 
     @property
     def func_op(self):
         return self.module.lookup(self.func_name)
+
+    @property
+    def source(self) -> str:
+        return self._emitted()[0]
+
+    @property
+    def schedule_table(self) -> dict:
+        return self._emitted()[1]
+
+    @property
+    def entry_point(self):
+        state = self.trace_state
+        if state.entry_point is None:
+            state.entry_point = compile_host_function(
+                self.func_op, self.source)[0]
+        return state.entry_point
+
+    def _emitted(self):
+        state = self.trace_state
+        if state.emitted is None:
+            func_op = self.func_op
+            state.emitted = self._rebuilt(
+                "emit a driver", lambda: emit_function(func_op))
+        return state.emitted
+
+    def _rebuilt(self, what: str, build):
+        """``build()`` a form of the kernel from its IR.  IR that does
+        not parse or emit quarantines the entry it was loaded from,
+        stops its republication and raises :class:`CompileError`."""
+        try:
+            return build()
+        except Exception as exc:
+            state = self.trace_state
+            where = "a kernel"
+            if state.origin is not None:
+                store, name = state.origin
+                store.quarantine(name)
+                where = f"kernel-store entry {name!r} (quarantined)"
+                state.persist = None
+            raise CompileError(
+                f"the IR of {where} does not {what}: {exc}") from exc
 
     def make_runtime(self, board: Board) -> AxiRuntime:
         return AxiRuntime(board, specialized_copies=self.specialized_copies,
@@ -785,22 +842,20 @@ class AXI4MLIRCompiler:
                 enable_cpu_tiling=self.enable_cpu_tiling,
             )
             pipeline.run(module)
-            func_op = module.lookup(func_name)
-            emitted, schedule_table = emit_function(func_op)
-            entry, source = compile_host_function(func_op, source=emitted)
+            # Synthesis needs the schedule table: emit now, exec on demand.
+            emitted = emit_function(module.lookup(func_name))
             lower_pass = pipeline.passes[-1]
             plan = lower_pass.plans[0] \
                 if getattr(lower_pass, "plans", None) else None
-            return CompiledKernel(
+            kernel = CompiledKernel(
                 module=module,
                 func_name=func_name,
-                source=source,
-                entry_point=entry,
                 plan=plan,
                 specialized_copies=self.specialized_copies,
                 parameters=dict(parameters or {}),
-                schedule_table=schedule_table,
             )
+            kernel.trace_state.emitted = emitted
+            return kernel
         finally:
             add_stage_time("compile_s", time.perf_counter() - start)
 
@@ -822,9 +877,9 @@ class AXI4MLIRCompiler:
                         ) -> CompiledKernel:
         """Look up / populate the kernel cache for one named kernel.
 
-        Cache hits rebind the shared lowered module and entry point to
-        this compiler's runtime knobs; generated code never mutates its
-        IR, so sharing is safe.
+        Cache hits rebind the shared lowered module and driver to this
+        compiler's runtime knobs; generated code never mutates its IR,
+        so sharing is safe.
         """
         cache = self.kernel_cache
         if cache is None:

@@ -424,8 +424,8 @@ def apply_plan(ex, plan: MetricsPlan) -> None:
     counters.dma_bytes_from_accel += stats["dma_bytes_from_accel"]
 
     caches = board.caches
-    _install_ways(caches.l1, plan.l1_ways)
-    _install_ways(caches.l2, plan.l2_ways)
+    install_ways(caches.l1, plan.l1_ways)
+    install_ways(caches.l2, plan.l2_ways)
     caches.l1.hits += plan.l1_hits_d
     caches.l1.misses += plan.l1_misses_d
     caches.l2.hits += plan.l2_hits_d
@@ -850,16 +850,6 @@ def _ways_from_sim_state(cache, state) -> np.ndarray:
             stack.reverse()
             ways[index * assoc:index * assoc + len(stack)] = stack
     return ways
-
-
-def _install_ways(cache, ways: np.ndarray) -> None:
-    """Install a way array as the cache's LRU state (lazily expanded).
-
-    Delegates to :func:`repro.soc.cache.install_ways`: the array is
-    adopted as a mirror and only expanded into the per-set dicts when
-    something reads them — consecutive replay steps never do.
-    """
-    install_ways(cache, ways)
 
 
 def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:

@@ -602,6 +602,8 @@ class Parser:
         self.expect("punct", "{")
         while not self.accept("punct", "}"):
             body.append(self.parse_operation(body_scope))
+        if self.peek().kind == "punct" and self.peek().text == "{":
+            op.attributes.update(self.parse_attr_dict())
         return op
 
     # -- types ------------------------------------------------------------

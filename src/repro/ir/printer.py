@@ -1,9 +1,10 @@
 """Textual IR printing in an MLIR-flavoured syntax.
 
 The printer assigns ``%0, %1, ...`` names to SSA values per function (block
-arguments of the entry block get ``%arg0`` style names, loop induction
-variables reuse stored hint names when available) so that printed modules
-resemble the paper's listings (Figs. 2 and 6b).
+arguments of the entry block get ``%arg0`` style names) so that printed
+modules resemble the paper's listings (Figs. 2 and 6b).  A loop's
+attributes (the ``iv_name`` its driver loop is named after) follow its
+body, ``scf.for ... { ... } {iv_name = "m"}``, as in MLIR.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _print_op(op: Operation, scope: _NameScope, lines: List[str],
         lines.append(header)
         for nested in body.operations:
             _print_op(nested, scope, lines, indent + 1)
-        lines.append(f"{pad}}}")
+        lines.append(f"{pad}}}{_format_attr_dict(op.attributes)}")
         return
 
     operands = ", ".join(scope.name(v) for v in op.operands)

@@ -4,11 +4,9 @@ Four loops in the trace/replay machinery are inherently sequential and
 dominate its runtime when executed in Python:
 
 * the set-associative LRU state machine over the run's full cache-line
-  stream (integer decisions only) — the flat per-line variant, the
-  event-fused variant (per-event hit/miss tallies accumulated inside
-  the same pass, so the first-run timeline+LRU fusion needs no
-  Python-side repeat/bincount step), and the descriptor-driven variant
-  ``lru_copy_event_stream`` the metrics-plane build uses: it generates
+  stream (integer decisions only) — the flat per-line variant and the
+  descriptor-driven variant ``lru_copy_event_stream`` the
+  metrics-plane build uses, with per-event hit/miss tallies: it generates
   each copy event's lines on the fly from the alignment-group tables,
   so a whole build is one native call with no materialized line
   stream;
@@ -104,61 +102,8 @@ void lru_hierarchy_batch(const int64_t *lines, int64_t n,
     }
 }
 
-/* Event-fused variant of lru_hierarchy_batch for the metrics-plane
- * build: the same LRU state machine, but hit/miss outcomes are tallied
- * straight into per-event accumulators (bounds[e] .. bounds[e+1] index
- * the chunk's line stream), so the caller needs no per-line code array,
- * no event-id expansion, and no bincount pass. */
-void lru_hierarchy_events(const int64_t *lines, const int64_t *bounds,
-                          int64_t n_events,
-                          int64_t *s1, int64_t ns1, int64_t a1, int64_t m1,
-                          int64_t *s2, int64_t ns2, int64_t a2, int64_t m2,
-                          int64_t *l1_hits, int64_t *l1_miss,
-                          int64_t *l2_miss)
-{
-    for (int64_t e = 0; e < n_events; e++) {
-        int64_t h1 = 0, mi1 = 0, mi2 = 0;
-        for (int64_t i = bounds[e]; i < bounds[e + 1]; i++) {
-            int64_t line = lines[i];
-            int64_t set = (m1 >= 0) ? (line & m1) : (line % ns1);
-            int64_t *w = s1 + set * a1;
-            int found = 0;
-            for (int64_t j = 0; j < a1; j++) {
-                if (w[j] == line) {
-                    for (int64_t k = j; k > 0; k--) w[k] = w[k - 1];
-                    w[0] = line;
-                    found = 1;
-                    break;
-                }
-            }
-            if (found) { h1++; continue; }
-            for (int64_t k = a1 - 1; k > 0; k--) w[k] = w[k - 1];
-            w[0] = line;
-            mi1++;
-            set = (m2 >= 0) ? (line & m2) : (line % ns2);
-            int64_t *w2 = s2 + set * a2;
-            found = 0;
-            for (int64_t j = 0; j < a2; j++) {
-                if (w2[j] == line) {
-                    for (int64_t k = j; k > 0; k--) w2[k] = w2[k - 1];
-                    w2[0] = line;
-                    found = 1;
-                    break;
-                }
-            }
-            if (found) continue;
-            for (int64_t k = a2 - 1; k > 0; k--) w2[k] = w2[k - 1];
-            w2[0] = line;
-            mi2++;
-        }
-        l1_hits[e] += h1;
-        l1_miss[e] += mi1;
-        l2_miss[e] += mi2;
-    }
-}
-
 /* One-call fused classification of a whole metrics-plane build: the
- * same LRU hierarchy state machine as lru_hierarchy_events, but the
+ * same LRU hierarchy state machine as lru_hierarchy_batch, but the
  * line stream is generated on the fly from per-event descriptors
  * instead of being materialized first (no O(lines) temporary, no
  * chunking).  ev_group[e] is the event's alignment-group
@@ -800,13 +745,6 @@ def _load(path: str) -> ctypes.CDLL:
         u8p,
     ]
     lib.lru_hierarchy_batch.restype = None
-    lib.lru_hierarchy_events.argtypes = [
-        i64p, i64p, ctypes.c_int64,
-        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        i64p, i64p, i64p,
-    ]
-    lib.lru_hierarchy_events.restype = None
     lib.lru_copy_event_stream.argtypes = [
         i64p, i64p, ctypes.c_int64,
         i64p, i64p, i64p, i64p, u8p, i64p, i64p,

@@ -621,9 +621,14 @@ def install_ways(cache: Cache, ways: np.ndarray) -> None:
     into the per-set dicts when ``Cache._sets`` is next read — which a
     replay-to-replay step sequence never does, so a model's kernels
     hand cache end-states from one step's plan to the next build as
-    arrays.
+    arrays.  The C state machines index the mirror by set and way, so
+    an array of any other length (a forged stored plan) is refused.
     """
-    cache._ways_mirror = np.array(ways, dtype=np.int64)
+    mirror = np.array(ways, dtype=np.int64)
+    if mirror.shape != (cache.num_sets * cache.associativity,):
+        raise ValueError(f"{cache.name}: way array of shape "
+                         f"{mirror.shape} does not fit the cache")
+    cache._ways_mirror = mirror
 
 
 def _expand_ways(cache: Cache, ways: np.ndarray) -> None:

@@ -40,17 +40,20 @@ so any one of them keeps the whole inflated segment alive.
 
 The SHA-256 is checked before anything is parsed, and there is **no
 pickle and no object dtype anywhere in the load path**, so a hostile
-manifest or array table can at worst fail to load.  That makes the
-codec safe, not the store: the kernel cache ``exec``s the driver source
-a kernel entry carries, and the SHA-256 is computed by whoever wrote
-the entry, so a store directory must be one its user would let run
-code (like a ``__pycache__``).  Any container violation (bad magic,
-short file, checksum mismatch, malformed JSON, an inflated size other
-than the declared one, bytes after the stream, a table row whose dtype
-has objects, whose offset is unaligned or whose extent leaves the
-segment or overlaps another row, a non-whitelisted tag) *quarantines*
-the file into ``corrupt/`` and reports status ``"corrupt"``, which
-callers count separately from an honest miss.
+manifest or array table can at worst fail to load.  Entries are data:
+a kernel entry holds its IR, never driver code (the driver is
+re-emitted from the IR by an emitter that accepts only identifiers and
+numeric literals).  The SHA-256 is computed by whoever wrote the
+entry, so the kernel cache also checks a loaded trace's index tables
+before the C kernels read them (``repro.compiler.stored_trace``); a
+forged entry that passes can make results wrong, not run code.  Any
+container violation (bad magic, short file, checksum mismatch,
+malformed JSON, an inflated size other than the declared one, bytes
+after the stream, a table row whose dtype has objects, whose offset is
+unaligned or whose extent leaves the segment or overlaps another row, a
+non-whitelisted tag) *quarantines* the file into ``corrupt/`` and
+reports status ``"corrupt"``, which callers count separately from an
+honest miss.
 
 **What gets published.**  Entries persist *traced* kernels: the kernel
 cache publishes an entry from the first replay's persist hook, never at

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repro.accelerators import MatMulAccelerator, make_matmul_system
-from repro.codegen import compile_host_function, emit_function_source
+from repro.codegen import compile_host_function, emit_function
 from repro.codegen.python_emitter import EmitError, PythonEmitter
 from repro.compiler import AXI4MLIRCompiler, build_matmul_module
 from repro.dialects import arith, func, scf
 from repro.execution import interpret_function
 from repro.execution.interpreter import Interpreter, InterpreterError
-from repro.ir import I32, INDEX, Module, make_func
+from repro.ir import I32, INDEX, MemRefType, Module, make_func
 from repro.ir.core import Operation
 from repro.runtime import AxiRuntime
 from repro.soc import make_pynq_z2
@@ -83,7 +83,7 @@ class TestEmitter:
             with scf.build_for(b, zero, four, one, "i"):
                 pass
         func.ret(b)
-        source = emit_function_source(f)
+        source = emit_function(f)[0]
         assert "for i in range" in source
         assert "for i2 in range" in source
 
@@ -100,11 +100,55 @@ class TestEmitter:
         b.create("weird.op")
         func.ret(b)
         with pytest.raises(EmitError, match="weird.op"):
-            emit_function_source(f)
+            emit_function(f)[0]
 
     def test_non_func_rejected(self):
         with pytest.raises(EmitError):
             PythonEmitter(Operation("test.notafunc"))
+
+    @pytest.mark.parametrize("name", [
+        "f(rt):\n    pass\ndef g", "for", "rt", "range", "send_memref",
+        "arg0", "c3", "1x"])
+    def test_only_plain_identifiers_become_names(self, name):
+        """IR read back from a kernel store is the emitter's input, so a
+        name it interpolates is a fresh identifier or an EmitError."""
+        module = Module()
+        f = module.add_function(make_func(name, []))
+        b = func.builder_at_entry(f)
+        zero = arith.index_constant(b, 0)
+        with scf.build_for(b, zero, zero, zero, "m"):
+            pass
+        func.ret(b)
+        with pytest.raises(EmitError, match="identifier"):
+            emit_function(f)[0]
+        f.set_attr("sym_name", "kernel")
+        f.regions[0].entry_block.operations[1].set_attr("iv_name", name)
+        with pytest.raises(EmitError, match="identifier"):
+            emit_function(f)[0]
+
+    @pytest.mark.parametrize("site", ["constant", "dim", "subview"])
+    @pytest.mark.parametrize("value", ["0]\nimport os\nx = [0", [1],
+                                       float("nan")])
+    def test_only_numbers_become_literals(self, site, value):
+        module = Module()
+        f = module.add_function(make_func("kernel",
+                                          [MemRefType((4, 4), I32)]))
+        b = func.builder_at_entry(f)
+        (ref,) = func.arguments(f)
+        zero = arith.index_constant(b, 0)
+        if site == "constant":
+            b.create("arith.constant", result_types=[INDEX],
+                     attributes={"value": value})
+        elif site == "dim":
+            b.create("memref.dim", operands=[ref], result_types=[INDEX],
+                     attributes={"index": value})
+        else:
+            b.create("memref.subview", operands=[ref, zero, zero],
+                     result_types=[ref.type],
+                     attributes={"static_sizes": [value, 4]})
+        func.ret(b)
+        with pytest.raises(EmitError, match="literal"):
+            emit_function(f)[0]
 
 
 class TestInterpreter:

@@ -386,7 +386,8 @@ class TestDegradationCounters:
         kernel.run(board, a, b, c)
         return cache
 
-    def test_synth_fault_falls_back_to_recording(self, monkeypatch):
+    def test_synth_fault_falls_back_to_the_per_tile_driver(
+            self, monkeypatch):
         """The fallback is the per-tile driver: the kernel is left
         without a trace, and nothing is recorded in its place."""
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")

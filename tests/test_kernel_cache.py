@@ -456,17 +456,34 @@ HOT_KERNELS = (
 )
 
 #: fig12 at its smoke scale: both copy panels, so every kernel is also
-#: served as a ``specialized_copies=False`` replace() variant.
+#: served as a ``specialized_copies=False`` replace() variant.  Counts
+#: every IR parse, every driver emission and every ``exec`` of driver
+#: code (an audit hook sees each, whoever runs it).
 _FIG12_JOB = r"""
 import json
+import sys
+from repro.codegen import PythonEmitter
 from repro.ir.parser import Parser
-parses = []
-real = Parser.parse_module
-Parser.parse_module = lambda self: parses.append(1) or real(self)
+counts = {"parses": 0, "emits": 0, "execs": 0}
+
+def counting(name, real):
+    def call(self):
+        counts[name] += 1
+        return real(self)
+    return call
+
+Parser.parse_module = counting("parses", Parser.parse_module)
+PythonEmitter.emit = counting("emits", PythonEmitter.emit)
+
+def audit(event, args):
+    if event == "exec" and args[0].co_filename.startswith("<axi4mlir:"):
+        counts["execs"] += 1
+
+sys.addaudithook(audit)
 from repro.compiler import default_kernel_cache
 from repro.experiments.figures import fig12_rows
 rows = fig12_rows(32, 8, 3)
-print(json.dumps({"rows": rows, "parses": len(parses),
+print(json.dumps({"rows": rows, **counts,
                   "disk_hits": default_kernel_cache().disk_hits}))
 """
 
@@ -510,8 +527,10 @@ def _observe(hw, kernel, operands, interpreted=False):
 
 @pytest.mark.ambient_faults_incompatible
 class TestDeferredParse:
-    """A disk hit decodes its entry and execs the driver, but parses
-    the IR only when something reads ``kernel.module``."""
+    """A disk hit only decodes its entry: the IR is parsed when something
+    reads ``kernel.module``, the driver re-emitted from it when something
+    reads ``source``/``schedule_table`` and ``exec``'d when the per-tile
+    rung runs it.  A replay does none of the three."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -522,6 +541,22 @@ class TestDeferredParse:
         real = Parser.parse_module
         monkeypatch.setattr(Parser, "parse_module",
                             lambda self: calls.append(1) or real(self))
+        return calls
+
+    @pytest.fixture
+    def drivers(self, monkeypatch):
+        """Every driver emission and ``exec`` in this process."""
+        import repro.compiler as compiler_mod
+        from repro.codegen import PythonEmitter
+
+        calls = []
+        emit = PythonEmitter.emit
+        monkeypatch.setattr(PythonEmitter, "emit",
+                            lambda self: calls.append("emit") or emit(self))
+        build = compiler_mod.compile_host_function
+        monkeypatch.setattr(
+            compiler_mod, "compile_host_function",
+            lambda *args: calls.append("exec") or build(*args))
         return calls
 
     @staticmethod
@@ -538,20 +573,42 @@ class TestDeferredParse:
     def test_disk_load_does_not_parse(self):
         import inspect
 
-        assert "parse_module" not in inspect.getsource(KernelCache._disk_load)
+        source = inspect.getsource(KernelCache._disk_load)
+        for call in ("parse_module(", "emit_function(", "exec(",
+                     "compile_host_function("):
+            assert call not in source
 
-    def test_replay_of_hot_kernels_parses_nothing(self, tmp_path, parses):
+    def test_replay_of_hot_kernels_parses_nothing(self, tmp_path, parses,
+                                                  drivers):
         store = str(tmp_path / "store")
         writer = KernelCache(disk_dir=store)
-        expected = [_observe(*_hot_kernel(writer, *row, specialized))
-                    for row in HOT_KERNELS for specialized in (True, False)]
-        del parses[:]
+        built = [_hot_kernel(writer, *row, specialized)
+                 for row in HOT_KERNELS for specialized in (True, False)]
+        expected = [_observe(*case) for case in built]
+        del parses[:], drivers[:]
         reader = KernelCache(disk_dir=store)
-        served = [_observe(*_hot_kernel(reader, *row, specialized))
+        loaded = [_hot_kernel(reader, *row, specialized)
                   for row in HOT_KERNELS for specialized in (True, False)]
+        served = [_observe(*case) for case in loaded]
         assert reader.disk_hits == len(HOT_KERNELS)
-        assert parses == []
+        assert parses == [] and drivers == []
         assert served == expected
+        # The driver re-emitted from the stored IR is the same driver.
+        for (_, fresh, _), (_, stored, _) in zip(built, loaded):
+            assert stored.source == fresh.source
+            assert stored.schedule_table == fresh.schedule_table
+        assert drivers == ["emit"] * len(HOT_KERNELS)
+
+    def test_a_stored_kernel_payload_is_data(self, tmp_path):
+        from repro.store import KernelStore
+
+        store = tmp_path / "store"
+        self._published(str(store))
+        (path,) = TestDiskKernelStore.entry_files(store)
+        status, payload = KernelStore(store).load(path.name[:-len(".entry")])
+        assert status == "hit"
+        assert set(payload) == {"ir", "func_name", "parameters", "plan",
+                                "trace", "metrics_plans", "store_version"}
 
     def test_replay_of_a_figure_parses_nothing(self, tmp_path):
         import json
@@ -569,7 +626,8 @@ class TestDeferredParse:
             [sys.executable, "-c", _FIG12_JOB], env=env, check=True,
             capture_output=True, text=True, timeout=300).stdout)
             for _ in range(2))
-        assert warm["disk_hits"] > 0 and warm["parses"] == 0
+        assert warm["disk_hits"] > 0
+        assert (warm["parses"], warm["emits"], warm["execs"]) == (0, 0, 0)
         assert warm["rows"] == cold["rows"]
 
     def test_module_is_parsed_on_first_read(self, tmp_path, parses):
@@ -604,10 +662,9 @@ class TestDeferredParse:
         from repro.ir import element_type_from_string
 
         module = build_matmul_module(4, 4, 4, element_type_from_string("i32"))
-        kernel = CompiledKernel(module=module, func_name="matmul_call",
-                                source="", entry_point=None)
+        kernel = CompiledKernel(module=module, func_name="matmul_call")
         assert kernel.module is module
-        assert replace(kernel, source="x").module is module
+        assert replace(kernel, specialized_copies=False).module is module
 
     def test_unparsable_ir_still_replays_then_quarantines(self, tmp_path):
         from repro.store import KernelStore
@@ -633,6 +690,136 @@ class TestDeferredParse:
         assert (store / "corrupt" / path.name).exists()
         # The text this process cannot read is never republished.
         assert loaded.trace_state.persist is None
+
+
+def _hostile_sym_name(ir, statement):
+    """The IR with its function renamed to a string that ends the
+    driver's ``def`` line and runs ``statement`` when the source is
+    ``exec``'d.  The custom ``func.func @name`` form cannot spell such
+    a name, so the function is rewritten in the generic form."""
+    from repro.ir.attributes import StringAttr
+
+    name = f"f():\n    pass\n{statement}\ndef matmul_call"
+    lines = ir.split("\n")
+    header = lines[1]
+    args = header[header.index("(") + 1:header.rindex(")")]
+    types = ", ".join(arg.split(": ", 1)[1] for arg in args.split(", "))
+    lines[1] = (f'  "func.func"() {{sym_name = {StringAttr(name)}, '
+                f'function_type = ({types}) -> ()}} ({{')
+    lines.insert(2, f"  ^bb0({args}):")
+    lines[-2] = "  })"
+    return "\n".join(lines), name
+
+
+def _hostile_iv_name(ir, statement):
+    """The IR with its outermost loop's ``iv_name`` turned into a
+    subscription that evaluates ``statement`` wherever the driver binds
+    or reads the loop variable (a valid target and a valid operand)."""
+    from repro.ir.attributes import StringAttr
+
+    hint = f"{{}}[{statement}]"
+    head, attrs, tail = ir.rpartition('{iv_name = "m"}')
+    assert attrs
+    return f"{head}{{iv_name = {StringAttr(hint)}}}{tail}", "matmul_call"
+
+
+@pytest.mark.ambient_faults_incompatible
+class TestHostileEntries:
+    """A store entry is data.  Anyone can compute its checksum, so an
+    entry may carry any IR and any trace; what is loaded is checked
+    before it becomes code or a C index."""
+
+    @staticmethod
+    def forge(tmp_path, edit):
+        """A published kernel's entry rewritten by ``edit(payload)``
+        with a valid checksum; returns (store, entry path, what the
+        honest kernel computed, hardware, operands)."""
+        from repro.store import KernelStore
+
+        store = tmp_path / "store"
+        _, hw, operands, expected = TestDeferredParse._published(str(store))
+        (path,) = TestDiskKernelStore.entry_files(store)
+        name = path.name[:-len(".entry")]
+        kernel_store = KernelStore(store)
+        status, payload = kernel_store.load(name)
+        assert status == "hit"
+        edit(payload)
+        assert kernel_store.store(name, payload)
+        return store, path, expected, hw, operands
+
+    @pytest.mark.parametrize("rewrite", [_hostile_sym_name,
+                                         _hostile_iv_name])
+    def test_a_hostile_name_runs_nothing(self, tmp_path, rewrite):
+        from repro.codegen.python_emitter import EmitError
+        from repro.transforms import CompileError
+
+        sentinel = tmp_path / "executed"
+        statement = f"open({str(sentinel)!r}, 'w').close()"
+        forged = {}
+
+        def edit(payload):
+            forged["ir"], payload["func_name"] = rewrite(payload["ir"],
+                                                         statement)
+            payload["ir"] = forged["ir"]
+
+        store, path, expected, hw, operands = self.forge(tmp_path, edit)
+        name = path.name[:-len(".entry")]
+        reader = KernelCache(disk_dir=str(store))
+        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
+        assert reader.disk_hits == 1
+        # Replay needs no driver: it is served from the stored trace.
+        assert _observe(hw, loaded, operands) == expected
+        with pytest.raises(CompileError, match=name):
+            loaded.source
+        # The per-tile rung refuses the same way.
+        board = make_pynq_z2()
+        board.attach_accelerator(hw)
+        with pytest.raises(CompileError, match=name):
+            loaded.run(board, *operands, trace=False)
+        assert not path.exists()
+        assert (store / "corrupt" / path.name).exists()
+        assert loaded.trace_state.persist is None
+        # Compiled from text, the same IR (plus a matmul for the
+        # pipeline to lower) is refused by the emitter itself.
+        matmul = ('    "linalg.matmul"(%arg0, %arg1, %arg2) '
+                  '{operandSegmentSizes = [2, 1]} : (memref<32x32xi32>, '
+                  'memref<32x32xi32>, memref<32x32xi32>)\n')
+        head, ret, tail = forged["ir"].rpartition('    "func.return"()')
+        with pytest.raises(EmitError):
+            make_compiler(KernelCache()).compile_module(
+                head + matmul + ret + tail)
+        assert not sentinel.exists()
+
+    @pytest.mark.parametrize("no_native", [False, True],
+                             ids=["native", "no-native"])
+    def test_a_forged_flush_count_is_quarantined_and_resynthesized(
+            self, tmp_path, monkeypatch, no_native):
+        """An out-of-stream flush count would be read past the staged
+        arrays by the C decoder (and the Python one would raise
+        IndexError); it never gets that far."""
+        from repro.soc import _native
+
+        if no_native:
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+            monkeypatch.setattr(_native, "_tried", False)
+            monkeypatch.setattr(_native, "_lib", None)
+            monkeypatch.setattr(_native, "_status", "untried")
+
+        def edit(payload):
+            trace = payload["trace"]
+            trace.flush_item_counts[-1] = trace.num_staged_items + (1 << 20)
+            trace.decoded = {}  # so the decoder would read the counts
+
+        store, path, expected, hw, operands = self.forge(tmp_path, edit)
+        reader = KernelCache(disk_dir=str(store))
+        kernel = make_compiler(reader).compile_matmul(32, 32, 32)
+        assert (reader.disk_hits, reader.disk_corrupt) == (0, 1)
+        assert (store / "corrupt" / path.name).exists()
+        assert _observe(hw, kernel, operands) == expected
+        # Re-synthesized and republished: the next process loads it.
+        third = KernelCache(disk_dir=str(store))
+        make_compiler(third).compile_matmul(32, 32, 32)
+        assert (third.disk_hits, third.disk_corrupt) == (1, 0)
 
 
 class TestManualTraceEntries:

@@ -58,6 +58,21 @@ class TestCacheBasics:
         assert cache.occupancy() == 0
         assert (cache.hits, cache.misses) == (0, 0)
 
+    def test_a_way_array_must_fit_the_cache(self):
+        """The C state machines index installed ways by set and way, so
+        a stored plan's way array of another length never gets in."""
+        import numpy as np
+
+        from repro.soc.cache import _export_ways, install_ways
+
+        cache = Cache(512, 32, 2)  # 8 sets x 2 ways
+        with pytest.raises(ValueError, match="does not fit"):
+            install_ways(cache, np.full(3, -1))
+        ways = np.full(16, -1)
+        ways[7 * 2] = 7  # line 7: set 7, MRU way
+        install_ways(cache, ways)
+        assert cache.contains_line(7) and _export_ways(cache).size == 16
+
 
 class TestLinesOfRange:
     def test_single_line(self):

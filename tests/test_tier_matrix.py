@@ -2,21 +2,24 @@
 
 The contract of the whole execution stack is that each fast tier yields
 the reference interpreter's results bit for bit.  Three axes select what
-runs — ``REPRO_FAULTS`` forces any subset of the fallback doors (a
-refused replay or a failed synthesis -> the per-tile driver, a bypassed
-MetricsPlan cache -> a fresh build every replay), ``REPRO_NO_NATIVE``
-picks the pure-Python cost engine, ``REPRO_CHECK`` verifies every
-served artifact — and this file runs their *product*, not one switch at
-a time.
+runs — ``REPRO_FAULTS`` forces any subset of the doors to the per-tile
+driver (a refused replay, a failed synthesis), ``REPRO_NO_NATIVE`` picks
+the pure-Python cost engine, ``REPRO_CHECK`` verifies every served
+artifact — and this file runs their *product*, not one switch at a
+time.  (``metrics.plan:fail`` is not a factor: it bypasses the plan
+cache into the very build a miss runs, which every cold pass covers.)
 
 For each configuration the interpreter runs once; then every element of
 ``subsets(rungs) x NO_NATIVE x CHECK`` runs the same kernels twice on
 one fresh kernel store (the second pass starts from empty in-process
 caches, so it takes the store-hit paths) and must reproduce the
 interpreter's PerfCounters, output bytes, board clock and both cache
-levels' LRU digests after every step.  For one config a third pass runs
-the interpreter on the kernels the store hands back, whose IR is parsed
-from the stored text on that first read.
+levels' LRU digests after every step.  Since a forced rung publishes
+nothing, one more case publishes with nothing forced and then runs the
+warm pass under ``replay:fail``: every kernel the store hands back runs
+per tile on the driver re-emitted from its stored IR.  For one config a
+third pass runs the interpreter on the kernels the store hands back,
+whose IR is parsed from the stored text on that first read.
 
 Tier-1 runs the product in-process and through the pool's no-fork rung
 (:func:`repro.pool.run_seamed`); ``-m matrix`` runs it again with each
@@ -40,15 +43,19 @@ from repro.store import KernelStore
 
 from test_model_plan import MATMUL_SPECS, _matmul_data
 
-#: The clauses that select a path: two doors to the per-tile rung and
-#: the plan-cache bypass.
-RUNGS = ("replay:fail", "synth:fail", "metrics.plan:fail")
+#: The clauses that select a path: the two doors to the per-tile rung.
+RUNGS = ("replay:fail", "synth:fail")
 
-#: (forced rungs, REPRO_NO_NATIVE, REPRO_CHECK): 8 x 2 x 2 selections.
-PRODUCT = list(itertools.product(
-    [subset for size in range(len(RUNGS) + 1)
-     for subset in itertools.combinations(RUNGS, size)],
-    (False, True), (False, True)))
+#: (cold-pass rungs, warm-pass rungs, REPRO_NO_NATIVE, REPRO_CHECK): the
+#: 4 x 2 x 2 selections, forced on both passes, then the store-loaded
+#: per-tile case.
+PRODUCT = [
+    (rungs, rungs, no_native, check)
+    for rungs, no_native, check in itertools.product(
+        [subset for size in range(len(RUNGS) + 1)
+         for subset in itertools.combinations(RUNGS, size)],
+        (False, True), (False, True))
+] + [((), ("replay:fail",), False, False)]
 
 
 def _matmul_step(m, n, k, size, version, flow, runtime_cls=None,
@@ -149,12 +156,15 @@ def _two_passes(job):
     """Cold then warm on ``job``'s store (also the pool handler).  Each
     step compiles into a fresh ``KernelCache``, so the warm pass reads
     the store."""
-    with _selected(job["rungs"], job["no_native"], job["check"],
-                   job["store"]):
-        passes = [_run(job["name"]) for _ in range(2)]
-        if job["name"] == LOADED_INTERPRETED:
+    passes = []
+    for rungs in job["rungs"]:
+        with _selected(rungs, job["no_native"], job["check"], job["store"]):
+            passes.append(_run(job["name"]))
+    if job["name"] == LOADED_INTERPRETED:
+        with _selected(job["rungs"][-1], job["no_native"], job["check"],
+                       job["store"]):
             passes.append(_run(job["name"], interpreted=True))
-        return {"passes": passes}
+    return {"passes": passes}
 
 
 def _hit_paths():
@@ -169,15 +179,17 @@ def _hit_paths():
 def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
     oracle = _run(name, interpreted=True)
     steps = len(CONFIGS[name])
+    rounds = 3 if name == LOADED_INTERPRETED else 2
     workers = None
     if mode == "pool-worker":
         if not pool.fork_available():
             pytest.skip("no fork on this platform")
         workers = pool.Pool(1, _two_passes)
     try:
-        for case, (rungs, no_native, check) in enumerate(PRODUCT):
-            job = {"name": name, "rungs": rungs, "no_native": no_native,
-                   "check": check, "store": str(tmp_path / str(case))}
+        for case, (cold, warm, no_native, check) in enumerate(PRODUCT):
+            job = {"name": name, "rungs": (cold, warm),
+                   "no_native": no_native, "check": check,
+                   "store": str(tmp_path / str(case))}
             sources = dict(TRACE_COUNTERS)
             if mode == "in-process":
                 reply = _two_passes(job)
@@ -187,16 +199,19 @@ def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
                 workers.submit(0, job)
                 ((_, reply),) = workers.wait([0], 120.0)
                 assert reply is not None, f"worker died on {job}"
-            rounds = 3 if name == LOADED_INTERPRETED else 2
             assert reply["passes"] == [oracle] * rounds, job
             # A generated kernel is never recorded; one that fails
             # synthesis has no trace and ran per tile, both passes.
             grew = {key: TRACE_COUNTERS[key] - sources[key]
                     for key in sources}
             assert grew["recorded"] == grew["manual_recorded"] == 0, job
-            if "synth:fail" in rungs:
+            if "synth:fail" in cold:
                 assert grew["synth_fallback"] == 2 * steps, job
                 assert grew["synthesized"] == grew["disk_loaded"] == 0, job
+            if cold != warm:
+                # The warm kernels came from the store (and, replay
+                # refused, ran their re-emitted drivers per tile).
+                assert grew["disk_loaded"] == steps * (rounds - 1), job
     finally:
         if workers is not None:
             workers.shutdown()
@@ -224,3 +239,19 @@ def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
                           ["metrics_plans"])
                       for path in tmp_path.glob("objects/*/*.entry")]
             assert len(stored) == 3 and len(set.union(*stored)) == 1
+
+
+@pytest.mark.ambient_faults_incompatible
+@pytest.mark.parametrize("name", CONFIGS)
+def test_a_stored_kernel_re_emits_the_same_driver(name, tmp_path):
+    """A store entry keeps only the IR: the driver a loaded kernel runs
+    per tile is emitted from it again, and is the compiled driver byte
+    for byte (loop names included)."""
+    with _selected((), False, False, tmp_path):
+        built = [make(KernelCache())[1] for make, _, _ in CONFIGS[name]]
+        _run(name)  # publishes
+        loaded = [make(KernelCache())[1] for make, _, _ in CONFIGS[name]]
+    for fresh, stored in zip(built, loaded):
+        assert stored.trace_state.origin is not None
+        assert stored.source == fresh.source
+        assert stored.schedule_table == fresh.schedule_table

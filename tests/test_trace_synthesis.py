@@ -218,11 +218,11 @@ class TestTraceSources:
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
         assert TRACE_COUNTERS["synth_fallback"] == before["synth_fallback"]
 
-    def test_no_schedule_table_falls_back_to_recording(self):
+    def test_no_schedule_table_falls_back_to_the_per_tile_driver(self):
         hw, info = make_matmul_system(3, 8, flow="Ns")
         kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
             .compile_matmul(16, 16, 16)
-        kernel.schedule_table = None
+        kernel.trace_state.emitted = (kernel.source, None)
         before = dict(TRACE_COUNTERS)
         board = make_pynq_z2()
         board.attach_accelerator(hw)
@@ -238,7 +238,7 @@ class TestTraceSources:
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
         assert kernel.trace_state.failed and kernel.trace_state.trace is None
 
-    def test_kill_switch_forces_recording(self, monkeypatch):
+    def test_synth_fault_forces_the_per_tile_driver(self, monkeypatch):
         """``synth:fail`` lands on the per-tile driver, not a recording."""
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
         hw, info = make_matmul_system(3, 8, flow="Ns")

@@ -58,6 +58,10 @@ _DIAGNOSTICS_LAYOUT = (
 #   ``["component_memo_misses"]`` — never incremented, the memo they
 #   counted is gone (perf/perfbench/harness.py:278-280;
 #   ``metrics.component_memo_hit_ratio`` therefore reads 0).
+# * ``repro.soc.cache.OfflineLruSimulator`` in both of its modes, and
+#   with it the ``lru_hierarchy_batch`` C kernel — replay classifies
+#   its lines with ``lru_copy_event_stream`` and no longer constructs
+#   one (perf/perfbench/layers.py:201-213, ``soc.cache.offline_*``).
 
 def diagnostics() -> dict:
     """Where execution time goes and where each kernel's trace came from.

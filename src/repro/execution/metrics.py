@@ -19,7 +19,12 @@ fingerprint apply the plan in O(state) — an import of the final cache
 ways plus a handful of scalar assignments — instead of re-simulating
 O(events) work.  Plans are persisted alongside traces in the kernel
 store (see ``repro.compiler``), so warm processes skip the metrics
-plane entirely.
+plane entirely.  A build's two sequential passes — the LRU
+classification of every event's cache lines and the clock/stall
+timeline — are one C call each (:mod:`repro.soc._native`); replay is
+offered only while that library is available
+(:func:`repro.execution.trace.trace_enabled`), so there is no second
+implementation of either.
 
 Selectors (see the README tables):
 
@@ -48,6 +53,7 @@ computation by determinism.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import pickle
 import time
@@ -60,7 +66,8 @@ import numpy as np
 from .. import counters, faults
 from ..envutil import check_requested
 from ..runtime.copy import CopyKinds, copy_charge_terms, plan_for_geometry
-from ..soc.cache import OfflineLruSimulator, _export_ways, install_ways
+from ..soc import _native  # attribute reads: tests patch native_lib
+from ..soc.cache import _export_ways, install_ways
 from .trace import (
     K_CALL,
     K_COPY,
@@ -97,11 +104,6 @@ METRICS_PLAN_COUNTERS: Dict[str, int] = counters.section("metrics_plan", {
 #: Cached plans kept per trace *content* (distinct board
 #: states/layouts/accelerators of every trace that shares it).
 _MAX_PLANS_PER_TRACE = 8
-
-#: Upper bound on cache-line stream entries classified per chunk
-#: (Python-fallback classification only; the native path streams
-#: lines straight out of the group tables and never materializes them).
-_LINE_CHUNK = 1 << 24
 
 
 # -- the plan cache ---------------------------------------------------------
@@ -512,8 +514,8 @@ def build_plan(ex) -> MetricsPlan:
 class _CostTables:
     """State-independent per-event cost tables of one build."""
 
-    __slots__ = ("counts", "base_c", "base_b", "base_r", "extra_c",
-                 "extra_r", "group_specs")
+    __slots__ = ("base_c", "base_b", "base_r", "extra_c", "extra_r",
+                 "group_specs")
 
 
 def _cost_tables(ex) -> _CostTables:
@@ -532,8 +534,6 @@ def _cost_tables(ex) -> _CostTables:
     timing = board.timing
     M = trace.num_events
     tables = _CostTables()
-    counts = np.zeros(M, dtype=np.int64)
-    counts[trace.word_pos] = 1
     base_c = np.zeros(M)
     base_b = np.zeros(M)
     base_r = np.zeros(M)
@@ -576,7 +576,6 @@ def _cost_tables(ex) -> _CostTables:
                     int(key_g % line), span_src, row_bytes, line,
                 )
                 pos = tile_class.event_pos[sel]
-                counts[pos] = copy_plan.num_lines
                 c0, r0, b0, c_extra, r_extra = copy_charge_terms(
                     copy_plan, style, use_fast, row_length, accumulate,
                     timing,
@@ -611,7 +610,6 @@ def _cost_tables(ex) -> _CostTables:
     sel = kinds == K_WORD
     base_c[sel] = 2.0
     base_r[sel] = 1.0
-    tables.counts = counts
     tables.base_c = base_c
     tables.base_b = base_b
     tables.base_r = base_r
@@ -711,52 +709,6 @@ def _fill_columns(copy_plan):
     return cols
 
 
-def _chunked_line_streams(ex, counts, groups):
-    """Yield (e0, e1, boundaries, lines) chunks of the global stream
-    (the Python-fallback classifier's input)."""
-    trace = ex.trace
-    M = trace.num_events
-    boundaries = np.zeros(M + 1, dtype=np.int64)
-    np.cumsum(counts, out=boundaries[1:])
-    word_lines = _word_lines(ex)
-
-    chunk_edges = [0]
-    while chunk_edges[-1] < M:
-        target = boundaries[chunk_edges[-1]] + _LINE_CHUNK
-        nxt = int(np.searchsorted(boundaries, target, side="right")) - 1
-        chunk_edges.append(max(nxt, chunk_edges[-1] + 1))
-    one_chunk = len(chunk_edges) == 2
-    for e0, e1 in zip(chunk_edges[:-1], chunk_edges[1:]):
-        lo, hi = int(boundaries[e0]), int(boundaries[e1])
-        if hi == lo:
-            continue
-        lines = np.empty(hi - lo, dtype=np.int64)
-        w_sel = (trace.word_pos >= e0) & (trace.word_pos < e1)
-        if w_sel.any():
-            lines[boundaries[trace.word_pos[w_sel]] - lo] = \
-                word_lines[w_sel]
-        for pos, src_lines, dst_lines, copy_plan in groups:
-            if one_chunk:
-                sub_pos, sub_src, sub_dst = pos, src_lines, dst_lines
-            else:
-                sel = (pos >= e0) & (pos < e1)
-                if not sel.any():
-                    continue
-                sub_pos = pos[sel]
-                sub_src = src_lines[sel]
-                sub_dst = dst_lines[sel]
-            if not sub_pos.size:
-                continue
-            left = sub_src[:, None] + copy_plan.src_rel[None, :]
-            right = sub_dst[:, None] + copy_plan.dst_rel[None, :]
-            block = np.hstack([left, right]).take(copy_plan.perm, axis=1)
-            idx = (boundaries[sub_pos, None] - lo
-                   + np.arange(copy_plan.num_lines,
-                               dtype=np.int64)[None, :])
-            lines[idx] = block
-        yield e0, e1, boundaries, lines
-
-
 def _start_ways(cache) -> np.ndarray:
     """The way array a classification starts from (caller-owned).
 
@@ -774,88 +726,47 @@ def _start_ways(cache) -> np.ndarray:
 def _classify_cache(ex, cost: _CostTables):
     """Classify the whole run's cache traffic without mutating state.
 
-    Returns per-event (l1_hits, l1_miss, l2_miss) plus the final LRU
-    way arrays and (l1_hits, l1_misses, l2_hits, l2_misses) totals.
+    One C call (``lru_copy_event_stream``) walks every event's lines
+    straight out of the alignment-group tables.  Returns per-event
+    (l1_hits, l1_miss, l2_miss) plus the final LRU way arrays and
+    (l1_hits, l1_misses, l2_hits, l2_misses) totals.
     """
-    from ..soc import _native  # late bind: tests patch native_lib
-
-    board = ex.board
-    l1, l2 = board.caches.l1, board.caches.l2
+    l1, l2 = ex.board.caches.l1, ex.board.caches.l2
     M = ex.trace.num_events
-    groups = _line_groups(ex, cost)
     l1_hits = np.zeros(M, dtype=np.int64)
     l1_miss = np.zeros(M, dtype=np.int64)
     l2_miss = np.zeros(M, dtype=np.int64)
-
-    lib = _native.native_lib()
-    if lib is not None:
-        import ctypes
-
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        ways1 = _start_ways(l1)
-        ways2 = _start_ways(l2)
-        (ev_group, ev_row, grp_off, grp_width, src_rows, dst_rows,
-         from_dst, rel, word_lines) = _flat_streams(ex, groups)
-        lib.lru_copy_event_stream(
-            ev_group.ctypes.data_as(i64p), ev_row.ctypes.data_as(i64p),
-            M,
-            grp_off.ctypes.data_as(i64p), grp_width.ctypes.data_as(i64p),
-            src_rows.ctypes.data_as(i64p), dst_rows.ctypes.data_as(i64p),
-            from_dst.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            rel.ctypes.data_as(i64p), word_lines.ctypes.data_as(i64p),
-            ways1.ctypes.data_as(i64p), l1.num_sets, l1.associativity,
-            -1 if l1.set_mask is None else l1.set_mask,
-            ways2.ctypes.data_as(i64p), l2.num_sets, l2.associativity,
-            -1 if l2.set_mask is None else l2.set_mask,
-            l1_hits.ctypes.data_as(i64p),
-            l1_miss.ctypes.data_as(i64p),
-            l2_miss.ctypes.data_as(i64p),
-        )
-        l1_hit_total = int(l1_hits.sum())
-        l1_miss_total = int(l1_miss.sum())
-        l2_miss_total = int(l2_miss.sum())
-        totals = (l1_hit_total, l1_miss_total,
-                  l1_miss_total - l2_miss_total, l2_miss_total)
-        return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
-
-    # Python fallback: the offline stack-distance classifier, with the
-    # per-event attribution recovered by bincount over event ids.
-    counts = cost.counts
-    sim = OfflineLruSimulator(board.caches)
-    for e0, e1, boundaries, lines in \
-            _chunked_line_streams(ex, counts, groups):
-        event_ids = np.repeat(np.arange(e1 - e0), counts[e0:e1])
-        l1_hit_mask, l2_hit_mask = sim.process(lines)
-        miss_events = event_ids[~l1_hit_mask]
-        span = e1 - e0
-        l1_hits[e0:e1] += np.bincount(event_ids[l1_hit_mask],
-                                      minlength=span)
-        l1_miss[e0:e1] += np.bincount(miss_events, minlength=span)
-        l2_miss[e0:e1] += np.bincount(miss_events[~l2_hit_mask],
-                                      minlength=span)
-    ways1 = _ways_from_sim_state(l1, sim._state[l1.name])
-    ways2 = _ways_from_sim_state(l2, sim._state[l2.name])
-    c1, c2 = sim._counts[l1.name], sim._counts[l2.name]
-    totals = (c1[0], c1[1], c2[0], c2[1])
+    i64p = ctypes.POINTER(ctypes.c_int64)
+    ways1 = _start_ways(l1)
+    ways2 = _start_ways(l2)
+    (ev_group, ev_row, grp_off, grp_width, src_rows, dst_rows,
+     from_dst, rel, word_lines) = _flat_streams(ex, _line_groups(ex, cost))
+    _native.native_lib().lru_copy_event_stream(
+        ev_group.ctypes.data_as(i64p), ev_row.ctypes.data_as(i64p),
+        M,
+        grp_off.ctypes.data_as(i64p), grp_width.ctypes.data_as(i64p),
+        src_rows.ctypes.data_as(i64p), dst_rows.ctypes.data_as(i64p),
+        from_dst.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+        rel.ctypes.data_as(i64p), word_lines.ctypes.data_as(i64p),
+        ways1.ctypes.data_as(i64p), l1.num_sets, l1.associativity,
+        -1 if l1.set_mask is None else l1.set_mask,
+        ways2.ctypes.data_as(i64p), l2.num_sets, l2.associativity,
+        -1 if l2.set_mask is None else l2.set_mask,
+        l1_hits.ctypes.data_as(i64p),
+        l1_miss.ctypes.data_as(i64p),
+        l2_miss.ctypes.data_as(i64p),
+    )
+    l1_hit_total = int(l1_hits.sum())
+    l1_miss_total = int(l1_miss.sum())
+    l2_miss_total = int(l2_miss.sum())
+    totals = (l1_hit_total, l1_miss_total,
+              l1_miss_total - l2_miss_total, l2_miss_total)
     return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
 
 
-def _ways_from_sim_state(cache, state) -> np.ndarray:
-    """Way-array form (MRU first, -1 empty) of a simulator state dict."""
-    assoc = cache.associativity
-    ways = np.full(cache.num_sets * assoc, -1, dtype=np.int64)
-    for index, resident in state.items():
-        if resident:
-            stack = list(resident)  # LRU -> MRU
-            stack.reverse()
-            ways[index * assoc:index * assoc + len(stack)] = stack
-    return ways
-
-
 def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
-    """The exact sequential timeline; returns the 9-float end state."""
-    from ..soc import _native
-
+    """The exact sequential timeline (one C call, ``timeline_batch``);
+    returns the 9-float end state."""
     trace = ex.trace
     board = ex.board
     timing = board.timing
@@ -865,8 +776,7 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
 
     # The kind-constant cycle/branch/reference charges are prefilled
     # into the cost tables (see _cost_tables), so the only prep left is
-    # the synchronization/aux tables.  All three arrays are read-only
-    # for both timeline backends.
+    # the synchronization/aux tables.
     kinds = trace.kinds
     sync = np.zeros(M, dtype=np.int8)
     sync[kinds == K_FLUSH] = 1
@@ -885,108 +795,28 @@ def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
     t_recv = timing.dma_latency_s + t_recv
     taux[trace.recv_pos] = t_recv
 
-    f = timing.cpu_freq_hz
-    af = timing.accel_freq_hz
-    dsc = timing.dma_start_cycles
-    dsb = timing.dma_start_branches
-    pollp = timing.poll_period_cycles
-    pollb = timing.poll_branches
-    db = ex.double_buffered
-
-    state = [
+    state = np.asarray([
         counters.cpu_cycles, counters.branch_instructions,
         counters.cache_references, counters.stall_cycles,
         counters.accel_cycles, board.clock, board.accel_ready_at,
         board.dma_busy_until, board.accelerator.total_cycles,
-    ]
-    lib = _native.native_lib()
-    if lib is not None:
-        import ctypes
-
-        f64p = ctypes.POINTER(ctypes.c_double)
-        state_arr = np.asarray(state)
-        sync8 = np.ascontiguousarray(sync)
-        lib.timeline_batch(
-            sync8.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
-            np.ascontiguousarray(cyc).ctypes.data_as(f64p),
-            np.ascontiguousarray(br).ctypes.data_as(f64p),
-            np.ascontiguousarray(rf).ctypes.data_as(f64p),
-            np.ascontiguousarray(rf2).ctypes.data_as(f64p),
-            taux.ctypes.data_as(f64p),
-            acaux.ctypes.data_as(f64p),
-            M, int(db), f, af, dsc, dsb, pollp, pollb,
-            state_arr.ctypes.data_as(f64p),
-        )
-        return state_arr
-    (cpu, branch, refs, stall, accel_ctr, clock, ready, busy,
-     accel_total) = state
-    sync_l = sync.tolist()
-    cyc_l = cyc.tolist()
-    br_l = br.tolist()
-    rf_l = rf.tolist()
-    rf2_l = rf2.tolist()
-    taux_l = taux.tolist()
-    ac_l = acaux.tolist()
-    for i in range(M):
-        s = sync_l[i]
-        if s == 0:
-            c = cyc_l[i]
-            cpu += c
-            branch += br_l[i]
-            refs += rf_l[i]
-            r2 = rf2_l[i]
-            if r2 != 0.0:
-                refs += r2
-            clock += c / f
-        elif s == 1:  # flush_send (+process_stream +schedule)
-            cpu += dsc
-            branch += dsb
-            clock += dsc / f
-            t = taux_l[i]
-            ac = ac_l[i]
-            if db:
-                start = clock if clock > busy else busy
-                completion = start + t
-                busy = completion
-                arrival = completion
-            else:
-                if t > 0.0:
-                    ts = clock + t
-                    if ts > clock:
-                        sc = (ts - clock) * f
-                        stall += sc
-                        branch += (sc / pollp) * pollb
-                        clock = ts
-                arrival = clock
-            s2 = ready if ready > arrival else arrival
-            ready = s2 + ac / af
-            accel_ctr += ac
-            accel_total += ac
-        elif s == 2:  # recv synchronization
-            cpu += dsc
-            branch += dsb
-            clock += dsc / f
-            if ready > clock:
-                sc = (ready - clock) * f
-                stall += sc
-                branch += (sc / pollp) * pollb
-                clock = ready
-            t = taux_l[i]
-            if t > 0.0:
-                ts = clock + t
-                if ts > clock:
-                    sc = (ts - clock) * f
-                    stall += sc
-                    branch += (sc / pollp) * pollb
-                    clock = ts
-        else:  # pre-receive wait_sends (double-buffered runtimes)
-            if busy > clock:
-                sc = (busy - clock) * f
-                stall += sc
-                branch += (sc / pollp) * pollb
-                clock = busy
-    return np.asarray([cpu, branch, refs, stall, accel_ctr, clock,
-                       ready, busy, accel_total])
+    ])
+    f64p = ctypes.POINTER(ctypes.c_double)
+    _native.native_lib().timeline_batch(
+        sync.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
+        np.ascontiguousarray(cyc).ctypes.data_as(f64p),
+        np.ascontiguousarray(br).ctypes.data_as(f64p),
+        np.ascontiguousarray(rf).ctypes.data_as(f64p),
+        np.ascontiguousarray(rf2).ctypes.data_as(f64p),
+        taux.ctypes.data_as(f64p),
+        acaux.ctypes.data_as(f64p),
+        M, int(ex.double_buffered), timing.cpu_freq_hz,
+        timing.accel_freq_hz, timing.dma_start_cycles,
+        timing.dma_start_branches, timing.poll_period_cycles,
+        timing.poll_branches,
+        state.ctypes.data_as(f64p),
+    )
+    return state
 
 
 # -- region-write summaries -------------------------------------------------

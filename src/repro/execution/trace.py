@@ -18,7 +18,10 @@ accelerator's control unit — the same needs-based completion rule as
 :meth:`StreamAccelerator.process_stream` — turning the flush segments
 into instruction records: which staged tiles load which operand
 buffers, which computes accumulate into which output pushes, and how
-many accelerator cycles each flush schedules.
+many accelerator cycles each flush schedules.  The decoders are C
+kernels (:mod:`repro.soc._native`), like the rest of replay's
+sequential loops: a process without the C library is not offered
+replay at all (:func:`trace_enabled`) and runs every kernel per tile.
 
 Anything the trace machinery does not understand raises
 :class:`TraceUnsupported`; callers fall back to the per-tile path, so
@@ -27,6 +30,7 @@ tracing is always an optimization, never a semantics change.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -34,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import counters
+from ..soc import _native  # attribute reads: tests patch native_lib
 from ..accelerators.base import StreamAccelerator
 from ..accelerators.conv import CONV_LITERALS, CONV_OPS_PER_CYCLE, \
     ConvAccelerator
@@ -48,8 +53,9 @@ from ..accelerators.matmul import (
 TRACE_KILL_SWITCH = "REPRO_NO_TRACE"
 
 #: Wall-clock spent per pipeline stage, cumulative for the process.
-#: ``compile_s`` is fed by the compiler; the benchmark harness snapshots
-#: this into BENCH_perf.json so future PRs can see where time goes.
+#: ``compile_s`` is fed by the compiler; ``diagnostics()`` and
+#: ``repro.experiments.stage_timings()`` report it, and ``perf/`` times
+#: its layers from it.
 STAGE_TIMINGS: Dict[str, float] = counters.section("stage_timings", {
     "compile_s": 0.0,
     # Fed only by REPRO_CHECK=1's reference recordings.
@@ -108,7 +114,12 @@ TRACE_COUNTERS: Dict[str, int] = counters.section("trace_sources", {
 
 
 def trace_enabled() -> bool:
-    return os.environ.get(TRACE_KILL_SWITCH, "") != "1"
+    """Whether replay is offered: not under ``REPRO_NO_TRACE=1``, and
+    only while the C library is available (a failed build, the
+    ``native.compile`` fault or a :func:`~repro.soc._native.suspend_native`
+    scope leaves every kernel and manual baseline per tile)."""
+    return os.environ.get(TRACE_KILL_SWITCH, "") != "1" \
+        and _native.native_lib() is not None
 
 
 class TraceUnsupported(RuntimeError):
@@ -332,83 +343,25 @@ def decode_key(accelerator: StreamAccelerator) -> Tuple:
 
 def decode_for_accelerator(trace: DriverTrace,
                            accelerator: StreamAccelerator) -> DecodedPlan:
-    """Build (or fetch) the instruction plan for one accelerator config."""
+    """Build (or fetch) the instruction plan for one accelerator config.
+
+    A refusal of the C decoder is cached like a plan.  Without the C
+    library there is no replay to plan for: that refusal is not cached,
+    since a :func:`~repro.soc._native.suspend_native` scope ends.
+    """
+    if _native.native_lib() is None:
+        raise TraceUnsupported("the C kernels are unavailable")
     key = decode_key(accelerator)
     if key not in trace.decoded:
-        if key[0] == "matmul":
-            trace.decoded[key] = _decode_matmul(trace, accelerator)
-        else:
-            trace.decoded[key] = _decode_conv(trace, accelerator)
+        decode = _decode_matmul if key[0] == "matmul" else _decode_conv
+        try:
+            trace.decoded[key] = decode(trace, accelerator)
+        except TraceUnsupported as exc:
+            trace.decoded[key] = exc
     plan = trace.decoded[key]
     if isinstance(plan, TraceUnsupported):
         raise plan
     return plan
-
-
-class _ItemQueue:
-    """The staged-word stream as the accelerator's state machine sees it.
-
-    The trace's staged-item arrays are unpacked once into parallel
-    lists plus a word prefix sum, so the decoders' per-item steps are
-    plain list reads — ``available_words`` is ``cum[limit] - cum[head]``,
-    no incremental bookkeeping — which matters because the fallback
-    decoders are per-item Python loops over streams that reach hundreds
-    of thousands of items.  (The common case never builds one: the C
-    decoders in :mod:`repro.soc._native` read the arrays directly.)
-    """
-
-    __slots__ = ("n", "is_word", "values", "indices", "widths", "cum",
-                 "head", "limit", "visible")
-
-    def __init__(self, trace: "DriverTrace"):
-        self.n = trace.num_staged_items
-        self.is_word = [bool(w) for w in trace.staged_is_word.tolist()]
-        #: word value for word items, class id for tile items.
-        self.values = trace.staged_values.tolist()
-        self.indices = trace.staged_indices.tolist()
-        self.widths = trace.staged_widths.tolist()
-        self.cum = [0] + np.cumsum(trace.staged_widths).tolist()
-        self.head = 0
-        self.limit = 0          # items visible so far (flush boundary)
-        self.visible = 0        # words visible so far
-
-    def reveal(self, limit: int) -> None:
-        self.limit = limit
-        self.visible = self.cum[limit]
-
-    @property
-    def available_words(self) -> int:
-        return self.visible - self.cum[self.head]
-
-    def peek_opcode(self) -> Optional[int]:
-        if self.head >= self.limit:
-            return None
-        if not self.is_word[self.head]:
-            raise TraceUnsupported("tile data where an opcode was expected")
-        return self.values[self.head]
-
-    def pop_opcode(self) -> None:
-        self.head += 1
-
-    def pop_words(self, count: int) -> List[int]:
-        values = []
-        while len(values) < count:
-            if self.head >= self.limit:
-                raise TraceUnsupported("instruction data missing")
-            if not self.is_word[self.head]:
-                raise TraceUnsupported("tile data where words were expected")
-            values.append(self.values[self.head])
-            self.head += 1
-        return values
-
-    def pop_tile(self, words: int) -> Tuple[int, int]:
-        head = self.head
-        if head >= self.limit:
-            raise TraceUnsupported("instruction tile missing")
-        if self.is_word[head] or self.widths[head] != words:
-            raise TraceUnsupported("staged data does not match tile shape")
-        self.head = head + 1
-        return self.values[head], self.indices[head]
 
 
 def _stream_arrays(trace: DriverTrace):
@@ -428,16 +381,9 @@ _MICRO_CODES = {"load_a": 0, "load_b": 1, "compute": 2, "push_c": 3,
                 "configure": 4, "reset": 5}
 
 
-def _native_decode_matmul(trace: DriverTrace,
-                          accel: MatMulAccelerator) -> Optional[DecodedPlan]:
-    """C fast path for the matmul stream decoder (None = use Python)."""
-    from ..soc import _native  # late bind: tests patch native_lib
-
-    lib = _native.native_lib()
-    if lib is None:
-        return None
-    import ctypes
-
+def _decode_matmul(trace: DriverTrace,
+                   accel: MatMulAccelerator) -> DecodedPlan:
+    """The matmul control unit's stream decoder (a C kernel)."""
     is_word, values, indices, cum, limits = _stream_arrays(trace)
     names = VERSION_OPCODES[accel.version]
     literals = np.asarray([MATMUL_LITERALS[n] for n in names],
@@ -466,7 +412,7 @@ def _native_decode_matmul(trace: DriverTrace,
     i64p = ctypes.POINTER(ctypes.c_int64)
     u8p = ctypes.POINTER(ctypes.c_uint8)
     f64p = ctypes.POINTER(ctypes.c_double)
-    error = lib.decode_matmul_stream(
+    error = _native.native_lib().decode_matmul_stream(
         is_word.ctypes.data_as(u8p), values.ctypes.data_as(i64p),
         indices.ctypes.data_as(i64p), cum.ctypes.data_as(i64p), n_items,
         limits.ctypes.data_as(i64p), limits.size,
@@ -483,7 +429,7 @@ def _native_decode_matmul(trace: DriverTrace,
         final_state.ctypes.data_as(i64p), counts.ctypes.data_as(i64p),
     )
     if error:
-        return None
+        raise TraceUnsupported("the C decoder refused the staged stream")
     n_comp, n_push = int(counts[0]), int(counts[1])
     plan = DecodedPlan()
     plan.flush_cycles = flush_cycles
@@ -505,16 +451,8 @@ def _native_decode_matmul(trace: DriverTrace,
     return plan
 
 
-def _native_decode_conv(trace: DriverTrace,
-                        accel: ConvAccelerator) -> Optional[DecodedPlan]:
-    """C fast path for the conv stream decoder (None = use Python)."""
-    from ..soc import _native
-
-    lib = _native.native_lib()
-    if lib is None:
-        return None
-    import ctypes
-
+def _decode_conv(trace: DriverTrace, accel: ConvAccelerator) -> DecodedPlan:
+    """The conv control unit's stream decoder (a C kernel)."""
     is_word, values, indices, cum, limits = _stream_arrays(trace)
     n_items = trace.num_staged_items
     cap = max(n_items, 1)
@@ -533,7 +471,7 @@ def _native_decode_conv(trace: DriverTrace,
     i64p = ctypes.POINTER(ctypes.c_int64)
     u8p = ctypes.POINTER(ctypes.c_uint8)
     f64p = ctypes.POINTER(ctypes.c_double)
-    error = lib.decode_conv_stream(
+    error = _native.native_lib().decode_conv_stream(
         is_word.ctypes.data_as(u8p), values.ctypes.data_as(i64p),
         indices.ctypes.data_as(i64p), cum.ctypes.data_as(i64p), n_items,
         limits.ctypes.data_as(i64p), limits.size,
@@ -549,7 +487,7 @@ def _native_decode_conv(trace: DriverTrace,
         final_state.ctypes.data_as(i64p), counts.ctypes.data_as(i64p),
     )
     if error:
-        return None
+        raise TraceUnsupported("the C decoder refused the staged stream")
     n_comp, n_push = int(counts[0]), int(counts[1])
     plan = DecodedPlan()
     plan.kind = "conv"
@@ -567,215 +505,6 @@ def _native_decode_conv(trace: DriverTrace,
     plan.final_config = (int(final_state[0]), int(final_state[1]))
     plan.final_b = int(final_state[2])
     _match_pushes_to_recvs(trace, plan)
-    return plan
-
-
-def _decode_matmul(trace: DriverTrace,
-                   accel: MatMulAccelerator) -> DecodedPlan:
-    try:
-        plan = _native_decode_matmul(trace, accel)
-        if plan is not None:
-            return plan
-        return _decode_matmul_inner(trace, accel)
-    except TraceUnsupported as exc:
-        return exc
-
-
-def _decode_matmul_inner(trace: DriverTrace,
-                         accel: MatMulAccelerator) -> DecodedPlan:
-    plan = DecodedPlan()
-    literal_to_name = {
-        MATMUL_LITERALS[name]: name for name in VERSION_OPCODES[accel.version]
-    }
-    tile_m = tile_n = tile_k = accel.size
-    quantum = accel.size_quantum
-    capacity = accel.buffer_capacity
-    ops_per_cycle = accel.ops_per_cycle
-    a_src = b_src = -1
-    pending: List[int] = []     # compute ordinals since last push/reset
-    queue = _ItemQueue(trace)
-
-    def refresh_needs() -> Dict[int, int]:
-        needs: Dict[int, int] = {}
-        for literal, name in literal_to_name.items():
-            total = 0
-            for primitive in _MICRO_OPS[name]:
-                if primitive == "load_a":
-                    total += tile_m * tile_k
-                elif primitive == "load_b":
-                    total += tile_k * tile_n
-                elif primitive == "configure":
-                    total += 3
-            needs[literal] = total
-        return needs
-
-    needs_map = refresh_needs()
-
-    for flush_index, item_limit in enumerate(trace.flush_item_counts):
-        queue.reveal(item_limit)
-        cycles = 0.0
-        instructions = 0
-        while True:
-            literal = queue.peek_opcode()
-            if literal is None:
-                break
-            name = literal_to_name.get(literal)
-            if name is None:
-                raise TraceUnsupported(f"unknown opcode {literal:#x}")
-            if queue.available_words - 1 < needs_map[literal]:
-                break  # partial instruction waits for the next burst
-            queue.pop_opcode()
-            opcode_cycles = 0.0
-            for primitive in _MICRO_OPS[name]:
-                if primitive == "load_a":
-                    class_id, index = queue.pop_tile(tile_m * tile_k)
-                    a_src = DecodedPlan.pack(class_id, index)
-                    opcode_cycles += 0.0
-                elif primitive == "load_b":
-                    class_id, index = queue.pop_tile(tile_k * tile_n)
-                    b_src = DecodedPlan.pack(class_id, index)
-                    opcode_cycles += 0.0
-                elif primitive == "compute":
-                    macs = tile_m * tile_n * tile_k
-                    pending.append(len(plan.compute_a))
-                    plan.compute_a.append(a_src)
-                    plan.compute_b.append(b_src)
-                    plan.compute_geom.append((tile_m, tile_n, tile_k))
-                    plan.compute_push.append(-1)
-                    opcode_cycles += 2.0 * macs / ops_per_cycle
-                elif primitive == "push_c":
-                    push = len(plan.push_counts)
-                    for ordinal in pending:
-                        plan.compute_push[ordinal] = push
-                    plan.push_counts.append(len(pending))
-                    plan.push_flush.append(flush_index)
-                    plan.out_words_per_push.append(tile_m * tile_n)
-                    pending = []
-                    opcode_cycles += 0.0
-                elif primitive == "configure":
-                    tile_m, tile_n, tile_k = queue.pop_words(3)
-                    for value in (tile_m, tile_n, tile_k):
-                        if value <= 0 or value % quantum:
-                            raise TraceUnsupported("invalid cfg tile size")
-                    for elements in (tile_m * tile_k, tile_k * tile_n,
-                                     tile_m * tile_n):
-                        if elements > capacity:
-                            raise TraceUnsupported("cfg exceeds capacity")
-                    a_src = b_src = -1
-                    pending = []
-                    needs_map = refresh_needs()
-                    opcode_cycles += 0.0
-                elif primitive == "reset":
-                    a_src = b_src = -1
-                    pending = []
-                    opcode_cycles += 0.0
-            cycles += opcode_cycles
-            instructions += 1
-        plan.flush_cycles.append(cycles)
-        plan.flush_instructions.append(instructions)
-
-    if queue.head != trace.num_staged_items:
-        raise TraceUnsupported("staged data left unconsumed in the stream")
-    if pending:
-        raise TraceUnsupported("computes left unreceived at driver exit")
-    _match_pushes_to_recvs(trace, plan)
-    plan.final_config = (tile_m, tile_n, tile_k)
-    plan.final_a = a_src
-    plan.final_b = b_src
-    return plan
-
-
-def _decode_conv(trace: DriverTrace, accel: ConvAccelerator) -> DecodedPlan:
-    try:
-        plan = _native_decode_conv(trace, accel)
-        if plan is not None:
-            return plan
-        return _decode_conv_inner(trace, accel)
-    except TraceUnsupported as exc:
-        return exc
-
-
-def _decode_conv_inner(trace: DriverTrace,
-                       accel: ConvAccelerator) -> DecodedPlan:
-    plan = DecodedPlan()
-    plan.kind = "conv"
-    # Decoding assumes the constructor-default configuration; the replay
-    # executor validates the live instance against it on every run.
-    ic, fhw = 1, 1
-    filter_src = -1
-    filter_words = 1  # the reset-state filter is a single zero element
-    pending: List[int] = []
-    queue = _ItemQueue(trace)
-    lit_sico = CONV_LITERALS["sIcO"]
-    lit_sf = CONV_LITERALS["sF"]
-    lit_ro = CONV_LITERALS["rO"]
-    lit_fsize = CONV_LITERALS["cfg_fsize"]
-    lit_ic = CONV_LITERALS["cfg_ic"]
-
-    for flush_index, item_limit in enumerate(trace.flush_item_counts):
-        queue.reveal(item_limit)
-        cycles = 0.0
-        instructions = 0
-        while True:
-            literal = queue.peek_opcode()
-            if literal is None:
-                break
-            window = ic * fhw * fhw
-            needs = {lit_sico: window, lit_sf: window, lit_ro: 0,
-                     lit_fsize: 1, lit_ic: 1}.get(literal)
-            if needs is None:
-                raise TraceUnsupported(f"unknown opcode {literal:#x}")
-            if queue.available_words - 1 < needs:
-                break
-            queue.pop_opcode()
-            if literal == lit_fsize:
-                value = queue.pop_words(1)[0]
-                if not 1 <= value <= accel.max_fhw:
-                    raise TraceUnsupported("filter size out of range")
-                fhw = value
-            elif literal == lit_ic:
-                value = queue.pop_words(1)[0]
-                if not 1 <= value <= accel.max_ic:
-                    raise TraceUnsupported("iC out of range")
-                ic = value
-            elif literal == lit_sf:
-                class_id, index = queue.pop_tile(window)
-                filter_src = DecodedPlan.pack(class_id, index)
-                filter_words = window
-                pending = []
-            elif literal == lit_sico:
-                if len(pending) >= accel.max_slice:
-                    raise TraceUnsupported("output slice buffer overflow")
-                if filter_words != window:
-                    raise TraceUnsupported("window/filter geometry mismatch")
-                class_id, index = queue.pop_tile(window)
-                pending.append(len(plan.compute_a))
-                plan.compute_a.append(DecodedPlan.pack(class_id, index))
-                plan.compute_b.append(filter_src)
-                plan.compute_geom.append((1, 1, window))
-                plan.compute_push.append(-1)
-                cycles += 2.0 * window / CONV_OPS_PER_CYCLE
-            elif literal == lit_ro:
-                if not pending:
-                    raise TraceUnsupported("rO with an empty slice buffer")
-                push = len(plan.push_counts)
-                for ordinal in pending:
-                    plan.compute_push[ordinal] = push
-                plan.push_counts.append(len(pending))
-                plan.push_flush.append(flush_index)
-                plan.out_words_per_push.append(len(pending))
-                pending = []
-            instructions += 1
-        plan.flush_cycles.append(cycles)
-        plan.flush_instructions.append(instructions)
-
-    if queue.head != trace.num_staged_items:
-        raise TraceUnsupported("staged data left unconsumed in the stream")
-    if pending:
-        raise TraceUnsupported("windows left unreceived at driver exit")
-    _match_pushes_to_recvs(trace, plan)
-    plan.final_config = (ic, fhw)
-    plan.final_b = filter_src
     return plan
 
 

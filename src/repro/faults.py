@@ -1,9 +1,9 @@
 """Deterministic fault injection for the degradation ladder.
 
 Every layer of the execution pipeline has a graceful-degradation
-fallback (trace synthesis or replay -> per-tile execution, native C ->
-pure Python, disk store -> memory-only, service worker -> restart +
-requeue).  This module lets tests and CI *prove* those rungs: a seeded
+fallback (trace synthesis or replay -> per-tile execution, no C
+library -> every kernel per tile, disk store -> memory-only, service
+worker -> restart + requeue).  This module lets tests and CI *prove* those rungs: a seeded
 registry decides, per call site, whether an injected fault fires, and
 the hook points in ``store.py``, ``soc/_native.py``,
 ``execution/metrics.py``, ``execution/replay.py``,
@@ -12,11 +12,12 @@ firing into the exact failure the fallback is designed to absorb
 (``service.worker:crash`` kills a pool worker mid-request).
 
 An always-firing clause is also how the fallback rung is *selected*
-(only the oracle tiers have switches of their own, ``REPRO_NO_TRACE``
-and ``REPRO_NO_NATIVE``): ``replay:fail`` and ``synth:fail`` are two
-doors to the same rung — either runs every generated kernel per tile,
+(only the per-tile oracle has a switch of its own, ``REPRO_NO_TRACE``):
+``replay:fail``, ``synth:fail`` and ``native.compile:fail`` are three
+doors to the same rung — each runs every generated kernel per tile,
 the first by refusing each replay, the second by leaving the kernel
-without a trace.  ``metrics.plan:fail`` selects no rung: it bypasses
+without a trace, the third by withholding the C library that replay
+runs on (no replay is offered, nothing is synthesized).  ``metrics.plan:fail`` selects no rung: it bypasses
 the per-trace plan cache, so every replay runs the build a cache miss
 runs.  Each firing counts itself in ``diagnostics()["faults"]``.
 

@@ -78,8 +78,9 @@ def run_seamed(handler: Callable[[dict], dict], job: dict) -> dict:
 
     An open store breaker routes the job through the memory-only
     compile path (``suspend_disk_store``); an open native breaker
-    forces the pure-Python kernels (``suspend_native``).  Both are
-    existing degradation rungs — bit-identical, just different latency.
+    withholds the C library (``suspend_native``), so every kernel runs
+    per tile.  Both are existing degradation rungs — bit-identical,
+    just different latency.
 
     Returns the handler's reply fields plus the breaker evidence:
     ``store_failures`` (store I/O and write failures during the job)

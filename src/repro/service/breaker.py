@@ -2,7 +2,7 @@
 
 The execution pipeline already degrades gracefully *per call* (a store
 I/O error falls back to a redundant compile, a native-compile failure
-to the Python kernels).  A breaker adds the cross-request memory real
+to running every kernel per tile).  A breaker adds the cross-request memory real
 serving systems need: after ``threshold`` consecutive failures of a
 seam the breaker *opens* and subsequent requests run with that seam
 pre-disabled — the known-good degradation rung — instead of paying the

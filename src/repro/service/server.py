@@ -27,8 +27,8 @@ The robustness ladder, top to bottom:
   result instead of a re-execution.
 * **Circuit breakers** — consecutive store-I/O or native-compile
   failures open a breaker (:mod:`repro.service.breaker`); requests
-  then run with that seam pre-disabled (memory-only compile / Python
-  kernels — PR 6's bit-identical rungs) until a half-open probe heals
+  then run with that seam pre-disabled (memory-only compile / every
+  kernel per tile — bit-identical rungs) until a half-open probe heals
   it.
 * **Crash recovery** — a worker death (including injected
   ``service.worker:crash`` faults) is detected on its pipe, the worker

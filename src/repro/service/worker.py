@@ -54,12 +54,17 @@ def _check_deadline(deadline: Optional[float], stage: str) -> None:
 
 
 def _require(spec: Dict[str, Any], name: str, kind=int):
+    """``spec[name]`` checked against ``kind``; every numeric field is a
+    size, count or stride, so an ``int`` must also be positive."""
     value = spec.get(name)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise errors.BadRequest(
             f"spec field {name!r} must be {kind.__name__}, "
             f"got {type(value).__name__}"
         )
+    if kind is int and value < 1:
+        raise errors.BadRequest(
+            f"spec field {name!r} must be positive, got {value}")
     return value
 
 
@@ -125,14 +130,15 @@ def run_request(spec: Dict[str, Any],
         in_hw = _require(spec, "in_hw")
         out_ch = _require(spec, "out_ch")
         f_hw = _require(spec, "f_hw")
-        stride = int(spec.get("stride", 1))
-        if f_hw > in_hw or stride < 1:
-            raise errors.BadRequest("conv filter/stride out of range")
+        stride = _require(spec, "stride") if "stride" in spec else 1
+        if f_hw > in_hw:
+            raise errors.BadRequest("conv filter larger than its input")
         out_hw = (in_hw - f_hw) // stride + 1
         hw, kernel = compile_conv_kernel(
             batch, in_ch, in_hw, out_ch, f_hw, stride,
             specialized=bool(spec.get("specialized", True)),
-            max_slice=spec.get("max_slice"),
+            max_slice=None if spec.get("max_slice") is None
+            else _require(spec, "max_slice"),
         )
         image, weights = _input_arrays(
             spec,

@@ -1,7 +1,7 @@
-"""Optional C-accelerated kernels for the trace-replay hot loops.
+"""The C kernels that trace replay runs on.
 
 Four loops in the trace/replay machinery are inherently sequential and
-dominate its runtime when executed in Python:
+would dominate its runtime if executed in Python:
 
 * the set-associative LRU state machine over the run's full cache-line
   stream (integer decisions only) — the flat per-line variant and the
@@ -19,9 +19,9 @@ dominate its runtime when executed in Python:
 All are tiny, dependency-free state machines, so when a system C
 compiler is available they are compiled into a shared library and
 driven through :mod:`ctypes`.  The C code performs exactly the same
-operations as the Python reference paths (IEEE double arithmetic with
-contraction disabled), so results are bit-identical — property tests
-exercise both backends.
+operations as the per-tile runtime (IEEE double arithmetic with
+contraction disabled), so a replay is bit-identical to a per-tile run —
+the tier matrix pins both to the interpreter.
 
 The library is built once per user and machine, not once per process
 (:func:`native_lib`): it is kept as ``kernels-<key>.so`` in the private
@@ -32,8 +32,12 @@ real directory owned by this user with no group or other permission
 bits; otherwise the library is built in a throw-away directory as
 before and nothing is kept.
 
-No compiler, a failed compile, or ``REPRO_NO_NATIVE=1`` simply disables
-the fast path; callers fall back to the Python implementations.
+No compiler, a failed compile, the ``native.compile`` fault or a
+:func:`suspend_native` scope leaves replay unavailable
+(:func:`repro.execution.trace.trace_enabled` is False): every kernel and
+manual baseline runs per tile, with the same bits.  The one other
+reader, :class:`~repro.soc.cache.OfflineLruSimulator`, keeps a
+vectorized numpy backend for that case.
 """
 
 from __future__ import annotations
@@ -112,9 +116,8 @@ void lru_hierarchy_batch(const int64_t *lines, int64_t n,
  * or word_lines for word events.  Column j of group g is
  * src+rel[grp_off[g]+j] or dst+rel[grp_off[g]+j] depending on
  * from_dst (rel already permuted to the access order of the copy
- * plan), exactly the numpy hstack/take sequence of the Python
- * fallback, so the touch order (and therefore every LRU decision) is
- * identical to the two-pass path.
+ * plan), so the touch order (and therefore every LRU decision) is
+ * the per-tile copy kernels' line order.
  * A touch of the line accessed immediately before is short-circuited
  * to an L1 hit without consulting the way arrays: the previous access
  * left that line at MRU of its L1 set, so the full lookup would count
@@ -193,11 +196,11 @@ void lru_copy_event_stream(const int64_t *ev_group, const int64_t *ev_row,
 /* Accelerator stream decoders.  The staged stream arrives as parallel
  * arrays (is_word, value = word value or tile class, index = tile
  * ordinal within its class, cum = word-count prefix sum) plus per-flush
- * item limits.  Both decoders replicate the Python reference loops in
- * trace.py exactly on the success path; any assumption violation
- * returns nonzero and the caller re-runs the Python decoder for the
- * precise diagnostic.  Packed operand refs are (class << 40) | index,
- * matching DecodedPlan.pack. */
+ * item limits.  Both decoders apply the accelerators' needs-based
+ * completion rule (StreamAccelerator.process_stream) word for word;
+ * any assumption violation returns nonzero, which trace.py caches as a
+ * refusal, so the kernel runs per tile.  Packed operand refs are
+ * (class << 40) | index, matching DecodedPlan.pack. */
 
 #define MICRO_LOAD_A 0
 #define MICRO_LOAD_B 1
@@ -415,8 +418,7 @@ int64_t decode_conv_stream(
 }
 
 /* The replay timeline: one entry per charge step, with the exact
- * floating-point operation sequence of the per-tile runtime (see
- * ReplayExecutor._run_timeline for the Python reference). */
+ * floating-point operation sequence of the per-tile runtime. */
 void timeline_batch(const int8_t *sync, const double *cyc,
                     const double *brs, const double *rfs,
                     const double *rf2, const double *taux,
@@ -512,11 +514,11 @@ def native_suspended() -> bool:
 
 @_contextmanager
 def suspend_native():
-    """Force the pure-Python kernels for the duration of the scope.
+    """Withhold the C library for the duration of the scope.
 
-    Unlike ``REPRO_NO_NATIVE=1`` this works even after a successful
-    probe: the memoized library is simply not handed out.  Results are
-    bit-identical either way; only latency changes.
+    Works after a successful probe too: the memoized library is simply
+    not handed out, so no replay is offered and every kernel runs per
+    tile.  Results are bit-identical either way; only latency changes.
     """
     _suspension.count = getattr(_suspension, "count", 0) + 1
     try:
@@ -524,9 +526,8 @@ def suspend_native():
     finally:
         _suspension.count -= 1
 
-#: Why the library is (un)available: "untried", "ok", "disabled"
-#: (REPRO_NO_NATIVE=1), "no-compiler", "compile-failed", "load-failed",
-#: or "fault-injected".  The memo makes degradation one-shot: the
+#: Why the library is (un)available: "untried", "ok", "no-compiler",
+#: "compile-failed", "load-failed", or "fault-injected".  The memo makes degradation one-shot: the
 #: failed toolchain probe is never re-attempted (and re-paid) on later
 #: calls this process.
 _status = "untried"
@@ -540,25 +541,24 @@ def native_status() -> dict:
 def native_healthy() -> bool:
     """False once the toolchain failed — the native breaker's evidence.
 
-    "untried", "disabled" and "no-compiler" are not failures: nothing
-    broke, there is just no fast path to protect.
+    "untried" and "no-compiler" are not failures: nothing broke, there
+    is just no fast path to protect.
     """
     return _status not in ("compile-failed", "load-failed", "fault-injected")
 
 
 def _degrade(status: str, detail: str = "") -> None:
-    """Record an unexpected degradation and warn exactly once.
+    """Record a degradation and warn exactly once.
 
-    ``REPRO_NO_NATIVE=1`` is a request, not a degradation, so it does
-    not warn; everything else does — a silently missing fast path is
-    the kind of 10x slowdown users should hear about once.
+    A silently missing fast path is the kind of 10x slowdown users
+    should hear about once.
     """
     global _status
     _status = status
     message = f"native fast path unavailable ({status})"
     if detail:
         message += f": {detail}"
-    message += "; falling back to the pure-Python implementations"
+    message += "; no replay is offered, every kernel runs per tile"
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
@@ -693,9 +693,9 @@ def _temporary_library(compiler: str,
 def native_lib() -> Optional[ctypes.CDLL]:
     """The compiled kernel library, or ``None`` when unavailable.
 
-    ``REPRO_NO_NATIVE=1`` and the ``native.compile`` fault are decided
-    before any kept library is looked at, so both still force the
-    Python kernels on a machine that has one.
+    The ``native.compile`` fault is decided before any kept library is
+    looked at, so it still withholds the library on a machine that has
+    one.
     """
     global _lib, _tried, _status
     if native_suspended():
@@ -703,9 +703,6 @@ def native_lib() -> Optional[ctypes.CDLL]:
     if _tried:
         return _lib
     _tried = True
-    if os.environ.get("REPRO_NO_NATIVE", "") == "1":
-        _status = "disabled"
-        return None
     if faults.fires("native.compile") == "fail":
         _degrade("fault-injected")
         return None

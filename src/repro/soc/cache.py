@@ -32,6 +32,15 @@ For speed the copy kernels deduplicate intra-copy line reuse analytically
 and only feed *first-touch* line sequences here (a tile is far smaller
 than L1, so intra-copy reuse always hits).  Unit tests cross-check the
 two paths on small tiles.
+
+Replay does not use this module to classify its traffic: a metrics-plane
+build runs one C call over the whole run's lines
+(``lru_copy_event_stream`` in :mod:`repro.soc._native`, via
+:mod:`repro.execution.metrics`) and hands the end state back as way
+arrays (:func:`install_ways`).  :class:`OfflineLruSimulator` — the same
+classification over a materialized line stream, in C or in vectorized
+numpy — is kept for the frozen layer benchmark that measures both
+(the list is at ``repro.execution.diagnostics``).
 """
 
 from __future__ import annotations
@@ -487,13 +496,13 @@ class OfflineLruSimulator:
     are honoured, so a replay can start from any hierarchy state.
 
     Two backends share the exact per-access semantics: a compiled C
-    state machine (:mod:`repro.soc._native`, the common case) and a
-    vectorized stack-distance classifier with synthetic warm-state
-    prefixes (the no-compiler fallback).  Chunked use is supported:
-    each :meth:`process` call carries the evolving state forward, so
-    arbitrarily long sequences classify in bounded memory.  One
-    simulator serves one plan build: it is seeded from the hierarchy it
-    is constructed on and its counts are that build's totals.
+    state machine (:mod:`repro.soc._native`) and, without the C library,
+    a vectorized stack-distance classifier with synthetic warm-state
+    prefixes.  Chunked use is supported: each :meth:`process` call
+    carries the evolving state forward, so arbitrarily long sequences
+    classify in bounded memory.  One simulator serves one stream: it is
+    seeded from the hierarchy it is constructed on and its counts are
+    that stream's totals.
     """
 
     def __init__(self, hierarchy: "CacheHierarchy"):

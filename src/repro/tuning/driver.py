@@ -26,7 +26,7 @@ common case it is built for:
 * **Degradation over abortion** — store and native seams sit behind
   :class:`~repro.service.breaker.CircuitBreaker` instances; repeated
   seam failures route subsequent points through the memory-only store
-  or pure-Python kernels (both bit-identical rungs).  Journal I/O
+  or the per-tile driver (both bit-identical rungs).  Journal I/O
   failures degrade to memory-only progress tracking.
 
 Determinism is the load-bearing property: evaluation is deterministic

@@ -14,8 +14,10 @@ from repro.soc import Board, make_pynq_z2
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "ambient_faults_incompatible: exact store-counter assertions that "
-        "cannot hold when the environment injects REPRO_FAULTS",
+        "ambient_faults_incompatible: exact store- or replay-counter "
+        "assertions that cannot hold when the environment injects "
+        "REPRO_FAULTS (store I/O faults; native.compile:fail, under "
+        "which every kernel runs per tile)",
     )
     config.addinivalue_line(
         "markers",
@@ -31,7 +33,9 @@ def pytest_collection_modifyitems(config, items):
     Numeric results must stay bit-identical under injected faults —
     that is the point of the leg — but tests asserting *exact disk
     counter values* are definitionally invalid when reads/writes fail
-    probabilistically, so they are skipped there.  (Tests that set
+    probabilistically, and tests pinning the replay path cannot hold
+    when ``native.compile:fail`` leaves every kernel per tile, so they
+    are skipped there.  (Tests that set
     REPRO_FAULTS themselves via monkeypatch are unaffected: the marker
     covers only ambient, externally injected faults.)
     """
@@ -70,7 +74,19 @@ def _isolate_shared_plans():
 
 
 @pytest.fixture
-def clean_service_env(monkeypatch):
+def fresh_native_probe(monkeypatch):
+    """Forget this process's toolchain probe for one test, so whether
+    the C library (and with it replay) is there follows the test's own
+    ``REPRO_FAULTS``, not an ambient ``native.compile:fail``."""
+    from repro.soc import _native
+
+    monkeypatch.setattr(_native, "_tried", False)
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_status", "untried")
+
+
+@pytest.fixture
+def clean_service_env(monkeypatch, fresh_native_probe):
     """Every test that starts a ``ServiceServer`` owns its fault spec
     and counters — even under the CI chaos leg, whose ambient
     REPRO_FAULTS would otherwise leak into forked workers (and, at

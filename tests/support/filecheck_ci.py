@@ -1,10 +1,8 @@
-"""CI driver for the filecheck suite: timed, collection-guarded.
+"""CI driver for the filecheck suite: collection-guarded.
 
-Runs ``tests/test_filecheck.py`` as a separate step, fails if any
+Runs ``tests/test_filecheck.py`` as a separate step and fails if any
 ``tests/filecheck/*.mlir`` fixture on disk is not collected by pytest
-(guarding against silent test-discovery regressions), and records the
-suite's wall-clock as a ``filecheck_suite_s`` line in ``BENCH_perf.json``
-so the textual-pipeline harness shows up in the perf trajectory.
+(guarding against silent test-discovery regressions).
 
 Usage (from the repo root, locally or in CI)::
 
@@ -13,16 +11,13 @@ Usage (from the repo root, locally or in CI)::
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent.parent
 FIXTURE_DIR = REPO / "tests" / "filecheck"
-BENCH_PERF_PATH = REPO / "BENCH_perf.json"
 
 
 def _pytest(*args: str) -> subprocess.CompletedProcess:
@@ -58,22 +53,12 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    start = time.perf_counter()
     run = _pytest("-q")
-    elapsed = time.perf_counter() - start
     print(run.stdout, end="")
     if run.returncode != 0:
         print(run.stderr, file=sys.stderr)
         return run.returncode
-
-    payload = {}
-    if BENCH_PERF_PATH.exists():
-        payload = json.loads(BENCH_PERF_PATH.read_text())
-    payload["filecheck_suite_s"] = round(elapsed, 3)
-    payload["filecheck_fixtures"] = len(fixtures)
-    BENCH_PERF_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"filecheck suite: {len(fixtures)} fixtures in {elapsed:.2f}s "
-          f"(recorded in {BENCH_PERF_PATH.name})")
+    print(f"filecheck suite: {len(fixtures)} fixtures")
     return 0
 
 

@@ -22,8 +22,9 @@ from repro.store import STORE_COUNTERS
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_env(monkeypatch):
-    """Each test controls its own fault spec, even under CI's chaos leg."""
+def _clean_fault_env(monkeypatch, fresh_native_probe):
+    """Each test controls its own fault spec, even under CI's chaos leg
+    (the native probe included: it is re-run under the test's spec)."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     faults.reset_faults()
@@ -344,13 +345,6 @@ class TestSingleFaultBitIdentity:
                                      clean_baselines, tmp_path,
                                      monkeypatch):
         kind, params, shape = CONFIGS[config_index]
-        if spec == "native.compile:fail":
-            # The native probe is memoized process-wide; reset it so
-            # the injected fault actually gets a shot at this call.
-            from repro.soc import _native
-            monkeypatch.setattr(_native, "_tried", False)
-            monkeypatch.setattr(_native, "_lib", None)
-            monkeypatch.setattr(_native, "_status", "untried")
         monkeypatch.setenv("REPRO_FAULTS", spec)
         monkeypatch.setenv("REPRO_FAULTS_SEED", "11")
         faults.reset_faults()
@@ -399,6 +393,25 @@ class TestDegradationCounters:
         (kernel,) = cache._entries.values()
         assert kernel.trace_state.failed
         assert kernel.trace_state.trace is None
+
+    def test_native_fault_runs_every_kernel_per_tile(self, tmp_path,
+                                                     monkeypatch):
+        """Replay runs on the C kernels: without the library it is not
+        offered, so a kernel is neither synthesized nor published and
+        runs on the per-tile driver."""
+        from repro.execution import trace_enabled
+
+        monkeypatch.setenv("REPRO_FAULTS", "native.compile:fail")
+        faults.reset_faults()
+        with pytest.warns(RuntimeWarning, match="every kernel runs per tile"):
+            assert not trace_enabled()
+        before = dict(TRACE_COUNTERS)
+        cache = self._compile_and_run(store_dir=str(tmp_path))
+        assert dict(TRACE_COUNTERS) == before
+        (kernel,) = cache._entries.values()
+        assert kernel.trace_state.trace is None
+        assert not kernel.trace_state.failed
+        assert not list(tmp_path.rglob("*.entry"))
 
     def test_metrics_fault_counts_as_fallback(self, monkeypatch):
         """``metrics.plan:fail`` is a cache bypass: the replay runs the
@@ -455,9 +468,6 @@ class TestNativeFaultMemo:
     def test_one_shot_warning_and_no_retry(self, monkeypatch):
         from repro.soc import _native
 
-        monkeypatch.setattr(_native, "_tried", False)
-        monkeypatch.setattr(_native, "_lib", None)
-        monkeypatch.setattr(_native, "_status", "untried")
         monkeypatch.setenv("REPRO_FAULTS", "native.compile:fail")
         faults.reset_faults()
         with pytest.warns(RuntimeWarning, match="fault-injected"):
@@ -472,19 +482,6 @@ class TestNativeFaultMemo:
         assert _native.native_status() == {
             "available": False, "status": "fault-injected",
         }
-
-    def test_no_native_env_is_silent(self, monkeypatch):
-        from repro.soc import _native
-
-        monkeypatch.setattr(_native, "_tried", False)
-        monkeypatch.setattr(_native, "_lib", None)
-        monkeypatch.setattr(_native, "_status", "untried")
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        import warnings as warnings_mod
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            assert _native.native_lib() is None
-        assert _native.native_status()["status"] == "disabled"
 
 
 class TestDiagnostics:

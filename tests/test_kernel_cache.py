@@ -790,27 +790,18 @@ class TestHostileEntries:
                 head + matmul + ret + tail)
         assert not sentinel.exists()
 
-    @pytest.mark.parametrize("no_native", [False, True],
-                             ids=["native", "no-native"])
+    @staticmethod
+    def _forged_flush_count(payload):
+        trace = payload["trace"]
+        trace.flush_item_counts[-1] = trace.num_staged_items + (1 << 20)
+        trace.decoded = {}  # so the decoder would read the counts
+
     def test_a_forged_flush_count_is_quarantined_and_resynthesized(
-            self, tmp_path, monkeypatch, no_native):
+            self, tmp_path):
         """An out-of-stream flush count would be read past the staged
-        arrays by the C decoder (and the Python one would raise
-        IndexError); it never gets that far."""
-        from repro.soc import _native
-
-        if no_native:
-            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-            monkeypatch.setattr(_native, "_tried", False)
-            monkeypatch.setattr(_native, "_lib", None)
-            monkeypatch.setattr(_native, "_status", "untried")
-
-        def edit(payload):
-            trace = payload["trace"]
-            trace.flush_item_counts[-1] = trace.num_staged_items + (1 << 20)
-            trace.decoded = {}  # so the decoder would read the counts
-
-        store, path, expected, hw, operands = self.forge(tmp_path, edit)
+        arrays by the C decoder; it never gets that far."""
+        store, path, expected, hw, operands = self.forge(
+            tmp_path, self._forged_flush_count)
         reader = KernelCache(disk_dir=str(store))
         kernel = make_compiler(reader).compile_matmul(32, 32, 32)
         assert (reader.disk_hits, reader.disk_corrupt) == (0, 1)
@@ -820,6 +811,26 @@ class TestHostileEntries:
         third = KernelCache(disk_dir=str(store))
         make_compiler(third).compile_matmul(32, 32, 32)
         assert (third.disk_hits, third.disk_corrupt) == (1, 0)
+
+    def test_without_the_c_library_a_forged_entry_runs_per_tile(
+            self, tmp_path):
+        """The load check does not need the C library: without it the
+        entry is quarantined all the same, and the kernel runs per tile,
+        synthesizing and publishing nothing."""
+        from repro.execution import TRACE_COUNTERS
+        from repro.soc._native import suspend_native
+
+        store, path, expected, hw, operands = self.forge(
+            tmp_path, self._forged_flush_count)
+        before = dict(TRACE_COUNTERS)
+        with suspend_native():
+            reader = KernelCache(disk_dir=str(store))
+            kernel = make_compiler(reader).compile_matmul(32, 32, 32)
+            assert (reader.disk_hits, reader.disk_corrupt) == (0, 1)
+            assert _observe(hw, kernel, operands) == expected
+        assert dict(TRACE_COUNTERS) == before
+        assert (store / "corrupt" / path.name).exists()
+        assert TestDiskKernelStore.entry_files(store) == []
 
 
 class TestManualTraceEntries:

@@ -73,6 +73,7 @@ MATMUL_CONFIGS = [
 
 class TestPlanBitIdentity:
     @pytest.mark.parametrize("version,size,flow,m,n,k", MATMUL_CONFIGS)
+    @pytest.mark.ambient_faults_incompatible
     def test_plan_hit_matches_live_plane(self, version, size, flow,
                                          m, n, k, monkeypatch):
         kernel, hw_factory = _matmul_setup(version, size, flow, m, n, k)
@@ -126,6 +127,7 @@ class TestPlanBitIdentity:
         assert cached[0] == cached[1]
         assert cached == live
 
+    @pytest.mark.ambient_faults_incompatible
     def test_warm_board_rebuilds_plan(self):
         """Repeated runs on ONE board change the fingerprint (warm
         caches, advanced clock, new simulated addresses) — every
@@ -169,6 +171,7 @@ def test_property_plan_hit_bit_identical(tiles_m, tiles_n, tiles_k,
 
 
 class TestSwitches:
+    @pytest.mark.ambient_faults_incompatible
     def test_kill_switch_counts_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "metrics.plan:fail")
         kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
@@ -187,6 +190,7 @@ class TestSwitches:
         states = _measure_matmul(kernel, hw_factory, 32, 32, 32)
         assert states[0] == states[1]
 
+    @pytest.mark.ambient_faults_incompatible
     def test_check_mode_raises_on_divergence(self, monkeypatch):
         """A corrupted cached plan must fail loudly under
         REPRO_CHECK=1 instead of silently applying."""
@@ -201,6 +205,7 @@ class TestSwitches:
         with pytest.raises(MetricsPlanMismatch, match="final_state"):
             _measure_matmul(kernel, hw_factory, 16, 16, 16, runs=1)
 
+    @pytest.mark.ambient_faults_incompatible
     def test_benchmark_configs_take_plan_path(self):
         """No silent fallback: a representative benchmark sweep ends
         with misses+hits and zero fallbacks."""
@@ -264,6 +269,7 @@ def _plan_traffic():
             METRICS_PLAN_COUNTERS["metrics_plan_misses"])
 
 
+@pytest.mark.ambient_faults_incompatible
 class TestSharedPlans:
     """Traces of equal content share one plan dict, so a kernel's first
     run can be a hit on a plan another kernel built."""

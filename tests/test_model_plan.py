@@ -236,6 +236,7 @@ class TestWorkerPool:
         assert [[c.as_dict() for c in r] for r in pooled] == \
             [[c.as_dict() for c in r] for r in inline]
 
+    @pytest.mark.ambient_faults_incompatible
     def test_pool_merges_worker_diagnostics(self, monkeypatch):
         from repro.execution import STAGE_TIMINGS
         from repro.experiments.harness import run_matmul_model
@@ -255,6 +256,7 @@ class TestWorkerPool:
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] > \
             before_misses
 
+    @pytest.mark.ambient_faults_incompatible
     def test_no_fork_rung_runs_inline_and_merges_nothing(
             self, monkeypatch):
         from repro import pool

@@ -156,11 +156,11 @@ def test_untrusted_dir_is_not_used(tmp_path, unsafe):
 
 
 def test_switches_fire_before_the_kept_library(tmp_path, kept):
+    """The compile fault withholds a kept library too, and with it
+    replay: such a process runs every kernel per tile."""
     _seed(tmp_path, kept)
     assert _probe(tmp_path, REPRO_FAULTS="native.compile:fail")["status"] \
         == {"available": False, "status": "fault-injected"}
-    assert _probe(tmp_path, REPRO_NO_NATIVE="1")["status"] \
-        == {"available": False, "status": "disabled"}
 
 
 def test_another_compiler_path_is_another_library(tmp_path, kept):

@@ -33,6 +33,7 @@ def _matmul_inputs(m=16, n=16, k=16, seed=11):
 
 
 class TestPrebuildPlans:
+    @pytest.mark.ambient_faults_incompatible
     def test_prebuild_then_run_is_warm(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
         summaries = prebuild_plans([_matmul_spec()])
@@ -75,6 +76,7 @@ class TestPrebuildPlans:
         assert "bogus" in summaries[0]["error"]
         assert summaries[1]["ok"]
 
+    @pytest.mark.ambient_faults_incompatible
     def test_pool_matches_inline_and_merges_deltas(self, monkeypatch,
                                                    tmp_path):
         specs = [_matmul_spec(), _matmul_spec(m=32)]

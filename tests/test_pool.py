@@ -315,7 +315,7 @@ class TestStructure:
             and re.search(pattern, path.read_text(), re.MULTILINE))
         assert offenders == []
 
-    def test_environment_names_are_the_pinned_fourteen(self):
+    def test_environment_names_are_the_pinned_thirteen(self):
         """One selector per axis: a new ``REPRO_*`` name is a new axis
         of the configuration product tests/test_tier_matrix.py covers."""
         names = {name for path in SRC.rglob("*.py")
@@ -323,7 +323,7 @@ class TestStructure:
         assert names == {"REPRO_" + suffix for suffix in (
             "CHECK", "FAULTS", "FAULTS_SEED", "FULL_SCALE",
             "KERNEL_CACHE_DIR", "KERNEL_CACHE_MAX_BYTES", "MODEL_WORKERS",
-            "NO_NATIVE", "NO_TRACE", "SERVICE_QUEUE_MAX",
+            "NO_TRACE", "SERVICE_QUEUE_MAX",
             "SERVICE_TIMEOUT_S", "SERVICE_WORKERS", "TUNING_DEADLINE_S",
             "TUNING_WORKERS")}
 

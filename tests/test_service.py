@@ -123,6 +123,28 @@ class TestProtocol:
             != protocol.canonical_spec_digest(spec_c)
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize("kind, field, value", [
+        ("conv", "stride", 1.7),       # was served as stride 1
+        ("conv", "stride", None),
+        ("conv", "max_slice", "big"),  # reached the C decoder's ctypes call
+        ("conv", "max_slice", 0),
+        ("conv", "max_slice", -3),
+        ("matmul", "m", -8),
+        ("matmul", "size", 0),
+    ])
+    def test_out_of_range_numeric_field_is_a_bad_request(self, kind, field,
+                                                         value):
+        from repro.service.worker import execute_job
+
+        spec = matmul_spec() if kind == "matmul" else conv_spec()
+        spec[field] = value
+        reply = execute_job({"spec": spec})
+        assert (reply["ok"], reply["code"]) == (False, errors.BAD_REQUEST), \
+            reply["message"]
+        assert field in reply["message"]
+
+
 # -- seeded backoff (satellite: retry-schedule determinism) -----------------
 
 class TestBackoffDeterminism:

@@ -749,6 +749,7 @@ class TestStoreConverges:
         assert warm["results"] == cold["results"]
 
 
+@pytest.mark.ambient_faults_incompatible
 class TestThreadSafety:
     def test_concurrent_threads_share_one_entry(self, tmp_path):
         """Nothing coordinates the racers: each thread may lower the

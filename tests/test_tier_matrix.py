@@ -1,16 +1,17 @@
 """The tier matrix: every selectable configuration against the interpreter.
 
 The contract of the whole execution stack is that each fast tier yields
-the reference interpreter's results bit for bit.  Three axes select what
+the reference interpreter's results bit for bit.  Two axes select what
 runs — ``REPRO_FAULTS`` forces any subset of the doors to the per-tile
-driver (a refused replay, a failed synthesis), ``REPRO_NO_NATIVE`` picks
-the pure-Python cost engine, ``REPRO_CHECK`` verifies every served
-artifact — and this file runs their *product*, not one switch at a
-time.  (``metrics.plan:fail`` is not a factor: it bypasses the plan
-cache into the very build a miss runs, which every cold pass covers.)
+driver (a refused replay, a failed synthesis), ``REPRO_CHECK`` verifies
+every served artifact — and this file runs their *product*, not one
+switch at a time.  (``metrics.plan:fail`` is not a factor: it bypasses
+the plan cache into the very build a miss runs, which every cold pass
+covers.  Nor is the C library: replay runs on it, so a process without
+it runs every kernel per tile — one more case per config pins that.)
 
 For each configuration the interpreter runs once; then every element of
-``subsets(rungs) x NO_NATIVE x CHECK`` runs the same kernels twice on
+``subsets(rungs) x CHECK`` runs the same kernels twice on
 one fresh kernel store (the second pass starts from empty in-process
 caches, so it takes the store-hit paths) and must reproduce the
 interpreter's PerfCounters, output bytes, board clock and both cache
@@ -28,6 +29,7 @@ case inside a :class:`repro.pool.Pool` worker.
 
 import contextlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -46,16 +48,19 @@ from test_model_plan import MATMUL_SPECS, _matmul_data
 #: The clauses that select a path: the two doors to the per-tile rung.
 RUNGS = ("replay:fail", "synth:fail")
 
-#: (cold-pass rungs, warm-pass rungs, REPRO_NO_NATIVE, REPRO_CHECK): the
-#: 4 x 2 x 2 selections, forced on both passes, then the store-loaded
-#: per-tile case.
+#: (cold-pass rungs, warm-pass rungs, REPRO_CHECK): the 4 x 2
+#: selections, forced on both passes, then the store-loaded per-tile
+#: case.
 PRODUCT = [
-    (rungs, rungs, no_native, check)
-    for rungs, no_native, check in itertools.product(
+    (rungs, rungs, check)
+    for rungs, check in itertools.product(
         [subset for size in range(len(RUNGS) + 1)
          for subset in itertools.combinations(RUNGS, size)],
-        (False, True), (False, True))
-] + [((), ("replay:fail",), False, False)]
+        (False, True))
+] + [((), ("replay:fail",), False)]
+
+#: The C library withheld on both passes: no replay is offered.
+NO_C_LIBRARY = ("native.compile:fail",)
 
 
 def _matmul_step(m, n, k, size, version, flow, runtime_cls=None,
@@ -127,19 +132,23 @@ def _run(name, interpreted=False):
 
 
 @contextlib.contextmanager
-def _selected(rungs, no_native, check, store):
-    """One element of the product, selected for the current process."""
-    with pytest.MonkeyPatch.context() as patch:
+def _selected(rungs, check, store):
+    """One element of the product, selected for the current process.
+
+    The toolchain probe is re-run under the selection's own faults, so
+    whether the C library is there is the case's choice, not whatever
+    an earlier test or an ambient ``native.compile:fail`` left behind.
+    """
+    with pytest.MonkeyPatch.context() as patch, \
+            warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "native fast path unavailable")
         patch.setenv("REPRO_FAULTS", ";".join(rungs))
         patch.delenv("REPRO_FAULTS_SEED", raising=False)
         patch.setenv("REPRO_CHECK", "1" if check else "0")
         patch.setenv("REPRO_KERNEL_CACHE_DIR", str(store))
-        if no_native:
-            # The switch is read by the one-shot toolchain probe.
-            patch.setenv("REPRO_NO_NATIVE", "1")
-            patch.setattr(_native, "_tried", False)
-            patch.setattr(_native, "_lib", None)
-            patch.setattr(_native, "_status", "untried")
+        patch.setattr(_native, "_tried", False)
+        patch.setattr(_native, "_lib", None)
+        patch.setattr(_native, "_status", "untried")
         faults.reset_faults()
         try:
             yield
@@ -155,16 +164,49 @@ LOADED_INTERPRETED = "matmul-v1-Ns"
 def _two_passes(job):
     """Cold then warm on ``job``'s store (also the pool handler).  Each
     step compiles into a fresh ``KernelCache``, so the warm pass reads
-    the store."""
-    passes = []
-    for rungs in job["rungs"]:
-        with _selected(rungs, job["no_native"], job["check"], job["store"]):
-            passes.append(_run(job["name"]))
+    the store.  Also returns the native status each of the two ran
+    under."""
+    rounds = [(rungs, False) for rungs in job["rungs"]]
     if job["name"] == LOADED_INTERPRETED:
-        with _selected(job["rungs"][-1], job["no_native"], job["check"],
-                       job["store"]):
-            passes.append(_run(job["name"], interpreted=True))
-    return {"passes": passes}
+        rounds.append((job["rungs"][-1], True))
+    passes, native = [], []
+    for rungs, interpreted in rounds:
+        with _selected(rungs, job["check"], job["store"]):
+            passes.append(_run(job["name"], interpreted))
+            if not interpreted:
+                native.append(_native.native_status()["status"])
+    return {"passes": passes, "native": native}
+
+
+def _rounds(name):
+    return 3 if name == LOADED_INTERPRETED else 2
+
+
+def _submit(mode, job, workers):
+    """``job`` in-process, through the no-fork rung or in a worker."""
+    if mode == "in-process":
+        return _two_passes(job)
+    if mode == "no-fork":
+        return pool.run_seamed(_two_passes, job)
+    workers.submit(0, job)
+    ((_, reply),) = workers.wait([0], 120.0)
+    assert reply is not None, f"worker died on {job}"
+    return reply
+
+
+@contextlib.contextmanager
+def _workers(mode):
+    """The pool worker a ``pool-worker`` case runs in (else ``None``)."""
+    if mode != "pool-worker":
+        yield None
+        return
+    if not pool.fork_available():
+        pytest.skip("no fork on this platform")
+    workers = pool.Pool(1, _two_passes)
+    try:
+        yield workers
+    finally:
+        workers.shutdown()
 
 
 def _hit_paths():
@@ -172,34 +214,24 @@ def _hit_paths():
             METRICS_PLAN_COUNTERS["metrics_plan_hits"])
 
 
-@pytest.mark.parametrize("mode", [
-    "in-process", "no-fork",
-    pytest.param("pool-worker", marks=pytest.mark.matrix)])
+MODES = ["in-process", "no-fork",
+         pytest.param("pool-worker", marks=pytest.mark.matrix)]
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", CONFIGS)
 def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
     oracle = _run(name, interpreted=True)
     steps = len(CONFIGS[name])
-    rounds = 3 if name == LOADED_INTERPRETED else 2
-    workers = None
-    if mode == "pool-worker":
-        if not pool.fork_available():
-            pytest.skip("no fork on this platform")
-        workers = pool.Pool(1, _two_passes)
-    try:
-        for case, (cold, warm, no_native, check) in enumerate(PRODUCT):
-            job = {"name": name, "rungs": (cold, warm),
-                   "no_native": no_native, "check": check,
+    rounds = _rounds(name)
+    with _workers(mode) as workers:
+        for case, (cold, warm, check) in enumerate(PRODUCT):
+            job = {"name": name, "rungs": (cold, warm), "check": check,
                    "store": str(tmp_path / str(case))}
             sources = dict(TRACE_COUNTERS)
-            if mode == "in-process":
-                reply = _two_passes(job)
-            elif mode == "no-fork":
-                reply = pool.run_seamed(_two_passes, job)
-            else:
-                workers.submit(0, job)
-                ((_, reply),) = workers.wait([0], 120.0)
-                assert reply is not None, f"worker died on {job}"
+            reply = _submit(mode, job, workers)
             assert reply["passes"] == [oracle] * rounds, job
+            assert reply["native"] == ["ok"] * 2, job
             # A generated kernel is never recorded; one that fails
             # synthesis has no trace and ran per tile, both passes.
             grew = {key: TRACE_COUNTERS[key] - sources[key]
@@ -212,9 +244,27 @@ def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
                 # The warm kernels came from the store (and, replay
                 # refused, ran their re-emitted drivers per tile).
                 assert grew["disk_loaded"] == steps * (rounds - 1), job
-    finally:
-        if workers is not None:
-            workers.shutdown()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_without_the_c_library_every_kernel_runs_per_tile(name, mode,
+                                                          tmp_path):
+    """Replay runs on the C kernels, so a process without them is not
+    offered it: nothing is synthesized or recorded, nothing reaches the
+    store, and both passes still equal the interpreter."""
+    oracle = _run(name, interpreted=True)
+    rounds = _rounds(name)
+    job = {"name": name, "rungs": (NO_C_LIBRARY, NO_C_LIBRARY),
+           "check": False, "store": str(tmp_path)}
+    with _workers(mode) as workers:
+        sources = dict(TRACE_COUNTERS)
+        reply = _submit(mode, job, workers)
+    assert reply["passes"] == [oracle] * rounds
+    assert reply["native"] == ["fault-injected"] * 2
+    for key in ("synthesized", "manual_recorded"):
+        assert TRACE_COUNTERS[key] == sources[key], key
+    assert not list(tmp_path.rglob("*.entry"))
 
 
 @pytest.mark.ambient_faults_incompatible
@@ -223,7 +273,7 @@ def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
     """What makes the matrix bite: with no rung forced the warm pass
     loads its traces from the store and applies stored plans, so a
     wrong plan application cannot hide behind a rebuild."""
-    with _selected((), False, False, tmp_path):
+    with _selected((), False, tmp_path):
         built = METRICS_PLAN_COUNTERS["metrics_plan_misses"]
         _run(name)
         loaded, applied = _hit_paths()
@@ -247,7 +297,7 @@ def test_a_stored_kernel_re_emits_the_same_driver(name, tmp_path):
     """A store entry keeps only the IR: the driver a loaded kernel runs
     per tile is emitted from it again, and is the compiled driver byte
     for byte (loop names included)."""
-    with _selected((), False, False, tmp_path):
+    with _selected((), False, tmp_path):
         built = [make(KernelCache())[1] for make, _, _ in CONFIGS[name]]
         _run(name)  # publishes
         loaded = [make(KernelCache())[1] for make, _, _ in CONFIGS[name]]

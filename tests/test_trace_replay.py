@@ -245,17 +245,45 @@ class TestFallbacks:
                                runtime_cls=EagerRuntime)
         assert_pair_identical(pair)
 
-    def test_python_backends_match_per_tile(self, monkeypatch):
-        """The no-compiler fallbacks are equally bit-identical."""
+    @pytest.mark.ambient_faults_incompatible
+    def test_without_the_c_library_every_kernel_runs_per_tile(
+            self, monkeypatch):
+        """Replay runs on the C kernels: without them it is not offered.
+        Nothing is synthesized or replayed, and a replay called directly
+        is refused before it touches the board."""
         import repro.soc._native as native_mod
+        from repro.execution import STAGE_TIMINGS, TRACE_COUNTERS
 
-        # Every consumer (stream decoders, metrics-plane classification
-        # and timeline, OfflineLruSimulator) resolves native_lib lazily
-        # from _native, so patching the module attribute disables all
-        # C kernels at once.
+        def fresh_board():
+            hw, info = make_matmul_system(3, 4, flow="Ns")
+            board = make_pynq_z2()
+            board.attach_accelerator(hw)
+            return board, info
+
+        board, info = fresh_board()
+        kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
+            .compile_matmul(16, 16, 16)
+        operands = [np.ones((16, 16), np.int32) for _ in range(3)]
+        kernel.run(board, *operands)
+        trace = kernel.trace_state.trace
+        assert trace is not None
+
+        # Every consumer resolves native_lib from _native at call time,
+        # so patching the module attribute withholds all C kernels.
         monkeypatch.setattr(native_mod, "native_lib", lambda: None)
+        synthesized = TRACE_COUNTERS["synthesized"]
+        replay_s = STAGE_TIMINGS["replay_s"]
         assert_pair_identical(run_matmul_pair(3, 8, "Cs", 32, 32, 32))
         assert_pair_identical(run_conv_pair(4, 3, 2, 6, 1))
+        assert TRACE_COUNTERS["synthesized"] == synthesized
+        assert STAGE_TIMINGS["replay_s"] == replay_s
+
+        board, _ = fresh_board()
+        rt = AxiRuntime(board)
+        descriptors = [rt.make_memref(array) for array in operands]
+        with pytest.raises(TraceUnsupported, match="C kernels"):
+            replay_kernel(trace, board, rt, descriptors, False)
+        assert board.dma is None and board.clock == 0.0
 
     def test_send_after_receive_is_unsupported(self):
         """Replay snapshots all staged data up front, so a driver that
@@ -549,6 +577,7 @@ def _schedules(trace):
             for plan in trace.decoded.values()]
 
 
+@pytest.mark.ambient_faults_incompatible
 @pytest.mark.parametrize("name", _CASE_NAMES)
 @settings(max_examples=5, deadline=None)
 @given(
@@ -586,6 +615,7 @@ def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
             == got
 
 
+@pytest.mark.ambient_faults_incompatible
 class TestScheduleIsDerivedState:
     def test_hand_written_cases_take_the_in_order_scatter(self):
         for name, rounds in (("conv-two-classes", 0), ("conv-overlap", 0)):
@@ -639,6 +669,7 @@ class TestScheduleIsDerivedState:
             assert all(uniq is None for uniq, _ in schedule.send)
 
 
+@pytest.mark.ambient_faults_incompatible
 class TestRefusalsLeaveNoTrace:
     """Whatever refuses a replay — an injected fault, a schedule-time
     verdict served from the cache, storage the tiles do not fit — the

@@ -173,6 +173,7 @@ class TestReplayEquivalence:
 
 
 class TestTraceSources:
+    @pytest.mark.ambient_faults_incompatible
     def test_benchmark_configs_take_synthesis_path(self):
         """No benchmark kernel silently falls off the synthesis path."""
         before = dict(TRACE_COUNTERS)
@@ -218,6 +219,7 @@ class TestTraceSources:
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
         assert TRACE_COUNTERS["synth_fallback"] == before["synth_fallback"]
 
+    @pytest.mark.ambient_faults_incompatible
     def test_no_schedule_table_falls_back_to_the_per_tile_driver(self):
         hw, info = make_matmul_system(3, 8, flow="Ns")
         kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
@@ -238,6 +240,7 @@ class TestTraceSources:
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
         assert kernel.trace_state.failed and kernel.trace_state.trace is None
 
+    @pytest.mark.ambient_faults_incompatible
     def test_synth_fault_forces_the_per_tile_driver(self, monkeypatch):
         """``synth:fail`` lands on the per-tile driver, not a recording."""
         monkeypatch.setenv("REPRO_FAULTS", "synth:fail")
@@ -298,6 +301,7 @@ class TestCrossCheck:
         kernel.run(board, a, b, c)
         assert np.array_equal(c, a.astype(np.int64) @ b.astype(np.int64))
 
+    @pytest.mark.ambient_faults_incompatible
     def test_cross_check_raises_on_divergent_schedule(self, monkeypatch):
         """A side table that disagrees with the driver fails loudly."""
         monkeypatch.setenv("REPRO_CHECK", "1")

@@ -138,9 +138,9 @@ def merge(worker_delta: Dict[str, dict]) -> None:
     workers does *not* shrink a stage's seconds (the workers' seconds
     merge back, so stage totals can exceed wall clock — parallel wins
     show up in wall clock only), and a stage-second belongs to the
-    stage that ran, wherever it ran (a plan built by
-    ``prebuild_plans()`` lands in ``metrics_plan_build_s`` exactly as
-    an inline build would).
+    stage that ran, wherever it ran (a plan built by a service
+    ``warmup`` job lands in ``metrics_plan_build_s`` exactly as an
+    inline build would).
     """
     with _LOCK:
         for name, values in worker_delta.items():

@@ -19,11 +19,10 @@ from .metrics import (
     MetricsPlan,
     MetricsPlanMismatch,
 )
-from .prebuild import prebuild_plans
 from .replay import ReplayExecutor, replay_kernel
 # Re-exported from the pool they are an ordered map over: the frozen
 # perf/perfbench/layers.py imports run_model_jobs from here.
-from ..pool import MODEL_PLAN_COUNTERS, model_workers, run_model_jobs
+from ..pool import MODEL_PLAN_COUNTERS, run_model_jobs
 
 
 #: Sections of :func:`diagnostics`, in the order it has always had.
@@ -116,7 +115,7 @@ __all__ = [
     "SynthesisUnsupported", "TraceMismatch", "diff_traces",
     "synthesize_trace",
     "METRICS_PLAN_COUNTERS", "MetricsPlan", "MetricsPlanMismatch",
-    "MODEL_PLAN_COUNTERS", "model_workers", "run_model_jobs",
-    "prebuild_plans", "ReplayExecutor", "replay_kernel",
+    "MODEL_PLAN_COUNTERS", "run_model_jobs",
+    "ReplayExecutor", "replay_kernel",
     "diagnostics",
 ]

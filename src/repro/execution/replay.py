@@ -42,10 +42,9 @@ split into two explicit planes:
   evaluated once per ``(trace, fingerprint)`` into a cached,
   serializable :class:`~repro.execution.metrics.MetricsPlan` and applied
   in O(state) on subsequent invocations.  First-time (cold) builds are
-  shared: expensive build sub-products are memoized across builds with
-  matching trace content, and
-  :func:`~repro.execution.prebuild.prebuild_plans` can pay the whole
-  cold path up front on a worker pool.  Wherever the
+  shared: traces of equal content share their plans, and the service's
+  ``warmup`` RPC can pay the whole cold path up front on a worker
+  pool.  Wherever the
   build runs, its seconds land in ``metrics_plan_build_s`` — pool
   workers report stage-timing deltas that merge back into the parent,
   so the accounting is placement-independent.

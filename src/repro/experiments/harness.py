@@ -10,22 +10,31 @@ through the ``run_*_model`` runners below: one shared board per model
 (cache warm-state carries between layers), and independent models
 dispatched onto the replay worker pool.
 
+A generated kernel goes from configuration to board through one
+function of a request spec, :func:`compile_request` (with
+:func:`request_shapes` for its operand and output shapes): the figure
+measurements, the model legs, the sweep's points
+(:func:`repro.tuning.driver.evaluate_point`) and the service's requests
+and warmups (:mod:`repro.service.worker`) all build the hardware model,
+the accelerator configuration and the compiled kernel there, so a
+request served remotely lowers and runs through exactly the code a
+local measurement would.
+
 Compilation goes through the process-wide kernel cache
 (:func:`repro.compiler.default_kernel_cache`): figures that sweep the
 same (accelerator, shape, flow) configuration with different *runtime*
 knobs (fig11's unspecialized copies vs fig12/13's specialized ones)
 lower each kernel exactly once and share the compiled entry point.
 
-Execution opts into trace-compiled replay (``trace=True``): the driver
-schedule is synthesized once per kernel and replayed as batched numpy —
-bit-identical counters, a fraction of the wall-clock.  Set
+Execution replays the kernel's synthesized trace when the C kernels are
+available — bit-identical counters, a fraction of the wall-clock.  Set
 ``REPRO_NO_TRACE=1`` to force per-tile execution throughout.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,41 +106,94 @@ def measure_cpu_matmul(dims: int) -> PerfCounters:
     return counters
 
 
-def compile_matmul_kernel(
-    dims_m: int, dims_n: int, dims_k: int, size: int, version: int,
-    flow: str, specialized: bool = True, cpu_tiling: bool = True,
-    accel_size: Optional[Tuple[int, int, int]] = None,
-    permutation: Optional[Tuple[str, ...]] = None,
-):
-    """(hardware, compiled kernel) for one generated-matmul config.
+Shape = Tuple[int, ...]
 
-    The single compile path shared by the figure harnesses and the
-    compile/simulate service worker (``repro.service.worker``), so a
-    request served remotely lowers through exactly the code a local
-    measurement would.
+
+def request_shapes(spec: Dict[str, Any]) -> Tuple[Tuple[Shape, ...], Shape]:
+    """(operand shapes, output shape) of one request spec."""
+    kind = spec.get("kind")
+    if kind == "matmul":
+        m, n, k = spec["m"], spec["n"], spec["k"]
+        return ((m, k), (k, n)), (m, n)
+    if kind == "conv":
+        batch, in_ch, in_hw = spec["batch"], spec["in_ch"], spec["in_hw"]
+        out_ch, f_hw = spec["out_ch"], spec["f_hw"]
+        out_hw = (in_hw - f_hw) // spec.get("stride", 1) + 1
+        return (((batch, in_ch, in_hw, in_hw), (out_ch, in_ch, f_hw, f_hw)),
+                (batch, out_ch, out_hw, out_hw))
+    raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+class CompiledRequest(NamedTuple):
+    """What :func:`compile_request` builds for one request spec."""
+
+    hw: Any
+    info: Any
+    kernel: Any
+    input_shapes: Tuple[Shape, ...]
+    output_shape: Shape
+
+    def run(self, inputs: Sequence[np.ndarray], board=None,
+            trace: Optional[bool] = None) -> Tuple[PerfCounters, np.ndarray]:
+        """Run the kernel on ``board`` (a fresh PYNQ-Z2 when ``None``)
+        with this request's accelerator attached; ``(counters, output)``."""
+        if board is None:
+            board = make_pynq_z2()
+        board.attach_accelerator(self.hw)
+        output = np.zeros(self.output_shape, np.int32)
+        return self.kernel.run(board, *inputs, output, trace=trace), output
+
+
+def compile_request(spec: Dict[str, Any]) -> CompiledRequest:
+    """Build one request spec's accelerator system and compile its kernel.
+
+    ``spec`` is in the service's request vocabulary: ``kind``
+    (``"matmul"`` / ``"conv"``); the shape (``m``/``n``/``k``, or
+    ``batch``/``in_ch``/``in_hw``/``out_ch``/``f_hw``/``stride``, stride
+    1 when absent); the matmul accelerator (``version``/``size``/
+    ``flow``, ``accel_size`` when set) or the conv one (``max_slice``,
+    default the output plane ``out_hw ** 2``); and the lowering knobs
+    ``permutation`` (default: the accelerator's loop order),
+    ``cpu_tiling`` and ``specialized`` (both default True).  Other keys
+    (``inputs``) are ignored.  This is the only place outside
+    :mod:`repro.accelerators` and :mod:`repro.compiler` that builds a
+    generated kernel's system and compiler.
     """
-    hw, info = make_matmul_system(version, size, flow=flow,
-                                  accel_size=accel_size)
-    compiler = AXI4MLIRCompiler(info, permutation=permutation,
-                                enable_cpu_tiling=cpu_tiling,
-                                specialized_copies=specialized)
-    return hw, compiler.compile_matmul(dims_m, dims_n, dims_k)
+    input_shapes, output_shape = request_shapes(spec)
+    permutation = spec.get("permutation")
+    knobs = dict(permutation=tuple(permutation) if permutation else None,
+                 enable_cpu_tiling=spec.get("cpu_tiling", True),
+                 specialized_copies=spec.get("specialized", True))
+    if spec["kind"] == "matmul":
+        accel_size = spec.get("accel_size")
+        hw, info = make_matmul_system(
+            spec["version"], spec["size"], flow=spec["flow"],
+            accel_size=tuple(accel_size) if accel_size else None)
+        kernel = AXI4MLIRCompiler(info, **knobs).compile_matmul(
+            spec["m"], spec["n"], spec["k"])
+    else:
+        max_slice = spec.get("max_slice")
+        hw, info = make_conv_system(
+            spec["in_ch"], spec["f_hw"],
+            max_slice=output_shape[-1] ** 2 if max_slice is None
+            else max_slice)
+        kernel = AXI4MLIRCompiler(info, **knobs).compile_conv(
+            spec["batch"], spec["in_ch"], spec["in_hw"], spec["out_ch"],
+            spec["f_hw"], spec.get("stride", 1))
+    return CompiledRequest(hw, info, kernel, input_shapes, output_shape)
 
 
-def compile_conv_kernel(
-    batch: int, in_ch: int, in_hw: int, out_ch: int, f_hw: int,
-    stride: int = 1, specialized: bool = True,
-    max_slice: Optional[int] = None,
-):
-    """(hardware, compiled kernel) for one generated-conv config."""
-    out_hw = (in_hw - f_hw) // stride + 1
-    hw, info = make_conv_system(
-        in_ch, f_hw,
-        max_slice=max_slice if max_slice is not None else out_hw ** 2,
-    )
-    compiler = AXI4MLIRCompiler(info, specialized_copies=specialized)
-    return hw, compiler.compile_conv(batch, in_ch, in_hw, out_ch, f_hw,
-                                     stride)
+def _matmul_spec(dims_m: int, dims_n: int, dims_k: int, size: int,
+                 version: int, flow: str, accel_size=None, **knobs) -> dict:
+    return {"kind": "matmul", "m": dims_m, "n": dims_n, "k": dims_k,
+            "size": size, "version": version, "flow": flow,
+            "accel_size": accel_size, **knobs}
+
+
+def _conv_spec(layer, **knobs) -> dict:
+    return {"kind": "conv", "batch": layer.batch, "in_ch": layer.in_ch,
+            "in_hw": layer.in_hw, "out_ch": layer.out_ch,
+            "f_hw": layer.f_hw, "stride": layer.stride, **knobs}
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +204,11 @@ def measure_generated_matmul(
     trace: bool = True,
 ) -> PerfCounters:
     """``mlir_AXI4MLIR``: compile and run the generated driver."""
-    hw, kernel = compile_matmul_kernel(
-        dims_m, dims_n, dims_k, size, version, flow,
-        specialized=specialized, cpu_tiling=cpu_tiling,
-        accel_size=accel_size,
-    )
-    board = make_pynq_z2()
-    board.attach_accelerator(hw)
+    request = compile_request(_matmul_spec(
+        dims_m, dims_n, dims_k, size, version, flow, accel_size,
+        specialized=specialized, cpu_tiling=cpu_tiling))
     a, b = _data(dims_m, dims_n, dims_k)
-    c = np.zeros((dims_m, dims_n), np.int32)
-    counters = kernel.run(board, a, b, c, trace=trace)
+    counters, c = request.run((a, b), trace=trace)
     if not np.array_equal(c, _expected_matmul(a, b)):
         raise AssertionError(
             f"generated driver produced wrong results for "
@@ -185,20 +242,25 @@ def _conv_data(layer, seed: int = 11):
 
 
 @lru_cache(maxsize=None)
-def measure_generated_conv(layer, specialized: bool = True,
-                           trace: bool = True) -> PerfCounters:
-    hw, kernel = compile_conv_kernel(
-        layer.batch, layer.in_ch, layer.in_hw, layer.out_ch, layer.f_hw,
-        layer.stride, specialized=specialized,
-        max_slice=layer.out_hw ** 2,
-    )
-    board = make_pynq_z2()
-    board.attach_accelerator(hw)
+def _conv_golden(layer) -> np.ndarray:
+    """Memoized numpy reference output for one conv layer.
+
+    The conv measurements and both model legs check against it; the
+    parent process warms it for every layer before forking, so pool
+    workers inherit the cache and the golden cost drops off the
+    parallel legs' critical path.
+    """
     image, weights = _conv_data(layer)
     expected, _ = cpu_conv(make_pynq_z2(), image, weights, layer.stride)
-    out = np.zeros(layer.output_shape(), np.int32)
-    counters = kernel.run(board, image, weights, out, trace=trace)
-    if not np.array_equal(out, expected):
+    return expected
+
+
+@lru_cache(maxsize=None)
+def measure_generated_conv(layer, specialized: bool = True,
+                           trace: bool = True) -> PerfCounters:
+    request = compile_request(_conv_spec(layer, specialized=specialized))
+    counters, out = request.run(_conv_data(layer), trace=trace)
+    if not np.array_equal(out, _conv_golden(layer)):
         raise AssertionError(f"generated conv wrong for {layer.label}")
     return counters
 
@@ -211,10 +273,9 @@ def measure_manual_conv(layer) -> PerfCounters:
                         max_slice=layer.out_hw ** 2)
     )
     image, weights = _conv_data(layer)
-    expected, _ = cpu_conv(make_pynq_z2(), image, weights, layer.stride)
     out = np.zeros(layer.output_shape(), np.int32)
     counters = manual_conv_driver(board, image, weights, out, layer.stride)
-    if not np.array_equal(out, expected):
+    if not np.array_equal(out, _conv_golden(layer)):
         raise AssertionError(f"manual conv wrong for {layer.label}")
     return counters
 
@@ -237,19 +298,6 @@ def measure_cpu_conv(layer) -> PerfCounters:
 # each step from the previous step's live LRU contents).  The runners
 # are module-level so run_model_jobs can fork them into pool workers.
 
-@lru_cache(maxsize=None)
-def _conv_golden(layer) -> np.ndarray:
-    """Memoized numpy reference output for one conv layer.
-
-    Module-level (not per-model) so the parent process can warm it for
-    every layer before forking: pool workers inherit the cache and the
-    golden cost drops off the parallel legs' critical path.
-    """
-    image, weights = _conv_data(layer)
-    expected, _ = cpu_conv(make_pynq_z2(), image, weights, layer.stride)
-    return expected
-
-
 def run_conv_model(layers: Tuple, impl: str) -> Tuple[PerfCounters, ...]:
     """One conv-layer sequence (fig16) on a single shared warm board.
 
@@ -262,26 +310,18 @@ def run_conv_model(layers: Tuple, impl: str) -> Tuple[PerfCounters, ...]:
     results = []
     for layer in layers:
         image, weights = _conv_data(layer)
-        expected = _conv_golden(layer)
-        out = np.zeros(layer.output_shape(), np.int32)
         if impl == "manual":
             board.attach_accelerator(
                 ConvAccelerator(max_ic=layer.in_ch, max_fhw=layer.f_hw,
                                 max_slice=layer.out_hw ** 2)
             )
+            out = np.zeros(layer.output_shape(), np.int32)
             counters = manual_conv_driver(board, image, weights, out,
                                           layer.stride)
         else:
-            hw, info = make_conv_system(layer.in_ch, layer.f_hw,
-                                        max_slice=layer.out_hw ** 2)
-            board.attach_accelerator(hw)
-            compiler = AXI4MLIRCompiler(info, specialized_copies=True)
-            kernel = compiler.compile_conv(
-                layer.batch, layer.in_ch, layer.in_hw,
-                layer.out_ch, layer.f_hw, layer.stride,
-            )
-            counters = kernel.run(board, image, weights, out)
-        if not np.array_equal(out, expected):
+            counters, out = compile_request(_conv_spec(layer)).run(
+                (image, weights), board)
+        if not np.array_equal(out, _conv_golden(layer)):
             raise AssertionError(f"{impl} conv wrong for {layer.label}")
         results.append(counters)
     return tuple(results)
@@ -297,15 +337,8 @@ def run_matmul_model(specs: Tuple) -> Tuple[PerfCounters, ...]:
     board = make_pynq_z2()
     results = []
     for spec in specs:
-        dims_m, dims_n, dims_k, size, version, flow, accel_size = spec
-        hw, info = make_matmul_system(version, size, flow=flow,
-                                      accel_size=accel_size)
-        board.attach_accelerator(hw)
-        compiler = AXI4MLIRCompiler(info)
-        kernel = compiler.compile_matmul(dims_m, dims_n, dims_k)
-        a, b = _data(dims_m, dims_n, dims_k)
-        c = np.zeros((dims_m, dims_n), np.int32)
-        counters = kernel.run(board, a, b, c)
+        a, b = _data(*spec[:3])
+        counters, c = compile_request(_matmul_spec(*spec)).run((a, b), board)
         if not np.array_equal(c, _expected_matmul(a, b)):
             raise AssertionError(f"model matmul wrong for {spec}")
         results.append(counters)

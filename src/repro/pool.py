@@ -1,11 +1,13 @@
 """The one supervised fork pool.
 
-Model jobs and plan prebuilds (:func:`run_model_jobs`, the ordered map
+Model jobs and service warmups (:func:`run_model_jobs`, the ordered map
 at the bottom of this module), service requests (``ServiceServer``) and
 sweep points (``SweepDriver``) all run on this pool; it is the only
-place in ``repro`` that creates fork contexts or processes.  What to
-run, when to give up on a job and what a crash means for it stay with
-the caller; the pool owns the mechanism.
+place in ``repro`` that creates fork contexts or processes.  All of them
+size it from one knob, ``REPRO_WORKERS`` (:func:`worker_count`), unless
+the caller passes an explicit size.  What to run, when to give up on a
+job and what a crash means for it stay with the caller; the pool owns
+the mechanism.
 
 * **Child side** — :func:`worker_loop` over one duplex pipe: receive a
   job dict, run the caller's *handler* under the job's breaker verdicts
@@ -36,8 +38,9 @@ from . import counters
 from .envutil import env_int
 from .store import STORE_COUNTERS
 
-#: Worker-pool size for run_model_jobs (default: min(4, cpu_count)).
-MODEL_WORKERS_ENV = "REPRO_MODEL_WORKERS"
+#: Size of every pool: model jobs, service workers, sweep workers
+#: (default: min(4, cpu_count)).
+WORKERS_ENV = "REPRO_WORKERS"
 
 #: ``diagnostics()["model_plan"]``: ``model_plan_workers`` counts pool
 #: workers whose deltas merged back into the parent (model jobs here,
@@ -58,6 +61,12 @@ _in_worker = False
 def fork_available() -> bool:
     """Can this platform fork pool workers?  (The only such probe.)"""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def worker_count() -> int:
+    """Requested pool size: REPRO_WORKERS, else min(4, cpus)."""
+    return env_int(WORKERS_ENV, max(1, min(4, os.cpu_count() or 1)),
+                   minimum=1)
 
 
 def in_worker() -> bool:
@@ -268,12 +277,6 @@ class Pool:
 
 # -- the ordered map over the pool --------------------------------------------
 
-def model_workers() -> int:
-    """Requested pool size: REPRO_MODEL_WORKERS, else min(4, cpus)."""
-    default = max(1, min(4, os.cpu_count() or 1))
-    return env_int(MODEL_WORKERS_ENV, default, minimum=1)
-
-
 def _call_job(job: dict) -> dict:
     """Pool handler: one ``(callable, args)`` model job."""
     try:
@@ -287,10 +290,10 @@ def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
     """Run independent model jobs, in parallel when the pool allows.
 
     The jobs are the independent legs of the model figures (the manual
-    and generated legs of fig16, the two fig17 strategies) and plan
-    prebuilds, over the shared sharded store.  ``jobs`` is a sequence
-    of ``(callable, args)`` pairs; both must be picklable (module-level
-    functions, plain-data args).  Results come back in submission
+    and generated legs of fig16, the two fig17 strategies) and the
+    service's warmups, over the shared sharded store.  ``jobs`` is a
+    sequence of ``(callable, args)`` pairs; both must be picklable
+    (module-level functions, plain-data args).  Results come back in submission
     order; a job's exception is re-raised here.  Falls back to inline
     sequential execution — bit-identical, the jobs are deterministic —
     when the pool is sized <= 1, fork is unavailable, or we are already
@@ -299,11 +302,11 @@ def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
     *deltas* which :meth:`Pool.wait` merges back, so ``diagnostics()``
     keeps counting work that happened in workers.
 
-    ``workers`` overrides the REPRO_MODEL_WORKERS sizing.
+    ``workers`` overrides the REPRO_WORKERS sizing.
     """
     jobs = list(jobs)
     if workers is None:
-        workers = model_workers()
+        workers = worker_count()
     workers = min(workers, len(jobs))
     if workers <= 1 or in_worker() or not fork_available():
         return [fn(*args) for fn, args in jobs]

@@ -61,10 +61,10 @@ from ..envutil import env_float, env_int
 from ..pool import MODEL_PLAN_COUNTERS
 from . import errors, protocol
 from .breaker import SeamBreakers
-from .worker import execute_job, worker_job
+from .worker import execute_job, warmup_job, worker_job
 
-#: Env knobs (see README switch matrix).
-WORKERS_ENV = "REPRO_SERVICE_WORKERS"
+#: Env knobs (see README switch matrix; the pool size is
+#: ``repro.pool.WORKERS_ENV``).
 QUEUE_MAX_ENV = "REPRO_SERVICE_QUEUE_MAX"
 TIMEOUT_ENV = "REPRO_SERVICE_TIMEOUT_S"
 
@@ -98,7 +98,7 @@ SERVICE_COUNTERS: Dict[str, int] = counters.section("service", {
     "service_worker_restarts": 0, # workers restarted (crash or hang)
     "service_workers_merged": 0,  # drain-time worker deltas merged
     "service_rpc_errors": 0,      # connection-level failures observed
-    "service_warmups": 0,         # warmup RPCs accepted (plan prebuilds)
+    "service_warmups": 0,         # warmup RPCs accepted
 })
 
 
@@ -161,8 +161,8 @@ class ServiceServer:
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 1.0) -> None:
         self.socket_path = socket_path
-        self.workers = workers if workers is not None else env_int(
-            WORKERS_ENV, max(1, min(4, os.cpu_count() or 1)), minimum=1)
+        self.workers = workers if workers is not None \
+            else pool.worker_count()
         self.queue_max = queue_max if queue_max is not None else env_int(
             QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, minimum=1)
         self.timeout_s = timeout_s if timeout_s is not None else env_float(
@@ -330,18 +330,17 @@ class ServiceServer:
     # -- warmup ------------------------------------------------------------
     def _handle_warmup(self, connection: _Connection, request_id: str,
                        message: dict) -> None:
-        """Prebuild the cold-path artifacts for a list of specs.
+        """Pay the cold path (compile, trace, plan) for a list of specs.
 
-        Fans the specs onto the plan-prebuild pool
-        (:func:`repro.execution.prebuild.prebuild_plans`); each build
-        persists its kernel/trace/MetricsPlan into the shared store, so
-        later ``submit`` requests for the same shapes are warm hits in
-        the request workers.  Runs inline on this connection's reader
+        Each spec is one :func:`~repro.service.worker.warmup_job` on
+        :func:`repro.pool.run_model_jobs`; each run persists its
+        kernel/trace/MetricsPlan into the shared store, so later
+        ``submit`` requests for the same shapes are warm hits in the
+        request workers, and the jobs' counter deltas merge into this
+        process's diagnostics.  Runs inline on this connection's reader
         thread — it blocks only this client, never the dispatchers —
         and per-spec failures come back as data, not an error reply.
         """
-        from ..execution.prebuild import prebuild_plans
-
         specs = message.get("specs")
         if not isinstance(specs, (list, tuple)) \
                 or not all(isinstance(spec, dict) for spec in specs):
@@ -356,7 +355,8 @@ class ServiceServer:
                                 errors.SHUTTING_DOWN, "draining")
             return
         _count("service_warmups")
-        results = prebuild_plans(specs)
+        results = pool.run_model_jobs(
+            [(warmup_job, (spec,)) for spec in specs])
         connection.respond({"request_id": request_id, "status": "ok",
                             "results": results})
 

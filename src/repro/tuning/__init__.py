@@ -29,7 +29,6 @@ __all__ = [
     "JournalReplay",
     "SweepDriver",
     "evaluate_point",
-    "tuning_workers",
     "tuning_deadline_s",
     "build_report",
     "render_report",
@@ -48,7 +47,6 @@ _LAZY = {
     "JournalReplay": "journal",
     "SweepDriver": "driver",
     "evaluate_point": "driver",
-    "tuning_workers": "driver",
     "tuning_deadline_s": "driver",
     "build_report": "report",
     "render_report": "report",

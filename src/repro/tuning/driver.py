@@ -37,9 +37,15 @@ zero.  Whether a point completes, gets pruned, or is poisoned is
 therefore a function of the point alone, which is what makes a resumed
 sweep's report bit-identical to an uninterrupted one.
 
-Knobs: ``REPRO_TUNING_WORKERS`` (pool size, default ``min(4, cpus)``)
-and ``REPRO_TUNING_DEADLINE_S`` (per-point deadline, default 60) —
-both with the envutil one-shot-warning fallback on malformed values.
+:func:`evaluate_point` maps a journaled point spec onto the service's
+request vocabulary and builds and runs it through
+:func:`repro.experiments.harness.compile_request`, the builder the
+figures and the service use.
+
+Knobs: ``REPRO_WORKERS`` (the pool size every :mod:`repro.pool` caller
+reads, default ``min(4, cpus)``) and ``REPRO_TUNING_DEADLINE_S``
+(per-point deadline, default 60) — both with the envutil one-shot-warning
+fallback on malformed values.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import traceback
 from typing import Dict, NamedTuple, Optional
 
 from .. import faults, pool
-from ..envutil import env_float, env_int
+from ..envutil import env_float
 from ..execution.trace import add_stage_time
 from ..retry import BackoffSchedule, retryable
 from ..service import protocol
@@ -60,9 +66,6 @@ from .counters import count
 from .journal import SweepJournal
 from .report import build_report, write_report
 from .space import SweepSpace, group_floors
-
-#: Pool-size knob (default min(4, cpu_count)).
-TUNING_WORKERS_ENV = "REPRO_TUNING_WORKERS"
 
 #: Per-point deadline knob, seconds (default 60).
 TUNING_DEADLINE_ENV = "REPRO_TUNING_DEADLINE_S"
@@ -77,12 +80,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: Outcome codes the retry ladder considers transient.
 RETRYABLE_OUTCOMES = frozenset({"crash", "deadline"})
-
-
-def tuning_workers() -> int:
-    """Requested pool size: REPRO_TUNING_WORKERS, else min(4, cpus)."""
-    default = max(1, min(4, os.cpu_count() or 1))
-    return env_int(TUNING_WORKERS_ENV, default, minimum=1)
 
 
 def tuning_deadline_s() -> float:
@@ -130,12 +127,13 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
     """
     import numpy as np
 
-    from ..accelerators import make_matmul_system
     from ..analysis import TrafficUnsupported, estimate_traffic
-    from ..compiler import AXI4MLIRCompiler
     from ..dialects import linalg
-    from ..experiments.harness import expected_matmul, matmul_inputs
-    from ..soc import make_pynq_z2
+    from ..experiments.harness import (
+        compile_request,
+        expected_matmul,
+        matmul_inputs,
+    )
 
     def check_deadline(stage: str) -> None:
         if deadline is not None and time.time() >= deadline:
@@ -143,23 +141,18 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
 
     check_deadline("compile")
     started = time.perf_counter()
-    accel_size = tuple(spec["tiles"]) if spec["version"] == 4 else None
-    hw, info = make_matmul_system(spec["version"], spec["size"],
-                                  flow=spec["flow"],
-                                  accel_size=accel_size)
-    compiler = AXI4MLIRCompiler(
-        info,
-        permutation=tuple(spec["permutation"])
-        if spec.get("permutation") else None,
-        enable_cpu_tiling=bool(spec["cpu_tiling"]),
-    )
-    kernel = compiler.compile_matmul(spec["m"], spec["n"], spec["k"])
+    # The point's tiles are the flexible (v4) accelerator's size; the
+    # fixed versions take theirs from ``size``.
+    request = compile_request(dict(
+        spec, kind=spec["kernel"],
+        accel_size=spec["tiles"] if spec["version"] == 4 else None))
     add_stage_time("sweep_compile_s", time.perf_counter() - started)
 
     started = time.perf_counter()
     est_bytes: Optional[int] = None
     try:
-        estimate = estimate_traffic(kernel.plan, info.opcode_map,
+        estimate = estimate_traffic(request.kernel.plan,
+                                    request.info.opcode_map,
                                     linalg.matmul_maps())
         est_bytes = estimate.bytes_to_accel + estimate.bytes_from_accel
     except TrafficUnsupported:
@@ -174,11 +167,8 @@ def evaluate_point(spec: dict, prune_bytes: Optional[int] = None,
 
     check_deadline("simulation")
     started = time.perf_counter()
-    board = make_pynq_z2()
-    board.attach_accelerator(hw)
     a, b = matmul_inputs(spec["m"], spec["n"], spec["k"])
-    out = np.zeros((spec["m"], spec["n"]), np.int32)
-    counters = kernel.run(board, a, b, out, trace=True)
+    counters, out = request.run((a, b))
     add_stage_time("sweep_simulate_s", time.perf_counter() - started)
     if not np.array_equal(out, expected_matmul(a, b)):
         raise AssertionError("sweep point produced wrong results")
@@ -250,7 +240,8 @@ class SweepDriver:
         self.space = space
         self.journal = SweepJournal(journal_path)
         self.report_path = report_path
-        self.workers = workers if workers is not None else tuning_workers()
+        self.workers = workers if workers is not None \
+            else pool.worker_count()
         self.deadline_s = deadline_s if deadline_s is not None \
             else tuning_deadline_s()
         self.max_attempts = max(1, max_attempts)

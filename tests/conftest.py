@@ -93,7 +93,7 @@ def clean_service_env(monkeypatch, fresh_native_probe):
     ``service.worker:crash`` seed 1, crash-loop a single worker)."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    for var in ("REPRO_SERVICE_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
+    for var in ("REPRO_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
                 "REPRO_SERVICE_TIMEOUT_S"):
         monkeypatch.delenv(var, raising=False)
     faults.reset_faults()

@@ -37,9 +37,9 @@ from repro.compiler import (
 from repro.execution import (
     METRICS_PLAN_COUNTERS,
     MODEL_PLAN_COUNTERS,
-    model_workers,
     run_model_jobs,
 )
+from repro.pool import worker_count
 from repro.soc import make_pynq_z2
 from repro.soc.cache import warm_state_digest
 
@@ -228,10 +228,10 @@ class TestWorkerPool:
         specs_b = (MATMUL_SPECS[1],)
         jobs = [(run_matmul_model, (specs_a,)),
                 (run_matmul_model, (specs_b,))]
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "1")
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         inline = run_model_jobs(jobs)
         assert MODEL_PLAN_COUNTERS["model_plan_workers"] == 0
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         pooled = run_model_jobs(jobs)
         assert [[c.as_dict() for c in r] for r in pooled] == \
             [[c.as_dict() for c in r] for r in inline]
@@ -241,7 +241,7 @@ class TestWorkerPool:
         from repro.execution import STAGE_TIMINGS
         from repro.experiments.harness import run_matmul_model
 
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         # Forked workers inherit the shared kernel cache: start it empty
         # so they have plans to build.
         default_kernel_cache().clear()
@@ -264,7 +264,7 @@ class TestWorkerPool:
 
         jobs = [(run_matmul_model, ((MATMUL_SPECS[0],),)),
                 (run_matmul_model, ((MATMUL_SPECS[1],),))]
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         pooled = run_model_jobs(jobs)
         assert MODEL_PLAN_COUNTERS["model_plan_workers"] == 2
         counters.reset(MODEL_PLAN_COUNTERS)
@@ -278,17 +278,17 @@ class TestWorkerPool:
         assert sum(_plan_traffic()) > before
 
     def test_malformed_worker_count_warns_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "three-ish")
-        with pytest.warns(RuntimeWarning, match="REPRO_MODEL_WORKERS"):
-            assert model_workers() >= 1
+        monkeypatch.setenv("REPRO_WORKERS", "three-ish")
+        with pytest.warns(RuntimeWarning, match="REPRO_WORKERS"):
+            assert worker_count() >= 1
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            model_workers()  # second read: no second warning
+            worker_count()  # second read: no second warning
 
     def test_worker_count_is_clamped_and_defaults_to_cpu_bound(
             self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "0")
-        assert model_workers() == 1
-        monkeypatch.delenv("REPRO_MODEL_WORKERS")
-        assert 1 <= model_workers() <= 4
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert worker_count() == 1
+        monkeypatch.delenv("REPRO_WORKERS")
+        assert 1 <= worker_count() <= 4

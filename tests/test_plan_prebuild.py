@@ -1,22 +1,24 @@
-"""Parallel plan prebuilding (repro.execution.prebuild) + service warmup.
+"""Plan prebuilding by the service's ``warmup`` RPC.
 
-The contract under test: :func:`prebuild_plans` pays a spec's whole
-cold path (compile, trace, metrics-plan build) up front — persisting
-the artifacts into the shared store so a later real run of the same
-shape is a pure warm hit — without changing a single bit of what that
-run produces.  Per-spec failures are data, worker counter deltas merge
-back into the parent's diagnostics, and the ``warmup`` RPC exposes the
-same machinery over the service wire.
+The contract under test: a warmup pays a spec's whole cold path
+(compile, trace, metrics-plan build) up front — one
+:func:`repro.service.worker.warmup_job` per spec on
+:func:`repro.pool.run_model_jobs`, persisting the artifacts into the
+shared store so a later real run of the same shape is a pure warm hit —
+without changing a single bit of what that run produces.  Per-spec
+failures are data, worker counter deltas merge back into the parent's
+diagnostics, and the RPC exposes the same jobs over the service wire.
 """
 
 import numpy as np
 import pytest
 
-from repro.execution import METRICS_PLAN_COUNTERS, prebuild_plans
+from repro.execution import METRICS_PLAN_COUNTERS
+from repro.pool import run_model_jobs
 from repro.service import errors as service_errors
 from repro.service.client import ServiceClient
 from repro.service.server import SERVICE_COUNTERS, ServiceServer
-from repro.service.worker import run_request
+from repro.service.worker import run_request, warmup_job
 
 
 def _matmul_spec(m=16, n=16, k=16, **extra):
@@ -32,11 +34,17 @@ def _matmul_inputs(m=16, n=16, k=16, seed=11):
             rng.integers(-7, 7, (k, n)).astype(np.int32)]
 
 
+def _warmup(specs, workers=None):
+    """What the ``warmup`` RPC runs for ``specs``."""
+    return run_model_jobs([(warmup_job, (spec,)) for spec in specs],
+                          workers=workers)
+
+
 class TestPrebuildPlans:
     @pytest.mark.ambient_faults_incompatible
     def test_prebuild_then_run_is_warm(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        summaries = prebuild_plans([_matmul_spec()])
+        summaries = _warmup([_matmul_spec()])
         assert summaries[0]["ok"] and summaries[0]["kind"] == "matmul"
         # The real run (real inputs this time) finds everything warm:
         # the plan was persisted keyed by shape/configuration, never by
@@ -62,7 +70,7 @@ class TestPrebuildPlans:
 
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR",
                            str(tmp_path / "warm"))
-        prebuild_plans([_matmul_spec()])
+        _warmup([_matmul_spec()])
         warm_counters, warm_output = run_request(dict(spec))
 
         assert warm_counters.as_dict() == cold_counters.as_dict()
@@ -71,7 +79,7 @@ class TestPrebuildPlans:
     def test_bad_spec_is_reported_not_raised(self, monkeypatch,
                                              tmp_path):
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
-        summaries = prebuild_plans([{"kind": "bogus"}, _matmul_spec()])
+        summaries = _warmup([{"kind": "bogus"}, _matmul_spec()])
         assert not summaries[0]["ok"]
         assert "bogus" in summaries[0]["error"]
         assert summaries[1]["ok"]
@@ -82,13 +90,13 @@ class TestPrebuildPlans:
         specs = [_matmul_spec(), _matmul_spec(m=32)]
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR",
                            str(tmp_path / "inline"))
-        inline = prebuild_plans(specs, workers=1)
+        inline = _warmup(specs, workers=1)
 
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR",
                            str(tmp_path / "pool"))
-        monkeypatch.setenv("REPRO_MODEL_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         before = dict(METRICS_PLAN_COUNTERS)
-        pooled = prebuild_plans(specs)
+        pooled = _warmup(specs)
         assert pooled == inline
         # The forked workers' plan lookups merged back into this
         # process's counters — the accounting rule of
@@ -100,7 +108,7 @@ class TestPrebuildPlans:
             >= served + len(specs)
 
     def test_empty_spec_list_is_a_no_op(self):
-        assert prebuild_plans([]) == []
+        assert _warmup([]) == []
 
 
 @pytest.mark.usefixtures("clean_service_env")

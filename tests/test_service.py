@@ -144,6 +144,29 @@ class TestRequestValidation:
             reply["message"]
         assert field in reply["message"]
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("matmul", "specialized", "false"),  # bool("false") ran specialized
+        ("matmul", "cpu_tiling", 0),
+        ("conv", "specialized", "no"),
+        ("matmul", "inputs", [np.full((8, 8), 1.7)] * 2),  # ran as 1
+        ("matmul", "accel_size", "abc"),     # INTERNAL with a traceback
+        ("matmul", "accel_size", [4, 4]),
+        ("matmul", "accel_size", [4, 4, 0]),
+        ("matmul", "permutation", "xyz"),
+        ("matmul", "permutation", [1, 2, 3]),
+        ("matmul", "permutation", ["m", "n", "n"]),
+        ("conv", "permutation", ["m", "n", "k"]),  # was silently ignored
+    ])
+    def test_mistyped_field_is_a_bad_request(self, kind, field, value):
+        from repro.service.worker import execute_job
+
+        spec = matmul_spec() if kind == "matmul" else conv_spec()
+        spec[field] = value
+        reply = execute_job({"spec": spec})
+        assert (reply["ok"], reply.get("code")) \
+            == (False, errors.BAD_REQUEST), reply.get("message")
+        assert field in reply["message"]
+
 
 # -- seeded backoff (satellite: retry-schedule determinism) -----------------
 
@@ -386,12 +409,16 @@ class TestService:
         finally:
             server.drain()
 
-    def test_single_flight_coalesces_identical_inflight(self):
+    def test_single_flight_coalesces_identical_inflight(self, monkeypatch):
         import threading
 
+        # Per tile, the blocker holds the one worker for ~0.2 s.  A warm
+        # replay of it takes about a millisecond and could finish before
+        # the probe below ever sees it executing.
+        monkeypatch.setenv("REPRO_NO_TRACE", "1")
         server = ServiceServer(workers=1, queue_max=8).start()
         try:
-            blocker = matmul_spec(m=48, n=48, k=48, seed=7)
+            blocker = matmul_spec(m=64, n=64, k=64, seed=7)
             shared = matmul_spec(seed=8)
             results = []
 

@@ -27,12 +27,8 @@ from repro.tuning import (
     render_report,
     smoke_space,
 )
-from repro.tuning.driver import (
-    TUNING_DEADLINE_ENV,
-    TUNING_WORKERS_ENV,
-    tuning_deadline_s,
-    tuning_workers,
-)
+from repro.pool import WORKERS_ENV, worker_count
+from repro.tuning.driver import TUNING_DEADLINE_ENV, tuning_deadline_s
 from repro.tuning.space import all_permutations, group_floors
 
 SMALL = smoke_space(shapes=((8, 8, 8),), versions=(1, 2))
@@ -43,7 +39,7 @@ def _clean_tuning_env(monkeypatch):
     """Sweep tests own their fault spec and counters."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
-    monkeypatch.delenv(TUNING_WORKERS_ENV, raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
     monkeypatch.delenv(TUNING_DEADLINE_ENV, raising=False)
     faults.reset_faults()
     counters.reset(TUNING_COUNTERS)
@@ -559,18 +555,18 @@ class TestSweepStore:
 
 class TestEnvKnobs:
     def test_defaults(self):
-        assert tuning_workers() >= 1
+        assert worker_count() >= 1
         assert tuning_deadline_s() == 60.0
 
     def test_malformed_workers_warns_once_and_falls_back(
             self, monkeypatch):
-        monkeypatch.setenv(TUNING_WORKERS_ENV, "many")
-        with pytest.warns(RuntimeWarning, match=TUNING_WORKERS_ENV):
-            value = tuning_workers()
+        monkeypatch.setenv(WORKERS_ENV, "many")
+        with pytest.warns(RuntimeWarning, match=WORKERS_ENV):
+            value = worker_count()
         assert value == max(1, min(4, os.cpu_count() or 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert tuning_workers() == value  # one-shot: no second warning
+            assert worker_count() == value  # one-shot: no second warning
 
     def test_malformed_deadline_warns_once_and_falls_back(
             self, monkeypatch):
@@ -582,9 +578,9 @@ class TestEnvKnobs:
             assert tuning_deadline_s() == 60.0
 
     def test_valid_values_are_used(self, monkeypatch):
-        monkeypatch.setenv(TUNING_WORKERS_ENV, "2")
+        monkeypatch.setenv(WORKERS_ENV, "2")
         monkeypatch.setenv(TUNING_DEADLINE_ENV, "1.5")
-        assert tuning_workers() == 2
+        assert worker_count() == 2
         assert tuning_deadline_s() == 1.5
 
 

@@ -17,7 +17,11 @@ forked while another parent thread holds a lock inherits it held, with
 no thread left to release it, and deadlocks on first use (PR 8's bug).
 Every lock a forked worker can reach is therefore made by
 :func:`fork_safe_lock`, and the hook releases them all in the child.
-Never fork while the forking thread itself holds one.
+Never fork while the forking thread itself holds one.  The same hook
+closes, in the child, every handle passed to :func:`close_on_fork`: a
+child holding a copy of its parent's listener or client connection
+keeps that socket open after the parent closes it, so the peer never
+reads EOF while the child lives.
 
 Leaf module: imports nothing from ``repro``.
 """
@@ -30,6 +34,7 @@ import weakref
 from typing import Callable, Dict, Tuple
 
 _FORK_SAFE_LOCKS: "weakref.WeakSet" = weakref.WeakSet()
+_CLOSE_ON_FORK: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def fork_safe_lock():
@@ -45,7 +50,16 @@ def fork_safe_locks() -> list:
     return list(_FORK_SAFE_LOCKS)
 
 
-def _release_locks_in_child() -> None:
+def close_on_fork(handle):
+    """Remember ``handle`` (a socket or pipe end with ``close()``)
+    weakly, so the at-fork hook closes the child's copy of it; returns
+    ``handle``.  Only the child's descriptor closes — the parent's
+    stays open."""
+    _CLOSE_ON_FORK.add(handle)
+    return handle
+
+
+def _after_fork_in_child() -> None:
     # Only the forking thread survives into the child, so a lock that
     # is held here was held by a thread that no longer exists.  The
     # data the locks guard is kept as inherited: restarted workers
@@ -54,9 +68,14 @@ def _release_locks_in_child() -> None:
     for lock in fork_safe_locks():
         if lock.locked():
             lock.release()
+    for handle in list(_CLOSE_ON_FORK):
+        try:
+            handle.close()
+        except OSError:
+            pass
 
 
-os.register_at_fork(after_in_child=_release_locks_in_child)
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 _LOCK = fork_safe_lock()

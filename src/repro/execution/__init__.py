@@ -61,6 +61,11 @@ _DIAGNOSTICS_LAYOUT = (
 #   with it the ``lru_hierarchy_batch`` C kernel — replay classifies
 #   its lines with ``lru_copy_event_stream`` and no longer constructs
 #   one (perf/perfbench/layers.py:201-213, ``soc.cache.offline_*``).
+# * the base64 array branch of ``repro.service.protocol.encode_value`` /
+#   ``decode_value`` — the socket sends arrays as raw bytes after the
+#   JSON header, and the tuning journal stores no arrays, so only
+#   ``service.codec_encode_ms`` / ``service.codec_decode_ms`` still time
+#   it (perf/perfbench/layers.py:273-283).
 
 def diagnostics() -> dict:
     """Where execution time goes and where each kernel's trace came from.

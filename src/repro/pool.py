@@ -150,20 +150,18 @@ class Worker:
 
     def __init__(self, context, slot: int, handler) -> None:
         self.slot = slot
+        # The parent's end is close-on-fork: while a copy of it is open
+        # in a forked child — this worker or any sibling forked later —
+        # the worker never sees EOF, so a SIGKILLed parent would leave it
+        # blocked in recv() for good.
         self.conn, child_conn = context.Pipe(duplex=True)
+        counters.close_on_fork(self.conn)
         self.process = context.Process(
-            target=self._child_main, args=(child_conn, handler),
+            target=worker_loop, args=(child_conn, slot, handler),
             name=f"repro-pool-{slot}", daemon=True,
         )
         self.process.start()
         child_conn.close()
-
-    def _child_main(self, child_conn, handler) -> None:
-        # The fork copied the parent's end of the pipe into the child.
-        # While that copy is open the child never sees EOF, so a
-        # SIGKILLed parent would leave it blocked in recv() for good.
-        self.conn.close()
-        worker_loop(child_conn, self.slot, handler)
 
     def kill(self) -> None:
         self.process.kill()

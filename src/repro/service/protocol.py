@@ -1,11 +1,16 @@
-"""Length-prefixed JSON wire protocol of the compile/simulate service.
+"""Length-prefixed wire protocol of the compile/simulate service.
 
-Frames are ``<4-byte big-endian length><UTF-8 JSON body>``.  JSON keeps
-the protocol stdlib-only and language-agnostic; the two non-JSON value
-kinds a request/response needs ride in tagged envelopes:
+A frame is ``<u32 body length><body>`` and a body is
+``<u32 header length><JSON header><array bytes>`` (all lengths
+big-endian).  The JSON header keeps the protocol stdlib-only and
+language-agnostic; the two non-JSON value kinds a request/response
+needs ride in tagged envelopes:
 
-* ``{"__nd__": {"dtype": ..., "shape": [...], "data": <base64>}}`` —
-  a C-contiguous :class:`numpy.ndarray` (raw little-endian bytes).
+* ``{"__nd__": {"dtype": ..., "shape": [...]}}`` — a
+  :class:`numpy.ndarray`.  Its C-contiguous bytes follow the header,
+  in the order the envelopes appear in the message, with nothing in
+  between and nothing after the last one.  ``dtype`` is numpy's
+  ``dtype.str`` (byte order included).
 * ``{"__perf__": {field: value, ...}}`` — a
   :class:`~repro.soc.perf.PerfCounters` bundle.  Python's JSON float
   serialization is ``repr``-based and round-trips exactly, so counters
@@ -14,6 +19,16 @@ kinds a request/response needs ride in tagged envelopes:
 There is no pickle anywhere on the socket (mirroring the kernel-store
 container): a hostile peer can at worst produce a
 :class:`~repro.service.errors.ProtocolError` or a ``BAD_REQUEST``.
+:func:`decode_body` lays out every array before it allocates one, and
+rejects a header length past the body, an object or zero-itemsize
+dtype, a shape that is not a list of non-negative ints, an array that
+runs past the frame, bytes left over after the last array, and a
+base64 array envelope.  Decoded arrays are fresh, writable copies.
+
+:func:`encode_value` / :func:`decode_value` are the JSON value codec
+without the trailing bytes: arrays inline as base64 in a ``"data"``
+field.  The tuning journal persists ``PerfCounters`` through it; the
+socket never carries that array form.
 
 The ``service.rpc:io`` fault site (:mod:`repro.faults`) fires inside
 :func:`send_message`/:func:`recv_message` and turns into the exact
@@ -25,9 +40,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import socket
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, List, Optional
 
 import numpy as np
 
@@ -35,7 +51,8 @@ from .. import faults
 from ..soc import PerfCounters
 from .errors import ProtocolError
 
-#: Frame header: one unsigned 32-bit big-endian body length.
+#: One unsigned 32-bit big-endian length: the frame's body length, and
+#: inside the body the JSON header's length.
 _HEADER = struct.Struct(">I")
 
 #: Upper bound on a frame body; anything larger is a protocol
@@ -45,17 +62,23 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 # -- value codec ------------------------------------------------------------
 
-def _encode_value(value: Any) -> Any:
+def _encode_value(value: Any, arrays: Optional[List[np.ndarray]] = None
+                  ) -> Any:
+    """JSON-ready form of ``value``.  Arrays go inline as base64, or,
+    given an ``arrays`` list, are appended to it for the frame's tail."""
     if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value)
-        return {"__nd__": {
-            "dtype": data.dtype.str,
-            "shape": list(data.shape),
-            "data": base64.b64encode(data.tobytes()).decode("ascii"),
-        }}
+        data = np.require(value, requirements="C")
+        spec = {"dtype": data.dtype.str, "shape": list(data.shape)}
+        if arrays is None:
+            spec["data"] = base64.b64encode(data.tobytes()).decode("ascii")
+        elif data.dtype.hasobject:
+            raise ProtocolError("object-dtype array on the wire")
+        else:
+            arrays.append(data)
+        return {"__nd__": spec}
     if isinstance(value, PerfCounters):
         return {"__perf__": {
-            name: _encode_value(field)
+            name: _encode_value(field, arrays)
             for name, field in vars(value).items()
         }}
     if isinstance(value, (np.integer,)):
@@ -63,15 +86,21 @@ def _encode_value(value: Any) -> Any:
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, dict):
-        return {key: _encode_value(item) for key, item in value.items()}
+        return {key: _encode_value(item, arrays)
+                for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
+        return [_encode_value(item, arrays) for item in value]
     return value
 
 
-def _decode_value(value: Any) -> Any:
+def _decode_value(value: Any,
+                  arrays: Optional[Iterator[np.ndarray]] = None) -> Any:
+    """Inverse of :func:`_encode_value`; with ``arrays``, each array
+    envelope takes the next of the frame's already decoded arrays."""
     if isinstance(value, dict):
         if set(value) == {"__nd__"}:
+            if arrays is not None:
+                return next(arrays)
             spec = value["__nd__"]
             try:
                 dtype = np.dtype(spec["dtype"])
@@ -85,18 +114,22 @@ def _decode_value(value: Any) -> Any:
             except Exception as exc:
                 raise ProtocolError(f"bad array envelope: {exc}") from None
         if set(value) == {"__perf__"}:
+            fields = value["__perf__"]
+            if not isinstance(fields, dict):
+                raise ProtocolError("PerfCounters envelope is not an object")
             counters = PerfCounters()
-            fields = vars(counters)
-            for name, item in value["__perf__"].items():
-                if name not in fields:
+            known = vars(counters)
+            for name, item in fields.items():
+                if name not in known:
                     raise ProtocolError(
                         f"unknown PerfCounters field {name!r}"
                     )
-                setattr(counters, name, _decode_value(item))
+                setattr(counters, name, _decode_value(item, arrays))
             return counters
-        return {key: _decode_value(item) for key, item in value.items()}
+        return {key: _decode_value(item, arrays)
+                for key, item in value.items()}
     if isinstance(value, list):
-        return [_decode_value(item) for item in value]
+        return [_decode_value(item, arrays) for item in value]
     return value
 
 
@@ -110,21 +143,97 @@ decode_value = _decode_value
 
 
 def encode_message(message: dict) -> bytes:
-    body = json.dumps(_encode_value(message),
-                      separators=(",", ":")).encode()
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds cap")
-    return _HEADER.pack(len(body)) + body
+    """One whole frame: length prefix, JSON header, array bytes."""
+    arrays: List[np.ndarray] = []
+    header = json.dumps(_encode_value(message, arrays),
+                        separators=(",", ":")).encode()
+    length = _HEADER.size + len(header) \
+        + sum(array.nbytes for array in arrays)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds cap")
+    return b"".join([_HEADER.pack(length), _HEADER.pack(len(header)),
+                     header,
+                     *(array.reshape(-1).view(np.uint8)
+                       for array in arrays)])
+
+
+def _array_envelopes(value: Any) -> Iterator[Any]:
+    """Every ``__nd__`` envelope's spec in ``value``, in wire order (the
+    order :func:`_decode_value` visits them)."""
+    if isinstance(value, dict):
+        if set(value) == {"__nd__"}:
+            yield value["__nd__"]
+            return
+        for item in value.values():
+            yield from _array_envelopes(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _array_envelopes(item)
+
+
+def _array_layout(spec: Any):
+    """``(dtype, shape, nbytes)`` of one wire array envelope."""
+    if not isinstance(spec, dict):
+        raise ProtocolError("array envelope is not an object")
+    if "data" in spec:
+        raise ProtocolError("base64 array envelope on the wire")
+    if set(spec) != {"dtype", "shape"}:
+        raise ProtocolError(f"array envelope keys {sorted(spec)}")
+    text = spec["dtype"]
+    try:
+        dtype = np.dtype(text) if isinstance(text, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.hasobject or dtype.itemsize == 0 \
+            or dtype.shape != ():
+        raise ProtocolError(f"bad array dtype {text!r}")
+    shape = spec["shape"]
+    if not isinstance(shape, list) \
+            or not all(type(n) is int and n >= 0 for n in shape):
+        raise ProtocolError(f"bad array shape {shape!r}")
+    return dtype, shape, dtype.itemsize * math.prod(shape)
 
 
 def decode_body(body: bytes) -> dict:
+    """The message in one frame body (see the module docstring)."""
     try:
-        message = json.loads(body)
+        return _decode_frame(body)
+    except RecursionError:
+        raise ProtocolError("frame header nests too deeply") from None
+
+
+def _decode_frame(body: bytes) -> dict:
+    if len(body) < _HEADER.size:
+        raise ProtocolError("frame body shorter than its header length")
+    (header_length,) = _HEADER.unpack_from(body)
+    offset = _HEADER.size + header_length
+    if offset > len(body):
+        raise ProtocolError(
+            f"header length {header_length} runs past the "
+            f"{len(body)}-byte body")
+    try:
+        message = json.loads(body[_HEADER.size:offset])
     except ValueError as exc:
-        raise ProtocolError(f"bad JSON frame: {exc}") from None
+        raise ProtocolError(f"bad JSON header: {exc}") from None
     if not isinstance(message, dict):
-        raise ProtocolError("frame body is not a JSON object")
-    return _decode_value(message)
+        raise ProtocolError("frame header is not a JSON object")
+    layout = []
+    for spec in _array_envelopes(message):
+        dtype, shape, nbytes = _array_layout(spec)
+        if offset + nbytes > len(body):
+            raise ProtocolError("array runs past the frame")
+        layout.append((dtype, shape, offset))
+        offset += nbytes
+    if offset != len(body):
+        raise ProtocolError(
+            f"{len(body) - offset} bytes left over after the last array")
+    try:
+        arrays = [np.frombuffer(body, dtype, math.prod(shape), start)
+                  .reshape(shape).copy()
+                  for dtype, shape, start in layout]
+    except ValueError as exc:  # e.g. more than numpy's 64 dimensions
+        raise ProtocolError(f"bad array envelope: {exc}") from None
+    return _decode_value(message, iter(arrays))
 
 
 # -- socket framing ---------------------------------------------------------

@@ -198,7 +198,12 @@ class ServiceServer:
         if self.socket_path is None:
             self._tmpdir = tempfile.mkdtemp(prefix="repro-service-")
             self.socket_path = os.path.join(self._tmpdir, "service.sock")
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        # The listener and every accepted connection are close-on-fork:
+        # a pool worker forked (or restarted) while they are open must
+        # not keep them open, or a connection this process closes never
+        # reaches EOF at its client while that worker lives.
+        self._listener = counters.close_on_fork(
+            socket.socket(socket.AF_UNIX, socket.SOCK_STREAM))
         self._listener.bind(self.socket_path)
         self._listener.listen(128)
         if pool.fork_available():
@@ -283,7 +288,7 @@ class ServiceServer:
                 sock, _ = self._listener.accept()
             except OSError:
                 return  # listener closed: draining
-            connection = _Connection(sock)
+            connection = _Connection(counters.close_on_fork(sock))
             thread = threading.Thread(target=self._read_loop,
                                       args=(connection,), daemon=True)
             thread.start()

@@ -12,7 +12,10 @@ robustness contract at once:
 * the drain summary shows a clean shutdown: empty queue, nothing
   executing, and one merged diagnostics delta per surviving worker;
 * the shared kernel store has no ``*.tmp-*`` litter and an empty
-  ``corrupt/`` directory.
+  ``corrupt/`` directory;
+* before the SIGTERM, no live worker of the server (its children, found
+  through ``/proc/<pid>/task/*/children``) holds the listener's socket
+  inode — crash-restarted workers included.  Skipped without ``/proc``.
 
 Environment: ``SERVICE_CI_CLIENTS`` (default 8) client processes with
 ``SERVICE_CI_REQUESTS`` (default 4) requests each; ``REPRO_FAULTS`` /
@@ -22,6 +25,7 @@ server, workers, and clients alike.
 Exit code 0 on success; prints a JSON summary either way.
 """
 
+import glob
 import json
 import multiprocessing
 import os
@@ -99,6 +103,41 @@ def store_hygiene(store_dir):
     return litter, quarantined
 
 
+def listener_inode(address):
+    """Inode of the socket listening on ``address`` (/proc/net/unix)."""
+    with open("/proc/net/unix") as table:
+        next(table)
+        for line in table:
+            fields = line.split()
+            # Flags 0x10000 is __SO_ACCEPTCON: a listening socket.
+            if len(fields) == 8 and fields[7] == address \
+                    and int(fields[3], 16) & 0x10000:
+                return int(fields[6])
+    raise RuntimeError(f"no listening socket at {address}")
+
+
+def workers_holding(server_pid, inode):
+    """(children of the server, those holding socket ``inode``)."""
+    children, holders = [], []
+    for listing in glob.glob(f"/proc/{server_pid}/task/*/children"):
+        with open(listing) as pids:
+            children.extend(int(pid) for pid in pids.read().split())
+    for pid in children:
+        try:
+            fds = os.listdir(f"/proc/{pid}/fd")
+        except OSError:
+            continue  # exited meanwhile
+        for fd in fds:
+            try:
+                target = os.readlink(f"/proc/{pid}/fd/{fd}")
+            except OSError:
+                continue
+            if target == f"socket:[{inode}]":
+                holders.append(pid)
+                break
+    return children, holders
+
+
 def main():
     corpus = spec_corpus()
 
@@ -142,6 +181,11 @@ def main():
     for process in clients:
         process.join(timeout=60)
 
+    workers, holders = None, []
+    if os.path.isdir(f"/proc/{server.pid}/task"):
+        workers, holders = workers_holding(server.pid,
+                                           listener_inode(address))
+
     server.send_signal(signal.SIGTERM)
     drain_line = server.stdout.readline()
     server.wait(timeout=120)
@@ -172,6 +216,8 @@ def main():
         "timeouts": counters["service_timeouts"],
         "store_tmp_litter": litter,
         "store_quarantined": quarantined,
+        "workers_checked": None if workers is None else len(workers),
+        "workers_holding_listener": holders,
         "server_returncode": server.returncode,
     }
     print(json.dumps(report, indent=2))
@@ -183,6 +229,7 @@ def main():
           and summary["executing"] == 0
           and counters["service_workers_merged"] >= 1
           and not litter and not quarantined
+          and (workers is None or (bool(workers) and not holders))
           and server.returncode == 0)
     print("service smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

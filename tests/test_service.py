@@ -9,6 +9,8 @@ the PerfCounters and output bytes of a direct in-process call to
 
 import multiprocessing
 import os
+import socket
+import struct
 import subprocess
 import sys
 import time
@@ -68,6 +70,24 @@ def result_tuple(counters, output):
     return counters.as_dict(), output.tobytes()
 
 
+def frame_body(header: bytes, tail: bytes = b"") -> bytes:
+    """A frame body laid out by hand: header length, header, tail."""
+    return struct.pack(">I", len(header)) + header + tail
+
+
+def socket_inodes(pid) -> set:
+    """Inodes of the sockets process ``pid`` (or ``"self"``) holds."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed while we listed
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
 # -- wire protocol ----------------------------------------------------------
 
 class TestProtocol:
@@ -90,16 +110,76 @@ class TestProtocol:
         assert vars(decoded) == vars(counters)
 
     def test_unknown_perf_field_rejected(self):
-        body = b'{"c": {"__perf__": {"not_a_field": 1}}}'
-        with pytest.raises(errors.ProtocolError):
+        body = frame_body(b'{"c": {"__perf__": {"not_a_field": 1}}}')
+        with pytest.raises(errors.ProtocolError, match="not_a_field"):
             protocol.decode_body(body)
 
     def test_bad_json_rejected(self):
-        with pytest.raises(errors.ProtocolError):
-            protocol.decode_body(b"\xff not json")
+        with pytest.raises(errors.ProtocolError, match="JSON"):
+            protocol.decode_body(frame_body(b"\xff not json"))
+
+    @pytest.mark.parametrize("array", [
+        np.array(7, dtype=np.int32),                       # 0-d
+        np.zeros((0, 3), dtype=np.int32),                  # zero-size
+        np.arange(-6, 6, dtype=np.int64).reshape(3, 4),
+        np.linspace(-1.0, 1.0, 9) / 3.0,                   # float64
+        np.arange(40, dtype=np.int32).reshape(5, 8)[::2, 1::3],
+    ], ids=["0d", "zero-size", "int64", "float64", "non-contiguous"])
+    def test_array_kinds_roundtrip(self, array):
+        frame = protocol.encode_message({"a": array, "list": [array, 1]})
+        decoded = protocol.decode_body(frame[4:])
+        for copy in (decoded["a"], decoded["list"][0]):
+            assert (copy.dtype, copy.shape) == (array.dtype, array.shape)
+            assert copy.tobytes() == np.ascontiguousarray(array).tobytes()
+            assert copy.flags.writeable
+        assert not np.shares_memory(decoded["a"], decoded["list"][0])
+
+    def test_arrays_ride_as_raw_bytes(self):
+        """Two 128x128 int32 operands cost their 131,072 raw bytes plus
+        a small header; base64 inside JSON made the same submit
+        174,764 bytes of array text alone."""
+        block = np.ones((128, 128), dtype=np.int32)
+        spec = dict(matmul_spec(m=128, n=128, k=128),
+                    inputs=[block, block * 2])
+        frame = protocol.encode_message(
+            {"op": "submit", "request_id": "r" * 32, "spec": spec})
+        assert len(frame) <= 2 * block.nbytes + 2048
+        assert frame.endswith(block.tobytes() + (block * 2).tobytes())
+
+    @pytest.mark.parametrize("body, match", [
+        (struct.pack(">I", 64) + b"{}", "runs past"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "|O", "shape": [1]}}}',
+                    bytes(8)), "dtype"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "|V0", "shape": [1]}}}'),
+         "dtype"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [-1]}}}'),
+         "shape"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [1.0]}}}',
+                    bytes(4)), "shape"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": 1}}}',
+                    bytes(4)), "shape"),
+        # A shape no process could allocate: refused from its layout.
+        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4",'
+                    b' "shape": [1099511627776]}}}', bytes(16)),
+         "past the frame"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [2]}}}',
+                    bytes(9)), "left over"),
+        (frame_body(b'{"a": 1}', b"x"), "left over"),
+        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [1],'
+                    b' "data": "AAAAAA=="}}}'), "base64"),
+        # Both used to escape as non-protocol errors and kill the
+        # connection's reader thread with a traceback.
+        (frame_body(b'{"a": ' + b"[" * 900 + b"]" * 900 + b"}"), "deep"),
+        (frame_body(b'{"c": {"__perf__": [1]}}'), "PerfCounters"),
+    ], ids=["header-past-body", "object-dtype", "zero-itemsize",
+            "negative-dim", "float-dim", "shape-not-list", "huge-array",
+            "trailing-bytes", "trailing-bytes-no-array", "base64-envelope",
+            "deep-nesting", "perf-not-object"])
+    def test_malformed_frame_rejected(self, body, match):
+        with pytest.raises(errors.ProtocolError, match=match):
+            protocol.decode_body(body)
 
     def test_oversized_frame_rejected(self):
-        import struct
         header = struct.pack(">I", protocol.MAX_FRAME_BYTES + 1)
 
         class FakeSock:
@@ -501,6 +581,40 @@ class TestService:
             assert seen["service_requeues"] == 1
             assert seen["service_worker_restarts"] == 1
         finally:
+            server.drain()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    def test_restarted_worker_holds_no_server_socket(self):
+        """A worker forked while a client is connected keeps neither the
+        listener nor that connection open, so a connection the server
+        drops reads EOF at once, not when the worker exits."""
+        server = ServiceServer(workers=1, queue_max=4).start()
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            if server._handles[0] is None:
+                pytest.skip("no fork: workers run inline")
+            before = socket_inodes("self")
+            client.connect(server.address)
+            protocol.send_message(client, {"op": "health"})
+            assert protocol.recv_message(client)["status"] == "ok"
+            server_side = socket_inodes("self") - before \
+                - {os.fstat(client.fileno()).st_ino}
+            assert len(server_side) == 1
+            server._pool.restart(0)
+            # A served request proves the new worker is past its fork.
+            protocol.send_message(client, {
+                "op": "submit", "request_id": "r", "spec": matmul_spec()})
+            assert protocol.recv_message(client)["status"] == "ok"
+            held = socket_inodes(server._handles[0].process.pid)
+            listener = os.fstat(server._listener.fileno()).st_ino
+            assert not held & (server_side | {listener})
+            # A frame the server cannot parse makes it drop the client.
+            client.sendall(struct.pack(">I", 4) + b"\xff" * 4)
+            client.settimeout(5.0)
+            assert client.recv(1) == b""
+        finally:
+            client.close()
             server.drain()
 
     def test_store_breaker_trips_on_injected_store_failures(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.types import Type
@@ -135,6 +136,31 @@ class AcceleratorInfo:
             self.init_opcodes.validate_against(self.opcode_map)
 
     # -- queries ------------------------------------------------------------
+    @cached_property
+    def fingerprint(self) -> Tuple:
+        """Everything that affects lowering: the compile-cache key's
+        accelerator half.  Computed once per object; ``replace`` copies
+        (``with_flow``, ``with_accel_size``) compute their own."""
+        return (
+            self.name,
+            self.kernel,
+            self.accel_size,
+            str(self.data_type),
+            self.dims,
+            self.data,
+            str(self.opcode_map),
+            tuple((name, str(flow)) for name, flow in self.opcode_flows),
+            self.selected_flow,
+            str(self.init_opcodes) if self.init_opcodes is not None
+            else None,
+            self.dma_config.as_operand_list(),
+            self.flexible_size,
+            self.flex_quantum,
+            self.buffer_capacity,
+            self.loop_permutation,
+            self.version,
+        )
+
     @property
     def flow(self) -> OpcodeFlow:
         return self.flow_named(self.selected_flow)

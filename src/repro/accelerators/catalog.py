@@ -7,6 +7,7 @@ path a user's hand-written configuration file would.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +114,15 @@ def matmul_config_dict(
     return config
 
 
+@lru_cache(maxsize=256)
+def _matmul_info(version: int, size: int, flow: str, data_type: str,
+                 accel_size: Optional[Tuple[int, ...]]) -> AcceleratorInfo:
+    # AcceleratorInfo is frozen all the way down, so one parse serves
+    # every caller asking for the same entry.
+    return parse_accelerator(matmul_config_dict(
+        version, size, flow, data_type=data_type, accel_size=accel_size))
+
+
 def make_matmul_system(
     version: int,
     size: int,
@@ -120,12 +130,10 @@ def make_matmul_system(
     dtype=np.int32,
     accel_size: Optional[Sequence[int]] = None,
 ) -> Tuple[MatMulAccelerator, AcceleratorInfo]:
-    """Hardware model + parsed configuration for one catalog entry."""
-    config = parse_accelerator(
-        matmul_config_dict(version, size, flow,
-                           data_type=np.dtype(dtype).name,
-                           accel_size=accel_size)
-    )
+    """Fresh hardware model + shared parsed config for a catalog entry."""
+    config = _matmul_info(
+        version, size, flow, np.dtype(dtype).name,
+        tuple(accel_size) if accel_size is not None else None)
     hardware = MatMulAccelerator(size, version, dtype=dtype)
     return hardware, config
 
@@ -180,12 +188,15 @@ def conv_config_dict(ic: int, fhw: int, data_type: str = "int32") -> dict:
     }
 
 
+@lru_cache(maxsize=256)
+def _conv_info(ic: int, fhw: int, data_type: str) -> AcceleratorInfo:
+    return parse_accelerator(conv_config_dict(ic, fhw, data_type=data_type))
+
+
 def make_conv_system(
     ic: int, fhw: int, dtype=np.int32, max_slice: int = 128 * 128,
 ) -> Tuple[ConvAccelerator, AcceleratorInfo]:
-    config = parse_accelerator(
-        conv_config_dict(ic, fhw, data_type=np.dtype(dtype).name)
-    )
+    config = _conv_info(ic, fhw, np.dtype(dtype).name)
     hardware = ConvAccelerator(max_ic=max(ic, 1), max_fhw=max(fhw, 1),
                                max_slice=max_slice, dtype=dtype)
     return hardware, config

@@ -326,33 +326,6 @@ def build_conv_module(batch: int, in_ch: int, in_hw: int, out_ch: int,
     return module
 
 
-def accelerator_fingerprint(info: AcceleratorInfo) -> Tuple:
-    """A hashable digest of everything that affects lowering.
-
-    Two :class:`AcceleratorInfo` objects with equal fingerprints produce
-    identical host code for the same kernel/shape/flow, so compiled
-    kernels can be shared between compiler instances.
-    """
-    return (
-        info.name,
-        info.kernel,
-        info.accel_size,
-        str(info.data_type),
-        info.dims,
-        info.data,
-        str(info.opcode_map),
-        tuple((name, str(flow)) for name, flow in info.opcode_flows),
-        info.selected_flow,
-        str(info.init_opcodes) if info.init_opcodes is not None else None,
-        info.dma_config.as_operand_list(),
-        info.flexible_size,
-        info.flex_quantum,
-        info.buffer_capacity,
-        info.loop_permutation,
-        info.version,
-    )
-
-
 def cpu_fingerprint(cpu: CPUInfo) -> Tuple:
     """The CPU-config half of a kernel cache key (tiling decisions)."""
     return (cpu.cache_levels, cpu.cache_types, cpu.line_size,
@@ -863,7 +836,7 @@ class AXI4MLIRCompiler:
         permutation = tuple(self.permutation) \
             if self.permutation is not None else None
         return (
-            accelerator_fingerprint(self.info),
+            self.info.fingerprint,
             cpu_fingerprint(self.cpu),
             self.flow_name,
             permutation,

@@ -16,8 +16,9 @@ split into two explicit planes:
     compute sequence cut into blocks of constant geometry and operand
     class with their operand rows, push ids, push counts and target
     receive rows (conv runs that differ only by filter fused into one
-    ``windows @ filters`` product); per receive class the
-    sequential-vs-rounds decision and the per-round selections.  It
+    ``windows @ filters`` product; a dense multi-compute matmul block's
+    deduplicated operand panels); per receive class its one scatter
+    (in-order receives aside; rounds for a float accumulate).  It
     holds tile *starts*, never element indices — tiles are reached
     through a strided window view of the argument storage — so it is
     O(tiles) resident, and descriptor offsets enter only when that view
@@ -30,9 +31,9 @@ split into two explicit planes:
   - the *payload* (every call; the only part that touches input data):
     gather each send class's distinct tiles once, elect the exact-float
     type from the class maxima (modular-arithmetic-identical to the
-    per-tile path), one batched product per block, fold products into
-    pushes in order, scatter received tiles in duplicate-free rounds
-    that preserve accumulate order, write the staging-region payloads.
+    per-tile path; a panel product elects on its fused depth), one
+    batched product per block, fold products into pushes in order,
+    scatter each receive class once, write the staging-region payloads.
 
 * the **metrics plane** (:mod:`repro.execution.metrics`): every
   performance-model quantity — per-event copy/cache charges, the exact
@@ -75,6 +76,7 @@ from .trace import (
     add_stage_time,
     decode_for_accelerator,
     decode_key,
+    dtype_name,
 )
 
 ReplayUnsupported = TraceUnsupported
@@ -121,14 +123,20 @@ class _Block:
     The computes fold, in order, into pushes of ``count`` computes each
     (0: uneven, cut at ``offsets``), whose payloads land at ``target``:
     ``(None, push ordinals)``, narrowed to ``(recv class, its rows)``
-    when all of them land in one receive class.
+    when all of them land in one receive class.  ``panels`` is set on a
+    dense multi-compute matmul block (see :func:`_panels`).
     """
 
-    __slots__ = ("tm", "tn", "tk", "a", "b", "count", "offsets", "target")
+    __slots__ = ("tm", "tn", "tk", "a", "b", "count", "offsets", "target",
+                 "panels")
 
 
 class DataSchedule:
-    """Everything the data plane derives from ``(trace, plan)`` alone."""
+    """Everything the data plane derives from ``(trace, plan)`` alone:
+    per send class its distinct tiles; the compute blocks, a dense
+    multi-compute matmul block with its deduplicated operand panels and
+    each push's ``(ia, jb)`` tile of their product; per receive class
+    its one scatter (ordered rounds for a float accumulate)."""
 
     __slots__ = ("send", "send_extent", "recv_extent", "blocks",
                  "sequential", "rounds")
@@ -227,6 +235,10 @@ class DataSchedule:
             uniform = bool((counts == counts[0]).all())
             block.count = int(counts[0]) if uniform else 0
             block.offsets = None if uniform else np.r_[0, np.cumsum(counts)]
+            block.panels = None
+            if block.count > 1 and not conv and block.a[0] is not None \
+                    and block.b[0] is not None:
+                block.panels = _panels(block)
             classes = refs[ordinals, 0]
             if (classes == classes[0]).all():
                 # Every push lands in one receive class (a block stays
@@ -264,33 +276,44 @@ class DataSchedule:
 
     # -- receive scatter --------------------------------------------------
     def _plan_scatter(self, trace: DriverTrace) -> None:
-        # Classes are applied class-by-class in vectorized rounds, which
-        # is only order-safe when at most one class writes an argument
-        # and distinct tiles do not overlap; multiple classes on one
-        # argument (e.g. store + accumulate receives of the same tiles)
-        # and overlapping tiles replay strictly in event order.
+        """One write per receive class where order allows: at most one
+        class on the argument and disjoint tiles; the rest replay in
+        event order.  Repeated tiles still take one write: an integer
+        accumulate sums each tile's payloads first (``reduceat`` over
+        the start order, in the argument's dtype: wraparound is modular,
+        so any order is exact), an overwrite keeps each tile's last.  A
+        float accumulate takes one round per occurrence, in order."""
         classes_per_arg: Dict[int, int] = {}
         for tile_class in trace.recv_classes:
             classes_per_arg[tile_class.arg] = \
                 classes_per_arg.get(tile_class.arg, 0) + 1
         in_order = set()
-        #: ``(recv class, tile selection or None for all, their starts)``
-        #: — within a round every target is unique, across rounds time
-        #: order per target is preserved.
+        #: ``(recv class, payload selection or None for all, target
+        #: starts, reduceat offsets or None)`` — every target of one
+        #: entry is unique, and a class's rounds keep time order.
         self.rounds = []
         for class_id, tile_class in enumerate(trace.recv_classes):
             if classes_per_arg[tile_class.arg] > 1 \
                     or not trace.recv_disjoint[class_id]:
                 in_order.add(class_id)
                 continue
-            occurrence = _occurrence_counts(tile_class.starts)
-            last = int(occurrence.max())
-            if last == 0:
-                self.rounds.append((class_id, None, tile_class.starts))
-                continue
-            for ro in range(last + 1):
-                sel = np.flatnonzero(occurrence == ro)
-                self.rounds.append((class_id, sel, tile_class.starts[sel]))
+            starts = tile_class.starts
+            order, firsts = _start_groups(starts)
+            if firsts.size == starts.size:
+                self.rounds.append((class_id, None, starts, None))
+            elif not tile_class.accumulate:
+                lasts = order[np.r_[firsts[1:], starts.size] - 1]
+                self.rounds.append((class_id, lasts, starts[lasts], None))
+            elif np.dtype(trace.arg_specs[tile_class.arg][3]).kind in "iu":
+                self.rounds.append((class_id, order, starts[order[firsts]],
+                                    firsts))
+            else:
+                occurrence = np.empty(starts.size, dtype=np.int64)
+                occurrence[order] = np.arange(starts.size) - np.repeat(
+                    firsts, np.diff(np.r_[firsts, starts.size]))
+                for ro in range(int(occurrence.max()) + 1):
+                    sel = np.flatnonzero(occurrence == ro)
+                    self.rounds.append((class_id, sel, starts[sel], None))
         #: ``(recv class, tile, start)`` of every in-order receive.
         self.sequential = [
             (class_id, index, int(trace.recv_classes[class_id].starts[index]))
@@ -353,7 +376,7 @@ class ReplayExecutor:
         ):
             if (desc.sizes != sizes or desc.strides != strides
                     or desc.itemsize != itemsize
-                    or str(desc.dtype) != dtype):
+                    or dtype_name(desc.dtype) != dtype):
                 raise ReplayUnsupported("argument shape changed")
         if board.caches.line_size < 8:
             raise ReplayUnsupported("sub-word cache lines")
@@ -371,7 +394,7 @@ class ReplayExecutor:
         accel = board.accelerator
         if len(accel.in_fifo) or len(accel.out_fifo):
             raise ReplayUnsupported("accelerator streams not drained")
-        accel_dtype = str(accel.dtype)
+        accel_dtype = dtype_name(accel.dtype)
         for tile_class in trace.send_classes + trace.recv_classes:
             if trace.arg_specs[tile_class.arg][3] != accel_dtype:
                 raise ReplayUnsupported("tile dtype differs from stream "
@@ -492,22 +515,24 @@ class ReplayExecutor:
             bound = self._max_memo[class_id] = max_abs(values)
         return bound
 
-    def _elect_cast(self, block: _Block):
+    def _elect_cast(self, block: _Block, depth: int):
         """Exact-float election for one integer compute block.
 
-        Every per-product partial sum is bounded by ``tk * max|a| *
-        max|b|``; below 2**24 every such integer is exactly
-        representable in float32, below 2**53 in float64, so the BLAS
-        product is rounding-free and bit-identical to the per-tile
-        integer accumulation (and the remaining cases are
-        modular-identical through int64).  Uses whole-class maxima, so
-        a block whose own maximum is lower may pick a wider type than
-        the live engine's per-tile check — all paths are exact or
-        modular-identical, so outputs do not change.  Returns the
-        numpy cast dtype, or ``None`` for the int64 path.
+        Every partial sum of a product of reduction depth ``depth``
+        (``tk``, or ``count * tk`` for a fused panel product) is bounded
+        by ``depth * max|a| * max|b|``; below 2**24 every such integer
+        is exactly representable in float32, below 2**53 in float64, so
+        the BLAS product is rounding-free and bit-identical to the
+        per-tile integer accumulation (and the remaining cases are
+        modular-identical through int64; a float64 result goes through
+        int64 too, as a float-to-int32 cast is undefined out of range).
+        Uses whole-class maxima, so a block whose own maximum is lower
+        may pick a wider type than the live engine's per-tile check —
+        all paths are exact or modular-identical, so outputs do not
+        change.  Returns the numpy cast dtype, or ``None`` for int64.
         """
         a_cls, b_cls = block.a[0], block.b[0]
-        bound = block.tk \
+        bound = depth \
             * (0 if a_cls is None else self._class_max(a_cls)) \
             * (0 if b_cls is None else self._class_max(b_cls))
         if bound < 2 ** 24:
@@ -542,7 +567,7 @@ class ReplayExecutor:
         # Integer tiles: any exact-or-modular path is bit-identical
         # to the per-tile accumulation (wraparound is mod 2^32
         # regardless of where it happens).
-        cast = self._elect_cast(block)
+        cast = self._elect_cast(block, block.tk)
         a = self._operand(block.a, a_shape, dtype, cast)
         b = self._operand(block.b, b_shape, dtype, cast)
         if conv:
@@ -553,6 +578,29 @@ class ReplayExecutor:
             products = a.astype(np.int64) @ b.astype(np.int64)
         # conv: (windows, filters) -> filter-major compute order.
         return products.T.reshape(-1) if conv else products
+
+    def _panel_payloads(self, block: _Block, dtype) -> np.ndarray:
+        """Every push of an integer block with panels, from one product
+        of panels built (and cast) from the classes' distinct tiles.
+        Stacked A panels make numpy issue one GEMM per panel, which for
+        a 128**3 problem stays under OpenBLAS's threading threshold: as
+        one threaded GEMM it waited 0.1-1.2 ms for its worker thread on
+        a loaded 2-CPU host."""
+        a_rows, ia, b_rows, jb = block.panels
+        tm, tn, tk, count = block.tm, block.tn, block.tk, block.count
+        cast = self._elect_cast(block, count * tk) or np.int64
+        n_a, n_b = len(a_rows), len(b_rows)
+        a = np.empty((n_a, tm, count, tk), cast)
+        a[...] = self._values(block.a[0])[a_rows] \
+            .reshape(n_a, count, tm, tk).transpose(0, 2, 1, 3)
+        b = np.empty((count, tk, n_b, tn), cast)
+        b[...] = self._values(block.b[0])[b_rows] \
+            .reshape(n_b, count, tk, tn).transpose(1, 2, 0, 3)
+        product = a.reshape(n_a, tm, -1) @ b.reshape(-1, n_b * tn)
+        tiles = product.reshape(n_a, tm, n_b, tn)[ia, :, jb]
+        if cast is np.float64:
+            tiles = tiles.astype(np.int64)
+        return tiles.reshape(ia.size, -1).astype(dtype)
 
     def _fold(self, block: _Block, products, conv: bool, dtype):
         """One payload row per push of the block, preserving order.
@@ -614,8 +662,11 @@ class ReplayExecutor:
             for tile_class in trace.recv_classes
         ]
         for block in schedule.blocks:
-            rows = self._fold(block, self._products(block, conv, dtype),
-                              conv, dtype)
+            if block.panels is not None and dtype.kind == "i":
+                rows = self._panel_payloads(block, dtype)
+            else:
+                rows = self._fold(block, self._products(block, conv, dtype),
+                                  conv, dtype)
             class_id, target = block.target
             if class_id is not None:
                 self._recv_buffers[class_id][target] = rows
@@ -635,13 +686,16 @@ class ReplayExecutor:
                 tile += data
             else:
                 tile[...] = data
-        for class_id, sel, starts in schedule.rounds:
+        for class_id, sel, starts, firsts in schedule.rounds:
             tile_class = trace.recv_classes[class_id]
             desc = self.descriptors[tile_class.arg]
             window = self._recv_windows[class_id]
             data = self._recv_buffers[class_id].view(desc.dtype)
             if sel is not None:
                 data = data[sel]
+            if firsts is not None:
+                data = np.add.reduceat(data, firsts, axis=0,
+                                       dtype=data.dtype)
             tiles = data.reshape((starts.size,) + window.shape[1:])
             if tile_class.accumulate:
                 window[starts] += tiles
@@ -703,15 +757,29 @@ class ReplayExecutor:
         accel._c = np.zeros((tm, tn), accel.dtype)
 
 
-def _occurrence_counts(starts: np.ndarray) -> np.ndarray:
-    """Per-event occurrence index of its start value, in event order."""
+def _start_groups(starts: np.ndarray):
+    """``(order, firsts)``: the events stably sorted by start, and where
+    each distinct start's run begins in that order."""
     order = np.argsort(starts, kind="stable")
     sorted_starts = starts[order]
     new_group = np.empty(starts.size, dtype=bool)
     new_group[0] = True
     np.not_equal(sorted_starts[1:], sorted_starts[:-1], out=new_group[1:])
-    group_pos = np.flatnonzero(new_group)
-    base = np.repeat(group_pos, np.diff(np.r_[group_pos, starts.size]))
-    occurrence = np.empty(starts.size, dtype=np.int64)
-    occurrence[order] = np.arange(starts.size) - base
-    return occurrence
+    return order, np.flatnonzero(new_group)
+
+
+def _panels(block: _Block):
+    """``(A panel rows, ia, B panel rows, jb)`` of a multi-compute block.
+
+    A push's sum of ``count`` products ``A_j @ B_j`` is one product of
+    the panels ``[A_0 .. A_count-1]`` and ``[B_0; ..; B_count-1]``;
+    pushes with equal row sequences share a panel, and push ``p`` is
+    tile ``(ia[p], jb[p])`` of ``A panels @ B panels``.  ``None`` when
+    that product exceeds twice the pushes' own tiles."""
+    a_rows, ia = np.unique(block.a[1].reshape(-1, block.count), axis=0,
+                           return_inverse=True)
+    b_rows, jb = np.unique(block.b[1].reshape(-1, block.count), axis=0,
+                           return_inverse=True)
+    if len(a_rows) * len(b_rows) > 2 * ia.size:
+        return None
+    return a_rows, ia.reshape(-1), b_rows, jb.reshape(-1)

@@ -24,6 +24,12 @@ def pytest_configure(config):
         "matrix: the tier matrix repeated inside pool workers; deselected "
         "unless run with -m matrix",
     )
+    # An out-of-range float-to-int cast is undefined, not modular: it
+    # returns wrong numbers with only this warning to show for it.
+    config.addinivalue_line(
+        "filterwarnings",
+        "error:invalid value encountered in cast:RuntimeWarning",
+    )
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,16 +1,17 @@
 """Tests for the compiled-kernel cache (flow-exploration sweeps)."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.accelerators import make_matmul_system
-from repro.accelerators.catalog import VERSION_FLOWS
+from repro.accel_config import parse_accelerator
+from repro.accelerators import make_conv_system, make_matmul_system
+from repro.accelerators.catalog import VERSION_FLOWS, matmul_config_dict
 from repro.compiler import (
     AXI4MLIRCompiler,
     KernelCache,
-    accelerator_fingerprint,
     default_kernel_cache,
 )
 from repro.soc import make_pynq_z2
@@ -139,9 +140,44 @@ class TestKernelCache:
     def test_fingerprint_distinguishes_flows(self):
         _, ns = make_matmul_system(3, 8, flow="Ns")
         _, cs = make_matmul_system(3, 8, flow="Cs")
-        assert accelerator_fingerprint(ns) != accelerator_fingerprint(cs)
+        assert ns.fingerprint != cs.fingerprint
         _, ns2 = make_matmul_system(3, 8, flow="Ns")
-        assert accelerator_fingerprint(ns) == accelerator_fingerprint(ns2)
+        assert ns.fingerprint == ns2.fingerprint
+
+
+class TestCatalogMemo:
+    """The catalog parses each distinct configuration once; its
+    fingerprint (the compile-cache key) is computed once per object."""
+
+    def test_equal_arguments_share_the_config_not_the_hardware(self):
+        hw, info = make_matmul_system(4, 8, flow="Cs", accel_size=[16, 8, 8])
+        hw2, info2 = make_matmul_system(4, 8, flow="Cs",
+                                        accel_size=(16, 8, 8))
+        assert info2 is info and hw2 is not hw
+        conv, conv_info = make_conv_system(4, 3)
+        conv2, conv_info2 = make_conv_system(4, 3, max_slice=64)
+        assert conv_info2 is conv_info and conv2 is not conv
+        assert conv2.max_slice == 64 != conv.max_slice
+
+    def test_copies_fingerprint_their_own_fields(self):
+        _, info = make_matmul_system(4, 8, flow="Ns")
+        base = info.fingerprint
+        for copy in (info.with_flow("Cs"), info.with_accel_size((16, 8, 8)),
+                     replace(info, name="renamed")):
+            assert copy.fingerprint != base
+        assert info.fingerprint == base
+
+    def test_a_fresh_parse_keys_the_same_kernels(self):
+        _, info = make_matmul_system(3, 8, flow="As")
+        parsed = parse_accelerator(matmul_config_dict(3, 8, "As"))
+        assert parsed is not info
+        assert parsed.fingerprint == info.fingerprint
+
+    def test_a_pickled_config_keeps_its_fingerprint(self):
+        _, info = make_conv_system(2, 3)
+        fingerprint = info.fingerprint
+        copy = pickle.loads(pickle.dumps(info))
+        assert copy == info and copy.fingerprint == fingerprint
 
 
 @pytest.mark.ambient_faults_incompatible

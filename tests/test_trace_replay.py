@@ -17,6 +17,7 @@ plans exercised by test_copy_equivalence.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,9 +128,12 @@ class TestMatmulEquivalence:
         ))
 
     def test_float32(self):
-        assert_pair_identical(run_matmul_pair(
-            3, 8, "Cs", 32, 32, 32, dtype=np.float32
-        ))
+        # Cs: multi-compute float pushes fold per compute, in order; Ns:
+        # a float accumulate of repeated tiles scatters in ordered rounds.
+        for flow in ("Cs", "Ns"):
+            assert_pair_identical(run_matmul_pair(
+                3, 8, flow, 32, 32, 32, dtype=np.float32
+            ))
 
     def test_unspecialized_copies(self):
         assert_pair_identical(run_matmul_pair(
@@ -472,6 +476,13 @@ def _two_classes_per_argument(rt, out, f, pass_):
                    accumulate=pass_ == 1)
 
 
+def _repeated_overwrites(rt, out, f, pass_):
+    # Every pass stores into the same two tiles: one receive class whose
+    # tiles repeat, so only each tile's last payload may land.
+    rt.recv_memref(out.subview((0, f, 0, 0), (1, 1, 2, 2)), 0,
+                   accumulate=False)
+
+
 def _overlapping_tiles(rt, out, f, pass_):
     # Accumulates at rows 0..5 of a 7-row plane: distinct starts whose
     # 2x2 tiles overlap.  One vectorized round would add only the last
@@ -555,6 +566,10 @@ def _case(name):
                 lambda: make_conv_system(2, 3, max_slice=4)[0],
                 _conv_body(_overlapping_tiles),
                 [(1, 2, 4, 4), (6, 2, 3, 3), (1, 1, 7, 2)]),
+            "conv-overwrite": lambda: _Case(
+                lambda: make_conv_system(2, 3, max_slice=4)[0],
+                _conv_body(_repeated_overwrites),
+                [(1, 2, 4, 4), (6, 2, 3, 3), (1, 2, 2, 2)]),
             "conv-uneven": lambda: _Case(
                 lambda: make_conv_system(2, 3, max_slice=4)[0],
                 _conv_uneven_body,
@@ -562,14 +577,27 @@ def _case(name):
             "v3-corners": lambda: _Case(
                 lambda: make_matmul_system(3, 4)[0], _matmul_corner_body,
                 [(4, 8), (8, 8), (8, 8)]),
+            # The hot pool's slowest replays, for the election bands.
+            "v3-Cs-128": lambda: _compiled_case(
+                "matmul", version=3, size=16, flow="Cs",
+                shape=(128, 128, 128)),
+            "v4-Cs-64": lambda: _compiled_case(
+                "matmul", version=4, size=16, flow="Cs",
+                accel_size=(16, 16, 16), shape=(64, 64, 64)),
+            "v1-Ns-32": lambda: _compiled_case(
+                "matmul", version=1, size=8, flow="Ns", shape=(32, 32, 32)),
+            "v2-As-32": lambda: _compiled_case(
+                "matmul", version=2, size=8, flow="As", shape=(32, 32, 32)),
+            "conv-16ch": lambda: _compiled_case(
+                "conv", shape=(16, 3, 4, 6, 1)),
         }
         _CASES[name] = builders[name]()
     return _CASES[name]
 
 
 _CASE_NAMES = ["v1", "v2", "v3", "v4-flex", "conv", "conv-stride",
-               "conv-two-classes", "conv-overlap", "conv-uneven",
-               "v3-corners"]
+               "conv-two-classes", "conv-overlap", "conv-overwrite",
+               "conv-uneven", "v3-corners"]
 
 
 def _schedules(trace):
@@ -615,6 +643,118 @@ def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
             == got
 
 
+# -- exact-float election: every band, pinned to the slowest rungs ----------
+#
+# An integer block computes through float32 or float64 BLAS when
+# ``depth * max|a| * max|b|`` proves the product exact, else through
+# int64; a dense multi-compute block elects on its fused depth
+# ``count * tk``.  Each config runs at magnitudes in every band and just
+# below and at the 2**24 bound (constant operands, so every class max
+# is the bound's factor), against the per-tile driver and the
+# interpreter.
+
+#: Case name -> the reduction depth every one of its blocks elects on.
+_BAND_DEPTHS = {
+    "v3-Cs-128": 8 * 16,    # dense panels: 8 computes of tk 16 per push
+    "v4-Cs-64": 4 * 16,     # dense panels
+    "v1-Ns-32": 8,          # one compute per push, accumulate scatter
+    "v2-As-32": 8,          # one compute per push, accumulate scatter
+    "conv-16ch": 16 * 3 * 3,
+}
+#: Band -> (operand magnitude, or None for the 2**24 bound; elected cast).
+_BANDS = {"7": (7, np.float32), "2**14": (2 ** 14, np.float64),
+          "2**30": (2 ** 30, None), "below-2**24": (None, np.float32),
+          "at-2**24": (None, np.float64)}
+
+
+def _band_operands(case, band, depth, rng):
+    magnitude = _BANDS[band][0]
+    if magnitude is None:
+        a_shape, b_shape, out_shape = case.shapes
+        a_max = 2 ** 8
+        b_max = -(-2 ** 24 // (depth * a_max))  # least b_max at the bound
+        if band.startswith("below"):
+            b_max -= 1
+        return [np.full(a_shape, a_max, np.int32),
+                np.full(b_shape, b_max, np.int32),
+                np.zeros(out_shape, np.int32)]
+
+    def signed(shape):
+        values = rng.integers(magnitude // 2, magnitude + 1, shape)
+        return (values * rng.choice([-1, 1], shape)).astype(np.int32)
+    arrays = [signed(shape) for shape in case.shapes]
+    if len(case.shapes[0]) == 4:
+        # The per-tile conv model raises on an output outside int32
+        # instead of wrapping, so the big weights meet only zero image
+        # channels: outputs stay in range, class maxima stay in band.
+        image, weights, _ = arrays
+        image[:, 1:] = 0
+        np.clip(image, -2 ** 24, 2 ** 24, out=image)
+        np.clip(weights[:, 0], -3, 3, out=weights[:, 0])
+    return arrays
+
+
+@pytest.mark.ambient_faults_incompatible
+@pytest.mark.parametrize("band", list(_BANDS))
+@pytest.mark.parametrize("name", list(_BAND_DEPTHS))
+def test_every_election_band_matches_the_slow_tiers(name, band,
+                                                    monkeypatch):
+    from repro.execution.replay import ReplayExecutor
+
+    elected = set()
+    elect = ReplayExecutor._elect_cast
+
+    def spy(self, block, depth):
+        cast = elect(self, block, depth)
+        elected.add((depth, cast))
+        return cast
+
+    monkeypatch.setattr(ReplayExecutor, "_elect_cast", spy)
+    case = _case(name)
+    arrays = _band_operands(case, band, _BAND_DEPTHS[name],
+                            np.random.default_rng(len(band)))
+    reference = _invoke("per_tile", case, arrays, (1, 2, 3))
+    assert _invoke("interpreted", case, arrays, (1, 2, 3)) == reference
+    got = _invoke("replay", case, arrays, (1, 2, 3), trace=case.trace())
+    assert got[0] == reference[0], "PerfCounters differ"
+    assert got[1] == reference[1], "argument storage differs"
+    assert got[2] == reference[2], "accelerator end-state differs"
+    assert got[3] == reference[3], "board/DMA region state differs"
+    assert elected == {(_BAND_DEPTHS[name], _BANDS[band][1])}
+
+
+@pytest.mark.ambient_faults_incompatible
+def test_warm_replay_working_set(monkeypatch):
+    """A warm replay of the 128**3 v3 Cs hot kernel (192 KiB of operands)
+    keeps at most 1 MiB of temporaries live: push payloads come from
+    one product of deduplicated panels, not per-compute tiles."""
+    from repro.execution.metrics import METRICS_PLAN_COUNTERS
+    from repro.experiments.harness import compile_request
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    spec = {"kind": "matmul", "m": 128, "n": 128, "k": 128, "version": 3,
+            "size": 16, "flow": "Cs"}
+    rng = np.random.default_rng(30)
+    inputs = [rng.integers(-7, 7, (128, 128)).astype(np.int32)
+              for _ in range(2)]
+    for _ in range(2):
+        compile_request(spec).run(inputs)
+    request = compile_request(spec)
+    board = make_pynq_z2()
+    board.attach_accelerator(request.hw)
+    output = np.zeros(request.output_shape, np.int32)
+    hits = METRICS_PLAN_COUNTERS["metrics_plan_hits"]
+    tracemalloc.start()
+    try:
+        request.kernel.run(board, *inputs, output)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] == hits + 1
+    assert np.array_equal(output, inputs[0] @ inputs[1])
+    assert peak <= 1 << 20, f"{peak / 1024:.0f} KiB"
+
+
 @pytest.mark.ambient_faults_incompatible
 class TestScheduleIsDerivedState:
     def test_hand_written_cases_take_the_in_order_scatter(self):
@@ -625,6 +765,17 @@ class TestScheduleIsDerivedState:
             (schedule,) = _schedules(case.trace())
             assert len(schedule.rounds) == rounds
             assert len(schedule.sequential) == 6
+
+    def test_repeated_tiles_scatter_once_per_class(self):
+        """An integer accumulate sums each tile's payloads and an
+        overwrite keeps each tile's last: one write per class."""
+        for name in ("v1-Ns-32", "v2-As-32", "conv-overwrite"):
+            case = _case(name)
+            _invoke("replay", case, case.arrays(np.random.default_rng(0)),
+                    (0, 0, 0), trace=case.trace())
+            (schedule,) = _schedules(case.trace())
+            (entry,) = schedule.rounds
+            assert entry[1] is not None and not schedule.sequential
 
     def test_conv_filters_fuse_into_one_product(self):
         case = _case("conv")

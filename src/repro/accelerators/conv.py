@@ -96,7 +96,8 @@ class ConvAccelerator(StreamAccelerator):
             )
         value = np.dot(window.astype(np.int64),
                        self._filter.astype(np.int64))
-        self._slice.append(np.array([value], dtype=self.dtype)[0])
+        # Wraps modulo the dtype, as the batch path and replay do.
+        self._slice.append(value.astype(self.dtype))
         return 2.0 * self.window_elements / CONV_OPS_PER_CYCLE
 
     def _send_window_batch(self, windows: np.ndarray) -> float:

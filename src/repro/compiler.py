@@ -72,7 +72,8 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: way (a copied or hand-written file): it is quarantined, not loaded.
 #: Version 5: kernel payloads are data (IR, trace, plans) in the
 #: container of :mod:`repro.store`; the driver is re-emitted from the IR.
-KERNEL_STORE_VERSION = 5
+#: Version 6: every schedule table of a trace is an ndarray.
+KERNEL_STORE_VERSION = 6
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -219,9 +220,10 @@ def stored_trace(payload: dict):
     the trace's index tables break an invariant that synthesis and
     recording always keep — the ones the C stream decoders and cache
     classifier (:mod:`repro.soc._native`) index memory by: equal-length
-    staged arrays of the dtypes the decoders read, nondecreasing flush
-    item counts within the stream, tile ordinals within their classes,
-    and event positions within the event stream.
+    staged arrays of the dtypes the decoders read, one int64 flush item
+    count per flush, nondecreasing within the stream, one int64
+    ``(class, tile)`` pair per receive, tile ordinals within their
+    classes, and event positions within the event stream.
     """
     trace = payload.get("trace")
     if not isinstance(trace, DriverTrace):
@@ -232,12 +234,14 @@ def stored_trace(payload: dict):
     if any(array.shape != (items,) or array.dtype != dtype
            for array, dtype in zip(staged, (np.uint8,) + (np.int64,) * 3)):
         raise ValueError("staged arrays differ in length or dtype")
-    counts = np.asarray(trace.flush_item_counts, dtype=np.int64)
-    if counts.ndim != 1 or (counts.size and (
-            counts[0] < 0 or counts[-1] > items
-            or (np.diff(counts) < 0).any())):
+    counts, refs = trace.flush_item_counts, trace.recv_refs
+    if counts.shape != trace.flush_pos.shape or counts.dtype != np.int64 \
+            or refs.shape != (trace.recv_pos.size, 2) \
+            or refs.dtype != np.int64:
+        raise ValueError("flush counts or receive refs mis-shaped")
+    if counts.size and (counts[0] < 0 or counts[-1] > items
+                        or (np.diff(counts) < 0).any()):
         raise ValueError("flush item counts leave the staged stream")
-    refs = np.asarray(trace.recv_refs, dtype=np.int64).reshape(-1, 2)
     tiles = trace.staged_is_word == 0
     for classes, ids, indices in (
             (trace.send_classes, trace.staged_values[tiles],

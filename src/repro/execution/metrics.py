@@ -183,21 +183,21 @@ def _trace_component_digest(trace) -> str:
         h = hashlib.blake2b(digest_size=16)
 
         def arr(a) -> None:
-            # Every hashed trace array is 1-D, so dtype char + length
-            # frame the payload unambiguously (str((dtype, shape)) cost
-            # more than the data hash for the typical small array).
+            # Every hashed trace array is 1-D but ``recv_refs``, whose
+            # second axis is always 2, so dtype char + size frame the
+            # payload unambiguously (str((dtype, shape)) cost more than
+            # the data hash for the typical small array).
             a = np.ascontiguousarray(a)
             h.update(a.dtype.char.encode())
             h.update(a.size.to_bytes(8, "little"))
             h.update(a)  # buffer protocol: no tobytes copy
 
-        h.update(pickle.dumps((trace.num_events, trace.recv_refs),
-                              protocol=4))
-        for a in (trace.kinds, trace.word_pos, trace.word_offsets,
-                  trace.word_values, trace.flush_pos, trace.flush_bytes,
-                  trace.recv_pos, trace.recv_bytes, trace.staged_is_word,
-                  trace.staged_values, trace.staged_indices,
-                  trace.staged_widths):
+        h.update(int(trace.num_events).to_bytes(8, "little"))
+        for a in (trace.recv_refs, trace.kinds, trace.word_pos,
+                  trace.word_offsets, trace.word_values, trace.flush_pos,
+                  trace.flush_bytes, trace.recv_pos, trace.recv_bytes,
+                  trace.staged_is_word, trace.staged_values,
+                  trace.staged_indices, trace.staged_widths):
             arr(a)
         for side, classes in (("send", trace.send_classes),
                               ("recv", trace.recv_classes)):
@@ -986,11 +986,7 @@ def _output_winners(ex):
     widths = (trace.recv_bytes // 4).astype(np.int64)
 
     def fill_starts(starts, lo, hi):
-        span = hi - lo
-        cls = np.fromiter((refs[i][0] for i in range(lo, hi)),
-                          dtype=np.int64, count=span)
-        idx = np.fromiter((refs[i][1] for i in range(lo, hi)),
-                          dtype=np.int64, count=span)
+        cls, idx = refs[lo:hi, 0], refs[lo:hi, 1]
         for class_id in np.unique(cls):
             sel = cls == class_id
             starts[lo:hi][sel] = (trace.recv_classes[class_id]

@@ -217,6 +217,8 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
     flush_bytes: List[int] = []
     recv_pos: List[int] = []
     recv_bytes: List[int] = []
+    recv_refs: List[Tuple[int, int]] = []
+    flush_item_counts: List[int] = []
     send_ordinal = 0
     recv_ordinal = 0
     staged_w: List[int] = []     # 1 = word, 0 = tile
@@ -272,7 +274,7 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
             flush_pos.append(len(kinds))
             flush_bytes.append(offset)
             kinds.append(K_FLUSH)
-            trace.flush_item_counts.append(len(staged_w))
+            flush_item_counts.append(len(staged_w))
         elif tag == "recv":
             _, arg, start, sizes, strides, offset, accumulate = event
             key = (arg, sizes, strides, accumulate)
@@ -295,8 +297,7 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
             tile_class.region_offsets.append(offset)
             tile_class.event_pos.append(len(kinds))
             tile_class.order.append(recv_ordinal)
-            trace.recv_refs.append((class_id, index))
-            trace.recv_sizes.append(sizes)
+            recv_refs.append((class_id, index))
             recv_ordinal += 1
             kinds.append(K_COPY)
         elif tag == "init":
@@ -334,6 +335,8 @@ def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
     trace.staged_values = np.asarray(staged_v, dtype=np.int64)
     trace.staged_indices = np.asarray(staged_i, dtype=np.int64)
     trace.staged_widths = np.asarray(staged_n, dtype=np.int64)
+    trace.flush_item_counts = np.asarray(flush_item_counts, dtype=np.int64)
+    trace.recv_refs = np.asarray(recv_refs, dtype=np.int64).reshape(-1, 2)
     trace.word_pos = np.asarray(word_pos, dtype=np.int64)
     trace.word_offsets = np.asarray(word_offsets, dtype=np.int64)
     trace.word_values = np.asarray(word_values, dtype=np.int64)

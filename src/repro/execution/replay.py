@@ -228,7 +228,7 @@ class DataSchedule:
                 block.target = (None, pushes)
                 if not (conv and self._fuse_filter(block)):
                     self.blocks.append(block)
-        refs = np.asarray(trace.recv_refs, dtype=np.int64).reshape(-1, 2)
+        refs = trace.recv_refs
         for block in self.blocks:
             ordinals = block.target[1]
             counts = push_counts[ordinals]
@@ -315,9 +315,11 @@ class DataSchedule:
                     sel = np.flatnonzero(occurrence == ro)
                     self.rounds.append((class_id, sel, starts[sel], None))
         #: ``(recv class, tile, start)`` of every in-order receive.
+        refs = trace.recv_refs
         self.sequential = [
             (class_id, index, int(trace.recv_classes[class_id].starts[index]))
-            for class_id, index in trace.recv_refs if class_id in in_order
+            for class_id, index
+            in refs[np.isin(refs[:, 0], sorted(in_order))].tolist()
         ]
 
 
@@ -635,8 +637,8 @@ class ReplayExecutor:
 
     def _payload(self, ordinal: int) -> np.ndarray:
         """Push ``ordinal``'s payload: a row view of its receive buffer."""
-        class_id, row = self.trace.recv_refs[ordinal]
-        return self._recv_buffers[class_id][row]
+        refs = self.trace.recv_refs
+        return self._recv_buffers[refs[ordinal, 0]][refs[ordinal, 1]]
 
     def _compute_functional(self) -> None:
         """All accelerator outputs, one batched product per block.

@@ -520,9 +520,7 @@ class _Synthesizer:
             if groups else empty
         recv_pos = np.empty(total, dtype=np.int64)
         recv_bytes = np.empty(total, dtype=np.int64)
-        class_of = np.empty(total, dtype=np.int64)
-        index_of = np.empty(total, dtype=np.int64)
-        sizes_of = []
+        refs = np.empty((total, 2), dtype=np.int64)
         for class_id, (key, pos, starts, regions) in enumerate(groups):
             arg, sizes, strides, accumulate = key
             itemsize = self.arg_specs[arg][2]
@@ -535,12 +533,10 @@ class _Synthesizer:
             tile_class.order = ordinals
             recv_pos[ordinals] = pos + 2
             recv_bytes[ordinals] = tile_class.num_elements() * itemsize
-            class_of[ordinals] = class_id
-            index_of[ordinals] = np.arange(pos.size, dtype=np.int64)
-            sizes_of.append(sizes)
+            refs[ordinals, 0] = class_id
+            refs[ordinals, 1] = np.arange(pos.size, dtype=np.int64)
             trace.recv_classes.append(tile_class)
-        trace.recv_refs = list(zip(class_of.tolist(), index_of.tolist()))
-        trace.recv_sizes = [sizes_of[c] for c in class_of.tolist()]
+        trace.recv_refs = refs
         trace.recv_pos = recv_pos
         trace.recv_bytes = recv_bytes
 
@@ -568,7 +564,8 @@ class _Synthesizer:
             trace.staged_values = empty
             trace.staged_indices = empty
             trace.staged_widths = empty
-            trace.flush_item_counts = [0] * len(trace.flush_pos)
+            trace.flush_item_counts = np.zeros(trace.flush_pos.size,
+                                               dtype=np.int64)
             return
         # The four parallel item arrays are built part-by-part (pure
         # numpy), then merged into global event order with a single
@@ -599,7 +596,7 @@ class _Synthesizer:
         trace.staged_widths = np.concatenate(width_parts)[order]
         trace.flush_item_counts = np.searchsorted(
             all_pos[order], trace.flush_pos
-        ).tolist()
+        ).astype(np.int64, copy=False)
 
     def _check_read_after_write(self, trace) -> None:
         # Mirrors _compile_events' read-after-write hazard guard.
@@ -684,15 +681,9 @@ def diff_traces(synthesized: DriverTrace,
                 check_array(f"{side}[{i}].{field}",
                             getattr(lc, field), getattr(rc, field))
     for name in ("staged_is_word", "staged_values", "staged_indices",
-                 "staged_widths"):
+                 "staged_widths", "flush_item_counts", "recv_refs"):
         check_array(name, getattr(synthesized, name),
                     getattr(recorded, name))
-    check("flush_item_counts", list(synthesized.flush_item_counts)
-          == list(recorded.flush_item_counts))
-    check("recv_refs", list(synthesized.recv_refs)
-          == list(recorded.recv_refs))
-    check("recv_sizes", list(synthesized.recv_sizes)
-          == list(recorded.recv_sizes))
     check("recv_disjoint", list(synthesized.recv_disjoint)
           == list(recorded.recv_disjoint))
     return problems

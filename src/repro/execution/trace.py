@@ -205,21 +205,21 @@ class DriverTrace:
         self.flush_bytes: np.ndarray = None
         self.recv_pos: np.ndarray = None
         self.recv_bytes: np.ndarray = None
-        self.recv_sizes: List[Tuple[int, ...]] = []  # per recv ordinal
         #: Staged-item stream for the accelerator decoder, as four
         #: parallel arrays: ``staged_is_word`` (1 = scalar word, 0 =
         #: tile), ``staged_values`` (the word value, or the tile's class
         #: id), ``staged_indices`` (the tile's ordinal within its class,
         #: 0 for words), ``staged_widths`` (32-bit words per item).
-        #: ``flush_item_counts`` holds the item count visible at each
-        #: flush boundary.
+        #: ``flush_item_counts`` (int64, one per ``flush_pos``) holds
+        #: the item count visible at each flush boundary.
         self.staged_is_word: np.ndarray = None
         self.staged_values: np.ndarray = None
         self.staged_indices: np.ndarray = None
         self.staged_widths: np.ndarray = None
-        self.flush_item_counts: List[int] = []
-        #: recv ordinal -> (class_id, index) for push matching.
-        self.recv_refs: List[Tuple[int, int]] = []
+        self.flush_item_counts: np.ndarray = None
+        #: ``(n_recv, 2)`` int64: recv ordinal -> (class_id, index) for
+        #: push matching; a receive's tile sizes are its class's.
+        self.recv_refs: np.ndarray = None
         #: Decoded plans per accelerator signature (lazily built).
         self.decoded: Dict[Tuple, object] = {}
         #: Cached MetricsPlans per runtime-config/state fingerprint.
@@ -378,9 +378,7 @@ def _stream_arrays(trace: DriverTrace):
     indices = np.ascontiguousarray(trace.staged_indices)
     cum = np.zeros(trace.num_staged_items + 1, dtype=np.int64)
     np.cumsum(trace.staged_widths, out=cum[1:])
-    limits = np.ascontiguousarray(
-        np.asarray(trace.flush_item_counts, dtype=np.int64)
-    )
+    limits = np.ascontiguousarray(trace.flush_item_counts)
     return is_word, values, indices, cum, limits
 
 
@@ -522,8 +520,7 @@ def _match_pushes_to_recvs(trace: DriverTrace, plan: DecodedPlan) -> None:
         raise TraceUnsupported("push/receive count mismatch")
     if n == 0:
         return
-    class_ids = np.fromiter((c for c, _ in trace.recv_refs),
-                            dtype=np.int64, count=n)
+    class_ids = trace.recv_refs[:, 0]
     class_words = np.asarray(
         [tc.num_elements() * tc.itemsize // 4
          for tc in trace.recv_classes], dtype=np.int64,

@@ -30,13 +30,12 @@ The manifest is JSON: a whitelisted tagged encoding of the payload (see
 the codec below), an array table with one ``[dtype.str, shape, offset]``
 row per array, and the inflated size of the segment.  The segment is
 **one** zlib stream over the 8-byte-aligned concatenation of every
-array's C-contiguous bytes — ndarray members first, then the int64
-arrays that carry long integer sequences (``recv_refs`` and friends),
-which are turned back into lists at decode and are dead afterwards.
-Decode inflates the stream once, bounded by the declared size, into a
-``bytearray`` and hands out one ``np.frombuffer`` view per table row:
-**an entry's arrays are writable, disjoint, and share that one buffer**,
-so any one of them keeps the whole inflated segment alive.
+ndarray member's C-contiguous bytes, in reference order (every table
+of a trace is an ndarray).  Decode inflates the stream once, bounded
+by the declared size, into a ``bytearray`` and hands out one
+``np.frombuffer`` view per table row: **an entry's arrays are
+writable, disjoint, and share that one buffer**, so any one of them
+keeps the whole inflated segment alive.
 
 The SHA-256 is checked before anything is parsed, and there is **no
 pickle and no object dtype anywhere in the load path**, so a hostile
@@ -77,7 +76,6 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -134,34 +132,18 @@ class UnencodablePayload(ValueError):
 #   ["d", [[k, v], ...]]    dict
 #   ["od", [[k, v], ...]]   OrderedDict
 #   ["nd", 3]               ndarray, row 3 of the array table
-#   ["li", 4]               list of plain ints, as the 1-D int64 row 4
-#   ["ti", 5]               tuple of plain ints, as the 1-D int64 row 5
-#   ["lt", 6]               list of equal-width tuples of plain ints,
-#                           as the 2-D int64 row 6
 #   ["o", cls, [[f, v]..]]  whitelisted object, rebuilt field-by-field
 #   ["flow", "..."]         OpcodeFlow, via its textual form
 #
-# The packed tags (``li``/``ti``/``lt``) take sequences of at least
-# ``_PACK_MIN`` members whose every leaf is exactly ``int`` and fits
-# int64; anything else — bools, numpy scalars, ragged or empty tuples,
-# big ints, short sequences — stays on the element-wise path, so the
-# round trip is type-exact either way (``.tolist()`` yields plain ints).
-#
 # The array table is ``[[dtype.str, shape, offset], ...]`` in reference
-# order; offsets are into the inflated segment, which lays the ``nd``
-# rows out first and the packed rows after them.
+# order; offsets are into the inflated segment.
 #
 # Objects are reconstructed with ``object.__new__`` + ``setattr`` over
 # an explicit per-class field list — no constructors run on untrusted
 # data and nothing outside the registry can ever be instantiated.
 
-#: Sequences shorter than this are not worth an array-table row.
-_PACK_MIN = 16
-
 #: Every array starts on a multiple of this in the inflated segment.
 _ALIGN = 8
-
-_INT64 = np.dtype(np.int64)
 
 
 def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
@@ -217,10 +199,8 @@ _TRACE_SKIP = ("metrics_plans",)
 
 class _Encoder:
     def __init__(self) -> None:
-        #: Array-table rows in reference order, and which of them carry
-        #: a packed sequence (laid out after the ndarray members).
+        #: Array-table rows in reference order.
         self.arrays: List[np.ndarray] = []
-        self.packed: set = set()
         self._registry = _class_registry()
         self._tag_of = {cls: tag for tag, (cls, _) in
                         self._registry.items()}
@@ -243,12 +223,7 @@ class _Encoder:
             self.arrays.append(value)
             return ["nd", len(self.arrays) - 1]
         if isinstance(value, (list, tuple)):
-            is_list = isinstance(value, list)
-            if len(value) >= _PACK_MIN:
-                packed = self._pack(value, is_list)
-                if packed is not None:
-                    return packed
-            return ["l" if is_list else "t",
+            return ["l" if isinstance(value, list) else "t",
                     [self.encode(v) for v in value]]
         if isinstance(value, (set, frozenset)):
             return ["s", [self.encode(v)
@@ -269,35 +244,13 @@ class _Encoder:
             f"cannot persist value of type {type(value).__name__}"
         )
 
-    def _pack(self, value: Any, is_list: bool) -> Optional[List[Any]]:
-        """``value`` as an int64 table row, or None to go element-wise."""
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            tag = "li" if is_list else "ti"
-        elif is_list and kinds == {tuple} \
-                and len(set(map(len, value))) == 1 and value[0] \
-                and set(map(type, chain.from_iterable(value))) == {int}:
-            tag = "lt"
-        else:
-            return None
-        try:
-            array = np.array(value, dtype=_INT64)
-        except OverflowError:  # a member outside int64
-            return None
-        self.packed.add(len(self.arrays))
-        self.arrays.append(array)
-        return [tag, len(self.arrays) - 1]
-
     def segment(self) -> Tuple[List[List[Any]], bytes]:
         """(array table, the aligned concatenation the table indexes)."""
-        table: List[Any] = [None] * len(self.arrays)
+        table: List[Any] = []
         chunks: List[bytes] = []
         offset = 0
-        # Stable sort: reference order within each group, packed last.
-        for index in sorted(range(len(table)),
-                            key=self.packed.__contains__):
-            array = self.arrays[index]
-            table[index] = [array.dtype.str, list(array.shape), offset]
+        for array in self.arrays:
+            table.append([array.dtype.str, list(array.shape), offset])
             padding = -array.nbytes % _ALIGN
             chunks += (array.tobytes(), bytes(padding))
             offset += array.nbytes + padding
@@ -389,13 +342,6 @@ class _Decoder:
                 f"manifest references missing array {index!r}")
         return self.arrays[index]
 
-    def _unpack(self, index: Any, ndim: int) -> list:
-        array = self._array(index)
-        if array.dtype != _INT64 or array.ndim != ndim:
-            raise StoreFormatError("packed sequence over a "
-                                   f"{array.dtype} {array.ndim}-D array")
-        return array.tolist()
-
     def decode(self, value: Any) -> Any:
         if value is None or isinstance(value, (bool, int, float, str)):
             return value
@@ -417,12 +363,6 @@ class _Decoder:
             )
         if tag == "nd":
             return self._array(value[1])
-        if tag == "li":
-            return self._unpack(value[1], 1)
-        if tag == "ti":
-            return tuple(self._unpack(value[1], 1))
-        if tag == "lt":
-            return list(map(tuple, self._unpack(value[1], 2)))
         if tag == "flow":
             from .opcodes import parse_opcode_flow
             return parse_opcode_flow(value[1])

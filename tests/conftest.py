@@ -92,20 +92,27 @@ def fresh_native_probe(monkeypatch):
 
 
 @pytest.fixture
-def clean_service_env(monkeypatch, fresh_native_probe):
+def clean_faults(monkeypatch, fresh_native_probe):
+    """The test owns a clean fault spec: under the CI chaos leg it runs
+    fault-free (C library and replay included) instead of skipping."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
+    faults.reset_faults()
+    yield
+    faults.reset_faults()
+
+
+@pytest.fixture
+def clean_service_env(monkeypatch, clean_faults):
     """Every test that starts a ``ServiceServer`` owns its fault spec
     and counters — even under the CI chaos leg, whose ambient
     REPRO_FAULTS would otherwise leak into forked workers (and, at
     ``service.worker:crash`` seed 1, crash-loop a single worker)."""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     for var in ("REPRO_WORKERS", "REPRO_SERVICE_QUEUE_MAX",
                 "REPRO_SERVICE_TIMEOUT_S"):
         monkeypatch.delenv(var, raising=False)
-    faults.reset_faults()
     counters.reset(SERVICE_COUNTERS)
     yield
-    faults.reset_faults()
     counters.reset(SERVICE_COUNTERS)
 
 

@@ -180,7 +180,7 @@ class TestCatalogMemo:
         assert copy == info and copy.fingerprint == fingerprint
 
 
-@pytest.mark.ambient_faults_incompatible
+@pytest.mark.usefixtures("clean_faults")
 class TestDiskKernelStore:
     """The on-disk store (REPRO_KERNEL_CACHE_DIR / .repro_cache)."""
 
@@ -269,7 +269,7 @@ class TestDiskKernelStore:
         counters = kernel.run(board, a, b, c, trace=trace)
         return counters.as_dict(), c.tobytes()
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_kernel_that_never_replays_is_never_written(self, tmp_path):
         """Entries persist traced kernels: lowering alone (or a
         per-tile run) publishes nothing, and the next process lowers
@@ -561,7 +561,7 @@ def _observe(hw, kernel, operands, interpreted=False):
     return counters.as_dict(), operands[-1].tobytes(), board.clock
 
 
-@pytest.mark.ambient_faults_incompatible
+@pytest.mark.usefixtures("clean_faults")
 class TestDeferredParse:
     """A disk hit only decodes its entry: the IR is parsed when something
     reads ``kernel.module``, the driver re-emitted from it when something
@@ -759,7 +759,7 @@ def _hostile_iv_name(ir, statement):
     return f"{head}{{iv_name = {StringAttr(hint)}}}{tail}", "matmul_call"
 
 
-@pytest.mark.ambient_faults_incompatible
+@pytest.mark.usefixtures("clean_faults")
 class TestHostileEntries:
     """A store entry is data.  Anyone can compute its checksum, so an
     entry may carry any IR and any trace; what is loaded is checked
@@ -826,18 +826,59 @@ class TestHostileEntries:
                 head + matmul + ret + tail)
         assert not sentinel.exists()
 
+    def test_a_loaded_trace_is_arrays(self, tmp_path):
+        """The receive refs and flush item counts the C decoders read
+        load as int64 ndarrays: one ``(class, tile)`` pair per receive,
+        one item count per flush."""
+        from repro.compiler import stored_trace
+        from repro.store import KernelStore
+
+        store = tmp_path / "store"
+        TestDeferredParse._published(str(store))
+        (path,) = TestDiskKernelStore.entry_files(store)
+        status, payload = KernelStore(store).load(path.name[:-len(".entry")])
+        assert status == "hit"
+        trace = stored_trace(payload)
+        assert trace.recv_pos.size and trace.flush_pos.size
+        for array, shape in ((trace.recv_refs, (trace.recv_pos.size, 2)),
+                             (trace.flush_item_counts,
+                              (trace.flush_pos.size,))):
+            assert isinstance(array, np.ndarray)
+            assert (array.dtype, array.shape) == (np.int64, shape)
+
     @staticmethod
     def _forged_flush_count(payload):
         trace = payload["trace"]
         trace.flush_item_counts[-1] = trace.num_staged_items + (1 << 20)
         trace.decoded = {}  # so the decoder would read the counts
 
+    @staticmethod
+    def _float_flush_counts(payload):
+        trace = payload["trace"]
+        trace.flush_item_counts = trace.flush_item_counts.astype(np.float64)
+        trace.decoded = {}
+
+    @staticmethod
+    def _three_column_refs(payload):
+        trace = payload["trace"]
+        trace.recv_refs = np.c_[trace.recv_refs, trace.recv_refs[:, :1]]
+        trace.decoded = {}
+
+    @staticmethod
+    def _foreign_class_ref(payload):
+        trace = payload["trace"]
+        trace.recv_refs[-1, 0] = len(trace.recv_classes)
+        trace.decoded = {}
+
+    @pytest.mark.parametrize("edit", [
+        "_forged_flush_count", "_float_flush_counts", "_three_column_refs",
+        "_foreign_class_ref"])
     def test_a_forged_flush_count_is_quarantined_and_resynthesized(
-            self, tmp_path):
-        """An out-of-stream flush count would be read past the staged
-        arrays by the C decoder; it never gets that far."""
+            self, tmp_path, edit):
+        """An out-of-stream or mistyped flush count, or a receive ref the
+        C decoders would index memory by wrongly, never gets that far."""
         store, path, expected, hw, operands = self.forge(
-            tmp_path, self._forged_flush_count)
+            tmp_path, getattr(self, edit))
         reader = KernelCache(disk_dir=str(store))
         kernel = make_compiler(reader).compile_matmul(32, 32, 32)
         assert (reader.disk_hits, reader.disk_corrupt) == (0, 1)
@@ -914,7 +955,7 @@ class TestManualTraceEntries:
     def entries(self):
         return sorted(p.name for p in self.store.glob("objects/*/*.entry"))
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_second_process_records_builds_and_writes_nothing(
             self, monkeypatch):
         start = self.counts()
@@ -927,7 +968,7 @@ class TestManualTraceEntries:
         assert self.run() == fresh          # "new process": disk hit
         assert self.counts() == tuple(n + 1 for n in start)
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_foreign_store_version_is_quarantined_and_rerecorded(
             self, monkeypatch):
         """The one payload check: a checksum-valid payload of another
@@ -952,7 +993,7 @@ class TestManualTraceEntries:
         assert self.run() == fresh
         assert self.counts() == tuple(n + 1 for n in start)
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_entry_from_another_source_digest_is_ignored(self,
                                                          monkeypatch):
         import repro.compiler as compiler_mod

@@ -11,26 +11,21 @@ and the manual (raw-array) copy cost style.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..accelerators.matmul import MATMUL_LITERALS, VERSION_OPCODES
 from ..accelerators.conv import CONV_LITERALS
 from ..compiler import (
+    KernelTraceState,
     default_kernel_cache,
     load_entry,
-    publish_due,
     publish_entry,
     store_entry_name,
 )
 from ..execution.recorder import record_trace
-from ..execution.replay import replay_kernel
-from ..execution.trace import (
-    TRACE_COUNTERS,
-    TraceUnsupported,
-    trace_enabled,
-)
+from ..execution.trace import TRACE_COUNTERS, trace_enabled
 from ..runtime import AxiRuntime, CALL_STYLE_MANUAL
 from ..soc.board import Board
 from ..soc.perf import PerfCounters
@@ -43,28 +38,50 @@ def _make_runtime(board: Board) -> AxiRuntime:
     return AxiRuntime(board, call_style=CALL_STYLE_MANUAL)
 
 
-#: Recorded manual-driver schedules, keyed by (kernel, knobs, specs).
-#: The manual drivers are as static as the generated ones — only their
-#: dma_init runs before the memref allocations, so their bodies record
-#: as *preinitialized* traces that replay against the live engine.
-#: ``None`` marks a body the trace machinery could not handle.  With a
+#: One trace state per manual-driver configuration, keyed by (kernel,
+#: knobs, arg specs): the lifecycle of a compiled kernel's trace
+#: (:meth:`~repro.compiler.KernelTraceState.replay`).  The manual
+#: drivers are as static as the generated ones — only their dma_init
+#: runs before the memref allocations, so their bodies record as
+#: *preinitialized* traces that replay against the live engine.  With a
 #: kernel store active each trace (+ its MetricsPlans) also lives there
 #: as a ``manual-*`` entry under the same key, so only the first process
 #: records.
-_MANUAL_TRACES: Dict[Tuple, Optional[object]] = {}
-
-#: Configs already counted in TRACE_COUNTERS["manual_fallback"] for a
-#: replay failure, so per-invocation retries (failures can be
-#: board-state-dependent, and decode results are cached on the trace)
-#: don't inflate the per-kernel accounting.
-_MANUAL_REPLAY_FAILED = set()
+_MANUAL_STATES: Dict[Tuple, KernelTraceState] = {}
 
 
-def _load_manual_trace(store, name: str):
-    """The trace a ``manual-*`` entry holds, or ``None`` (the recording
-    that follows then overwrites the entry)."""
-    status, payload = load_entry(store, name)
-    return payload["trace"] if status == "hit" else None
+def _manual_state(key: Tuple) -> KernelTraceState:
+    """The trace state of one configuration: loaded from and published
+    to the store active when it is first run, like a kernel's."""
+    state = _MANUAL_STATES.get(key)
+    if state is not None:
+        return state
+    fresh = KernelTraceState()
+    store = default_kernel_cache().resolve_store()
+    if store is not None:
+        name = store_entry_name("manual", key)
+        status, payload = load_entry(store, name)
+        if status == "hit":
+            fresh.trace = payload["trace"]
+        fresh.persist = lambda: publish_entry(store, name, {}, fresh.trace)
+    # Racing first runs share the winner, whose lock builds once.
+    return _MANUAL_STATES.setdefault(key, fresh)
+
+
+def _record(body):
+    """The trace builder of a manual body: a recording, counted like a
+    synthesis (``manual_recorded`` / ``manual_fallback``)."""
+    def build(specs):
+        try:
+            trace = record_trace(
+                body, specs, preinitialized=(_DMA_WORDS * 4, _DMA_WORDS * 4),
+                stage="manual_record_s")
+        except Exception:
+            TRACE_COUNTERS["manual_fallback"] += 1
+            raise
+        TRACE_COUNTERS["manual_recorded"] += 1
+        return trace
+    return build
 
 
 def _run_manual_body(body, rt, board, before, descriptors, key):
@@ -72,39 +89,9 @@ def _run_manual_body(body, rt, board, before, descriptors, key):
     if trace_enabled():
         specs = tuple((d.sizes, d.strides, d.itemsize, str(d.dtype))
                       for d in descriptors)
-        cache_key = key + (specs,)
-        store = default_kernel_cache().resolve_store()
-        if cache_key not in _MANUAL_TRACES:
-            trace = _load_manual_trace(
-                store, store_entry_name("manual", cache_key)
-            ) if store is not None else None
-            if trace is None:
-                try:
-                    trace = record_trace(
-                        body, specs,
-                        preinitialized=(_DMA_WORDS * 4, _DMA_WORDS * 4),
-                        stage="manual_record_s",
-                    )
-                    TRACE_COUNTERS["manual_recorded"] += 1
-                except Exception:
-                    TRACE_COUNTERS["manual_fallback"] += 1
-            _MANUAL_TRACES[cache_key] = trace
-        trace = _MANUAL_TRACES[cache_key]
-        if trace is not None:
-            try:
-                replay_kernel(trace, board, rt, descriptors, False)
-                if store is not None and publish_due(trace):
-                    publish_entry(store,
-                                  store_entry_name("manual", cache_key),
-                                  {}, trace)
-                return board.measure_since(before)
-            except TraceUnsupported:
-                # Count the kernel once, but keep retrying: replay
-                # refusals can be board-state-dependent, and repeated
-                # attempts are cheap (decode caches its verdict).
-                if cache_key not in _MANUAL_REPLAY_FAILED:
-                    _MANUAL_REPLAY_FAILED.add(cache_key)
-                    TRACE_COUNTERS["manual_fallback"] += 1
+        if _manual_state(key + (specs,)).replay(board, rt, descriptors,
+                                                _record(body)):
+            return board.measure_since(before)
     body(rt, *descriptors)
     return board.measure_since(before)
 

@@ -539,7 +539,10 @@ class KernelTraceState:
 
     Lives outside the :class:`CompiledKernel` dataclass fields proper so
     that ``dataclasses.replace`` rebinds (``specialized_copies``
-    variants) share one trace, one parsed module and one driver.
+    variants) share one trace, one parsed module and one driver.  The
+    hand-written baselines keep one per configuration too
+    (:mod:`repro.baselines.manual`): :meth:`replay` is the trace
+    lifecycle of both.
     """
 
     __slots__ = ("lock", "trace", "failed", "persist", "module", "origin",
@@ -562,6 +565,41 @@ class KernelTraceState:
         #: derived from ``module`` when first read (see CompiledKernel).
         self.emitted = None
         self.entry_point = None
+
+    def replay(self, board, rt, descriptors, build) -> bool:
+        """Replay the trace against ``descriptors``; False means the
+        caller runs the driver per tile.
+
+        The trace is loaded (by the owner) or built once, by
+        ``build(arg_specs)``, under the lock.  A build that raises marks
+        the state failed for good (the per-tile run surfaces any real
+        error), except :class:`TraceMismatch`, which fails loudly.  A
+        replay refusal is not remembered.  A replay that served
+        something the disk lacks (``publish_due``) runs ``persist``.
+        """
+        if self.failed:
+            return False
+        if self.trace is None:
+            with self.lock:
+                if self.trace is None and not self.failed:
+                    try:
+                        self.trace = build(tuple(
+                            (d.sizes, d.strides, d.itemsize, str(d.dtype))
+                            for d in descriptors))
+                    except TraceMismatch:
+                        raise
+                    except Exception:
+                        self.failed = True
+        if self.trace is None:
+            return False
+        try:
+            replay_kernel(self.trace, board, rt, descriptors,
+                          type(rt) is DoubleBufferedRuntime)
+        except TraceUnsupported:
+            return False
+        if self.persist is not None and publish_due(self.trace):
+            self.persist()
+        return True
 
 
 @dataclass(init=False)
@@ -683,8 +721,8 @@ class CompiledKernel:
         descriptors = [rt.make_memref(np.ascontiguousarray(a), f"arg{i}")
                        for i, a in enumerate(arrays)]
         before = board.snapshot()
-        if self._trace_applicable(trace, rt) \
-                and self._run_traced(board, rt, descriptors):
+        if self._trace_applicable(trace, rt) and self.trace_state.replay(
+                board, rt, descriptors, self._build_trace):
             return board.measure_since(before)
         self.entry_point(rt, *descriptors)
         return board.measure_since(before)
@@ -702,10 +740,10 @@ class CompiledKernel:
 
         A synthesis failure — a proven-unsupported construct or an
         unexpected blowup (recursion/memory on a pathological schedule)
-        — is counted and raised: :meth:`_run_traced` then runs the
-        kernel per tile.  ``REPRO_CHECK=1`` also records the driver and
-        raises :class:`TraceMismatch` if the two traces differ
-        anywhere.
+        — is counted and raised: :meth:`KernelTraceState.replay` then
+        leaves the kernel per tile.  ``REPRO_CHECK=1`` also records the
+        driver and raises :class:`TraceMismatch` if the two traces
+        differ anywhere.
         """
         try:
             synthesized = synthesize_trace(self.schedule_table, specs)
@@ -725,39 +763,6 @@ class CompiledKernel:
                 )
         TRACE_COUNTERS["synthesized"] += 1
         return synthesized
-
-    def _run_traced(self, board, rt, descriptors) -> bool:
-        state = self.trace_state
-        if state.failed:
-            return False
-        if state.trace is None:
-            with state.lock:
-                if state.trace is None and not state.failed:
-                    try:
-                        specs = tuple(
-                            (d.sizes, d.strides, d.itemsize, str(d.dtype))
-                            for d in descriptors
-                        )
-                        state.trace = self._build_trace(specs)
-                    except TraceMismatch:
-                        raise  # cross-check mode fails loudly
-                    except Exception:
-                        # No trace for this kernel: try once, then
-                        # always use the per-tile path (which will
-                        # surface any real error to the caller).
-                        state.failed = True
-        if state.trace is None:
-            return False
-        try:
-            replay_kernel(state.trace, board, rt, descriptors,
-                          type(rt) is DoubleBufferedRuntime)
-        except TraceUnsupported:
-            return False
-        if state.persist is not None and publish_due(state.trace):
-            # The trace, the decoded plan for this accelerator or a
-            # MetricsPlan for this runtime config is new: write through.
-            state.persist()
-        return True
 
     def run_interpreted(self, board: Board, *arrays: np.ndarray,
                         runtime: Optional[AxiRuntime] = None):

@@ -2,11 +2,11 @@
 
 :class:`TraceRecorder` is a shadow of :class:`~repro.runtime.AxiRuntime`
 that executes a driver body once against *shape-only* argument
-descriptors and records the complete schedule of driver events (subview
-offsets, staged tile geometries, opcode literals, flush/receive
-boundaries, loop-iteration markers); :func:`record_trace` compiles the
-events into the same :class:`~repro.execution.trace.DriverTrace` the
-synthesizer produces.
+descriptors and collects the schedule columns of its calls (event
+kinds, staged words, per-class tile rows, non-empty flushes) — the same
+columns the synthesizer expands from a schedule table.
+:func:`record_trace` hands them to the one table assembler,
+:func:`~repro.execution.synthesize.assemble_trace`.
 
 It has exactly two callers.  The hand-written baselines
 (:mod:`repro.baselines.manual`) have no schedule table to synthesize
@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .synthesize import assemble_trace
 from .trace import (
     DriverTrace,
     K_CALL,
@@ -36,8 +37,6 @@ from .trace import (
     K_SUB,
     K_WORD,
     TraceUnsupported,
-    _TileClass,
-    _scatter_is_disjoint,
     add_stage_time,
 )
 
@@ -79,6 +78,8 @@ class TraceRecorder:
 
     Returned offsets replicate :class:`AxiRuntime`'s offset arithmetic
     exactly, so the emitted driver's control/data flow is unchanged.
+    ``calls`` counts the runtime calls made (the schedule table's unit,
+    :func:`~repro.codegen.schedule_event_count`).
     """
 
     def __init__(self, arg_specs,
@@ -90,11 +91,16 @@ class TraceRecorder:
         the runtime's live engine instead of installing a fresh one.
         """
         self.arg_specs = arg_specs
-        self.events: List[Tuple] = []
-        self.preinitialized = preinitialized is not None
-        self.initialized = self.preinitialized
-        self.input_size = preinitialized[0] if preinitialized else 0
-        self.output_size = preinitialized[1] if preinitialized else 0
+        self.calls = 0
+        self.kinds: List[int] = []
+        self.init_params: Optional[Tuple[int, int, int]] = None
+        self.words: Tuple[List[int], List[int], List[int]] = ([], [], [])
+        self.flushes: Tuple[List[int], List[int]] = ([], [])
+        #: Per tile-class key: (call positions, starts, region offsets).
+        self.sends: Dict[Tuple, Tuple[List[int], ...]] = {}
+        self.recvs: Dict[Tuple, Tuple[List[int], ...]] = {}
+        self.initialized = preinitialized is not None
+        self.input_size, self.output_size = preinitialized or (0, 0)
 
     def make_args(self) -> List[_ShadowRef]:
         return [
@@ -102,6 +108,21 @@ class TraceRecorder:
             for i, (sizes, strides, itemsize, _dtype)
             in enumerate(self.arg_specs)
         ]
+
+    def _call(self, *kinds) -> int:
+        """Count one runtime call with cost events ``kinds``; returns
+        the position of the first."""
+        self.calls += 1
+        pos = len(self.kinds)
+        self.kinds.extend(kinds)
+        return pos
+
+    @staticmethod
+    def _row(classes, key, pos, desc, offset) -> None:
+        rows = classes.setdefault(key, ([], [], []))
+        rows[0].append(pos)
+        rows[1].append(desc.offset)
+        rows[2].append(int(offset))
 
     # -- recorded library calls ------------------------------------------
     def dma_init(self, dma_id, input_address, input_buffer_size,
@@ -111,15 +132,18 @@ class TraceRecorder:
         self.initialized = True
         self.input_size = int(input_buffer_size)
         self.output_size = int(output_buffer_size)
-        self.events.append(("init", int(dma_id), self.input_size,
-                            self.output_size))
+        self.init_params = (int(dma_id), self.input_size, self.output_size)
+        self._call(K_INIT)
 
     def _word(self, value: int, offset: int) -> int:
         if offset % 4:
             raise TraceUnsupported("misaligned staged word")
         if offset + 4 > self.input_size:
             raise TraceUnsupported("staged word beyond input region")
-        self.events.append(("word", int(value) & 0xFFFFFFFF, int(offset)))
+        pos, offsets, values = self.words
+        pos.append(self._call(K_CALL, K_WORD))
+        offsets.append(int(offset))
+        values.append(int(value) & 0xFFFFFFFF)
         return offset + 4
 
     def send_literal(self, literal, offset):
@@ -143,13 +167,17 @@ class TraceRecorder:
         num_bytes = desc.num_bytes()
         if offset + num_bytes > self.input_size:
             raise TraceUnsupported("staged tile beyond input region")
-        self.events.append(("send", desc.arg, desc.offset, desc.sizes,
-                            desc.strides, int(offset)))
+        self._row(self.sends, (desc.arg, desc.sizes, desc.strides),
+                  self._call(K_CALL, K_COPY), desc, offset)
         return offset + num_bytes
 
     def flush_send(self, offset):
         self._check_init()
-        self.events.append(("flush", int(offset)))
+        if offset == 0:
+            self._call()  # a no-op in AxiRuntime: no cost, no boundary
+        else:
+            self.flushes[0].append(self._call(K_FLUSH))
+            self.flushes[1].append(int(offset))
         return 0
 
     def recv_memref(self, desc, offset, accumulate=False):
@@ -160,14 +188,15 @@ class TraceRecorder:
             raise TraceUnsupported("unstageable receive tile")
         if offset + desc.num_bytes() > self.output_size:
             raise TraceUnsupported("receive beyond output region")
-        self.events.append(("recv", desc.arg, desc.offset, desc.sizes,
-                            desc.strides, int(offset), bool(accumulate)))
+        self._row(self.recvs,
+                  (desc.arg, desc.sizes, desc.strides, bool(accumulate)),
+                  self._call(K_RWAIT, K_CALL, K_RECV, K_COPY), desc, offset)
 
     def loop_iteration(self):
-        self.events.append(("loop",))
+        self._call(K_LOOP)
 
     def subview_setup(self):
-        self.events.append(("sub",))
+        self._call(K_SUB)
 
     def _check_init(self) -> None:
         if not self.initialized:
@@ -176,12 +205,32 @@ class TraceRecorder:
     # Anything else the driver might call on the runtime is unsupported:
     # attribute errors propagate and the caller falls back to per-tile.
 
+    def trace(self) -> DriverTrace:
+        """The recorded schedule, through the one table assembler."""
+        def columns(lists):
+            return tuple(np.asarray(column, dtype=np.int64)
+                         for column in lists)
+
+        trace = assemble_trace(
+            self.arg_specs, np.asarray(self.kinds, dtype=np.int8),
+            columns(self.words),
+            [(key,) + columns(rows) for key, rows in self.sends.items()],
+            [(key,) + columns(rows) for key, rows in self.recvs.items()],
+            columns(self.flushes),
+        )
+        trace.init_params = self.init_params
+        if self.init_params is None:
+            # Preinitialized body: the replay reuses the runtime's live
+            # engine, but the staged-size bounds were still enforced.
+            trace.region_sizes = (self.input_size, self.output_size)
+        return trace
+
 
 def record_trace(entry_point, arg_specs,
                  expected_events: Optional[int] = None,
                  preinitialized: Optional[Tuple[int, int]] = None,
                  stage: str = "trace_record_s") -> DriverTrace:
-    """Run ``entry_point`` once against the recorder; compile the events.
+    """Run ``entry_point`` once against the recorder; assemble its trace.
 
     ``expected_events`` (from the emitter's schedule side table) cross-
     checks that the recording expanded the whole static loop nest.
@@ -192,161 +241,15 @@ def record_trace(entry_point, arg_specs,
     try:
         recorder = TraceRecorder(arg_specs, preinitialized=preinitialized)
         entry_point(recorder, *recorder.make_args())
+        if not recorder.initialized:
+            raise TraceUnsupported("driver never initialized the DMA engine")
         if expected_events is not None \
-                and len(recorder.events) != expected_events:
+                and recorder.calls != expected_events:
             raise TraceUnsupported(
-                f"recorded {len(recorder.events)} events, schedule table "
+                f"recorded {recorder.calls} calls, schedule table "
                 f"predicts {expected_events}"
             )
-        trace = _compile_events(recorder, arg_specs)
+        trace = recorder.trace()
     finally:
         add_stage_time(stage, time.perf_counter() - start)
-    return trace
-
-
-def _compile_events(recorder: TraceRecorder, arg_specs) -> DriverTrace:
-    """Flatten recorded events into the cost stream + side tables."""
-    trace = DriverTrace(arg_specs)
-    kinds: List[int] = []
-    send_lookup: Dict[Tuple, int] = {}
-    recv_lookup: Dict[Tuple, int] = {}
-    word_pos: List[int] = []
-    word_offsets: List[int] = []
-    word_values: List[int] = []
-    flush_pos: List[int] = []
-    flush_bytes: List[int] = []
-    recv_pos: List[int] = []
-    recv_bytes: List[int] = []
-    recv_refs: List[Tuple[int, int]] = []
-    flush_item_counts: List[int] = []
-    send_ordinal = 0
-    recv_ordinal = 0
-    staged_w: List[int] = []     # 1 = word, 0 = tile
-    staged_v: List[int] = []     # word value / tile class id
-    staged_i: List[int] = []     # tile ordinal within its class
-    staged_n: List[int] = []     # 32-bit words per item
-
-    for event in recorder.events:
-        tag = event[0]
-        if tag == "loop":
-            kinds.append(K_LOOP)
-        elif tag == "sub":
-            kinds.append(K_SUB)
-        elif tag == "word":
-            _, value, offset = event
-            kinds.append(K_CALL)
-            word_pos.append(len(kinds))
-            word_offsets.append(offset)
-            word_values.append(value)
-            kinds.append(K_WORD)
-            staged_w.append(1)
-            staged_v.append(value)
-            staged_i.append(0)
-            staged_n.append(1)
-        elif tag == "send":
-            _, arg, start, sizes, strides, offset = event
-            key = (arg, sizes, strides)
-            class_id = send_lookup.get(key)
-            if class_id is None:
-                class_id = len(trace.send_classes)
-                send_lookup[key] = class_id
-                trace.send_classes.append(_TileClass(
-                    arg, sizes, strides, arg_specs[arg][2]
-                ))
-            tile_class = trace.send_classes[class_id]
-            index = len(tile_class.starts)
-            kinds.append(K_CALL)
-            tile_class.starts.append(start)
-            tile_class.region_offsets.append(offset)
-            tile_class.event_pos.append(len(kinds))
-            tile_class.order.append(send_ordinal)
-            send_ordinal += 1
-            kinds.append(K_COPY)
-            words = tile_class.num_elements() * tile_class.itemsize // 4
-            staged_w.append(0)
-            staged_v.append(class_id)
-            staged_i.append(index)
-            staged_n.append(words)
-        elif tag == "flush":
-            _, offset = event
-            if offset == 0:
-                continue  # a no-op in AxiRuntime: no cost, no boundary
-            flush_pos.append(len(kinds))
-            flush_bytes.append(offset)
-            kinds.append(K_FLUSH)
-            flush_item_counts.append(len(staged_w))
-        elif tag == "recv":
-            _, arg, start, sizes, strides, offset, accumulate = event
-            key = (arg, sizes, strides, accumulate)
-            class_id = recv_lookup.get(key)
-            if class_id is None:
-                class_id = len(trace.recv_classes)
-                recv_lookup[key] = class_id
-                trace.recv_classes.append(_TileClass(
-                    arg, sizes, strides, arg_specs[arg][2], accumulate
-                ))
-            tile_class = trace.recv_classes[class_id]
-            index = len(tile_class.starts)
-            kinds.append(K_RWAIT)
-            kinds.append(K_CALL)
-            recv_pos.append(len(kinds))
-            recv_bytes.append(tile_class.num_elements()
-                              * tile_class.itemsize)
-            kinds.append(K_RECV)
-            tile_class.starts.append(start)
-            tile_class.region_offsets.append(offset)
-            tile_class.event_pos.append(len(kinds))
-            tile_class.order.append(recv_ordinal)
-            recv_refs.append((class_id, index))
-            recv_ordinal += 1
-            kinds.append(K_COPY)
-        elif tag == "init":
-            _, dma_id, in_size, out_size = event
-            trace.init_params = (dma_id, in_size, out_size)
-            kinds.append(K_INIT)
-        else:  # pragma: no cover - recorder only emits the tags above
-            raise TraceUnsupported(f"unknown event {tag!r}")
-
-    if trace.init_params is None and not recorder.preinitialized:
-        raise TraceUnsupported("driver never initialized the DMA engine")
-    if trace.init_params is None:
-        # Preinitialized body: the replay reuses the runtime's live
-        # engine, but the staged-size bounds were still enforced above.
-        trace.region_sizes = (recorder.input_size, recorder.output_size)
-    # Read-after-write hazard: the replay gathers all staged tile data
-    # up front, so a driver that re-sends data it received earlier in
-    # the same run (an argument acting as both accelerator input and
-    # output, receive before send) cannot be replayed from a snapshot.
-    first_recv: Dict[int, int] = {}
-    for tile_class in trace.recv_classes:
-        if tile_class.event_pos:
-            pos = min(tile_class.event_pos)
-            arg = tile_class.arg
-            first_recv[arg] = min(first_recv.get(arg, pos), pos)
-    for tile_class in trace.send_classes:
-        if tile_class.event_pos and tile_class.arg in first_recv \
-                and max(tile_class.event_pos) > first_recv[tile_class.arg]:
-            raise TraceUnsupported(
-                "argument is sent after being received (read-after-write)"
-            )
-    trace.kinds = np.asarray(kinds, dtype=np.int8)
-    trace.num_events = len(kinds)
-    trace.staged_is_word = np.asarray(staged_w, dtype=np.uint8)
-    trace.staged_values = np.asarray(staged_v, dtype=np.int64)
-    trace.staged_indices = np.asarray(staged_i, dtype=np.int64)
-    trace.staged_widths = np.asarray(staged_n, dtype=np.int64)
-    trace.flush_item_counts = np.asarray(flush_item_counts, dtype=np.int64)
-    trace.recv_refs = np.asarray(recv_refs, dtype=np.int64).reshape(-1, 2)
-    trace.word_pos = np.asarray(word_pos, dtype=np.int64)
-    trace.word_offsets = np.asarray(word_offsets, dtype=np.int64)
-    trace.word_values = np.asarray(word_values, dtype=np.int64)
-    trace.flush_pos = np.asarray(flush_pos, dtype=np.int64)
-    trace.flush_bytes = np.asarray(flush_bytes, dtype=np.int64)
-    trace.recv_pos = np.asarray(recv_pos, dtype=np.int64)
-    trace.recv_bytes = np.asarray(recv_bytes, dtype=np.int64)
-    for tile_class in trace.send_classes + trace.recv_classes:
-        tile_class.finalize()
-    trace.recv_disjoint = [
-        _scatter_is_disjoint(tile_class) for tile_class in trace.recv_classes
-    ]
     return trace

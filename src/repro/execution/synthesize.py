@@ -7,11 +7,14 @@ benchmark kernels.  But the driver is a fully static loop nest: every
 event, operand offset, and staged byte is a pure function of the loop
 bounds the emitter already wrote into its schedule side table.  This
 module exploits that: :func:`synthesize_trace` expands the side table
-directly into the exact :class:`DriverTrace` the recorder would have
-built — same event stream, same tile classes, same side tables, same
-scatter-disjointness flags — using vectorized numpy affine-index
-arithmetic over the whole iteration space instead of a per-tile shadow
-run.
+directly into the schedule columns the recorder would have collected
+— event stream, staged words, per-class tile rows, flushes — using
+vectorized numpy affine-index arithmetic over the whole iteration space
+instead of a per-tile shadow run.  Both then hand their columns to
+:func:`assemble_trace`, the one builder of a trace's tables (tile
+classes, receive and staged-item tables, scatter-disjointness flags),
+so a synthesized and a recorded trace can differ only in their
+columns.
 
 The synthesizer is an abstract interpreter over the side table.  Every
 SSA value in the emitted driver is represented either as a Python
@@ -29,7 +32,7 @@ from an older emitter — raises :class:`SynthesisUnsupported` and the
 kernel runs per tile, so synthesis is always an optimization, never a
 semantics change.  ``REPRO_FAULTS="synth:fail"`` forces that fallback
 (counted as ``synth_fallback``); ``REPRO_CHECK=1`` additionally records
-every synthesized kernel and diffs the two traces table-by-table
+every synthesized kernel and diffs the two traces' columns
 (:func:`diff_traces`), failing loudly on any mismatch.
 """
 
@@ -52,7 +55,6 @@ from .trace import (
     K_RWAIT,
     K_SUB,
     K_WORD,
-    STAGE_TIMINGS,
     TraceUnsupported,
     _TileClass,
     add_stage_time,
@@ -435,57 +437,37 @@ class _Synthesizer:
             )
         if total > _MAX_EVENTS:
             raise SynthesisUnsupported("schedule expansion too large")
-        trace = DriverTrace(self.arg_specs)
-        trace.init_params = self.init_params
         kinds = np.empty(total, dtype=np.int8)
         for site in self.sites:
             site.pos = self._positions(site)
             for j, kind in enumerate(site.template):
                 kinds[site.pos + j] = kind
-        trace.kinds = kinds
-        trace.num_events = total
-
-        empty = np.empty(0, dtype=np.int64)
-        self._build_words(trace, empty)
-        send_groups = self._grouped("send_memref")
-        recv_groups = self._grouped("recv_memref")
-        self._build_sends(trace, send_groups, empty)
-        self._build_recvs(trace, recv_groups, empty)
-        self._build_flushes(trace, empty)
-        self._build_staged(trace, send_groups)
-        self._check_read_after_write(trace)
-        trace.recv_disjoint = [
-            _scatter_is_disjoint(tile_class)
-            for tile_class in trace.recv_classes
-        ]
+        word_pos, word_offsets, word_values = self._columns(
+            _WORD_OPS, "offset", "value")
+        trace = assemble_trace(
+            self.arg_specs, kinds,
+            (word_pos, word_offsets, word_values & 0xFFFFFFFF),
+            self._grouped("send_memref"), self._grouped("recv_memref"),
+            self._columns(("flush_send",), "bytes"),
+        )
+        trace.init_params = self.init_params
         return trace
 
-    def _build_words(self, trace, empty) -> None:
-        sites = [s for s in self.sites if s.op in _WORD_OPS]
+    def _columns(self, ops, *fields) -> Tuple[np.ndarray, ...]:
+        """Positions, then ``fields``, of every site of ``ops`` in event
+        order."""
+        sites = [s for s in self.sites if s.op in ops]
         if not sites:
-            trace.word_pos = empty
-            trace.word_offsets = empty
-            trace.word_values = empty
-            return
-        pos = np.concatenate([s.pos + 1 for s in sites])
-        offsets = np.concatenate(
-            [self._flat(s.payload["offset"], s.chain) for s in sites]
-        )
-        values = np.concatenate(
-            [self._flat(s.payload["value"], s.chain) for s in sites]
-        ) & 0xFFFFFFFF
+            return (_EMPTY,) * (1 + len(fields))
+        pos = np.concatenate([s.pos for s in sites])
         order = np.argsort(pos)
-        trace.word_pos = pos[order]
-        trace.word_offsets = offsets[order]
-        trace.word_values = values[order]
+        return (pos[order],) + tuple(
+            np.concatenate([self._flat(s.payload[name], s.chain)
+                            for s in sites])[order]
+            for name in fields)
 
     def _grouped(self, op: str) -> list:
-        """Tile classes for one op, ordered by first event occurrence.
-
-        Returns ``[(key, pos, starts, region_offsets), ...]`` with the
-        per-class rows sorted by event position — the same class-id and
-        row order ``_compile_events`` produces.
-        """
+        """``assemble_trace``'s per-class rows for one op."""
         groups: Dict[Tuple, List] = {}
         for site in (s for s in self.sites if s.op == op):
             entry = groups.setdefault(site.payload["key"], ([], [], []))
@@ -499,121 +481,101 @@ class _Synthesizer:
             compiled.append((key, pos[order],
                              np.concatenate(start_parts)[order],
                              np.concatenate(region_parts)[order]))
-        compiled.sort(key=lambda item: int(item[1][0]))
         return compiled
 
-    def _build_sends(self, trace, groups, empty) -> None:
-        all_pos = np.sort(np.concatenate([g[1] for g in groups])) \
-            if groups else empty
-        for (arg, sizes, strides), pos, starts, regions in groups:
-            tile_class = _TileClass(arg, sizes, strides,
-                                    self.arg_specs[arg][2])
-            tile_class.starts = starts
-            tile_class.region_offsets = regions
-            tile_class.event_pos = pos + 1
-            tile_class.order = np.searchsorted(all_pos, pos)
-            trace.send_classes.append(tile_class)
 
-    def _build_recvs(self, trace, groups, empty) -> None:
-        total = sum(len(g[1]) for g in groups)
-        all_pos = np.sort(np.concatenate([g[1] for g in groups])) \
-            if groups else empty
-        recv_pos = np.empty(total, dtype=np.int64)
-        recv_bytes = np.empty(total, dtype=np.int64)
-        refs = np.empty((total, 2), dtype=np.int64)
-        for class_id, (key, pos, starts, regions) in enumerate(groups):
-            arg, sizes, strides, accumulate = key
-            itemsize = self.arg_specs[arg][2]
-            tile_class = _TileClass(arg, sizes, strides, itemsize,
-                                    accumulate)
-            tile_class.starts = starts
-            tile_class.region_offsets = regions
-            tile_class.event_pos = pos + 3
-            ordinals = np.searchsorted(all_pos, pos)
-            tile_class.order = ordinals
-            recv_pos[ordinals] = pos + 2
-            recv_bytes[ordinals] = tile_class.num_elements() * itemsize
-            refs[ordinals, 0] = class_id
-            refs[ordinals, 1] = np.arange(pos.size, dtype=np.int64)
-            trace.recv_classes.append(tile_class)
-        trace.recv_refs = refs
-        trace.recv_pos = recv_pos
-        trace.recv_bytes = recv_bytes
+_EMPTY = np.empty(0, dtype=np.int64)
 
-    def _build_flushes(self, trace, empty) -> None:
-        sites = [s for s in self.sites if s.op == "flush_send"]
-        if not sites:
-            trace.flush_pos = empty
-            trace.flush_bytes = empty
-            return
-        pos = np.concatenate([s.pos for s in sites])
-        flush_bytes = np.concatenate(
-            [self._flat(s.payload["bytes"], s.chain) for s in sites]
-        )
-        order = np.argsort(pos)
-        trace.flush_pos = pos[order]
-        trace.flush_bytes = flush_bytes[order]
 
-    def _build_staged(self, trace, send_groups) -> None:
-        """The interleaved word/tile stream the decoder consumes."""
-        word_sites = [s for s in self.sites if s.op in _WORD_OPS]
-        parts = [s.pos for s in word_sites] + [g[1] for g in send_groups]
-        empty = np.empty(0, dtype=np.int64)
-        if not parts:
-            trace.staged_is_word = np.empty(0, dtype=np.uint8)
-            trace.staged_values = empty
-            trace.staged_indices = empty
-            trace.staged_widths = empty
-            trace.flush_item_counts = np.zeros(trace.flush_pos.size,
-                                               dtype=np.int64)
-            return
-        # The four parallel item arrays are built part-by-part (pure
-        # numpy), then merged into global event order with a single
-        # argsort permutation.
-        is_word_parts, value_parts, index_parts, width_parts = [], [], [], []
-        for site in word_sites:
-            values = (self._flat(site.payload["value"], site.chain)
-                      & 0xFFFFFFFF)
-            n = values.size
-            is_word_parts.append(np.ones(n, dtype=np.uint8))
-            value_parts.append(values.astype(np.int64, copy=False))
-            index_parts.append(np.zeros(n, dtype=np.int64))
-            width_parts.append(np.ones(n, dtype=np.int64))
-        for class_id, (key, pos, _starts, _regions) in \
-                enumerate(send_groups):
-            tile_class = trace.send_classes[class_id]
-            words = tile_class.num_elements() * tile_class.itemsize // 4
-            n = pos.size
-            is_word_parts.append(np.zeros(n, dtype=np.uint8))
-            value_parts.append(np.full(n, class_id, dtype=np.int64))
-            index_parts.append(np.arange(n, dtype=np.int64))
-            width_parts.append(np.full(n, words, dtype=np.int64))
-        all_pos = np.concatenate(parts)
-        order = np.argsort(all_pos)
-        trace.staged_is_word = np.concatenate(is_word_parts)[order]
-        trace.staged_values = np.concatenate(value_parts)[order]
-        trace.staged_indices = np.concatenate(index_parts)[order]
-        trace.staged_widths = np.concatenate(width_parts)[order]
-        trace.flush_item_counts = np.searchsorted(
-            all_pos[order], trace.flush_pos
-        ).astype(np.int64, copy=False)
+def assemble_trace(arg_specs, kinds: np.ndarray, words, sends, recvs,
+                   flushes) -> DriverTrace:
+    """The one builder of a :class:`DriverTrace`'s tables.
 
-    def _check_read_after_write(self, trace) -> None:
-        # Mirrors _compile_events' read-after-write hazard guard.
-        first_recv: Dict[int, int] = {}
-        for tile_class in trace.recv_classes:
-            if tile_class.event_pos.size:
-                pos = int(tile_class.event_pos.min())
-                arg = tile_class.arg
-                first_recv[arg] = min(first_recv.get(arg, pos), pos)
-        for tile_class in trace.send_classes:
-            if tile_class.event_pos.size and tile_class.arg in first_recv \
-                    and int(tile_class.event_pos.max()) \
-                    > first_recv[tile_class.arg]:
-                raise SynthesisUnsupported(
-                    "argument is sent after being received "
-                    "(read-after-write)"
-                )
+    Both trace sources feed it the same schedule columns: the
+    synthesizer expands them from the schedule table, the recorder
+    (:mod:`repro.execution.recorder`) collects them from a shadow run.
+    ``kinds`` is the int8 event stream.  ``words`` is ``(pos, offsets,
+    values)`` of the staged words and ``flushes`` ``(pos, bytes)`` of the
+    non-empty flushes, each in event order.  ``sends`` / ``recvs`` hold
+    ``(key, pos, starts, region_offsets)`` per tile class, rows in event
+    order, keyed ``(arg, sizes, strides)`` (plus ``accumulate`` for
+    receives).  A ``pos`` is always the position of a call's first
+    event, and every column is int64.  The caller sets ``init_params``
+    (or ``region_sizes``).
+
+    Raises :class:`TraceUnsupported` for a driver that sends an argument
+    after receiving into it: replay gathers all staged tile data up
+    front, so it cannot replay from that snapshot.
+    """
+    trace = DriverTrace(arg_specs)
+    trace.kinds = kinds
+    trace.num_events = kinds.size
+    word_pos, trace.word_offsets, trace.word_values = words
+    trace.word_pos = word_pos + 1
+    trace.flush_pos, trace.flush_bytes = flushes
+    sends = sorted(sends, key=lambda group: int(group[1][0]))
+    recvs = sorted(recvs, key=lambda group: int(group[1][0]))
+    trace.send_classes = _tile_classes(arg_specs, sends, 1)
+    trace.recv_classes = _tile_classes(arg_specs, recvs, 3)
+
+    n_recv = sum(tc.order.size for tc in trace.recv_classes)
+    trace.recv_pos = np.empty(n_recv, dtype=np.int64)
+    trace.recv_bytes = np.empty(n_recv, dtype=np.int64)
+    trace.recv_refs = np.empty((n_recv, 2), dtype=np.int64)
+    for class_id, tc in enumerate(trace.recv_classes):
+        trace.recv_pos[tc.order] = tc.event_pos - 1
+        trace.recv_bytes[tc.order] = tc.num_elements() * tc.itemsize
+        trace.recv_refs[tc.order, 0] = class_id
+        trace.recv_refs[tc.order, 1] = np.arange(tc.order.size)
+
+    # The staged stream the decoders consume: words and send tiles,
+    # merged into event order with one argsort permutation.
+    n_words = word_pos.size
+    widths = [tc.num_elements() * tc.itemsize // 4
+              for tc in trace.send_classes]
+    all_pos = np.concatenate([word_pos] + [g[1] for g in sends])
+    order = np.argsort(all_pos)
+    trace.staged_is_word = np.concatenate(
+        [np.ones(n_words, dtype=np.uint8)]
+        + [np.zeros(g[1].size, dtype=np.uint8) for g in sends])[order]
+    trace.staged_values = np.concatenate(
+        [trace.word_values] + [np.full(g[1].size, class_id, dtype=np.int64)
+                               for class_id, g in enumerate(sends)])[order]
+    trace.staged_indices = np.concatenate(
+        [np.zeros(n_words, dtype=np.int64)]
+        + [np.arange(g[1].size, dtype=np.int64) for g in sends])[order]
+    trace.staged_widths = np.concatenate(
+        [np.ones(n_words, dtype=np.int64)]
+        + [np.full(g[1].size, width, dtype=np.int64)
+           for g, width in zip(sends, widths)])[order]
+    trace.flush_item_counts = np.searchsorted(
+        all_pos[order], trace.flush_pos).astype(np.int64, copy=False)
+
+    first_recv: Dict[int, int] = {}
+    for tc in trace.recv_classes:
+        first_recv[tc.arg] = min(first_recv.get(tc.arg, tc.event_pos[0]),
+                                 tc.event_pos[0])
+    for tc in trace.send_classes:
+        if tc.arg in first_recv and tc.event_pos[-1] > first_recv[tc.arg]:
+            raise TraceUnsupported(
+                "argument is sent after being received (read-after-write)"
+            )
+    trace.recv_disjoint = [_scatter_is_disjoint(tc)
+                           for tc in trace.recv_classes]
+    return trace
+
+
+def _tile_classes(arg_specs, groups, copy_offset: int) -> List[_TileClass]:
+    """One tile class per group; ``copy_offset`` is the K_COPY event's
+    distance from the call's first event."""
+    all_pos = np.sort(np.concatenate([g[1] for g in groups])) \
+        if groups else _EMPTY
+    return [
+        _TileClass(key[0], key[1], key[2], arg_specs[key[0]][2],
+                   key[3] if len(key) > 3 else None, starts, regions,
+                   pos + copy_offset, np.searchsorted(all_pos, pos))
+        for key, pos, starts, regions in groups
+    ]
 
 
 def synthesize_trace(schedule_table: Optional[dict],
@@ -633,8 +595,8 @@ def synthesize_trace(schedule_table: Optional[dict],
             return _Synthesizer(schedule_table, arg_specs).build()
         except SynthesisUnsupported:
             raise
-        except (KeyError, IndexError, TypeError, ValueError,
-                OverflowError, AttributeError) as exc:
+        except (TraceUnsupported, KeyError, IndexError, TypeError,
+                ValueError, OverflowError, AttributeError) as exc:
             raise SynthesisUnsupported(
                 f"schedule not synthesizable: {exc!r}"
             ) from exc
@@ -646,44 +608,36 @@ def synthesize_trace(schedule_table: Optional[dict],
 
 def diff_traces(synthesized: DriverTrace,
                 recorded: DriverTrace) -> List[str]:
-    """Table-by-table structural diff; empty means bit-identical."""
+    """Column-by-column diff; empty means bit-identical.
+
+    Only the schedule columns the two sources collect are compared:
+    :func:`assemble_trace` derives every other table (class order,
+    receive and staged-item tables, disjointness flags) from them.
+    """
     problems: List[str] = []
 
     def check(name, condition):
         if not condition:
             problems.append(name)
 
-    def check_array(name, left, right):
-        check(name, np.array_equal(np.asarray(left), np.asarray(right)))
-
     check("arg_specs", tuple(synthesized.arg_specs)
           == tuple(recorded.arg_specs))
-    check("num_events", synthesized.num_events == recorded.num_events)
-    check_array("kinds", synthesized.kinds, recorded.kinds)
+    check("kinds", np.array_equal(synthesized.kinds, recorded.kinds))
     check("init_params", synthesized.init_params == recorded.init_params)
     for name in ("word_pos", "word_offsets", "word_values", "flush_pos",
-                 "flush_bytes", "recv_pos", "recv_bytes"):
-        check_array(name, getattr(synthesized, name),
-                    getattr(recorded, name))
+                 "flush_bytes"):
+        check(name, np.array_equal(getattr(synthesized, name),
+                                   getattr(recorded, name)))
     for side in ("send_classes", "recv_classes"):
         left, right = getattr(synthesized, side), getattr(recorded, side)
         if len(left) != len(right):
             problems.append(f"{side} count")
             continue
         for i, (lc, rc) in enumerate(zip(left, right)):
-            check(f"{side}[{i}] geometry",
-                  (lc.arg, lc.sizes, lc.strides, lc.itemsize,
-                   lc.accumulate)
-                  == (rc.arg, rc.sizes, rc.strides, rc.itemsize,
-                      rc.accumulate))
-            for field in ("starts", "region_offsets", "event_pos",
-                          "order"):
-                check_array(f"{side}[{i}].{field}",
-                            getattr(lc, field), getattr(rc, field))
-    for name in ("staged_is_word", "staged_values", "staged_indices",
-                 "staged_widths", "flush_item_counts", "recv_refs"):
-        check_array(name, getattr(synthesized, name),
-                    getattr(recorded, name))
-    check("recv_disjoint", list(synthesized.recv_disjoint)
-          == list(recorded.recv_disjoint))
+            check(f"{side}[{i}] key",
+                  (lc.arg, lc.sizes, lc.strides, lc.accumulate)
+                  == (rc.arg, rc.sizes, rc.strides, rc.accumulate))
+            for field in ("starts", "region_offsets", "event_pos"):
+                check(f"{side}[{i}].{field}",
+                      np.array_equal(getattr(lc, field), getattr(rc, field)))
     return problems

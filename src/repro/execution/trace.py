@@ -5,12 +5,13 @@ call sequence is fully determined by the loop bounds — data never
 influences control flow.  A :class:`DriverTrace` holds that schedule
 (subview offsets, staged tile geometries, opcode literals,
 flush/receive boundaries, loop-iteration markers) as flat numpy side
-tables.  It is built ahead of time from the emitter's schedule table
+tables.  Its schedule columns come from the emitter's schedule table
 (:mod:`repro.execution.synthesize`) or, for the hand-written baselines,
-by a shadow run of the driver body (:mod:`repro.execution.recorder`);
-invocations of the kernel then replay it through
-:class:`~repro.execution.replay.ReplayExecutor` as batched numpy,
-bit-identical to the per-tile path.
+from a shadow run of the driver body (:mod:`repro.execution.recorder`);
+one assembler (:func:`~repro.execution.synthesize.assemble_trace`)
+turns either into the tables.  Invocations of the kernel then replay it
+through :class:`~repro.execution.replay.ReplayExecutor` as batched
+numpy, bit-identical to the per-tile path.
 
 A second, accelerator-specific step (:func:`decode_for_accelerator`)
 re-runs the staged word stream through a word-level model of the
@@ -99,7 +100,7 @@ def add_stage_time(stage: str, seconds: float) -> None:
 #: ``synth_fallback`` (synthesis failed, so the kernel runs per tile),
 #: ``disk_loaded`` (deserialized from the kernel store),
 #: ``manual_recorded`` / ``manual_fallback`` (hand-written baseline
-#: bodies: traced, or permanently per-tile because recording/replay
+#: configurations: recorded, or permanently per-tile because recording
 #: failed — a nonzero fallback here means cpp_MANUAL silently left
 #: the batched path).  ``recorded`` is never incremented — a generated
 #: kernel never runs from a recording — and stays declared for a
@@ -145,28 +146,24 @@ class _TileClass:
     __slots__ = ("arg", "sizes", "strides", "itemsize", "accumulate",
                  "starts", "region_offsets", "event_pos", "order")
 
-    def __init__(self, arg, sizes, strides, itemsize, accumulate=None):
+    def __init__(self, arg, sizes, strides, itemsize, accumulate,
+                 starts, region_offsets, event_pos, order):
         self.arg = arg
         self.sizes = sizes
         self.strides = strides
         self.itemsize = itemsize
-        self.accumulate = accumulate
-        self.starts: List[int] = []        # element offsets in the arg
-        self.region_offsets: List[int] = []  # byte offsets in the region
-        self.event_pos: List[int] = []     # K_COPY positions in the stream
-        self.order: List[int] = []         # global send/recv ordinal
+        self.accumulate = accumulate      # None on the send side
+        # One int64 row per tile, in event order:
+        self.starts = starts              # element offsets in the arg
+        self.region_offsets = region_offsets  # byte offsets in the region
+        self.event_pos = event_pos        # K_COPY positions in the stream
+        self.order = order                # global send/recv ordinal
 
     def num_elements(self) -> int:
         total = 1
         for size in self.sizes:
             total *= size
         return total
-
-    def finalize(self) -> None:
-        self.starts = np.asarray(self.starts, dtype=np.int64)
-        self.region_offsets = np.asarray(self.region_offsets, dtype=np.int64)
-        self.event_pos = np.asarray(self.event_pos, dtype=np.int64)
-        self.order = np.asarray(self.order, dtype=np.int64)
 
 
 def _public_state(obj) -> Dict[str, object]:

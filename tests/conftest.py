@@ -1,7 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -12,13 +10,6 @@ from repro.soc import Board, make_pynq_z2
 
 
 def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "ambient_faults_incompatible: exact store- or replay-counter "
-        "assertions that cannot hold when the environment injects "
-        "REPRO_FAULTS (store I/O faults; native.compile:fail, under "
-        "which every kernel runs per tile)",
-    )
     config.addinivalue_line(
         "markers",
         "matrix: the tier matrix repeated inside pool workers; deselected "
@@ -33,31 +24,18 @@ def pytest_configure(config):
 
 
 def pytest_collection_modifyitems(config, items):
-    """The ``matrix`` cases only run when asked for (``-m matrix``);
-    CI's chaos leg runs the whole tier-1 suite under REPRO_FAULTS.
+    """The ``matrix`` cases only run when asked for (``-m matrix``).
 
-    Numeric results must stay bit-identical under injected faults —
-    that is the point of the leg — but tests asserting *exact disk
-    counter values* are definitionally invalid when reads/writes fail
-    probabilistically, and tests pinning the replay path cannot hold
-    when ``native.compile:fail`` leaves every kernel per tile, so they
-    are skipped there.  (Tests that set
-    REPRO_FAULTS themselves via monkeypatch are unaffected: the marker
-    covers only ambient, externally injected faults.)
+    CI's chaos leg runs the whole tier-1 suite under REPRO_FAULTS and
+    skips nothing: numeric results must stay bit-identical under
+    injected faults, and a test asserting exact store or replay
+    counters owns a clean fault spec (the ``clean_faults`` fixture).
     """
     if "matrix" not in (config.getoption("-m") or ""):
         extra = [item for item in items if item.get_closest_marker("matrix")]
         if extra:
             config.hook.pytest_deselected(items=extra)
             items[:] = [item for item in items if item not in extra]
-    if not os.environ.get("REPRO_FAULTS"):
-        return
-    skip = pytest.mark.skip(
-        reason="exact-counter assertions invalid under ambient REPRO_FAULTS"
-    )
-    for item in items:
-        if item.get_closest_marker("ambient_faults_incompatible"):
-            item.add_marker(skip)
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +72,7 @@ def fresh_native_probe(monkeypatch):
 @pytest.fixture
 def clean_faults(monkeypatch, fresh_native_probe):
     """The test owns a clean fault spec: under the CI chaos leg it runs
-    fault-free (C library and replay included) instead of skipping."""
+    fault-free (C library and replay included)."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
     faults.reset_faults()

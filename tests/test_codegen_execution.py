@@ -63,7 +63,7 @@ class TestEmitter:
             ((16, 16), (16, 1), 4, "int32") for _ in range(3)
         ))
         kernel.entry_point(recorder, *recorder.make_args())
-        assert expected == len(recorder.events)
+        assert expected == recorder.calls
 
     def test_loop_variables_named_after_dims(self):
         _, kernel = make_kernel(flow="Cs")

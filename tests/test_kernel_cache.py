@@ -924,7 +924,7 @@ class TestManualTraceEntries:
         import repro.baselines.manual as manual_mod
         from repro.execution.metrics import reset_component_memo
 
-        monkeypatch.setattr(manual_mod, "_MANUAL_TRACES", {})
+        monkeypatch.setattr(manual_mod, "_MANUAL_STATES", {})
         # monkeypatch keeps the old table (and its traces) alive: a new
         # process would not find their plans in memory either.
         reset_component_memo()

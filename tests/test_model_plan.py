@@ -137,7 +137,7 @@ def _plan_traffic():
 class TestFusedBitIdentity:
     """A shared-board sequence against its two references."""
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_matmul_record_and_replay_match_per_kernel(self):
         cache = KernelCache()
         misses, hits = _plan_traffic()
@@ -151,7 +151,7 @@ class TestFusedBitIdentity:
         assert built == run_matmul_sequence(carried=True)
         assert built == run_matmul_sequence(interpreted=True)
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_conv_manual_and_generated_steps_fuse(self, monkeypatch):
         cache = KernelCache()
         built = run_conv_sequence(cache=cache)
@@ -236,7 +236,7 @@ class TestWorkerPool:
         assert [[c.as_dict() for c in r] for r in pooled] == \
             [[c.as_dict() for c in r] for r in inline]
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_pool_merges_worker_diagnostics(self, monkeypatch):
         from repro.execution import STAGE_TIMINGS
         from repro.experiments.harness import run_matmul_model
@@ -256,7 +256,7 @@ class TestWorkerPool:
         assert METRICS_PLAN_COUNTERS["metrics_plan_misses"] > \
             before_misses
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_no_fork_rung_runs_inline_and_merges_nothing(
             self, monkeypatch):
         from repro import pool

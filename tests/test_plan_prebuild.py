@@ -41,7 +41,7 @@ def _warmup(specs, workers=None):
 
 
 class TestPrebuildPlans:
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_prebuild_then_run_is_warm(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path))
         summaries = _warmup([_matmul_spec()])
@@ -84,7 +84,7 @@ class TestPrebuildPlans:
         assert "bogus" in summaries[0]["error"]
         assert summaries[1]["ok"]
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_pool_matches_inline_and_merges_deltas(self, monkeypatch,
                                                    tmp_path):
         specs = [_matmul_spec(), _matmul_spec(m=32)]

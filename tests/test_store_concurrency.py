@@ -607,7 +607,7 @@ models += [run_matmul_model(_fig17_specs(shapes, strategy))
            for strategy in ("Ns-SquareTile", "AXI4MLIR Best")]
 traces = [kernel.trace_state.trace
           for kernel in default_kernel_cache()._entries.values()]
-traces += manual._MANUAL_TRACES.values()
+traces += [state.trace for state in manual._MANUAL_STATES.values()]
 report = diagnostics()
 print(json.dumps({
     "results": [[step.as_dict() for step in model] for model in models],

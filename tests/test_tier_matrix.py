@@ -267,7 +267,7 @@ def test_without_the_c_library_every_kernel_runs_per_tile(name, mode,
     assert not list(tmp_path.rglob("*.entry"))
 
 
-@pytest.mark.ambient_faults_incompatible
+@pytest.mark.usefixtures("clean_faults")
 @pytest.mark.parametrize("name", CONFIGS)
 def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
     """What makes the matrix bite: with no rung forced the warm pass
@@ -291,7 +291,7 @@ def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
             assert len(stored) == 3 and len(set.union(*stored)) == 1
 
 
-@pytest.mark.ambient_faults_incompatible
+@pytest.mark.usefixtures("clean_faults")
 @pytest.mark.parametrize("name", CONFIGS)
 def test_a_stored_kernel_re_emits_the_same_driver(name, tmp_path):
     """A store entry keeps only the IR: the driver a loaded kernel runs

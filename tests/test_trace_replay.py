@@ -717,6 +717,48 @@ def test_every_election_band_matches_the_slow_tiers(name, band,
 
 
 @pytest.mark.usefixtures("clean_faults")
+@pytest.mark.parametrize("mutant", ["saturate", "raise"])
+def test_a_rung_that_stops_wrapping_is_caught(mutant, monkeypatch):
+    """Pinned must-die mutants of the one integer semantics: the
+    per-tile conv model saturating, or raising, on an int32 overflow
+    instead of wrapping modulo its dtype fails the 2**30 band."""
+    from repro.accelerators.conv import CONV_OPS_PER_CYCLE, ConvAccelerator
+
+    def narrow(values, dtype):
+        if mutant == "raise":
+            return np.array([int(v) for v in values], dtype=dtype)
+        info = np.iinfo(dtype)
+        return np.clip(values, info.min, info.max).astype(dtype)
+
+    def send_input_compute(self):
+        window = self.read_words(self.window_elements, self.dtype)
+        value = window.astype(np.int64) @ self._filter.astype(np.int64)
+        self._slice.extend(narrow([value], self.dtype))
+        return 2.0 * self.window_elements / CONV_OPS_PER_CYCLE
+
+    def send_window_batch(self, windows):
+        values = windows.astype(np.int64) @ self._filter.astype(np.int64)
+        self._slice.extend(narrow(values, self.dtype))
+        return 2.0 * self.window_elements * len(windows) / CONV_OPS_PER_CYCLE
+
+    case = _case("conv-16ch")
+    arrays = _band_operands(case, "2**30", _BAND_DEPTHS["conv-16ch"],
+                            np.random.default_rng(len("2**30")))
+    replayed = _invoke("replay", case, arrays, (1, 2, 3), trace=case.trace())
+    monkeypatch.setattr(ConvAccelerator, "_send_input_compute",
+                        send_input_compute)
+    monkeypatch.setattr(ConvAccelerator, "_send_window_batch",
+                        send_window_batch)
+    try:
+        per_tile = _invoke("per_tile", case, arrays, (1, 2, 3))
+    except OverflowError:
+        assert mutant == "raise"
+    else:
+        assert mutant == "saturate"
+        assert per_tile[1] != replayed[1], "the mutant survived"
+
+
+@pytest.mark.usefixtures("clean_faults")
 def test_warm_replay_working_set(monkeypatch):
     """A warm replay of the 128**3 v3 Cs hot kernel (192 KiB of operands)
     keeps at most 1 MiB of temporaries live: push payloads come from

@@ -16,7 +16,8 @@ Contracts under test:
   ``REPRO_CHECK=1`` records every synthesized kernel and raises
   :class:`TraceMismatch` on any divergence.
 * The hand-written manual drivers replay their recorded
-  (preinitialized) traces bit-identically to per-tile execution.
+  (preinitialized) traces bit-identically to per-tile execution, under
+  the lifecycle a compiled kernel's trace has.
 """
 
 import numpy as np
@@ -402,3 +403,72 @@ class TestManualDriverTracing:
         reference = measure(no_trace=True)
         traced = measure(no_trace=False)
         assert reference == traced
+
+
+@pytest.mark.usefixtures("clean_faults")
+class TestManualTraceLifecycle:
+    """A manual baseline's trace lives the life of a compiled kernel's
+    (``KernelTraceState.replay``): built once, a failed build leaves the
+    configuration per tile for good, a replay refusal is not
+    remembered."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_states(self, monkeypatch):
+        import repro.baselines.manual as manual_mod
+
+        monkeypatch.setattr(manual_mod, "_MANUAL_STATES", {})
+        self.states = manual_mod._MANUAL_STATES
+
+    @staticmethod
+    def run():
+        board = make_pynq_z2()
+        hw = MatMulAccelerator(8, 3)
+        board.attach_accelerator(hw)
+        rng = np.random.default_rng(3)
+        a = rng.integers(-6, 6, (32, 32)).astype(np.int32)
+        b = rng.integers(-6, 6, (32, 32)).astype(np.int32)
+        c = np.zeros((32, 32), np.int32)
+        counters = manual_matmul_driver(board, a, b, c, 3, 8, "Cs")
+        return counters.as_dict(), c.tobytes(), _board_state(board, hw)
+
+    def per_tile(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_TRACE", "1")
+        reference = self.run()
+        monkeypatch.delenv("REPRO_NO_TRACE")
+        return reference
+
+    def test_a_failed_recording_is_counted_once(self, monkeypatch):
+        import repro.baselines.manual as manual_mod
+        from repro.execution import TraceUnsupported
+
+        reference = self.per_tile(monkeypatch)
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise TraceUnsupported("unrecordable body")
+
+        monkeypatch.setattr(manual_mod, "record_trace", refuse)
+        before = dict(TRACE_COUNTERS)
+        assert self.run() == reference
+        assert self.run() == reference
+        assert len(calls) == 1
+        assert TRACE_COUNTERS["manual_fallback"] \
+            == before["manual_fallback"] + 1
+        assert TRACE_COUNTERS["manual_recorded"] == before["manual_recorded"]
+        (state,) = self.states.values()
+        assert state.failed and state.trace is None
+
+    def test_a_replay_refusal_keeps_the_recording(self, monkeypatch):
+        reference = self.per_tile(monkeypatch)
+        before = dict(TRACE_COUNTERS)
+        monkeypatch.setenv("REPRO_FAULTS", "replay:fail")
+        assert self.run() == reference
+        assert self.run() == reference
+        (state,) = self.states.values()
+        assert state.trace is not None and not state.failed
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert self.run() == reference      # replayed, not re-recorded
+        assert TRACE_COUNTERS["manual_recorded"] \
+            == before["manual_recorded"] + 1
+        assert TRACE_COUNTERS["manual_fallback"] == before["manual_fallback"]

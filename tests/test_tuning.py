@@ -231,7 +231,7 @@ class TestDriver:
         assert seen["tuning_points_completed"] == len(SMALL.points())
         assert seen["tuning_journal_compactions"] == 1
 
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_content_equal_points_are_served_one_plan(self, tmp_path,
                                                       monkeypatch):
         """``cpu_tiling`` is a no-op at 8^3, so every ``cpu_tiling=True``
@@ -533,7 +533,7 @@ class TestSweepStore:
         default_kernel_cache().clear()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.ambient_faults_incompatible
+    @pytest.mark.usefixtures("clean_faults")
     def test_one_write_and_one_entry_per_simulated_point(
             self, tmp_path, store, workers):
         from repro.store import STORE_COUNTERS

@@ -73,7 +73,8 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: Version 5: kernel payloads are data (IR, trace, plans) in the
 #: container of :mod:`repro.store`; the driver is re-emitted from the IR.
 #: Version 6: every schedule table of a trace is an ndarray.
-KERNEL_STORE_VERSION = 6
+#: Version 7: the C decoders' plans are re-derived, not persisted.
+KERNEL_STORE_VERSION = 7
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -223,7 +224,10 @@ def stored_trace(payload: dict):
     staged arrays of the dtypes the decoders read, one int64 flush item
     count per flush, nondecreasing within the stream, one int64
     ``(class, tile)`` pair per receive, tile ordinals within their
-    classes, and event positions within the event stream.
+    classes, and event positions within the event stream; or when a
+    stored MetricsPlan indexes outside the trace
+    (:func:`_check_stored_plan`).  The C decoders' plans are not stored:
+    replay re-derives them from the checked stream.
     """
     trace = payload.get("trace")
     if not isinstance(trace, DriverTrace):
@@ -265,10 +269,44 @@ def stored_trace(payload: dict):
             raise ValueError("event position outside the event stream")
     plans = payload.get("metrics_plans")
     if isinstance(plans, dict):
+        for plan in plans.values():
+            _check_stored_plan(trace, plan)
         trace.metrics_plans.update(plans)
     trace._stored_plans = frozenset(trace.metrics_plans)
     TRACE_COUNTERS["disk_loaded"] += 1
     return trace
+
+
+def _check_stored_plan(trace, plan) -> None:
+    """Raise ``ValueError`` unless a loaded MetricsPlan only indexes
+    what ``trace`` has: a ``(9,)`` float64 end state, staging-region
+    writes inside the regions, send tiles inside their classes and
+    receive ordinals below ``recv_pos.size`` — all before replay
+    touches the board."""
+    final = plan.final_state
+    if not isinstance(final, np.ndarray) or final.shape != (9,) \
+            or final.dtype != np.float64:
+        raise ValueError("MetricsPlan end state mis-shaped")
+    in_size, out_size = trace.region_sizes if trace.init_params is None \
+        else trace.init_params[1:]
+    writes = [(plan.input_word_dest, in_size // 4)]
+    for class_id, tiles, dest, _ in plan.input_tile_writes:
+        if type(class_id) is not int \
+                or not 0 <= class_id < len(trace.send_classes):
+            raise ValueError("MetricsPlan tile write outside the classes")
+        writes += [(tiles, trace.send_classes[class_id].starts.size),
+                   (dest, in_size // 4)]
+    for ordinal, dest, _ in plan.output_writes:
+        if type(ordinal) is not int \
+                or not 0 <= ordinal < trace.recv_pos.size:
+            raise ValueError("MetricsPlan output write of no receive")
+        writes.append((dest, out_size // 4))
+    for positions, bound in writes:
+        if not isinstance(positions, np.ndarray) \
+                or positions.dtype.kind not in "iu" \
+                or positions.size and (positions.min() < 0
+                                       or positions.max() >= bound):
+            raise ValueError("MetricsPlan index outside its trace")
 
 
 def publish_due(trace) -> bool:
@@ -471,9 +509,9 @@ class KernelCache:
             _ir_text=payload["ir"],
         )
         kernel.trace_state.origin = (store, name)
-        # A persisted trace (+ its decoded replay plans and
-        # MetricsPlans) lets warm processes skip synthesis and plan
-        # builds.
+        # A persisted trace (+ its MetricsPlans) lets warm processes
+        # skip synthesis and plan builds; the C decoders' plans are
+        # re-derived from its stream on the first replay.
         kernel.trace_state.trace = payload["trace"]
         return kernel
 
@@ -553,8 +591,8 @@ class KernelTraceState:
         self.trace = None
         self.failed = False
         #: Set by KernelCache when a disk store is active: publishes
-        #: the entry with the trace, decoded plans and MetricsPlans
-        #: memory holds (see ``publish_due``).
+        #: the entry with the trace and MetricsPlans memory holds (see
+        #: ``publish_due``).
         self.persist = None
         #: The kernel's IR; ``None`` until a stored kernel's text is
         #: first read (:attr:`CompiledKernel.module`).

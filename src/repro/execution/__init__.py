@@ -62,8 +62,8 @@ _DIAGNOSTICS_LAYOUT = (
 #   its lines with ``lru_copy_event_stream`` and no longer constructs
 #   one (perf/perfbench/layers.py:201-213, ``soc.cache.offline_*``).
 # * the base64 array branch of ``repro.service.protocol.encode_value`` /
-#   ``decode_value`` — the socket sends arrays as raw bytes after the
-#   JSON header, and the tuning journal stores no arrays, so only
+#   ``decode_value`` — the socket sends arrays as the kernel store's
+#   raw segment, and the tuning journal stores no arrays, so only
 #   ``service.codec_encode_ms`` / ``service.codec_decode_ms`` still time
 #   it (perf/perfbench/layers.py:273-283).
 

@@ -26,33 +26,33 @@ is removed in a ``finally`` on error paths and swept by ``gc()``.
     <manifest byte length>\\n
     <JSON manifest><zlib stream>
 
-The manifest is JSON: a whitelisted tagged encoding of the payload (see
-the codec below), an array table with one ``[dtype.str, shape, offset]``
-row per array, and the inflated size of the segment.  The segment is
-**one** zlib stream over the 8-byte-aligned concatenation of every
-ndarray member's C-contiguous bytes, in reference order (every table
-of a trace is an ndarray).  Decode inflates the stream once, bounded
-by the declared size, into a ``bytearray`` and hands out one
-``np.frombuffer`` view per table row: **an entry's arrays are
-writable, disjoint, and share that one buffer**, so any one of them
-keeps the whole inflated segment alive.
+The manifest and segment are :class:`Codec`'s (see the codec below):
+a JSON manifest holding the payload's whitelisted tagged tree, one
+``[dtype.str, shape, offset]`` row per array, and the segment's size;
+the segment is the 8-byte-aligned concatenation of every ndarray
+member's C-contiguous bytes, stored as **one** zlib stream.  Decode
+inflates it once, bounded by the declared size, into a ``bytearray``
+and hands out one ``np.frombuffer`` view per row: **an entry's arrays
+are writable, disjoint, and share that one buffer**.  The service's
+frames carry the same manifest and segment (uncompressed), so this
+module is the one parser of untrusted array bytes.
 
 The SHA-256 is checked before anything is parsed, and there is **no
 pickle and no object dtype anywhere in the load path**, so a hostile
 manifest or array table can at worst fail to load.  Entries are data:
 a kernel entry holds its IR, never driver code (the driver is
 re-emitted from the IR by an emitter that accepts only identifiers and
-numeric literals).  The SHA-256 is computed by whoever wrote the
-entry, so the kernel cache also checks a loaded trace's index tables
-before the C kernels read them (``repro.compiler.stored_trace``); a
-forged entry that passes can make results wrong, not run code.  Any
-container violation (bad magic, short file, checksum mismatch,
-malformed JSON, an inflated size other than the declared one, bytes
-after the stream, a table row whose dtype has objects, whose offset is
-unaligned or whose extent leaves the segment or overlaps another row, a
-non-whitelisted tag) *quarantines* the file into ``corrupt/`` and
-reports status ``"corrupt"``, which callers count separately from an
-honest miss.
+numeric literals), and no derived state the loader does not check (the
+C decoders' plans are re-derived).  The SHA-256 is computed by whoever
+wrote the entry, so the kernel cache also checks a loaded trace's index
+tables and MetricsPlans before they are used
+(``repro.compiler.stored_trace``); a forged entry that passes can make
+results wrong, not run code.  Any violation (bad magic, short file,
+checksum mismatch, malformed JSON, an inflated size other than the
+declared one, bytes after the stream, a bad table row, an unknown tag,
+class or field) *quarantines* the file into ``corrupt/`` and reports
+status ``"corrupt"``, which callers count separately from an honest
+miss.
 
 **What gets published.**  Entries persist *traced* kernels: the kernel
 cache publishes an entry from the first replay's persist hook, never at
@@ -69,15 +69,17 @@ temporaries.  It runs opportunistically after each publish.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -135,78 +137,77 @@ class UnencodablePayload(ValueError):
 #   ["o", cls, [[f, v]..]]  whitelisted object, rebuilt field-by-field
 #   ["flow", "..."]         OpcodeFlow, via its textual form
 #
-# The array table is ``[[dtype.str, shape, offset], ...]`` in reference
-# order; offsets are into the inflated segment.
+# A manifest is the JSON object ``{"payload": tree, "arrays": table,
+# "size": n}``.  The array table is ``[[dtype.str, shape, offset], ...]``
+# in reference order; offsets are into the ``n``-byte segment that
+# follows the manifest in its container.  Store entries and service
+# frames (repro.service.protocol) both carry this pair, each through a
+# codec over its own class whitelist: this is the one parser of
+# untrusted array bytes.
 #
 # Objects are reconstructed with ``object.__new__`` + ``setattr`` over
 # an explicit per-class field list — no constructors run on untrusted
-# data and nothing outside the registry can ever be instantiated.
+# data and nothing outside the whitelist can ever be instantiated.
 
-#: Every array starts on a multiple of this in the inflated segment.
+#: Every array starts on a multiple of this in the segment.
 _ALIGN = 8
 
+_MANIFEST_KEYS = {"payload", "arrays", "size"}
 
-def _class_registry() -> Dict[str, Tuple[type, Optional[Tuple[str, ...]]]]:
-    """Tag -> (class, field whitelist).  ``None`` fields = instance dict.
+#: Types that encode as themselves, and all JSON scalars decode to.
+_JSON_SCALARS = frozenset((type(None), bool, int, float, str))
 
-    Imported lazily so ``repro.store`` stays importable on its own (the
-    execution/transform modules import numpy-heavy machinery).
+#: DriverTrace attributes never persisted, so never accepted from an
+#: entry: ``metrics_plans`` has its own slot in the kernel payload, and
+#: ``decoded`` (the C decoders' plans) is re-derived from the staged
+#: stream, which ``repro.compiler.stored_trace`` checks.  Private
+#: (underscore-prefixed) attributes are process-local derived state
+#: (e.g. the replay data schedule) and are skipped the same way.
+_TRACE_SKIP = ("decoded", "metrics_plans")
+
+
+def _is_count(value: Any) -> bool:
+    """A plain non-negative ``int`` (``bool`` is not one)."""
+    return type(value) is int and value >= 0
+
+
+class Codec:
+    """The tagged tree and array table over one class whitelist.
+
+    ``classes`` maps a tag to ``(class, field names)``; ``None`` fields
+    make the public instance dict the fields (a DriverTrace).  Each
+    container builds one codec from a table of its own.
     """
-    from .execution.metrics import MetricsPlan
-    from .execution.trace import DecodedPlan, DriverTrace, _TileClass
-    from .transforms.flow_analysis import (
-        FlowPlacement,
-        PlacedGroup,
-        PlacedOpcode,
-    )
-    from .transforms.lower_to_accel import LoweringPlan
 
-    return {
-        "LoweringPlan": (LoweringPlan, (
-            "dim_names", "extents", "tiles", "loop_order", "cpu_tiles",
-            "placement", "operand_host_dims", "init_flow",
-        )),
-        "FlowPlacement": (FlowPlacement, (
-            "root", "loop_order", "levels_by_opcode",
-        )),
-        "PlacedGroup": (PlacedGroup, ("items", "level")),
-        "PlacedOpcode": (PlacedOpcode, ("name", "level", "min_level")),
-        "DriverTrace": (DriverTrace, None),
-        "_TileClass": (_TileClass, (
-            "arg", "sizes", "strides", "itemsize", "accumulate",
-            "starts", "region_offsets", "event_pos", "order",
-        )),
-        "DecodedPlan": (DecodedPlan, None),
-        "MetricsPlan": (MetricsPlan, (
-            "final_state", "l1_ways", "l2_ways",
-            "l1_hits_d", "l1_misses_d", "l2_hits_d", "l2_misses_d",
-            "l1_miss_total", "l2_miss_total", "stats",
-            "input_word_dest", "input_word_values", "input_tile_writes",
-            "output_writes",
-        )),
-    }
+    def __init__(self, classes: Dict[str, Tuple[type, Any]]) -> None:
+        self.classes = classes
+        self._tags = {cls: tag for tag, (cls, _) in classes.items()}
 
+    def encode(self, value: Any) -> Tuple[bytes, List[Any]]:
+        """``value`` -> (manifest JSON bytes, the segment as buffers).
 
-#: DriverTrace attributes never persisted: ``metrics_plans`` has its
-#: own slot in the kernel payload; ``decoded`` is filtered to
-#: drop cached TraceUnsupported sentinels (cheap to rediscover).
-#: Private (underscore-prefixed) instance attributes of a DriverTrace or
-#: DecodedPlan are process-local derived state (e.g. the replay data
-#: schedule): the encoder takes the same ``_public_state`` pickling
-#: does, and the decoder has always dropped them.
-_TRACE_SKIP = ("metrics_plans",)
+        The buffers are byte views of the arrays and their padding, so
+        the container's one ``b"".join`` is the only copy.  Raises
+        :class:`UnencodablePayload` when ``value`` reaches outside the
+        whitelist (e.g. an object-dtype array).
+        """
+        arrays: List[np.ndarray] = []
+        tree = self._encode(value, arrays)
+        table: List[Any] = []
+        chunks: List[Any] = []
+        offset = 0
+        for array in arrays:
+            table.append([array.dtype.str, list(array.shape), offset])
+            padding = -array.nbytes % _ALIGN
+            chunks += (np.ascontiguousarray(array).reshape(-1)
+                       .view(np.uint8), bytes(padding))
+            offset += array.nbytes + padding
+        manifest = json.dumps({"payload": tree, "arrays": table,
+                               "size": offset}, separators=(",", ":"))
+        return manifest.encode(), chunks
 
-
-class _Encoder:
-    def __init__(self) -> None:
-        #: Array-table rows in reference order.
-        self.arrays: List[np.ndarray] = []
-        self._registry = _class_registry()
-        self._tag_of = {cls: tag for tag, (cls, _) in
-                        self._registry.items()}
-
-    def encode(self, value: Any) -> Any:
-        if value is None or value is True or value is False:
+    def _encode(self, value: Any, arrays: List[np.ndarray]) -> Any:
+        if type(value) in _JSON_SCALARS:
             return value
         if isinstance(value, (int, float, str)) \
                 and not isinstance(value, (np.integer, np.floating)):
@@ -220,23 +221,29 @@ class _Encoder:
             if dtype.hasobject or not dtype.itemsize \
                     or np.dtype(dtype.str) != dtype:
                 raise UnencodablePayload(f"{dtype} ndarray")
-            self.arrays.append(value)
-            return ["nd", len(self.arrays) - 1]
+            arrays.append(value)
+            return ["nd", len(arrays) - 1]
         if isinstance(value, (list, tuple)):
             return ["l" if isinstance(value, list) else "t",
-                    [self.encode(v) for v in value]]
+                    [self._encode(v, arrays) for v in value]]
         if isinstance(value, (set, frozenset)):
-            return ["s", [self.encode(v)
+            return ["s", [self._encode(v, arrays)
                           for v in sorted(value, key=repr)]]
-        if isinstance(value, OrderedDict):
-            return ["od", [[self.encode(k), self.encode(v)]
-                           for k, v in value.items()]]
         if isinstance(value, dict):
-            return ["d", [[self.encode(k), self.encode(v)]
-                          for k, v in value.items()]]
-        tag = self._tag_of.get(type(value))
+            return ["od" if isinstance(value, OrderedDict) else "d",
+                    [[self._encode(k, arrays), self._encode(v, arrays)]
+                     for k, v in value.items()]]
+        tag = self._tags.get(type(value))
         if tag is not None:
-            return ["o", tag, self._encode_fields(tag, value)]
+            fields = self.classes[tag][1]
+            if fields is None:
+                pairs = [(name, field) for name, field in vars(value).items()
+                         if not name.startswith("_")
+                         and name not in _TRACE_SKIP]
+            else:
+                pairs = [(name, getattr(value, name)) for name in fields]
+            return ["o", tag, [[name, self._encode(field, arrays)]
+                               for name, field in pairs]]
         from .opcodes import OpcodeFlow
         if isinstance(value, OpcodeFlow):
             return ["flow", str(value)]
@@ -244,83 +251,122 @@ class _Encoder:
             f"cannot persist value of type {type(value).__name__}"
         )
 
-    def segment(self) -> Tuple[List[List[Any]], bytes]:
-        """(array table, the aligned concatenation the table indexes)."""
-        table: List[Any] = []
-        chunks: List[bytes] = []
-        offset = 0
-        for array in self.arrays:
-            table.append([array.dtype.str, list(array.shape), offset])
-            padding = -array.nbytes % _ALIGN
-            chunks += (array.tobytes(), bytes(padding))
-            offset += array.nbytes + padding
-        return table, b"".join(chunks)
+    def decode(self, manifest: bytes,
+               read_segment: Callable[[int], bytearray]) -> Any:
+        """Inverse of :meth:`encode`; raises :class:`StoreFormatError`.
 
-    def _encode_fields(self, tag: str, value: Any) -> List[List[Any]]:
-        from .execution.trace import TraceUnsupported, _public_state
+        ``read_segment(size)`` returns the container's segment as one
+        ``bytearray`` of the manifest's declared ``size``.  Every table
+        row is checked before numpy sees it, so a hostile manifest can
+        only ever raise StoreFormatError; the decoded arrays are
+        writable, disjoint views of that one buffer.
+        """
+        try:
+            try:
+                document = json.loads(manifest)
+            except ValueError as exc:
+                raise StoreFormatError(f"bad manifest JSON: {exc}") \
+                    from None
+            if not isinstance(document, dict) \
+                    or document.keys() != _MANIFEST_KEYS \
+                    or not _is_count(document["size"]):
+                raise StoreFormatError("malformed manifest")
+            arrays = _view_arrays(document["arrays"],
+                                  read_segment(document["size"]))
+            return self._decode(document["payload"], arrays)
+        except StoreFormatError:
+            raise
+        except RecursionError:
+            raise StoreFormatError("manifest nests too deeply") from None
+        except Exception as exc:
+            # Anything else a hostile manifest provokes (bad flow text,
+            # setattr on slots, ...) is still just a malformed one.
+            raise StoreFormatError(f"undecodable payload: {exc}") from None
 
-        _, fields = self._registry[tag]
-        items: List[List[Any]] = []
+    def _decode(self, value: Any, arrays: List[np.ndarray]) -> Any:
+        if type(value) in _JSON_SCALARS:
+            return value
+        if not isinstance(value, list) or not value \
+                or not isinstance(value[0], str):
+            raise StoreFormatError(f"malformed codec node: {value!r:.80}")
+        tag = value[0]
+        if tag == "l":
+            return [self._decode(v, arrays) for v in value[1]]
+        if tag == "t":
+            return tuple(self._decode(v, arrays) for v in value[1])
+        if tag == "s":
+            return {self._decode(v, arrays) for v in value[1]}
+        if tag == "d":
+            return {self._decode(k, arrays): self._decode(v, arrays)
+                    for k, v in value[1]}
+        if tag == "od":
+            return OrderedDict((self._decode(k, arrays),
+                                self._decode(v, arrays)) for k, v in value[1])
+        if tag == "nd":
+            index = value[1]
+            if not _is_count(index) or index >= len(arrays):
+                raise StoreFormatError(
+                    f"manifest references missing array {index!r}")
+            return arrays[index]
+        if tag == "flow":
+            from .opcodes import parse_opcode_flow
+            return parse_opcode_flow(value[1])
+        if tag == "o":
+            return self._decode_object(value[1], value[2], arrays)
+        raise StoreFormatError(f"unknown codec tag {tag!r:.80}")
+
+    def _decode_object(self, tag: Any, items: Any,
+                       arrays: List[np.ndarray]) -> Any:
+        if tag not in self.classes:
+            raise StoreFormatError(f"non-whitelisted class tag {tag!r:.80}")
+        cls, fields = self.classes[tag]
+        if not isinstance(items, list) or not all(
+                isinstance(item, list) and len(item) == 2 for item in items):
+            raise StoreFormatError(f"malformed {tag} fields")
+        names = [name for name, _ in items]
+        for name in names:
+            if not isinstance(name, str) or (
+                    name.startswith("_") or name in _TRACE_SKIP
+                    if fields is None else name not in fields):
+                raise StoreFormatError(
+                    f"field {name!r:.80} not allowed on {tag}")
+        if len(set(names)) != len(names) \
+                or (fields is not None and len(names) != len(fields)):
+            raise StoreFormatError(f"incomplete {tag} fields")
+        obj = object.__new__(cls)
+        for name, encoded in items:
+            setattr(obj, name, self._decode(encoded, arrays))
         if fields is None:
-            pairs = list(_public_state(value).items())
-        else:
-            pairs = [(name, getattr(value, name)) for name in fields]
-        for name, field in pairs:
-            if tag == "DriverTrace":
-                if name in _TRACE_SKIP:
-                    continue
-                if name == "decoded":
-                    field = {k: v for k, v in field.items()
-                             if not isinstance(v, TraceUnsupported)}
-            items.append([name, self.encode(field)])
-        return items
+            obj.decoded = {}
+            obj.metrics_plans = OrderedDict()
+        return obj
 
 
-def _is_count(value: Any) -> bool:
-    """A plain non-negative ``int`` (``bool`` is not one)."""
-    return type(value) is int and value >= 0
-
-
-def _open_segment(table: Any, size: Any, stream: bytes) -> List[np.ndarray]:
-    """Inflate ``stream`` once and view it through the array table.
-
-    Every row is validated before numpy sees it, so a hostile table can
-    only ever raise :class:`StoreFormatError`.
-    """
-    if not _is_count(size) or not isinstance(table, list):
+def _view_arrays(table: Any, buffer: bytearray) -> List[np.ndarray]:
+    """One ``np.frombuffer`` view of ``buffer`` per array-table row."""
+    if not isinstance(table, list):
         raise StoreFormatError("malformed array table")
-    inflater = zlib.decompressobj()
-    try:
-        data = inflater.decompress(stream, size + 1)
-    except zlib.error as exc:
-        raise StoreFormatError(f"bad array segment: {exc}") from None
-    if len(data) != size or not inflater.eof:
-        raise StoreFormatError("array segment is not the declared size")
-    if inflater.unused_data:
-        raise StoreFormatError("trailing bytes after the array segment")
-    buffer = bytearray(data)
     arrays: List[np.ndarray] = []
     extents: List[Tuple[int, int]] = []
     for row in table:
-        if not isinstance(row, list) or len(row) != 3 \
-                or not isinstance(row[0], str) \
-                or not isinstance(row[1], list) \
-                or not all(map(_is_count, row[1])) \
-                or not _is_count(row[2]) or row[2] % _ALIGN:
-            raise StoreFormatError(f"malformed array table row: {row!r}")
+        if not isinstance(row, list) or len(row) != 3:
+            raise StoreFormatError(f"malformed array table row: {row!r:.80}")
         text, shape, offset = row
         try:
-            dtype = np.dtype(text)
+            dtype = np.dtype(text) if isinstance(text, str) else None
         except (TypeError, ValueError):
-            raise StoreFormatError(f"bad dtype {text!r}") from None
-        if dtype.hasobject or not dtype.itemsize or dtype.str != text:
-            raise StoreFormatError(f"dtype {text!r} not allowed")
-        count = 1
-        for extent in shape:
-            count *= extent
+            dtype = None
+        if dtype is None or dtype.hasobject or not dtype.itemsize \
+                or dtype.str != text:
+            raise StoreFormatError(f"bad array dtype {text!r:.80}")
+        if not isinstance(shape, list) or not all(map(_is_count, shape)):
+            raise StoreFormatError(f"bad array shape {shape!r:.80}")
+        if not _is_count(offset) or offset % _ALIGN:
+            raise StoreFormatError(f"bad array offset {offset!r:.80}")
+        count = math.prod(shape)
         end = offset + count * dtype.itemsize
-        if end > size:
-            raise StoreFormatError("array extends past the segment")
+        if end > len(buffer):
+            raise StoreFormatError("array runs past the segment")
         extents.append((offset, end))
         arrays.append(np.frombuffer(buffer, dtype, count, offset)
                       .reshape(shape))
@@ -331,112 +377,70 @@ def _open_segment(table: Any, size: Any, stream: bytes) -> List[np.ndarray]:
     return arrays
 
 
-class _Decoder:
-    def __init__(self, arrays: List[np.ndarray]) -> None:
-        self.arrays = arrays
-        self._registry = _class_registry()
+@functools.lru_cache(maxsize=None)
+def _store_codec() -> Codec:
+    """The kernel store's codec, its whitelist built once per process.
 
-    def _array(self, index: Any) -> np.ndarray:
-        if not _is_count(index) or index >= len(self.arrays):
-            raise StoreFormatError(
-                f"manifest references missing array {index!r}")
-        return self.arrays[index]
+    Imported lazily so ``repro.store`` stays importable on its own (the
+    execution/transform modules import numpy-heavy machinery).
+    """
+    from .execution.metrics import MetricsPlan
+    from .execution.trace import DriverTrace, _TileClass
+    from .transforms.flow_analysis import (
+        FlowPlacement,
+        PlacedGroup,
+        PlacedOpcode,
+    )
+    from .transforms.lower_to_accel import LoweringPlan
 
-    def decode(self, value: Any) -> Any:
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return value
-        if not isinstance(value, list) or not value \
-                or not isinstance(value[0], str):
-            raise StoreFormatError(f"malformed codec node: {value!r}")
-        tag = value[0]
-        if tag == "l":
-            return [self.decode(v) for v in value[1]]
-        if tag == "t":
-            return tuple(self.decode(v) for v in value[1])
-        if tag == "s":
-            return {self.decode(v) for v in value[1]}
-        if tag == "d":
-            return {self.decode(k): self.decode(v) for k, v in value[1]}
-        if tag == "od":
-            return OrderedDict(
-                (self.decode(k), self.decode(v)) for k, v in value[1]
-            )
-        if tag == "nd":
-            return self._array(value[1])
-        if tag == "flow":
-            from .opcodes import parse_opcode_flow
-            return parse_opcode_flow(value[1])
-        if tag == "o":
-            return self._decode_object(value[1], value[2])
-        raise StoreFormatError(f"unknown codec tag {tag!r}")
-
-    def _decode_object(self, tag: str, items: Any) -> Any:
-        entry = self._registry.get(tag)
-        if entry is None:
-            raise StoreFormatError(f"non-whitelisted class tag {tag!r}")
-        cls, fields = entry
-        obj = object.__new__(cls)
-        allowed = set(fields) if fields is not None else None
-        seen = set()
-        for name, encoded in items:
-            if not isinstance(name, str) \
-                    or (allowed is not None and name not in allowed):
-                if tag in ("DriverTrace", "DecodedPlan"):
-                    # Instance-dict classes tolerate extra fields from
-                    # newer writers; drop anything unexpected.
-                    if not isinstance(name, str) \
-                            or name.startswith("_") \
-                            or name in _TRACE_SKIP:
-                        continue
-                else:
-                    raise StoreFormatError(
-                        f"field {name!r} not allowed on {tag}"
-                    )
-            setattr(obj, name, self.decode(encoded))
-            seen.add(name)
-        if allowed is not None and seen != allowed:
-            raise StoreFormatError(f"incomplete {tag} entry")
-        if tag == "DriverTrace":
-            obj.metrics_plans = OrderedDict()
-        return obj
+    return Codec({
+        "LoweringPlan": (LoweringPlan, (
+            "dim_names", "extents", "tiles", "loop_order", "cpu_tiles",
+            "placement", "operand_host_dims", "init_flow",
+        )),
+        "FlowPlacement": (FlowPlacement, (
+            "root", "loop_order", "levels_by_opcode",
+        )),
+        "PlacedGroup": (PlacedGroup, ("items", "level")),
+        "PlacedOpcode": (PlacedOpcode, ("name", "level", "min_level")),
+        "DriverTrace": (DriverTrace, None),
+        "_TileClass": (_TileClass, _TileClass.__slots__),
+        "MetricsPlan": (MetricsPlan, MetricsPlan.__slots__),
+    })
 
 
 def encode_payload(payload: Any) -> Tuple[bytes, bytes]:
-    """Payload -> (manifest JSON bytes, zlib stream of the arrays).
+    """Payload -> (manifest JSON bytes, zlib stream of the segment).
 
     Raises :class:`UnencodablePayload` when the payload reaches outside
     the codec whitelist (e.g. an object-dtype array); callers keep such
     entries memory-only.
     """
-    encoder = _Encoder()
-    tree = encoder.encode(payload)
-    table, data = encoder.segment()
-    manifest = json.dumps({"format": 2, "payload": tree, "arrays": table,
-                           "size": len(data)},
-                          separators=(",", ":")).encode()
+    manifest, segment = _store_codec().encode(payload)
     # Level 1: the arrays are mostly small-valued integers, where the
     # higher levels buy a few percent for several times the CPU.
-    return manifest, zlib.compress(data, 1)
+    return manifest, zlib.compress(b"".join(segment), 1)
 
 
 def decode_payload(manifest: bytes, stream: bytes) -> Any:
-    """Inverse of :func:`encode_payload`; raises StoreFormatError."""
-    try:
-        document = json.loads(manifest)
-    except ValueError as exc:
-        raise StoreFormatError(f"bad manifest JSON: {exc}") from None
-    if not isinstance(document, dict) or document.get("format") != 2:
-        raise StoreFormatError("unknown manifest format")
-    try:
-        arrays = _open_segment(document.get("arrays"),
-                               document.get("size"), stream)
-        return _Decoder(arrays).decode(document["payload"])
-    except StoreFormatError:
-        raise
-    except Exception as exc:
-        # Anything else a hostile manifest provokes (bad flow text,
-        # setattr on slots, ...) is still just a corrupt entry.
-        raise StoreFormatError(f"undecodable payload: {exc}") from None
+    """Inverse of :func:`encode_payload`; raises StoreFormatError.
+
+    The stream is inflated once, bounded by the declared size.
+    """
+
+    def inflate(size: int) -> bytearray:
+        inflater = zlib.decompressobj()
+        try:
+            data = inflater.decompress(stream, size + 1)
+        except zlib.error as exc:
+            raise StoreFormatError(f"bad array segment: {exc}") from None
+        if len(data) != size or not inflater.eof:
+            raise StoreFormatError("array segment is not the declared size")
+        if inflater.unused_data:
+            raise StoreFormatError("trailing bytes after the array segment")
+        return bytearray(data)
+
+    return _store_codec().decode(manifest, inflate)
 
 
 # ---------------------------------------------------------------------------

@@ -306,10 +306,11 @@ class TestDiskKernelStore:
         trace = loaded.trace_state.trace
         assert trace is not None
         assert trace.num_events == kernel.trace_state.trace.num_events
-        # The decoded replay plan rides along with the trace.
-        assert trace.decoded
+        # The C decoders' plans are not stored: replay re-derives them.
+        assert trace.decoded == {}
         warmed = self._run(loaded)
         assert warmed == fresh
+        assert trace.decoded
         assert TRACE_COUNTERS["synthesized"] == before["synthesized"]
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
 
@@ -765,23 +766,65 @@ class TestHostileEntries:
     entry may carry any IR and any trace; what is loaded is checked
     before it becomes code or a C index."""
 
-    @staticmethod
-    def forge(tmp_path, edit):
+    @classmethod
+    def forge(cls, tmp_path, edit):
         """A published kernel's entry rewritten by ``edit(payload)``
         with a valid checksum; returns (store, entry path, what the
         honest kernel computed, hardware, operands)."""
-        from repro.store import KernelStore
+        from repro.store import KernelStore, pack_entry
 
         store = tmp_path / "store"
         _, hw, operands, expected = TestDeferredParse._published(str(store))
         (path,) = TestDiskKernelStore.entry_files(store)
-        name = path.name[:-len(".entry")]
         kernel_store = KernelStore(store)
-        status, payload = kernel_store.load(name)
+        status, payload = kernel_store.load(path.name[:-len(".entry")])
         assert status == "hit"
         edit(payload)
-        assert kernel_store.store(name, payload)
+        path.write_bytes(pack_entry(*cls.seal(payload)))
         return store, path, expected, hw, operands
+
+    @staticmethod
+    def seal(payload):
+        """``encode_payload(payload)``, plus the trace's decoded plans
+        written the way a codec that persisted them wrote them: a
+        ``decoded`` field on the trace, one object node per plan."""
+        import json
+        import zlib
+
+        from repro.store import encode_payload
+
+        trace = payload["trace"]
+        decoded, trace.decoded = trace.decoded, {}
+        manifest, stream = encode_payload(payload)
+        trace.decoded = decoded
+        if not decoded:
+            return manifest, stream
+        document = json.loads(manifest)
+        segment = bytearray(zlib.decompress(stream))
+
+        def node(value):
+            if isinstance(value, np.ndarray):
+                document["arrays"].append(
+                    [value.dtype.str, list(value.shape), len(segment)])
+                segment.extend(value.tobytes()
+                               + bytes(-value.nbytes % 8))
+                return ["nd", len(document["arrays"]) - 1]
+            if isinstance(value, tuple):
+                return ["t", [node(item) for item in value]]
+            if hasattr(value, "compute_a"):
+                return ["o", type(value).__name__,
+                        [[name, node(field)]
+                         for name, field in vars(value).items()]]
+            return value
+
+        (trace_node,) = [value for key, value in document["payload"][1]
+                         if key == "trace"]
+        trace_node[2] = [item for item in trace_node[2]
+                         if item[0] != "decoded"]
+        trace_node[2].append(["decoded", ["d", [
+            [node(key), node(plan)] for key, plan in decoded.items()]]])
+        document["size"] = len(segment)
+        return json.dumps(document).encode(), zlib.compress(bytes(segment))
 
     @pytest.mark.parametrize("rewrite", [_hostile_sym_name,
                                          _hostile_iv_name])
@@ -850,40 +893,59 @@ class TestHostileEntries:
     def _forged_flush_count(payload):
         trace = payload["trace"]
         trace.flush_item_counts[-1] = trace.num_staged_items + (1 << 20)
-        trace.decoded = {}  # so the decoder would read the counts
 
     @staticmethod
     def _float_flush_counts(payload):
         trace = payload["trace"]
         trace.flush_item_counts = trace.flush_item_counts.astype(np.float64)
-        trace.decoded = {}
 
     @staticmethod
     def _three_column_refs(payload):
         trace = payload["trace"]
         trace.recv_refs = np.c_[trace.recv_refs, trace.recv_refs[:, :1]]
-        trace.decoded = {}
 
     @staticmethod
     def _foreign_class_ref(payload):
         trace = payload["trace"]
         trace.recv_refs[-1, 0] = len(trace.recv_classes)
-        trace.decoded = {}
+
+    @staticmethod
+    def _forged_decoded_plan(payload):
+        """A stored decoded plan whose first compute reads a send class
+        the trace does not have."""
+        from repro.execution.trace import decode_for_accelerator
+
+        trace = payload["trace"]
+        hw, _ = make_matmul_system(3, 8, flow="Ns")
+        plan = decode_for_accelerator(trace, hw)
+        plan.compute_a[0] = plan.pack(len(trace.send_classes), 0)
+
+    @staticmethod
+    def _forged_region_index(payload):
+        """A stored MetricsPlan writing past the output staging region."""
+        (plan,) = payload["metrics_plans"].values()
+        _, dest, _ = plan.output_writes[0]
+        dest[0] = 1 << 40
 
     @pytest.mark.parametrize("edit", [
         "_forged_flush_count", "_float_flush_counts", "_three_column_refs",
-        "_foreign_class_ref"])
+        "_foreign_class_ref", "_forged_decoded_plan", "_forged_region_index"])
     def test_a_forged_flush_count_is_quarantined_and_resynthesized(
             self, tmp_path, edit):
-        """An out-of-stream or mistyped flush count, or a receive ref the
-        C decoders would index memory by wrongly, never gets that far."""
-        store, path, expected, hw, operands = self.forge(
+        """An out-of-stream or mistyped flush count, a receive ref the
+        C decoders would index memory by wrongly, a stored decoded plan
+        (the store writes none) or a MetricsPlan writing outside the
+        trace's staging regions never gets that far."""
+        store, path, expected, _, operands = self.forge(
             tmp_path, getattr(self, edit))
         reader = KernelCache(disk_dir=str(store))
         kernel = make_compiler(reader).compile_matmul(32, 32, 32)
+        # A fresh accelerator: the run starts where the publishing run
+        # did, so a loaded MetricsPlan would serve it.
+        hw, _ = make_matmul_system(3, 8, flow="Ns")
+        assert _observe(hw, kernel, operands) == expected
         assert (reader.disk_hits, reader.disk_corrupt) == (0, 1)
         assert (store / "corrupt" / path.name).exists()
-        assert _observe(hw, kernel, operands) == expected
         # Re-synthesized and republished: the next process loads it.
         third = KernelCache(disk_dir=str(store))
         make_compiler(third).compile_matmul(32, 32, 32)

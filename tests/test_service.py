@@ -7,6 +7,7 @@ the PerfCounters and output bytes of a direct in-process call to
 ``repro.service.worker.run_request``.
 """
 
+import json
 import multiprocessing
 import os
 import socket
@@ -70,9 +71,23 @@ def result_tuple(counters, output):
     return counters.as_dict(), output.tobytes()
 
 
-def frame_body(header: bytes, tail: bytes = b"") -> bytes:
-    """A frame body laid out by hand: header length, header, tail."""
-    return struct.pack(">I", len(header)) + header + tail
+def frame_body(manifest, tail: bytes = b"") -> bytes:
+    """A frame body laid out by hand: manifest length, manifest (a dict
+    is JSON-encoded), tail."""
+    if isinstance(manifest, dict):
+        manifest = json.dumps(manifest).encode()
+    return struct.pack(">I", len(manifest)) + manifest + tail
+
+
+def message_manifest(field, node, arrays=(), size=0) -> dict:
+    """The manifest of ``{field: <node>}`` over an array table."""
+    return {"payload": ["d", [[field, node]]], "arrays": list(arrays),
+            "size": size}
+
+
+def array_manifest(dtype, shape, size) -> dict:
+    """The manifest of ``{"a": <one array>}`` at segment offset 0."""
+    return message_manifest("a", ["nd", 0], [[dtype, shape, 0]], size)
 
 
 def socket_inodes(pid) -> set:
@@ -110,7 +125,8 @@ class TestProtocol:
         assert vars(decoded) == vars(counters)
 
     def test_unknown_perf_field_rejected(self):
-        body = frame_body(b'{"c": {"__perf__": {"not_a_field": 1}}}')
+        body = frame_body(message_manifest(
+            "c", ["o", "PerfCounters", [["not_a_field", 1]]]))
         with pytest.raises(errors.ProtocolError, match="not_a_field"):
             protocol.decode_body(body)
 
@@ -148,29 +164,25 @@ class TestProtocol:
 
     @pytest.mark.parametrize("body, match", [
         (struct.pack(">I", 64) + b"{}", "runs past"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "|O", "shape": [1]}}}',
-                    bytes(8)), "dtype"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "|V0", "shape": [1]}}}'),
-         "dtype"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [-1]}}}'),
-         "shape"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [1.0]}}}',
-                    bytes(4)), "shape"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": 1}}}',
-                    bytes(4)), "shape"),
+        (frame_body(array_manifest("|O", [1], 8), bytes(8)), "dtype"),
+        (frame_body(array_manifest("|V0", [1], 0)), "dtype"),
+        (frame_body(array_manifest("<i4", [-1], 0)), "shape"),
+        (frame_body(array_manifest("<i4", [1.0], 8), bytes(8)), "shape"),
+        (frame_body(array_manifest("<i4", 1, 8), bytes(8)), "shape"),
         # A shape no process could allocate: refused from its layout.
-        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4",'
-                    b' "shape": [1099511627776]}}}', bytes(16)),
-         "past the frame"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [2]}}}',
-                    bytes(9)), "left over"),
-        (frame_body(b'{"a": 1}', b"x"), "left over"),
-        (frame_body(b'{"a": {"__nd__": {"dtype": "<i4", "shape": [1],'
-                    b' "data": "AAAAAA=="}}}'), "base64"),
+        (frame_body(array_manifest("<i4", [1099511627776], 16),
+                    bytes(16)), "past the segment"),
+        (frame_body(array_manifest("<i4", [2], 8), bytes(9)), "left over"),
+        (frame_body(message_manifest("a", 1), b"x"), "left over"),
+        (frame_body(message_manifest("a", {"__nd__": {
+            "dtype": "<i4", "shape": [1], "data": "AAAAAA=="}})),
+         "codec node"),
         # Both used to escape as non-protocol errors and kill the
         # connection's reader thread with a traceback.
-        (frame_body(b'{"a": ' + b"[" * 900 + b"]" * 900 + b"}"), "deep"),
-        (frame_body(b'{"c": {"__perf__": [1]}}'), "PerfCounters"),
+        (frame_body(b'{"payload": ' + b'["l", [' * 900 + b"]]" * 900
+                    + b', "arrays": [], "size": 0}'), "deep"),
+        (frame_body(message_manifest("c", ["o", "PerfCounters", [1]])),
+         "PerfCounters"),
     ], ids=["header-past-body", "object-dtype", "zero-itemsize",
             "negative-dim", "float-dim", "shape-not-list", "huge-array",
             "trailing-bytes", "trailing-bytes-no-array", "base64-envelope",

@@ -180,9 +180,6 @@ class AcceleratorInfo:
     def operand_dims(self, index: int) -> Tuple[str, ...]:
         return self.data[index][1]
 
-    def dim_position(self, dim: str) -> int:
-        return self.dims.index(dim)
-
     def tile_sizes(self) -> Dict[str, int]:
         """Per-dim accelerator tile size (0 entries mean untiled)."""
         return dict(zip(self.dims, self.accel_size))

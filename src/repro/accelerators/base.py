@@ -116,7 +116,3 @@ class StreamAccelerator:
 
     def write_words(self, words: np.ndarray) -> None:
         self.out_fifo.push(words)
-
-    def reset_statistics(self) -> None:
-        self.total_cycles = 0.0
-        self.instructions_executed = 0

@@ -196,8 +196,3 @@ class MatMulAccelerator(StreamAccelerator):
         self._b = np.zeros((self.tile_k, self.tile_n), self.dtype)
         self._c = np.zeros((self.tile_m, self.tile_n), self.dtype)
         return 0.0
-
-    # -- introspection (tests) -----------------------------------------------
-    @property
-    def c_buffer(self) -> np.ndarray:
-        return self._c.copy()

@@ -39,13 +39,14 @@ from .execution.recorder import record_trace
 from .execution.replay import replay_kernel
 from .execution.synthesize import (
     TraceMismatch,
+    assemble_trace,
     diff_traces,
     synthesize_trace,
+    trace_columns,
 )
 from .execution.trace import (
     STAGE_TIMINGS,
     TRACE_COUNTERS,
-    DriverTrace,
     TraceUnsupported,
     add_stage_time,
     trace_enabled,
@@ -74,7 +75,9 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: container of :mod:`repro.store`; the driver is re-emitted from the IR.
 #: Version 6: every schedule table of a trace is an ndarray.
 #: Version 7: the C decoders' plans are re-derived, not persisted.
-KERNEL_STORE_VERSION = 7
+#: Version 8: a trace is stored as its schedule columns and assembled on
+#: load.
+KERNEL_STORE_VERSION = 8
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -155,8 +158,9 @@ def store_entry_name(kind: str, key) -> str:
 # -- the trace slots of a store entry ---------------------------------------
 #
 # Kernel entries and the manual baselines' entries carry a trace the
-# same way: the trace and, in a slot of their own, its MetricsPlans
-# (the trace's serialized form excludes them).  In memory traces of
+# same way: its schedule columns (``synthesize.trace_columns``), which a
+# load assembles into the trace and then checks, and, in a slot of
+# their own, its MetricsPlans.  In memory traces of
 # equal content share one plan dict (``execution.metrics.shared_plans``)
 # but each has an entry of its own, so the plan keys the disk entry
 # holds ride on the loaded/published trace *object* as the
@@ -175,7 +179,8 @@ def load_entry(store: KernelStore, name: str) -> Tuple[str, Optional[dict]]:
     KERNEL_STORE_VERSION is quarantined and reported as ``"stale"``; one
     whose trace fails :func:`stored_trace`'s checks is quarantined and
     reported as ``"corrupt"``, so the caller builds the trace afresh.
-    A hit's ``"trace"`` is the checked trace, its plans attached.
+    A hit's ``"trace"`` is the assembled and checked trace, its plans
+    attached.
     """
     status, payload = store.load(name)
     if status != "hit":
@@ -206,7 +211,7 @@ def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
     store.store(name, {
         **head,
         "store_version": KERNEL_STORE_VERSION,
-        "trace": trace,
+        "trace": trace_columns(trace),
         "metrics_plans": plans,
     })
     trace._stored_plans = frozenset(plans)
@@ -214,24 +219,36 @@ def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
 
 
 def stored_trace(payload: dict):
-    """The trace ``payload`` carries, its stored plans attached.
+    """The trace ``payload`` carries, assembled from its schedule
+    columns (:func:`~repro.execution.synthesize.trace_columns`), its
+    stored plans attached.
 
-    ``None`` when the entry has no trace; plans are only ever attached
-    to the trace they were built against.  Raises ``ValueError`` when
-    the trace's index tables break an invariant that synthesis and
-    recording always keep — the ones the C stream decoders and cache
+    Plans are only ever attached to the trace they were built against.
+    Raises unless the columns are :func:`assemble_trace`'s arguments —
+    1-D int64 columns (int8 event kinds), of one length per row group,
+    tile classes of arguments the trace has — and unless the assembled
+    trace keeps the invariants that the C stream decoders and cache
     classifier (:mod:`repro.soc._native`) index memory by: equal-length
     staged arrays of the dtypes the decoders read, one int64 flush item
     count per flush, nondecreasing within the stream, one int64
     ``(class, tile)`` pair per receive, tile ordinals within their
     classes, and event positions within the event stream; or when a
     stored MetricsPlan indexes outside the trace
-    (:func:`_check_stored_plan`).  The C decoders' plans are not stored:
-    replay re-derives them from the checked stream.
+    (:func:`_check_stored_plan`).  The C decoders' plans are not
+    stored: replay re-derives them from the checked stream.
     """
-    trace = payload.get("trace")
-    if not isinstance(trace, DriverTrace):
-        return None
+    columns = payload["trace"]
+    arg_specs, kinds, words, sends, recvs, flushes, _, _ = columns
+    for group in sends + recvs:
+        if not 0 <= group[0][0] < len(arg_specs):
+            raise ValueError("tile class of no argument")
+    for rows in [words, flushes] + [group[1:] for group in sends + recvs]:
+        if any(column.ndim != 1 or column.dtype != np.int64
+               or column.shape != rows[0].shape for column in rows):
+            raise ValueError("schedule columns mis-shaped")
+    if kinds.ndim != 1 or kinds.dtype != np.int8:
+        raise ValueError("event kinds mis-shaped")
+    trace = assemble_trace(*columns)
     items = trace.num_staged_items
     staged = (trace.staged_is_word, trace.staged_values,
               trace.staged_indices, trace.staged_widths)
@@ -320,12 +337,6 @@ def publish_due(trace) -> bool:
     stored = getattr(trace, "_stored_plans", None)
     served = tuple(trace.metrics_plans)[-1:]
     return stored is None or not stored.issuperset(served)
-
-
-def _np_dtype(element_type) -> np.dtype:
-    text = str(element_type)
-    return np.dtype({"f32": np.float32, "f64": np.float64,
-                     "i32": np.int32, "i64": np.int64}.get(text, np.int32))
 
 
 def build_matmul_module(m: int, n: int, k: int, element_type) -> Module:

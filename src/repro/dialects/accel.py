@@ -20,7 +20,7 @@ of Sec. III-A one-for-one.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..ir.builder import Builder
 from ..ir.core import Operation, Value
@@ -124,17 +124,6 @@ def recv(b: Builder, ref: Value, offset: Value,
 def recv_mode(op: Operation) -> str:
     mode = op.get_attr("mode")
     return mode.value if mode is not None else RECV_STORE
-
-
-def is_accel_op(op: Operation) -> bool:
-    return op.name in ACCEL_OPS
-
-
-def staged_memref_operand(op: Operation) -> Optional[Value]:
-    """The memref being moved by a send/recv op, if any."""
-    if op.name in ("accel.send", "accel.send_dim", "accel.recv"):
-        return op.operands[0]
-    return None
 
 
 # ---------------------------------------------------------------------------

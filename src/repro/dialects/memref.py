@@ -74,10 +74,6 @@ def subview(
     return op.result
 
 
-def subview_sizes(op: Operation) -> Sequence[int]:
-    return unwrap(op.get_attr("static_sizes"))
-
-
 def load(b: Builder, ref: Value, indices: Sequence[Value]) -> Value:
     ref_type = ref.type
     if not isinstance(ref_type, MemRefType):

@@ -47,10 +47,6 @@ def body_block(op: Operation) -> Block:
     return op.regions[0].entry_block
 
 
-def induction_variable(op: Operation) -> Value:
-    return body_block(op).arguments[0]
-
-
 def bounds(op: Operation):
     """Return the (lower, upper, step) operands of an ``scf.for``."""
     lower, upper, step = op.operands[:3]

@@ -36,7 +36,7 @@ Selectors (see the README tables):
   :class:`MetricsPlanMismatch` on any divergence.
 
 Plans are *shared by content*: a plan is a pure function of the trace
-content (``component_digest``) and the fingerprint, never of which
+content (its schedule columns, digested) and the fingerprint, never of which
 trace object carries that content, so traces with equal content — a
 sweep's ``cpu_tiling``/version/permutation twins, a re-lowered kernel,
 a synthesized trace next to its store-loaded twin — resolve to one plan
@@ -68,6 +68,7 @@ from ..envutil import check_requested
 from ..runtime.copy import CopyKinds, copy_charge_terms, plan_for_geometry
 from ..soc import _native  # attribute reads: tests patch native_lib
 from ..soc.cache import _export_ways, install_ways
+from .synthesize import trace_columns
 from .trace import (
     K_CALL,
     K_COPY,
@@ -168,48 +169,34 @@ def plans_snapshot(trace) -> Dict[str, "MetricsPlan"]:
 
 
 def _trace_component_digest(trace) -> str:
-    """Content digest of every trace field the sub-products read.
+    """Content digest of ``trace``: a hash of its schedule columns
+    (:func:`~repro.execution.synthesize.trace_columns`), which every
+    table a plan reads is assembled from.
 
-    Cached on the trace object as a plain hex string so it rides along
-    in both the pickle state (model/service workers) and the kernel
-    store's codec (warm processes): only the process that first
-    records or synthesizes a trace pays the hash pass.
+    Cached on the trace as the private ``_component_digest`` and never
+    persisted: a loaded trace digests its own columns, so a stored entry
+    cannot claim another content's plans.
     """
-    digest = getattr(trace, "component_digest", None)
+    digest = getattr(trace, "_component_digest", None)
     if digest is None:
-        # The digest only keys the in-process plan registry, so a fast
-        # keyed hash beats a cryptographic one; blake2b is the quickest
-        # collision-resistant option in hashlib without SHA extensions.
-        h = hashlib.blake2b(digest_size=16)
-
-        def arr(a) -> None:
-            # Every hashed trace array is 1-D but ``recv_refs``, whose
-            # second axis is always 2, so dtype char + size frame the
-            # payload unambiguously (str((dtype, shape)) cost more than
-            # the data hash for the typical small array).
-            a = np.ascontiguousarray(a)
-            h.update(a.dtype.char.encode())
-            h.update(a.size.to_bytes(8, "little"))
-            h.update(a)  # buffer protocol: no tobytes copy
-
-        h.update(int(trace.num_events).to_bytes(8, "little"))
-        for a in (trace.recv_refs, trace.kinds, trace.word_pos,
-                  trace.word_offsets, trace.word_values, trace.flush_pos,
-                  trace.flush_bytes, trace.recv_pos, trace.recv_bytes,
-                  trace.staged_is_word, trace.staged_values,
-                  trace.staged_indices, trace.staged_widths):
-            arr(a)
-        for side, classes in (("send", trace.send_classes),
-                              ("recv", trace.recv_classes)):
-            for tc in classes:
-                h.update(pickle.dumps(
-                    (side, tc.arg, tc.itemsize, bool(tc.accumulate),
-                     tuple(tc.sizes), tuple(tc.strides)), protocol=4))
-                arr(tc.starts)
-                arr(tc.region_offsets)
-                arr(tc.event_pos)
-        digest = h.hexdigest()
-        trace.component_digest = digest
+        # Every load hashes its trace's columns, so the hash is the
+        # fastest collision-resistant one in hashlib on CPUs with SHA
+        # extensions: sha256, 1.15 GB/s against blake2b's 0.45 GB/s on
+        # a 2-vCPU x86 box with SHA-NI.
+        arg_specs, kinds, words, sends, recvs, flushes, init, regions = \
+            trace_columns(trace)
+        arrays = [kinds, *words, *flushes]
+        for _, *rows in sends + recvs:
+            arrays += rows
+        h = hashlib.sha256(repr((
+            arg_specs, [group[0] for group in sends + recvs], len(sends),
+            init, regions)).encode())
+        for array in arrays:
+            # Every column is 1-D, so dtype and size frame it.
+            array = np.ascontiguousarray(array)
+            h.update(b"%s%d;" % (array.dtype.str.encode(), array.size))
+            h.update(array)  # buffer protocol: no tobytes copy
+        digest = trace._component_digest = h.hexdigest()
     return digest
 
 

@@ -111,11 +111,10 @@ class TraceRecorder:
 
     def _call(self, *kinds) -> int:
         """Count one runtime call with cost events ``kinds``; returns
-        the position of the first."""
+        the position of the last (the charged event of a row)."""
         self.calls += 1
-        pos = len(self.kinds)
         self.kinds.extend(kinds)
-        return pos
+        return len(self.kinds) - 1
 
     @staticmethod
     def _row(classes, key, pos, desc, offset) -> None:
@@ -211,19 +210,17 @@ class TraceRecorder:
             return tuple(np.asarray(column, dtype=np.int64)
                          for column in lists)
 
-        trace = assemble_trace(
+        # A preinitialized body replays against the runtime's live
+        # engine, but the staged-size bounds were still enforced.
+        return assemble_trace(
             self.arg_specs, np.asarray(self.kinds, dtype=np.int8),
             columns(self.words),
             [(key,) + columns(rows) for key, rows in self.sends.items()],
             [(key,) + columns(rows) for key, rows in self.recvs.items()],
-            columns(self.flushes),
+            columns(self.flushes), self.init_params,
+            (self.input_size, self.output_size)
+            if self.init_params is None else None,
         )
-        trace.init_params = self.init_params
-        if self.init_params is None:
-            # Preinitialized body: the replay reuses the runtime's live
-            # engine, but the staged-size bounds were still enforced.
-            trace.region_sizes = (self.input_size, self.output_size)
-        return trace
 
 
 def record_trace(entry_point, arg_specs,

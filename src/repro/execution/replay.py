@@ -23,9 +23,9 @@ split into two explicit planes:
     through a strided window view of the argument storage — so it is
     O(tiles) resident, and descriptor offsets enter only when that view
     is made, so one schedule serves every offset.  It lives on the
-    decoded plan as a private attribute, which the pickle state skips
-    (the store holds no decoded plans): a loaded or unpickled trace
-    rebuilds it.
+    decoded plan as a private attribute, which the pickle state skips;
+    the store holds a trace's schedule columns only, so a loaded or
+    unpickled trace rebuilds it.
     There is no switch and no second path: the first call builds the
     schedule and then runs the same code as every later call.
 

@@ -444,14 +444,17 @@ class _Synthesizer:
                 kinds[site.pos + j] = kind
         word_pos, word_offsets, word_values = self._columns(
             _WORD_OPS, "offset", "value")
-        trace = assemble_trace(
+        return assemble_trace(
             self.arg_specs, kinds,
             (word_pos, word_offsets, word_values & 0xFFFFFFFF),
             self._grouped("send_memref"), self._grouped("recv_memref"),
-            self._columns(("flush_send",), "bytes"),
+            self._columns(("flush_send",), "bytes"), self.init_params, None,
         )
-        trace.init_params = self.init_params
-        return trace
+
+    @staticmethod
+    def _row_pos(site: _Site) -> np.ndarray:
+        """The position of each of ``site``'s calls' last event."""
+        return site.pos + (len(site.template) - 1)
 
     def _columns(self, ops, *fields) -> Tuple[np.ndarray, ...]:
         """Positions, then ``fields``, of every site of ``ops`` in event
@@ -459,7 +462,7 @@ class _Synthesizer:
         sites = [s for s in self.sites if s.op in ops]
         if not sites:
             return (_EMPTY,) * (1 + len(fields))
-        pos = np.concatenate([s.pos for s in sites])
+        pos = np.concatenate([self._row_pos(s) for s in sites])
         order = np.argsort(pos)
         return (pos[order],) + tuple(
             np.concatenate([self._flat(s.payload[name], s.chain)
@@ -471,7 +474,7 @@ class _Synthesizer:
         groups: Dict[Tuple, List] = {}
         for site in (s for s in self.sites if s.op == op):
             entry = groups.setdefault(site.payload["key"], ([], [], []))
-            entry[0].append(site.pos)
+            entry[0].append(self._row_pos(site))
             entry[1].append(self._flat(site.payload["starts"], site.chain))
             entry[2].append(self._flat(site.payload["offset"], site.chain))
         compiled = []
@@ -488,35 +491,39 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def assemble_trace(arg_specs, kinds: np.ndarray, words, sends, recvs,
-                   flushes) -> DriverTrace:
+                   flushes, init_params, region_sizes) -> DriverTrace:
     """The one builder of a :class:`DriverTrace`'s tables.
 
-    Both trace sources feed it the same schedule columns: the
-    synthesizer expands them from the schedule table, the recorder
-    (:mod:`repro.execution.recorder`) collects them from a shadow run.
+    Every trace comes from here: the synthesizer expands its schedule
+    columns from the schedule table, the recorder
+    (:mod:`repro.execution.recorder`) collects them from a shadow run,
+    and the kernel store persists them (:func:`trace_columns`).
     ``kinds`` is the int8 event stream.  ``words`` is ``(pos, offsets,
     values)`` of the staged words and ``flushes`` ``(pos, bytes)`` of the
     non-empty flushes, each in event order.  ``sends`` / ``recvs`` hold
     ``(key, pos, starts, region_offsets)`` per tile class, rows in event
     order, keyed ``(arg, sizes, strides)`` (plus ``accumulate`` for
-    receives).  A ``pos`` is always the position of a call's first
-    event, and every column is int64.  The caller sets ``init_params``
-    (or ``region_sizes``).
+    receives).  A ``pos`` is always the position of a call's last event
+    (its ``K_WORD``, ``K_COPY`` or ``K_FLUSH``), and every column is
+    int64.  ``init_params`` is the driver's
+    ``dma_init`` arguments, or ``None`` for a preinitialized body, whose
+    ``region_sizes`` are the live engine's ``(input, output)`` sizes.
 
     Raises :class:`TraceUnsupported` for a driver that sends an argument
     after receiving into it: replay gathers all staged tile data up
     front, so it cannot replay from that snapshot.
     """
     trace = DriverTrace(arg_specs)
+    trace.init_params = init_params
+    trace.region_sizes = region_sizes
     trace.kinds = kinds
     trace.num_events = kinds.size
-    word_pos, trace.word_offsets, trace.word_values = words
-    trace.word_pos = word_pos + 1
+    trace.word_pos, trace.word_offsets, trace.word_values = words
     trace.flush_pos, trace.flush_bytes = flushes
     sends = sorted(sends, key=lambda group: int(group[1][0]))
     recvs = sorted(recvs, key=lambda group: int(group[1][0]))
-    trace.send_classes = _tile_classes(arg_specs, sends, 1)
-    trace.recv_classes = _tile_classes(arg_specs, recvs, 3)
+    trace.send_classes = _tile_classes(arg_specs, sends)
+    trace.recv_classes = _tile_classes(arg_specs, recvs)
 
     n_recv = sum(tc.order.size for tc in trace.recv_classes)
     trace.recv_pos = np.empty(n_recv, dtype=np.int64)
@@ -530,11 +537,13 @@ def assemble_trace(arg_specs, kinds: np.ndarray, words, sends, recvs,
 
     # The staged stream the decoders consume: words and send tiles,
     # merged into event order with one argsort permutation.
-    n_words = word_pos.size
+    n_words = trace.word_pos.size
     widths = [tc.num_elements() * tc.itemsize // 4
               for tc in trace.send_classes]
-    all_pos = np.concatenate([word_pos] + [g[1] for g in sends])
-    order = np.argsort(all_pos)
+    all_pos = np.concatenate([trace.word_pos] + [g[1] for g in sends])
+    # Positions are distinct, so any sort gives this permutation; the
+    # stable one merges the sorted runs fastest.
+    order = np.argsort(all_pos, kind="stable")
     trace.staged_is_word = np.concatenate(
         [np.ones(n_words, dtype=np.uint8)]
         + [np.zeros(g[1].size, dtype=np.uint8) for g in sends])[order]
@@ -565,15 +574,39 @@ def assemble_trace(arg_specs, kinds: np.ndarray, words, sends, recvs,
     return trace
 
 
-def _tile_classes(arg_specs, groups, copy_offset: int) -> List[_TileClass]:
-    """One tile class per group; ``copy_offset`` is the K_COPY event's
-    distance from the call's first event."""
-    all_pos = np.sort(np.concatenate([g[1] for g in groups])) \
-        if groups else _EMPTY
+def trace_columns(trace: DriverTrace) -> tuple:
+    """The schedule columns ``trace`` was assembled from: exactly
+    :func:`assemble_trace`'s arguments, so that
+    ``assemble_trace(*trace_columns(trace))`` rebuilds every table.
+
+    The one definition of a trace's content: a kernel store entry holds
+    it, the plan registry digests it
+    (``repro.execution.metrics._trace_component_digest``) and
+    :func:`diff_traces` compares it.
+    """
+    return (trace.arg_specs, trace.kinds,
+            (trace.word_pos, trace.word_offsets, trace.word_values),
+            _class_rows(trace.send_classes), _class_rows(trace.recv_classes),
+            (trace.flush_pos, trace.flush_bytes),
+            trace.init_params, trace.region_sizes)
+
+
+def _class_rows(classes) -> list:
+    """Inverse of :func:`_tile_classes`."""
+    return [((tc.arg, tc.sizes, tc.strides)
+             + (() if tc.accumulate is None else (tc.accumulate,)),
+             tc.event_pos, tc.starts, tc.region_offsets)
+            for tc in classes]
+
+
+def _tile_classes(arg_specs, groups) -> List[_TileClass]:
+    """One tile class per group, its rows at their K_COPY events."""
+    all_pos = np.sort(np.concatenate([g[1] for g in groups]),
+                      kind="stable") if groups else _EMPTY
     return [
         _TileClass(key[0], key[1], key[2], arg_specs[key[0]][2],
                    key[3] if len(key) > 3 else None, starts, regions,
-                   pos + copy_offset, np.searchsorted(all_pos, pos))
+                   pos, np.searchsorted(all_pos, pos))
         for key, pos, starts, regions in groups
     ]
 
@@ -606,38 +639,38 @@ def synthesize_trace(schedule_table: Optional[dict],
 
 # -- cross-check -----------------------------------------------------------
 
+#: :func:`trace_columns`' entries, as :func:`diff_traces` names them.
+_COLUMNS = ("arg_specs", "kinds", "words", "sends", "recvs", "flushes",
+            "init_params", "region_sizes")
+
+
 def diff_traces(synthesized: DriverTrace,
                 recorded: DriverTrace) -> List[str]:
-    """Column-by-column diff; empty means bit-identical.
+    """Column-by-column diff of :func:`trace_columns`; empty means
+    bit-identical.
 
-    Only the schedule columns the two sources collect are compared:
     :func:`assemble_trace` derives every other table (class order,
     receive and staged-item tables, disjointness flags) from them.
     """
     problems: List[str] = []
 
-    def check(name, condition):
-        if not condition:
+    def compare(name, left, right):
+        if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+            if not (isinstance(left, np.ndarray)
+                    and isinstance(right, np.ndarray)
+                    and left.dtype == right.dtype
+                    and np.array_equal(left, right)):
+                problems.append(name)
+        elif isinstance(left, (tuple, list)) \
+                and isinstance(right, (tuple, list)):
+            if len(left) != len(right):
+                problems.append(f"{name} length")
+            for i, pair in enumerate(zip(left, right)):
+                compare(f"{name}[{i}]", *pair)
+        elif left != right:
             problems.append(name)
 
-    check("arg_specs", tuple(synthesized.arg_specs)
-          == tuple(recorded.arg_specs))
-    check("kinds", np.array_equal(synthesized.kinds, recorded.kinds))
-    check("init_params", synthesized.init_params == recorded.init_params)
-    for name in ("word_pos", "word_offsets", "word_values", "flush_pos",
-                 "flush_bytes"):
-        check(name, np.array_equal(getattr(synthesized, name),
-                                   getattr(recorded, name)))
-    for side in ("send_classes", "recv_classes"):
-        left, right = getattr(synthesized, side), getattr(recorded, side)
-        if len(left) != len(right):
-            problems.append(f"{side} count")
-            continue
-        for i, (lc, rc) in enumerate(zip(left, right)):
-            check(f"{side}[{i}] key",
-                  (lc.arg, lc.sizes, lc.strides, lc.accumulate)
-                  == (rc.arg, rc.sizes, rc.strides, rc.accumulate))
-            for field in ("starts", "region_offsets", "event_pos"):
-                check(f"{side}[{i}].{field}",
-                      np.array_equal(getattr(lc, field), getattr(rc, field)))
+    for name, left, right in zip(_COLUMNS, trace_columns(synthesized),
+                                 trace_columns(recorded)):
+        compare(name, left, right)
     return problems

@@ -171,8 +171,8 @@ def _public_state(obj) -> Dict[str, object]:
 
     Underscore-prefixed instance attributes are process-local derived
     state hung on the object for its lifetime (the replay data
-    schedule); they are rebuilt on demand wherever the copy lands, and
-    the kernel store's codec skips them by the same rule.
+    schedule, the content digest); they are rebuilt on demand wherever
+    the copy lands.
     """
     return {name: value for name, value in vars(obj).items()
             if not name.startswith("_")}
@@ -221,10 +221,9 @@ class DriverTrace:
         self.decoded: Dict[Tuple, object] = {}
         #: Cached MetricsPlans per runtime-config/state fingerprint.
         #: Traces of equal content adopt one shared dict on their first
-        #: replay (see repro.execution.metrics.shared_plans).  Persisted
-        #: *separately* from the trace in the kernel store — a payload
-        #: slot of its own — so it is excluded from the trace's pickle
-        #: state below.
+        #: replay (see repro.execution.metrics.shared_plans).  A kernel
+        #: store entry holds them in a slot of their own, and a pickled
+        #: copy drops them.
         self.metrics_plans: "OrderedDict" = OrderedDict()
         #: Whether the scatter of each recv class is round-safe (the
         #: flat index sets of distinct tile starts are disjoint).
@@ -235,12 +234,10 @@ class DriverTrace:
         return 0 if self.staged_is_word is None else self.staged_is_word.size
 
     def __getstate__(self):
+        # No production path pickles a trace: the kernel store holds its
+        # schedule columns (repro.execution.synthesize.trace_columns).
         state = _public_state(self)
-        state["metrics_plans"] = None  # persisted in its own slot
-        # component_digest (a lazily computed content hash, see
-        # repro.execution.metrics._trace_component_digest) stays in the
-        # state on purpose: model/service workers receiving the trace
-        # then find their content's shared plans without re-hashing it.
+        state["metrics_plans"] = None
         return state
 
     def __setstate__(self, state):

@@ -53,9 +53,6 @@ class Builder:
     def set_insertion_point(self, ip: InsertionPoint) -> None:
         self._ip = ip
 
-    def set_insertion_point_to_end(self, block: Block) -> None:
-        self._ip = InsertionPoint.at_end(block)
-
     def push_insertion_point(self, ip: InsertionPoint) -> None:
         if self._ip is not None:
             self._stack.append(self._ip)

@@ -8,7 +8,7 @@ maintained eagerly so transformation passes can rewrite IR safely.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .attributes import Attribute, attr
 from .types import FunctionType, Type
@@ -366,12 +366,3 @@ def make_func(
 
 def func_entry_block(func_op: Operation) -> Block:
     return func_op.regions[0].entry_block
-
-
-def verify_op(op: Operation,
-              verifiers: Optional[Dict[str, Callable[[Operation], None]]] = None
-              ) -> None:
-    """Run structural checks plus registered per-op verifiers, recursively."""
-    from .verifier import verify
-
-    verify(op, verifiers)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Set
 
-from .core import Block, BlockArgument, IRError, Operation, OpResult, Value
+from .core import Block, IRError, Operation, Value
 
 #: Ops that must terminate their block when present.
 TERMINATORS = {"func.return", "scf.yield", "linalg.yield"}
@@ -121,11 +121,3 @@ def dominates(a: Operation, b: Operation) -> bool:
         parent_op = block_b.parent.parent if block_b.parent else None
         block_b = parent_op.parent if parent_op else None
     return False
-
-
-def defining_op(value: Value) -> Optional[Operation]:
-    if isinstance(value, OpResult):
-        return value.op
-    if isinstance(value, BlockArgument):
-        return None
-    return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from ..ir.attributes import Attribute
 from .actions import Action, Recv, Send, SendDim, SendIdx, SendLiteral
@@ -249,8 +249,3 @@ def parse_opcode_map(text: str) -> OpcodeMap:
             f"{lexer.text[lexer.pos:lexer.pos + 20]!r}"
         )
     return OpcodeMap(tuple(opcodes))
-
-
-def opcode_map_from_dict(entries: Dict[str, List[Action]]) -> OpcodeMap:
-    """Programmatic construction, mirroring the parsed form."""
-    return OpcodeMap(tuple(Opcode(k, tuple(v)) for k, v in entries.items()))

@@ -98,11 +98,6 @@ class MemRefDescriptor:
         """Simulated byte address of one element (for the cache model)."""
         return self.base_address + self.linear_index(indices) * self.itemsize
 
-    def row_start_bytes(self, row_indices: Sequence[int]) -> int:
-        """Byte address of the first element of an innermost row."""
-        return self.element_address(tuple(row_indices) + (0,) * 1) \
-            if self.rank else self.base_address
-
     # -- element access ---------------------------------------------------------
     def load(self, indices: Sequence[int]):
         return self.allocated[self.linear_index(indices)]
@@ -132,9 +127,6 @@ class MemRefDescriptor:
                 strides=byte_strides,
                 writeable=True,
             )
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.view())
 
     def subview(self, offsets: Sequence[int],
                 sizes: Sequence[int],

@@ -57,7 +57,7 @@ from contextlib import contextmanager as _contextmanager
 from typing import Optional, Tuple
 
 from .. import faults
-from ..store import fsync_dir, next_tmp_suffix
+from ..store import durable_publish
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -646,9 +646,9 @@ def _cached_library(compiler: str, flags: Tuple[str, ...],
     """Load this machine's library, building and publishing it on a miss.
 
     A kept file that fails to load is unlinked and rebuilt once; the
-    build follows the store's publish idiom (``*.tmp-*`` sibling, fsync,
-    ``os.replace``, directory fsync), so concurrent processes converge
-    on one file and a reader never maps a torn one.
+    build is published by :func:`repro.store.durable_publish`, so
+    concurrent processes converge on one file and a reader never maps a
+    torn one.
     """
     path = os.path.join(directory,
                         f"kernels-{_library_key(compiler, flags)}.so")
@@ -660,22 +660,9 @@ def _cached_library(compiler: str, flags: Tuple[str, ...],
                 os.unlink(path)
             except OSError:
                 pass
-    tmp = path + next_tmp_suffix()
-    try:
-        _compile(compiler, flags, tmp)
+    with durable_publish(path) as tmp:
+        _compile(compiler, flags, str(tmp))
         os.chmod(tmp, 0o700)
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-    fsync_dir(directory)
     return _load(path)
 
 

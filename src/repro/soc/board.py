@@ -112,12 +112,6 @@ class Board:
         self.sync_elapsed()
         return self.counters.delta_since(snapshot)
 
-    def reset_measurement(self) -> None:
-        self.counters = PerfCounters()
-        self.clock = 0.0
-        self.accel_ready_at = 0.0
-        self.dma_busy_until = 0.0
-
 
 def make_pynq_z2(cpu_info=None, timing: Optional[TimingModel] = None) -> Board:
     """A board shaped like the paper's PYNQ-Z2 evaluation platform."""

@@ -113,9 +113,6 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def line_of(self, address: int) -> int:
-        return address // self.line_size
-
     def access_line(self, line: int) -> bool:
         """Touch one line address; returns True on hit.
 

@@ -71,10 +71,6 @@ class DmaEngine:
         )
 
     # -- receive path -----------------------------------------------------
-    def available_output_words(self) -> int:
-        if self.accelerator is None:
-            return 0
-        return len(self.accelerator.out_fifo)
 
     def start_recv(self, length_bytes: int, offset_bytes: int = 0) -> float:
         """Pull ``length_bytes`` from the stream into the output region."""

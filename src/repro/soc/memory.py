@@ -64,6 +64,3 @@ class MainMemory:
             if region.contains(address):
                 return region
         raise KeyError(f"address {address:#x} is not in any region")
-
-    def total_allocated(self) -> int:
-        return sum(r.size for r in self.regions)

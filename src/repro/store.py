@@ -14,10 +14,10 @@ directory (CI prunes them; ``gc()`` ignores them).
 **Atomic publish.**  Writers create a uniquely named temporary file
 (pid + thread id + counter, so neither concurrent processes nor threads
 collide), ``fsync`` it, ``os.replace`` it over the final name, then
-``fsync`` the directory.  Readers therefore observe either the old
-entry, the new entry, or no entry — never a torn write — and a writer
-killed at any instant leaves at most one stray ``*.tmp-*`` file, which
-is removed in a ``finally`` on error paths and swept by ``gc()``.
+``fsync`` the directory (:func:`durable_publish`).  Readers therefore
+observe either the old entry, the new entry, or no entry — never a torn
+write — and a writer killed at any instant leaves at most one stray
+``*.tmp-*`` file, which is removed on error paths and swept by ``gc()``.
 
 **Entry container.**  Each ``.entry`` file is::
 
@@ -78,8 +78,9 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -157,15 +158,6 @@ _MANIFEST_KEYS = {"payload", "arrays", "size"}
 #: Types that encode as themselves, and all JSON scalars decode to.
 _JSON_SCALARS = frozenset((type(None), bool, int, float, str))
 
-#: DriverTrace attributes never persisted, so never accepted from an
-#: entry: ``metrics_plans`` has its own slot in the kernel payload, and
-#: ``decoded`` (the C decoders' plans) is re-derived from the staged
-#: stream, which ``repro.compiler.stored_trace`` checks.  Private
-#: (underscore-prefixed) attributes are process-local derived state
-#: (e.g. the replay data schedule) and are skipped the same way.
-_TRACE_SKIP = ("decoded", "metrics_plans")
-
-
 def _is_count(value: Any) -> bool:
     """A plain non-negative ``int`` (``bool`` is not one)."""
     return type(value) is int and value >= 0
@@ -174,9 +166,8 @@ def _is_count(value: Any) -> bool:
 class Codec:
     """The tagged tree and array table over one class whitelist.
 
-    ``classes`` maps a tag to ``(class, field names)``; ``None`` fields
-    make the public instance dict the fields (a DriverTrace).  Each
-    container builds one codec from a table of its own.
+    ``classes`` maps a tag to ``(class, field names)``.  Each container
+    builds one codec from a table of its own.
     """
 
     def __init__(self, classes: Dict[str, Tuple[type, Any]]) -> None:
@@ -235,15 +226,9 @@ class Codec:
                      for k, v in value.items()]]
         tag = self._tags.get(type(value))
         if tag is not None:
-            fields = self.classes[tag][1]
-            if fields is None:
-                pairs = [(name, field) for name, field in vars(value).items()
-                         if not name.startswith("_")
-                         and name not in _TRACE_SKIP]
-            else:
-                pairs = [(name, getattr(value, name)) for name in fields]
-            return ["o", tag, [[name, self._encode(field, arrays)]
-                               for name, field in pairs]]
+            return ["o", tag, [[name, self._encode(getattr(value, name),
+                                                   arrays)]
+                               for name in self.classes[tag][1]]]
         from .opcodes import OpcodeFlow
         if isinstance(value, OpcodeFlow):
             return ["flow", str(value)]
@@ -325,20 +310,14 @@ class Codec:
             raise StoreFormatError(f"malformed {tag} fields")
         names = [name for name, _ in items]
         for name in names:
-            if not isinstance(name, str) or (
-                    name.startswith("_") or name in _TRACE_SKIP
-                    if fields is None else name not in fields):
+            if not isinstance(name, str) or name not in fields:
                 raise StoreFormatError(
                     f"field {name!r:.80} not allowed on {tag}")
-        if len(set(names)) != len(names) \
-                or (fields is not None and len(names) != len(fields)):
+        if len(set(names)) != len(names) or len(names) != len(fields):
             raise StoreFormatError(f"incomplete {tag} fields")
         obj = object.__new__(cls)
         for name, encoded in items:
             setattr(obj, name, self._decode(encoded, arrays))
-        if fields is None:
-            obj.decoded = {}
-            obj.metrics_plans = OrderedDict()
         return obj
 
 
@@ -385,7 +364,6 @@ def _store_codec() -> Codec:
     execution/transform modules import numpy-heavy machinery).
     """
     from .execution.metrics import MetricsPlan
-    from .execution.trace import DriverTrace, _TileClass
     from .transforms.flow_analysis import (
         FlowPlacement,
         PlacedGroup,
@@ -403,8 +381,6 @@ def _store_codec() -> Codec:
         )),
         "PlacedGroup": (PlacedGroup, ("items", "level")),
         "PlacedOpcode": (PlacedOpcode, ("name", "level", "min_level")),
-        "DriverTrace": (DriverTrace, None),
-        "_TileClass": (_TileClass, _TileClass.__slots__),
         "MetricsPlan": (MetricsPlan, MetricsPlan.__slots__),
     })
 
@@ -504,14 +480,35 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-#: Public names for the atomic-publish building blocks (write to a
-#: collision-free ``*.tmp-*`` sibling, fsync, ``os.replace``, fsync the
-#: directory).  The tuning journal's rotation/compaction reuses them so
-#: every durable artifact in the repo follows one idiom — and one
-#: hygiene rule: a crash at any instant leaves either the old file, the
-#: new file, or removable ``*.tmp-*`` litter, never a torn target.
-next_tmp_suffix = _next_tmp_suffix
-fsync_dir = _fsync_dir
+@contextmanager
+def durable_publish(path) -> Iterator[Path]:
+    """Atomically publish the file written to the yielded temp path.
+
+    The temp path is a collision-free ``*.tmp-*`` sibling of ``path``.
+    On a clean exit it is fsynced and ``os.replace``d over ``path``, and
+    the directory is fsynced; on any exception it is unlinked and the
+    exception propagates.  Every durable artifact in the repo (store
+    entries, the sweep journal and report, the C library) is published
+    through here, so a crash at any instant leaves the old file, the new
+    file, or removable ``*.tmp-*`` litter — never a torn target.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + _next_tmp_suffix())
+    try:
+        yield tmp
+        fd = os.open(tmp, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+    _fsync_dir(path.parent)
 
 
 def _count(key: str, amount: int = 1) -> None:
@@ -615,27 +612,15 @@ class KernelStore:
         except UnencodablePayload:
             return False
         path = self.entry_path(name)
-        tmp = path.parent / (path.name + _next_tmp_suffix())
         try:
             if faults.fires("store.write") == "io":
                 raise OSError("injected store.write io fault")
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
+            with durable_publish(path) as tmp:
+                tmp.write_bytes(blob)
         except OSError:
             _count("store_write_failures")
             return False
-        finally:
-            # os.replace consumed the tmp on success; anything left
-            # behind here is the failure-path residue.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
         _count("store_writes")
         max_bytes = self._resolve_max_bytes()
         if max_bytes is not None:

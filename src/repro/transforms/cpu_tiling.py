@@ -14,7 +14,7 @@ which favours reuse of the tiles that move most often.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 #: Use at most this fraction of the last-level cache for the working set.
 CACHE_BUDGET_FRACTION = 0.5
@@ -86,11 +86,3 @@ def choose_cpu_tiles(
                 chosen = trial
                 progressed = True
     return chosen
-
-
-def dims_needing_outer_loop(extents: Dict[str, int],
-                            cpu_tiles: Dict[str, int]) -> Set[str]:
-    return {
-        dim for dim, extent in extents.items()
-        if cpu_tiles.get(dim, extent) < extent
-    }

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .. import faults
-from ..store import fsync_dir, next_tmp_suffix
+from ..store import durable_publish
 from .counters import count
 
 #: Journal line-format version; bump on incompatible record changes so
@@ -234,27 +234,19 @@ class SweepJournal:
             {"t": "result", "digest": digest, "record": results[digest]}
             for digest in sorted(results)
         )
-        tmp_path = self.path.with_name(self.path.name + next_tmp_suffix())
         try:
             if faults.fires("tuning.journal") == "io":
                 raise OSError("injected tuning.journal io fault")
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp_path, "w", encoding="utf-8") as fh:
+            with durable_publish(self.path) as tmp_path, \
+                    open(tmp_path, "w", encoding="utf-8") as fh:
                 for seq, record in enumerate(records):
                     record = dict(record)
                     record["seq"] = seq
                     record["c"] = _checksum(record)
                     fh.write(_canonical(record) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-            fsync_dir(self.path.parent)
         except OSError:
             count("tuning_journal_io_errors")
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
             return False
         self._seq = len(records)
         count("tuning_journal_compactions")

@@ -14,11 +14,10 @@ point digest as a total-order tie-break.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List
 
-from ..store import fsync_dir, next_tmp_suffix
+from ..store import durable_publish
 from .space import SweepSpace
 
 #: Report layout version, embedded so downstream consumers can detect
@@ -80,16 +79,11 @@ def render_report(report: dict) -> str:
 
 
 def write_report(path, report: dict) -> None:
-    """Publish a report atomically (store idiom: tmp, fsync, replace)."""
+    """Publish a report atomically (:func:`repro.store.durable_publish`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(path.name + next_tmp_suffix())
-    with open(tmp_path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
-    fsync_dir(path.parent)
+    with durable_publish(path) as tmp_path:
+        tmp_path.write_text(render_report(report), encoding="utf-8")
 
 
 def best_rows(report: dict) -> List[dict]:

@@ -340,30 +340,22 @@ class TestDiskKernelStore:
             == before["metrics_plan_misses"]
 
     def test_component_digest_round_trips_with_trace(self, tmp_path):
-        """A metrics-built trace persists its component-memo digest.
-
-        The digest is a plain hex string precisely so the store codec
-        can carry it: warm processes then key the cross-entry component
-        memo without re-hashing the trace's structural arrays.  A
-        non-string digest would make the whole post-replay payload
-        unencodable and silently demote plans to memory-only.
-        """
+        """The plan registry's content digest is never persisted: the
+        loaded trace's digest, recomputed from its columns, is the
+        fresh trace's."""
         from repro.execution.metrics import _trace_component_digest
 
         store = str(tmp_path / "repro_cache")
         writer = KernelCache(disk_dir=store)
         kernel = make_compiler(writer).compile_matmul(32, 32, 32)
         self._run(kernel)   # builds the plan -> computes the digest
-        fresh = kernel.trace_state.trace
-        digest = getattr(fresh, "component_digest", None)
-        assert isinstance(digest, str) and digest
+        digest = _trace_component_digest(kernel.trace_state.trace)
 
         reader = KernelCache(disk_dir=store)
         loaded = make_compiler(reader).compile_matmul(32, 32, 32)
         trace = loaded.trace_state.trace
         assert trace.metrics_plans  # the persist hook must not degrade
-        assert getattr(trace, "component_digest", None) == digest
-        # _trace_component_digest must serve the persisted value as-is.
+        assert not hasattr(trace, "_component_digest")
         assert _trace_component_digest(trace) == digest
 
     def test_corrupt_entry_is_quarantined_and_rebuilt(self, tmp_path):
@@ -785,19 +777,20 @@ class TestHostileEntries:
 
     @staticmethod
     def seal(payload):
-        """``encode_payload(payload)``, plus the trace's decoded plans
-        written the way a codec that persisted them wrote them: a
-        ``decoded`` field on the trace, one object node per plan."""
+        """``encode_payload(payload)``, plus any dict of decoded plans
+        past the trace's eight columns written the way a codec that
+        persisted them would: one more column, one object node per
+        plan."""
         import json
         import zlib
 
         from repro.store import encode_payload
 
-        trace = payload["trace"]
-        decoded, trace.decoded = trace.decoded, {}
+        columns = payload["trace"]
+        payload["trace"] = columns[:8]
         manifest, stream = encode_payload(payload)
-        trace.decoded = decoded
-        if not decoded:
+        payload["trace"] = columns
+        if len(columns) == 8:
             return manifest, stream
         document = json.loads(manifest)
         segment = bytearray(zlib.decompress(stream))
@@ -819,10 +812,9 @@ class TestHostileEntries:
 
         (trace_node,) = [value for key, value in document["payload"][1]
                          if key == "trace"]
-        trace_node[2] = [item for item in trace_node[2]
-                         if item[0] != "decoded"]
-        trace_node[2].append(["decoded", ["d", [
-            [node(key), node(plan)] for key, plan in decoded.items()]]])
+        trace_node[1] += [["d", [[node(key), node(plan)]
+                                 for key, plan in decoded.items()]]
+                          for decoded in columns[8:]]
         document["size"] = len(segment)
         return json.dumps(document).encode(), zlib.compress(bytes(segment))
 
@@ -889,36 +881,50 @@ class TestHostileEntries:
             assert isinstance(array, np.ndarray)
             assert (array.dtype, array.shape) == (np.int64, shape)
 
+    # A stored trace is its columns (execution.synthesize.trace_columns):
+    # (arg_specs, kinds, words, sends, recvs, flushes, init_params,
+    # region_sizes), each send/recv row (key, pos, starts, regions).
+
     @staticmethod
     def _forged_flush_count(payload):
-        trace = payload["trace"]
-        trace.flush_item_counts[-1] = trace.num_staged_items + (1 << 20)
+        """A flush past the end of the event stream."""
+        flush_pos = payload["trace"][5][0]
+        flush_pos[-1] = payload["trace"][1].size + (1 << 20)
 
     @staticmethod
     def _float_flush_counts(payload):
-        trace = payload["trace"]
-        trace.flush_item_counts = trace.flush_item_counts.astype(np.float64)
+        columns = list(payload["trace"])
+        flush_pos, flush_bytes = columns[5]
+        columns[5] = (flush_pos.astype(np.float64), flush_bytes)
+        payload["trace"] = tuple(columns)
 
     @staticmethod
     def _three_column_refs(payload):
-        trace = payload["trace"]
-        trace.recv_refs = np.c_[trace.recv_refs, trace.recv_refs[:, :1]]
+        """A receive class whose tile starts are three columns wide."""
+        recvs = payload["trace"][4]
+        key, pos, starts, regions = recvs[-1]
+        recvs[-1] = (key, pos, np.c_[starts, starts, starts], regions)
 
     @staticmethod
     def _foreign_class_ref(payload):
-        trace = payload["trace"]
-        trace.recv_refs[-1, 0] = len(trace.recv_classes)
+        """A receive class of an argument the kernel does not have."""
+        arg_specs, recvs = payload["trace"][0], payload["trace"][4]
+        key, *rows = recvs[-1]
+        recvs[-1] = ((len(arg_specs),) + key[1:], *rows)
 
     @staticmethod
     def _forged_decoded_plan(payload):
-        """A stored decoded plan whose first compute reads a send class
-        the trace does not have."""
-        from repro.execution.trace import decode_for_accelerator
+        """A stored decoded plan — one more column, which the codec
+        cannot decode — whose first compute reads a send class the
+        trace does not have."""
+        from repro.execution.synthesize import assemble_trace
+        from repro.execution.trace import decode_for_accelerator, decode_key
 
-        trace = payload["trace"]
+        trace = assemble_trace(*payload["trace"])
         hw, _ = make_matmul_system(3, 8, flow="Ns")
         plan = decode_for_accelerator(trace, hw)
         plan.compute_a[0] = plan.pack(len(trace.send_classes), 0)
+        payload["trace"] += ({decode_key(hw): plan},)
 
     @staticmethod
     def _forged_region_index(payload):
@@ -932,8 +938,8 @@ class TestHostileEntries:
         "_foreign_class_ref", "_forged_decoded_plan", "_forged_region_index"])
     def test_a_forged_flush_count_is_quarantined_and_resynthesized(
             self, tmp_path, edit):
-        """An out-of-stream or mistyped flush count, a receive ref the
-        C decoders would index memory by wrongly, a stored decoded plan
+        """An out-of-stream or mistyped flush, a receive class the C
+        decoders would index memory by wrongly, a stored decoded plan
         (the store writes none) or a MetricsPlan writing outside the
         trace's staging regions never gets that far."""
         store, path, expected, _, operands = self.forge(
@@ -950,6 +956,51 @@ class TestHostileEntries:
         third = KernelCache(disk_dir=str(store))
         make_compiler(third).compile_matmul(32, 32, 32)
         assert (third.disk_hits, third.disk_corrupt) == (1, 0)
+
+    def test_a_forged_digest_shares_no_plans(self, tmp_path):
+        """Traces share plans by a digest of their own columns, never
+        by one an entry carries: a ``Cs`` entry claiming the ``Ns``
+        trace's digest (with a valid checksum) gets no ``Ns`` plan, and
+        both kernels, loaded and run in one process, count honestly."""
+        from repro.execution.metrics import (
+            _trace_component_digest,
+            reset_component_memo,
+        )
+        from repro.store import KernelStore, encode_payload, pack_entry
+
+        store = tmp_path / "store"
+        rng = np.random.default_rng(5)
+        operands = [rng.integers(-4, 4, (64, 64)).astype(np.int32)
+                    for _ in range(2)] + [np.zeros((64, 64), np.int32)]
+        honest, entries, digests = {}, {}, {}
+        for flow in ("Ns", "Cs"):
+            hw, _ = make_matmul_system(3, 8, flow=flow)
+            kernel = make_compiler(KernelCache(disk_dir=str(store)),
+                                   flow=flow).compile_matmul(64, 64, 64)
+            honest[flow] = _observe(hw, kernel, operands)
+            digests[flow] = _trace_component_digest(kernel.trace_state.trace)
+            (entries[flow],) = set(TestDiskKernelStore.entry_files(store)) \
+                - set(entries.values())
+        assert digests["Ns"] != digests["Cs"]
+        name = entries["Cs"].name[:-len(".entry")]
+        status, payload = KernelStore(store).load(name)
+        assert status == "hit"
+        payload["trace"] += (digests["Ns"],)
+        entries["Cs"].write_bytes(pack_entry(*encode_payload(payload)))
+
+        reset_component_memo()
+        reader = KernelCache(disk_dir=str(store))
+        kernels, seen = {}, {}
+        for flow in ("Ns", "Cs"):
+            hw, _ = make_matmul_system(3, 8, flow=flow)
+            kernels[flow] = make_compiler(reader, flow=flow) \
+                .compile_matmul(64, 64, 64)
+            seen[flow] = _observe(hw, kernels[flow], operands)
+        assert seen == honest
+        ns, cs = (kernels[flow].trace_state.trace for flow in ("Ns", "Cs"))
+        assert ns.metrics_plans is not cs.metrics_plans
+        assert [_trace_component_digest(ns), _trace_component_digest(cs)] \
+            == [digests["Ns"], digests["Cs"]]
 
     def test_without_the_c_library_a_forged_entry_runs_per_tile(
             self, tmp_path):

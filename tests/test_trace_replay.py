@@ -31,6 +31,7 @@ from repro.execution import (
     record_trace,
     replay_kernel,
 )
+from repro.execution.synthesize import assemble_trace, trace_columns
 from repro.runtime import (
     AxiRuntime,
     CALL_STYLE_MANUAL,
@@ -631,8 +632,10 @@ def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
             trace = pickle.loads(pickle.dumps(trace))
             assert _schedules(trace) == [None] * len(built)
         if round_ == 2:
-            trace = decode_payload(*encode_payload(trace))
-            assert all(s is None for s in _schedules(trace))
+            # The store's copy: the trace's columns, assembled again.
+            trace = assemble_trace(*decode_payload(
+                *encode_payload(trace_columns(trace))))
+            assert trace.decoded == {}
         got = _invoke("replay", case, arrays, round_pads, trace=trace)
         assert got[0] == reference[0], "PerfCounters differ"
         assert got[1] == reference[1], "argument storage differs"
@@ -828,11 +831,11 @@ class TestScheduleIsDerivedState:
                 (0, 0, 0), trace=case.trace())
         trace = pickle.loads(pickle.dumps(case.trace()))  # no schedule
         (plan,) = trace.decoded.values()
-        manifest, npz = encode_payload(trace)
+        manifest, npz = encode_payload(trace_columns(trace))
         state = (sorted(trace.__getstate__()), sorted(plan.__getstate__()))
         trace._scratch = np.arange(1 << 12)
         plan._scratch = {"not": "encodable", "by": object}
-        assert encode_payload(trace) == (manifest, npz)
+        assert encode_payload(trace_columns(trace)) == (manifest, npz)
         assert (sorted(trace.__getstate__()),
                 sorted(plan.__getstate__())) == state
         copy = pickle.loads(pickle.dumps(trace))

@@ -37,11 +37,17 @@ from repro.execution import TRACE_COUNTERS, diagnostics
 from repro.execution.synthesize import (
     SynthesisUnsupported,
     TraceMismatch,
+    assemble_trace,
     diff_traces,
     synthesize_trace,
+    trace_columns,
 )
 from repro.execution.recorder import record_trace
+from repro.execution.trace import _TileClass
 from repro.soc import make_pynq_z2
+from repro.store import decode_payload, encode_payload
+
+from test_tier_matrix import CONFIGS
 
 
 def _specs(shapes, dtype=np.int32):
@@ -472,3 +478,65 @@ class TestManualTraceLifecycle:
         assert TRACE_COUNTERS["manual_recorded"] \
             == before["manual_recorded"] + 1
         assert TRACE_COUNTERS["manual_fallback"] == before["manual_fallback"]
+
+
+def _tables(trace) -> dict:
+    """Every public table of ``trace``, comparable with ``==``."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, _TileClass):
+            return tuple(plain(getattr(value, slot))
+                         for slot in _TileClass.__slots__)
+        if isinstance(value, (list, tuple)):
+            return tuple(plain(item) for item in value)
+        return value
+    return {name: plain(value) for name, value in vars(trace).items()
+            if not name.startswith("_")
+            and name not in ("decoded", "metrics_plans")}
+
+
+@pytest.mark.usefixtures("clean_faults")
+class TestColumnsRoundTrip:
+    """``trace_columns`` is exactly what ``assemble_trace`` takes: the
+    columns of every trace source — synthesis, a ``REPRO_CHECK``
+    recording, a manual (preinitialized) recording — reassemble,
+    directly and through the kernel store's codec, into the same columns
+    and the same derived tables."""
+
+    @staticmethod
+    def assert_round_trips(trace):
+        columns = trace_columns(trace)
+        for rebuilt in (assemble_trace(*columns), assemble_trace(
+                *decode_payload(*encode_payload(columns)))):
+            assert diff_traces(trace, rebuilt) == []
+            assert _tables(rebuilt) == _tables(trace)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_tier_matrix_traces(self, name):
+        for make, arrays, _ in CONFIGS[name]:
+            _, kernel = make(KernelCache())
+            specs = _specs([array.shape for array in arrays])
+            self.assert_round_trips(
+                synthesize_trace(kernel.schedule_table, specs))
+            self.assert_round_trips(record_trace(
+                kernel.entry_point, specs,
+                expected_events=schedule_event_count(kernel.schedule_table)))
+
+    def test_manual_traces(self, monkeypatch):
+        import repro.baselines.manual as manual_mod
+
+        monkeypatch.setattr(manual_mod, "_MANUAL_STATES", {})
+        TestManualTraceLifecycle.run()
+        board = make_pynq_z2()
+        board.attach_accelerator(ConvAccelerator(4, 3, max_slice=64))
+        rng = np.random.default_rng(5)
+        manual_conv_driver(
+            board, rng.integers(-4, 4, (1, 2, 10, 10)).astype(np.int32),
+            rng.integers(-4, 4, (3, 2, 3, 3)).astype(np.int32),
+            np.zeros((1, 3, 8, 8), np.int32))
+        traces = [state.trace for state in manual_mod._MANUAL_STATES.values()]
+        assert len(traces) == 2
+        for trace in traces:
+            assert trace.init_params is None and trace.region_sizes
+            self.assert_round_trips(trace)

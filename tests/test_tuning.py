@@ -621,3 +621,20 @@ class TestReport:
         report = build_report(SMALL, {})
         assert report["totals"]["missing"] == len(SMALL.points())
         assert report["groups"] == {}
+
+    def test_a_failed_publish_leaves_no_litter(self, tmp_path, monkeypatch):
+        """A report whose ``os.replace`` fails leaves the old report in
+        place and no ``*.tmp-*`` file beside it."""
+        from repro.tuning.report import write_report
+
+        path = tmp_path / "report.json"
+        write_report(path, {"old": 1})
+
+        def refuse(src, dst):
+            raise OSError("injected replace failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="injected"):
+            write_report(path, {"new": 2})
+        assert json.loads(path.read_text()) == {"old": 1}
+        assert sorted(tmp_path.iterdir()) == [path]

@@ -55,6 +55,7 @@ from .ir import Module, MemRefType, element_type_from_string, parse_module
 from .ir.printer import print_module
 from .runtime import AxiRuntime, CALL_STYLE_GENERATED, DoubleBufferedRuntime
 from .soc import Board
+from .soc.cache import check_end_state
 from .store import STORE_COUNTERS, KernelStore
 from .transforms import CompileError, build_axi4mlir_pipeline
 from .transforms.lower_to_accel import LoweringPlan
@@ -77,7 +78,9 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: Version 7: the C decoders' plans are re-derived, not persisted.
 #: Version 8: a trace is stored as its schedule columns and assembled on
 #: load.
-KERNEL_STORE_VERSION = 8
+#: Version 9: a MetricsPlan's cache end-states are per-set occupancies
+#: plus the resident lines, not every way slot.
+KERNEL_STORE_VERSION = 9
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -296,7 +299,9 @@ def stored_trace(payload: dict):
 
 def _check_stored_plan(trace, plan) -> None:
     """Raise ``ValueError`` unless a loaded MetricsPlan only indexes
-    what ``trace`` has: a ``(9,)`` float64 end state, staging-region
+    what ``trace`` has: a ``(9,)`` float64 end state, cache end-states
+    that pass :func:`~repro.soc.cache.check_end_state` (whether they fit
+    the board is checked when a replay is served one), staging-region
     writes inside the regions, send tiles inside their classes and
     receive ordinals below ``recv_pos.size`` — all before replay
     touches the board."""
@@ -304,6 +309,8 @@ def _check_stored_plan(trace, plan) -> None:
     if not isinstance(final, np.ndarray) or final.shape != (9,) \
             or final.dtype != np.float64:
         raise ValueError("MetricsPlan end state mis-shaped")
+    check_end_state(plan.l1_state)
+    check_end_state(plan.l2_state)
     in_size, out_size = trace.region_sizes if trace.init_params is None \
         else trace.init_params[1:]
     writes = [(plan.input_word_dest, in_size // 4)]

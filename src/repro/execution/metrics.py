@@ -15,8 +15,8 @@ This module evaluates that function once per ``(trace content,
 runtime-config fingerprint)`` into a :class:`MetricsPlan`: precomputed
 counter totals, the absolute timeline end-state, the cache LRU
 end-state, and region-write summaries.  Subsequent invocations with a matching
-fingerprint apply the plan in O(state) — an import of the final cache
-ways plus a handful of scalar assignments — instead of re-simulating
+fingerprint apply the plan in O(state) — installing the final cache
+contents plus a handful of scalar assignments — instead of re-simulating
 O(events) work.  Plans are persisted alongside traces in the kernel
 store (see ``repro.compiler``), so warm processes skip the metrics
 plane entirely.  A build's two sequential passes — the LRU
@@ -67,7 +67,13 @@ from .. import counters, faults
 from ..envutil import check_requested
 from ..runtime.copy import CopyKinds, copy_charge_terms, plan_for_geometry
 from ..soc import _native  # attribute reads: tests patch native_lib
-from ..soc.cache import _export_ways, install_ways
+from ..soc.cache import (
+    _export_ways,
+    end_state_bytes,
+    end_state_fits,
+    install_ways,
+    pack_ways,
+)
 from .synthesize import trace_columns
 from .trace import (
     K_CALL,
@@ -209,13 +215,13 @@ class MetricsPlan:
 
     Everything here is data-independent: absolute timeline end values
     (bound to the start state via the fingerprint), exact integer
-    counter deltas, the cache LRU end-state in way-array form, and the
+    counter deltas, each cache level's LRU end-state, and the
     last-writer summaries of the DMA staging regions (index maps only —
     the data plane supplies the payload bytes at apply time).
     """
 
     __slots__ = (
-        "final_state", "l1_ways", "l2_ways",
+        "final_state", "l1_state", "l2_state",
         "l1_hits_d", "l1_misses_d", "l2_hits_d", "l2_misses_d",
         "l1_miss_total", "l2_miss_total", "stats",
         "input_word_dest", "input_word_values", "input_tile_writes",
@@ -227,11 +233,13 @@ class MetricsPlan:
         #:  stall_cycles, accel_cycles, clock, accel_ready_at,
         #:  dma_busy_until, accel.total_cycles] — absolute end values.
         self.final_state: np.ndarray = None
-        #: Final LRU contents as way arrays (MRU first, -1 empty slot) —
-        #: the order-explicit, compactly serializable form; applying
-        #: installs them as lazily-expanded Cache state mirrors.
-        self.l1_ways: np.ndarray = None
-        self.l2_ways: np.ndarray = None
+        #: Final LRU contents per level, ``(counts, lines)``
+        #: (:data:`repro.soc.cache.EndState`): one occupancy per set and
+        #: the resident lines only, so a plan's size follows the lines a
+        #: run touched, not the cache's way slots.  Applying installs
+        #: them as the caches' lazily-expanded mirrors, uncopied.
+        self.l1_state: Tuple[np.ndarray, np.ndarray] = None
+        self.l2_state: Tuple[np.ndarray, np.ndarray] = None
         self.l1_hits_d = 0
         self.l1_misses_d = 0
         self.l2_hits_d = 0
@@ -266,9 +274,12 @@ def diff_plans(left: MetricsPlan, right: MetricsPlan) -> List[str]:
         return (a.shape == b.shape and a.dtype == b.dtype
                 and a.tobytes() == b.tobytes())
 
-    for name in ("final_state", "l1_ways", "l2_ways", "input_word_dest",
-                 "input_word_values"):
+    for name in ("final_state", "input_word_dest", "input_word_values"):
         if not arrays_equal(getattr(left, name), getattr(right, name)):
+            problems.append(name)
+    for name in ("l1_state", "l2_state"):
+        if not all(map(arrays_equal, getattr(left, name),
+                       getattr(right, name))):
             problems.append(name)
     for name in ("l1_hits_d", "l1_misses_d", "l2_hits_d", "l2_misses_d",
                  "l1_miss_total", "l2_miss_total", "stats"):
@@ -308,7 +319,7 @@ def _cache_digest(cache) -> bytes:
     if cache.hits == 0 and cache.misses == 0:
         # Never accessed since construction/reset: all sets are empty.
         return b"cold"
-    return _export_ways(cache).tobytes()
+    return end_state_bytes(cache)
 
 
 def plan_fingerprint(ex, decode_key: Tuple) -> str:
@@ -356,7 +367,12 @@ def obtain_plan(ex, decode_key: Tuple) -> MetricsPlan:
         cached = plans.get(key)
         if cached is not None:
             plans.move_to_end(key)
-    if cached is not None:
+    caches = ex.board.caches
+    # A stored plan's end-state passed the load checks, but only the
+    # board tells whether it fits: one that does not is rebuilt before
+    # replay writes anything.
+    if cached is not None and end_state_fits(cached.l1_state, caches.l1) \
+            and end_state_fits(cached.l2_state, caches.l2):
         METRICS_PLAN_COUNTERS["metrics_plan_hits"] += 1
         if check_requested():
             problems = diff_plans(cached, _timed_build(ex))
@@ -387,13 +403,16 @@ def _timed_build(ex) -> MetricsPlan:
 def apply_plan(ex, plan: MetricsPlan) -> None:
     """Install the metrics end-state into board/caches/accel/engine.
 
-    O(state): scalar assignments plus the cache-ways import.  The data
-    plane (tile scatter, region payload writes) is not touched here.
+    O(state): scalar assignments plus installing the cache end-states.
+    The data plane (tile scatter, region payload writes) is not touched
+    here.
     """
     start = time.perf_counter()
     board = ex.board
     counters = board.counters
-    fs = plan.final_state
+    # Python floats, as the per-tile charge paths leave them: the next
+    # fingerprint pickles these, and an np.float64 pickles differently.
+    fs = plan.final_state.tolist()
     counters.cpu_cycles = fs[0]
     counters.branch_instructions = fs[1]
     counters.cache_references = fs[2]
@@ -413,8 +432,8 @@ def apply_plan(ex, plan: MetricsPlan) -> None:
     counters.dma_bytes_from_accel += stats["dma_bytes_from_accel"]
 
     caches = board.caches
-    install_ways(caches.l1, plan.l1_ways)
-    install_ways(caches.l2, plan.l2_ways)
+    install_ways(caches.l1, plan.l1_state)
+    install_ways(caches.l2, plan.l2_state)
     caches.l1.hits += plan.l1_hits_d
     caches.l1.misses += plan.l1_misses_d
     caches.l2.hits += plan.l2_hits_d
@@ -447,10 +466,10 @@ def build_plan(ex) -> MetricsPlan:
     plan = MetricsPlan()
 
     cost = _cost_tables(ex)
-    (l1_hits_ev, l1_miss_ev, l2_miss_ev, l1_ways, l2_ways,
+    (l1_hits_ev, l1_miss_ev, l2_miss_ev, ways1, ways2,
      totals) = _classify_cache(ex, cost)
-    plan.l1_ways = l1_ways
-    plan.l2_ways = l2_ways
+    plan.l1_state = pack_ways(ways1, board.caches.l1)
+    plan.l2_state = pack_ways(ways2, board.caches.l2)
     (plan.l1_hits_d, plan.l1_misses_d,
      plan.l2_hits_d, plan.l2_misses_d) = totals
     plan.l1_miss_total = plan.l1_misses_d
@@ -697,14 +716,16 @@ def _fill_columns(copy_plan):
 
 
 def _start_ways(cache) -> np.ndarray:
-    """The way array a classification starts from (caller-owned).
+    """The C classifier's in/out way buffer (caller-owned), seeded with
+    the cache's LRU contents — the only place a dense way array lives;
+    :func:`build_plan` packs what the classifier leaves in it.
 
     Same never-accessed invariant as ``_cache_digest``: zero hits and
     misses since construction/reset (and no installed mirror) means no
     line was ever inserted, and most first-run plan builds start exactly
     there — no need to walk the sets to find them all empty.
     """
-    if cache.hits == 0 and cache.misses == 0 and cache._ways_mirror is None:
+    if cache.hits == 0 and cache.misses == 0 and cache._mirror is None:
         return np.full(cache.num_sets * cache.associativity, -1,
                        dtype=np.int64)
     return _export_ways(cache)
@@ -715,7 +736,8 @@ def _classify_cache(ex, cost: _CostTables):
 
     One C call (``lru_copy_event_stream``) walks every event's lines
     straight out of the alignment-group tables.  Returns per-event
-    (l1_hits, l1_miss, l2_miss) plus the final LRU way arrays and
+    (l1_hits, l1_miss, l2_miss) plus the classifier's way buffers,
+    holding the final LRU contents, and
     (l1_hits, l1_misses, l2_hits, l2_misses) totals.
     """
     l1, l2 = ex.board.caches.l1, ex.board.caches.l2

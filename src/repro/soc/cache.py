@@ -36,8 +36,9 @@ two paths on small tiles.
 Replay does not use this module to classify its traffic: a metrics-plane
 build runs one C call over the whole run's lines
 (``lru_copy_event_stream`` in :mod:`repro.soc._native`, via
-:mod:`repro.execution.metrics`) and hands the end state back as way
-arrays (:func:`install_ways`).  :class:`OfflineLruSimulator` — the same
+:mod:`repro.execution.metrics`) and hands the end state back in the
+one form this module owns (:data:`EndState`, :func:`install_ways`).
+:class:`OfflineLruSimulator` — the same
 classification over a materialized line stream, in C or in vectorized
 numpy — is kept for the frozen layer benchmark that measures both
 (the list is at ``repro.execution.diagnostics``).
@@ -46,12 +47,20 @@ numpy — is kept for the frozen layer benchmark that measures both
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .perf import PerfCounters
 from .timing import TimingModel
+
+#: A cache's LRU contents, ``(counts, lines)``: one uint16 occupancy
+#: per set, and the resident lines (int64) set by set, MRU first within
+#: a set.  The one form of an end-state outside the C state machines;
+#: a set with a hole (an occupied way behind an empty one) has no
+#: spelling in it.
+EndState = Tuple[np.ndarray, np.ndarray]
 
 
 class Cache:
@@ -76,36 +85,36 @@ class Cache:
             if self.num_sets & (self.num_sets - 1) == 0 else None
         # Per set: resident line addresses in LRU order (dict insertion
         # order; front = least recent).  Stored behind the ``_sets``
-        # property: replay installs end-states as way *arrays* (see
+        # property: replay installs end-states in packed form (see
         # :func:`install_ways`), and the dict expansion is deferred
         # until someone actually needs the dict form.  The dicts
         # themselves are only built on first use (``None`` = all sets
-        # empty): a replayed board installs way arrays and never reads
-        # them, and a hierarchy has thousands of sets.
-        self._ways_mirror: Optional[np.ndarray] = None
+        # empty): a replayed board installs packed end-states and never
+        # reads them, and a hierarchy has thousands of sets.
+        self._mirror: Optional[EndState] = None
         self._sets_store: Optional[List[Dict[int, None]]] = None
         self.hits = 0
         self.misses = 0
 
     @property
     def _sets(self) -> List[Dict[int, None]]:
-        """The per-set LRU dicts, materializing any pending way array.
+        """The per-set LRU dicts, materializing any pending end-state.
 
-        Accessing this invalidates the array mirror — callers are free
-        to mutate the dicts — so array-to-array replay sequences (apply
-        a plan, export for the next build) never pay the expansion.
+        Accessing this invalidates the mirror — callers are free to
+        mutate the dicts — so replay-to-replay sequences (apply a plan,
+        export for the next build) never pay the expansion.
         """
         if self._sets_store is None:
             self._sets_store = [{} for _ in range(self.num_sets)]
-        mirror = self._ways_mirror
+        mirror = self._mirror
         if mirror is not None:
-            self._ways_mirror = None
+            self._mirror = None
             _expand_ways(self, mirror)
         return self._sets_store
 
     @_sets.setter
     def _sets(self, value: List[Dict[int, None]]) -> None:
-        self._ways_mirror = None
+        self._mirror = None
         self._sets_store = value
 
     def reset(self) -> None:
@@ -584,30 +593,82 @@ class OfflineLruSimulator:
         return l1_hit, l2_hit
 
 
-def _export_ways(cache: Cache) -> np.ndarray:
-    """Way slots (MRU first, -1 empty) for the native state machine.
+def end_state(cache: Cache) -> EndState:
+    """The cache's LRU contents as an :data:`EndState`.
 
-    Callers own (and may mutate) the returned array.  When the cache
-    still holds an uninstalled mirror from :func:`install_ways` this is
-    a plain array copy — no dict traversal.
+    An installed mirror is returned as is: callers only read it.
     """
-    mirror = cache._ways_mirror
-    if mirror is not None:
-        return mirror.copy()
-    ways = np.full(cache.num_sets * cache.associativity, -1, dtype=np.int64)
+    if cache._mirror is not None:
+        return cache._mirror
+    sets = cache._sets_store
+    if sets is None:
+        return (np.zeros(cache.num_sets, dtype=np.uint16),
+                np.zeros(0, dtype=np.int64))
+    counts = np.fromiter(map(len, sets), np.uint16, cache.num_sets)
+    lines = np.fromiter(itertools.chain.from_iterable(map(reversed, sets)),
+                        np.int64, int(counts.sum()))
+    return counts, lines
+
+
+def end_state_bytes(cache: Cache) -> bytes:
+    """The cache's :data:`EndState` as bytes, equal iff the LRU contents
+    are: whatever form the cache holds them in, per-set dicts or an
+    installed mirror."""
+    counts, lines = end_state(cache)
+    return counts.tobytes() + lines.tobytes()
+
+
+def check_end_state(state) -> None:
+    """Raise ``ValueError`` unless ``state`` is an :data:`EndState` some
+    cache could hold: a 1-D uint16 ``counts``, a 1-D int64 ``lines`` of
+    ``counts.sum()`` non-negative lines.  What needs the geometry is
+    :func:`end_state_fits`."""
+    if type(state) is not tuple or len(state) != 2:
+        raise ValueError("end state is not a (counts, lines) pair")
+    counts, lines = state
+    if not isinstance(counts, np.ndarray) or counts.ndim != 1 \
+            or counts.dtype != np.uint16 \
+            or not isinstance(lines, np.ndarray) or lines.ndim != 1 \
+            or lines.dtype != np.int64:
+        raise ValueError("end state mis-shaped")
+    if lines.size != counts.sum() or lines.size and lines.min() < 0:
+        raise ValueError("end state lines differ from its occupancy")
+
+
+def end_state_fits(state: EndState, cache: Cache) -> bool:
+    """True when a checked ``state`` has one count per set of ``cache``
+    and none above its associativity — what the C state machines need
+    to index its ways by set and way."""
+    counts = state[0]
+    return counts.size == cache.num_sets \
+        and counts.max() <= cache.associativity
+
+
+def pack_ways(ways: np.ndarray, cache: Cache) -> EndState:
+    """The :data:`EndState` of a C state machine's way buffer (MRU-first
+    slots, -1 empty, occupied slots a prefix of each set's row)."""
+    grid = ways.reshape(cache.num_sets, cache.associativity)
+    occupied = grid >= 0
+    return occupied.sum(axis=1, dtype=np.uint16), grid[occupied]
+
+
+def _export_ways(cache: Cache) -> np.ndarray:
+    """Way slots (MRU first, -1 empty) for the native state machines.
+
+    The one dense form of an end-state: a fresh, caller-owned in/out
+    buffer, ``num_sets * associativity`` slots long.
+    """
+    counts, lines = end_state(cache)
     assoc = cache.associativity
-    for index, resident in enumerate(cache._sets_store or ()):
-        if resident:
-            stack = list(resident)  # dict order: LRU -> MRU
-            stack.reverse()
-            ways[index * assoc:index * assoc + len(stack)] = stack
+    ways = np.full(cache.num_sets * assoc, -1, dtype=np.int64)
+    ways.reshape(-1, assoc)[np.arange(assoc) < counts[:, None]] = lines
     return ways
 
 
 def warm_state_digest(hierarchy: "CacheHierarchy") -> str:
     """Hex digest of the exact LRU contents of both cache levels.
 
-    Order-sensitive (MRU-first way stacks), so two boards agree iff
+    Order-sensitive (MRU-first lines per set), so two boards agree iff
     their warm states are bit-identical — the pin the model-granularity
     replay tests use to prove the inter-kernel warm-state carry matches
     the sequential per-kernel path exactly.
@@ -616,48 +677,33 @@ def warm_state_digest(hierarchy: "CacheHierarchy") -> str:
     for cache in (hierarchy.l1, hierarchy.l2):
         digest.update(np.int64(cache.hits).tobytes())
         digest.update(np.int64(cache.misses).tobytes())
-        digest.update(_export_ways(cache).tobytes())
+        digest.update(end_state_bytes(cache))
     return digest.hexdigest()
 
 
-def install_ways(cache: Cache, ways: np.ndarray) -> None:
-    """Adopt ``ways`` (MRU-first slots, -1 empty) as the LRU state.
+def install_ways(cache: Cache, state: EndState) -> None:
+    """Adopt ``state`` as the cache's LRU contents.
 
-    O(copy): the array is kept as a private mirror and only expanded
-    into the per-set dicts when ``Cache._sets`` is next read — which a
-    replay-to-replay step sequence never does, so a model's kernels
-    hand cache end-states from one step's plan to the next build as
-    arrays.  The C state machines index the mirror by set and way, so
-    an array of any other length (a forged stored plan) is refused.
+    O(1): the arrays themselves become the cache's mirror, no copy, and
+    are only expanded into the per-set dicts when ``Cache._sets`` is
+    next read — which a replay-to-replay step sequence never does, so a
+    model's kernels hand cache end-states from one step's plan to the
+    next build as arrays.  Neither side mutates them afterwards.  The
+    caller has checked ``state`` (:func:`check_end_state`) and that it
+    fits (:func:`end_state_fits`).
     """
-    mirror = np.array(ways, dtype=np.int64)
-    if mirror.shape != (cache.num_sets * cache.associativity,):
-        raise ValueError(f"{cache.name}: way array of shape "
-                         f"{mirror.shape} does not fit the cache")
-    cache._ways_mirror = mirror
+    cache._mirror = state
 
 
-def _expand_ways(cache: Cache, ways: np.ndarray) -> None:
-    """Eagerly expand a way array into the per-set dicts.
-
-    Occupied slots always form a prefix of each row (the exporters fill
-    from slot 0 and the LRU state machines shift-insert at the MRU end),
-    so per-row occupancy counts replace per-slot filtering.
-    """
-    assoc = cache.associativity
-    grid = ways.reshape(cache.num_sets, assoc)
-    occupancy = (grid >= 0).sum(axis=1).tolist()
-    rows = grid.tolist()
+def _expand_ways(cache: Cache, state: EndState) -> None:
+    """Eagerly expand an end-state into the per-set dicts."""
+    counts, lines = state
+    flat = lines.tolist()
     sets = cache._sets_store
-    for i, occ in enumerate(occupancy):
-        if occ == assoc:
-            row = rows[i]
-            row.reverse()  # back to LRU -> MRU insertion order
-            sets[i] = dict.fromkeys(row)
-        elif occ:
-            sets[i] = dict.fromkeys(rows[i][occ - 1::-1])
-        else:
-            sets[i] = {}
+    end = 0
+    for index, count in enumerate(counts.tolist()):
+        start, end = end, end + count
+        sets[index] = dict.fromkeys(reversed(flat[start:end]))
 
 
 def hierarchy_from_cpu_info(cpu_info, timing: TimingModel) -> CacheHierarchy:

@@ -933,15 +933,25 @@ class TestHostileEntries:
         _, dest, _ = plan.output_writes[0]
         dest[0] = 1 << 40
 
+    @staticmethod
+    def _forged_end_state(payload):
+        """A stored MetricsPlan whose L2 end-state lists one line more
+        than its per-set occupancies add up to."""
+        (plan,) = payload["metrics_plans"].values()
+        counts, lines = plan.l2_state
+        plan.l2_state = (counts, np.append(lines, lines[:1]))
+
     @pytest.mark.parametrize("edit", [
         "_forged_flush_count", "_float_flush_counts", "_three_column_refs",
-        "_foreign_class_ref", "_forged_decoded_plan", "_forged_region_index"])
+        "_foreign_class_ref", "_forged_decoded_plan", "_forged_region_index",
+        "_forged_end_state"])
     def test_a_forged_flush_count_is_quarantined_and_resynthesized(
             self, tmp_path, edit):
         """An out-of-stream or mistyped flush, a receive class the C
         decoders would index memory by wrongly, a stored decoded plan
-        (the store writes none) or a MetricsPlan writing outside the
-        trace's staging regions never gets that far."""
+        (the store writes none), a MetricsPlan writing outside the
+        trace's staging regions or one whose cache end-state is not
+        ``(counts, lines)`` never gets that far."""
         store, path, expected, _, operands = self.forge(
             tmp_path, getattr(self, edit))
         reader = KernelCache(disk_dir=str(store))
@@ -956,6 +966,28 @@ class TestHostileEntries:
         third = KernelCache(disk_dir=str(store))
         make_compiler(third).compile_matmul(32, 32, 32)
         assert (third.disk_hits, third.disk_corrupt) == (1, 0)
+
+    def test_an_end_state_of_another_geometry_is_rebuilt(self, tmp_path):
+        """A stored plan whose L2 end-state has one set too few passes
+        the load checks, which need no geometry, so the entry is a disk
+        hit; the board refuses the plan before replay writes anything,
+        and it is rebuilt: the run counts like the honest one."""
+        from repro.execution import METRICS_PLAN_COUNTERS
+
+        def edit(payload):
+            (plan,) = payload["metrics_plans"].values()
+            counts, lines = plan.l2_state
+            plan.l2_state = (counts[:-1], lines[:int(counts[:-1].sum())])
+
+        store, _, expected, _, operands = self.forge(tmp_path, edit)
+        reader = KernelCache(disk_dir=str(store))
+        kernel = make_compiler(reader).compile_matmul(32, 32, 32)
+        hw, _ = make_matmul_system(3, 8, flow="Ns")
+        before = dict(METRICS_PLAN_COUNTERS)
+        assert _observe(hw, kernel, operands) == expected
+        assert (reader.disk_hits, reader.disk_corrupt) == (1, 0)
+        assert [METRICS_PLAN_COUNTERS[name] - before[name] for name in (
+            "metrics_plan_hits", "metrics_plan_misses")] == [0, 1]
 
     def test_a_forged_digest_shares_no_plans(self, tmp_path):
         """Traces share plans by a digest of their own columns, never

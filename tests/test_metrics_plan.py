@@ -355,3 +355,67 @@ class TestSharedPlans:
         del first, second
         gc.collect()
         assert len(_SHARED_PLANS) == 0
+
+
+def _fresh_board(hw_factory):
+    board = make_pynq_z2()
+    board.attach_accelerator(hw_factory())
+    return board
+
+
+def _operands(size=16):
+    rng = np.random.default_rng(7)
+    return [rng.integers(-7, 7, (size, size)).astype(np.int32)
+            for _ in range(2)] + [np.zeros((size, size), np.int32)]
+
+
+@pytest.mark.usefixtures("clean_faults")
+class TestEndState:
+    """A plan keeps each cache level's end-state as per-set occupancies
+    plus the resident lines, and what is derived from a cache's state
+    does not depend on which form the cache holds it in."""
+
+    def test_a_plan_holds_the_resident_lines_only(self):
+        kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
+        oracle = _fresh_board(hw_factory)
+        kernel.run(oracle, *_operands(), trace=False)
+        kernel.run(_fresh_board(hw_factory), *_operands())
+        (plan,) = kernel.trace_state.trace.metrics_plans.values()
+        for state, cache in ((plan.l1_state, oracle.caches.l1),
+                             (plan.l2_state, oracle.caches.l2)):
+            counts, lines = state
+            assert counts.tolist() == [len(ways) for ways in cache._sets]
+            assert lines.tolist() == [line for ways in cache._sets
+                                      for line in reversed(ways)]
+            assert counts.nbytes + lines.nbytes \
+                <= 2 * cache.num_sets + 8 * cache.occupancy()
+
+    def test_per_set_dicts_and_an_installed_mirror_digest_alike(
+            self, monkeypatch):
+        """One LRU state reached per tile (per-set dicts) and by replay
+        (the plan's end-state installed as the mirror) gives one
+        warm-state digest and one plan fingerprint, so a board the
+        per-tile driver warmed hits the plan a replayed board built."""
+        from repro.execution import metrics
+        from repro.soc.cache import warm_state_digest
+
+        kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
+        per_tile = _fresh_board(hw_factory)
+        kernel.run(per_tile, *_operands(), trace=False)
+        replayed = _fresh_board(hw_factory)
+        kernel.run(replayed, *_operands())
+        assert per_tile.caches.l2._mirror is None
+        assert replayed.caches.l2._mirror is not None
+        assert warm_state_digest(per_tile.caches) \
+            == warm_state_digest(replayed.caches)
+        fingerprints = []
+        real = metrics.plan_fingerprint
+        monkeypatch.setattr(
+            metrics, "plan_fingerprint",
+            lambda *args: fingerprints.append(real(*args)) or
+            fingerprints[-1])
+        hits, misses = _plan_traffic()
+        kernel.run(replayed, *_operands())
+        kernel.run(per_tile, *_operands())
+        assert fingerprints[0] == fingerprints[1]
+        assert _plan_traffic() == (hits + 1, misses + 1)

@@ -59,19 +59,38 @@ class TestCacheBasics:
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_a_way_array_must_fit_the_cache(self):
-        """The C state machines index installed ways by set and way, so
-        a stored plan's way array of another length never gets in."""
+        """The C state machines index an installed end-state's ways by
+        set and way, so a stored plan's ``(counts, lines)`` that does
+        not fit is refused: a wrong set count or a set over the
+        associativity by the board, a line count other than the
+        occupancy sum already at load."""
         import numpy as np
 
-        from repro.soc.cache import _export_ways, install_ways
+        from repro.soc.cache import (
+            _export_ways,
+            check_end_state,
+            end_state,
+            end_state_fits,
+            install_ways,
+        )
 
         cache = Cache(512, 32, 2)  # 8 sets x 2 ways
-        with pytest.raises(ValueError, match="does not fit"):
-            install_ways(cache, np.full(3, -1))
-        ways = np.full(16, -1)
-        ways[7 * 2] = 7  # line 7: set 7, MRU way
-        install_ways(cache, ways)
+        counts = np.zeros(8, np.uint16)
+        counts[7] = 1
+        state = (counts, np.array([7], np.int64))  # line 7: set 7
+        check_end_state(state)
+        assert end_state_fits(state, cache)
+        assert not end_state_fits((counts[:7], state[1]), cache)
+        over = counts.copy()
+        over[7] = 3
+        assert not end_state_fits((over, np.arange(3, dtype=np.int64)),
+                                  cache)
+        with pytest.raises(ValueError, match="occupancy"):
+            check_end_state((counts, np.array([7, 15], np.int64)))
+        install_ways(cache, state)
         assert cache.contains_line(7) and _export_ways(cache).size == 16
+        assert [a.tolist() for a in end_state(cache)] == \
+            [counts.tolist(), [7]]
 
 
 class TestLinesOfRange:

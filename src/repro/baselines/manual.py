@@ -7,119 +7,204 @@ the fewest number of data-transfer calls for the selected dataflow.
 They run against the exact same board/accelerator as the generated
 code, but with :data:`~repro.runtime.CALL_STYLE_MANUAL` call overheads
 and the manual (raw-array) copy cost style.
+
+Each driver is written by hand as accel-level IR — a ``func.func`` of
+``scf.for`` tile loops, ``memref.subview`` windows of the whole operands
+and ``accel`` staging ops — that never goes through the AXI4MLIR passes.
+It is a :class:`~repro.compiler.CompiledKernel` like a generated one,
+cached in :func:`~repro.compiler.default_kernel_cache` under a
+``("manual", ...)`` key, so the emitter, the trace synthesizer, the
+kernel store, replay and the interpreter serve it unchanged.  What the
+IR cannot say the kernel carries as data: its call style, and the DMA
+engine the host initializes *before* it allocates the operands
+(``host_dma_init``) — which is why the IR holds no ``accel.dma_init``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..accelerators.matmul import MATMUL_LITERALS, VERSION_OPCODES
+from ..accelerators.matmul import MATMUL_LITERALS
 from ..accelerators.conv import CONV_LITERALS
-from ..compiler import (
-    KernelTraceState,
-    default_kernel_cache,
-    load_entry,
-    publish_entry,
-    store_entry_name,
-)
-from ..execution.recorder import record_trace
-from ..execution.trace import TRACE_COUNTERS, trace_enabled
-from ..runtime import AxiRuntime, CALL_STYLE_MANUAL
+from ..codegen import emit_function
+from ..compiler import CompiledKernel, KernelCache, default_kernel_cache
+from ..dialects import accel, arith, func, memref, scf
+from ..execution.trace import add_stage_time
+from ..ir import MemRefType, Module, element_type_from_string
+from ..ir.types import I32
+from ..runtime import CALL_STYLE_MANUAL
 from ..soc.board import Board
 from ..soc.perf import PerfCounters
 
 #: DMA region sizes matching the catalog configurations.
 _DMA_WORDS = 0x2_0000
 
-
-def _make_runtime(board: Board) -> AxiRuntime:
-    return AxiRuntime(board, call_style=CALL_STYLE_MANUAL)
-
-
-#: One trace state per manual-driver configuration, keyed by (kernel,
-#: knobs, arg specs): the lifecycle of a compiled kernel's trace
-#: (:meth:`~repro.compiler.KernelTraceState.replay`).  The manual
-#: drivers are as static as the generated ones — only their dma_init
-#: runs before the memref allocations, so their bodies record as
-#: *preinitialized* traces that replay against the live engine.  With a
-#: kernel store active each trace (+ its MetricsPlans) also lives there
-#: as a ``manual-*`` entry under the same key, so only the first process
-#: records.
-_MANUAL_STATES: Dict[Tuple, KernelTraceState] = {}
+#: The ``dma_init`` a manual driver's host runs before allocating.
+_HOST_DMA_INIT = (0, 0, _DMA_WORDS * 4, 0, _DMA_WORDS * 4)
 
 
-def _manual_state(key: Tuple) -> KernelTraceState:
-    """The trace state of one configuration: loaded from and published
-    to the store active when it is first run, like a kernel's."""
-    state = _MANUAL_STATES.get(key)
-    if state is not None:
-        return state
-    fresh = KernelTraceState()
-    store = default_kernel_cache().resolve_store()
-    if store is not None:
-        name = store_entry_name("manual", key)
-        status, payload = load_entry(store, name)
-        if status == "hit":
-            fresh.trace = payload["trace"]
-        fresh.persist = lambda: publish_entry(store, name, {}, fresh.trace)
-    # Racing first runs share the winner, whose lock builds once.
-    return _MANUAL_STATES.setdefault(key, fresh)
-
-
-def _record(body):
-    """The trace builder of a manual body: a recording, counted like a
-    synthesis (``manual_recorded`` / ``manual_fallback``)."""
-    def build(specs):
-        try:
-            trace = record_trace(
-                body, specs, preinitialized=(_DMA_WORDS * 4, _DMA_WORDS * 4),
-                stage="manual_record_s")
-        except Exception:
-            TRACE_COUNTERS["manual_fallback"] += 1
-            raise
-        TRACE_COUNTERS["manual_recorded"] += 1
-        return trace
-    return build
-
-
-def _run_manual_body(body, rt, board, before, descriptors, key):
-    """Replay ``body`` from its recorded trace; per-tile on fallback."""
-    if trace_enabled():
-        specs = tuple((d.sizes, d.strides, d.itemsize, str(d.dtype))
-                      for d in descriptors)
-        if _manual_state(key + (specs,)).replay(board, rt, descriptors,
-                                                _record(body)):
-            return board.measure_since(before)
-    body(rt, *descriptors)
-    return board.measure_since(before)
+#: Per version: the opcodes its manual driver stages, and the flows
+#: it has a driver for.
+_MANUAL_OPCODES = {
+    1: (("sAsBcCrC",), ("Ns",)),
+    2: (("sA", "sB", "cCrC"), ("Ns", "As", "Bs")),
+    3: (("sA", "sB", "cC", "rC"), ("Ns", "As", "Bs", "Cs")),
+    4: (("sA", "sB", "cC", "rC"), ("Ns", "As", "Bs", "Cs")),
+}
 
 
 def _matmul_literals_for(version: int, flow: str) -> Dict[str, int]:
     """The opcodes a manual driver uses for one (version, flow) pair."""
-    available = VERSION_OPCODES[version]
-    needs = {
-        (1, "Ns"): ("sAsBcCrC",),
-        (2, "Ns"): ("sA", "sB", "cCrC"),
-        (2, "As"): ("sA", "sB", "cCrC"),
-        (2, "Bs"): ("sA", "sB", "cCrC"),
-        (3, "Ns"): ("sA", "sB", "cC", "rC"),
-        (3, "As"): ("sA", "sB", "cC", "rC"),
-        (3, "Bs"): ("sA", "sB", "cC", "rC"),
-        (3, "Cs"): ("sA", "sB", "cC", "rC"),
-    }
-    needs[(4, "Ns")] = needs[(3, "Ns")]
-    needs[(4, "As")] = needs[(3, "As")]
-    needs[(4, "Bs")] = needs[(3, "Bs")]
-    needs[(4, "Cs")] = needs[(3, "Cs")]
-    key = (version, flow)
-    if key not in needs:
-        raise ValueError(f"v{version} has no manual {flow} driver")
-    missing = [n for n in needs[key] if n not in available]
-    if missing:
-        raise ValueError(f"v{version} does not support opcodes {missing}")
-    return {name: MATMUL_LITERALS[name] for name in needs[key]}
+    names, flows = _MANUAL_OPCODES.get(version, ((), ()))
+    if flow not in flows:
+        raise ValueError(f"v{version} has no manual {flow!r} driver")
+    return {name: MATMUL_LITERALS[name] for name in names}
+
+
+def _word(b, value: int, offset):
+    """Stage the i32 literal ``value`` at ``offset``."""
+    return accel.send_literal(b, arith.constant(b, value, I32), offset)
+
+
+def _loop(b, extent: int, step: int, name: str):
+    """``scf.for`` over ``range(0, extent, step)``, as a context."""
+    return scf.build_for(b, arith.index_constant(b, 0),
+                         arith.index_constant(b, extent),
+                         arith.index_constant(b, step), name)
+
+
+def _manual_kernel(cache: Optional[KernelCache], key: Tuple, name: str,
+                   shapes, dtype, body) -> CompiledKernel:
+    """The kernel of one driver configuration: ``body(b, *operands)``
+    builds the IR of a ``func.func`` named ``name`` over memrefs of
+    ``shapes`` and ``dtype``, once per key (or store entry)."""
+    element = element_type_from_string(np.dtype(dtype).name)
+    types = [MemRefType(tuple(shape), element) for shape in shapes]
+
+    def build() -> CompiledKernel:
+        start = time.perf_counter()
+        try:
+            module = Module()
+            func_op = func.define(name, types)
+            module.add_function(func_op)
+            b = func.builder_at_entry(func_op)
+            body(b, *func.arguments(func_op))
+            func.ret(b)
+            kernel = CompiledKernel(module, func_name=name,
+                                    call_style=CALL_STYLE_MANUAL,
+                                    host_dma_init=_HOST_DMA_INIT)
+            # Synthesis needs the schedule table: emit now, as a compile
+            # does.
+            kernel.trace_state.emitted = emit_function(func_op)
+            return kernel
+        finally:
+            add_stage_time("compile_s", time.perf_counter() - start)
+
+    cache = default_kernel_cache() if cache is None else cache
+    return cache.get_or_compile(
+        ("manual", name) + key + (tuple(str(t) for t in types),), build)
+
+
+def manual_matmul_kernel(
+    shapes: Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]],
+    version: int,
+    size: int,
+    flow: str = "Ns",
+    tiles: Optional[Tuple[int, int, int]] = None,
+    dtype=np.int32,
+    cache: Optional[KernelCache] = None,
+) -> CompiledKernel:
+    """The hand-written driver of C += A @ B for ``shapes`` (of A, B, C)
+    on a Table I accelerator, as a kernel.
+
+    ``tiles`` overrides the square tile, on flexible (v4) accelerators
+    only.  Every argument is checked before a kernel is looked up.
+    """
+    (m, k), (k2, n), c_shape = shapes
+    if (k2, (m, n)) != (k, tuple(c_shape)):
+        raise ValueError("matmul operand shapes do not agree")
+    literals = _matmul_literals_for(version, flow)
+    tiles = (size, size, size) if tiles is None else tuple(tiles)
+    if version != 4 and tiles != (size, size, size):
+        raise ValueError(f"v{version} has a fixed {size}^3 tile; "
+                         f"only v4 takes tiles {tiles}")
+    if len(tiles) != 3 or min(tiles) < 1:
+        raise ValueError(f"tiles {tiles} are not three positive sizes")
+    for extent, tile, label in zip((m, n, k), tiles, "MNK"):
+        if extent % tile:
+            raise ValueError(f"{label}={extent} not divisible by tile {tile}")
+    recv_words = ("cC", "rC") if "rC" in literals else ("cCrC",)
+    extents, tile_of = dict(zip("mnk", (m, n, k))), dict(zip("mnk", tiles))
+
+    def body(b, ref_a, ref_b, ref_c):
+        ivs, zero = {}, arith.constant(b, 0, I32)
+
+        def word(name, offset):
+            return _word(b, MATMUL_LITERALS[name], offset)
+
+        @contextlib.contextmanager
+        def loops(dims):
+            with contextlib.ExitStack() as stack:
+                for dim in dims:
+                    ivs[dim] = stack.enter_context(
+                        _loop(b, extents[dim], tile_of[dim], dim))
+                yield
+
+        def tile(ref, rows, cols):
+            return memref.subview(b, ref, [ivs[rows], ivs[cols]],
+                                  (tile_of[rows], tile_of[cols]))
+
+        def send_a(offset, literal="sA"):
+            offset = word(literal, offset)
+            return accel.send(b, tile(ref_a, "m", "k"), offset)
+
+        def send_b(offset, literal="sB"):
+            if literal:
+                offset = word(literal, offset)
+            return accel.send(b, tile(ref_b, "k", "n"), offset)
+
+        def receive(offset, *words):
+            for name in words:
+                offset = word(name, offset)
+            accel.flush_send(b, offset)
+            accel.recv(b, tile(ref_c, "m", "n"), zero, accel.RECV_ACCUMULATE)
+
+        if version == 4:
+            offset = word("cfg", zero)
+            for extent in tiles:
+                offset = accel.send_idx(b, arith.index_constant(b, extent),
+                                        offset)
+            accel.flush_send(b, offset)
+        else:
+            accel.flush_send(b, word("reset", zero))
+        if version == 1:
+            with loops("mnk"):
+                receive(send_b(send_a(zero, "sAsBcCrC"), None))
+        elif flow == "Ns":
+            with loops("mnk"):
+                receive(send_b(send_a(zero)), *recv_words)
+        elif flow == "As":
+            with loops("mk"):
+                accel.flush_send(b, send_a(zero))
+                with loops("n"):
+                    receive(send_b(zero), *recv_words)
+        elif flow == "Bs":
+            with loops("nk"):
+                accel.flush_send(b, send_b(zero))
+                with loops("m"):
+                    receive(send_a(zero), *recv_words)
+        else:  # Cs
+            with loops("mn"):
+                with loops("k"):
+                    accel.flush_send(b, word("cC", send_b(send_a(zero))))
+                receive(zero, "rC")
+
+    return _manual_kernel(cache, (version, size, flow, tiles),
+                          "manual_matmul", shapes, dtype, body)
 
 
 def manual_matmul_driver(
@@ -138,149 +223,71 @@ def manual_matmul_driver(
     Returns the perf counter delta of the whole offload (including DMA
     initialization, as measured in the paper's task-clock).
     """
-    m, k = a.shape
-    k2, n = b.shape
-    if (k2, (m, n)) != (k, c.shape):
-        raise ValueError("matmul operand shapes do not agree")
-    tile_m, tile_n, tile_k = tiles or (size, size, size)
-    for extent, tile, label in ((m, tile_m, "M"), (n, tile_n, "N"),
-                                (k, tile_k, "K")):
-        if extent % tile:
-            raise ValueError(f"{label}={extent} not divisible by tile {tile}")
+    kernel = manual_matmul_kernel((a.shape, b.shape, c.shape), version,
+                                  size, flow, tiles, a.dtype)
+    return kernel.run(board, a, b, c)
 
-    literals = _matmul_literals_for(version, flow)
-    if flow == "Cs" and "cC" not in literals:
-        raise ValueError("Cs flow needs a separate cC opcode (v3/v4)")
-    if flow not in ("Ns", "As", "Bs", "Cs"):
-        raise ValueError(f"unknown flow {flow!r}")
 
-    def body(rt, desc_a, desc_b, desc_c):
-        if version == 4:
-            offset = rt.send_literal(MATMUL_LITERALS["cfg"], 0)
-            offset = rt.send_idx(tile_m, offset)
-            offset = rt.send_idx(tile_n, offset)
-            offset = rt.send_idx(tile_k, offset)
-            rt.flush_send(offset)
-        else:
-            rt.flush_send(rt.send_literal(MATMUL_LITERALS["reset"], 0))
+def manual_conv_kernel(
+    shapes: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]],
+    stride: int = 1,
+    dtype=np.int32,
+    cache: Optional[KernelCache] = None,
+) -> CompiledKernel:
+    """The hand-written filter/output-stationary driver of one NCHW/FCHW
+    convolution of ``shapes`` (image, filter, output), as a kernel.
 
-        def send_a(mi: int, ki: int, offset: int) -> int:
-            offset = rt.send_literal(literals["sA"], offset)
-            rt.subview_setup()
-            return rt.send_memref(
-                desc_a.subview((mi, ki), (tile_m, tile_k)), offset
-            )
+    Every argument is checked before a kernel is looked up: the filter
+    is square (the accelerator takes one filter size) and the output
+    has exactly the extents the convolution produces.
+    """
+    (batch, in_ch, in_h, in_w), (out_ch, in_ch2, f_h, f_w), out_shape = \
+        shapes
+    if in_ch != in_ch2:
+        raise ValueError("image/filter channel mismatch")
+    if f_h != f_w:
+        raise ValueError(f"filter {f_h}x{f_w} is not square")
+    if stride < 1:
+        raise ValueError(f"stride {stride} is not positive")
+    if f_h > min(in_h, in_w):
+        raise ValueError(f"filter {f_h}x{f_w} exceeds image {in_h}x{in_w}")
+    out_h = (in_h - f_h) // stride + 1
+    out_w = (in_w - f_w) // stride + 1
+    if tuple(out_shape) != (batch, out_ch, out_h, out_w):
+        raise ValueError(f"output {tuple(out_shape)} is not the "
+                         f"{(batch, out_ch, out_h, out_w)} convolution")
 
-        def send_b(ki: int, ni: int, offset: int) -> int:
-            offset = rt.send_literal(literals["sB"], offset)
-            rt.subview_setup()
-            return rt.send_memref(
-                desc_b.subview((ki, ni), (tile_k, tile_n)), offset
-            )
+    def body(b, ref_i, ref_w, ref_o):
+        def word(name, offset):
+            return _word(b, CONV_LITERALS[name], offset)
 
-        def recv_c(mi: int, ni: int, compute_literal: Optional[int],
-                   recv_literal: int, offset: int) -> None:
-            if compute_literal is not None:
-                offset = rt.send_literal(compute_literal, offset)
-            offset = rt.send_literal(recv_literal, offset)
-            rt.flush_send(offset)
-            rt.subview_setup()
-            rt.recv_memref(desc_c.subview((mi, ni), (tile_m, tile_n)), 0,
-                           accumulate=True)
+        def send_window(ref, offsets, literal):
+            offset = word(literal, zero)
+            window = memref.subview(b, ref, offsets, (1, in_ch, f_h, f_w))
+            accel.flush_send(b, accel.send(b, window, offset))
 
-        if version == 1:
-            for mi in range(0, m, tile_m):
-                rt.loop_iteration()
-                for ni in range(0, n, tile_n):
-                    rt.loop_iteration()
-                    for ki in range(0, k, tile_k):
-                        rt.loop_iteration()
-                        offset = rt.send_literal(literals["sAsBcCrC"], 0)
-                        rt.subview_setup()
-                        offset = rt.send_memref(
-                            desc_a.subview((mi, ki), (tile_m, tile_k)),
-                            offset
-                        )
-                        rt.subview_setup()
-                        offset = rt.send_memref(
-                            desc_b.subview((ki, ni), (tile_k, tile_n)),
-                            offset
-                        )
-                        rt.flush_send(offset)
-                        rt.subview_setup()
-                        rt.recv_memref(
-                            desc_c.subview((mi, ni), (tile_m, tile_n)), 0,
-                            accumulate=True,
-                        )
-            return
+        zero = arith.constant(b, 0, I32)
+        origin = arith.index_constant(b, 0)
+        offset = word("cfg_fsize", zero)
+        offset = accel.send_idx(b, arith.index_constant(b, f_h), offset)
+        offset = word("cfg_ic", offset)
+        offset = accel.send_idx(b, arith.index_constant(b, in_ch), offset)
+        accel.flush_send(b, offset)
+        with _loop(b, batch, 1, "b") as bi, \
+                _loop(b, out_ch, 1, "oc") as oc:
+            send_window(ref_w, [oc, origin, origin, origin], "sF")
+            # The window origins step by the stride: oh, ow are image
+            # rows and columns, out_h x out_w of them.
+            with _loop(b, out_h * stride, stride, "oh") as oh, \
+                    _loop(b, out_w * stride, stride, "ow") as ow:
+                send_window(ref_i, [bi, origin, oh, ow], "sIcO")
+            accel.flush_send(b, word("rO", zero))
+            accel.recv(b, memref.subview(b, ref_o, [bi, oc, origin, origin],
+                                         (1, 1, out_h, out_w)),
+                       zero, accel.RECV_ACCUMULATE)
 
-        compute = literals.get("cC")
-        recv_lit = literals["rC"] if "rC" in literals \
-            else literals["cCrC"]
-        compute_for_recv = compute if "rC" in literals else None
-
-        if flow == "Ns":
-            for mi in range(0, m, tile_m):
-                rt.loop_iteration()
-                for ni in range(0, n, tile_n):
-                    rt.loop_iteration()
-                    for ki in range(0, k, tile_k):
-                        rt.loop_iteration()
-                        offset = send_a(mi, ki, 0)
-                        offset = send_b(ki, ni, offset)
-                        recv_c(mi, ni, compute_for_recv, recv_lit, offset)
-        elif flow == "As":
-            for mi in range(0, m, tile_m):
-                rt.loop_iteration()
-                for ki in range(0, k, tile_k):
-                    rt.loop_iteration()
-                    offset = send_a(mi, ki, 0)
-                    rt.flush_send(offset)
-                    for ni in range(0, n, tile_n):
-                        rt.loop_iteration()
-                        offset = send_b(ki, ni, 0)
-                        recv_c(mi, ni, compute_for_recv, recv_lit, offset)
-        elif flow == "Bs":
-            for ni in range(0, n, tile_n):
-                rt.loop_iteration()
-                for ki in range(0, k, tile_k):
-                    rt.loop_iteration()
-                    offset = send_b(ki, ni, 0)
-                    rt.flush_send(offset)
-                    for mi in range(0, m, tile_m):
-                        rt.loop_iteration()
-                        offset = send_a(mi, ki, 0)
-                        recv_c(mi, ni, compute_for_recv, recv_lit, offset)
-        else:  # Cs
-            for mi in range(0, m, tile_m):
-                rt.loop_iteration()
-                for ni in range(0, n, tile_n):
-                    rt.loop_iteration()
-                    for ki in range(0, k, tile_k):
-                        rt.loop_iteration()
-                        offset = send_a(mi, ki, 0)
-                        offset = send_b(ki, ni, offset)
-                        offset = rt.send_literal(compute, offset)
-                        rt.flush_send(offset)
-                    offset = rt.send_literal(literals["rC"], 0)
-                    rt.flush_send(offset)
-                    rt.subview_setup()
-                    rt.recv_memref(
-                        desc_c.subview((mi, ni), (tile_m, tile_n)), 0,
-                        accumulate=True,
-                    )
-
-    rt = _make_runtime(board)
-    before = board.snapshot()
-    rt.dma_init(0, 0, _DMA_WORDS * 4, 0, _DMA_WORDS * 4)
-
-    desc_a = rt.make_memref(a, "A")
-    desc_b = rt.make_memref(b, "B")
-    desc_c = rt.make_memref(c, "C")
-
-    key = ("matmul", version, size, flow, (tile_m, tile_n, tile_k))
-    return _run_manual_body(body, rt, board, before,
-                            [desc_a, desc_b, desc_c], key)
+    return _manual_kernel(cache, (stride,), "manual_conv", shapes, dtype,
+                          body)
 
 
 def manual_conv_driver(
@@ -291,62 +298,6 @@ def manual_conv_driver(
     stride: int = 1,
 ) -> PerfCounters:
     """Drive the conv accelerator by hand (filter/output stationary)."""
-    batch, in_ch, in_h, in_w = image.shape
-    out_ch, in_ch2, f_h, f_w = weights.shape
-    if in_ch != in_ch2:
-        raise ValueError("image/filter channel mismatch")
-    _, out_ch2, out_h, out_w = out.shape
-    if out_ch != out_ch2:
-        raise ValueError("filter/output channel mismatch")
-
-    def body(rt, desc_i, desc_w, desc_o):
-        offset = rt.send_literal(CONV_LITERALS["cfg_fsize"], 0)
-        offset = rt.send_idx(f_h, offset)
-        offset = rt.send_literal(CONV_LITERALS["cfg_ic"], offset)
-        offset = rt.send_idx(in_ch, offset)
-        rt.flush_send(offset)
-
-        for bi in range(batch):
-            rt.loop_iteration()
-            for oc in range(out_ch):
-                rt.loop_iteration()
-                offset = rt.send_literal(CONV_LITERALS["sF"], 0)
-                rt.subview_setup()
-                offset = rt.send_memref(
-                    desc_w.subview((oc, 0, 0, 0), (1, in_ch, f_h, f_w)),
-                    offset
-                )
-                rt.flush_send(offset)
-                for oh in range(out_h):
-                    rt.loop_iteration()
-                    for ow in range(out_w):
-                        rt.loop_iteration()
-                        offset = rt.send_literal(CONV_LITERALS["sIcO"], 0)
-                        rt.subview_setup()
-                        offset = rt.send_memref(
-                            desc_i.subview(
-                                (bi, 0, oh * stride, ow * stride),
-                                (1, in_ch, f_h, f_w),
-                            ),
-                            offset,
-                        )
-                        rt.flush_send(offset)
-                offset = rt.send_literal(CONV_LITERALS["rO"], 0)
-                rt.flush_send(offset)
-                rt.subview_setup()
-                rt.recv_memref(
-                    desc_o.subview((bi, oc, 0, 0), (1, 1, out_h, out_w)),
-                    0, accumulate=True,
-                )
-
-    rt = _make_runtime(board)
-    before = board.snapshot()
-    rt.dma_init(0, 0, _DMA_WORDS * 4, 0, _DMA_WORDS * 4)
-
-    desc_i = rt.make_memref(image, "I")
-    desc_w = rt.make_memref(weights, "W")
-    desc_o = rt.make_memref(out, "O")
-
-    key = ("conv", stride)
-    return _run_manual_body(body, rt, board, before,
-                            [desc_i, desc_w, desc_o], key)
+    kernel = manual_conv_kernel((image.shape, weights.shape, out.shape),
+                                stride, image.dtype)
+    return kernel.run(board, image, weights, out)

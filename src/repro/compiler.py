@@ -53,7 +53,8 @@ from .execution.trace import (
 )
 from .ir import Module, MemRefType, element_type_from_string, parse_module
 from .ir.printer import print_module
-from .runtime import AxiRuntime, CALL_STYLE_GENERATED, DoubleBufferedRuntime
+from .runtime import (AxiRuntime, CALL_STYLE_GENERATED, CALL_STYLE_MANUAL,
+                      DoubleBufferedRuntime)
 from .soc import Board
 from .soc.cache import check_end_state
 from .store import STORE_COUNTERS, KernelStore
@@ -65,8 +66,8 @@ from .transforms.lower_to_accel import LoweringPlan
 KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 
 #: The one on-disk payload version, folded into every entry name and
-#: checked on every load (:func:`load_entry`).  One suffices: an entry
-#: name already carries a digest of every ``repro`` source file
+#: checked on every load (``KernelCache._disk_load``).  One suffices: an
+#: entry name already carries a digest of every ``repro`` source file
 #: (:func:`store_entry_name`), so a change to the shape of a kernel
 #: payload, DriverTrace or MetricsPlan renames every entry
 #: before any per-artifact version could be compared.  What is left
@@ -80,7 +81,10 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: load.
 #: Version 9: a MetricsPlan's cache end-states are per-set occupancies
 #: plus the resident lines, not every way slot.
-KERNEL_STORE_VERSION = 9
+#: Version 10: a kernel's head carries its call style and the engine its
+#: host initializes before allocating the arguments (the manual
+#: baselines are kernels).
+KERNEL_STORE_VERSION = 10
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -143,8 +147,8 @@ def _source_tree_digest() -> str:
     return _SOURCE_TREE_DIGEST
 
 
-def store_entry_name(kind: str, key) -> str:
-    """Entry name: ``<kind>-<src digest>-<key digest>``.
+def store_entry_name(key) -> str:
+    """Entry name: ``kernel-<src digest>-<key digest>``.
 
     The source-tree digest rides in the name twice over — as a
     greppable prefix (so CI can prune entries no current source can
@@ -155,18 +159,18 @@ def store_entry_name(kind: str, key) -> str:
     digest = hashlib.sha256(
         repr((KERNEL_STORE_VERSION, source_digest, key)).encode()
     ).hexdigest()
-    return f"{kind}-{source_digest[:12]}-{digest}"
+    return f"kernel-{source_digest[:12]}-{digest}"
 
 
 # -- the trace slots of a store entry ---------------------------------------
 #
-# Kernel entries and the manual baselines' entries carry a trace the
-# same way: its schedule columns (``synthesize.trace_columns``), which a
-# load assembles into the trace and then checks, and, in a slot of
-# their own, its MetricsPlans.  In memory traces of
-# equal content share one plan dict (``execution.metrics.shared_plans``)
-# but each has an entry of its own, so the plan keys the disk entry
-# holds ride on the loaded/published trace *object* as the
+# A kernel entry carries its trace as its schedule columns
+# (``synthesize.trace_columns``), which a load assembles into the trace
+# and then checks, and, in a slot of its own, its MetricsPlans.  In
+# memory traces of equal content share one plan dict
+# (``execution.metrics.shared_plans``) but each has an entry of its
+# own, so the plan keys the disk entry holds ride on the
+# loaded/published trace *object* as the
 # process-local ``_stored_plans``: an entry is (re)published iff its
 # trace, or the plan a replay of it was just served, is not in it.
 # The other plans of the shared dict ride along in that write but
@@ -175,50 +179,19 @@ def store_entry_name(kind: str, key) -> str:
 # rule is the only publication rule: an entry exists on disk only once
 # it carries a trace, and is written once per new artifact set.
 
-def load_entry(store: KernelStore, name: str) -> Tuple[str, Optional[dict]]:
-    """``store.load`` plus the payload checks.
-
-    A checksum-valid payload that is not a dict of this
-    KERNEL_STORE_VERSION is quarantined and reported as ``"stale"``; one
-    whose trace fails :func:`stored_trace`'s checks is quarantined and
-    reported as ``"corrupt"``, so the caller builds the trace afresh.
-    A hit's ``"trace"`` is the assembled and checked trace, its plans
-    attached.
-    """
-    status, payload = store.load(name)
-    if status != "hit":
-        return status, None
-    if not isinstance(payload, dict) \
-            or payload.get("store_version") != KERNEL_STORE_VERSION:
-        store.quarantine(name)
-        return "stale", None
-    try:
-        payload["trace"] = stored_trace(payload)
-    except Exception:  # a forged trace may break any attribute access
-        store.quarantine(name)
-        return "corrupt", None
-    return status, payload
-
-
-def publish_entry(store: KernelStore, name: str, head: dict, trace) -> None:
-    """Publish ``head`` plus the slots of the trace it was built for.
-
-    Entries persist traced kernels only: both callers (the kernel
-    cache's persist hook, the manual baselines) publish after a replay.
-    Unencodable payloads (plans outside the codec whitelist) and write
-    failures stay memory-only — ``store()`` reports, never raises — and
-    are not retried by this process.  Timed into ``store_publish_s``.
-    """
-    start = time.perf_counter()
-    plans = plans_snapshot(trace)
-    store.store(name, {
-        **head,
-        "store_version": KERNEL_STORE_VERSION,
-        "trace": trace_columns(trace),
-        "metrics_plans": plans,
-    })
-    trace._stored_plans = frozenset(plans)
-    add_stage_time("store_publish_s", time.perf_counter() - start)
+def _check_host(payload: dict) -> None:
+    """Raise ``ValueError`` unless a loaded head's call style is one a
+    runtime takes and its ``host_dma_init`` is ``None`` or five
+    non-negative ints — the latter exactly when the trace is
+    preinitialized, with that engine's region sizes."""
+    init, regions = payload["host_dma_init"], payload["trace"][7]
+    if payload["call_style"] not in (CALL_STYLE_GENERATED,
+                                     CALL_STYLE_MANUAL) \
+            or (init is None) != (regions is None) or init is not None and (
+                type(init) is not tuple or len(init) != 5
+                or any(type(v) is not int or v < 0 for v in init)
+                or regions != (init[2], init[4])):
+        raise ValueError("head of no runtime or not the trace's")
 
 
 def stored_trace(payload: dict):
@@ -483,8 +456,8 @@ class KernelCache:
         return Path(directory) if directory else None
 
     def resolve_store(self) -> Optional[KernelStore]:
-        """The on-disk store behind this cache (shared with the manual
-        baselines), or ``None`` when there is none or it is suspended."""
+        """The on-disk store behind this cache, or ``None`` when there
+        is none or it is suspended."""
         directory = self._resolve_disk_dir()
         if directory is None:
             return None
@@ -509,14 +482,28 @@ class KernelCache:
                    name: str) -> Optional["CompiledKernel"]:
         """Decode one stored kernel, or ``None``.
 
-        Container/codec failures and payloads :func:`load_entry` rejects
-        are already quarantined; the next traced run republishes them.
+        The store quarantines container/codec failures; a payload of
+        another KERNEL_STORE_VERSION is quarantined as ``"stale"``, one
+        failing :func:`_check_host` or :func:`stored_trace` as
+        ``"corrupt"``, and the next traced run republishes them.
         Nothing is parsed, emitted or ``exec``'d here: a replay-served
         kernel needs only the trace, and the first reader of the IR or
         the driver rebuilds them from ``ir`` (and quarantines the entry
         if it cannot).
         """
-        status, payload = load_entry(store, name)
+        status, payload = store.load(name)
+        if status == "hit":
+            if not isinstance(payload, dict) \
+                    or payload.get("store_version") != KERNEL_STORE_VERSION:
+                status = "stale"
+            else:
+                try:
+                    _check_host(payload)
+                    payload["trace"] = stored_trace(payload)
+                except Exception:  # a forged entry may break any access
+                    status = "corrupt"
+            if status != "hit":
+                store.quarantine(name)
         self._count_disk(status)
         if status != "hit":
             return None
@@ -524,6 +511,8 @@ class KernelCache:
             func_name=payload["func_name"],
             plan=payload.get("plan"),
             parameters=payload.get("parameters", {}),
+            call_style=payload["call_style"],
+            host_dma_init=payload["host_dma_init"],
             _ir_text=payload["ir"],
         )
         kernel.trace_state.origin = (store, name)
@@ -534,18 +523,31 @@ class KernelCache:
         return kernel
 
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
-        """Publish ``kernel`` with the trace it carries (the persist hook)."""
+        """Publish ``kernel`` with its trace and that trace's plans
+        (the persist hook, after a replay; timed into
+        ``store_publish_s``).  Unencodable payloads and write failures
+        stay memory-only — ``store()`` reports, never raises."""
         store = self.resolve_store()
         if store is None:
             return
         if kernel._ir_text is None:
             kernel._ir_text = print_module(kernel.module)
-        publish_entry(store, store_entry_name("kernel", key), {
+        start = time.perf_counter()
+        trace = kernel.trace_state.trace
+        plans = plans_snapshot(trace)
+        store.store(store_entry_name(key), {
             "ir": kernel._ir_text,
             "func_name": kernel.func_name,
             "parameters": kernel.parameters,
             "plan": kernel.plan,
-        }, kernel.trace_state.trace)
+            "call_style": kernel.call_style,
+            "host_dma_init": kernel.host_dma_init,
+            "store_version": KERNEL_STORE_VERSION,
+            "trace": trace_columns(trace),
+            "metrics_plans": plans,
+        })
+        trace._stored_plans = frozenset(plans)
+        add_stage_time("store_publish_s", time.perf_counter() - start)
 
     def get_or_compile(self, key: Tuple,
                        compile_fn: Callable[[], "CompiledKernel"]
@@ -560,7 +562,7 @@ class KernelCache:
         kernel = None
         if store is not None:
             start = time.perf_counter()
-            kernel = self._disk_load(store, store_entry_name("kernel", key))
+            kernel = self._disk_load(store, store_entry_name(key))
             add_stage_time("store_load_s", time.perf_counter() - start)
         if kernel is None:
             kernel = compile_fn()
@@ -595,10 +597,8 @@ class KernelTraceState:
 
     Lives outside the :class:`CompiledKernel` dataclass fields proper so
     that ``dataclasses.replace`` rebinds (``specialized_copies``
-    variants) share one trace, one parsed module and one driver.  The
-    hand-written baselines keep one per configuration too
-    (:mod:`repro.baselines.manual`): :meth:`replay` is the trace
-    lifecycle of both.
+    variants) share one trace, one parsed module and one driver.
+    :meth:`replay` is the trace lifecycle.
     """
 
     __slots__ = ("lock", "trace", "failed", "persist", "module", "origin",
@@ -669,12 +669,22 @@ class CompiledKernel:
     — is derived from ``module`` by one path, cached there too: emitted
     once (at compile time, or on first read for a stored kernel) and
     ``exec``'d on the first per-tile run.
+
+    ``call_style`` selects the runtime's call overheads and, for
+    ``CALL_STYLE_MANUAL``, its raw-array copy style.  ``host_dma_init``
+    is the ``dma_init`` the host runs *before* it allocates the
+    arguments, for a driver whose IR holds none (the hand-written
+    baselines, :mod:`repro.baselines.manual`): every run and
+    :meth:`run_interpreted` does snapshot → ``dma_init`` →
+    ``make_memref`` for it, and its trace is preinitialized.
     """
 
     func_name: str
     plan: Optional[LoweringPlan] = None
     specialized_copies: bool = True
     parameters: dict = field(default_factory=dict)
+    call_style: str = CALL_STYLE_GENERATED
+    host_dma_init: Optional[Tuple[int, int, int, int, int]] = None
     trace_state: KernelTraceState = field(
         default_factory=KernelTraceState, repr=False, compare=False
     )
@@ -687,12 +697,17 @@ class CompiledKernel:
                  plan: Optional[LoweringPlan] = None,
                  specialized_copies: bool = True,
                  parameters: Optional[dict] = None,
+                 call_style: str = CALL_STYLE_GENERATED,
+                 host_dma_init: Optional[Tuple[int, int, int, int,
+                                               int]] = None,
                  trace_state: Optional[KernelTraceState] = None,
                  _ir_text: Optional[str] = None):
         self.func_name = func_name
         self.plan = plan
         self.specialized_copies = specialized_copies
         self.parameters = {} if parameters is None else parameters
+        self.call_style = call_style
+        self.host_dma_init = host_dma_init
         self.trace_state = KernelTraceState() if trace_state is None \
             else trace_state
         self._ir_text = _ir_text
@@ -755,7 +770,26 @@ class CompiledKernel:
 
     def make_runtime(self, board: Board) -> AxiRuntime:
         return AxiRuntime(board, specialized_copies=self.specialized_copies,
-                          call_style=CALL_STYLE_GENERATED)
+                          call_style=self.call_style)
+
+    @property
+    def preinitialized(self) -> Optional[Tuple[int, int]]:
+        """The host engine's ``(input, output)`` region sizes, or
+        ``None``: what this kernel's traces are built with."""
+        init = self.host_dma_init
+        return None if init is None else (init[2], init[4])
+
+    def _bind(self, board: Board, rt: AxiRuntime, arrays):
+        """The counters' start and the argument descriptors, in the
+        host's order: a ``host_dma_init`` runs measured, before the
+        arguments are allocated."""
+        before = None
+        if self.host_dma_init is not None:
+            before = board.snapshot()
+            rt.dma_init(*self.host_dma_init)
+        descriptors = [rt.make_memref(np.ascontiguousarray(a), f"arg{i}")
+                       for i, a in enumerate(arrays)]
+        return (board.snapshot() if before is None else before), descriptors
 
     def run(self, board: Board, *arrays: np.ndarray,
             runtime: Optional[AxiRuntime] = None,
@@ -774,9 +808,7 @@ class CompiledKernel:
         unsupported runtime all land on it, transparently.
         """
         rt = runtime or self.make_runtime(board)
-        descriptors = [rt.make_memref(np.ascontiguousarray(a), f"arg{i}")
-                       for i, a in enumerate(arrays)]
-        before = board.snapshot()
+        before, descriptors = self._bind(board, rt, arrays)
         if self._trace_applicable(trace, rt) and self.trace_state.replay(
                 board, rt, descriptors, self._build_trace):
             return board.measure_since(before)
@@ -802,7 +834,8 @@ class CompiledKernel:
         differ anywhere.
         """
         try:
-            synthesized = synthesize_trace(self.schedule_table, specs)
+            synthesized = synthesize_trace(self.schedule_table, specs,
+                                           self.preinitialized)
         except Exception:
             TRACE_COUNTERS["synth_fallback"] += 1
             raise
@@ -810,6 +843,7 @@ class CompiledKernel:
             recorded = record_trace(
                 self.entry_point, specs,
                 expected_events=schedule_event_count(self.schedule_table),
+                preinitialized=self.preinitialized,
             )
             mismatches = diff_traces(synthesized, recorded)
             if mismatches:
@@ -824,9 +858,7 @@ class CompiledKernel:
                         runtime: Optional[AxiRuntime] = None):
         """Execute via the reference interpreter (tests / debugging)."""
         rt = runtime or self.make_runtime(board)
-        descriptors = [rt.make_memref(np.ascontiguousarray(a), f"arg{i}")
-                       for i, a in enumerate(arrays)]
-        before = board.snapshot()
+        before, descriptors = self._bind(board, rt, arrays)
         interpret_function(self.func_op, descriptors, rt)
         return board.measure_since(before)
 

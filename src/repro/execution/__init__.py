@@ -48,6 +48,9 @@ _DIAGNOSTICS_LAYOUT = (
 #   (perf/perfbench/harness.py:268).
 # * the ``trace_record_s`` stage — fed only by ``REPRO_CHECK=1``'s
 #   reference recordings (in harness.py's ``DISJOINT_STAGES``).
+# * the ``manual_record_s`` stage — never fed since the hand-written
+#   baselines became kernels whose traces are synthesized
+#   (perf/perfbench/harness.py:230,274, ``trace.manual_record_s``).
 # * ``repro.execution.record_trace`` / ``TraceRecorder`` stay
 #   importable from this path (perf/perfbench/layers.py:83).
 # * ``repro.execution.metrics.reset_component_memo`` — now "forget which
@@ -72,7 +75,7 @@ def diagnostics() -> dict:
 
     ``stage_timings`` is cumulative wall-clock per pipeline stage for
     this process; ``trace_sources`` counts how kernels obtained their
-    DriverTrace (synthesized / disk_loaded / manual_recorded) or why
+    DriverTrace (synthesized / disk_loaded) or why
     they have none — a nonzero ``synth_fallback`` means that many
     kernels failed synthesis and run per tile.  ``metrics_plan`` counts
     how replays obtained their metrics plane (cached-plan hits, fresh

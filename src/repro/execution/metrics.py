@@ -120,8 +120,8 @@ _MAX_PLANS_PER_TRACE = 8
 # Keyed by content, not object identity, because that is what a plan is
 # a function of: 190 distinct contents served the 512 simulated points
 # of the benchmark sweep.  Held weakly — a dict lives as long as a trace
-# that carries it, so what bounds traces (``KernelCache.maxsize``, the
-# manual baselines' table) bounds this too.
+# that carries it, so what bounds traces (``KernelCache.maxsize``)
+# bounds this too.
 
 _SHARED_PLANS: "weakref.WeakValueDictionary[str, OrderedDict]" = \
     weakref.WeakValueDictionary()

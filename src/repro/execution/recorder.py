@@ -8,13 +8,11 @@ columns the synthesizer expands from a schedule table.
 :func:`record_trace` hands them to the one table assembler,
 :func:`~repro.execution.synthesize.assemble_trace`.
 
-It has exactly two callers.  The hand-written baselines
-(:mod:`repro.baselines.manual`) have no schedule table to synthesize
-from, so recording is how their traces are built.  And under
-``REPRO_CHECK=1`` :meth:`repro.compiler.CompiledKernel._build_trace`
-records every kernel it synthesized and diffs the two traces.  A
-generated kernel never *runs* from a recording: when synthesis fails it
-runs per tile.
+Its one caller in the library is
+:meth:`repro.compiler.CompiledKernel._build_trace` under
+``REPRO_CHECK=1``: it records every kernel it synthesized and diffs the
+two traces.  No kernel ever *runs* from a recording: when synthesis
+fails it runs per tile.
 """
 
 from __future__ import annotations
@@ -86,9 +84,9 @@ class TraceRecorder:
                  preinitialized: Optional[Tuple[int, int]] = None):
         """``preinitialized=(input_size, output_size)`` records a driver
         body whose ``dma_init`` already happened outside the recorded
-        region (the hand-written baselines initialize the engine before
-        allocating their memrefs); the resulting trace replays against
-        the runtime's live engine instead of installing a fresh one.
+        region (a kernel's ``host_dma_init``, run before its memrefs
+        are allocated); the resulting trace replays against the
+        runtime's live engine instead of installing a fresh one.
         """
         self.arg_specs = arg_specs
         self.calls = 0
@@ -225,14 +223,13 @@ class TraceRecorder:
 
 def record_trace(entry_point, arg_specs,
                  expected_events: Optional[int] = None,
-                 preinitialized: Optional[Tuple[int, int]] = None,
-                 stage: str = "trace_record_s") -> DriverTrace:
+                 preinitialized: Optional[Tuple[int, int]] = None
+                 ) -> DriverTrace:
     """Run ``entry_point`` once against the recorder; assemble its trace.
 
     ``expected_events`` (from the emitter's schedule side table) cross-
     checks that the recording expanded the whole static loop nest.
-    ``stage`` names the STAGE_TIMINGS bucket charged (the hand-written
-    baselines record under ``manual_record_s``).
+    Timed into ``trace_record_s``.
     """
     start = time.perf_counter()
     try:
@@ -248,5 +245,5 @@ def record_trace(entry_point, arg_specs,
             )
         trace = recorder.trace()
     finally:
-        add_stage_time(stage, time.perf_counter() - start)
+        add_stage_time("trace_record_s", time.perf_counter() - start)
     return trace

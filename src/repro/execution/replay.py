@@ -434,8 +434,8 @@ class ReplayExecutor:
 
     def _install_engine(self) -> None:
         if self.trace.init_params is None:
-            # Preinitialized (manual-driver) trace: dma_init already ran
-            # for real before the recorded body, so replay against the
+            # Preinitialized (manual-driver) trace: the host's dma_init
+            # already ran for real before the driver, so replay against the
             # runtime's live engine (validated by _validate) instead of
             # installing a fresh one.
             self.engine = self.rt.dma

@@ -141,15 +141,15 @@ def _nest_depth(body: list) -> int:
 
 
 class _Synthesizer:
-    def __init__(self, table: dict, arg_specs):
+    def __init__(self, table: dict, arg_specs,
+                 preinitialized: Optional[Tuple[int, int]] = None):
         self.table = table
         self.arg_specs = arg_specs
         self.rank = _nest_depth(table.get("body", ()))
         self.env: Dict[str, object] = {}
         self.sites: List[_Site] = []
-        self.initialized = False
-        self.input_size = 0
-        self.output_size = 0
+        self.initialized = preinitialized is not None
+        self.input_size, self.output_size = preinitialized or (0, 0)
         self.init_params: Optional[Tuple[int, int, int]] = None
         constants = table.get("constants")
         args = table.get("args")
@@ -431,7 +431,7 @@ class _Synthesizer:
 
     def build(self) -> DriverTrace:
         total = self._walk(self.table.get("body", ()), (), 0)
-        if self.init_params is None:
+        if not self.initialized:
             raise SynthesisUnsupported(
                 "driver never initialized the DMA engine"
             )
@@ -448,7 +448,9 @@ class _Synthesizer:
             self.arg_specs, kinds,
             (word_pos, word_offsets, word_values & 0xFFFFFFFF),
             self._grouped("send_memref"), self._grouped("recv_memref"),
-            self._columns(("flush_send",), "bytes"), self.init_params, None,
+            self._columns(("flush_send",), "bytes"), self.init_params,
+            (self.input_size, self.output_size)
+            if self.init_params is None else None,
         )
 
     @staticmethod
@@ -611,10 +613,15 @@ def _tile_classes(arg_specs, groups) -> List[_TileClass]:
     ]
 
 
-def synthesize_trace(schedule_table: Optional[dict],
-                     arg_specs) -> DriverTrace:
+def synthesize_trace(schedule_table: Optional[dict], arg_specs,
+                     preinitialized: Optional[Tuple[int, int]] = None
+                     ) -> DriverTrace:
     """Expand the emitter's schedule side table into a DriverTrace.
 
+    ``preinitialized=(input_size, output_size)`` expands a driver whose
+    ``dma_init`` the host ran before it (``CompiledKernel.host_dma_init``):
+    the trace replays against the runtime's live engine, exactly as
+    :func:`~repro.execution.recorder.record_trace` records one.
     Raises :class:`SynthesisUnsupported` when the schedule cannot be
     proven static/affine; the kernel then runs per tile.
     """
@@ -625,7 +632,8 @@ def synthesize_trace(schedule_table: Optional[dict],
         if not schedule_table:
             raise SynthesisUnsupported("no schedule side table")
         try:
-            return _Synthesizer(schedule_table, arg_specs).build()
+            return _Synthesizer(schedule_table, arg_specs,
+                                preinitialized).build()
         except SynthesisUnsupported:
             raise
         except (TraceUnsupported, KeyError, IndexError, TypeError,

@@ -63,6 +63,7 @@ STAGE_TIMINGS: Dict[str, float] = counters.section("stage_timings", {
     # Fed only by REPRO_CHECK=1's reference recordings.
     "trace_record_s": 0.0,
     "trace_synth_s": 0.0,
+    # Never fed: kept for a frozen reader (``repro.execution.diagnostics``).
     "manual_record_s": 0.0,
     "replay_s": 0.0,
     # Metrics-plane breakdown (both are *subsets* of replay_s): building
@@ -71,7 +72,7 @@ STAGE_TIMINGS: Dict[str, float] = counters.section("stage_timings", {
     "metrics_plan_apply_s": 0.0,
     # Kernel-store I/O at the kernel cache's two call sites: probing +
     # reconstructing an entry on a memory miss, and publishing one after
-    # a replay (kernel and manual-baseline entries alike).  Disjoint
+    # a replay.  Disjoint
     # from compile_s and replay_s; inside sweep_compile_s /
     # sweep_simulate_s on a sweep.
     "store_load_s": 0.0,
@@ -98,20 +99,16 @@ def add_stage_time(stage: str, seconds: float) -> None:
 #: How each kernel's DriverTrace was obtained this process:
 #: ``synthesized`` (ahead-of-time from the schedule side table),
 #: ``synth_fallback`` (synthesis failed, so the kernel runs per tile),
-#: ``disk_loaded`` (deserialized from the kernel store),
-#: ``manual_recorded`` / ``manual_fallback`` (hand-written baseline
-#: configurations: recorded, or permanently per-tile because recording
-#: failed — a nonzero fallback here means cpp_MANUAL silently left
-#: the batched path).  ``recorded`` is never incremented — a generated
-#: kernel never runs from a recording — and stays declared for a
-#: frozen reader (the list is at ``repro.execution.diagnostics``).
+#: ``disk_loaded`` (deserialized from the kernel store) — generated
+#: kernels and the hand-written baselines alike.  ``recorded`` is never
+#: incremented — a kernel never runs from a recording — and stays
+#: declared for a frozen reader (the list is at
+#: ``repro.execution.diagnostics``).
 TRACE_COUNTERS: Dict[str, int] = counters.section("trace_sources", {
     "synthesized": 0,
     "recorded": 0,
     "synth_fallback": 0,
     "disk_loaded": 0,
-    "manual_recorded": 0,
-    "manual_fallback": 0,
 })
 
 
@@ -119,7 +116,7 @@ def trace_enabled() -> bool:
     """Whether replay is offered: not under ``REPRO_NO_TRACE=1``, and
     only while the C library is available (a failed build, the
     ``native.compile`` fault or a :func:`~repro.soc._native.suspend_native`
-    scope leaves every kernel and manual baseline per tile)."""
+    scope leaves every kernel per tile)."""
     return os.environ.get(TRACE_KILL_SWITCH, "") != "1" \
         and _native.native_lib() is not None
 

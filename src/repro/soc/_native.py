@@ -34,8 +34,8 @@ before and nothing is kept.
 
 No compiler, a failed compile, the ``native.compile`` fault or a
 :func:`suspend_native` scope leaves replay unavailable
-(:func:`repro.execution.trace.trace_enabled` is False): every kernel and
-manual baseline runs per tile, with the same bits.  The one other
+(:func:`repro.execution.trace.trace_enabled` is False): every kernel,
+the manual baselines included, runs per tile, with the same bits.  The one other
 reader, :class:`~repro.soc.cache.OfflineLruSimulator`, keeps a
 vectorized numpy backend for that case.
 """

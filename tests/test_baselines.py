@@ -10,7 +10,17 @@ from repro.baselines import (
     manual_conv_driver,
     manual_matmul_driver,
 )
+from repro.compiler import default_kernel_cache
 from repro.soc import make_pynq_z2
+
+
+def assert_rejected_up_front(drive):
+    """``drive()`` raises ValueError before any kernel is looked up."""
+    cache = default_kernel_cache()
+    looked_up = (cache.hits, cache.misses)
+    with pytest.raises(ValueError):
+        drive()
+    assert (cache.hits, cache.misses) == looked_up
 
 
 def run_manual(version, size, flow, dims, rng, tiles=None):
@@ -57,6 +67,16 @@ class TestManualMatmul:
         with pytest.raises(ValueError):
             manual_matmul_driver(board, a, a, a.copy(), 2, 8, "Cs")
 
+    @pytest.mark.parametrize("tiles", [(16, 16, 16), (4, 4, 4), (8, 8, 4)])
+    def test_fixed_tile_versions_reject_tiles(self, tiles):
+        """Only the flexible v4 accelerator takes tiles other than its
+        size (v3 used to die inside the accelerator instead)."""
+        board = make_pynq_z2()
+        board.attach_accelerator(MatMulAccelerator(8, version=3))
+        a = np.zeros((32, 32), np.int32)
+        assert_rejected_up_front(lambda: manual_matmul_driver(
+            board, a, a, a.copy(), 3, 8, "Ns", tiles=tiles))
+
     def test_stationary_flows_move_less_data(self, rng):
         _, _, _, ns = run_manual(3, 8, "Ns", 64, rng)
         _, _, _, as_ = run_manual(3, 8, "As", 64, rng)
@@ -96,6 +116,26 @@ class TestManualConv:
                 np.zeros((2, 8, 3, 3), np.int32),
                 np.zeros((1, 2, 5, 5), np.int32),
             )
+
+    @pytest.mark.parametrize("filter_shape,out_shape,stride", [
+        # An output short of the 5x5 the convolution produces (it used
+        # to return the counters of a partial convolution).
+        ((2, 4, 3, 3), (1, 2, 4, 4), 1),
+        ((2, 4, 3, 3), (1, 2, 5, 4), 1),
+        ((2, 4, 3, 3), (1, 2, 2, 2), 2),
+        # A non-square filter (the accelerator takes one filter size).
+        ((2, 4, 3, 2), (1, 2, 5, 6), 1),
+        # A stride that does not move.
+        ((2, 4, 3, 3), (1, 2, 5, 5), 0),
+    ], ids=["short-output", "short-width", "short-strided", "non-square",
+            "zero-stride"])
+    def test_bad_geometry_rejected(self, filter_shape, out_shape, stride):
+        board = make_pynq_z2()
+        board.attach_accelerator(ConvAccelerator(max_ic=4, max_fhw=3))
+        assert_rejected_up_front(lambda: manual_conv_driver(
+            board, np.zeros((1, 4, 7, 7), np.int32),
+            np.zeros(filter_shape, np.int32), np.zeros(out_shape, np.int32),
+            stride))
 
 
 class TestCpuReference:

@@ -36,7 +36,6 @@ class TestKernelCache:
         assert stats == {"hits": 1, "misses": 1, "entries": 1}
         assert set(trace_stats) == {"synthesized", "recorded",
                                     "synth_fallback", "disk_loaded",
-                                    "manual_recorded", "manual_fallback",
                                     "metrics_plan_hits",
                                     "metrics_plan_misses",
                                     "metrics_plan_fallback",
@@ -449,7 +448,7 @@ class TestDiskKernelStore:
 
 
 class TestPublicationRule:
-    """Entries are published after a replay, from two places only."""
+    """Entries are published after a replay, from one place only."""
 
     @staticmethod
     def call_sites(pattern):
@@ -463,9 +462,9 @@ class TestPublicationRule:
             for line in path.read_text().splitlines()
             if re.search(pattern, line) and not line.lstrip().startswith("def "))
 
-    def test_publish_entry_has_two_call_sites(self):
-        files = [path for path, _ in self.call_sites(r"\bpublish_entry\(")]
-        assert files == ["repro/baselines/manual.py", "repro/compiler.py"]
+    def test_the_store_is_written_from_one_place(self):
+        (site,) = self.call_sites(r"\bstore\.store\(")
+        assert site[0] == "repro/compiler.py"
 
     def test_persist_hook_is_the_only_disk_store_caller(self):
         (site,) = self.call_sites(r"\b_disk_store\(")
@@ -637,7 +636,10 @@ class TestDeferredParse:
         status, payload = KernelStore(store).load(path.name[:-len(".entry")])
         assert status == "hit"
         assert set(payload) == {"ir", "func_name", "parameters", "plan",
-                                "trace", "metrics_plans", "store_version"}
+                                "call_style", "host_dma_init", "trace",
+                                "metrics_plans", "store_version"}
+        assert (payload["call_style"], payload["host_dma_init"]) \
+            == ("generated", None)
 
     def test_replay_of_a_figure_parses_nothing(self, tmp_path):
         import json
@@ -1056,22 +1058,24 @@ class TestHostileEntries:
 
 
 class TestManualTraceEntries:
-    """The cpp_MANUAL baselines' traces persist like kernel traces."""
+    """The cpp_MANUAL baselines are kernels: their entries persist the
+    IR, trace and plans like any kernel's, plus the host engine."""
 
     @pytest.fixture(autouse=True)
     def _store(self, tmp_path, monkeypatch):
         self.store = tmp_path / "repro_cache"
         monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(self.store))
         self.fresh_process(monkeypatch)
+        yield
+        default_kernel_cache().clear()
 
     @staticmethod
     def fresh_process(monkeypatch):
-        import repro.baselines.manual as manual_mod
         from repro.execution.metrics import reset_component_memo
 
-        monkeypatch.setattr(manual_mod, "_MANUAL_STATES", {})
-        # monkeypatch keeps the old table (and its traces) alive: a new
-        # process would not find their plans in memory either.
+        default_kernel_cache().clear()
+        # A new process would not find the old traces' plans in memory
+        # either.
         reset_component_memo()
 
     @staticmethod
@@ -1093,7 +1097,7 @@ class TestManualTraceEntries:
         from repro.execution import METRICS_PLAN_COUNTERS, TRACE_COUNTERS
         from repro.store import STORE_COUNTERS
 
-        return (TRACE_COUNTERS["manual_recorded"],
+        return (TRACE_COUNTERS["synthesized"],
                 METRICS_PLAN_COUNTERS["metrics_plan_misses"],
                 STORE_COUNTERS["store_writes"])
 
@@ -1107,7 +1111,7 @@ class TestManualTraceEntries:
         fresh = self.run()
         assert self.counts() == tuple(n + 1 for n in start)
         (name,) = self.entries()
-        assert name.startswith("manual-")
+        assert name.startswith("kernel-")
         assert self.run() == fresh          # same process: memo hit
         self.fresh_process(monkeypatch)
         assert self.run() == fresh          # "new process": disk hit
@@ -1129,7 +1133,7 @@ class TestManualTraceEntries:
         self.fresh_process(monkeypatch)
         start = self.counts()
         assert self.run() == fresh
-        # Re-recorded, rebuilt and republished under the same name...
+        # Re-synthesized, rebuilt and republished under the same name...
         assert self.counts() == tuple(n + 1 for n in start)
         assert self.entries() == [name]
         assert len(list((self.store / "corrupt").iterdir())) == 1
@@ -1147,8 +1151,46 @@ class TestManualTraceEntries:
         monkeypatch.setattr(compiler_mod, "_SOURCE_TREE_DIGEST", "f" * 64)
         self.fresh_process(monkeypatch)
         from repro.execution import TRACE_COUNTERS
-        recorded = TRACE_COUNTERS["manual_recorded"]
+        synthesized = TRACE_COUNTERS["synthesized"]
         assert self.run() == fresh
-        assert TRACE_COUNTERS["manual_recorded"] == recorded + 1
+        assert TRACE_COUNTERS["synthesized"] == synthesized + 1
         assert len(self.entries()) == 2     # the foreign entry untouched
         assert not (self.store / "corrupt").exists()
+
+    @pytest.mark.usefixtures("clean_faults")
+    @pytest.mark.parametrize("field,value", [
+        ("call_style", "bogus"),
+        ("call_style", None),
+        # The trace is preinitialized: it needs the host's engine...
+        ("host_dma_init", None),
+        # ...with the region sizes the trace was built against...
+        ("host_dma_init", (0, 0, 8, 0, 8)),
+        # ...as five non-negative ints.
+        ("host_dma_init", (0, 0, 1 << 19, 0)),
+        ("host_dma_init", (0, -1, 1 << 19, 0, 1 << 19)),
+        ("host_dma_init", (0, 0, 1 << 19, 0, float(1 << 19))),
+        ("host_dma_init", [0, 0, 1 << 19, 0, 1 << 19]),
+    ])
+    def test_a_forged_head_is_quarantined(self, monkeypatch, field, value):
+        """The head fields a kernel is built from are checked at load
+        like its trace: a forged value is quarantined as corrupt, and
+        the kernel is rebuilt and republished."""
+        from repro.store import KernelStore
+
+        fresh = self.run()
+        (entry,) = self.entries()
+        name = entry[:-len(".entry")]
+        store = KernelStore(self.store)
+        status, payload = store.load(name)
+        assert status == "hit"
+        assert payload["host_dma_init"] == (0, 0, 1 << 19, 0, 1 << 19)
+        payload[field] = value
+        assert store.store(name, payload)
+        self.fresh_process(monkeypatch)
+        start = self.counts()
+        assert self.run() == fresh
+        assert default_kernel_cache().disk_corrupt == 1
+        assert [path.name for path in (self.store / "corrupt").iterdir()] \
+            == [entry]
+        assert self.counts() == tuple(n + 1 for n in start)
+        assert self.entries() == [entry]

@@ -583,7 +583,6 @@ print(json.dumps({
     "store_writes": report["store"]["store_writes"],
     "store_corrupt": report["store"]["store_corrupt"],
     "metrics_plan_misses": report["metrics_plan"]["metrics_plan_misses"],
-    "manual_recorded": report["trace_sources"]["manual_recorded"],
     "synthesized": report["trace_sources"]["synthesized"],
 }))
 """
@@ -593,7 +592,6 @@ print(json.dumps({
 #: model runners called directly: 30 kernel runs on 4 shared boards.
 _MODEL_FIGURES_JOB = r"""
 import json
-from repro.baselines import manual
 from repro.compiler import default_kernel_cache
 from repro.execution import diagnostics
 from repro.experiments.figures import _fig17_specs, fig16_layers
@@ -608,7 +606,6 @@ models += [run_matmul_model(_fig17_specs(shapes, strategy))
            for strategy in ("Ns-SquareTile", "AXI4MLIR Best")]
 traces = [kernel.trace_state.trace
           for kernel in default_kernel_cache()._entries.values()]
-traces += [state.trace for state in manual._MANUAL_STATES.values()]
 report = diagnostics()
 print(json.dumps({
     "results": [[step.as_dict() for step in model] for model in models],
@@ -616,7 +613,6 @@ print(json.dumps({
     "store_writes": report["store"]["store_writes"],
     "metrics_plan_hits": report["metrics_plan"]["metrics_plan_hits"],
     "metrics_plan_misses": report["metrics_plan"]["metrics_plan_misses"],
-    "manual_recorded": report["trace_sources"]["manual_recorded"],
     "synthesized": report["trace_sources"]["synthesized"],
 }))
 """
@@ -641,7 +637,7 @@ class TestStoreConverges:
         """No trace-less compile-time publish: the generated kernel is
         written by its first replay and again for the second runtime
         config's plan, the shared-board kernel by its first replay and
-        again for its warm-start plan, the manual trace once."""
+        again for its warm-start plan, the manual kernel once."""
         store = tmp_path / "store"
         assert _figure_shaped_run(store)["store_writes"] == 5
         assert len(list((store / "objects").glob("*/*.entry"))) == 3
@@ -653,19 +649,18 @@ class TestStoreConverges:
         first, second, third = (_figure_shaped_run(store)
                                 for _ in range(3))
         # Two plans each for the two generated kernels, one for the
-        # manual trace.
-        assert first["store_writes"] > 0 and first["manual_recorded"] == 1
+        # manual kernel; three traces synthesized.
+        assert first["store_writes"] > 0 and first["synthesized"] == 3
         assert first["metrics_plan_misses"] == 5
         for warm in (second, third):
             assert warm["store_writes"] == 0
             assert warm["metrics_plan_misses"] == 0
-            assert warm["manual_recorded"] == 0
             assert warm["synthesized"] == 0
             assert warm["store_corrupt"] == 0
             assert warm["results"] == first["results"]
         names = sorted(path.name.split("-")[0] for path
                        in (store / "objects").glob("*/*.entry"))
-        assert names == ["kernel", "kernel", "manual"]
+        assert names == ["kernel", "kernel", "kernel"]
 
     def test_model_figures_rerun_from_the_per_trace_plan_cache(
             self, tmp_path):
@@ -684,7 +679,7 @@ class TestStoreConverges:
         assert steps == 30 and cold["metrics_plan_misses"] == steps
         assert warm["metrics_plan_hits"] == steps
         assert warm["metrics_plan_misses"] == warm["store_writes"] == 0
-        assert warm["synthesized"] == warm["manual_recorded"] == 0
+        assert warm["synthesized"] == 0
         assert warm["plans_per_trace"] <= _MAX_PLANS_PER_TRACE
         assert warm["results"] == cold["results"]
 

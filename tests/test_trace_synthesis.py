@@ -15,9 +15,9 @@ Contracts under test:
   from a recording); ``REPRO_FAULTS="synth:fail"`` forces that;
   ``REPRO_CHECK=1`` records every synthesized kernel and raises
   :class:`TraceMismatch` on any divergence.
-* The hand-written manual drivers replay their recorded
-  (preinitialized) traces bit-identically to per-tile execution, under
-  the lifecycle a compiled kernel's trace has.
+* The hand-written manual drivers are kernels too: they replay their
+  synthesized (preinitialized) traces bit-identically to per-tile
+  execution, under the one trace lifecycle.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ from repro.accelerators import (
 )
 from repro.baselines.manual import manual_conv_driver, manual_matmul_driver
 from repro.codegen import schedule_event_count
-from repro.compiler import AXI4MLIRCompiler, KernelCache
+from repro.compiler import AXI4MLIRCompiler, KernelCache, default_kernel_cache
 from repro.execution import TRACE_COUNTERS, diagnostics
 from repro.execution.synthesize import (
     SynthesisUnsupported,
@@ -281,7 +281,6 @@ class TestTraceSources:
         assert "store_publish_s" in report["stage_timings"]
         assert set(report["trace_sources"]) == {
             "synthesized", "recorded", "synth_fallback", "disk_loaded",
-            "manual_recorded", "manual_fallback",
         }
         assert set(report["metrics_plan"]) == {
             "metrics_plan_hits", "metrics_plan_misses",
@@ -386,8 +385,8 @@ class TestManualDriverTracing:
         reference = measure(no_trace=True)
         traced = measure(no_trace=False)
         assert reference == traced
-        assert TRACE_COUNTERS["manual_fallback"] \
-            == before["manual_fallback"], "manual driver left replay path"
+        assert TRACE_COUNTERS["synth_fallback"] \
+            == before["synth_fallback"], "manual driver left replay path"
 
     def test_manual_conv_traced_is_bit_identical(self, monkeypatch):
         def measure(no_trace):
@@ -411,19 +410,23 @@ class TestManualDriverTracing:
         assert reference == traced
 
 
+def _manual_kernels():
+    """The manual-driver kernels the default kernel cache holds."""
+    return [kernel for key, kernel in default_kernel_cache()._entries.items()
+            if key[0] == "manual"]
+
+
 @pytest.mark.usefixtures("clean_faults")
 class TestManualTraceLifecycle:
-    """A manual baseline's trace lives the life of a compiled kernel's
-    (``KernelTraceState.replay``): built once, a failed build leaves the
-    configuration per tile for good, a replay refusal is not
-    remembered."""
+    """A manual baseline is a kernel (``KernelTraceState.replay``): its
+    trace is built once, a failed build leaves the configuration per
+    tile for good, a replay refusal is not remembered."""
 
     @pytest.fixture(autouse=True)
-    def _fresh_states(self, monkeypatch):
-        import repro.baselines.manual as manual_mod
-
-        monkeypatch.setattr(manual_mod, "_MANUAL_STATES", {})
-        self.states = manual_mod._MANUAL_STATES
+    def _fresh_cache(self):
+        default_kernel_cache().clear()
+        yield
+        default_kernel_cache().clear()
 
     @staticmethod
     def run():
@@ -444,26 +447,27 @@ class TestManualTraceLifecycle:
         return reference
 
     def test_a_failed_recording_is_counted_once(self, monkeypatch):
-        import repro.baselines.manual as manual_mod
-        from repro.execution import TraceUnsupported
+        """A trace build that fails (here: synthesis) is tried once and
+        counted once; the driver runs per tile from then on."""
+        import repro.compiler as compiler_mod
 
         reference = self.per_tile(monkeypatch)
         calls = []
 
         def refuse(*args, **kwargs):
             calls.append(args)
-            raise TraceUnsupported("unrecordable body")
+            raise SynthesisUnsupported("unsynthesizable driver")
 
-        monkeypatch.setattr(manual_mod, "record_trace", refuse)
+        monkeypatch.setattr(compiler_mod, "synthesize_trace", refuse)
         before = dict(TRACE_COUNTERS)
         assert self.run() == reference
         assert self.run() == reference
         assert len(calls) == 1
-        assert TRACE_COUNTERS["manual_fallback"] \
-            == before["manual_fallback"] + 1
-        assert TRACE_COUNTERS["manual_recorded"] == before["manual_recorded"]
-        (state,) = self.states.values()
-        assert state.failed and state.trace is None
+        assert TRACE_COUNTERS["synth_fallback"] \
+            == before["synth_fallback"] + 1
+        assert TRACE_COUNTERS["synthesized"] == before["synthesized"]
+        (kernel,) = _manual_kernels()
+        assert kernel.trace_state.failed and kernel.trace_state.trace is None
 
     def test_a_replay_refusal_keeps_the_recording(self, monkeypatch):
         reference = self.per_tile(monkeypatch)
@@ -471,13 +475,13 @@ class TestManualTraceLifecycle:
         monkeypatch.setenv("REPRO_FAULTS", "replay:fail")
         assert self.run() == reference
         assert self.run() == reference
-        (state,) = self.states.values()
+        (kernel,) = _manual_kernels()
+        state = kernel.trace_state
         assert state.trace is not None and not state.failed
         monkeypatch.delenv("REPRO_FAULTS")
-        assert self.run() == reference      # replayed, not re-recorded
-        assert TRACE_COUNTERS["manual_recorded"] \
-            == before["manual_recorded"] + 1
-        assert TRACE_COUNTERS["manual_fallback"] == before["manual_fallback"]
+        assert self.run() == reference      # replayed, not rebuilt
+        assert TRACE_COUNTERS["synthesized"] == before["synthesized"] + 1
+        assert TRACE_COUNTERS["synth_fallback"] == before["synth_fallback"]
 
 
 def _tables(trace) -> dict:
@@ -500,7 +504,7 @@ def _tables(trace) -> dict:
 class TestColumnsRoundTrip:
     """``trace_columns`` is exactly what ``assemble_trace`` takes: the
     columns of every trace source — synthesis, a ``REPRO_CHECK``
-    recording, a manual (preinitialized) recording — reassemble,
+    recording, a manual driver's preinitialized synthesis — reassemble,
     directly and through the kernel store's codec, into the same columns
     and the same derived tables."""
 
@@ -517,16 +521,15 @@ class TestColumnsRoundTrip:
         for make, arrays, _ in CONFIGS[name]:
             _, kernel = make(KernelCache())
             specs = _specs([array.shape for array in arrays])
-            self.assert_round_trips(
-                synthesize_trace(kernel.schedule_table, specs))
+            self.assert_round_trips(synthesize_trace(
+                kernel.schedule_table, specs, kernel.preinitialized))
             self.assert_round_trips(record_trace(
                 kernel.entry_point, specs,
-                expected_events=schedule_event_count(kernel.schedule_table)))
+                expected_events=schedule_event_count(kernel.schedule_table),
+                preinitialized=kernel.preinitialized))
 
-    def test_manual_traces(self, monkeypatch):
-        import repro.baselines.manual as manual_mod
-
-        monkeypatch.setattr(manual_mod, "_MANUAL_STATES", {})
+    def test_manual_traces(self):
+        default_kernel_cache().clear()
         TestManualTraceLifecycle.run()
         board = make_pynq_z2()
         board.attach_accelerator(ConvAccelerator(4, 3, max_slice=64))
@@ -535,7 +538,8 @@ class TestColumnsRoundTrip:
             board, rng.integers(-4, 4, (1, 2, 10, 10)).astype(np.int32),
             rng.integers(-4, 4, (3, 2, 3, 3)).astype(np.int32),
             np.zeros((1, 3, 8, 8), np.int32))
-        traces = [state.trace for state in manual_mod._MANUAL_STATES.values()]
+        traces = [kernel.trace_state.trace for kernel in _manual_kernels()]
+        default_kernel_cache().clear()
         assert len(traces) == 2
         for trace in traces:
             assert trace.init_params is None and trace.region_sizes

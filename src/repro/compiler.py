@@ -45,6 +45,10 @@ from .execution.synthesize import (
     trace_columns,
 )
 from .execution.trace import (
+    K_FLUSH,
+    K_LOOP,
+    K_RECV,
+    K_RWAIT,
     STAGE_TIMINGS,
     TRACE_COUNTERS,
     TraceUnsupported,
@@ -203,13 +207,17 @@ def stored_trace(payload: dict):
     Raises unless the columns are :func:`assemble_trace`'s arguments —
     1-D int64 columns (int8 event kinds), of one length per row group,
     tile classes of arguments the trace has — and unless the assembled
-    trace keeps the invariants that the C stream decoders and cache
-    classifier (:mod:`repro.soc._native`) index memory by: equal-length
-    staged arrays of the dtypes the decoders read, one int64 flush item
-    count per flush, nondecreasing within the stream, one int64
-    ``(class, tile)`` pair per receive, tile ordinals within their
-    classes, and event positions within the event stream; or when a
-    stored MetricsPlan indexes outside the trace
+    trace keeps the invariants that the C stream decoders, the metrics
+    pass and the last-writer scans (:mod:`repro.soc._native`) index
+    memory by: equal-length staged arrays of the dtypes the decoders
+    read, one int64 flush item count per flush, nondecreasing within the
+    stream, one int64 ``(class, tile)`` pair per receive, tile ordinals
+    within their classes, event positions within the event stream,
+    every event kind in ``K_LOOP..K_RWAIT`` (a per-kind table index),
+    ``flush_pos`` / ``recv_pos`` exactly the ``K_FLUSH`` / ``K_RECV``
+    events in order (the pass reads their transfer times by running
+    ordinal), and staged words and tiles inside their staging regions;
+    or when a stored MetricsPlan indexes outside the trace
     (:func:`_check_stored_plan`).  The C decoders' plans are not
     stored: replay re-derives them from the checked stream.
     """
@@ -260,6 +268,24 @@ def stored_trace(payload: dict):
         if positions.size and (positions.min() < 0
                                or positions.max() >= events):
             raise ValueError("event position outside the event stream")
+    kinds = trace.kinds
+    if events and (kinds.min() < K_LOOP or kinds.max() > K_RWAIT):
+        raise ValueError("event kind outside K_LOOP..K_RWAIT")
+    if not np.array_equal(np.flatnonzero(kinds == K_FLUSH),
+                          trace.flush_pos) \
+            or not np.array_equal(np.flatnonzero(kinds == K_RECV),
+                                  trace.recv_pos):
+        raise ValueError("flush or receive table is not its events")
+    in_size, out_size = _region_sizes(trace)
+    spans = [(trace.word_offsets, 4, in_size)] + [
+        (tc.region_offsets, tc.num_elements() * tc.itemsize, size)
+        for classes, size in ((trace.send_classes, in_size),
+                              (trace.recv_classes, out_size))
+        for tc in classes]
+    if any(offsets.size and (offsets.min() < 0
+                             or offsets.max() + width > size)
+           for offsets, width, size in spans):
+        raise ValueError("staged write outside its staging region")
     plans = payload.get("metrics_plans")
     if isinstance(plans, dict):
         for plan in plans.values():
@@ -268,6 +294,13 @@ def stored_trace(payload: dict):
     trace._stored_plans = frozenset(trace.metrics_plans)
     TRACE_COUNTERS["disk_loaded"] += 1
     return trace
+
+
+def _region_sizes(trace) -> Tuple[int, int]:
+    """Byte sizes of the input and output staging regions ``trace``
+    replays against."""
+    return trace.region_sizes if trace.init_params is None \
+        else trace.init_params[1:]
 
 
 def _check_stored_plan(trace, plan) -> None:
@@ -284,8 +317,7 @@ def _check_stored_plan(trace, plan) -> None:
         raise ValueError("MetricsPlan end state mis-shaped")
     check_end_state(plan.l1_state)
     check_end_state(plan.l2_state)
-    in_size, out_size = trace.region_sizes if trace.init_params is None \
-        else trace.init_params[1:]
+    in_size, out_size = _region_sizes(trace)
     writes = [(plan.input_word_dest, in_size // 4)]
     for class_id, tiles, dest, _ in plan.input_tile_writes:
         if type(class_id) is not int \

@@ -62,7 +62,7 @@ _DIAGNOSTICS_LAYOUT = (
 #   ``metrics.component_memo_hit_ratio`` therefore reads 0).
 # * ``repro.soc.cache.OfflineLruSimulator`` in both of its modes, and
 #   with it the ``lru_hierarchy_batch`` C kernel — replay classifies
-#   its lines with ``lru_copy_event_stream`` and no longer constructs
+#   its lines in the ``metrics_pass`` C kernel and no longer constructs
 #   one (perf/perfbench/layers.py:201-213, ``soc.cache.offline_*``).
 # * the base64 array branch of ``repro.service.protocol.encode_value`` /
 #   ``decode_value`` — the socket sends arrays as the kernel store's

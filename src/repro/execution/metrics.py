@@ -19,12 +19,15 @@ fingerprint apply the plan in O(state) — installing the final cache
 contents plus a handful of scalar assignments — instead of re-simulating
 O(events) work.  Plans are persisted alongside traces in the kernel
 store (see ``repro.compiler``), so warm processes skip the metrics
-plane entirely.  A build's two sequential passes — the LRU
-classification of every event's cache lines and the clock/stall
-timeline — are one C call each (:mod:`repro.soc._native`); replay is
-offered only while that library is available
+plane entirely.  A build's sequential part — the LRU classification
+of every event's cache lines, each event's charges and the clock/stall
+timeline — is one C walk over the events (``metrics_pass``), and the
+last-writer scan of each staging region one more C call
+(``last_writers``, :mod:`repro.soc._native`); Python passes them
+per-group, per-kind and per-transfer tables only.  Replay is offered
+only while that library is available
 (:func:`repro.execution.trace.trace_enabled`), so there is no second
-implementation of either.
+implementation of any of them.
 
 Selectors (see the README tables):
 
@@ -53,7 +56,6 @@ computation by determinism.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import pickle
 import time
@@ -77,11 +79,8 @@ from ..soc.cache import (
 from .synthesize import trace_columns
 from .trace import (
     K_CALL,
-    K_COPY,
-    K_FLUSH,
     K_INIT,
     K_LOOP,
-    K_RECV,
     K_RWAIT,
     K_SUB,
     K_WORD,
@@ -462,35 +461,18 @@ def build_plan(ex) -> MetricsPlan:
     """
     trace = ex.trace
     decoded = ex.plan
-    board = ex.board
+    caches = ex.board.caches
     plan = MetricsPlan()
 
-    cost = _cost_tables(ex)
-    (l1_hits_ev, l1_miss_ev, l2_miss_ev, ways1, ways2,
-     totals) = _classify_cache(ex, cost)
-    plan.l1_state = pack_ways(ways1, board.caches.l1)
-    plan.l2_state = pack_ways(ways2, board.caches.l2)
-    (plan.l1_hits_d, plan.l1_misses_d,
-     plan.l2_hits_d, plan.l2_misses_d) = totals
-    plan.l1_miss_total = plan.l1_misses_d
-    plan.l2_miss_total = plan.l2_misses_d
-
-    timing = board.timing
-    penalty = l1_hits_ev * timing.l1_hit_extra_cycles
-    penalty = penalty + l1_miss_ev * timing.l1_miss_penalty_cycles
-    penalty = penalty + l2_miss_ev * timing.l2_miss_penalty_cycles
-
-    # Final per-event cycles, with the same add chain as the live
-    # charge paths (all quantities are exactly-representable sums,
-    # so elementwise evaluation is bit-identical).
-    kinds = trace.kinds
-    cyc = cost.base_c
-    copy_mask = kinds == K_COPY
-    cyc = np.where(copy_mask, cyc + cost.extra_c, cyc)
-    cyc = cyc + penalty
-
-    plan.final_state = _run_timeline(ex, cyc, cost.base_b, cost.base_r,
-                                     cost.extra_r)
+    ways1, ways2 = _start_ways(caches.l1), _start_ways(caches.l2)
+    plan.final_state, totals = _metrics_pass(ex, ways1, ways2)
+    plan.l1_state = pack_ways(ways1, caches.l1)
+    plan.l2_state = pack_ways(ways2, caches.l2)
+    l1_hits, l1_misses, l2_misses = totals.tolist()
+    plan.l1_hits_d = l1_hits
+    plan.l1_misses_d = plan.l1_miss_total = l1_misses
+    plan.l2_hits_d = l1_misses - l2_misses
+    plan.l2_misses_d = plan.l2_miss_total = l2_misses
 
     plan.stats = {
         "dma_transactions": len(trace.flush_pos) + len(trace.recv_pos),
@@ -517,180 +499,130 @@ def build_plan(ex) -> MetricsPlan:
     return plan
 
 
-class _CostTables:
-    """State-independent per-event cost tables of one build."""
+def _metrics_pass(ex, ways1, ways2):
+    """Classification, charges and timeline of every event: one C call
+    (``metrics_pass``) over small tables.
 
-    __slots__ = ("base_c", "base_b", "base_r", "extra_c", "extra_r",
-                 "group_specs")
-
-
-def _cost_tables(ex) -> _CostTables:
-    """Per-copy-event base costs (and the alignment-group structure).
-
-    Every quantity is computed with the same floating-point expressions
-    as ``charge_memref_copy`` — per alignment group, via the shared
-    memoized copy plans.
+    Each tile class's rows are split into alignment groups (equal
+    source/destination line offsets); a group shares one copy plan
+    (``plan_for_geometry``), so one set of ``copy_charge_terms`` — the
+    formulas ``charge_memref_copy`` applies per copy — and one column
+    layout of lines relative to the row's first source/destination
+    line.  ``ways1`` / ``ways2`` are the classifier's way buffers, left
+    holding the LRU end-state.  Returns the 9-float timeline end state
+    and the ``(l1 hits, l1 misses, l2 misses)`` totals.
     """
     trace = ex.trace
     board = ex.board
+    timing = board.timing
+    l1, l2 = board.caches.l1, board.caches.l2
     line = board.caches.line_size
     style = ex.rt.copy_style
-    region_bases = {False: ex.engine.input_region.base,
-                    True: ex.engine.output_region.base}
-    timing = board.timing
+    in_base = ex.engine.input_region.base
     M = trace.num_events
-    tables = _CostTables()
-    base_c = np.zeros(M)
-    base_b = np.zeros(M)
-    base_r = np.zeros(M)
-    extra_c = np.zeros(M)
-    extra_r = np.zeros(M)
-    group_specs = []  # (is_recv, class_id, [(event_pos, sel, plan)])
-
-    for is_recv, classes in ((False, trace.send_classes),
-                             (True, trace.recv_classes)):
-        region_base = region_bases[is_recv]
-        for class_id, tile_class in enumerate(classes):
+    # Per event: its alignment group (-1: a staged word, -2: no lines)
+    # and its first source / destination line.
+    ev_group = np.full(M, -2, dtype=np.int64)
+    ev_lines = np.empty((2, M), dtype=np.int64)
+    ev_group[trace.word_pos] = -1
+    ev_lines[0, trace.word_pos] = (in_base + trace.word_offsets) // line
+    grp_cost, columns = [], []
+    for classes, region_base in (
+            (trace.send_classes, in_base),
+            (trace.recv_classes, ex.engine.output_region.base)):
+        for tile_class in classes:
             desc = ex.descriptors[tile_class.arg]
             sizes = tile_class.sizes
             strides = tile_class.strides
             itemsize = tile_class.itemsize
-            rank = len(sizes)
-            if rank:
-                row_length = sizes[-1]
-                inner_stride = strides[-1]
-            else:
-                row_length, inner_stride = 1, 1
-            use_fast = style == CopyKinds.SPECIALIZED \
-                and inner_stride == 1
+            row_length, inner_stride = (sizes[-1], strides[-1]) \
+                if sizes else (1, 1)
+            use_fast = style == CopyKinds.SPECIALIZED and inner_stride == 1
             row_bytes = row_length * itemsize
             span_src = row_bytes if use_fast else \
                 ((row_length - 1) * abs(inner_stride) + 1) * itemsize
             src_start = (desc.base_address
                          + (desc.offset + tile_class.starts) * itemsize)
             dst_start = region_base + tile_class.region_offsets
-            src_align = src_start % line
-            dst_align = dst_start % line
-            align_key = src_align * line + dst_align
-            uniq, inverse = np.unique(align_key, return_inverse=True)
-            accumulate = bool(tile_class.accumulate)
-            sub = []
-            for g, key_g in enumerate(uniq):
-                sel = np.flatnonzero(inverse == g)
+            # Alignment keys lie below line**2, so a presence table
+            # groups the rows in O(rows): keys ascending, inverse their
+            # ranks.
+            align = (src_start % line) * line + dst_start % line
+            present = np.bincount(align, minlength=line * line) > 0
+            keys = np.flatnonzero(present)
+            inverse = (np.cumsum(present) - 1)[align] if keys.size > 1 \
+                else 0
+            pos = tile_class.event_pos
+            ev_group[pos] = inverse + len(grp_cost)
+            ev_lines[0, pos] = src_start // line
+            ev_lines[1, pos] = dst_start // line
+            for key in keys.tolist():
                 copy_plan = plan_for_geometry(
-                    sizes, strides, itemsize, int(key_g // line),
-                    int(key_g % line), span_src, row_bytes, line,
-                )
-                pos = tile_class.event_pos[sel]
-                c0, r0, b0, c_extra, r_extra = copy_charge_terms(
-                    copy_plan, style, use_fast, row_length, accumulate,
-                    timing,
-                )
-                base_c[pos] = c0
-                base_b[pos] = b0
-                base_r[pos] = r0
-                if accumulate:
-                    extra_c[pos] = c_extra
-                    extra_r[pos] = r_extra
-                sub.append((pos, sel, copy_plan))
-            group_specs.append((is_recv, class_id, sub))
-    # Kind-constant charges, prefilled into the base tables so the
-    # timeline needn't scan ``kinds`` for them.  Event
-    # kinds are disjoint, none of these kinds carries copy charges, and
-    # the cache-penalty term is zero everywhere off copy/word events,
-    # so build_plan's ``base + penalty`` sum reproduces the live charge
-    # paths bit-for-bit (const + 0.0 == const).
-    kinds = trace.kinds
-    call_c, call_b = ex.rt._call_cost
+                    sizes, strides, itemsize, key // line, key % line,
+                    span_src, row_bytes, line)
+                grp_cost.append(copy_charge_terms(
+                    copy_plan, style, use_fast, row_length,
+                    bool(tile_class.accumulate), timing))
+                columns.append(_fill_columns(copy_plan))
+
+    grp_width = np.asarray([rel.size for _, rel in columns],
+                           dtype=np.int64)
+    grp_off = np.cumsum(grp_width) - grp_width
+    from_dst = np.concatenate([fd for fd, _ in columns] or [[]]) \
+        .astype(np.uint8, copy=False)
+    rel = np.concatenate([rel for _, rel in columns] or [[]]) \
+        .astype(np.int64, copy=False)
+    grp_cost = np.asarray(grp_cost, dtype=np.float64).reshape(-1)
+
+    # (cycles, branches, references) of every other event kind; the
+    # K_COPY row charges a copy event that belongs to no tile class.
+    kind_cost = np.zeros((K_RWAIT + 1, 3))
     init_cycles = timing.dma_init_s * timing.cpu_freq_hz
-    sel = kinds == K_LOOP
-    base_c[sel] = timing.loop_iteration_cycles
-    base_b[sel] = timing.loop_iteration_branches
-    base_c[kinds == K_SUB] = timing.subview_cycles
-    sel = kinds == K_CALL
-    base_c[sel] = call_c
-    base_b[sel] = call_b
-    sel = kinds == K_INIT
-    base_c[sel] = init_cycles
-    base_b[sel] = init_cycles / 100.0
-    sel = kinds == K_WORD
-    base_c[sel] = 2.0
-    base_r[sel] = 1.0
-    tables.base_c = base_c
-    tables.base_b = base_b
-    tables.base_r = base_r
-    tables.extra_c = extra_c
-    tables.extra_r = extra_r
-    tables.group_specs = group_specs
-    return tables
+    kind_cost[K_LOOP] = (timing.loop_iteration_cycles,
+                         timing.loop_iteration_branches, 0.0)
+    kind_cost[K_SUB, 0] = timing.subview_cycles
+    kind_cost[K_CALL, :2] = ex.rt._call_cost
+    kind_cost[K_INIT, :2] = (init_cycles, init_cycles / 100.0)
+    kind_cost[K_WORD] = (2.0, 0.0, 1.0)
 
+    def transfer_s(num_bytes):
+        seconds = num_bytes / timing.axi_bytes_per_cycle
+        return timing.dma_latency_s + seconds / timing.accel_freq_hz
 
-def _word_lines(ex) -> np.ndarray:
-    """Absolute cache line of every staged scalar word."""
-    return (ex.engine.input_region.base
-            + ex.trace.word_offsets) // ex.board.caches.line_size
-
-
-def _line_groups(ex, cost: _CostTables):
-    """Absolute line starts of one address layout, per alignment group:
-    ``(event_pos, src_lines, dst_lines, copy_plan)``."""
-    trace = ex.trace
-    line = ex.board.caches.line_size
-    region_bases = {False: ex.engine.input_region.base,
-                    True: ex.engine.output_region.base}
-    groups = []
-    for is_recv, class_id, sub in cost.group_specs:
-        classes = trace.recv_classes if is_recv else trace.send_classes
-        tile_class = classes[class_id]
-        desc = ex.descriptors[tile_class.arg]
-        itemsize = tile_class.itemsize
-        src_start = (desc.base_address
-                     + (desc.offset + tile_class.starts) * itemsize)
-        dst_start = region_bases[is_recv] + tile_class.region_offsets
-        for pos, sel, copy_plan in sub:
-            groups.append((pos, src_start[sel] // line,
-                           dst_start[sel] // line, copy_plan))
-    return groups
-
-
-def _flat_streams(ex, groups):
-    """``groups`` as the concatenated per-event descriptor tables the
-    one-call native classifier consumes."""
-    trace = ex.trace
-    M = trace.num_events
-    ev_group = np.full(M, -2, dtype=np.int64)
-    ev_row = np.zeros(M, dtype=np.int64)
-    wp = trace.word_pos
-    ev_group[wp] = -1
-    ev_row[wp] = np.arange(wp.size, dtype=np.int64)
-    grp_off = np.zeros(len(groups), dtype=np.int64)
-    grp_width = np.zeros(len(groups), dtype=np.int64)
-    src_parts, dst_parts, fd_parts, rel_parts = [], [], [], []
-    row_base = 0
-    off = 0
-    for g, (pos, src_lines, dst_lines, copy_plan) in enumerate(groups):
-        ev_group[pos] = g
-        ev_row[pos] = np.arange(pos.size, dtype=np.int64) + row_base
-        row_base += pos.size
-        from_dst, rel = _fill_columns(copy_plan)
-        grp_off[g] = off
-        grp_width[g] = copy_plan.num_lines
-        off += copy_plan.num_lines
-        src_parts.append(src_lines)
-        dst_parts.append(dst_lines)
-        fd_parts.append(from_dst)
-        rel_parts.append(rel)
-
-    def cat(parts, dtype):
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.ascontiguousarray(
-            np.concatenate(parts).astype(dtype, copy=False))
-
-    return (ev_group, ev_row, grp_off, grp_width,
-            cat(src_parts, np.int64), cat(dst_parts, np.int64),
-            cat(fd_parts, np.uint8), cat(rel_parts, np.int64),
-            np.ascontiguousarray(_word_lines(ex)))
+    flush_t = transfer_s(trace.flush_bytes)
+    flush_ac = np.ascontiguousarray(ex.plan.flush_cycles, dtype=np.float64)
+    recv_t = transfer_s(trace.recv_bytes)
+    model = np.asarray([
+        timing.l1_hit_extra_cycles, timing.l1_miss_penalty_cycles,
+        timing.l2_miss_penalty_cycles, timing.cpu_freq_hz,
+        timing.accel_freq_hz, timing.dma_start_cycles,
+        timing.dma_start_branches, timing.poll_period_cycles,
+        timing.poll_branches], dtype=np.float64)
+    counters = board.counters
+    state = np.asarray([
+        counters.cpu_cycles, counters.branch_instructions,
+        counters.cache_references, counters.stall_cycles,
+        counters.accel_cycles, board.clock, board.accel_ready_at,
+        board.dma_busy_until, board.accelerator.total_cycles,
+    ], dtype=np.float64)
+    totals = np.zeros(3, dtype=np.int64)
+    kinds = np.ascontiguousarray(trace.kinds, dtype=np.int8)
+    failed = _native.native_lib().metrics_pass(
+        kinds.ctypes.data, M, ev_group.ctypes.data, ev_lines.ctypes.data,
+        grp_off.ctypes.data, grp_width.ctypes.data, grp_cost.ctypes.data,
+        from_dst.ctypes.data, rel.ctypes.data, kind_cost.ctypes.data,
+        flush_t.ctypes.data, flush_ac.ctypes.data, flush_t.size,
+        recv_t.ctypes.data, recv_t.size,
+        ways1.ctypes.data, l1.num_sets, l1.associativity,
+        -1 if l1.set_mask is None else l1.set_mask,
+        ways2.ctypes.data, l2.num_sets, l2.associativity,
+        -1 if l2.set_mask is None else l2.set_mask,
+        model.ctypes.data, int(ex.double_buffered), state.ctypes.data,
+        totals.ctypes.data)
+    if failed:
+        raise ValueError("trace events disagree with its flush and "
+                         "receive tables")
+    return state, totals
 
 
 def _fill_columns(copy_plan):
@@ -731,279 +663,95 @@ def _start_ways(cache) -> np.ndarray:
     return _export_ways(cache)
 
 
-def _classify_cache(ex, cost: _CostTables):
-    """Classify the whole run's cache traffic without mutating state.
-
-    One C call (``lru_copy_event_stream``) walks every event's lines
-    straight out of the alignment-group tables.  Returns per-event
-    (l1_hits, l1_miss, l2_miss) plus the classifier's way buffers,
-    holding the final LRU contents, and
-    (l1_hits, l1_misses, l2_hits, l2_misses) totals.
-    """
-    l1, l2 = ex.board.caches.l1, ex.board.caches.l2
-    M = ex.trace.num_events
-    l1_hits = np.zeros(M, dtype=np.int64)
-    l1_miss = np.zeros(M, dtype=np.int64)
-    l2_miss = np.zeros(M, dtype=np.int64)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    ways1 = _start_ways(l1)
-    ways2 = _start_ways(l2)
-    (ev_group, ev_row, grp_off, grp_width, src_rows, dst_rows,
-     from_dst, rel, word_lines) = _flat_streams(ex, _line_groups(ex, cost))
-    _native.native_lib().lru_copy_event_stream(
-        ev_group.ctypes.data_as(i64p), ev_row.ctypes.data_as(i64p),
-        M,
-        grp_off.ctypes.data_as(i64p), grp_width.ctypes.data_as(i64p),
-        src_rows.ctypes.data_as(i64p), dst_rows.ctypes.data_as(i64p),
-        from_dst.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-        rel.ctypes.data_as(i64p), word_lines.ctypes.data_as(i64p),
-        ways1.ctypes.data_as(i64p), l1.num_sets, l1.associativity,
-        -1 if l1.set_mask is None else l1.set_mask,
-        ways2.ctypes.data_as(i64p), l2.num_sets, l2.associativity,
-        -1 if l2.set_mask is None else l2.set_mask,
-        l1_hits.ctypes.data_as(i64p),
-        l1_miss.ctypes.data_as(i64p),
-        l2_miss.ctypes.data_as(i64p),
-    )
-    l1_hit_total = int(l1_hits.sum())
-    l1_miss_total = int(l1_miss.sum())
-    l2_miss_total = int(l2_miss.sum())
-    totals = (l1_hit_total, l1_miss_total,
-              l1_miss_total - l2_miss_total, l2_miss_total)
-    return l1_hits, l1_miss, l2_miss, ways1, ways2, totals
-
-
-def _run_timeline(ex, cyc, br, rf, rf2) -> np.ndarray:
-    """The exact sequential timeline (one C call, ``timeline_batch``);
-    returns the 9-float end state."""
-    trace = ex.trace
-    board = ex.board
-    timing = board.timing
-    counters = board.counters
-    decoded = ex.plan
-    M = trace.num_events
-
-    # The kind-constant cycle/branch/reference charges are prefilled
-    # into the cost tables (see _cost_tables), so the only prep left is
-    # the synchronization/aux tables.
-    kinds = trace.kinds
-    sync = np.zeros(M, dtype=np.int8)
-    sync[kinds == K_FLUSH] = 1
-    sync[kinds == K_RECV] = 2
-    if ex.double_buffered:
-        sync[kinds == K_RWAIT] = 3
-    taux = np.zeros(M)
-    acaux = np.zeros(M)
-    t_flush = trace.flush_bytes / timing.axi_bytes_per_cycle
-    t_flush = t_flush / timing.accel_freq_hz
-    t_flush = timing.dma_latency_s + t_flush
-    taux[trace.flush_pos] = t_flush
-    acaux[trace.flush_pos] = decoded.flush_cycles
-    t_recv = trace.recv_bytes / timing.axi_bytes_per_cycle
-    t_recv = t_recv / timing.accel_freq_hz
-    t_recv = timing.dma_latency_s + t_recv
-    taux[trace.recv_pos] = t_recv
-
-    state = np.asarray([
-        counters.cpu_cycles, counters.branch_instructions,
-        counters.cache_references, counters.stall_cycles,
-        counters.accel_cycles, board.clock, board.accel_ready_at,
-        board.dma_busy_until, board.accelerator.total_cycles,
-    ])
-    f64p = ctypes.POINTER(ctypes.c_double)
-    _native.native_lib().timeline_batch(
-        sync.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
-        np.ascontiguousarray(cyc).ctypes.data_as(f64p),
-        np.ascontiguousarray(br).ctypes.data_as(f64p),
-        np.ascontiguousarray(rf).ctypes.data_as(f64p),
-        np.ascontiguousarray(rf2).ctypes.data_as(f64p),
-        taux.ctypes.data_as(f64p),
-        acaux.ctypes.data_as(f64p),
-        M, int(ex.double_buffered), timing.cpu_freq_hz,
-        timing.accel_freq_hz, timing.dma_start_cycles,
-        timing.dma_start_branches, timing.poll_period_cycles,
-        timing.poll_branches,
-        state.ctypes.data_as(f64p),
-    )
-    return state
-
-
 # -- region-write summaries -------------------------------------------------
 
-#: Upper bound on the expanded-word budget of one backward block in
-#: the winner scans.  The actual block scales with the region's used
-#: span: coverage completes within roughly one loop body's worth of
-#: writes (the staged offsets repeat every loop iteration), so a block
-#: of a few times ``used_words`` almost always finishes in one pass —
-#: a fixed large block would expand and sort the whole stream suffix
-#: only to discard everything past the covered span.
-_WINNER_BLOCK_WORDS = 1 << 19
-_WINNER_BLOCK_MIN_WORDS = 1 << 12
+def last_writers(is_word, cls, idx, word_offsets, classes, region_words):
+    """Every word's winning write in a staging region: one C call
+    (``last_writers``).
 
-
-def _scan_last_writers(fill_starts, widths, region_words, used_words):
-    """Backward blocked last-writer scan.
-
-    Returns ``(winner, starts)``: per region word, the highest item
-    index whose span covers it among the items examined — identical to
-    the scalar backward "first uncovered write wins" scan (an item's
-    span always lies inside the used span, so the early exit only
-    skips items that could not have won anything).  Item start words
-    are produced lazily per scanned block by ``fill_starts(starts, lo,
-    hi)`` — coverage completes within roughly one loop body's worth of
-    writes, so the scan (and the start-word computation) touches only
-    a suffix of the stream; ``starts`` is valid for every winning item.
+    Items are the region's writes in order: a staged word where
+    ``is_word`` (``None``: no words) is set, its byte offset the next of
+    ``word_offsets``; otherwise tile ``idx[i]`` of ``classes[cls[i]]``.
+    Returns ``(item, pos, src)`` in descending item, ascending word
+    order — the scalar backward "first uncovered write wins" scan: the
+    winning item, the region word, and the word's offset within that
+    item's payload (for a staged word, its ordinal).  The scan's scratch
+    is sized by the region's used span (up to the end of its last
+    write), which must lie inside its ``region_words``.
     """
-    n = widths.size
-    winner = np.full(region_words, -1, dtype=np.int64)
-    starts = np.zeros(n, dtype=np.int64)
-    if used_words <= 0 or not n:
-        return winner, starts
-    block = max(_WINNER_BLOCK_MIN_WORDS,
-                min(_WINNER_BLOCK_WORDS, 4 * used_words))
-    ends = np.cumsum(widths)
-    covered = 0
-    hi = n
-    while hi > 0 and covered < used_words:
-        base = int(ends[hi - 1])
-        lo = int(np.searchsorted(ends, base - block, side="left"))
-        if lo >= hi:
-            lo = hi - 1
-        first = int(ends[lo - 1]) if lo else 0
-        total = int(ends[hi - 1]) - first
-        if total <= 0:
-            hi = lo
-            continue
-        fill_starts(starts, lo, hi)
-        wd = widths[lo:hi]
-        item_ids = np.repeat(np.arange(lo, hi, dtype=np.int64), wd)
-        item_start = np.repeat(ends[lo:hi] - wd, wd)
-        pos = np.repeat(starts[lo:hi], wd) \
-            + (np.arange(first, first + total, dtype=np.int64)
-               - item_start)
-        # Last writer per word within the block: stable sort keeps the
-        # expansion (= ascending item) order inside equal positions, so
-        # the run's final element is the block's highest writer.
-        order = np.argsort(pos, kind="stable")
-        pos_sorted = pos[order]
-        ids_sorted = item_ids[order]
-        run_last = np.flatnonzero(
-            np.append(pos_sorted[1:] != pos_sorted[:-1], True))
-        pos_uniq = pos_sorted[run_last]
-        ids_uniq = ids_sorted[run_last]
-        # Later blocks (higher items) were scanned first and always win.
-        free = winner[pos_uniq] < 0
-        winner[pos_uniq[free]] = ids_uniq[free]
-        covered += int(free.sum())
-        hi = lo
-    return winner, starts
-
-
-def _winning_items(winner):
-    """Winning (item, word) pairs ordered like the scalar backward scan:
-    descending item index, ascending word position within an item."""
-    win_pos = np.flatnonzero(winner >= 0)
-    win_ids = winner[win_pos]
-    order = np.argsort(-win_ids, kind="stable")
-    return win_ids[order], win_pos[order]
+    used = int(word_offsets.max()) + 4 if word_offsets.size else 0
+    for tile_class in classes:
+        if tile_class.region_offsets.size:
+            used = max(used, int(tile_class.region_offsets.max())
+                       + tile_class.num_elements() * tile_class.itemsize)
+    used_words = used // 4
+    if used_words > region_words:
+        raise ValueError("staged writes leave the staging region")
+    offsets = [tc.region_offsets for tc in classes]
+    class_base = np.cumsum([0] + [o.size for o in offsets[:-1]],
+                           dtype=np.int64)
+    class_width = np.asarray(
+        [tc.num_elements() * tc.itemsize // 4 for tc in classes],
+        dtype=np.int64)
+    region_offsets = np.concatenate(offsets or [[]]).astype(np.int64)
+    covered = np.zeros(used_words, dtype=np.uint8)
+    item, pos, src = np.empty((3, used_words), dtype=np.int64)
+    n = _native.native_lib().last_writers(
+        cls.size, None if is_word is None else is_word.ctypes.data,
+        cls.ctypes.data, idx.ctypes.data, cls.strides[0] // 8,
+        word_offsets.ctypes.data, word_offsets.size,
+        class_base.ctypes.data, class_width.ctypes.data,
+        region_offsets.ctypes.data, used_words, covered.ctypes.data,
+        item.ctypes.data, pos.ctypes.data, src.ctypes.data)
+    if n < 0:
+        raise ValueError("a staged write leaves the staging region")
+    return item[:n], pos[:n], src[:n]
 
 
 def _input_winners(ex):
     """Last-writer index map of the DMA input staging region."""
     trace = ex.trace
-    input_used = 0
-    if trace.word_offsets.size:
-        input_used = int(trace.word_offsets.max()) + 4
-    for tile_class in trace.send_classes:
-        if tile_class.region_offsets.size:
-            input_used = max(
-                input_used,
-                int(tile_class.region_offsets.max())
-                + tile_class.num_elements() * tile_class.itemsize,
-            )
-    used_words = input_used // 4
-
-    is_word = trace.staged_is_word.astype(bool)
-    widths = np.where(is_word, 1, trace.staged_widths).astype(np.int64)
-    word_ordinal = np.cumsum(is_word) - 1
-
-    def fill_starts(starts, lo, hi):
-        iw = is_word[lo:hi]
-        if iw.any():
-            starts[lo:hi][iw] = \
-                trace.word_offsets[word_ordinal[lo:hi][iw]] // 4
-        values = trace.staged_values[lo:hi]
-        indices = trace.staged_indices[lo:hi]
-        tiles = ~iw
-        for class_id in np.unique(values[tiles]):
-            sel = tiles & (values == class_id)
-            starts[lo:hi][sel] = (trace.send_classes[class_id]
-                                  .region_offsets[indices[sel]] // 4)
-
-    winner, starts = _scan_last_writers(
-        fill_starts, widths, ex.engine.input_words.size, used_words)
-    ids, pos = _winning_items(winner)
-    word_sel = is_word[ids] if ids.size else \
-        np.empty(0, dtype=bool)
+    ids, pos, src = last_writers(
+        trace.staged_is_word, trace.staged_values, trace.staged_indices,
+        np.ascontiguousarray(trace.word_offsets, dtype=np.int64),
+        trace.send_classes, ex.engine.input_words.size)
+    word_sel = trace.staged_is_word[ids].astype(bool)
     word_dest = pos[word_sel]
-    if word_dest.size:
-        word_vals = (trace.word_values[word_ordinal[ids[word_sel]]]
-                     & 0xFFFFFFFF).astype(np.uint32)
-    else:
-        word_vals = np.empty(0, dtype=np.uint32)
+    word_vals = (trace.word_values[src[word_sel]]
+                 & 0xFFFFFFFF).astype(np.uint32)
 
     tile_writes: List[Tuple] = []
     tile_ids = ids[~word_sel]
     tile_pos = pos[~word_sel]
+    tile_src = src[~word_sel]
     if tile_ids.size:
         classes = trace.staged_values[tile_ids]
         for class_id in np.unique(classes):
             in_class = classes == class_id
             ids_c = tile_ids[in_class]
-            pos_c = tile_pos[in_class]
             first = np.empty(ids_c.size, dtype=bool)
             first[0] = True
             first[1:] = ids_c[1:] != ids_c[:-1]
             row_of = np.cumsum(first) - 1
             rows = ids_c[first]
-            rel = pos_c - starts[rows][row_of]
-            src = row_of * widths[rows][row_of] + rel
+            tile_class = trace.send_classes[class_id]
+            width = tile_class.num_elements() * tile_class.itemsize // 4
             tile_writes.append((
                 int(class_id),
                 trace.staged_indices[rows].astype(np.int64, copy=False),
-                pos_c,
-                src,
+                tile_pos[in_class],
+                row_of * width + tile_src[in_class],
             ))
-    return (word_dest.astype(np.int64, copy=False), word_vals,
-            tile_writes)
+    return word_dest, word_vals, tile_writes
 
 
 def _output_winners(ex):
     """Last-writer index map of the DMA output staging region."""
     trace = ex.trace
-    output_used = 0
-    for tile_class in trace.recv_classes:
-        if tile_class.region_offsets.size:
-            output_used = max(
-                output_used,
-                int(tile_class.region_offsets.max())
-                + tile_class.num_elements() * tile_class.itemsize,
-            )
-    used_words = output_used // 4
-
     refs = trace.recv_refs
-    widths = (trace.recv_bytes // 4).astype(np.int64)
-
-    def fill_starts(starts, lo, hi):
-        cls, idx = refs[lo:hi, 0], refs[lo:hi, 1]
-        for class_id in np.unique(cls):
-            sel = cls == class_id
-            starts[lo:hi][sel] = (trace.recv_classes[class_id]
-                                  .region_offsets[idx[sel]] // 4)
-
-    winner, starts = _scan_last_writers(
-        fill_starts, widths, ex.engine.output_words.size, used_words)
-    ids, pos = _winning_items(winner)
+    ids, pos, src = last_writers(
+        None, refs[:, 0], refs[:, 1], np.empty(0, dtype=np.int64),
+        trace.recv_classes, ex.engine.output_words.size)
     writes: List[Tuple] = []
     if ids.size:
         first = np.empty(ids.size, dtype=bool)
@@ -1012,6 +760,6 @@ def _output_winners(ex):
         seg = np.flatnonzero(first)
         seg_end = np.append(seg[1:], ids.size)
         for s, e, ordinal in zip(seg, seg_end, ids[first]):
-            dest = pos[s:e]
-            writes.append((int(ordinal), dest, dest - starts[ordinal]))
+            writes.append((int(ordinal), pos[s:e], src[s:e]))
     return writes
+

@@ -295,8 +295,8 @@ def measure_cpu_conv(layer) -> PerfCounters:
 # The model figures measure kernel *sequences*, not isolated kernels:
 # every step of one model runs on a single shared board, so the cache
 # warm-state carries between layers (replay classifies each step's
-# accesses with the ``lru_copy_event_stream`` C kernel, starting from
-# the previous step's live LRU contents).  The runners
+# accesses in the ``metrics_pass`` C kernel, starting from the previous
+# step's live LRU contents).  The runners
 # are module-level so run_model_jobs can fork them into pool workers.
 
 def run_conv_model(layers: Tuple, impl: str) -> Tuple[PerfCounters, ...]:

@@ -1,17 +1,20 @@
 """The C kernels that trace replay runs on.
 
-Four loops in the trace/replay machinery are inherently sequential and
-would dominate its runtime if executed in Python:
+The loops of the trace/replay machinery that are inherently sequential
+and would dominate its runtime if executed in Python:
 
-* the set-associative LRU state machine over the run's full cache-line
-  stream (integer decisions only) — the flat per-line variant and the
-  descriptor-driven variant ``lru_copy_event_stream`` the
-  metrics-plane build uses, with per-event hit/miss tallies: it generates
-  each copy event's lines on the fly from the alignment-group tables,
-  so a whole build is one native call with no materialized line
-  stream;
-* the timeline replay (the exact chain of clock/stall/accelerator
-  floating-point operations, where summation order fixes the bits);
+* the set-associative LRU state machine over a cache-line stream
+  (integer decisions only): ``lru_hierarchy_batch`` over a flat line
+  array, for :class:`~repro.soc.cache.OfflineLruSimulator`;
+* a MetricsPlan build's one walk over the events, ``metrics_pass``: it
+  classifies each copy or word event's lines (generated on the fly from
+  the alignment-group tables, no materialized line stream) with that
+  same state machine, turns the hit/miss counts into the event's cycles
+  from per-group and per-kind cost tables, and advances the exact chain
+  of clock/stall/accelerator floating-point operations (summation order
+  fixes the bits) — so a build makes one native call for all three;
+* the backward last-writer scan of a DMA staging region,
+  ``last_writers``, which emits each region word's winning write;
 * the accelerator stream decoders (matmul and conv control units):
   per-item state machines that turn the staged word/tile stream into
   instruction records.
@@ -62,135 +65,235 @@ from ..store import durable_publish
 _SOURCE = r"""
 #include <stdint.h>
 
-/* Fused L1->L2 set-associative LRU pass over a line-address stream.
- * Way arrays hold MRU at slot 0, LRU last; -1 marks an empty slot.
- * codes[i]: 0 = L1 hit, 1 = L1 miss/L2 hit, 2 = L1 miss/L2 miss.
- * Semantics match Cache.access_line / CacheHierarchy.touch_lines_batch
- * exactly (hit moves to MRU; miss inserts at MRU and evicts LRU). */
+/* One level of a set-associative LRU cache: way arrays hold MRU at
+ * slot 0, LRU last; -1 marks an empty slot.  mask >= 0 selects the set
+ * by bit mask, otherwise by modulo. */
+typedef struct { int64_t *ways; int64_t sets, assoc, mask; } level_t;
+
+/* One access; returns 1 on a hit.  Semantics match Cache.access_line
+ * exactly (a hit moves to MRU; a miss inserts at MRU and evicts LRU).
+ * A hit on the MRU slot changes nothing, so it writes nothing. */
+static inline int lru_touch(level_t level, int64_t line)
+{
+    int64_t set = (level.mask >= 0) ? (line & level.mask)
+                                    : (line % level.sets);
+    int64_t *w = level.ways + set * level.assoc;
+    if (w[0] == line) return 1;
+    int64_t j = 1;
+    while (j < level.assoc && w[j] != line) j++;
+    int hit = j < level.assoc;
+    if (!hit) j = level.assoc - 1;
+    for (; j > 0; j--) w[j] = w[j - 1];
+    w[0] = line;
+    return hit;
+}
+
+/* Fused L1->L2 LRU pass over a line-address stream.
+ * codes[i]: 0 = L1 hit, 1 = L1 miss/L2 hit, 2 = L1 miss/L2 miss
+ * (CacheHierarchy.touch_lines_batch). */
 void lru_hierarchy_batch(const int64_t *lines, int64_t n,
                          int64_t *s1, int64_t ns1, int64_t a1, int64_t m1,
                          int64_t *s2, int64_t ns2, int64_t a2, int64_t m2,
                          uint8_t *codes)
 {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t line = lines[i];
-        int64_t set = (m1 >= 0) ? (line & m1) : (line % ns1);
-        int64_t *w = s1 + set * a1;
-        int found = 0;
-        for (int64_t j = 0; j < a1; j++) {
-            if (w[j] == line) {
-                for (int64_t k = j; k > 0; k--) w[k] = w[k - 1];
-                w[0] = line;
-                found = 1;
-                break;
-            }
-        }
-        if (found) { codes[i] = 0; continue; }
-        for (int64_t k = a1 - 1; k > 0; k--) w[k] = w[k - 1];
-        w[0] = line;
-        set = (m2 >= 0) ? (line & m2) : (line % ns2);
-        int64_t *w2 = s2 + set * a2;
-        found = 0;
-        for (int64_t j = 0; j < a2; j++) {
-            if (w2[j] == line) {
-                for (int64_t k = j; k > 0; k--) w2[k] = w2[k - 1];
-                w2[0] = line;
-                found = 1;
-                break;
-            }
-        }
-        if (found) { codes[i] = 1; continue; }
-        for (int64_t k = a2 - 1; k > 0; k--) w2[k] = w2[k - 1];
-        w2[0] = line;
-        codes[i] = 2;
+    level_t l1 = {s1, ns1, a1, m1}, l2 = {s2, ns2, a2, m2};
+    for (int64_t i = 0; i < n; i++)
+        codes[i] = lru_touch(l1, lines[i]) ? 0
+                   : (lru_touch(l2, lines[i]) ? 1 : 2);
+}
+
+#define K_COPY 4
+#define K_FLUSH 5
+#define K_RECV 6
+#define K_RWAIT 8
+
+/* Busy-wait until `until` (seconds): the poll loop's stall cycles and
+ * branches, as Board.stall_until charges them. */
+static inline void stall_to(double until, double f, double pollp,
+                            double pollb, double *clock, double *stall,
+                            double *branch)
+{
+    if (until > *clock) {
+        double sc = (until - *clock) * f;
+        *stall += sc;
+        *branch += (sc / pollp) * pollb;
+        *clock = until;
     }
 }
 
-/* One-call fused classification of a whole metrics-plane build: the
- * same LRU hierarchy state machine as lru_hierarchy_batch, but the
- * line stream is generated on the fly from per-event descriptors
- * instead of being materialized first (no O(lines) temporary, no
- * chunking).  ev_group[e] is the event's alignment-group
- * id (-1 = single staged word, -2 = no cache traffic); ev_row[e]
- * indexes the concatenated src/dst line-start arrays for copy events,
- * or word_lines for word events.  Column j of group g is
- * src+rel[grp_off[g]+j] or dst+rel[grp_off[g]+j] depending on
- * from_dst (rel already permuted to the access order of the copy
- * plan), so the touch order (and therefore every LRU decision) is
- * the per-tile copy kernels' line order.
- * A touch of the line accessed immediately before is short-circuited
- * to an L1 hit without consulting the way arrays: the previous access
- * left that line at MRU of its L1 set, so the full lookup would count
- * a hit and shift nothing.  Staged-word streams are dominated by such
- * runs (16 consecutive words per 64-byte line). */
-void lru_copy_event_stream(const int64_t *ev_group, const int64_t *ev_row,
-                           int64_t n_events,
-                           const int64_t *grp_off, const int64_t *grp_width,
-                           const int64_t *src_rows, const int64_t *dst_rows,
-                           const uint8_t *from_dst, const int64_t *rel,
-                           const int64_t *word_lines,
-                           int64_t *s1, int64_t ns1, int64_t a1, int64_t m1,
-                           int64_t *s2, int64_t ns2, int64_t a2, int64_t m2,
-                           int64_t *l1_hits, int64_t *l1_miss,
-                           int64_t *l2_miss)
+/* A whole MetricsPlan build's sequential part in one walk over the
+ * events, with the exact operation sequence of the per-tile runtime.
+ *
+ * Cache: ev_group[e] is the event's alignment group (-1 = one staged
+ * word; -2 = no cache traffic), src = ev_lines[e] its (first) source
+ * line and dst = ev_lines[n_events + e] its first destination line.
+ * Column j of group g is src+rel[grp_off[g]+j] or dst+rel[grp_off[g]+j]
+ * (from_dst), so the touch order (and every LRU decision) is the
+ * per-tile copy kernels'.
+ * A touch of the line accessed immediately before is an L1 hit without
+ * a lookup: that access left the line at MRU of its set.
+ *
+ * Charges: a K_COPY event of group g costs grp_cost[5g..5g+4] =
+ * (cycles, references, branches, accumulate cycles, accumulate
+ * references) (copy_charge_terms); any other event kind_cost[3k..3k+2]
+ * = (cycles, branches, references).  Its cycles are
+ * base + ((l1 hits * t1 + l1 misses * t2) + l2 misses * t3).
+ *
+ * Timeline: model = (t1, t2, t3, cpu Hz, accel Hz, DMA start cycles,
+ * DMA start branches, poll period, poll branches); the i-th K_FLUSH
+ * takes flush_t[i] seconds on the bus and flush_ac[i] accelerator
+ * cycles, the i-th K_RECV recv_t[i] seconds.  state is the 9-double
+ * start state, replaced by the end state; totals receives the
+ * (l1 hits, l1 misses, l2 misses) counts.  Returns nonzero, with the
+ * outputs unspecified, when a kind is unknown or the K_FLUSH / K_RECV
+ * events are not exactly n_flush / n_recv. */
+int64_t metrics_pass(const int8_t *kinds, int64_t n_events,
+                     const int64_t *ev_group, const int64_t *ev_lines,
+                     const int64_t *grp_off, const int64_t *grp_width,
+                     const double *grp_cost, const uint8_t *from_dst,
+                     const int64_t *rel, const double *kind_cost,
+                     const double *flush_t, const double *flush_ac,
+                     int64_t n_flush, const double *recv_t, int64_t n_recv,
+                     int64_t *s1, int64_t ns1, int64_t a1, int64_t m1,
+                     int64_t *s2, int64_t ns2, int64_t a2, int64_t m2,
+                     const double *model, int32_t db,
+                     double *state, int64_t *totals)
 {
-    int64_t last = INT64_MIN;
+    level_t l1 = {s1, ns1, a1, m1}, l2 = {s2, ns2, a2, m2};
+    double t1 = model[0], t2 = model[1], t3 = model[2], f = model[3];
+    double af = model[4], dsc = model[5], dsb = model[6];
+    double pollp = model[7], pollb = model[8];
+    double cpu = state[0], branch = state[1], refs = state[2];
+    double stall = state[3], accel = state[4], clock = state[5];
+    double ready = state[6], busy = state[7], accel_total = state[8];
+    int64_t last = INT64_MIN, fo = 0, ro = 0;
+    int64_t h1_total = 0, m1_total = 0, m2_total = 0;
     for (int64_t e = 0; e < n_events; e++) {
+        int k = kinds[e];
+        if (k < 0 || k > K_RWAIT) return 1;
         int64_t g = ev_group[e];
-        if (g == -2) continue;
-        int64_t width, off = 0, src = 0, dst = 0;
-        if (g == -1) {
-            int64_t line = word_lines[ev_row[e]];
-            if (line == last) { l1_hits[e] += 1; continue; }
-            width = 1;
-            src = line;
-        } else {
-            width = grp_width[g];
-            off = grp_off[g];
-            src = src_rows[ev_row[e]];
-            dst = dst_rows[ev_row[e]];
-        }
         int64_t h1 = 0, mi1 = 0, mi2 = 0;
-        for (int64_t j = 0; j < width; j++) {
-            int64_t line = (g == -1) ? src
-                : ((from_dst[off + j] ? dst : src) + rel[off + j]);
-            if (line == last) { h1++; continue; }
-            last = line;
-            int64_t set = (m1 >= 0) ? (line & m1) : (line % ns1);
-            int64_t *w = s1 + set * a1;
-            int found = 0;
-            for (int64_t j1 = 0; j1 < a1; j1++) {
-                if (w[j1] == line) {
-                    for (int64_t k = j1; k > 0; k--) w[k] = w[k - 1];
-                    w[0] = line;
-                    found = 1;
-                    break;
-                }
+        if (g != -2) {
+            int64_t width = 1, off = 0;
+            int64_t src = ev_lines[e], dst = ev_lines[n_events + e];
+            if (g >= 0) {
+                width = grp_width[g];
+                off = grp_off[g];
             }
-            if (found) { h1++; continue; }
-            for (int64_t k = a1 - 1; k > 0; k--) w[k] = w[k - 1];
-            w[0] = line;
-            mi1++;
-            set = (m2 >= 0) ? (line & m2) : (line % ns2);
-            int64_t *w2 = s2 + set * a2;
-            found = 0;
-            for (int64_t j2 = 0; j2 < a2; j2++) {
-                if (w2[j2] == line) {
-                    for (int64_t k = j2; k > 0; k--) w2[k] = w2[k - 1];
-                    w2[0] = line;
-                    found = 1;
-                    break;
-                }
+            for (int64_t j = 0; j < width; j++) {
+                int64_t line = (g == -1) ? src
+                    : ((from_dst[off + j] ? dst : src) + rel[off + j]);
+                if (line == last) { h1++; continue; }
+                last = line;
+                if (lru_touch(l1, line)) { h1++; continue; }
+                mi1++;
+                if (!lru_touch(l2, line)) mi2++;
             }
-            if (found) continue;
-            for (int64_t k = a2 - 1; k > 0; k--) w2[k] = w2[k - 1];
-            w2[0] = line;
-            mi2++;
+            h1_total += h1; m1_total += mi1; m2_total += mi2;
         }
-        l1_hits[e] += h1;
-        l1_miss[e] += mi1;
-        l2_miss[e] += mi2;
+        if (k == K_FLUSH) {
+            if (fo >= n_flush) return 1;
+            cpu += dsc; branch += dsb; clock += dsc / f;
+            double t = flush_t[fo], arrival;
+            if (db) {
+                busy = (clock > busy ? clock : busy) + t;
+                arrival = busy;
+            } else {
+                if (t > 0.0)
+                    stall_to(clock + t, f, pollp, pollb,
+                             &clock, &stall, &branch);
+                arrival = clock;
+            }
+            double ac = flush_ac[fo++];
+            ready = (ready > arrival ? ready : arrival) + ac / af;
+            accel += ac;
+            accel_total += ac;
+        } else if (k == K_RECV) {
+            if (ro >= n_recv) return 1;
+            cpu += dsc; branch += dsb; clock += dsc / f;
+            stall_to(ready, f, pollp, pollb, &clock, &stall, &branch);
+            double t = recv_t[ro++];
+            if (t > 0.0)
+                stall_to(clock + t, f, pollp, pollb,
+                         &clock, &stall, &branch);
+        } else if (k == K_RWAIT && db) {
+            stall_to(busy, f, pollp, pollb, &clock, &stall, &branch);
+        } else {
+            double c, b, r, xr = 0.0;
+            if (k == K_COPY && g >= 0) {
+                const double *terms = grp_cost + 5 * g;
+                c = terms[0] + terms[3];
+                r = terms[1];
+                b = terms[2];
+                xr = terms[4];
+            } else {
+                c = kind_cost[3 * k];
+                b = kind_cost[3 * k + 1];
+                r = kind_cost[3 * k + 2];
+            }
+            double cyc = c + (((double)h1 * t1 + (double)mi1 * t2)
+                              + (double)mi2 * t3);
+            cpu += cyc;
+            branch += b;
+            refs += r;
+            if (xr != 0.0) refs += xr;
+            clock += cyc / f;
+        }
     }
+    if (fo != n_flush || ro != n_recv) return 1;
+    state[0] = cpu; state[1] = branch; state[2] = refs; state[3] = stall;
+    state[4] = accel; state[5] = clock; state[6] = ready; state[7] = busy;
+    state[8] = accel_total;
+    totals[0] = h1_total; totals[1] = m1_total; totals[2] = m2_total;
+    return 0;
+}
+
+/* Backward last-writer scan of a DMA staging region's used span of
+ * `used` words.  Item i is a staged word when is_word && is_word[i] (its
+ * byte offset the next word_offsets entry, walking back from n_words)
+ * and otherwise row idx[i*step] of class c = cls[i*step]: byte offset
+ * region_offsets[class_base[c] + row], class_width[c] words wide.
+ * Walking the items backward, each word of the span goes to the first
+ * (= last-written) item covering it; the scan stops once every word is
+ * covered.  Winners come out in descending item, ascending word order:
+ * win_item, win_pos (word in the region) and win_src (the word's
+ * offset within its item's payload; for a staged word, its ordinal).
+ * covered is `used` zeroed bytes of scratch, the outputs hold `used`
+ * entries.  Returns the number of winners, or -1 if an item leaves
+ * the span. */
+int64_t last_writers(int64_t n_items, const uint8_t *is_word,
+                     const int64_t *cls, const int64_t *idx, int64_t step,
+                     const int64_t *word_offsets, int64_t n_words,
+                     const int64_t *class_base, const int64_t *class_width,
+                     const int64_t *region_offsets, int64_t used,
+                     uint8_t *covered, int64_t *win_item, int64_t *win_pos,
+                     int64_t *win_src)
+{
+    int64_t n = 0, word = n_words;
+    for (int64_t i = n_items - 1; i >= 0 && n < used; i--) {
+        int64_t offset, width, ordinal = -1;
+        if (is_word && is_word[i]) {
+            if (word == 0) return -1;
+            ordinal = --word;
+            offset = word_offsets[ordinal];
+            width = 1;
+        } else {
+            int64_t c = cls[i * step];
+            offset = region_offsets[class_base[c] + idx[i * step]];
+            width = class_width[c];
+        }
+        if (offset < 0 || width < 0 || offset / 4 + width > used) return -1;
+        int64_t start = offset / 4;
+        for (int64_t w = start; w < start + width; w++) {
+            if (covered[w]) continue;
+            covered[w] = 1;
+            win_item[n] = i;
+            win_pos[n] = w;
+            win_src[n] = ordinal >= 0 ? ordinal : w - start;
+            n++;
+        }
+    }
+    return n;
 }
 
 /* Accelerator stream decoders.  The staged stream arrives as parallel
@@ -415,85 +518,6 @@ int64_t decode_conv_stream(
     final_state[0] = ic; final_state[1] = fhw; final_state[2] = filter_src;
     counts[0] = n_comp; counts[1] = n_push;
     return 0;
-}
-
-/* The replay timeline: one entry per charge step, with the exact
- * floating-point operation sequence of the per-tile runtime. */
-void timeline_batch(const int8_t *sync, const double *cyc,
-                    const double *brs, const double *rfs,
-                    const double *rf2, const double *taux,
-                    const double *acaux, int64_t n, int32_t db,
-                    double f, double af, double dsc, double dsb,
-                    double pollp, double pollb, double *state)
-{
-    double cpu = state[0], branch = state[1], refs = state[2];
-    double stall = state[3], accel = state[4], clock = state[5];
-    double ready = state[6], busy = state[7], accel_total = state[8];
-    for (int64_t i = 0; i < n; i++) {
-        int s = sync[i];
-        if (s == 0) {
-            double c = cyc[i];
-            cpu += c;
-            branch += brs[i];
-            refs += rfs[i];
-            double r2 = rf2[i];
-            if (r2 != 0.0) refs += r2;
-            clock += c / f;
-        } else if (s == 1) {
-            cpu += dsc; branch += dsb; clock += dsc / f;
-            double t = taux[i];
-            double arrival;
-            if (db) {
-                double start = clock > busy ? clock : busy;
-                busy = start + t;
-                arrival = busy;
-            } else {
-                if (t > 0.0) {
-                    double ts = clock + t;
-                    if (ts > clock) {
-                        double sc = (ts - clock) * f;
-                        stall += sc;
-                        branch += (sc / pollp) * pollb;
-                        clock = ts;
-                    }
-                }
-                arrival = clock;
-            }
-            double ac = acaux[i];
-            double s2v = ready > arrival ? ready : arrival;
-            ready = s2v + ac / af;
-            accel += ac;
-            accel_total += ac;
-        } else if (s == 2) {
-            cpu += dsc; branch += dsb; clock += dsc / f;
-            if (ready > clock) {
-                double sc = (ready - clock) * f;
-                stall += sc;
-                branch += (sc / pollp) * pollb;
-                clock = ready;
-            }
-            double t = taux[i];
-            if (t > 0.0) {
-                double ts = clock + t;
-                if (ts > clock) {
-                    double sc = (ts - clock) * f;
-                    stall += sc;
-                    branch += (sc / pollp) * pollb;
-                    clock = ts;
-                }
-            }
-        } else {
-            if (busy > clock) {
-                double sc = (busy - clock) * f;
-                stall += sc;
-                branch += (sc / pollp) * pollb;
-                clock = busy;
-            }
-        }
-    }
-    state[0] = cpu; state[1] = branch; state[2] = refs; state[3] = stall;
-    state[4] = accel; state[5] = clock; state[6] = ready; state[7] = busy;
-    state[8] = accel_total;
 }
 """
 
@@ -729,14 +753,23 @@ def _load(path: str) -> ctypes.CDLL:
         u8p,
     ]
     lib.lru_hierarchy_batch.restype = None
-    lib.lru_copy_event_stream.argtypes = [
-        i64p, i64p, ctypes.c_int64,
-        i64p, i64p, i64p, i64p, u8p, i64p, i64p,
-        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        i64p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        i64p, i64p, i64p,
+    # The metrics build passes numpy buffers by address (``.ctypes.data``):
+    # a typed pointer per argument costs more than the whole C walk of
+    # a small trace.
+    vp = ctypes.c_void_p
+    lib.metrics_pass.argtypes = [
+        vp, ctypes.c_int64, vp, vp, vp, vp, vp, vp, vp, vp,
+        vp, vp, ctypes.c_int64, vp, ctypes.c_int64,
+        vp, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        vp, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        vp, ctypes.c_int32, vp, vp,
     ]
-    lib.lru_copy_event_stream.restype = None
+    lib.metrics_pass.restype = ctypes.c_int64
+    lib.last_writers.argtypes = [
+        ctypes.c_int64, vp, vp, vp, ctypes.c_int64, vp, ctypes.c_int64,
+        vp, vp, vp, ctypes.c_int64, vp, vp, vp, vp,
+    ]
+    lib.last_writers.restype = ctypes.c_int64
     lib.decode_matmul_stream.argtypes = [
         u8p, i64p, i64p, i64p, ctypes.c_int64,
         i64p, ctypes.c_int64,
@@ -762,11 +795,4 @@ def _load(path: str) -> ctypes.CDLL:
         i64p, i64p,
     ]
     lib.decode_conv_stream.restype = ctypes.c_int64
-    lib.timeline_batch.argtypes = [
-        i8p, f64p, f64p, f64p, f64p, f64p, f64p,
-        ctypes.c_int64, ctypes.c_int32,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, f64p,
-    ]
-    lib.timeline_batch.restype = None
     return lib

@@ -34,8 +34,8 @@ than L1, so intra-copy reuse always hits).  Unit tests cross-check the
 two paths on small tiles.
 
 Replay does not use this module to classify its traffic: a metrics-plane
-build runs one C call over the whole run's lines
-(``lru_copy_event_stream`` in :mod:`repro.soc._native`, via
+build classifies the whole run's lines in its one C walk over the
+events (``metrics_pass`` in :mod:`repro.soc._native`, via
 :mod:`repro.execution.metrics`) and hands the end state back in the
 one form this module owns (:data:`EndState`, :func:`install_ways`).
 :class:`OfflineLruSimulator` — the same

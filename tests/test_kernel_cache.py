@@ -915,6 +915,15 @@ class TestHostileEntries:
         recvs[-1] = ((len(arg_specs),) + key[1:], *rows)
 
     @staticmethod
+    def _forged_staging_offset(payload):
+        """A send tile staged before the start of the input region."""
+        sends = payload["trace"][3]
+        key, pos, starts, regions = sends[0]
+        regions = regions.copy()
+        regions[-1] = -4
+        sends[0] = (key, pos, starts, regions)
+
+    @staticmethod
     def _forged_decoded_plan(payload):
         """A stored decoded plan — one more column, which the codec
         cannot decode — whose first compute reads a send class the
@@ -945,12 +954,13 @@ class TestHostileEntries:
 
     @pytest.mark.parametrize("edit", [
         "_forged_flush_count", "_float_flush_counts", "_three_column_refs",
-        "_foreign_class_ref", "_forged_decoded_plan", "_forged_region_index",
-        "_forged_end_state"])
+        "_foreign_class_ref", "_forged_staging_offset",
+        "_forged_decoded_plan", "_forged_region_index", "_forged_end_state"])
     def test_a_forged_flush_count_is_quarantined_and_resynthesized(
             self, tmp_path, edit):
         """An out-of-stream or mistyped flush, a receive class the C
-        decoders would index memory by wrongly, a stored decoded plan
+        decoders would index memory by wrongly, a tile staged outside
+        its region (the C last-writer scan's bound), a stored decoded plan
         (the store writes none), a MetricsPlan writing outside the
         trace's staging regions or one whose cache end-state is not
         ``(counts, lines)`` never gets that far."""
@@ -1194,3 +1204,45 @@ class TestManualTraceEntries:
             == [entry]
         assert self.counts() == tuple(n + 1 for n in start)
         assert self.entries() == [entry]
+
+    @pytest.mark.usefixtures("clean_faults")
+    @pytest.mark.parametrize("forgery", [
+        "kind out of range", "extra flush", "missing receive"])
+    def test_a_forged_event_kind_is_quarantined(self, monkeypatch,
+                                                forgery):
+        """The metrics pass indexes a per-kind table by each event's
+        kind and reads transfer times by flush and receive ordinals, so
+        a kinds column that leaves ``K_LOOP..K_RWAIT`` or disagrees with
+        ``flush_pos`` / ``recv_pos`` is quarantined at load: the stored
+        trace is never replayed, the kernel is re-synthesized."""
+        from repro.execution import TRACE_COUNTERS
+        from repro.execution.trace import K_FLUSH, K_LOOP, K_RECV, K_RWAIT
+        from repro.store import KernelStore
+
+        fresh = self.run()
+        (entry,) = self.entries()
+        name = entry[:-len(".entry")]
+        store = KernelStore(self.store)
+        status, payload = store.load(name)
+        assert status == "hit"
+        columns = list(payload["trace"])
+        kinds = columns[1].copy()
+        loop = int(np.flatnonzero(kinds == K_LOOP)[0])
+        if forgery == "kind out of range":
+            kinds[loop] = K_RWAIT + 1
+        elif forgery == "extra flush":
+            kinds[loop] = K_FLUSH
+        else:
+            kinds[np.flatnonzero(kinds == K_RECV)[0]] = K_LOOP
+        columns[1] = kinds
+        payload["trace"] = tuple(columns)
+        assert store.store(name, payload)
+        self.fresh_process(monkeypatch)
+        start = self.counts()
+        loaded = TRACE_COUNTERS["disk_loaded"]
+        assert self.run() == fresh
+        assert TRACE_COUNTERS["disk_loaded"] == loaded
+        assert default_kernel_cache().disk_corrupt == 1
+        assert [path.name for path in (self.store / "corrupt").iterdir()] \
+            == [entry]
+        assert self.counts() == tuple(n + 1 for n in start)

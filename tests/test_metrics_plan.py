@@ -419,3 +419,83 @@ class TestEndState:
         kernel.run(per_tile, *_operands())
         assert fingerprints[0] == fingerprints[1]
         assert _plan_traffic() == (hits + 1, misses + 1)
+
+
+class _Writes:
+    """A tile class as the last-writer scan reads one."""
+
+    itemsize = 4
+
+    def __init__(self, region_offsets, words):
+        self.region_offsets = region_offsets
+        self.words = words
+
+    def num_elements(self):
+        return self.words
+
+
+@st.composite
+def _staging_streams(draw):
+    """A random write stream of a staging region: ``(last_writers
+    arguments, the scalar reference's spans)``.  Staged words (when the
+    stream has them) and tiles of up to three classes, zero-width
+    classes and overlapping spans included.  The used span ends with
+    the last word of a class row or a staged word, written or not."""
+    classes = [_Writes(np.asarray(draw(st.lists(
+        st.integers(0, 24), min_size=1, max_size=5)), dtype=np.int64) * 4,
+        draw(st.integers(0, 6))) for _ in range(draw(st.integers(1, 3)))]
+    with_words = draw(st.booleans())
+    items = draw(st.lists(st.tuples(
+        st.integers(-1 if with_words else 0, len(classes) - 1),
+        st.integers(0, 30)), max_size=40))
+    refs = np.asarray([(c, row % classes[c].region_offsets.size)
+                       if c >= 0 else (99, 0) for c, row in items],
+                      dtype=np.int64).reshape(-1, 2)
+    word_offsets = np.asarray([4 * word for c, word in items if c < 0],
+                              dtype=np.int64)
+    spans, ordinal = [], 0
+    for (c, word), (_, row) in zip(items, refs.tolist()):
+        if c < 0:
+            spans.append((word, 1, ordinal))
+            ordinal += 1
+        else:
+            spans.append((int(classes[c].region_offsets[row]) // 4,
+                          classes[c].words, 0))
+    is_word = np.asarray([c < 0 for c, _ in items], dtype=np.uint8) \
+        if with_words else None
+    return (is_word, refs[:, 0], refs[:, 1], word_offsets, classes,
+            64), spans
+
+
+@pytest.mark.usefixtures("clean_faults")
+def test_native_last_writers_match_the_scalar_scan():
+    """The C last-writer scan picks the winners a scalar backward scan
+    picks, in its order (descending item, ascending word), and stops
+    early without losing any."""
+    from repro.execution.metrics import last_writers
+
+    from support.last_writers import last_writers as reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(_staging_streams())
+    def check(stream):
+        arguments, spans = stream
+        item, pos, src = last_writers(*arguments)
+        assert list(zip(item.tolist(), pos.tolist(), src.tolist())) \
+            == reference(spans)
+
+    check()
+
+
+@pytest.mark.usefixtures("clean_faults")
+def test_a_write_outside_the_staging_region_is_refused():
+    from repro.execution.metrics import last_writers
+
+    refs = np.zeros((1, 2), dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    outside = _Writes(np.asarray([-4], dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="leaves the staging region"):
+        last_writers(None, refs[:, 0], refs[:, 1], empty, [outside], 2)
+    inside = _Writes(np.asarray([0], dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="leave the staging region"):
+        last_writers(None, refs[:, 0], refs[:, 1], empty, [inside], 1)

@@ -181,3 +181,71 @@ def test_concurrent_first_builds_converge(tmp_path):
     assert all(result["status"] == OK for result in results)
     assert len({result["path"] for result in results}) == 1
     assert len(_libraries(tmp_path)) == 1
+
+
+#: One double-buffered 32**3 matmul run per tile and replayed, in a
+#: process whose C library is built from ``_SOURCE`` with ``argv[1]``
+#: replaced by ``argv[2]``.  Prints the counters that differ between
+#: the two runs, the plans built and the loaded library's path.
+_MUTANT_RUN = r"""
+import json, sys
+import numpy as np
+from repro.soc import _native
+original, mutated = sys.argv[1:3]
+assert not original or _native._SOURCE.count(original) == 1
+_native._SOURCE = _native._SOURCE.replace(original, mutated)
+from repro.accelerators import make_matmul_system
+from repro.compiler import AXI4MLIRCompiler
+from repro.execution import METRICS_PLAN_COUNTERS
+from repro.runtime import DoubleBufferedRuntime
+from repro.soc import make_pynq_z2
+rng = np.random.default_rng(7)
+a, b = (rng.integers(-7, 7, (32, 32)).astype(np.int32) for _ in range(2))
+def run(trace):
+    hw, info = make_matmul_system(3, 8, flow="Ns")
+    board = make_pynq_z2()
+    board.attach_accelerator(hw)
+    kernel = AXI4MLIRCompiler(info).compile_matmul(32, 32, 32)
+    c = np.zeros((32, 32), np.int32)
+    return kernel.run(board, a, b, c, runtime=DoubleBufferedRuntime(board),
+                      trace=trace).as_dict()
+per_tile, replayed = run(False), run(True)
+print(json.dumps([
+    {key: (per_tile[key], replayed[key]) for key in per_tile
+     if per_tile[key] != replayed[key]},
+    METRICS_PLAN_COUNTERS["metrics_plan_misses"],
+    _native.native_lib()._name]))
+"""
+
+#: Pinned must-die mutants of the one metrics pass (``metrics_pass``).
+_MUTANTS = {
+    "intact": ("", ""),
+    # Accumulating receives (every compiled one) charge their copy's
+    # read-modify-write cycles on top of the base copy cycles.
+    "no accumulate cycles": ("c = terms[0] + terms[3];", "c = terms[0];"),
+    # A double-buffered runtime waits for its in-flight sends before
+    # each receive.
+    "no double-buffered wait": (
+        "stall_to(busy, f, pollp, pollb, &clock, &stall, &branch);", ";"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_replay_against_per_tile_kills_metrics_pass_mutants(tmp_path,
+                                                            mutant):
+    """A mutated metrics pass diverges from the per-tile runtime on a
+    config that reaches the mutated path; the intact one does not.  The
+    mutant library is kept under ``tmp_path``, not in the directory the
+    rest of the suite shares."""
+    done = subprocess.run([sys.executable, "-c", _MUTANT_RUN,
+                           *_MUTANTS[mutant]],
+                          env=_env(tmp_path), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    diverged, plans_built, path = json.loads(done.stdout.splitlines()[-1])
+    assert plans_built == 1
+    assert Path(path).parent == _library_dir(tmp_path)
+    if mutant == "intact":
+        assert diverged == {}
+    else:
+        assert diverged, "the mutant survived"

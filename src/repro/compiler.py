@@ -662,7 +662,8 @@ class KernelTraceState:
         ``build(arg_specs)``, under the lock.  A build that raises marks
         the state failed for good (the per-tile run surfaces any real
         error), except :class:`TraceMismatch`, which fails loudly.  A
-        replay refusal is not remembered.  A replay that served
+        replay refusal leaves the state as it is and is counted
+        (``replay_refused``) on every call.  A replay that served
         something the disk lacks (``publish_due``) runs ``persist``.
         """
         if self.failed:
@@ -684,6 +685,7 @@ class KernelTraceState:
             replay_kernel(self.trace, board, rt, descriptors,
                           type(rt) is DoubleBufferedRuntime)
         except TraceUnsupported:
+            TRACE_COUNTERS["replay_refused"] += 1
             return False
         if self.persist is not None and publish_due(self.trace):
             self.persist()

@@ -17,9 +17,8 @@ split into two explicit planes:
     class with their operand rows, push ids, push counts and target
     receive rows (conv runs that differ only by filter fused into one
     ``windows @ filters`` product; a dense multi-compute matmul block's
-    deduplicated operand panels); per receive class its one scatter
-    (in-order receives aside; rounds for a float accumulate).  It
-    holds tile *starts*, never element indices — tiles are reached
+    deduplicated operand panels); per receive class its one scatter.
+    It holds tile *starts*, never element indices — tiles are reached
     through a strided window view of the argument storage — so it is
     O(tiles) resident, and descriptor offsets enter only when that view
     is made, so one schedule serves every offset.  It lives on the
@@ -33,8 +32,15 @@ split into two explicit planes:
     gather each send class's distinct tiles once, elect the exact-float
     type from the class maxima (modular-arithmetic-identical to the
     per-tile path; a panel product elects on its fused depth), one
-    batched product per block, fold products into pushes in order,
-    scatter each receive class once, write the staging-region payloads.
+    batched product per block, fold products into pushes, scatter each
+    receive class once, write the staging-region payloads.
+
+  The data plane serves the schedules the host drivers emit: integer
+  tiles, every operand loaded before it is used, pushes of one size per
+  block landing in one receive class, and per argument at most one
+  receive class whose distinct tiles are disjoint and, when a tile
+  repeats, accumulated.  Any other schedule is refused when its
+  :class:`DataSchedule` is built, and the verdict is cached with it.
 
 * the **metrics plane** (:mod:`repro.execution.metrics`): every
   performance-model quantity — per-event copy/cache charges, the exact
@@ -53,7 +59,8 @@ split into two explicit planes:
 
 Any assumption violation raises :class:`ReplayUnsupported` — from a
 cached schedule as from a fresh one — before anything is mutated; the
-caller falls back to per-tile execution.
+caller counts it (``trace_sources["replay_refused"]``) and falls back to
+per-tile execution.
 """
 
 from __future__ import annotations
@@ -72,7 +79,6 @@ from . import metrics
 from .trace import (
     DecodedPlan,
     DriverTrace,
-    STAGE_TIMINGS,
     TraceUnsupported,
     add_stage_time,
     decode_for_accelerator,
@@ -117,19 +123,16 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
 class _Block:
     """One batched product: computes of one geometry and operand class.
 
-    ``a`` / ``b`` are ``(send class, value rows)`` — or ``(None, count)``
-    for an operand the stream never loaded (zeros).  A matmul block has
+    ``a`` / ``b`` are ``(send class, value rows)``.  A matmul block has
     one row pair per compute; a conv block has its windows in ``a`` and
     one row per filter in ``b``, computes ordered filter-major.
-    The computes fold, in order, into pushes of ``count`` computes each
-    (0: uneven, cut at ``offsets``), whose payloads land at ``target``:
-    ``(None, push ordinals)``, narrowed to ``(recv class, its rows)``
-    when all of them land in one receive class.  ``panels`` is set on a
-    dense multi-compute matmul block (see :func:`_panels`).
+    The computes fold, in order, into pushes of ``count`` computes each,
+    whose payloads land at ``target``: ``(recv class, its rows)``.
+    ``panels`` is set on a dense multi-compute matmul block (see
+    :func:`_panels`).
     """
 
-    __slots__ = ("tm", "tn", "tk", "a", "b", "count", "offsets", "target",
-                 "panels")
+    __slots__ = ("tm", "tn", "tk", "a", "b", "count", "target", "panels")
 
 
 class DataSchedule:
@@ -137,12 +140,16 @@ class DataSchedule:
     per send class its distinct tiles; the compute blocks, a dense
     multi-compute matmul block with its deduplicated operand panels and
     each push's ``(ia, jb)`` tile of their product; per receive class
-    its one scatter (ordered rounds for a float accumulate)."""
+    its one scatter.  A schedule outside what the data plane serves (see
+    the module docstring) raises :class:`ReplayUnsupported` here."""
 
     __slots__ = ("send", "send_extent", "recv_extent", "blocks",
-                 "sequential", "rounds")
+                 "scatters")
 
     def __init__(self, trace: DriverTrace, plan: DecodedPlan):
+        if any(np.dtype(spec[3]).kind not in "iu"
+               for spec in trace.arg_specs):
+            raise ReplayUnsupported("non-integer arguments")
         #: Per send class ``(uniq, rows)``: the distinct tile starts and
         #: each tile's row among them — or ``(None, starts)`` for a
         #: class too large to gather whole.  Rows are kept 32-bit when
@@ -160,9 +167,9 @@ class DataSchedule:
         #: view is sized and bounds-checked with.
         self.send_extent = [_extent(tc) for tc in trace.send_classes]
         self.recv_extent = [_extent(tc) for tc in trace.recv_classes]
+        self._plan_scatter(trace)
         self.blocks: List[_Block] = []
         self._cut_blocks(trace, plan)
-        self._plan_scatter(trace)
 
     # -- compute blocks ---------------------------------------------------
     def _cut_blocks(self, trace: DriverTrace, plan: DecodedPlan) -> None:
@@ -182,13 +189,9 @@ class DataSchedule:
 
         # Segment the compute sequence into runs of constant
         # (geometry, operand class) — the generated loop nests produce
-        # long such runs — and cut each run into bounded blocks.  A run
-        # never mixes loaded and never-loaded (-1) operands: -1 is its
-        # own class here.
-        a_cls = np.where(comp_a >= 0, comp_a >> 40, -1)
-        b_cls = np.where(comp_b >= 0, comp_b >> 40, -1)
-        key = np.stack([geom[:, 0], geom[:, 1], geom[:, 2], a_cls, b_cls],
-                       axis=1)
+        # long such runs — and cut each run into bounded blocks.
+        key = np.stack([geom[:, 0], geom[:, 1], geom[:, 2], comp_a >> 40,
+                        comp_b >> 40], axis=1)
         change = np.any(key[1:] != key[:-1], axis=1)
         if conv:
             # Window dots share one filter per run: split on filter swaps.
@@ -226,33 +229,30 @@ class DataSchedule:
                 block.a = self._side(comp_a[kept])
                 block.b = self._side(comp_b[kept[:1]] if conv
                                      else comp_b[kept])
-                block.target = (None, pushes)
+                block.target = pushes
                 if not (conv and self._fuse_filter(block)):
                     self.blocks.append(block)
         refs = trace.recv_refs
         for block in self.blocks:
-            ordinals = block.target[1]
+            ordinals = block.target
             counts = push_counts[ordinals]
-            uniform = bool((counts == counts[0]).all())
-            block.count = int(counts[0]) if uniform else 0
-            block.offsets = None if uniform else np.r_[0, np.cumsum(counts)]
-            block.panels = None
-            if block.count > 1 and not conv and block.a[0] is not None \
-                    and block.b[0] is not None:
-                block.panels = _panels(block)
             classes = refs[ordinals, 0]
-            if (classes == classes[0]).all():
-                # Every push lands in one receive class (a block stays
-                # within one flow segment): one write per block, into
-                # one run of rows when they are consecutive.
-                rows = refs[ordinals, 1]
-                if (np.diff(rows) == 1).all():
-                    rows = slice(int(rows[0]), int(rows[-1]) + 1)
-                block.target = (int(classes[0]), rows)
+            if (counts != counts[0]).any() or (classes != classes[0]).any():
+                raise ReplayUnsupported("a block's pushes differ in size "
+                                        "or receive class")
+            # One write per block, into one run of rows when they are
+            # consecutive.
+            rows = refs[ordinals, 1]
+            if (np.diff(rows) == 1).all():
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            block.target = (int(classes[0]), rows)
+            block.count = int(counts[0])
+            block.panels = _panels(block) if block.count > 1 and not conv \
+                else None
 
     def _side(self, packed: np.ndarray):
         if packed[0] < 0:
-            return None, packed.size  # never loaded: an all-zero operand
+            raise ReplayUnsupported("a compute on a never-loaded operand")
         class_id = int(packed[0] >> 40)
         return class_id, self.send[class_id][1][packed & _INDEX_MASK]
 
@@ -264,64 +264,43 @@ class DataSchedule:
             return False
         last = self.blocks[-1]
         (a_cls, a_rows), (b_cls, b_rows) = block.a, block.b
-        if a_cls is None or b_cls is None or last.tk != block.tk \
-                or last.a[0] != a_cls or last.b[0] != b_cls \
+        if last.tk != block.tk or last.a[0] != a_cls or last.b[0] != b_cls \
                 or not np.array_equal(last.a[1], a_rows):
             return False
         filters = last.b[1].size + 1
         if filters * max(block.tk, a_rows.size) > _BLOCK_ELEMENTS:
             return False
         last.b = (b_cls, np.r_[last.b[1], b_rows])
-        last.target = (None, np.r_[last.target[1], block.target[1]])
+        last.target = np.r_[last.target, block.target]
         return True
 
     # -- receive scatter --------------------------------------------------
     def _plan_scatter(self, trace: DriverTrace) -> None:
-        """One write per receive class where order allows: at most one
-        class on the argument and disjoint tiles; the rest replay in
-        event order.  Repeated tiles still take one write: an integer
-        accumulate sums each tile's payloads first (``reduceat`` over
-        the start order, in the argument's dtype: wraparound is modular,
-        so any order is exact), an overwrite keeps each tile's last.  A
-        float accumulate takes one round per occurrence, in order."""
-        classes_per_arg: Dict[int, int] = {}
-        for tile_class in trace.recv_classes:
-            classes_per_arg[tile_class.arg] = \
-                classes_per_arg.get(tile_class.arg, 0) + 1
-        in_order = set()
-        #: ``(recv class, payload selection or None for all, target
-        #: starts, reduceat offsets or None)`` — every target of one
-        #: entry is unique, and a class's rounds keep time order.
-        self.rounds = []
+        """One write per receive class.  That needs at most one class on
+        the argument and disjoint tiles; a repeated tile needs an
+        accumulate, which sums its payloads first (``reduceat`` over the
+        start order, in the argument's dtype: wraparound is modular, so
+        any order is exact).  Anything else is refused: the receives
+        would have to land in event order."""
+        args = [tile_class.arg for tile_class in trace.recv_classes]
+        if len(set(args)) < len(args):
+            raise ReplayUnsupported("two receive classes on one argument")
+        #: ``(recv class, target starts, None or the payloads' start
+        #: order and its reduceat offsets)`` — every target is unique.
+        self.scatters = []
         for class_id, tile_class in enumerate(trace.recv_classes):
-            if classes_per_arg[tile_class.arg] > 1 \
-                    or not trace.recv_disjoint[class_id]:
-                in_order.add(class_id)
-                continue
+            if not trace.recv_disjoint[class_id]:
+                raise ReplayUnsupported("overlapping receive tiles")
             starts = tile_class.starts
             order, firsts = _start_groups(starts)
             if firsts.size == starts.size:
-                self.rounds.append((class_id, None, starts, None))
-            elif not tile_class.accumulate:
-                lasts = order[np.r_[firsts[1:], starts.size] - 1]
-                self.rounds.append((class_id, lasts, starts[lasts], None))
-            elif np.dtype(trace.arg_specs[tile_class.arg][3]).kind in "iu":
-                self.rounds.append((class_id, order, starts[order[firsts]],
-                                    firsts))
+                self.scatters.append((class_id, starts, None))
+            elif tile_class.accumulate:
+                self.scatters.append((class_id, starts[order[firsts]],
+                                      (order, firsts)))
             else:
-                occurrence = np.empty(starts.size, dtype=np.int64)
-                occurrence[order] = np.arange(starts.size) - np.repeat(
-                    firsts, np.diff(np.r_[firsts, starts.size]))
-                for ro in range(int(occurrence.max()) + 1):
-                    sel = np.flatnonzero(occurrence == ro)
-                    self.rounds.append((class_id, sel, starts[sel], None))
-        #: ``(recv class, tile, start)`` of every in-order receive.
-        refs = trace.recv_refs
-        self.sequential = [
-            (class_id, index, int(trace.recv_classes[class_id].starts[index]))
-            for class_id, index
-            in refs[np.isin(refs[:, 0], sorted(in_order))].tolist()
-        ]
+                raise ReplayUnsupported("a receive overwrites a repeated "
+                                        "tile")
 
 
 def _extent(tile_class):
@@ -534,28 +513,28 @@ class ReplayExecutor:
         all paths are exact or modular-identical, so outputs do not
         change.  Returns the numpy cast dtype, or ``None`` for int64.
         """
-        a_cls, b_cls = block.a[0], block.b[0]
-        bound = depth \
-            * (0 if a_cls is None else self._class_max(a_cls)) \
-            * (0 if b_cls is None else self._class_max(b_cls))
+        bound = depth * self._class_max(block.a[0]) \
+            * self._class_max(block.b[0])
         if bound < 2 ** 24:
             return np.float32
         if bound < 2 ** 53:
             return np.float64
         return None
 
-    def _operand(self, side, shape, dtype, cast=None) -> np.ndarray:
-        """Gather one operand side of a block (zeros if never loaded)."""
+    def _operand(self, side, shape, cast) -> np.ndarray:
+        """Gather one operand side of a block."""
         class_id, rows = side
-        if class_id is None:
-            return np.zeros((rows,) + shape, dtype=cast or dtype)
         tiles = self._values(class_id, cast)[rows]
         if cast is not None:
             tiles = tiles.astype(cast, copy=False)  # live-window gathers
         return tiles.reshape((rows.size,) + shape)
 
-    def _products(self, block: _Block, conv: bool, dtype) -> np.ndarray:
-        """All products of a block, in compute order."""
+    def _products(self, block: _Block, conv: bool) -> np.ndarray:
+        """All products of a block, in compute order.
+
+        Any exact-or-modular path is bit-identical to the per-tile
+        accumulation (wraparound is mod 2^32 regardless of where it
+        happens)."""
         tm, tn, tk = block.tm, block.tn, block.tk
         if conv:
             # One dot product per (filter, window) — replicates
@@ -564,15 +543,9 @@ class ReplayExecutor:
             a_shape = b_shape = (tk,)
         else:
             a_shape, b_shape = (tm, tk), (tk, tn)
-        if not conv and dtype.kind != "i":
-            return self._operand(block.a, a_shape, dtype) \
-                @ self._operand(block.b, b_shape, dtype)
-        # Integer tiles: any exact-or-modular path is bit-identical
-        # to the per-tile accumulation (wraparound is mod 2^32
-        # regardless of where it happens).
         cast = self._elect_cast(block, block.tk)
-        a = self._operand(block.a, a_shape, dtype, cast)
-        b = self._operand(block.b, b_shape, dtype, cast)
+        a = self._operand(block.a, a_shape, cast)
+        b = self._operand(block.b, b_shape, cast)
         if conv:
             b = b.T
         if cast is not None:
@@ -583,7 +556,7 @@ class ReplayExecutor:
         return products.T.reshape(-1) if conv else products
 
     def _panel_payloads(self, block: _Block, dtype) -> np.ndarray:
-        """Every push of an integer block with panels, from one product
+        """Every push of a block with panels, from one product
         of panels built (and cast) from the classes' distinct tiles.
         Stacked A panels make numpy issue one GEMM per panel, which for
         a 128**3 problem stays under OpenBLAS's threading threshold: as
@@ -611,35 +584,11 @@ class ReplayExecutor:
         A matmul push drains the *sum* of its tile products, a conv push
         the *stack* of its window dots (the slice buffer).
         """
-        if block.count:
-            pushes = len(products) // block.count
-            stacked = products.reshape(pushes, block.count, -1)
-            if conv:
-                return stacked.reshape(pushes, -1).astype(dtype, copy=False)
-            if dtype.kind == "i":
-                return stacked.sum(axis=1).astype(dtype)
-            summed = np.zeros((pushes, stacked.shape[2]), dtype=dtype)
-            for j in range(block.count):
-                summed += stacked[:, j]
-            return summed
-        rows = []
-        for lo, hi in zip(block.offsets[:-1], block.offsets[1:]):
-            chunk = products[lo:hi].reshape(hi - lo, -1)
-            if conv:
-                rows.append(chunk.reshape(-1).astype(dtype))
-            elif dtype.kind == "i":
-                rows.append(chunk.sum(axis=0).astype(dtype))
-            else:
-                out = np.zeros(chunk.shape[1], dtype=dtype)
-                for row in chunk:
-                    out += row
-                rows.append(out)
-        return rows
-
-    def _payload(self, ordinal: int) -> np.ndarray:
-        """Push ``ordinal``'s payload: a row view of its receive buffer."""
-        refs = self.trace.recv_refs
-        return self._recv_buffers[refs[ordinal, 0]][refs[ordinal, 1]]
+        pushes = len(products) // block.count
+        stacked = products.reshape(pushes, block.count, -1)
+        if conv:
+            return stacked.reshape(pushes, -1).astype(dtype, copy=False)
+        return stacked.sum(axis=1).astype(dtype)
 
     def _compute_functional(self) -> None:
         """All accelerator outputs, one batched product per block.
@@ -665,39 +614,24 @@ class ReplayExecutor:
             for tile_class in trace.recv_classes
         ]
         for block in schedule.blocks:
-            if block.panels is not None and dtype.kind == "i":
+            if block.panels is not None:
                 rows = self._panel_payloads(block, dtype)
             else:
-                rows = self._fold(block, self._products(block, conv, dtype),
-                                  conv, dtype)
+                rows = self._fold(block, self._products(block, conv), conv,
+                                  dtype)
             class_id, target = block.target
-            if class_id is not None:
-                self._recv_buffers[class_id][target] = rows
-            else:
-                for ordinal, row in zip(target, rows):
-                    self._payload(ordinal)[:] = row
+            self._recv_buffers[class_id][target] = rows
 
     def _scatter_receives(self) -> None:
-        trace, schedule = self.trace, self.schedule
-        for class_id, index, start in schedule.sequential:
-            tile_class = trace.recv_classes[class_id]
-            desc = self.descriptors[tile_class.arg]
-            tile = self._recv_windows[class_id][start]
-            data = self._recv_buffers[class_id][index].view(desc.dtype) \
-                .reshape(tile.shape)
-            if tile_class.accumulate:
-                tile += data
-            else:
-                tile[...] = data
-        for class_id, sel, starts, firsts in schedule.rounds:
+        trace = self.trace
+        for class_id, starts, repeats in self.schedule.scatters:
             tile_class = trace.recv_classes[class_id]
             desc = self.descriptors[tile_class.arg]
             window = self._recv_windows[class_id]
             data = self._recv_buffers[class_id].view(desc.dtype)
-            if sel is not None:
-                data = data[sel]
-            if firsts is not None:
-                data = np.add.reduceat(data, firsts, axis=0,
+            if repeats is not None:
+                order, firsts = repeats
+                data = np.add.reduceat(data[order], firsts, axis=0,
                                        dtype=data.dtype)
             tiles = data.reshape((starts.size,) + window.shape[1:])
             if tile_class.accumulate:
@@ -724,10 +658,12 @@ class ReplayExecutor:
             engine.input_words[dest_pos] = words.reshape(-1)[src_pos]
 
     def _apply_output_region(self, mplan) -> None:
-        """Write the plan's winning output-region receive payloads."""
-        engine = self.engine
+        """Write the plan's winning output-region receive payloads: a
+        push's payload is a row of its receive class's buffer."""
+        engine, refs = self.engine, self.trace.recv_refs
         for ordinal, dest_pos, src_pos in mplan.output_writes:
-            data = np.ascontiguousarray(self._payload(ordinal)) \
+            class_id, row = refs[ordinal]
+            data = np.ascontiguousarray(self._recv_buffers[class_id][row]) \
                 .view(np.uint32)
             engine.output_words[dest_pos] = data[src_pos]
 

@@ -100,7 +100,9 @@ def add_stage_time(stage: str, seconds: float) -> None:
 #: ``synthesized`` (ahead-of-time from the schedule side table),
 #: ``synth_fallback`` (synthesis failed, so the kernel runs per tile),
 #: ``disk_loaded`` (deserialized from the kernel store) — generated
-#: kernels and the hand-written baselines alike.  ``recorded`` is never
+#: kernels and the hand-written baselines alike — and, per call,
+#: ``replay_refused`` (a traced kernel's replay refused, so that call
+#: ran per tile).  ``recorded`` is never
 #: incremented — a kernel never runs from a recording — and stays
 #: declared for a frozen reader (the list is at
 #: ``repro.execution.diagnostics``).
@@ -109,6 +111,7 @@ TRACE_COUNTERS: Dict[str, int] = counters.section("trace_sources", {
     "recorded": 0,
     "synth_fallback": 0,
     "disk_loaded": 0,
+    "replay_refused": 0,
 })
 
 
@@ -246,14 +249,15 @@ def _scatter_is_disjoint(tile_class: _TileClass) -> bool:
     """True when distinct tile starts address disjoint element sets.
 
     Receives whose tiles overlap across *different* subview offsets
-    cannot be scattered in vectorized rounds; the replay executor falls
-    back to a sequential per-tile scatter for those classes.
+    cannot be scattered in one vectorized write; replay refuses such a
+    class (and one too large to prove disjoint), so its kernel runs per
+    tile.
     """
     starts = np.unique(tile_class.starts)
     if starts.size <= 1:
         return True
     if starts.size * tile_class.num_elements() > (1 << 24):
-        return False  # don't spend memory proving it; stay sequential
+        return False  # don't spend memory proving it
     indices = _tile_indices(starts, tile_class.sizes,
                             tile_class.strides).reshape(-1)
     # Bitset membership beats a sort-based unique: one linear pass over

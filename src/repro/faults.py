@@ -240,7 +240,3 @@ def reset_faults() -> None:
         FAULT_COUNTERS.clear()
         _memo_key = None
         _memo_clauses = {}
-
-
-class InjectedFault(RuntimeError):
-    """Raised by hook points for kinds simulating hard failures."""

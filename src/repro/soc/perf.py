@@ -9,7 +9,7 @@ helpers support the normalized plots (Figs. 12 and 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -98,20 +98,3 @@ class PerfCounters:
 
 _COUNTER_FIELDS = tuple(f.name for f in fields(PerfCounters))
 
-
-@dataclass
-class PerfReport:
-    """A labelled set of counters, used by the benchmark harnesses."""
-
-    label: str
-    counters: PerfCounters
-    parameters: dict = field(default_factory=dict)
-
-    def row(self) -> dict:
-        row = {"label": self.label, **self.parameters}
-        row.update(
-            task_clock_ms=self.counters.task_clock_ms(),
-            cache_references=self.counters.cache_references,
-            branch_instructions=self.counters.branch_instructions,
-        )
-        return row

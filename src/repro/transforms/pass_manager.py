@@ -34,27 +34,6 @@ class Pass:
         raise NotImplementedError
 
 
-class FunctionPass(Pass):
-    """Convenience base running per ``func.func``."""
-
-    def run(self, module: Module) -> None:
-        for func_op in module.functions():
-            self.run_on_function(module, func_op)
-
-    def run_on_function(self, module: Module, func_op) -> None:
-        raise NotImplementedError
-
-
-class LambdaPass(Pass):
-    def __init__(self, name: str, fn: Callable[[Module], None]):
-        self.name = name
-        super().__init__()
-        self._fn = fn
-
-    def run(self, module: Module) -> None:
-        self._fn(module)
-
-
 class PassManager:
     """Runs a pipeline of passes, verifying the module between them."""
 

@@ -36,6 +36,7 @@ class TestKernelCache:
         assert stats == {"hits": 1, "misses": 1, "entries": 1}
         assert set(trace_stats) == {"synthesized", "recorded",
                                     "synth_fallback", "disk_loaded",
+                                    "replay_refused",
                                     "metrics_plan_hits",
                                     "metrics_plan_misses",
                                     "metrics_plan_fallback",

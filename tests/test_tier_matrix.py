@@ -291,14 +291,17 @@ def test_without_the_c_library_every_kernel_runs_per_tile(name, mode,
 def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
     """What makes the matrix bite: with no rung forced the warm pass
     loads its traces from the store and applies stored plans, so a
-    wrong plan application cannot hide behind a rebuild."""
+    wrong plan application cannot hide behind a rebuild, and no call
+    is refused."""
     with _selected((), False, tmp_path):
         built = METRICS_PLAN_COUNTERS["metrics_plan_misses"]
+        refused = TRACE_COUNTERS["replay_refused"]
         _run(name)
         loaded, applied = _hit_paths()
         _run(name)
         steps = len(CONFIGS[name])
         assert _hit_paths() == (loaded + steps, applied + steps)
+        assert TRACE_COUNTERS["replay_refused"] == refused
         if name == TWINS_AND_STRANGER:
             # The second kernel never built, yet its entry holds a
             # plan: the first kernel's, which the warm pass applied.

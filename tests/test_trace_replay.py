@@ -128,13 +128,16 @@ class TestMatmulEquivalence:
             4, 16, "Cs", 64, 32, 128, accel_size=(32, 16, 64)
         ))
 
+    @pytest.mark.usefixtures("clean_faults")
     def test_float32(self):
-        # Cs: multi-compute float pushes fold per compute, in order; Ns:
-        # a float accumulate of repeated tiles scatters in ordered rounds.
+        """The data plane is integer-only: a float kernel's schedule is
+        refused, whether its pushes sum several products (Cs) or its
+        receives accumulate repeated tiles (Ns), and it runs per tile."""
         for flow in ("Cs", "Ns"):
-            assert_pair_identical(run_matmul_pair(
-                3, 8, flow, 32, 32, 32, dtype=np.float32
-            ))
+            case = _compiled_case("matmul", version=3, size=8, flow=flow,
+                                  dtype=np.float32, shape=(32, 32, 32))
+            _assert_refused(case, "non-integer arguments",
+                            np.random.default_rng(11))
 
     def test_unspecialized_copies(self):
         assert_pair_identical(run_matmul_pair(
@@ -397,24 +400,28 @@ class _Case:
     """A driver under test: a compiled kernel or a hand-written body."""
 
     def __init__(self, make_hw, entry_point, shapes, func_op=None,
-                 make_runtime=AxiRuntime):
+                 make_runtime=AxiRuntime, dtype=np.int32):
         self.make_hw = make_hw
         self.entry_point = entry_point
         self.shapes = shapes
         self.func_op = func_op
         self.make_runtime = make_runtime
+        self.dtype = np.dtype(dtype)
         self._trace = None
 
     def trace(self):
         """One trace per case, so later examples reuse its schedule."""
         if self._trace is None:
             self._trace = record_trace(self.entry_point, tuple(
-                (shape, _row_major(shape), 4, "int32")
-                for shape in self.shapes))
+                (shape, _row_major(shape), self.dtype.itemsize,
+                 self.dtype.name) for shape in self.shapes))
         return self._trace
 
     def arrays(self, rng):
-        return [rng.integers(-9, 9, shape).astype(np.int32)
+        if self.dtype.kind == "f":
+            return [rng.standard_normal(shape).astype(self.dtype)
+                    for shape in self.shapes]
+        return [rng.integers(-9, 9, shape).astype(self.dtype)
                 for shape in self.shapes]
 
 
@@ -437,7 +444,8 @@ def _compiled_case(kind, **params):
         shapes = [(1, in_ch, in_hw, in_hw), (out_ch, in_ch, f_hw, f_hw),
                   (1, out_ch, out_hw, out_hw)]
     return _Case(make_hw, kernel.entry_point, shapes,
-                 func_op=kernel.func_op, make_runtime=kernel.make_runtime)
+                 func_op=kernel.func_op, make_runtime=kernel.make_runtime,
+                 dtype=params.get("dtype", np.int32))
 
 
 def _conv_body(receives):
@@ -494,7 +502,8 @@ def _overlapping_tiles(rt, out, f, pass_):
 
 def _conv_uneven_body(rt, image, weights, out):
     # One filter, a 4-window slice then a 2-window slice: uneven push
-    # counts inside one block, landing in two receive classes.
+    # counts inside one block, landing in two receive classes on one
+    # argument.
     rt.dma_init(0, 0x4000_0000, 0x2000, 0x4010_0000, 0x2000)
     off = rt.send_literal(32, 0)
     off = rt.send_dim(weights, 3, off)
@@ -515,28 +524,36 @@ def _conv_uneven_body(rt, image, weights, out):
         off = 0
 
 
-def _matmul_corner_body(rt, a, b, c):
-    """v3 opcodes by hand: products on never-loaded operand buffers
-    (zeros), then pushes that collect one and two products."""
+def _matmul_corner_body(never_loaded):
+    """v3 opcodes by hand, each push accumulated into a C tile of its
+    own: pushes that collect one and two products (uneven push counts
+    inside one block), after, when ``never_loaded``, products on
+    operand buffers the stream never loaded (zeros)."""
     def tile(ref, row, col):
         return ref.subview((4 * row, 4 * col), (4, 4))
 
-    rt.dma_init(0, 0x4000_0000, 0x1000, 0x4010_0000, 0x1000)
-    off = rt.send_literal(0xF0, 0)              # cC on the reset state
-    rt.flush_send(rt.send_literal(0x24, off))   # rC
-    rt.recv_memref(tile(c, 0, 0), 0, accumulate=False)
-    off = rt.send_memref(tile(a, 0, 0), rt.send_literal(0x22, 0))  # sA only
-    off = rt.send_literal(0xF0, off)
-    rt.flush_send(rt.send_literal(0x24, off))
-    rt.recv_memref(tile(c, 0, 1), 0, accumulate=False)
-    for col, depth in ((0, 1), (1, 2)):
-        off = 0
-        for k in range(depth):
-            off = rt.send_memref(tile(a, 0, k), rt.send_literal(0x22, off))
-            off = rt.send_memref(tile(b, k, col), rt.send_literal(0x23, off))
+    def body(rt, a, b, c):
+        rt.dma_init(0, 0x4000_0000, 0x1000, 0x4010_0000, 0x1000)
+        if never_loaded:
+            off = rt.send_literal(0xF0, 0)              # cC, reset state
+            rt.flush_send(rt.send_literal(0x24, off))   # rC
+            rt.recv_memref(tile(c, 0, 0), 0, accumulate=True)
+            off = rt.send_memref(tile(a, 0, 0),
+                                 rt.send_literal(0x22, 0))  # sA only
             off = rt.send_literal(0xF0, off)
-        rt.flush_send(rt.send_literal(0x24, off))
-        rt.recv_memref(tile(c, 1, col), 0, accumulate=True)
+            rt.flush_send(rt.send_literal(0x24, off))
+            rt.recv_memref(tile(c, 0, 1), 0, accumulate=True)
+        for col, depth in ((0, 1), (1, 2)):
+            off = 0
+            for k in range(depth):
+                off = rt.send_memref(tile(a, 0, k),
+                                     rt.send_literal(0x22, off))
+                off = rt.send_memref(tile(b, k, col),
+                                     rt.send_literal(0x23, off))
+                off = rt.send_literal(0xF0, off)
+            rt.flush_send(rt.send_literal(0x24, off))
+            rt.recv_memref(tile(c, 1, col), 0, accumulate=True)
+    return body
 
 
 _CASES = {}
@@ -576,7 +593,12 @@ def _case(name):
                 _conv_uneven_body,
                 [(1, 2, 4, 4), (1, 2, 3, 3), (1, 2, 2, 2)]),
             "v3-corners": lambda: _Case(
-                lambda: make_matmul_system(3, 4)[0], _matmul_corner_body,
+                lambda: make_matmul_system(3, 4)[0],
+                _matmul_corner_body(never_loaded=True),
+                [(4, 8), (8, 8), (8, 8)]),
+            "v3-uneven": lambda: _Case(
+                lambda: make_matmul_system(3, 4)[0],
+                _matmul_corner_body(never_loaded=False),
                 [(4, 8), (8, 8), (8, 8)]),
             # The hot pool's slowest replays, for the election bands.
             "v3-Cs-128": lambda: _compiled_case(
@@ -598,12 +620,57 @@ def _case(name):
 
 _CASE_NAMES = ["v1", "v2", "v3", "v4-flex", "conv", "conv-stride",
                "conv-two-classes", "conv-overlap", "conv-overwrite",
-               "conv-uneven", "v3-corners"]
+               "conv-uneven", "v3-corners", "v3-uneven"]
+
+#: The hand-written schedules no host driver emits, and the refusal
+#: each meets when its DataSchedule is built.
+_REFUSALS = {
+    "conv-two-classes": "two receive classes on one argument",
+    "conv-overlap": "overlapping receive tiles",
+    "conv-overwrite": "a receive overwrites a repeated tile",
+    "conv-uneven": "two receive classes on one argument",
+    "v3-corners": "a compute on a never-loaded operand",
+    "v3-uneven": "a block's pushes differ in size or receive class",
+}
 
 
 def _schedules(trace):
     return [getattr(plan, "_data_schedule", None)
             for plan in trace.decoded.values()]
+
+
+def _refused(case, trace, arrays, pads, match):
+    """Replay refuses with ``match`` and leaves the board, the arguments
+    and the accelerator exactly as the per-tile path expects; returns
+    that per-tile run."""
+    hw, board, rt, descriptors = _fresh(case, arrays, pads)
+    before = ([d.allocated.tobytes() for d in descriptors],
+              _accel_state(hw), _board_state(board, hw))
+    with pytest.raises(TraceUnsupported, match=match):
+        replay_kernel(trace, board, rt, descriptors, False)
+    assert ([d.allocated.tobytes() for d in descriptors],
+            _accel_state(hw), _board_state(board, hw)) == before
+    assert board.dma is None and rt.dma is None
+    # ... so the per-tile driver picks up as if nothing happened.
+    snapshot = board.snapshot()
+    case.entry_point(rt, *descriptors)
+    return (board.measure_since(snapshot).as_dict(),
+            [d.allocated.tobytes() for d in descriptors],
+            _accel_state(hw), _board_state(board, hw))
+
+
+def _assert_refused(case, refusal, rng, pads=(4, 0, 2)):
+    """``case``'s schedule is refused by name when it is built, and the
+    cached verdict on every later call; each refusal leaves nothing
+    touched, and the per-tile run equals the interpreter's."""
+    arrays = case.arrays(rng)
+    reference = _invoke("per_tile", case, arrays, pads)
+    if case.func_op is not None:
+        assert _invoke("interpreted", case, arrays, pads) == reference
+    for _ in range(2):
+        assert _refused(case, case.trace(), arrays, pads, refusal) \
+            == reference
+        assert _schedules(case.trace()) == [refusal]
 
 
 @pytest.mark.usefixtures("clean_faults")
@@ -617,6 +684,7 @@ def _schedules(trace):
 def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
     case = _case(name)
     trace = case.trace()
+    refusal = _REFUSALS.get(name)
     rng = np.random.default_rng(seed)
     for round_, round_pads in enumerate(pads):
         arrays = case.arrays(rng)  # fresh data every invocation
@@ -636,6 +704,14 @@ def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
             trace = assemble_trace(*decode_payload(
                 *encode_payload(trace_columns(trace))))
             assert trace.decoded == {}
+        if refusal is not None:
+            # A schedule no host driver emits: refused at every payload
+            # and offset, from a fresh verdict as from the cached one.
+            for _ in range(2):
+                assert _refused(case, trace, arrays, round_pads,
+                                refusal) == reference
+            assert _schedules(trace) == [refusal]
+            continue
         got = _invoke("replay", case, arrays, round_pads, trace=trace)
         assert got[0] == reference[0], "PerfCounters differ"
         assert got[1] == reference[1], "argument storage differs"
@@ -795,25 +871,16 @@ def test_warm_replay_working_set(monkeypatch):
 
 @pytest.mark.usefixtures("clean_faults")
 class TestScheduleIsDerivedState:
-    def test_hand_written_cases_take_the_in_order_scatter(self):
-        for name, rounds in (("conv-two-classes", 0), ("conv-overlap", 0)):
-            case = _case(name)
-            _invoke("replay", case, case.arrays(np.random.default_rng(0)),
-                    (0, 0, 0), trace=case.trace())
-            (schedule,) = _schedules(case.trace())
-            assert len(schedule.rounds) == rounds
-            assert len(schedule.sequential) == 6
-
     def test_repeated_tiles_scatter_once_per_class(self):
-        """An integer accumulate sums each tile's payloads and an
-        overwrite keeps each tile's last: one write per class."""
-        for name in ("v1-Ns-32", "v2-As-32", "conv-overwrite"):
+        """An integer accumulate sums each tile's payloads: one write
+        per class (an overwrite of a repeated tile is refused)."""
+        for name in ("v1-Ns-32", "v2-As-32"):
             case = _case(name)
             _invoke("replay", case, case.arrays(np.random.default_rng(0)),
                     (0, 0, 0), trace=case.trace())
             (schedule,) = _schedules(case.trace())
-            (entry,) = schedule.rounds
-            assert entry[1] is not None and not schedule.sequential
+            (entry,) = schedule.scatters
+            assert entry[2] is not None
 
     def test_conv_filters_fuse_into_one_product(self):
         case = _case("conv")
@@ -864,21 +931,11 @@ class TestRefusalsLeaveNoTrace:
     verdict served from the cache, storage the tiles do not fit — the
     board and the arguments are exactly as the per-tile path expects."""
 
-    def _refused(self, case, trace, arrays, match):
-        hw, board, rt, descriptors = _fresh(case, arrays, (4, 0, 2))
-        before = ([d.allocated.tobytes() for d in descriptors],
-                  _accel_state(hw), _board_state(board, hw))
-        with pytest.raises(TraceUnsupported, match=match):
-            replay_kernel(trace, board, rt, descriptors, False)
-        assert ([d.allocated.tobytes() for d in descriptors],
-                _accel_state(hw), _board_state(board, hw)) == before
-        assert board.dma is None and rt.dma is None
-        # ... so the per-tile driver picks up as if nothing happened.
-        snapshot = board.snapshot()
-        case.entry_point(rt, *descriptors)
-        return (board.measure_since(snapshot).as_dict(),
-                [d.allocated.tobytes() for d in descriptors],
-                _accel_state(hw), _board_state(board, hw))
+    def test_schedules_no_driver_emits(self):
+        """Every schedule-time refusal, by name, on the hand-written
+        body that meets it."""
+        for name, refusal in _REFUSALS.items():
+            _assert_refused(_case(name), refusal, np.random.default_rng(0))
 
     def test_injected_replay_fault(self, monkeypatch):
         from repro import faults
@@ -890,8 +947,8 @@ class TestRefusalsLeaveNoTrace:
         monkeypatch.setenv("REPRO_FAULTS", "replay:fail")
         faults.reset_faults()
         try:
-            assert self._refused(case, case.trace(), arrays,
-                                 "injected replay fault") == reference
+            assert _refused(case, case.trace(), arrays, (4, 0, 2),
+                            "injected replay fault") == reference
         finally:
             monkeypatch.delenv("REPRO_FAULTS")
             faults.reset_faults()
@@ -910,8 +967,8 @@ class TestRefusalsLeaveNoTrace:
         arrays = case.arrays(np.random.default_rng(9))
         reference = _invoke("per_tile", case, arrays, (4, 0))
         for _ in range(3):  # builds the verdict, then serves it twice
-            assert self._refused(case, case.trace(), arrays,
-                                 "empty compute set") == reference
+            assert _refused(case, case.trace(), arrays, (4, 0),
+                            "empty compute set") == reference
             assert _schedules(case.trace()) \
                 == ["push with an empty compute set"]
 

@@ -281,6 +281,7 @@ class TestTraceSources:
         assert "store_publish_s" in report["stage_timings"]
         assert set(report["trace_sources"]) == {
             "synthesized", "recorded", "synth_fallback", "disk_loaded",
+            "replay_refused",
         }
         assert set(report["metrics_plan"]) == {
             "metrics_plan_hits", "metrics_plan_misses",

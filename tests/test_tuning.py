@@ -215,9 +215,14 @@ class TestJournal:
 
 class TestDriver:
     def test_clean_sweep_completes_and_reports(self, tmp_path):
+        from repro.execution import TRACE_COUNTERS
+
+        refused = TRACE_COUNTERS["replay_refused"]
         driver = _driver(SMALL, tmp_path)
         result = driver.run()
         assert result["complete"]
+        # Every point's kernel replays: none drops to the per-tile rung.
+        assert TRACE_COUNTERS["replay_refused"] == refused
         report = result["report"]
         assert report["totals"]["completed"] == len(SMALL.points())
         assert report["totals"]["poisoned"] == 0

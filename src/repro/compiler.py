@@ -424,7 +424,9 @@ class KernelCache:
     kernels, lowering costs 1.0–1.8 ms against 0.1–0.2 ms to read and
     decode a trace-less entry plus 0.6–0.8 ms to write it.
     Processes racing on one key each lower it and publish the same
-    bytes atomically; nothing coordinates them.  Entries are data (no
+    bytes atomically; nothing coordinates them.  Each write is synced
+    at once unless its caller owns the commit point (a sweep point, in
+    :func:`repro.store.group_commit`).  Entries are data (no
     pickle, no code): a disk hit is read + decode, and the IR is parsed
     and the driver re-emitted only when a rung needs them.  Anyone can
     compute an entry's checksum, so names and trace indices are checked
@@ -557,8 +559,8 @@ class KernelCache:
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
         """Publish ``kernel`` with its trace and that trace's plans
         (the persist hook, after a replay; timed into
-        ``store_publish_s``).  Unencodable payloads and write failures
-        stay memory-only — ``store()`` reports, never raises."""
+        ``store_publish_s``) and sync it.  Unencodable payloads and write
+        failures stay memory-only — ``store()`` reports, never raises."""
         store = self.resolve_store()
         if store is None:
             return
@@ -580,6 +582,7 @@ class KernelCache:
         })
         trace._stored_plans = frozenset(plans)
         add_stage_time("store_publish_s", time.perf_counter() - start)
+        store.sync()
 
     def get_or_compile(self, key: Tuple,
                        compile_fn: Callable[[], "CompiledKernel"]

@@ -96,15 +96,18 @@ def diagnostics() -> dict:
     ``store`` counts on-disk kernel-store events — ``store_corrupt`` /
     ``store_quarantined`` are distinct from ``store_misses``, so a
     corrupted cache directory is visible as such rather than as a cold
-    cache.  ``faults`` counts injected faults per ``REPRO_FAULTS``
-    site — the proof that a forced fallback rung actually fired — and
+    cache; ``store_syncs`` counts fsync batches (one per library write,
+    one per sweep worker).  ``faults`` counts injected faults per
+    ``REPRO_FAULTS`` site — the proof that a forced fallback rung
+    actually fired — and
     ``native`` reports why the C fast path is (un)available.
     ``service`` counts compile/simulate-service events in this process
     (admissions, sheds, coalesced submits, worker crashes, drain-time
     worker merges) — nonzero only in a server process.  ``tuning``
     counts autotuning sweep events (points completed / pruned /
-    poisoned, journal appends and recovery anomalies, sweep-worker
-    crashes and restarts) — nonzero only after a sweep ran.
+    poisoned, journal appends, ``tuning_journal_commits`` — one fsync
+    per report group — and recovery anomalies, sweep-worker crashes and
+    restarts) — nonzero only after a sweep ran.
     """
     # Lazy imports: the service and tuning packages import execution
     # machinery, so pulling them in at module scope would be circular;

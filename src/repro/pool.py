@@ -13,9 +13,10 @@ the mechanism.
   job dict, run the caller's *handler* under the job's breaker verdicts
   (:func:`run_seamed`), reply with the handler's fields, the seam
   evidence and the counter *delta* since the previous reply.  ``None``
-  asks for shutdown: the worker answers ``bye`` with its residue delta
-  and exits.  A handler may ``os._exit`` (the callers' injected-crash
-  rules) — to the parent that is a crash like any other.
+  asks for shutdown: the worker syncs the store entries its jobs left
+  to it (:func:`repro.store.group_commit`), answers ``bye`` with its
+  residue delta and exits.  A handler may ``os._exit`` (the callers'
+  injected-crash rules) — to the parent that is a crash like any other.
 * **Parent side** — :class:`Pool`: slot-stable :class:`Worker` handles
   with ``submit``, ``wait``, ``restart`` and ``shutdown``.
 
@@ -36,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import counters
 from .envutil import env_int
-from .store import STORE_COUNTERS
+from .store import STORE_COUNTERS, sync_all
 
 #: Size of every pool: model jobs, service workers, sweep workers
 #: (default: min(4, cpu_count)).
@@ -122,6 +123,7 @@ def worker_loop(conn, index: int, handler: Callable[[dict], dict]) -> None:
         except (EOFError, OSError):
             break  # parent went away; nothing left to report to
         if job is None:
+            sync_all()
             reply = {"op": "bye"}
         else:
             reply = run_seamed(handler, job)

@@ -13,11 +13,16 @@ directory (CI prunes them; ``gc()`` ignores them).
 
 **Atomic publish.**  Writers create a uniquely named temporary file
 (pid + thread id + counter, so neither concurrent processes nor threads
-collide), ``fsync`` it, ``os.replace`` it over the final name, then
-``fsync`` the directory (:func:`durable_publish`).  Readers therefore
+collide) and ``os.replace`` it over the final name.  Readers therefore
 observe either the old entry, the new entry, or no entry — never a torn
 write — and a writer killed at any instant leaves at most one stray
 ``*.tmp-*`` file, which is removed on error paths and swept by ``gc()``.
+
+**Durability is the caller's.**  :meth:`KernelStore.sync` fsyncs the
+entries written since the last sync and their shard directories.  The
+kernel cache syncs after each write, except inside :func:`group_commit`,
+whose owner syncs at its own commit point; an entry an OS crash tears
+before then fails its SHA-256 and is quarantined and rebuilt.
 
 **Entry container.**  Each ``.entry`` file is::
 
@@ -54,12 +59,9 @@ class or field) *quarantines* the file into ``corrupt/`` and reports
 status ``"corrupt"``, which callers count separately from an honest
 miss.
 
-**What gets published.**  Entries persist *traced* kernels: the kernel
-cache publishes an entry from the first replay's persist hook, never at
-compile time (see :class:`repro.compiler.KernelCache` for the measured
-cost of lowering against loading).  There is no cross-process build
-lock: processes racing on one key each lower it and publish
-atomically, and the entry converges (``repro.compiler.publish_due``).
+**What gets published.**  Traced kernels only, from the kernel cache's
+persist hook (:class:`repro.compiler.KernelCache`); processes racing on
+one key each publish atomically and the entry converges.
 
 **Garbage collection.**  ``gc(max_bytes)`` (env:
 ``REPRO_KERNEL_CACHE_MAX_BYTES``) evicts least-recently-*used* entries
@@ -69,6 +71,7 @@ temporaries.  It runs opportunistically after each publish.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -76,6 +79,7 @@ import math
 import os
 import threading
 import time
+import weakref
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -110,6 +114,7 @@ STORE_COUNTERS: Dict[str, int] = counters.section("store", {
     "store_write_failures": 0,
     "store_quarantined": 0,
     "store_evictions": 0,
+    "store_syncs": 0,
 })
 
 
@@ -467,17 +472,30 @@ def _next_tmp_suffix() -> str:
     return f".tmp-{os.getpid()}-{threading.get_ident()}-{count}"
 
 
-def _fsync_dir(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
+def _fsync(path) -> None:
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
-    except OSError:
-        pass
     finally:
         os.close(fd)
+
+
+def _fsync_dir(directory: Path) -> None:
+    with contextlib.suppress(OSError):
+        _fsync(directory)
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """Yield a ``*.tmp-*`` sibling to ``os.replace`` over ``path``."""
+    tmp = path.with_name(path.name + _next_tmp_suffix())
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 @contextmanager
@@ -487,28 +505,39 @@ def durable_publish(path) -> Iterator[Path]:
     The temp path is a collision-free ``*.tmp-*`` sibling of ``path``.
     On a clean exit it is fsynced and ``os.replace``d over ``path``, and
     the directory is fsynced; on any exception it is unlinked and the
-    exception propagates.  Every durable artifact in the repo (store
-    entries, the sweep journal and report, the C library) is published
-    through here, so a crash at any instant leaves the old file, the new
-    file, or removable ``*.tmp-*`` litter — never a torn target.
+    exception propagates.  The sweep journal's compaction and report
+    and the C library are published here; store entries are replaced
+    the same way and fsynced in batches (:meth:`KernelStore.sync`).  A
+    crash leaves the old file, the new one, or ``*.tmp-*`` litter.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + _next_tmp_suffix())
-    try:
+    with _replacing(path) as tmp:
         yield tmp
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
+        _fsync(tmp)
     _fsync_dir(path.parent)
+
+
+_group_commit = threading.local()
+
+
+@contextmanager
+def group_commit() -> Iterator[None]:
+    """Defer :meth:`KernelStore.sync` on this thread (nestable); the
+    caller runs :func:`sync_all` at its commit point."""
+    _group_commit.depth = getattr(_group_commit, "depth", 0) + 1
+    try:
+        yield
+    finally:
+        _group_commit.depth -= 1
+
+
+_STORES: "weakref.WeakSet[KernelStore]" = weakref.WeakSet()
+
+
+def sync_all() -> None:
+    """:meth:`KernelStore.sync` every store of this process."""
+    for store in list(_STORES):
+        store.sync()
 
 
 def _count(key: str, amount: int = 1) -> None:
@@ -526,6 +555,9 @@ class KernelStore:
     def __init__(self, root, max_bytes: Optional[int] = None) -> None:
         self.root = Path(root)
         self._max_bytes = max_bytes
+        self._unsynced: set = set()  # entry paths sync() has not seen
+        self._lock = counters.fork_safe_lock()
+        _STORES.add(self)
 
     # -- paths ------------------------------------------------------------
     def objects_dir(self) -> Path:
@@ -603,9 +635,9 @@ class KernelStore:
     def store(self, name: str, payload: Any) -> bool:
         """Atomically publish one entry; False = not persisted.
 
-        Encode failures (payload outside the whitelist) and filesystem
-        errors both leave the store exactly as it was — no partial
-        entry, no leaked temp file.
+        Durable once :meth:`sync` ran.  Encode failures (payload outside
+        the whitelist) and filesystem errors both leave the store exactly
+        as it was — no partial entry, no leaked temp file.
         """
         try:
             blob = pack_entry(*encode_payload(payload))
@@ -615,36 +647,75 @@ class KernelStore:
         try:
             if faults.fires("store.write") == "io":
                 raise OSError("injected store.write io fault")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with durable_publish(path) as tmp:
-                tmp.write_bytes(blob)
+            with _replacing(path) as tmp:
+                try:
+                    tmp.write_bytes(blob)
+                except FileNotFoundError:  # the shard's first entry
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    tmp.write_bytes(blob)
         except OSError:
             _count("store_write_failures")
             return False
+        with self._lock:
+            self._unsynced.add(path)
         _count("store_writes")
         max_bytes = self._resolve_max_bytes()
         if max_bytes is not None:
             self.gc(max_bytes)
         return True
 
+    def sync(self, since: Optional[float] = None) -> None:
+        """Fsync the entries written since the last sync, then their
+        shard directories, once each; timed into ``store_publish_s``.
+
+        A no-op inside :func:`group_commit`.  ``since`` adds the entries
+        modified since then (what a killed writer could not sync).
+        Entries evicted or quarantined meanwhile are skipped; an
+        ``OSError`` is counted, never raised.
+        """
+        if getattr(_group_commit, "depth", 0):
+            return
+        with self._lock:
+            paths, self._unsynced = self._unsynced, set()
+        if since is not None:
+            paths.update(path for path, stat in self._files()
+                         if path.name.endswith(".entry")
+                         and stat.st_mtime >= since)
+        if not paths:
+            return
+        started = time.perf_counter()
+        for path in paths:
+            try:
+                _fsync(path)
+            except FileNotFoundError:
+                continue
+            except OSError:
+                _count("store_write_failures")
+        for directory in {path.parent for path in paths}:
+            _fsync_dir(directory)
+        _count("store_syncs")
+        from .execution.trace import add_stage_time
+        add_stage_time("store_publish_s", time.perf_counter() - started)
+
     # -- garbage collection ------------------------------------------------
+    def _files(self) -> Iterator[Tuple[Path, os.stat_result]]:
+        """``(path, stat)`` of every file in the shard directories."""
+        for path in self.objects_dir().glob("*/*"):
+            try:
+                yield path, path.stat()
+            except OSError:
+                continue
+
     def gc(self, max_bytes: Optional[int] = None) -> int:
         """Evict least-recently-used entries over the size cap.
 
         Also sweeps crash litter: temp files older than five minutes.
         Returns the number of entries evicted.
         """
-        objects = self.objects_dir()
-        if not objects.is_dir():
-            return 0
         entries: List[Tuple[float, int, Path]] = []
         total = 0
         now = time.time()
-        for path in objects.glob("*/*"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
+        for path, stat in self._files():
             if ".tmp-" in path.name:
                 if now - stat.st_mtime > _TMP_MAX_AGE_S:
                     try:

@@ -29,7 +29,8 @@ TUNING_COUNTERS: Dict[str, int] = counters.section("tuning", {
     "tuning_workers_merged": 0,      # worker diagnostics deltas folded in
     "tuning_store_degraded": 0,      # points run with the store seam open
     "tuning_native_degraded": 0,     # points run with native forced off
-    "tuning_journal_appends": 0,     # records durably appended
+    "tuning_journal_appends": 0,     # records appended and flushed
+    "tuning_journal_commits": 0,     # fsyncs: one per report group
     "tuning_journal_io_errors": 0,   # appends lost to (injected) I/O errors
     "tuning_journal_replayed": 0,    # records recovered on resume
     "tuning_journal_torn_tail": 0,   # unterminated final records dropped

@@ -14,10 +14,10 @@ common case it is built for:
   and simulated anyway.
 * **Supervision** — points run on the supervised fork pool
   (:mod:`repro.pool`: duplex pipes, crash detection via process
-  sentinels, restarts at the same slot).  A worker death costs one
-  attempt of one point, never the sweep.  Per-point deadlines are
-  enforced both cooperatively in the worker and by a hard parent-side
-  kill.
+  sentinels, restarts at the same slot, where the point retries).  A
+  worker death costs one attempt of one point, never the sweep.
+  Per-point deadlines are enforced both cooperatively in the worker
+  and by a hard parent-side kill.
 * **Retries with taxonomy** — crashes and deadline kills are
   retryable (seeded :class:`~repro.retry.BackoffSchedule` per point);
   in-worker exceptions are permanent (``failed``).  A point whose
@@ -28,6 +28,9 @@ common case it is built for:
   seam failures route subsequent points through the memory-only store
   or the per-tile driver (both bit-identical rungs).  Journal I/O
   failures degrade to memory-only progress tracking.
+* **One commit point per group** — the journal is fsynced when a
+  report group's last point resolves; store entries (written under
+  :func:`repro.store.group_commit`) when their worker shuts down.
 
 Determinism is the load-bearing property: evaluation is deterministic
 per point, injected crash/poison verdicts are keyed on point digests
@@ -54,9 +57,9 @@ import collections
 import os
 import time
 import traceback
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from .. import faults, pool
+from .. import faults, pool, store
 from ..envutil import env_float
 from ..execution.trace import add_stage_time
 from ..retry import BackoffSchedule, retryable
@@ -188,8 +191,9 @@ def evaluate_job(job: dict) -> dict:
     a deterministic failure of the point (``code="error"``).
     """
     try:
-        outcome = evaluate_point(job["spec"], job.get("prune_bytes"),
-                                 job.get("deadline"))
+        with store.group_commit():
+            outcome = evaluate_point(job["spec"], job.get("prune_bytes"),
+                                     job.get("deadline"))
     except DeadlinePassed as exc:
         return {"ok": False, "code": "deadline", "error": str(exc)}
     except Exception as exc:
@@ -254,9 +258,12 @@ class SweepDriver:
         self._crashes: Dict[str, int] = {}
         self._backoffs: Dict[str, BackoffSchedule] = {}
         #: Points backing off right now (digest -> monotonic retry
-        #: time); an entry lives from retry_later to its re-dispatch.
-        self._retry_at: Dict[str, float] = {}
+        #: time, and the restarted slot the point waits for or None);
+        #: an entry lives from retry_later to its re-dispatch.
+        self._retry_at: Dict[str, Tuple[float, Optional[int]]] = {}
         self._results: Dict[str, dict] = {}
+        #: Unresolved points per report group (journal commit at 0).
+        self._open_points: collections.Counter = collections.Counter()
 
     # -- public control ------------------------------------------------------
     def request_stop(self) -> None:
@@ -287,6 +294,9 @@ class SweepDriver:
                   **record_fields}
         self._results[digest] = record
         self.journal.append_result(digest, record)
+        self._open_points[point.group] -= 1
+        if not self._open_points[point.group]:
+            self.journal.commit()
         status = record["status"]
         count({"ok": "tuning_points_completed",
                "pruned": "tuning_points_pruned",
@@ -381,11 +391,13 @@ class SweepDriver:
         thresholds = self._prune_thresholds(keyed)
         pending = collections.deque(
             pair for pair in keyed if pair[0] not in self._results)
+        self._open_points.update(point.group for _, point in pending)
         if pending:
             if self.workers > 1 and pool.fork_available():
                 self._run_pool(pending, thresholds)
             else:
                 self._run_inline(pending, thresholds)
+                store.sync_all()
 
         complete = all(digest in self._results for digest in known)
         report = None
@@ -432,21 +444,27 @@ class SweepDriver:
     # -- pool execution -------------------------------------------------------
     def _run_pool(self, pending, thresholds) -> None:
         size = min(self.workers, len(pending))
+        started = time.time()
+        restarted = False
         workers = pool.Pool(size, worker_job)
         flights: Dict[int, _Flight] = {}  # busy slot -> its attempt
 
-        def retry_later(flight: _Flight, delay: Optional[float]) -> None:
+        def retry_later(flight: _Flight, delay: Optional[float],
+                        slot: Optional[int] = None) -> None:
             if delay is not None:
-                self._retry_at[flight.digest] = time.monotonic() + delay
+                self._retry_at[flight.digest] = (time.monotonic() + delay,
+                                                 slot)
                 pending.append((flight.digest, flight.point))
 
         def replace_worker(slot: int, code: str, error: str) -> None:
             # Dead or hung alike: the attempt failed, and a fresh
-            # worker takes over the same slot.
+            # worker takes over the same slot, and the retry with it.
+            nonlocal restarted
             flight = flights.pop(slot)
             retry_later(flight, self._classify_failure(
-                flight.digest, flight.point, code, error))
+                flight.digest, flight.point, code, error), slot)
             workers.restart(slot)
+            restarted = True
             count("tuning_worker_restarts")
 
         try:
@@ -457,9 +475,9 @@ class SweepDriver:
                     for slot in range(size):
                         if slot in flights:
                             continue
-                        ready = self._next_ready(pending, now)
+                        ready = self._next_ready(pending, now, slot)
                         if ready is None:
-                            break
+                            continue
                         digest, point = ready
                         flight = self._flight(
                             digest, point, self._begin_attempt(digest),
@@ -497,12 +515,19 @@ class SweepDriver:
                                        "hard deadline kill")
         finally:
             count("tuning_workers_merged", workers.shutdown())
+            if restarted:  # a dead worker never synced its entries
+                from ..compiler import default_kernel_cache
+                disk = default_kernel_cache().resolve_store()
+                if disk is not None:
+                    disk.sync(since=started - 1.0)
 
-    def _next_ready(self, pending, now: float):
-        """Pop the first pending pair whose retry backoff has elapsed."""
+    def _next_ready(self, pending, now: float, slot: int):
+        """Pop the first pending pair whose retry backoff has elapsed
+        and that is not held for another slot."""
         for _ in range(len(pending)):
             pair = pending.popleft()
-            if self._retry_at.get(pair[0], 0.0) <= now:
+            when, held_for = self._retry_at.get(pair[0], (0.0, None))
+            if when <= now and held_for in (None, slot):
                 self._retry_at.pop(pair[0], None)
                 return pair
             pending.append(pair)
@@ -510,7 +535,8 @@ class SweepDriver:
 
     def _next_event_time(self) -> Optional[float]:
         """When the earliest backing-off point becomes dispatchable."""
-        return min(self._retry_at.values(), default=None)
+        return min((when for when, _ in self._retry_at.values()),
+                   default=None)
 
     def _wait_timeout(self, flights) -> float:
         deadlines = [flight.kill_at for flight in flights.values()]

@@ -8,12 +8,16 @@ One journal file records one sweep's durable progress as JSON lines::
 
 ``c`` is the SHA-256 (12 hex chars) of the record's canonical JSON with
 ``c`` removed — per-record integrity, so one flipped bit invalidates
-exactly one record instead of the file.  Appends are write+flush+fsync:
-once :meth:`SweepJournal.append` returns True the record survives
-SIGKILL.  The ``tuning.journal:io`` fault site fires inside the append
-path; an I/O failure (injected or real) is counted and reported to the
-caller, never raised — losing the journal degrades a sweep to
-memory-only progress tracking, it must not abort it.
+exactly one record instead of the file.  Two guarantees, separately:
+an append is write + flush, so once :meth:`SweepJournal.append` returns
+True the record survives SIGKILL; :meth:`SweepJournal.commit` fsyncs, so
+a power loss can lose only the records appended since the last commit
+(the driver commits once per report group, and on close), which re-run
+deterministically on resume.  The ``tuning.journal:io`` fault site
+fires inside the append path; an I/O failure (injected or real) is
+counted and reported to the caller, never raised — losing the journal
+degrades a sweep to memory-only progress tracking, it must not abort
+it.
 
 :meth:`SweepJournal.replay` is crash-shaped on purpose: a final line
 without a terminating newline is a torn append (the process died
@@ -23,10 +27,9 @@ occurrence.  Each anomaly is counted separately so tests can pin the
 recovery behaviour.
 
 :meth:`SweepJournal.compact` rewrites the journal to its live content
-(meta + one result per point) through the store's atomic-publish idiom
-— temp sibling, fsync, ``os.replace``, directory fsync — so a reader
-holding the old file descriptor keeps a complete old journal and a
-crash at any instant leaves old-or-new, never a torn file.
+(meta + one result per point) through
+:func:`repro.store.durable_publish`, so a reader holding the old file
+keeps a complete old journal and a crash leaves old-or-new.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class SweepJournal:
         return self._fh
 
     def append(self, record: dict) -> bool:
-        """Durably append one record; False when the write was lost.
+        """Append and flush one record; False when the write was lost.
 
         A lost append is counted (``tuning_journal_io_errors``) and the
         file handle dropped so the next append reopens — transient I/O
@@ -113,13 +116,26 @@ class SweepJournal:
             fh = self._open_for_append()
             fh.write(line)
             fh.flush()
-            os.fsync(fh.fileno())
         except OSError:
             count("tuning_journal_io_errors")
             self._drop_handle()
             return False
         self._seq += 1
         count("tuning_journal_appends")
+        return True
+
+    def commit(self) -> bool:
+        """Fsync the records appended through the open handle; False
+        (counted) when that fails."""
+        if self._fh is None:  # closed, compacted, or lost to an error
+            return True
+        try:
+            os.fsync(self._fh.fileno())
+        except OSError:
+            count("tuning_journal_io_errors")
+            self._drop_handle()
+            return False
+        count("tuning_journal_commits")
         return True
 
     def append_meta(self, space_digest: str) -> bool:
@@ -143,6 +159,7 @@ class SweepJournal:
             self._fh = None
 
     def close(self) -> None:
+        self.commit()
         self._drop_handle()
 
     def __enter__(self) -> "SweepJournal":
@@ -222,10 +239,8 @@ class SweepJournal:
 
         Attempt records and superseded duplicates are dropped; result
         payloads are preserved byte-for-byte (the report is built from
-        them).  Publishes via temp-file + fsync + ``os.replace`` +
-        directory fsync, so concurrent readers and crashes both see a
-        complete journal — old or new, never mixed.  Returns False
-        (counted, old journal intact) when I/O fails.
+        them).  Published by ``durable_publish`` (module docstring).
+        Returns False (counted, old journal intact) when I/O fails.
         """
         self._drop_handle()
         records = [{"t": "meta", "space": space_digest,

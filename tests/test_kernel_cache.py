@@ -1,5 +1,6 @@
 """Tests for the compiled-kernel cache (flow-exploration sweeps)."""
 
+import os
 import pickle
 from dataclasses import replace
 
@@ -420,6 +421,32 @@ class TestDiskKernelStore:
         self._run(kernel)  # persist hook publishes the entry
         leftovers = [p for p in store.rglob("*") if ".tmp-" in p.name]
         assert leftovers == []
+
+    def test_persist_hook_syncs_unless_the_caller_owns_the_commit(
+            self, tmp_path, monkeypatch):
+        """A library caller's entry is durable when ``run`` returns; one
+        written under ``group_commit`` waits for the owner's sync."""
+        from repro.store import STORE_COUNTERS, group_commit, sync_all
+
+        fsynced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsynced.append(
+            os.readlink(f"/proc/self/fd/{fd}")) or real(fd))
+        cache = KernelCache(disk_dir=str(tmp_path / "repro_cache"))
+        syncs = STORE_COUNTERS["store_syncs"]
+        self._run(make_compiler(cache).compile_matmul(32, 32, 32))
+        [entry] = self.entry_files(tmp_path / "repro_cache")
+        assert str(entry) in fsynced
+        assert STORE_COUNTERS["store_syncs"] == syncs + 1
+        fsynced.clear()
+        with group_commit():
+            self._run(make_compiler(cache).compile_matmul(16, 16, 16),
+                      size=16)
+        assert fsynced == []
+        sync_all()
+        assert {str(path) for path in self.entry_files(
+            tmp_path / "repro_cache")} - {str(entry)} <= set(fsynced)
+        assert STORE_COUNTERS["store_syncs"] == syncs + 2
 
     def test_ir_is_printed_once_per_kernel(self, tmp_path, monkeypatch):
         """Every publish of a kernel shares one IR text, and a kernel

@@ -393,6 +393,95 @@ class TestKernelStore:
         assert store.entry_path("second").exists()
 
 
+class TestSync:
+    """``store()`` replaces an entry into place; ``sync()`` makes the
+    entries written since the last sync durable, in one batch."""
+
+    @pytest.fixture
+    def fsynced(self, monkeypatch):
+        """The paths this process fsyncs, in order."""
+        paths = []
+        real = os.fsync
+
+        def fsync(fd):
+            paths.append(Path(os.readlink(f"/proc/self/fd/{fd}")))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return paths
+
+    @staticmethod
+    def same_shard_names(store, count):
+        by_shard = {}
+        for index in range(1024):
+            name = f"entry-{index}"
+            by_shard.setdefault(store.entry_path(name).parent, []).append(
+                name)
+        return max(by_shard.values(), key=len)[:count]
+
+    def test_store_defers_and_sync_batches(self, tmp_path, fsynced):
+        store = KernelStore(tmp_path)
+        names = self.same_shard_names(store, 2) + ["other"]
+        for name in names:
+            assert store.store(name, _payload(name))
+        assert fsynced == []
+        store.sync()
+        entries = {store.entry_path(name) for name in names}
+        shards = {path.parent for path in entries}
+        assert sorted(fsynced) == sorted(entries | shards)
+        assert STORE_COUNTERS["store_syncs"] == 1
+        store.sync()  # nothing new: no fsync, no batch
+        assert len(fsynced) == len(entries | shards)
+        assert STORE_COUNTERS["store_syncs"] == 1
+
+    def test_sync_skips_vanished_entries_and_counts_errors(
+            self, tmp_path, monkeypatch):
+        store = KernelStore(tmp_path)
+        for name in ("kept", "quarantined", "evicted", "failing"):
+            store.store(name, _payload(name))
+        store.quarantine("quarantined")
+        store.entry_path("evicted").unlink()
+        failing = store.entry_path("failing")
+        real = os.fsync
+
+        def fsync(fd):
+            if Path(os.readlink(f"/proc/self/fd/{fd}")) == failing:
+                raise OSError("injected fsync failure")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        store.sync()  # never raises
+        assert STORE_COUNTERS["store_write_failures"] == 1
+        assert STORE_COUNTERS["store_syncs"] == 1
+
+    def test_sync_since_adopts_what_another_writer_left(
+            self, tmp_path, fsynced):
+        """A writer killed before its sync leaves entries only the file
+        system knows about; ``since`` finds them by mtime."""
+        started = time.time() - 1.0
+        KernelStore(tmp_path).store("orphan", _payload("a"))
+        store = KernelStore(tmp_path)
+        store.sync(since=started)
+        assert store.entry_path("orphan") in fsynced
+
+    def test_shard_directory_is_made_only_when_missing(
+            self, tmp_path, monkeypatch):
+        store = KernelStore(tmp_path)
+        first, *rest = self.same_shard_names(store, 3)
+        assert store.store(first, _payload(first))  # makes the shard
+        made = []
+        real = Path.mkdir
+        monkeypatch.setattr(
+            Path, "mkdir",
+            lambda self, *args, **kwargs: made.append(self)
+            or real(self, *args, **kwargs))
+        for name in rest:
+            assert store.store(name, _payload(name))
+        assert made == []
+        assert not [path for path in tmp_path.rglob("*")
+                    if ".tmp-" in path.name]
+
+
 # -- cross-process stress ---------------------------------------------------
 
 _STRESS_CONFIGS = [(3, 8, "Cs", 32), (2, 4, "As", 16)]

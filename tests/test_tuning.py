@@ -198,6 +198,26 @@ class TestJournal:
         assert not replay.attempts  # attempt records compacted away
         assert not list(tmp_path.glob("*.tmp-*"))
 
+    def test_appends_flush_and_commit_fsyncs_once(self, tmp_path,
+                                                  monkeypatch):
+        """A flushed append is readable by another process at once
+        (it survives SIGKILL); only a commit pays an fsync."""
+        fsyncs = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: fsyncs.append(fd) or real(fd))
+        journal = self._journal(tmp_path)
+        journal.append_meta("space0")
+        journal.append_result("p1", {"status": "ok"})
+        assert set(self._journal(tmp_path).replay().results) == {"p1"}
+        assert fsyncs == []
+        assert journal.commit()
+        assert len(fsyncs) == 1
+        journal.append_result("p2", {"status": "ok"})
+        journal.close()  # commits what is open
+        assert len(fsyncs) == 2
+        assert TUNING_COUNTERS["tuning_journal_commits"] == 2
+
     def test_compaction_io_failure_keeps_the_old_journal(self, tmp_path,
                                                          monkeypatch):
         journal = self._journal(tmp_path)
@@ -556,6 +576,56 @@ class TestSweepStore:
         assert STORE_COUNTERS["store_writes"] == simulated
         assert len(list(store.glob("objects/*/*.entry"))) == simulated
         assert not (store / "locks").exists()
+
+    @pytest.mark.usefixtures("clean_faults")
+    def test_an_inline_sweep_is_made_durable_once_per_group(
+            self, tmp_path, store, monkeypatch):
+        """One journal commit per report group and one store sync batch
+        (before: an fsync per journal record, two per store entry)."""
+        from repro.store import STORE_COUNTERS
+
+        space = smoke_space(versions=(1, 2))
+        fsyncs = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: fsyncs.append(fd) or real(fd))
+        result = SweepDriver(space, journal_path=tmp_path / "j.jsonl",
+                             workers=1, sleep=lambda seconds: None).run()
+        assert result["complete"]
+        groups = len({point.group for point in space.points()})
+        entries = list(store.glob("objects/*/*.entry"))
+        shards = {path.parent for path in entries}
+        assert groups == 2 and entries
+        assert TUNING_COUNTERS["tuning_journal_commits"] == groups
+        assert STORE_COUNTERS["store_syncs"] == 1
+        assert len(fsyncs) <= len(entries) + len(shards) + groups + 3
+
+    @pytest.mark.parametrize("workers,crashes", [(1, True), (2, False),
+                                                 (2, True)])
+    @pytest.mark.usefixtures("clean_faults")
+    def test_every_entry_is_fsynced_before_run_returns(
+            self, tmp_path, store, monkeypatch, workers, crashes):
+        """Pool workers sync at shutdown; one that crashed cannot, so
+        the parent syncs what it left."""
+        log = tmp_path / "fsynced.log"
+        real = os.fsync
+
+        def fsync(fd):  # forked workers inherit it and log to the file
+            with open(log, "a") as fh:
+                fh.write(os.readlink(f"/proc/self/fd/{fd}") + "\n")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        if crashes:
+            monkeypatch.setenv("REPRO_FAULTS", "tuning.worker:crash@0.5")
+            monkeypatch.setenv("REPRO_FAULTS_SEED", "3")
+            faults.reset_faults()
+        space = smoke_space(versions=(1, 2))
+        assert _driver(space, tmp_path, workers=workers).run()["complete"]
+        assert bool(TUNING_COUNTERS["tuning_worker_crashes"]) == crashes
+        entries = {str(path) for path in store.glob("objects/*/*.entry")}
+        assert entries
+        assert entries <= set(log.read_text().splitlines())
 
 
 class TestEnvKnobs:

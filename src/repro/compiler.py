@@ -63,7 +63,8 @@ from .soc import Board
 from .soc.cache import check_end_state
 from .store import STORE_COUNTERS, KernelStore
 from .transforms import CompileError, build_axi4mlir_pipeline
-from .transforms.lower_to_accel import LoweringPlan
+from .transforms.cpu_tiling import cpu_tiling_applies
+from .transforms.lower_to_accel import LoweringPlan, operand_dims
 
 #: Environment variable holding the on-disk kernel-store directory
 #: (conventionally ``.repro_cache/`` at the repo root).
@@ -389,6 +390,16 @@ def build_conv_module(batch: int, in_ch: int, in_hw: int, out_ch: int,
     linalg.conv_2d_nchw_fchw(b, image, weights, out, stride=stride)
     func.ret(b)
     return module
+
+
+#: Per named kernel: its op, its operands' dims and its module builder.
+_NAMED_KERNELS = {
+    name: (op, operand_dims(maps, maps[0].dim_names), build)
+    for name, op, maps, build in (
+        ("matmul_call", "linalg.matmul", linalg.matmul_maps(),
+         build_matmul_module),
+        ("conv_call", "linalg.conv_2d_nchw_fchw",
+         linalg.conv_2d_nchw_fchw_maps(), build_conv_module))}
 
 
 def cpu_fingerprint(cpu: CPUInfo) -> Tuple:
@@ -930,6 +941,11 @@ class AXI4MLIRCompiler:
         fixtures).  ``func_name`` defaults to the module's first (and
         typically only) function.
         """
+        return self._lower(module, func_name, parameters,
+                           self.enable_cpu_tiling)
+
+    def _lower(self, module, func_name: Optional[str],
+               parameters: Optional[dict], cpu_tiling: bool) -> CompiledKernel:
         start = time.perf_counter()
         try:
             if isinstance(module, str):
@@ -946,7 +962,7 @@ class AXI4MLIRCompiler:
                 cpu=self.cpu,
                 flow_name=self.flow_name,
                 permutation=self.permutation,
-                enable_cpu_tiling=self.enable_cpu_tiling,
+                enable_cpu_tiling=cpu_tiling,
             )
             pipeline.run(module)
             # Synthesis needs the schedule table: emit now, exec on demand.
@@ -966,7 +982,11 @@ class AXI4MLIRCompiler:
         finally:
             add_stage_time("compile_s", time.perf_counter() - start)
 
-    def _cache_key(self, kernel_name: str, shape: Tuple) -> Tuple:
+    def _cache_key(self, kernel_name: str, shape: Tuple,
+                   cpu_tiling: bool) -> Tuple:
+        """What the lowering is a function of.  ``cpu_tiling`` is whether
+        CPU tiling changes the plan, not the request's flag: a request
+        whose tiling is a no-op names its untiled twin's kernel."""
         permutation = tuple(self.permutation) \
             if self.permutation is not None else None
         return (
@@ -974,65 +994,55 @@ class AXI4MLIRCompiler:
             cpu_fingerprint(self.cpu),
             self.flow_name,
             permutation,
-            self.enable_cpu_tiling,
+            cpu_tiling,
             kernel_name,
             shape,
         )
 
-    def _compile_cached(self, kernel_name: str, shape: Tuple,
-                        build: Callable[[], CompiledKernel]
-                        ) -> CompiledKernel:
+    def _compile_cached(self, kernel_name: str, extents: Tuple,
+                        parameters: dict) -> CompiledKernel:
         """Look up / populate the kernel cache for one named kernel.
 
         Cache hits rebind the shared lowered module and driver to this
         compiler's runtime knobs; generated code never mutates its IR,
         so sharing is safe.
         """
+        info = self.info
+        op, operands, build_module = _NAMED_KERNELS[kernel_name]
+        if info.kernel != op:
+            raise CompileError(f"accelerator {info.name!r} implements "
+                               f"{info.kernel!r}, not {op}")
+        cpu_tiling = self.enable_cpu_tiling and cpu_tiling_applies(
+            extents, info.dims, info.accel_size, operands,
+            self.cpu.last_level_size)
+
+        def build() -> CompiledKernel:
+            module = build_module(**parameters, element_type=info.data_type)
+            return self._lower(module, kernel_name, parameters, cpu_tiling)
+
         cache = self.kernel_cache
         if cache is None:
             return build()
-        kernel = cache.get_or_compile(self._cache_key(kernel_name, shape),
-                                      build)
+        kernel = cache.get_or_compile(self._cache_key(
+            kernel_name, tuple(parameters.values()), cpu_tiling), build)
         if kernel.specialized_copies == self.specialized_copies:
             return kernel
         return replace(kernel, specialized_copies=self.specialized_copies)
 
     # -- kernels -----------------------------------------------------------
     def compile_matmul(self, m: int, n: int, k: int) -> CompiledKernel:
-        if self.info.kernel != "linalg.matmul":
-            raise CompileError(
-                f"accelerator {self.info.name!r} implements "
-                f"{self.info.kernel!r}, not linalg.matmul"
-            )
-
-        def build() -> CompiledKernel:
-            module = build_matmul_module(m, n, k, self.info.data_type)
-            return self.compile_module(
-                module, "matmul_call", {"m": m, "n": n, "k": k}
-            )
-
-        return self._compile_cached("matmul_call", (m, n, k), build)
+        return self._compile_cached(
+            "matmul_call", (("m", m), ("n", n), ("k", k)),
+            {"m": m, "n": n, "k": k})
 
     def compile_conv(self, batch: int, in_ch: int, in_hw: int, out_ch: int,
                      f_hw: int, stride: int = 1) -> CompiledKernel:
-        if self.info.kernel != "linalg.conv_2d_nchw_fchw":
-            raise CompileError(
-                f"accelerator {self.info.name!r} implements "
-                f"{self.info.kernel!r}, not linalg.conv_2d_nchw_fchw"
-            )
-
-        def build() -> CompiledKernel:
-            module = build_conv_module(batch, in_ch, in_hw, out_ch, f_hw,
-                                       stride, self.info.data_type)
-            return self.compile_module(
-                module, "conv_call",
-                {"batch": batch, "in_ch": in_ch, "in_hw": in_hw,
-                 "out_ch": out_ch, "f_hw": f_hw, "stride": stride},
-            )
-
-        return self._compile_cached(
-            "conv_call", (batch, in_ch, in_hw, out_ch, f_hw, stride), build
-        )
+        out_hw = (in_hw - f_hw) // stride + 1
+        extents = (("n", batch), ("f", out_ch), ("oh", out_hw),
+                   ("ow", out_hw), ("c", in_ch), ("fh", f_hw), ("fw", f_hw))
+        return self._compile_cached("conv_call", extents, {
+            "batch": batch, "in_ch": in_ch, "in_hw": in_hw,
+            "out_ch": out_ch, "f_hw": f_hw, "stride": stride})
 
 
 def element_type(name: str):

@@ -107,7 +107,8 @@ def diagnostics() -> dict:
     counts autotuning sweep events (points completed / pruned /
     poisoned, journal appends, ``tuning_journal_commits`` — one fsync
     per report group — and recovery anomalies, sweep-worker crashes and
-    restarts) — nonzero only after a sweep ran.
+    restarts, ``tuning_family_waits``: dispatches that passed over a point
+    of a kernel family in flight) — nonzero only after a sweep ran.
     """
     # Lazy imports: the service and tuning packages import execution
     # machinery, so pulling them in at module scope would be circular;

@@ -227,19 +227,22 @@ def sweep_rows(journal_path=None, report_path=None) -> List[Dict]:
     same shape the figure tables use, so the tuned configurations can
     be compared directly against the heuristic-chosen ones.
     """
+    import shutil
     import tempfile
 
     from ..tuning import SweepDriver, best_rows, smoke_space
 
-    if journal_path is None:
-        journal_path = os.path.join(
-            tempfile.mkdtemp(prefix="repro-sweep-"), "sweep.jsonl")
+    scratch = None if journal_path else tempfile.mkdtemp(prefix="repro-sweep-")
+    journal_path = journal_path or os.path.join(scratch, "sweep.jsonl")
     driver = SweepDriver(smoke_space(), journal_path=journal_path,
                          report_path=report_path)
     result = driver.run()
     if not result["complete"]:
         raise RuntimeError("autotuning sweep was interrupted before "
-                           "completing; resume it with the same journal")
+                           "completing; resume it with the same journal: "
+                           f"{journal_path}")
+    if scratch:
+        shutil.rmtree(scratch, ignore_errors=True)
     return best_rows(result["report"])
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 import collections
 import os
 import socket
+import shutil
 import tempfile
 import threading
 import time
@@ -270,6 +271,8 @@ class ServiceServer:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
+        if self._tmpdir is not None:  # start() made it for the socket
+            shutil.rmtree(self._tmpdir, ignore_errors=True)
 
     def _summary(self) -> dict:
         with self._cond:

@@ -29,7 +29,7 @@ from .flow_analysis import (
     opcode_dependences,
     place_flow,
 )
-from .cpu_tiling import choose_cpu_tiles
+from .cpu_tiling import choose_cpu_tiles, cpu_tiling_applies
 from .lower_to_accel import LowerToAccelPass
 from .pipeline import build_axi4mlir_pipeline
 
@@ -39,7 +39,7 @@ __all__ = [
     "GeneralizeNamedOpsPass", "generalize_named_op",
     "AnnotateForAcceleratorPass", "trait_attributes",
     "FlowPlacement", "derive_loop_order", "opcode_dependences", "place_flow",
-    "choose_cpu_tiles",
+    "choose_cpu_tiles", "cpu_tiling_applies",
     "LowerToAccelPass",
     "build_axi4mlir_pipeline",
 ]

@@ -10,14 +10,21 @@ that evenly divide the extent, so no remainder loops are needed) until
 the combined operand footprint reaches a fraction of the last-level
 cache.  Dims are grown round-robin starting from the innermost loop,
 which favours reuse of the tiles that move most often.
+
+When the full extents fit, tiling is a no-op: :func:`cpu_tiling_applies`
+says so in closed form, and the compiler keys kernels on its answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Use at most this fraction of the last-level cache for the working set.
 CACHE_BUDGET_FRACTION = 0.5
+
+#: Element size (bytes) the footprint estimate assumes.
+FOOTPRINT_ITEMSIZE = 4
 
 
 def _divisor_multiples(extent: int, quantum: int) -> List[int]:
@@ -86,3 +93,21 @@ def choose_cpu_tiles(
                 chosen = trial
                 progressed = True
     return chosen
+
+
+@lru_cache(maxsize=1024)  # the compiler asks on every kernel-cache hit
+def cpu_tiling_applies(extents: Tuple[Tuple[str, int], ...],
+                       dims: Tuple[str, ...], accel_size: Tuple[int, ...],
+                       operand_dims: Tuple[Tuple[str, ...], ...],
+                       cache_bytes: int) -> bool:
+    """Whether the lowering's :func:`choose_cpu_tiles` call changes the
+    host dims (untiled, or tiled below their extent): the footprint only
+    grows, so exactly when their extents overflow the budget and some
+    dim has a smaller option."""
+    tiles = dict(zip(dims, accel_size))
+    host = {d: e for d, e in extents if e > tiles.get(d, 0)}
+    budget = int(cache_bytes * CACHE_BUDGET_FRACTION) // FOOTPRINT_ITEMSIZE
+    if footprint_elements(host, operand_dims) <= budget:
+        return False
+    return any(q < e and e % q == 0 for d, e in host.items()
+               for q in [max(1, tiles.get(d, 1))])

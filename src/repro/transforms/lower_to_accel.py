@@ -46,7 +46,7 @@ from ..opcodes import (
     SendLiteral,
 )
 from .annotate import PREFIX, is_annotated
-from .cpu_tiling import choose_cpu_tiles
+from .cpu_tiling import FOOTPRINT_ITEMSIZE, choose_cpu_tiles
 from .errors import CompileError
 from .flow_analysis import (
     FlowPlacement,
@@ -237,6 +237,13 @@ def memref_subview(b: Builder, source: Value, offsets: Sequence[Value],
     return memref_dialect.subview(b, source, offsets, sizes)
 
 
+def operand_dims(maps, dim_names: Sequence[str]) -> Tuple[Tuple[str, ...]]:
+    """Per operand, the dims of each indexing expression in turn: the
+    operand footprint :func:`choose_cpu_tiles` sizes CPU tiles by."""
+    return tuple(tuple(dim_names[p] for expr in amap.results
+                       for p in sorted(expr.used_dims())) for amap in maps)
+
+
 class LowerToAccelPass(Pass):
     """Lower every annotated generic op in the module."""
 
@@ -299,18 +306,12 @@ class LowerToAccelPass(Pass):
         placement = place_flow(flow, opcode_map, operand_host_dims, order,
                                tiles)
 
-        itemsize = 4
         if self.enable_cpu_tiling:
-            operand_dim_lists = [
-                [dim_names[p] for expr in amap.results
-                 for p in sorted(expr.used_dims())]
-                for amap in maps
-            ]
             cpu_tiles = choose_cpu_tiles(
                 {d: extents[d] for d in order},
                 {d: tiles[d] for d in order},
-                operand_dim_lists,
-                itemsize,
+                operand_dims(maps, dim_names),
+                FOOTPRINT_ITEMSIZE,
                 self.cpu_cache_bytes,
                 loop_order=order,
             )

@@ -28,6 +28,8 @@ common case it is built for:
   seam failures route subsequent points through the memory-only store
   or the per-tile driver (both bit-identical rungs).  Journal I/O
   failures degrade to memory-only progress tracking.
+* **One build per kernel** — no two points of one kernel family run at
+  once, so a twin finds its sibling's kernel in memory or in the store.
 * **One commit point per group** — the journal is fsynced when a
   report group's last point resolves; store entries (written under
   :func:`repro.store.group_commit`) when their worker shuts down.
@@ -472,10 +474,11 @@ class SweepDriver:
                 now = time.monotonic()
                 # Dispatch ready work onto idle workers.
                 if not self._stop:
+                    busy = {flight.point.family for flight in flights.values()}
                     for slot in range(size):
                         if slot in flights:
                             continue
-                        ready = self._next_ready(pending, now, slot)
+                        ready = self._next_ready(pending, now, slot, busy)
                         if ready is None:
                             continue
                         digest, point = ready
@@ -484,6 +487,7 @@ class SweepDriver:
                             thresholds)
                         workers.submit(slot, flight.job)
                         flights[slot] = flight
+                        busy.add(point.family)
                 elif not flights:
                     break  # drained: nothing in flight, stop dispatching
                 if not flights:
@@ -521,16 +525,23 @@ class SweepDriver:
                 if disk is not None:
                     disk.sync(since=started - 1.0)
 
-    def _next_ready(self, pending, now: float, slot: int):
-        """Pop the first pending pair whose retry backoff has elapsed
-        and that is not held for another slot."""
-        for _ in range(len(pending)):
-            pair = pending.popleft()
-            when, held_for = self._retry_at.get(pair[0], (0.0, None))
-            if when <= now and held_for in (None, slot):
-                self._retry_at.pop(pair[0], None)
-                return pair
-            pending.append(pair)
+    def _next_ready(self, pending, now: float, slot: int, busy):
+        """Take the first pending pair whose retry backoff has elapsed,
+        that is not held for another slot, and whose kernel family is
+        not in flight (``busy``)."""
+        passed_over = False
+        for index, (digest, point) in enumerate(pending):
+            when, held_for = self._retry_at.get(digest, (0.0, None))
+            if when > now or held_for not in (None, slot):
+                continue
+            if point.family in busy:
+                passed_over = True
+                continue
+            count("tuning_family_waits", int(passed_over))
+            del pending[index]
+            self._retry_at.pop(digest, None)
+            return digest, point
+        count("tuning_family_waits", int(passed_over))
         return None
 
     def _next_event_time(self) -> Optional[float]:

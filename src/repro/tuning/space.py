@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations as _permutations
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -76,6 +76,11 @@ class SweepPoint:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
     @property
+    def family(self) -> "SweepPoint":
+        """The point without its ``cpu_tiling`` choice (its twins)."""
+        return replace(self, cpu_tiling=False)
+
+    @property
     def group(self) -> str:
         """Best-config reports rank within one (kernel, shape) group."""
         return f"{self.kernel}-{self.m}x{self.n}x{self.k}"
@@ -109,9 +114,9 @@ class SweepSpace:
     #: flows pin their reuse dim's position, so permuting them mostly
     #: re-measures the derived order.
     permutations: Tuple[Tuple[str, str, str], ...] = ()
-    #: Host-level cache tiling settings to sweep.  ``True`` points are
-    #: not traffic-prunable (the analyzer raises ``TrafficUnsupported``)
-    #: and are always simulated.
+    #: Host-level cache tiling settings to sweep.  ``True`` points that
+    #: tile are not traffic-prunable (the analyzer raises
+    #: ``TrafficUnsupported``) and are always simulated.
     cpu_tiling_options: Tuple[bool, ...] = (False,)
 
     def points(self) -> List[SweepPoint]:

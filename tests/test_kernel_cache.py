@@ -146,6 +146,86 @@ class TestKernelCache:
         assert ns.fingerprint == ns2.fingerprint
 
 
+def _twin_requests():
+    """(id, info, kernel name, shape) over the sweep smoke space, the
+    Fig. 14 problems, 64/128/256 cubes on v1-v4, and the scaled ResNet18
+    conv layers: every request a figure, the sweep or the service
+    compiles with CPU tiling both on and off."""
+    from repro.experiments.figures import (
+        FIG14_CAPACITY,
+        FIG14_QUANTUM,
+        fig14_problems,
+        fig16_layers,
+    )
+    from repro.heuristics import best_configuration, square_tile_configuration
+    from repro.tuning import smoke_space
+
+    matmuls = {(p.m, p.n, p.k, p.version, p.size, p.flow, p.accel_size)
+               for p in smoke_space().points()}
+    for m, n, k in fig14_problems():
+        choices = [square_tile_configuration(m, n, k, flow, FIG14_QUANTUM,
+                                             FIG14_CAPACITY)
+                   for flow in ("As", "Bs", "Cs")]
+        choices.append(best_configuration(m, n, k, FIG14_QUANTUM,
+                                          FIG14_CAPACITY))
+        matmuls |= {(m, n, k, 4, FIG14_QUANTUM, c.flow, tuple(c.tiles))
+                    for c in choices}
+    matmuls |= {(d, d, d, version, size, flow, None)
+                for d in (64, 128, 256) for size in (4, 16)
+                for version in (1, 2, 3, 4)
+                for flow in VERSION_FLOWS[version]}
+    for m, n, k, version, size, flow, tiles in sorted(
+            matmuls, key=lambda spec: spec[:6] + (spec[6] or (),)):
+        _, info = make_matmul_system(version, size, flow=flow,
+                                     accel_size=tiles)
+        yield (f"v{version}-{size}-{flow}-{m}x{n}x{k}-{tiles}", info,
+               "matmul", (m, n, k))
+    for layer in fig16_layers():
+        _, info = make_conv_system(layer.in_ch, layer.f_hw,
+                                   max_slice=layer.out_hw ** 2)
+        yield (f"conv-{layer}", info, "conv",
+               (layer.batch, layer.in_ch, layer.in_hw, layer.out_ch,
+                layer.f_hw, layer.stride))
+
+
+class TestCpuTilingTwins:
+    """A ``cpu_tiling`` request is keyed on whether tiling changes its
+    lowering: twins whose tiling is a no-op share one kernel."""
+
+    def test_shared_key_iff_equal_lowering(self):
+        from repro.compiler import build_conv_module, build_matmul_module
+        from repro.ir.printer import print_module
+
+        shared = kept = 0
+        for name, info, kind, shape in _twin_requests():
+            cache = KernelCache()
+            twins = []
+            for tiling in (False, True):
+                compiler = AXI4MLIRCompiler(info, kernel_cache=cache,
+                                            enable_cpu_tiling=tiling)
+                twins.append(getattr(compiler, f"compile_{kind}")(*shape))
+            # The lowering the request asks for, with no key in between.
+            build = build_matmul_module if kind == "matmul" \
+                else build_conv_module
+            asked = AXI4MLIRCompiler(info, use_kernel_cache=False) \
+                .compile_module(build(*shape, info.data_type))
+            same = print_module(asked.module) \
+                == print_module(twins[0].module) \
+                and asked.plan == twins[0].plan
+            assert (twins[1] is twins[0]) == same, name
+            shared += same
+            kept += not same
+        assert shared >= 100 and kept >= 4
+
+    def test_tiled_request_keeps_its_own_kernel(self, cache):
+        untiled = make_compiler(cache, size=16, enable_cpu_tiling=False) \
+            .compile_matmul(256, 256, 256)
+        tiled = make_compiler(cache, size=16).compile_matmul(256, 256, 256)
+        assert tiled is not untiled and cache.misses == 2
+        assert tiled.plan.cpu_tiles != untiled.plan.cpu_tiles
+        assert untiled.plan.cpu_tiles == {"m": 256, "n": 256, "k": 256}
+
+
 class TestCatalogMemo:
     """The catalog parses each distinct configuration once; its
     fingerprint (the compile-cache key) is computed once per object."""

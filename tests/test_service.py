@@ -425,6 +425,22 @@ class TestService:
         finally:
             server.drain()
 
+    def test_drain_removes_the_socket_directory(self, monkeypatch):
+        import shutil
+        import tempfile
+        from pathlib import Path
+
+        # Its own temp dir, short enough for a Unix socket path.
+        private = Path(tempfile.mkdtemp(prefix="svc-"))
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        try:
+            server = ServiceServer(workers=1, queue_max=4).start()
+            assert server.address.startswith(str(private))
+            server.drain()
+            assert not list(private.glob("repro-service-*"))
+        finally:
+            shutil.rmtree(private)
+
     def test_busy_shed_carries_retry_after(self, monkeypatch):
         server = ServiceServer(workers=1, queue_max=4).start()
         try:

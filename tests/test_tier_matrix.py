@@ -104,9 +104,10 @@ def _manual_matmul_step(m, n, k, size, version, flow, tiles=None):
 
 #: The config whose steps each start on a fresh board, so all three
 #: replays have one plan fingerprint.  The first two kernels sit under
-#: different cache keys (``cpu_tiling`` is a no-op at this size) but their
-#: traces have equal content: the second's first replay is a hit on the
-#: plan the first one built (and, on the warm pass, stored).  The third
+#: different cache keys (the second spells out the loop order the first
+#: derives) but their traces have equal content: the second's first
+#: replay is a hit on the plan the first one built (and, on the warm
+#: pass, stored).  The third
 #: is the stranger — a permuted loop order, so other content (and other
 #: counters) under the same fingerprint — that must not be served it.
 TWINS_AND_STRANGER = "content-equal-pair-and-stranger"
@@ -126,8 +127,7 @@ CONFIGS = {
     "model-two-step": [_matmul_step(*spec[:6]) for spec in MATMUL_SPECS],
     TWINS_AND_STRANGER: [
         _matmul_step(32, 16, 16, 4, 3, "Ns", **options)
-        for options in ({"enable_cpu_tiling": False},
-                        {"enable_cpu_tiling": True},
+        for options in ({}, {"permutation": ("m", "n", "k")},
                         {"permutation": ("k", "n", "m")})],
 }
 

@@ -1,7 +1,10 @@
 """Tests for the compiler passes: generalize, annotate, flow analysis,
 CPU tiling, and the lowering structure."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import build_conv_module, build_matmul_module
@@ -16,6 +19,7 @@ from repro.transforms import (
     LowerToAccelPass,
     build_axi4mlir_pipeline,
     choose_cpu_tiles,
+    cpu_tiling_applies,
     derive_loop_order,
     place_flow,
 )
@@ -176,6 +180,51 @@ class TestCpuTiling:
         for dim in "mnk":
             assert 768 % tiles[dim] == 0
             assert tiles[dim] % 16 == 0
+
+
+class TestCpuTilingApplies:
+    """:func:`cpu_tiling_applies` is the closed form of "CPU tiling
+    changes the plan": ``choose_cpu_tiles(...) != extents`` over the host
+    dims, which the lowering picks as it does (accelerator size 0, or
+    below the extent)."""
+
+    MATMUL = (("m", "k"), ("k", "n"), ("m", "n"))
+    CONV = (("n", "c", "oh", "fh", "ow", "fw"), ("f", "c", "fh", "fw"),
+            ("n", "f", "oh", "ow"))
+
+    @staticmethod
+    def agree(extents, sizes, operands, cache_bytes):
+        host = {d: e for d, e in extents.items() if e > sizes.get(d, 0)}
+        tiles = {d: sizes.get(d, 0) or 1 for d in host}
+        tiled = choose_cpu_tiles(host, tiles, operands, 4, cache_bytes)
+        applies = cpu_tiling_applies(
+            tuple(extents.items()), tuple(sizes), tuple(sizes.values()),
+            operands, cache_bytes)
+        assert applies == (tiled != host), (extents, sizes, cache_bytes)
+        return applies
+
+    def test_matches_the_heuristic_on_a_matmul_grid(self):
+        sizes = (1, 6, 16, 64, 256)
+        applied = 0
+        for m, n, k in itertools.product(sizes, repeat=3):
+            for tm, tn, tk in itertools.product((0, 4, 16), repeat=3):
+                for cache_bytes in (4 * 1024, 512 * 1024):
+                    applied += self.agree({"m": m, "n": n, "k": k},
+                                          {"m": tm, "n": tn, "k": tk},
+                                          self.MATMUL, cache_bytes)
+        assert applied > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(extents=st.fixed_dictionaries(
+               {d: st.sampled_from((1, 2, 3, 7, 8, 14, 16, 64))
+                for d in ("n", "f", "oh", "ow", "c", "fh", "fw")}),
+           sizes=st.dictionaries(
+               st.sampled_from(("n", "f", "oh", "ow", "c", "fh", "fw")),
+               st.sampled_from((0, 1, 2, 4, 7, 8, 64))),
+           cache_bytes=st.sampled_from((1024, 32 * 1024, 512 * 1024)))
+    def test_matches_the_heuristic_on_conv_operands(self, extents, sizes,
+                                                    cache_bytes):
+        self.agree(extents, sizes, self.CONV, cache_bytes)
 
 
 class TestLowering:

@@ -543,7 +543,7 @@ class TestSupervisorCost:
 
 
 class TestSweepStore:
-    """A sweep writes one store entry per *simulated* point, once."""
+    """A sweep writes one store entry per *simulated* kernel, once."""
 
     @pytest.fixture
     def store(self, tmp_path, monkeypatch):
@@ -626,6 +626,160 @@ class TestSweepStore:
         entries = {str(path) for path in store.glob("objects/*/*.entry")}
         assert entries
         assert entries <= set(log.read_text().splitlines())
+
+    @pytest.mark.usefixtures("clean_faults")
+    def test_an_inline_sweep_builds_one_kernel_per_printed_ir(
+            self, tmp_path, store):
+        """``cpu_tiling`` is a no-op on the smoke space, so a twin is
+        served its sibling's kernel: one build, one entry, one write per
+        distinct lowering (before: one per point)."""
+        from repro.accelerators import make_matmul_system
+        from repro.compiler import AXI4MLIRCompiler, default_kernel_cache
+        from repro.ir.printer import print_module
+        from repro.store import STORE_COUNTERS
+
+        space = smoke_space(versions=(1, 2))
+        printed = set()
+        for point in space.points():
+            _, info = make_matmul_system(point.version, point.size,
+                                         flow=point.flow,
+                                         accel_size=point.accel_size)
+            printed.add(print_module(AXI4MLIRCompiler(
+                info, enable_cpu_tiling=point.cpu_tiling,
+                use_kernel_cache=False).compile_matmul(
+                    point.m, point.n, point.k).module))
+        assert _driver(space, tmp_path).run()["complete"]
+        assert default_kernel_cache().misses == len(printed) \
+            == len({point.family for point in space.points()}) \
+            < len(space.points())
+        assert STORE_COUNTERS["store_writes"] == len(printed)
+        assert TUNING_COUNTERS["tuning_family_waits"] == 0
+
+    @pytest.mark.usefixtures("clean_faults")
+    def test_a_pooled_sweep_runs_a_twin_after_its_sibling(
+            self, tmp_path, store, monkeypatch):
+        """No two points of one kernel family are ever in flight, so a
+        twin finds its sibling's kernel in memory or in the store: the
+        pool builds each kernel once, and its report is the inline
+        one's."""
+        from repro import pool
+        from repro.compiler import default_kernel_cache
+
+        in_flight, overlaps = {}, []
+
+        class Recording(pool.Pool):
+            def submit(self, slot, job):
+                if job is not None:  # None: the shutdown handshake
+                    family = {**job["spec"], "cpu_tiling": None}
+                    overlaps.extend(other for other in in_flight.values()
+                                    if other == family)
+                    in_flight[slot] = family
+                super().submit(slot, job)
+
+            def wait(self, slots, timeout):
+                replies = super().wait(slots, timeout)
+                for slot, _ in replies:
+                    in_flight.pop(slot, None)
+                return replies
+
+        monkeypatch.setattr(pool, "Pool", Recording)
+        space = smoke_space(versions=(1, 2))
+        families = len({point.family for point in space.points()})
+        assert _driver(space, tmp_path, name="pooled", workers=2).run()[
+            "complete"]
+        assert overlaps == []
+        assert TUNING_COUNTERS["tuning_family_waits"] > 0
+        cache = default_kernel_cache()
+        assert cache.misses - cache.disk_hits == families
+        _driver(space, tmp_path, name="inline").run()
+        assert (tmp_path / "pooled.json").read_bytes() \
+            == (tmp_path / "inline.json").read_bytes()
+
+
+class TestSweepHygiene:
+    """Sweeps clean up what they make, and resume what they leave."""
+
+    @pytest.fixture
+    def private_tmp(self, tmp_path, monkeypatch):
+        import tempfile
+
+        directory = tmp_path / "tmp"
+        directory.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(directory))
+        return directory
+
+    def test_sweep_rows_removes_its_journal_directory(self, private_tmp,
+                                                      monkeypatch):
+        from repro.experiments.figures import sweep_rows
+        from repro.tuning import driver as driver_module
+
+        monkeypatch.setattr(driver_module, "evaluate_point", _fake_outcome)
+        assert sweep_rows()
+        assert not list(private_tmp.glob("repro-sweep-*"))
+
+    def test_an_interrupted_sweep_rows_names_its_journal(self, private_tmp,
+                                                         monkeypatch):
+        from repro import tuning
+        from repro.experiments.figures import sweep_rows
+
+        class Drained(SweepDriver):
+            def run(self):
+                self.request_stop()
+                return super().run()
+
+        monkeypatch.setattr(tuning, "SweepDriver", Drained)
+        with pytest.raises(RuntimeError) as excinfo:
+            sweep_rows()
+        (journal,) = private_tmp.glob("repro-sweep-*/sweep.jsonl")
+        assert str(journal) in str(excinfo.value)
+
+    @pytest.mark.usefixtures("clean_faults")
+    def test_a_sigkilled_sweep_resumes_byte_identical(self, tmp_path,
+                                                      monkeypatch):
+        """A sweep process killed with SIGKILL inside its third point
+        resumes on the pool, from its journal and the entries it left
+        in the store, to the uninterrupted report byte for byte."""
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+
+        from repro.compiler import default_kernel_cache
+
+        script = textwrap.dedent("""
+            import os, signal, sys
+            from repro.tuning import SweepDriver, driver, smoke_space
+            real, seen = driver.evaluate_point, []
+            def evaluate(spec, *args, **kwargs):
+                seen.append(spec)
+                if len(seen) == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(spec, *args, **kwargs)
+            driver.evaluate_point = evaluate
+            SweepDriver(smoke_space(versions=(1, 2)), sys.argv[1],
+                        sys.argv[2], workers=1).run()
+        """)
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(store))
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        killed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "killed.jsonl"),
+             str(tmp_path / "killed.json")],
+            env=dict(os.environ, PYTHONPATH=src), timeout=300)
+        assert killed.returncode == -signal.SIGKILL
+        assert not (tmp_path / "killed.json").exists()
+        assert list(store.glob("objects/*/*.entry"))
+        space = smoke_space(versions=(1, 2))
+        default_kernel_cache().clear()
+        assert _driver(space, tmp_path, name="killed", workers=2).run()[
+            "complete"]
+        assert TUNING_COUNTERS["tuning_points_resumed"] == 2
+        assert TUNING_COUNTERS["tuning_points_inflight"] == 1
+        _driver(space, tmp_path, name="clean").run()
+        assert (tmp_path / "killed.json").read_bytes() \
+            == (tmp_path / "clean.json").read_bytes()
+        default_kernel_cache().clear()
 
 
 class TestEnvKnobs:

@@ -89,7 +89,7 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: Version 10: a kernel's head carries its call style and the engine its
 #: host initializes before allocating the arguments (the manual
 #: baselines are kernels).
-KERNEL_STORE_VERSION = 10
+KERNEL_STORE_VERSION = 11
 
 
 # -- disk-store suspension (circuit-breaker seam) ---------------------------
@@ -436,7 +436,8 @@ class KernelCache:
     decode a trace-less entry plus 0.6–0.8 ms to write it.
     Processes racing on one key each lower it and publish the same
     bytes atomically; nothing coordinates them.  Each write is synced
-    at once unless its caller owns the commit point (a sweep point, in
+    at once unless its caller owns the commit point (a figure
+    generator, a model job or a sweep point, in
     :func:`repro.store.group_commit`).  Entries are data (no
     pickle, no code): a disk hit is read + decode, and the IR is parsed
     and the driver re-emitted only when a rung needs them.  Anyone can

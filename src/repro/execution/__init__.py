@@ -96,8 +96,9 @@ def diagnostics() -> dict:
     ``store`` counts on-disk kernel-store events — ``store_corrupt`` /
     ``store_quarantined`` are distinct from ``store_misses``, so a
     corrupted cache directory is visible as such rather than as a cold
-    cache; ``store_syncs`` counts fsync batches (one per library write,
-    one per sweep worker).  ``faults`` counts injected faults per
+    cache; ``store_syncs`` counts fsync batches (one per library write
+    outside a commit; one per figure generator, per model-job or sweep
+    worker that wrote, and per sweep run inline).  ``faults`` counts injected faults per
     ``REPRO_FAULTS`` site — the proof that a forced fallback rung
     actually fired — and
     ``native`` reports why the C fast path is (un)available.

@@ -8,8 +8,9 @@ default the harnesses run a reduced grid that preserves every claimed
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..accelerators.catalog import VERSION_FLOWS
 from ..frontends import RESNET18_LAYERS, scaled_layer
@@ -22,6 +23,7 @@ from ..frontends.tinybert import (
 from ..heuristics import best_configuration, square_tile_configuration
 from ..soc import TimingModel, make_pynq_z2
 from ..soc.timing import TABLE1_OPS_PER_CYCLE
+from ..store import group_commit, sync_all
 from .harness import (
     conv_model_counters,
     matmul_model_counters,
@@ -40,6 +42,27 @@ def full_scale() -> bool:
 
 def _matmul_dims() -> List[int]:
     return [64, 128, 256] if full_scale() else [64, 128]
+
+
+def _one_commit(generator: Callable[..., List[Dict]]
+                ) -> Callable[..., List[Dict]]:
+    """Run a row generator as one store commit.
+
+    The kernel cache defers the fsync of every entry the generator
+    writes (:func:`repro.store.group_commit`), and one batch syncs them
+    when it returns or raises: nothing a generator wrote is unsynced
+    when it returns.
+    """
+
+    @functools.wraps(generator)
+    def rows(*args, **kwargs) -> List[Dict]:
+        try:
+            with group_commit():
+                return generator(*args, **kwargs)
+        finally:
+            sync_all()
+
+    return rows
 
 
 def format_table(rows: Sequence[Dict], columns: Sequence[str]) -> str:
@@ -92,6 +115,7 @@ def table1_rows() -> List[Dict]:
 # Fig. 10 — CPU vs accelerator relevance
 # ---------------------------------------------------------------------------
 
+@_one_commit
 def fig10_rows() -> List[Dict]:
     """Runtime characterization: mlir_CPU vs v1 offload, Ns flow."""
     dims_grid = ([16, 32, 64, 128, 256] if full_scale()
@@ -119,6 +143,7 @@ def fig10_rows() -> List[Dict]:
 # Fig. 11 — flows before the copy optimization
 # ---------------------------------------------------------------------------
 
+@_one_commit
 def fig11_rows() -> List[Dict]:
     """Manual Ns vs generated Ns/As/Bs/Cs, generic (unoptimized) copies."""
     rows = []
@@ -151,6 +176,7 @@ def fig11_rows() -> List[Dict]:
 # Fig. 12 — perf counters with/without the MemRef copy optimization
 # ---------------------------------------------------------------------------
 
+@_one_commit
 def fig12_rows(dims: int = 128, size: int = 16, version: int = 3
                ) -> List[Dict]:
     """Counters for v3-16 at dims==128, normalized to the CPU run."""
@@ -179,6 +205,7 @@ def fig12_rows(dims: int = 128, size: int = 16, version: int = 3
 # Fig. 13 — headline: manual vs generated, matched flows
 # ---------------------------------------------------------------------------
 
+@_one_commit
 def fig13_rows() -> List[Dict]:
     rows = []
     for dims in _matmul_dims():
@@ -218,6 +245,7 @@ def fig14_problems() -> List[tuple]:
     return sorted(set(permutations(values)))
 
 
+@_one_commit
 def sweep_rows(journal_path=None, report_path=None) -> List[Dict]:
     """Best-config rows from a smoke run of the autotuning sweep engine.
 
@@ -246,6 +274,7 @@ def sweep_rows(journal_path=None, report_path=None) -> List[Dict]:
     return best_rows(result["report"])
 
 
+@_one_commit
 def fig14_rows() -> List[Dict]:
     rows = []
     for m, n, k in fig14_problems():
@@ -278,6 +307,7 @@ def fig16_layers():
     return [scaled_layer(layer) for layer in RESNET18_LAYERS]
 
 
+@_one_commit
 def fig16_rows() -> List[Dict]:
     """Per-layer manual vs generated conv, measured as *model* runs.
 
@@ -330,6 +360,7 @@ def _fig17_specs(shapes, strategy: str) -> tuple:
     return tuple(specs)
 
 
+@_one_commit
 def fig17_rows(config: TinyBertConfig = TinyBertConfig()) -> List[Dict]:
     """End-to-end TinyBERT time decomposition per compilation strategy.
 

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import counters
 from .envutil import env_int
-from .store import STORE_COUNTERS, sync_all
+from .store import STORE_COUNTERS, group_commit, sync_all
 
 #: Size of every pool: model jobs, service workers, sweep workers
 #: (default: min(4, cpu_count)).
@@ -278,9 +278,11 @@ class Pool:
 # -- the ordered map over the pool --------------------------------------------
 
 def _call_job(job: dict) -> dict:
-    """Pool handler: one ``(callable, args)`` model job."""
+    """Pool handler: one ``(callable, args)`` model job, whose store
+    entries the worker syncs at ``bye``."""
     try:
-        return {"result": job["fn"](*job["args"])}
+        with group_commit():
+            return {"result": job["fn"](*job["args"])}
     except Exception as exc:  # noqa: BLE001 — re-raised in the parent
         return {"error": exc}
 

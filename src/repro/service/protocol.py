@@ -1,8 +1,9 @@
 """Length-prefixed wire protocol of the compile/simulate service.
 
 A frame is ``<u32 body length><u32 manifest length><manifest><segment>``
-(lengths big-endian).  The manifest and segment are exactly a kernel
-store entry's (:class:`repro.store.Codec`): a JSON manifest
+(lengths big-endian).  The manifest and segment are the kernel store's
+codec's (:class:`repro.store.Codec`), with every array raw where a
+store entry narrows its integer arrays: a JSON manifest
 ``{"payload", "arrays", "size"}`` holding the message as the store's
 tagged tree plus the ``[dtype.str, shape, offset]`` array table, then
 the ``size``-byte segment with every array's C-contiguous bytes,

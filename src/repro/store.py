@@ -21,8 +21,9 @@ write — and a writer killed at any instant leaves at most one stray
 **Durability is the caller's.**  :meth:`KernelStore.sync` fsyncs the
 entries written since the last sync and their shard directories.  The
 kernel cache syncs after each write, except inside :func:`group_commit`,
-whose owner syncs at its own commit point; an entry an OS crash tears
-before then fails its SHA-256 and is quarantined and rebuilt.
+whose owner (a figure generator, a model job's or sweep point's worker)
+syncs at its own commit point; an entry an OS crash tears before then
+fails its SHA-256 and is quarantined and rebuilt.
 
 **Entry container.**  Each ``.entry`` file is::
 
@@ -31,16 +32,22 @@ before then fails its SHA-256 and is quarantined and rebuilt.
     <manifest byte length>\\n
     <JSON manifest><zlib stream>
 
-The manifest and segment are :class:`Codec`'s (see the codec below):
-a JSON manifest holding the payload's whitelisted tagged tree, one
-``[dtype.str, shape, offset]`` row per array, and the segment's size;
-the segment is the 8-byte-aligned concatenation of every ndarray
-member's C-contiguous bytes, stored as **one** zlib stream.  Decode
-inflates it once, bounded by the declared size, into a ``bytearray``
-and hands out one ``np.frombuffer`` view per row: **an entry's arrays
-are writable, disjoint, and share that one buffer**.  The service's
-frames carry the same manifest and segment (uncompressed), so this
-module is the one parser of untrusted array bytes.
+The manifest and segment are the store's :class:`Codec`'s (see the
+codec below): a JSON manifest holding the payload's whitelisted tagged
+tree, one ``[dtype.str, shape, offset, stored, base]`` row per array,
+and the segment's size; the segment is the 8-byte-aligned
+concatenation of every ndarray member's C-contiguous bytes, stored as
+**one** zlib stream.  An integer array is stored narrowed: as its
+values or as its first differences (from ``base``), in the narrowest
+of ``u1/i1/u2/i2/u4/i4`` that holds them (``stored``), or as it is when
+neither form is narrower (both columns null).  Decode inflates the
+stream once, bounded by the declared size, widens each narrowed row
+into an array of its own and hands out an ``np.frombuffer`` view of
+the inflated buffer for every other row: **an entry's arrays are
+writable and disjoint**.  The service's frames carry the same manifest
+and segment with ``[dtype.str, shape, offset]`` rows, raw and
+uncompressed, so this module is the one parser of untrusted array
+bytes.
 
 The SHA-256 is checked before anything is parsed, and there is **no
 pickle and no object dtype anywhere in the load path**, so a hostile
@@ -149,7 +156,8 @@ class UnencodablePayload(ValueError):
 # follows the manifest in its container.  Store entries and service
 # frames (repro.service.protocol) both carry this pair, each through a
 # codec over its own class whitelist: this is the one parser of
-# untrusted array bytes.
+# untrusted array bytes.  The store's codec adds two row columns for
+# its narrowed integer arrays (_NarrowingCodec).
 #
 # Objects are reconstructed with ``object.__new__`` + ``setattr`` over
 # an explicit per-class field list — no constructors run on untrusted
@@ -193,11 +201,13 @@ class Codec:
         chunks: List[Any] = []
         offset = 0
         for array in arrays:
-            table.append([array.dtype.str, list(array.shape), offset])
-            padding = -array.nbytes % _ALIGN
-            chunks += (np.ascontiguousarray(array).reshape(-1)
+            stored, columns = self._stored(array)
+            table.append([array.dtype.str, list(array.shape), offset,
+                          *columns])
+            padding = -stored.nbytes % _ALIGN
+            chunks += (np.ascontiguousarray(stored).reshape(-1)
                        .view(np.uint8), bytes(padding))
-            offset += array.nbytes + padding
+            offset += stored.nbytes + padding
         manifest = json.dumps({"payload": tree, "arrays": table,
                                "size": offset}, separators=(",", ":"))
         return manifest.encode(), chunks
@@ -249,7 +259,8 @@ class Codec:
         ``bytearray`` of the manifest's declared ``size``.  Every table
         row is checked before numpy sees it, so a hostile manifest can
         only ever raise StoreFormatError; the decoded arrays are
-        writable, disjoint views of that one buffer.
+        writable and disjoint: views of that one buffer, except where
+        :meth:`_restore` builds an array of its own.
         """
         try:
             try:
@@ -261,7 +272,7 @@ class Codec:
                     or document.keys() != _MANIFEST_KEYS \
                     or not _is_count(document["size"]):
                 raise StoreFormatError("malformed manifest")
-            arrays = _view_arrays(document["arrays"],
+            arrays = self._arrays(document["arrays"],
                                   read_segment(document["size"]))
             return self._decode(document["payload"], arrays)
         except StoreFormatError:
@@ -325,40 +336,168 @@ class Codec:
             setattr(obj, name, self._decode(encoded, arrays))
         return obj
 
+    # -- the array table ---------------------------------------------------
+    #
+    # A row is ``[dtype.str, shape, offset]`` plus the columns ``_stored``
+    # returns, which ``_segment_dtype`` checks and ``_restore`` applies.
+    # The base codec stores every array as it is.
 
-def _view_arrays(table: Any, buffer: bytearray) -> List[np.ndarray]:
-    """One ``np.frombuffer`` view of ``buffer`` per array-table row."""
-    if not isinstance(table, list):
-        raise StoreFormatError("malformed array table")
-    arrays: List[np.ndarray] = []
-    extents: List[Tuple[int, int]] = []
-    for row in table:
-        if not isinstance(row, list) or len(row) != 3:
-            raise StoreFormatError(f"malformed array table row: {row!r:.80}")
-        text, shape, offset = row
-        try:
-            dtype = np.dtype(text) if isinstance(text, str) else None
-        except (TypeError, ValueError):
-            dtype = None
-        if dtype is None or dtype.hasobject or not dtype.itemsize \
-                or dtype.str != text:
-            raise StoreFormatError(f"bad array dtype {text!r:.80}")
-        if not isinstance(shape, list) or not all(map(_is_count, shape)):
-            raise StoreFormatError(f"bad array shape {shape!r:.80}")
-        if not _is_count(offset) or offset % _ALIGN:
-            raise StoreFormatError(f"bad array offset {offset!r:.80}")
-        count = math.prod(shape)
-        end = offset + count * dtype.itemsize
-        if end > len(buffer):
-            raise StoreFormatError("array runs past the segment")
-        extents.append((offset, end))
-        arrays.append(np.frombuffer(buffer, dtype, count, offset)
-                      .reshape(shape))
-    extents.sort()
-    for (_, end), (start, _) in zip(extents, extents[1:]):
-        if start < end:
-            raise StoreFormatError("array table rows overlap")
-    return arrays
+    #: Row columns after ``[dtype.str, shape, offset]``.
+    _COLUMNS = 0
+
+    def _stored(self, array: np.ndarray) -> Tuple[np.ndarray, list]:
+        """``array`` as the segment holds it, and its row's columns."""
+        return array, []
+
+    def _segment_dtype(self, dtype: np.dtype, columns: list) -> np.dtype:
+        """The dtype of a row's segment bytes; raises StoreFormatError."""
+        return dtype
+
+    def _restore(self, view: np.ndarray, dtype: np.dtype,
+                 columns: list) -> np.ndarray:
+        """The declared 1-D array from its checked segment view."""
+        return view
+
+    def _arrays(self, table: Any, buffer: bytearray) -> List[np.ndarray]:
+        """One array per array-table row, from ``buffer``'s bytes."""
+        if not isinstance(table, list):
+            raise StoreFormatError("malformed array table")
+        arrays: List[np.ndarray] = []
+        extents: List[Tuple[int, int]] = []
+        for row in table:
+            if not isinstance(row, list) or len(row) != 3 + self._COLUMNS:
+                raise StoreFormatError(
+                    f"malformed array table row: {row!r:.80}")
+            text, shape, offset, *columns = row
+            dtype = _table_dtype(text)
+            if dtype is None or dtype.hasobject or not dtype.itemsize:
+                raise StoreFormatError(f"bad array dtype {text!r:.80}")
+            if not isinstance(shape, list) or not all(map(_is_count, shape)):
+                raise StoreFormatError(f"bad array shape {shape!r:.80}")
+            if not _is_count(offset) or offset % _ALIGN:
+                raise StoreFormatError(f"bad array offset {offset!r:.80}")
+            segment_dtype = self._segment_dtype(dtype, columns)
+            count = math.prod(shape)
+            end = offset + count * segment_dtype.itemsize
+            if end > len(buffer):
+                raise StoreFormatError("array runs past the segment")
+            extents.append((offset, end))
+            view = np.frombuffer(buffer, segment_dtype, count, offset)
+            arrays.append(self._restore(view, dtype, columns).reshape(shape))
+        extents.sort()
+        for (_, end), (start, _) in zip(extents, extents[1:]):
+            if start < end:
+                raise StoreFormatError("array table rows overlap")
+        return arrays
+
+
+def _table_dtype(text: Any) -> Optional[np.dtype]:
+    """The dtype whose ``.str`` is ``text``, else None."""
+    try:
+        dtype = np.dtype(text) if isinstance(text, str) else None
+    except (TypeError, ValueError):
+        return None
+    return dtype if dtype is not None and dtype.str == text else None
+
+
+#: The values each native integer dtype holds.
+_INT_RANGE = {np.dtype(code): (int(np.iinfo(code).min),
+                               int(np.iinfo(code).max))
+              for code in ("u1", "i1", "u2", "i2", "u4", "i4", "u8", "i8")}
+
+#: The dtypes a narrowed integer array is stored as, narrowest first,
+#: with the values each holds.
+_NARROW = tuple((dtype, *_INT_RANGE[dtype])
+                for dtype in _INT_RANGE if dtype.itemsize < 8)
+_NARROW_BY_STR = {dtype.str: dtype for dtype, _, _ in _NARROW}
+
+#: The signed dtype of each integer width, to read differences as.
+_SIGNED = {size: np.dtype(f"i{size}") for size in (2, 4, 8)}
+
+
+def _narrowest(low: int, high: int) -> Optional[np.dtype]:
+    """The narrowest :data:`_NARROW` dtype holding ``low..high``."""
+    for dtype, smallest, largest in _NARROW:
+        if smallest <= low and high <= largest:
+            return dtype
+    return None
+
+
+class _NarrowingCodec(Codec):
+    """The kernel store's codec: integer arrays are stored narrowed.
+
+    A native integer array's row gains two columns, ``stored`` and
+    ``base``.
+    It is stored as the narrower of two forms in ``u1/i1/u2/i2/u4/i4``:
+    its values (``base`` null), or its first differences after a
+    leading 0, with the first value as ``base``.  Schedule columns and
+    cache lines are strided address streams, so their differences are
+    tiny.  Decode widens to the declared dtype and takes a ``cumsum``
+    in it; two's-complement wrap makes that exact for every width and
+    sign.  An array neither form narrows is stored as it is, with both
+    columns null.  Service frames keep the base codec's raw rows.
+    """
+
+    _COLUMNS = 2
+
+    def _stored(self, array: np.ndarray) -> Tuple[np.ndarray, list]:
+        dtype = array.dtype
+        if dtype not in _INT_RANGE or dtype.itemsize == 1 or not array.size:
+            return array, [None, None]
+        flat = array.reshape(-1)
+        # The differences after a leading 0 wrap in the declared width;
+        # read as signed, a falling unsigned stream has small negative
+        # steps.
+        steps = np.empty_like(flat)
+        steps[0] = 0
+        np.subtract(flat[1:], flat[:-1], out=steps[1:])
+        steps = steps.view(_SIGNED[dtype.itemsize])
+        delta = _narrowest(int(np.minimum.reduce(steps)),
+                           int(np.maximum.reduce(steps)))
+        plain = None
+        if delta is None or delta.itemsize > 1:
+            plain = _narrowest(int(np.minimum.reduce(flat)),
+                               int(np.maximum.reduce(flat)))
+        # Deltas win ties: a strided stream's steps repeat, which zlib
+        # packs far tighter than the values.
+        best = plain if delta is None or (
+            plain is not None and plain.itemsize < delta.itemsize) else delta
+        if best is None or best.itemsize >= dtype.itemsize:
+            return array, [None, None]
+        if best is delta:
+            return steps.astype(delta), [delta.str, int(flat[0])]
+        return flat.astype(plain), [plain.str, None]
+
+    def _segment_dtype(self, dtype: np.dtype, columns: list) -> np.dtype:
+        text, base = columns
+        if text is None:
+            if base is not None:
+                raise StoreFormatError("a base on an array stored as is")
+            return dtype
+        stored = _NARROW_BY_STR.get(text) if isinstance(text, str) else None
+        if stored is None:
+            raise StoreFormatError(f"bad stored dtype {text!r:.80}")
+        values = _INT_RANGE.get(dtype)
+        if values is None or stored.itemsize >= dtype.itemsize:
+            raise StoreFormatError(
+                f"{dtype.str} cannot be stored as {text}")
+        if base is not None and (type(base) is not int
+                                 or not values[0] <= base <= values[1]):
+            raise StoreFormatError(f"bad delta base {base!r:.80}")
+        return stored
+
+    def _restore(self, view: np.ndarray, dtype: np.dtype,
+                 columns: list) -> np.ndarray:
+        text, base = columns
+        if text is None:
+            return view
+        values = view.astype(dtype)
+        if base is not None:
+            if not values.size:
+                raise StoreFormatError("a delta row without values")
+            values[0] = base
+            np.add.accumulate(values, out=values)  # wraps in ``dtype``
+        return values
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,7 +515,7 @@ def _store_codec() -> Codec:
     )
     from .transforms.lower_to_accel import LoweringPlan
 
-    return Codec({
+    return _NarrowingCodec({
         "LoweringPlan": (LoweringPlan, (
             "dim_names", "extents", "tiles", "loop_order", "cpu_tiles",
             "placement", "operand_host_dims", "init_flow",
@@ -523,12 +662,24 @@ _group_commit = threading.local()
 @contextmanager
 def group_commit() -> Iterator[None]:
     """Defer :meth:`KernelStore.sync` on this thread (nestable); the
-    caller runs :func:`sync_all` at its commit point."""
-    _group_commit.depth = getattr(_group_commit, "depth", 0) + 1
+    caller runs :func:`sync_all` at its commit point.
+
+    A commit belongs to the process that opened it: a pool worker forked
+    inside one starts outside it, and syncs at its own commit points.
+    """
+    if not _deferring():
+        _group_commit.owner, _group_commit.depth = os.getpid(), 0
+    _group_commit.depth += 1
     try:
         yield
     finally:
         _group_commit.depth -= 1
+
+
+def _deferring() -> bool:
+    """Is this thread inside a :func:`group_commit` of this process?"""
+    return getattr(_group_commit, "owner", None) == os.getpid() \
+        and _group_commit.depth > 0
 
 
 _STORES: "weakref.WeakSet[KernelStore]" = weakref.WeakSet()
@@ -668,19 +819,21 @@ class KernelStore:
         """Fsync the entries written since the last sync, then their
         shard directories, once each; timed into ``store_publish_s``.
 
-        A no-op inside :func:`group_commit`.  ``since`` adds the entries
-        modified since then (what a killed writer could not sync).
-        Entries evicted or quarantined meanwhile are skipped; an
-        ``OSError`` is counted, never raised.
+        ``since`` adds the entries modified since then (what a killed
+        writer could not sync).  Inside :func:`group_commit` the batch
+        waits for the commit's owner.  Entries evicted or quarantined
+        meanwhile are skipped; an ``OSError`` is counted, never raised.
         """
-        if getattr(_group_commit, "depth", 0):
+        if since is not None:
+            recent = {path for path, stat in self._files()
+                      if path.name.endswith(".entry")
+                      and stat.st_mtime >= since}
+            with self._lock:
+                self._unsynced |= recent
+        if _deferring():
             return
         with self._lock:
             paths, self._unsynced = self._unsynced, set()
-        if since is not None:
-            paths.update(path for path, stat in self._files()
-                         if path.name.endswith(".entry")
-                         and stat.st_mtime >= since)
         if not paths:
             return
         started = time.perf_counter()

@@ -3,8 +3,9 @@
 Exercises the acceptance bar end-to-end with real processes:
 
 1. runs a small sweep to completion (the reference report);
-2. starts the same sweep against a fresh journal and SIGKILLs it the
-   instant a couple of results are journaled — no drain, no cleanup;
+2. starts the same sweep against a fresh journal and SIGKILLs it, with
+   its pool workers, inside the Nth point evaluation (counted across
+   the workers) — no drain, no cleanup;
 3. resumes from the half-written journal and lets it finish;
 4. asserts the resumed report is **bit-identical** to the reference,
    that completed points were served from the journal rather than
@@ -23,28 +24,45 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 WORKDIR = os.environ.get("TUNING_CI_DIR", "tuning_ci")
-KILL_AFTER_RESULTS = int(os.environ.get("TUNING_CI_KILL_AFTER", "2"))
-STARTUP_TIMEOUT_S = 180
+KILL_AT_POINT = int(os.environ.get("TUNING_CI_KILL_AT", "3"))
+TIMEOUT_S = 300
+
+#: Runs ``python -m repro.tuning`` with ``evaluate_point`` wrapped: the
+#: Nth call, counted in memory shared with the forked workers (a
+#: restarted worker included), SIGKILLs the sweep's process group.
+#: The kill lands mid-sweep however fast the points run.
+KILLED_SWEEP = r"""
+import multiprocessing, os, runpy, signal, sys
+from repro.tuning import driver
+kill_at = int(sys.argv.pop(1))
+calls = multiprocessing.Value("i", 0)
+evaluate_point = driver.evaluate_point
+def counted(*args, **kwargs):
+    with calls.get_lock():
+        calls.value += 1
+        if calls.value == kill_at:
+            os.killpg(0, signal.SIGKILL)
+    return evaluate_point(*args, **kwargs)
+driver.evaluate_point = counted
+runpy.run_module("repro.tuning", run_name="__main__", alter_sys=True)
+"""
 
 
-def sweep_command(journal, report):
-    return [
-        sys.executable, "-m", "repro.tuning",
-        "--journal", journal, "--report", report,
-        "--versions", "1", "2", "--workers", "2",
-    ]
+def sweep_args(journal, report):
+    return ["--journal", journal, "--report", report,
+            "--versions", "1", "2", "--workers", "2"]
 
 
 def run_to_completion(journal, report, env):
-    proc = subprocess.run(sweep_command(journal, report), env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.tuning", *sweep_args(journal, report)],
+        env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     if proc.returncode != 0:
         print(proc.stdout[-2000:], file=sys.stderr)
         print(proc.stderr[-2000:], file=sys.stderr)
@@ -72,21 +90,17 @@ def main():
     clean_done = run_to_completion(clean_journal, clean_report, env)
     assert clean_done["complete"], clean_done
 
-    # 2. Same sweep, SIGKILLed as soon as results start landing.
-    proc = subprocess.Popen(sweep_command(killed_journal, killed_report),
-                            env=env, stdout=subprocess.DEVNULL)
-    deadline = time.time() + STARTUP_TIMEOUT_S
-    while time.time() < deadline:
-        if journaled_results(killed_journal) >= KILL_AFTER_RESULTS:
-            break
-        if proc.poll() is not None:
-            break
-        time.sleep(0.05)
-    killed_mid_run = proc.poll() is None
+    # 2. Same sweep, SIGKILLed inside its KILL_AT_POINT-th evaluation.
+    #    Its own session, so the kill takes its workers and nothing else.
+    killed = subprocess.run(
+        [sys.executable, "-c", KILLED_SWEEP, str(KILL_AT_POINT),
+         *sweep_args(killed_journal, killed_report)],
+        env=env, stdout=subprocess.DEVNULL, start_new_session=True,
+        timeout=TIMEOUT_S)
+    killed_mid_run = killed.returncode == -signal.SIGKILL
+    assert killed_mid_run, \
+        f"the sweep exited {killed.returncode} before its kill"
     results_at_kill = journaled_results(killed_journal)
-    if killed_mid_run:
-        os.kill(proc.pid, signal.SIGKILL)
-    proc.wait()
     assert not os.path.exists(killed_report), \
         "an interrupted sweep must not publish a report"
 
@@ -94,7 +108,7 @@ def main():
     resumed_done = run_to_completion(killed_journal, killed_report, env)
     assert resumed_done["complete"], resumed_done
     counters = resumed_done["counters"]
-    if killed_mid_run and results_at_kill:
+    if results_at_kill:
         assert counters["tuning_points_resumed"] >= 1, counters
 
     # 4. Bit-identity + hygiene.

@@ -908,7 +908,8 @@ class TestHostileEntries:
         def node(value):
             if isinstance(value, np.ndarray):
                 document["arrays"].append(
-                    [value.dtype.str, list(value.shape), len(segment)])
+                    [value.dtype.str, list(value.shape), len(segment),
+                     None, None])
                 segment.extend(value.tobytes()
                                + bytes(-value.nbytes % 8))
                 return ["nd", len(document["arrays"]) - 1]

@@ -283,14 +283,13 @@ class TestBackoffDeterminism:
             floor = min(0.05 * 2.0 ** attempt, 2.0)
             assert floor <= delay <= floor * 1.5
 
-    def test_client_uses_schedule_between_retries(self, monkeypatch):
+    def test_client_uses_schedule_between_retries(self, tmp_path):
         """The sleeps a retrying client performs are exactly the seeded
         schedule — pinned against a stub server that sheds then serves."""
         import socket as socket_mod
-        import tempfile
         import threading
 
-        path = os.path.join(tempfile.mkdtemp(), "stub.sock")
+        path = str(tmp_path / "stub.sock")
         listener = socket_mod.socket(socket_mod.AF_UNIX,
                                      socket_mod.SOCK_STREAM)
         listener.bind(path)
@@ -322,19 +321,20 @@ class TestBackoffDeterminism:
                               "spec": {}}, site="submit")
         client.close()
         thread.join(timeout=5)
+        listener.close()
         assert reply["echo"] is True
         assert slept == list(BackoffSchedule(5, "submit").delays(2))
 
-    def test_lost_response_times_out_and_retries_same_request_id(self):
+    def test_lost_response_times_out_and_retries_same_request_id(
+            self, tmp_path):
         """A server that swallows a response (the ``service.rpc:io``
         failure mode) must not wedge the client: the recv times out,
         the client reconnects, and the retry carries the *same*
         request_id so the server can serve it idempotently."""
         import socket as socket_mod
-        import tempfile
         import threading
 
-        path = os.path.join(tempfile.mkdtemp(), "stub.sock")
+        path = str(tmp_path / "stub.sock")
         listener = socket_mod.socket(socket_mod.AF_UNIX,
                                      socket_mod.SOCK_STREAM)
         listener.bind(path)
@@ -365,6 +365,7 @@ class TestBackoffDeterminism:
         reply = client.submit({"kind": "noop"}, request_id="stable-id")
         client.close()
         thread.join(timeout=5)
+        listener.close()
         assert reply["echo"] is True
         assert seen_ids == ["stable-id", "stable-id"]
         assert len(slept) == 1  # one backoff between the two attempts

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import counters, faults
 from repro.accelerators import make_matmul_system
@@ -109,6 +111,90 @@ class TestCodec:
             decode_payload(json.dumps(document).encode(), npz)
 
 
+#: Every integer width and sign the narrowing codec takes, and floats,
+#: which it leaves alone.
+_DTYPES = tuple(np.dtype(code) for code in
+                ("i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8", "f4", "f8"))
+
+
+@st.composite
+def _arrays(draw):
+    """Arrays of any value, strided streams (whose steps may wrap), and
+    non-contiguous views of either, 0-d and empty included."""
+    dtype = draw(st.sampled_from(_DTYPES))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                  max_side=5))
+    if dtype.kind in "iu" and draw(st.booleans()):
+        info = np.iinfo(dtype)
+        start = draw(st.integers(int(info.min), int(info.max)))
+        step = draw(st.one_of(st.integers(-3, 3),
+                              st.integers(int(info.min), int(info.max))))
+        count = int(np.prod(shape))
+        values = (start + step * np.arange(count, dtype=object)) \
+            % (1 << 8 * dtype.itemsize)
+        array = values.astype(np.uint64).astype(dtype).reshape(shape)
+    else:
+        array = draw(hnp.arrays(dtype, shape))
+    if array.ndim and draw(st.booleans()):
+        array = array[..., ::2]
+    if array.ndim > 1 and draw(st.booleans()):
+        array = array.T
+    return array
+
+
+class TestNarrowing:
+    """The store stores an integer array as the narrowest of its values
+    and its first differences; decode gives back the declared array."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_arrays())
+    def test_round_trip(self, array):
+        loaded, twin = decode_payload(*encode_payload([array, array.copy()]))
+        for result in (loaded, twin):
+            assert result.dtype == array.dtype
+            assert result.shape == array.shape
+            assert result.tobytes() == np.ascontiguousarray(array).tobytes()
+            assert result.flags.writeable
+        assert not np.shares_memory(loaded, twin)
+
+    def test_extremes_and_wrapping_steps(self):
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        cases = {
+            "extremes": np.array([bottom, top, bottom, top], np.int64),
+            "wrapping": np.array([top - 1, top, bottom, bottom + 1],
+                                 np.int64),
+            "falling unsigned": np.arange(1 << 40, (1 << 40) - 50, -1,
+                                          dtype=np.uint64),
+            "top unsigned": np.array([2 ** 64 - 1, 0, 2 ** 64 - 1],
+                                     np.uint64),
+        }
+        loaded = decode_payload(*encode_payload(cases))
+        for name, array in cases.items():
+            np.testing.assert_array_equal(loaded[name], array, err_msg=name)
+            assert loaded[name].dtype == array.dtype
+
+    def test_columns_that_fit_32_bits_are_stored_narrowed(self):
+        stream = np.arange(0, 64 * 1000, 64, dtype=np.int64)
+        lines = np.array([7, 1 << 30, -(1 << 31), 12], np.int64)
+        wide = np.array([0, 1 << 40], np.int64)
+        manifest, _ = encode_payload(
+            {"stream": stream, "lines": lines, "wide": wide,
+             "floats": np.zeros(3)})
+        document = json.loads(manifest)
+        assert _row(document, "stream")[3:] == ["|u1", 0]
+        assert _row(document, "lines")[3:] == ["<i4", None]
+        assert _row(document, "wide")[3:] == [None, None]
+        assert _row(document, "floats")[3:] == [None, None]
+
+    def test_service_frames_stay_raw(self):
+        from repro.service import protocol
+
+        body = protocol.encode_message({"a": np.arange(8)})[4:]
+        (length,) = protocol._LENGTH.unpack(body[:4])
+        document = json.loads(body[4:4 + length])
+        assert document["arrays"] == [["<i8", [8], 0]]
+
+
 class TestTraceArrays:
     """Every schedule table of a trace is an ndarray, so the codec has
     one path for them: the array table."""
@@ -170,6 +256,7 @@ def _hostile_payload():
     return {"ints": np.arange(8, dtype=np.int64),
             "floats": np.linspace(0.0, 1.0, 8),
             "grid": np.arange(6, dtype=np.int32).reshape(2, 3),
+            "halves": np.arange(0, 400, 100, dtype=np.uint16),
             "refs": np.array([(i, i + 1) for i in range(20)], dtype=np.int64),
             "counts": np.arange(20, dtype=np.int64)}
 
@@ -196,6 +283,14 @@ def _edit_node(key, make):
     def edit(document, stream):
         rows = dict(document["payload"][1])
         _set_node(document, key, make(rows))
+        return document, stream
+    return edit
+
+
+def _edit_rows(*edits):
+    def edit(document, stream):
+        for change in edits:
+            document, stream = change(document, stream)
         return document, stream
     return edit
 
@@ -256,6 +351,27 @@ _HOSTILE = {
         "counts", lambda rows: ['li', 99]),
     "v3 manifest": lambda document, stream: (
         dict(document, format=1), stream),
+    # The store's narrowed rows: [dtype, shape, offset, stored, base].
+    "row of six columns": lambda document, stream: (
+        _row(document, "ints").append(None) or document, stream),
+    "stored as wide as declared": _edit_row("grid", 3, "<i4"),
+    "stored wider than declared": _edit_row("halves", 3, "<i4"),
+    "stored as declared": _edit_row("ints", 3, "<i8"),
+    "stored outside the whitelist": _edit_row("ints", 3, "<f2"),
+    "stored as bool": _edit_row("ints", 3, "|b1"),
+    "stored dtype not a string": _edit_row("ints", 3, 1),
+    "narrowed float": _edit_row("floats", 3, "|u1"),
+    "narrowed bool array": _edit_rows(_edit_row("ints", 0, "|b1"),
+                                      _edit_row("ints", 3, "|u1")),
+    "base not an int": _edit_row("ints", 4, 1.5),
+    "base a bool": _edit_row("ints", 4, True),
+    "base a string": _edit_row("ints", 4, "0"),
+    "base past int64": _edit_row("ints", 4, 1 << 63),
+    "base below an unsigned dtype": _edit_row("halves", 4, -1),
+    "base on an array stored as is": _edit_row("floats", 4, 0),
+    "delta row without values": _edit_rows(
+        _edit_row("ints", 1, [0]), _edit_row("ints", 3, "|u1"),
+        _edit_row("ints", 4, 0)),
 }
 
 
@@ -273,9 +389,12 @@ class TestHostileContainers:
         np.testing.assert_array_equal(payload["refs"],
                                       _hostile_payload()["refs"])
         np.testing.assert_array_equal(payload["counts"], np.arange(20))
-        # Views of one buffer, yet writable and disjoint.
+        # Narrowed rows are widened into arrays of their own, the rest
+        # are views of the inflated buffer: all writable and disjoint.
         payload["ints"][:] = -1
+        payload["floats"][1:] = -1.0
         assert payload["floats"][0] == 0.0 and payload["grid"][0, 0] == 0
+        np.testing.assert_array_equal(payload["halves"], [0, 100, 200, 300])
 
     @pytest.mark.parametrize("case", sorted(_HOSTILE))
     def test_format_error_then_quarantine(self, case, tmp_path):
@@ -718,6 +837,79 @@ def _figure_shaped_run(store, script=_FIGURE_SHAPED_JOB) -> dict:
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+#: Records every fsynced path, from this process and its forked
+#: children alike, in the file named by ``sys.argv[1]``.
+_FSYNC_LOG = r"""
+import json, os, sys
+real_fsync = os.fsync
+def fsync(fd):
+    with open(sys.argv[1], "a") as log:
+        log.write(os.readlink(f"/proc/self/fd/{fd}") + "\n")
+    return real_fsync(fd)
+os.fsync = fsync
+from pathlib import Path
+from repro.store import STORE_COUNTERS
+def entries():
+    store = Path(os.environ["REPRO_KERNEL_CACHE_DIR"])
+    return sorted(str(path) for path in store.glob("objects/*/*.entry"))
+def fsynced():
+    return sorted(set(Path(sys.argv[1]).read_text().split()))
+"""
+
+
+def _fsync_logged_run(tmp_path, body: str) -> dict:
+    store = tmp_path / "store"
+    log = tmp_path / "fsync.log"
+    log.touch()
+    env = {key: value for key, value
+           in _subprocess_env(str(store)).items()
+           if not key.startswith("REPRO_")}
+    env["REPRO_KERNEL_CACHE_DIR"] = str(store)
+    done = subprocess.run(
+        [sys.executable, "-c", _FSYNC_LOG + body, str(log)], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestCommitPoints:
+    """A figure generator and a model job commit once; nothing either
+    wrote is unsynced when it returns."""
+
+    def test_a_figure_generator_syncs_once_when_it_returns(self, tmp_path):
+        seen = _fsync_logged_run(tmp_path, r"""
+from repro.experiments import fig12_rows
+fig12_rows(32, 8, 3)
+print(json.dumps({"syncs": STORE_COUNTERS["store_syncs"],
+                  "writes": STORE_COUNTERS["store_writes"],
+                  "entries": entries(), "fsynced": fsynced()}))
+""")
+        assert seen["writes"] > 1 and seen["syncs"] == 1
+        assert seen["entries"]
+        assert set(seen["entries"]) <= set(seen["fsynced"])
+
+    def test_model_job_entries_are_synced_when_the_jobs_return(
+            self, tmp_path):
+        """The jobs run in forked workers while the parent holds a
+        commit open (as fig16 and fig17 do): each worker syncs its own
+        entries at ``bye``, before ``run_model_jobs`` returns."""
+        seen = _fsync_logged_run(tmp_path, r"""
+from repro.experiments import run_matmul_model
+from repro.pool import MODEL_PLAN_COUNTERS, run_model_jobs
+from repro.store import group_commit
+with group_commit():
+    run_model_jobs([(run_matmul_model, (((32, 32, 32, 8, 3, "Ns"),),)),
+                    (run_matmul_model, (((16, 16, 16, 4, 2, "Ns"),),))],
+                   workers=2)
+    print(json.dumps({"workers": MODEL_PLAN_COUNTERS["model_plan_workers"],
+                      "syncs": STORE_COUNTERS["store_syncs"],
+                      "entries": entries(), "fsynced": fsynced()}))
+""")
+        assert seen["workers"] == 2 and seen["syncs"] == 2
+        assert len(seen["entries"]) == 2
+        assert set(seen["entries"]) <= set(seen["fsynced"])
 
 
 class TestStoreConverges:

@@ -11,7 +11,7 @@ run.  This example shows the client-side ladder end to end:
 3. saturate the queue so a submit is shed with a structured ``BUSY``
    + ``retry_after_s``, and watch the client's seeded backoff absorb
    it transparently;
-4. read the ``health`` RPC: queue depth, breaker states, counters.
+4. read the ``health`` RPC: queue depth, counters, injected faults.
 
 Run:  python examples/service_client.py
 """
@@ -87,8 +87,7 @@ print(f"backoff: seed 7 schedule {schedule}")
 # -- 4. Observability -----------------------------------------------------
 print(f"health:  status={health['status']} "
       f"queue={health['queue_depth']}/{health['queue_max']} "
-      f"breakers=store:{health['breakers']['store']['state']} "
-      f"native:{health['breakers']['native']['state']}")
+      f"faults={health['faults'] or 'none'}")
 
 client.close()
 summary = server.drain()

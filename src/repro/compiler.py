@@ -92,13 +92,15 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 KERNEL_STORE_VERSION = 11
 
 
-# -- disk-store suspension (circuit-breaker seam) ---------------------------
+# -- disk-store suspension ----------------------------------------------------
 #
-# The service layer's store circuit breaker needs a way to run one
-# request on the no-store degradation path (PR 6's rung: memory-only
+# Runs one scope on the no-store degradation path (memory-only
 # compilation, bit-identical results) without mutating process-global
-# environment from a worker thread.  The flag is thread-local so
-# concurrent requests in one process degrade independently.
+# environment.  The flag is thread-local so concurrent scopes in one
+# process stay independent.  Its only caller is the perf harness's
+# layer probes (``perf/perfbench/layers.py``, timing a memory-only
+# compile); the service and the sweep let a store failure degrade the
+# one call that meets it.
 
 _disk_suspension = threading.local()
 
@@ -572,7 +574,11 @@ class KernelCache:
         """Publish ``kernel`` with its trace and that trace's plans
         (the persist hook, after a replay; timed into
         ``store_publish_s``) and sync it.  Unencodable payloads and write
-        failures stay memory-only — ``store()`` reports, never raises."""
+        failures stay memory-only — ``store()`` reports, never raises.
+        The plans count as stored either way, so a failed publish is not
+        retried until the kernel gains a new artifact (a MetricsPlan the
+        entry lacks): one failed write per artifact set, whatever the
+        store's health."""
         store = self.resolve_store()
         if store is None:
             return

@@ -10,9 +10,8 @@ job and what a crash means for it stay with the caller; the pool owns
 the mechanism.
 
 * **Child side** — :func:`worker_loop` over one duplex pipe: receive a
-  job dict, run the caller's *handler* under the job's breaker verdicts
-  (:func:`run_seamed`), reply with the handler's fields, the seam
-  evidence and the counter *delta* since the previous reply.  ``None``
+  job dict, run the caller's ``handler(job)``, reply with the handler's
+  fields and the counter *delta* since the previous reply.  ``None``
   asks for shutdown: the worker syncs the store entries its jobs left
   to it (:func:`repro.store.group_commit`), answers ``bye`` with its
   residue delta and exits.  A handler may ``os._exit`` (the callers'
@@ -21,13 +20,13 @@ the mechanism.
   with ``submit``, ``wait``, ``restart`` and ``shutdown``.
 
 Without ``fork`` (or inside a pool worker) callers run the same handler
-inline through the same :func:`run_seamed`; counters then advance
-directly and there is no delta to merge.
+inline; counters then advance directly and there is no delta to merge.
+A failing seam (store I/O, the C toolchain) degrades only the call that
+meets it, inside the handler; the pool keeps no memory of it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -37,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import counters
 from .envutil import env_int
-from .store import STORE_COUNTERS, group_commit, sync_all
+from .store import group_commit, sync_all
 
 #: Size of every pool: model jobs, service workers, sweep workers
 #: (default: min(4, cpu_count)).
@@ -78,40 +77,6 @@ def in_worker() -> bool:
 
 # -- child side ---------------------------------------------------------------
 
-def _store_failures() -> int:
-    return STORE_COUNTERS["store_io_errors"] \
-        + STORE_COUNTERS["store_write_failures"]
-
-
-def run_seamed(handler: Callable[[dict], dict], job: dict) -> dict:
-    """Run ``handler(job)`` under the job's breaker verdicts.
-
-    An open store breaker routes the job through the memory-only
-    compile path (``suspend_disk_store``); an open native breaker
-    withholds the C library (``suspend_native``), so every kernel runs
-    per tile.  Both are existing degradation rungs — bit-identical,
-    just different latency.
-
-    Returns the handler's reply fields plus the breaker evidence:
-    ``store_failures`` (store I/O and write failures during the job)
-    and ``native_ok``.  Used by :func:`worker_loop` and by the callers'
-    no-fork rungs alike, so a breaker sees the same evidence either way.
-    """
-    from .compiler import suspend_disk_store
-    from .soc._native import native_healthy, suspend_native
-
-    failures_before = _store_failures()
-    with contextlib.ExitStack() as seams:
-        if job.get("disable_store"):
-            seams.enter_context(suspend_disk_store())
-        if job.get("disable_native"):
-            seams.enter_context(suspend_native())
-        reply = handler(job)
-    reply["store_failures"] = _store_failures() - failures_before
-    reply["native_ok"] = native_healthy()
-    return reply
-
-
 def worker_loop(conn, index: int, handler: Callable[[dict], dict]) -> None:
     """Job loop of one pool worker (runs in a forked child)."""
     global _in_worker
@@ -126,7 +91,7 @@ def worker_loop(conn, index: int, handler: Callable[[dict], dict]) -> None:
             sync_all()
             reply = {"op": "bye"}
         else:
-            reply = run_seamed(handler, job)
+            reply = handler(job)
             reply["op"] = "result"
         reply["worker"] = index
         now = counters.snapshot()

@@ -11,7 +11,6 @@ docstrings for the robustness ladder each layer contributes.
 Run a standalone server with ``python -m repro.service``.
 """
 
-from .breaker import CircuitBreaker
 from .client import BackoffSchedule, ServiceClient
 from .errors import (
     BadRequest,
@@ -30,7 +29,6 @@ from .worker import run_request
 __all__ = [
     "BackoffSchedule",
     "BadRequest",
-    "CircuitBreaker",
     "InternalServiceError",
     "ProtocolError",
     "RETRYABLE_CODES",

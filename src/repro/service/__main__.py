@@ -4,7 +4,7 @@ Starts a :class:`~repro.service.server.ServiceServer` on the given
 (or a fresh) socket path, prints a one-line JSON readiness record to
 stdout (``{"socket": ...}``) so harnesses can wait for it, then blocks
 until SIGTERM/SIGINT triggers a graceful drain.  The drain summary
-(final counters, breaker states, merged diagnostics) is printed as a
+(final counters and queue state, merged diagnostics) is printed as a
 JSON object on exit — the CI smoke leg asserts on it.
 """
 

@@ -25,11 +25,11 @@ The robustness ladder, top to bottom:
 * **Idempotency** — completed ``request_id``s are remembered (LRU);
   a client retrying because a *response* was lost gets the cached
   result instead of a re-execution.
-* **Circuit breakers** — consecutive store-I/O or native-compile
-  failures open a breaker (:mod:`repro.service.breaker`); requests
-  then run with that seam pre-disabled (memory-only compile / every
-  kernel per tile — bit-identical rungs) until a half-open probe heals
-  it.
+* **Per-call degradation** — a store I/O error or a native-compile
+  failure degrades only the request that meets it (a rebuild or a
+  memory-only publish / every kernel per tile — bit-identical rungs);
+  the worker keeps the kernel in memory, so a failed read is not paid
+  again for it, nor a failed publish until it gains a new MetricsPlan.
 * **Crash recovery** — a worker death (including injected
   ``service.worker:crash`` faults) is detected on its pipe, the worker
   is restarted deterministically, and the request is requeued at the
@@ -41,8 +41,8 @@ The robustness ladder, top to bottom:
   merges each worker's final counter delta into
   :func:`repro.execution.diagnostics` (:meth:`repro.pool.Pool.shutdown`).
 
-``health``/``stats`` RPCs expose queue depth, breaker states, fault
-counters, and the full diagnostics bundle for observability.
+``health``/``stats`` RPCs expose queue depth, fault counters, and the
+full diagnostics bundle for observability.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .. import counters, faults, pool
 from ..envutil import env_float, env_int
 from ..pool import MODEL_PLAN_COUNTERS
 from . import errors, protocol
-from .breaker import SeamBreakers
 from .worker import execute_job, warmup_job, worker_job
 
 #: Env knobs (see README switch matrix; the pool size is
@@ -158,9 +157,7 @@ class ServiceServer:
     def __init__(self, socket_path: Optional[str] = None,
                  workers: Optional[int] = None,
                  queue_max: Optional[int] = None,
-                 timeout_s: Optional[float] = None,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_s: float = 1.0) -> None:
+                 timeout_s: Optional[float] = None) -> None:
         self.socket_path = socket_path
         self.workers = workers if workers is not None \
             else pool.worker_count()
@@ -168,7 +165,6 @@ class ServiceServer:
             QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, minimum=1)
         self.timeout_s = timeout_s if timeout_s is not None else env_float(
             TIMEOUT_ENV, _DEFAULT_TIMEOUT_S, minimum=0.001)
-        self.breakers = SeamBreakers(breaker_threshold, breaker_cooldown_s)
 
         self._cond = threading.Condition()
         self._queue: "collections.deque[_Pending]" = collections.deque()
@@ -281,7 +277,6 @@ class ServiceServer:
             "counters": counters.read(SERVICE_COUNTERS),
             "queued": queued,
             "executing": executing,
-            "breakers": self.breakers.snapshot(),
         }
 
     # -- accept / read -----------------------------------------------------
@@ -505,8 +500,7 @@ class ServiceServer:
             }, cache=False)
             return
         pending.attempts += 1
-        flags, verdicts = self.breakers.admit()
-        job = {"spec": pending.spec, "deadline": pending.deadline, **flags}
+        job = {"spec": pending.spec, "deadline": pending.deadline}
         reply = self._run_job(index, job, pending)
         if reply is None:
             # Worker crashed mid-request: restart the slot and requeue
@@ -531,7 +525,6 @@ class ServiceServer:
                            "running this request",
             }, cache=False)
             return
-        self.breakers.settle(verdicts, reply)
         if reply.get("ok"):
             self._finish(pending, {
                 "status": "ok",
@@ -561,7 +554,7 @@ class ServiceServer:
             # No-fork platforms: run the job in this thread (a ladder
             # rung).  Counters advance directly in this process, so
             # there is no delta to merge.
-            reply = pool.run_seamed(execute_job, job)
+            reply = execute_job(job)
             reply["worker"] = -1
             return reply
         self._pool.submit(index, job)
@@ -596,7 +589,6 @@ class ServiceServer:
             "queue_max": self.queue_max,
             "executing": executing,
             "workers": self.workers,
-            "breakers": self.breakers.snapshot(),
             "counters": counters.read(SERVICE_COUNTERS),
             "faults": counters.read(faults.FAULT_COUNTERS),
         }

@@ -16,11 +16,11 @@ kernel, trace and plan land in the shared store before real requests
 ask for them.
 
 The server's pool workers (:mod:`repro.pool`) run :func:`worker_job`:
-jobs carry a decoded spec plus per-request degradation flags (store /
-native seams pre-disabled when the server's circuit breakers are
-open); :func:`execute_job` turns the outcome into reply fields, and
-the pool adds the seam evidence and the counter delta.  On platforms
-without fork the server calls :func:`execute_job` in its own thread.
+jobs carry a decoded spec and its deadline; :func:`execute_job` turns
+the outcome into reply fields, and the pool adds the counter delta.  A
+store or native-compile failure degrades inside the request that meets
+it.  On platforms without fork the server calls :func:`execute_job` in
+its own thread.
 
 The ``service.worker:crash`` fault site fires at the top of each
 worker job and terminates the process with ``os._exit`` — the hardest

@@ -525,9 +525,8 @@ _lib: Optional[ctypes.CDLL] = None
 _tried = False
 _build_dir: Optional[str] = None
 
-#: Scoped suppression (see suspend_native): service workers run
-#: requests with the native seam pre-disabled while the server's
-#: native circuit breaker is open, without disturbing the probe memo.
+#: Scoped suppression (see suspend_native): a caller measures or pins
+#: the per-tile rung without disturbing the probe memo.
 _suspension = _threading.local()
 
 
@@ -560,15 +559,6 @@ _status = "untried"
 def native_status() -> dict:
     """Availability + reason memo (surfaced via ``diagnostics()``)."""
     return {"available": _lib is not None, "status": _status}
-
-
-def native_healthy() -> bool:
-    """False once the toolchain failed — the native breaker's evidence.
-
-    "untried" and "no-compiler" are not failures: nothing broke, there
-    is just no fast path to protect.
-    """
-    return _status not in ("compile-failed", "load-failed", "fault-injected")
 
 
 def _degrade(status: str, detail: str = "") -> None:

@@ -707,6 +707,7 @@ class KernelStore:
         self.root = Path(root)
         self._max_bytes = max_bytes
         self._unsynced: set = set()  # entry paths sync() has not seen
+        self._new_dirs: set = set()  # parents of dirs store() created
         self._lock = counters.fork_safe_lock()
         _STORES.add(self)
 
@@ -802,7 +803,12 @@ class KernelStore:
                 try:
                     tmp.write_bytes(blob)
                 except FileNotFoundError:  # the shard's first entry
+                    new = [directory for directory
+                           in (path.parent, self.objects_dir(), self.root)
+                           if not directory.exists()]
                     path.parent.mkdir(parents=True, exist_ok=True)
+                    with self._lock:
+                        self._new_dirs.update(d.parent for d in new)
                     tmp.write_bytes(blob)
         except OSError:
             _count("store_write_failures")
@@ -817,7 +823,9 @@ class KernelStore:
 
     def sync(self, since: Optional[float] = None) -> None:
         """Fsync the entries written since the last sync, then their
-        shard directories, once each; timed into ``store_publish_s``.
+        shard directories, then the parent of every directory
+        :meth:`store` created meanwhile (``objects/`` for a new shard),
+        once each; timed into ``store_publish_s``.
 
         ``since`` adds the entries modified since then (what a killed
         writer could not sync).  Inside :func:`group_commit` the batch
@@ -830,11 +838,14 @@ class KernelStore:
                       and stat.st_mtime >= since}
             with self._lock:
                 self._unsynced |= recent
+                if recent:  # the writer's new shards are unknown here
+                    self._new_dirs |= {self.objects_dir(), self.root}
         if _deferring():
             return
         with self._lock:
             paths, self._unsynced = self._unsynced, set()
-        if not paths:
+            new_dirs, self._new_dirs = self._new_dirs, set()
+        if not paths and not new_dirs:
             return
         started = time.perf_counter()
         for path in paths:
@@ -845,6 +856,8 @@ class KernelStore:
             except OSError:
                 _count("store_write_failures")
         for directory in {path.parent for path in paths}:
+            _fsync_dir(directory)
+        for directory in sorted(new_dirs, reverse=True):  # children first
             _fsync_dir(directory)
         _count("store_syncs")
         from .execution.trace import add_stage_time

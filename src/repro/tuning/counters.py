@@ -28,8 +28,6 @@ TUNING_COUNTERS: Dict[str, int] = counters.section("tuning", {
     "tuning_deadline_kills": 0,      # workers killed past the point deadline
     "tuning_workers_merged": 0,      # worker diagnostics deltas folded in
     "tuning_family_waits": 0,        # dispatches that passed over a twin
-    "tuning_store_degraded": 0,      # points run with the store seam open
-    "tuning_native_degraded": 0,     # points run with native forced off
     "tuning_journal_appends": 0,     # records appended and flushed
     "tuning_journal_commits": 0,     # fsyncs: one per report group
     "tuning_journal_io_errors": 0,   # appends lost to (injected) I/O errors

@@ -23,11 +23,10 @@ common case it is built for:
   in-worker exceptions are permanent (``failed``).  A point whose
   workers crash ``max_attempts`` times is quarantined as ``poisoned``
   instead of wedging the run.
-* **Degradation over abortion** — store and native seams sit behind
-  :class:`~repro.service.breaker.CircuitBreaker` instances; repeated
-  seam failures route subsequent points through the memory-only store
-  or the per-tile driver (both bit-identical rungs).  Journal I/O
-  failures degrade to memory-only progress tracking.
+* **Degradation over abortion** — a store I/O error or a native-compile
+  failure degrades only the point that meets it (a rebuild or a
+  memory-only publish / the per-tile driver — bit-identical rungs).
+  Journal I/O failures degrade to memory-only progress tracking.
 * **One build per kernel** — no two points of one kernel family run at
   once, so a twin finds its sibling's kernel in memory or in the store.
 * **One commit point per group** — the journal is fsynced when a
@@ -66,7 +65,6 @@ from ..envutil import env_float
 from ..execution.trace import add_stage_time
 from ..retry import BackoffSchedule, retryable
 from ..service import protocol
-from ..service.breaker import SeamBreakers
 from .counters import count
 from .journal import SweepJournal
 from .report import build_report, write_report
@@ -216,12 +214,11 @@ def worker_job(job: dict) -> dict:
 
 
 class _Flight(NamedTuple):
-    """One dispatched attempt: the point, its breaker verdicts, and —
-    on the pool — the monotonic time of its hard parent-side kill."""
+    """One dispatched attempt: the point, its job, and — on the pool —
+    the monotonic time of its hard parent-side kill."""
 
     point: object
     job: dict
-    verdicts: dict
     kill_at: float
 
     @property
@@ -240,8 +237,6 @@ class SweepDriver:
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  prune_ratio: Optional[float] = 4.0,
                  seed: int = 0,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_s: float = 1.0,
                  sleep=time.sleep) -> None:
         self.space = space
         self.journal = SweepJournal(journal_path)
@@ -253,7 +248,6 @@ class SweepDriver:
         self.max_attempts = max(1, max_attempts)
         self.prune_ratio = prune_ratio
         self.seed = seed
-        self.breakers = SeamBreakers(breaker_threshold, breaker_cooldown_s)
         self._sleep = sleep
         self._stop = False
         self._attempts: Dict[str, int] = {}
@@ -339,25 +333,18 @@ class SweepDriver:
 
     def _flight(self, digest: str, point, attempt: int,
                 thresholds) -> _Flight:
-        """Consult the breakers and build the attempt's job."""
-        flags, verdicts = self.breakers.admit()
-        if flags["disable_store"]:
-            count("tuning_store_degraded")
-        if flags["disable_native"]:
-            count("tuning_native_degraded")
+        """Build the attempt's job."""
         job = {
             "digest": digest, "spec": point.spec(),
             "attempt": attempt,
             "prune_bytes": thresholds[digest],
             "deadline": time.time() + self.deadline_s,
-            **flags,
         }
-        return _Flight(point, job, verdicts,
+        return _Flight(point, job,
                        time.monotonic() + self.deadline_s * 1.5 + 0.25)
 
     def _settle(self, flight: _Flight, reply: dict) -> Optional[float]:
         """Account for one attempt's reply; retry delay, or None."""
-        self.breakers.settle(flight.verdicts, reply)
         if reply["ok"]:
             self._resolve(flight.digest, flight.point, reply["outcome"])
             return None
@@ -438,7 +425,7 @@ class SweepDriver:
             else:
                 flight = self._flight(digest, point, attempt, thresholds)
                 delay = self._settle(
-                    flight, pool.run_seamed(evaluate_job, flight.job))
+                    flight, evaluate_job(flight.job))
             if delay is not None:
                 self._sleep(delay)
                 pending.appendleft((digest, point))

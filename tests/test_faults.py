@@ -463,6 +463,36 @@ class TestDegradationCounters:
         files = [p for p in store.rglob("*") if p.is_file()]
         assert files == []  # nothing published, nothing leaked
 
+    def test_a_failing_store_costs_each_kernel_one_read_and_one_write(
+            self, tmp_path, monkeypatch):
+        """The per-call bound: with every store read and write failing,
+        a kernel pays one failed read (then it lives in the cache's
+        memory) and one failed publish per artifact set (its plans count
+        as stored), whatever the number of runs."""
+        monkeypatch.setenv("REPRO_FAULTS", "store.read:io;store.write:io")
+        cache = KernelCache(disk_dir=str(tmp_path / "s"))
+        rng = np.random.default_rng(5)
+        a = rng.integers(-5, 5, (16, 16)).astype(np.int32)
+        b = rng.integers(-5, 5, (16, 16)).astype(np.int32)
+        seen = []
+        for _ in range(5):
+            hw, info = make_matmul_system(3, 8, flow="Ns")
+            board = make_pynq_z2()
+            board.attach_accelerator(hw)
+            kernel = AXI4MLIRCompiler(info, kernel_cache=cache) \
+                .compile_matmul(16, 16, 16)
+            c = np.zeros((16, 16), np.int32)
+            seen.append((kernel.run(board, a, b, c).as_dict(), c.tobytes()))
+        assert seen == [seen[0]] * 5
+        assert STORE_COUNTERS["store_io_errors"] == 1
+        assert STORE_COUNTERS["store_write_failures"] == 1
+        # A warm board needs a MetricsPlan the kernel lacks: one more
+        # publish is attempted, and fails.
+        kernel.run(board, a, b, np.zeros((16, 16), np.int32))
+        assert STORE_COUNTERS["store_io_errors"] == 1
+        assert STORE_COUNTERS["store_write_failures"] == 2
+        assert not list(tmp_path.rglob("*.entry"))
+
 
 class TestNativeFaultMemo:
     def test_one_shot_warning_and_no_retry(self, monkeypatch):

@@ -2,7 +2,7 @@
 
 The acceptance bar mirrors the rest of the degradation ladder: a
 request served over the socket — through admission queues, retries,
-coalescing, breakers, worker crashes, and drain — must produce exactly
+coalescing, worker crashes, and drain — must produce exactly
 the PerfCounters and output bytes of a direct in-process call to
 ``repro.service.worker.run_request``.
 """
@@ -24,7 +24,6 @@ from repro.pool import MODEL_PLAN_COUNTERS
 from repro.service import (
     SERVICE_COUNTERS,
     BackoffSchedule,
-    CircuitBreaker,
     ServiceBusy,
     ServiceClient,
     ServiceServer,
@@ -371,45 +370,6 @@ class TestBackoffDeterminism:
         assert len(slept) == 1  # one backoff between the two attempts
 
 
-# -- circuit breaker state machine ------------------------------------------
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker("b", threshold=3, cooldown_s=60)
-        for _ in range(2):
-            breaker.record(ok=False)
-        assert breaker.allow()["enabled"]
-        breaker.record(ok=False)
-        assert breaker.state == "open"
-        assert not breaker.allow()["enabled"]
-        assert breaker.snapshot()["trips"] == 1
-
-    def test_success_resets_the_count(self):
-        breaker = CircuitBreaker("b", threshold=2, cooldown_s=60)
-        breaker.record(ok=False)
-        breaker.record(ok=True)
-        breaker.record(ok=False)
-        assert breaker.state == "closed"
-
-    def test_half_open_single_probe_then_close(self):
-        breaker = CircuitBreaker("b", threshold=1, cooldown_s=0.0)
-        breaker.record(ok=False)
-        first = breaker.allow()
-        assert first == {"enabled": True, "probe": True}
-        # Only one probe at a time; the next request stays degraded.
-        assert breaker.allow() == {"enabled": False, "probe": False}
-        breaker.record(ok=True, probe=True)
-        assert breaker.state == "closed"
-        assert breaker.allow() == {"enabled": True, "probe": False}
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker("b", threshold=1, cooldown_s=0.0)
-        breaker.record(ok=False)
-        assert breaker.allow()["probe"]
-        breaker.record(ok=False, probe=True)
-        assert breaker.snapshot()["trips"] == 2
-
-
 # -- server integration -----------------------------------------------------
 
 class TestService:
@@ -646,42 +606,6 @@ class TestService:
             client.close()
             server.drain()
 
-    def test_store_breaker_trips_on_injected_store_failures(
-            self, monkeypatch, tmp_path):
-        from repro.compiler import default_kernel_cache
-
-        # Forked workers inherit the process-wide memory cache; clear
-        # it so each request actually compiles and publishes (and so
-        # the injected write failures actually happen).
-        default_kernel_cache().clear()
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "s"))
-        monkeypatch.setenv("REPRO_FAULTS", "store.write:io")
-        server = ServiceServer(workers=1, queue_max=8,
-                               breaker_threshold=2,
-                               breaker_cooldown_s=60.0).start()
-        try:
-            with ServiceClient(server.address) as client:
-                # Distinct shapes: every request compiles fresh and
-                # attempts (and fails) a store publish.
-                for seed, m in ((1, 8), (2, 12)):
-                    client.submit(matmul_spec(m=m, seed=seed))
-                health = client.health()
-                assert health["breakers"]["store"]["state"] == "open"
-                assert health["breakers"]["store"]["trips"] == 1
-                # Open breaker: requests run store-suspended (and still
-                # succeed bit-identically).
-                spec = matmul_spec(m=16, seed=3)
-                reply = client.submit(spec)
-                assert client.health()["breakers"]["store"]["state"] \
-                    == "open"
-            monkeypatch.delenv("REPRO_FAULTS")
-            monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR")
-            faults.reset_faults()
-            assert result_tuple(reply["counters"], reply["output"]) \
-                == result_tuple(*run_request(dict(spec)))
-        finally:
-            server.drain()
-
     def test_drain_merges_worker_deltas_and_refuses_new_work(self):
         workers_before = MODEL_PLAN_COUNTERS.get("model_plan_workers", 0)
         server = ServiceServer(workers=2, queue_max=8).start()
@@ -725,7 +649,7 @@ class TestService:
                 stats = client.stats()
             assert health["status"] == "ok"
             assert health["queue_max"] == 4
-            assert set(health["breakers"]) == {"store", "native"}
+            assert set(health["faults"]) == set(faults.FAULT_COUNTERS)
             assert health["counters"]["service_requests"] == 1
             assert "service" in stats["diagnostics"]
             assert stats["diagnostics"]["service"][
@@ -737,9 +661,8 @@ class TestService:
 class TestNoForkRung:
     """Platforms without fork: dispatchers run jobs in their own thread.
 
-    Same handler, same seam evidence (``repro.pool.run_seamed``) as the
-    forked workers — so results are bit-identical and the breakers see
-    what they would have seen."""
+    Same handler as the forked workers (``execute_job``), so results are
+    bit-identical."""
 
     @pytest.fixture(autouse=True)
     def _no_fork(self, monkeypatch):
@@ -772,32 +695,6 @@ class TestNoForkRung:
             >= served_before + len(specs)
         assert summary["counters"]["service_workers_merged"] == 0
         assert MODEL_PLAN_COUNTERS["model_plan_workers"] == workers_before
-
-    def test_store_breaker_opens_on_injected_write_failures(
-            self, monkeypatch, tmp_path):
-        from repro.compiler import default_kernel_cache
-
-        default_kernel_cache().clear()
-        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "s"))
-        monkeypatch.setenv("REPRO_FAULTS", "store.write:io")
-        server = ServiceServer(workers=1, queue_max=8,
-                               breaker_threshold=2,
-                               breaker_cooldown_s=60.0).start()
-        try:
-            with ServiceClient(server.address) as client:
-                for seed, m in ((1, 8), (2, 12)):
-                    client.submit(matmul_spec(m=m, seed=seed))
-                breaker = client.health()["breakers"]["store"]
-                assert (breaker["state"], breaker["trips"]) == ("open", 1)
-                spec = matmul_spec(m=16, seed=3)
-                reply = client.submit(spec)
-            monkeypatch.delenv("REPRO_FAULTS")
-            monkeypatch.delenv("REPRO_KERNEL_CACHE_DIR")
-            faults.reset_faults()
-            assert result_tuple(reply["counters"], reply["output"]) \
-                == result_tuple(*run_request(dict(spec)))
-        finally:
-            server.drain()
 
 
 # -- multi-client stress: the acceptance criterion --------------------------

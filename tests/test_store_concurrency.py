@@ -546,11 +546,14 @@ class TestSync:
         assert fsynced == []
         store.sync()
         entries = {store.entry_path(name) for name in names}
-        shards = {path.parent for path in entries}
-        assert sorted(fsynced) == sorted(entries | shards)
+        # The shards are new, and objects/ with them: their names live
+        # in objects/ and the root.
+        directories = {path.parent for path in entries} \
+            | {store.objects_dir(), store.root}
+        assert sorted(fsynced) == sorted(entries | directories)
         assert STORE_COUNTERS["store_syncs"] == 1
         store.sync()  # nothing new: no fsync, no batch
-        assert len(fsynced) == len(entries | shards)
+        assert len(fsynced) == len(entries | directories)
         assert STORE_COUNTERS["store_syncs"] == 1
 
     def test_sync_skips_vanished_entries_and_counts_errors(
@@ -581,7 +584,9 @@ class TestSync:
         KernelStore(tmp_path).store("orphan", _payload("a"))
         store = KernelStore(tmp_path)
         store.sync(since=started)
-        assert store.entry_path("orphan") in fsynced
+        # The writer's new shard is unknown here: objects/ is synced too.
+        assert {store.entry_path("orphan"), store.objects_dir()} \
+            <= set(fsynced)
 
     def test_shard_directory_is_made_only_when_missing(
             self, tmp_path, monkeypatch):
@@ -889,6 +894,12 @@ print(json.dumps({"syncs": STORE_COUNTERS["store_syncs"],
         assert seen["writes"] > 1 and seen["syncs"] == 1
         assert seen["entries"]
         assert set(seen["entries"]) <= set(seen["fsynced"])
+        # The store started empty: every shard directory is new, and so
+        # are objects/ and the root, whose names must be durable too.
+        store = tmp_path / "store"
+        directories = {str(Path(entry).parent) for entry in seen["entries"]}
+        directories |= {str(store / "objects"), str(store)}
+        assert directories <= set(seen["fsynced"])
 
     def test_model_job_entries_are_synced_when_the_jobs_return(
             self, tmp_path):

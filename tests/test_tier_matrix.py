@@ -22,9 +22,10 @@ per tile on the driver re-emitted from its stored IR.  For one config a
 third pass runs the interpreter on the kernels the store hands back,
 whose IR is parsed from the stored text on that first read.
 
-Tier-1 runs the product in-process and through the pool's no-fork rung
-(:func:`repro.pool.run_seamed`); ``-m matrix`` runs it again with each
-case inside a :class:`repro.pool.Pool` worker.
+Tier-1 runs the product in-process, under the ids ``in-process`` and
+``no-fork`` (a caller's no-fork rung calls the pool handler directly,
+which is the same call); ``-m matrix`` runs it again with each case
+inside a :class:`repro.pool.Pool` worker.
 """
 
 import contextlib
@@ -203,11 +204,10 @@ def _rounds(name):
 
 
 def _submit(mode, job, workers):
-    """``job`` in-process, through the no-fork rung or in a worker."""
-    if mode == "in-process":
+    """``job`` in-process (the no-fork rung is the same call) or in a
+    worker."""
+    if mode != "pool-worker":
         return _two_passes(job)
-    if mode == "no-fork":
-        return pool.run_seamed(_two_passes, job)
     workers.submit(0, job)
     ((_, reply),) = workers.wait([0], 120.0)
     assert reply is not None, f"worker died on {job}"

@@ -598,7 +598,11 @@ class TestSweepStore:
         assert groups == 2 and entries
         assert TUNING_COUNTERS["tuning_journal_commits"] == groups
         assert STORE_COUNTERS["store_syncs"] == 1
-        assert len(fsyncs) <= len(entries) + len(shards) + groups + 3
+        # The store is new: objects/, its root and the root's parent
+        # are fsynced once, for the names of the directories made.
+        new_directories = 3
+        assert len(fsyncs) <= len(entries) + len(shards) \
+            + new_directories + groups + 3
 
     @pytest.mark.parametrize("workers,crashes", [(1, True), (2, False),
                                                  (2, True)])

@@ -81,7 +81,8 @@ def _manual_kernel(cache: Optional[KernelCache], key: Tuple, name: str,
                    shapes, dtype, body) -> CompiledKernel:
     """The kernel of one driver configuration: ``body(b, *operands)``
     builds the IR of a ``func.func`` named ``name`` over memrefs of
-    ``shapes`` and ``dtype``, once per key (or store entry)."""
+    ``shapes`` and ``dtype``, once per key — for a kernel loaded from
+    the store, when a rung first needs its module."""
     element = element_type_from_string(np.dtype(dtype).name)
     types = [MemRefType(tuple(shape), element) for shape in shapes]
 

@@ -37,10 +37,10 @@ ahead-of-time synthesizer (:mod:`repro.execution.synthesize`) expands
 it directly into a replayable :class:`DriverTrace` without ever
 executing the emitted driver.
 
-The kernel store keeps only the IR, so the emitter also runs on IR read
-back from disk: a name it interpolates must be a plain identifier the
-driver does not bind itself, and a value it formats as a literal must be
-a number.  Anything else is an :class:`EmitError`, never source.
+The emitter also runs on IR a user hands ``compile_module`` as text: a
+name it interpolates must be a plain identifier the driver does not
+bind itself, and a value it formats as a literal must be a number.
+Anything else is an :class:`EmitError`, never source.
 """
 
 from __future__ import annotations

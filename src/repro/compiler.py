@@ -56,7 +56,6 @@ from .execution.trace import (
     trace_enabled,
 )
 from .ir import Module, MemRefType, element_type_from_string, parse_module
-from .ir.printer import print_module
 from .runtime import (AxiRuntime, CALL_STYLE_GENERATED, CALL_STYLE_MANUAL,
                       DoubleBufferedRuntime)
 from .soc import Board
@@ -89,7 +88,9 @@ KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 #: Version 10: a kernel's head carries its call style and the engine its
 #: host initializes before allocating the arguments (the manual
 #: baselines are kernels).
-KERNEL_STORE_VERSION = 11
+#: Version 12: an entry holds no IR; a loaded kernel that needs its
+#: module rebuilds it through the compile it was looked up with.
+KERNEL_STORE_VERSION = 12
 
 
 # -- disk-store suspension ----------------------------------------------------
@@ -425,8 +426,8 @@ class KernelCache:
     With ``REPRO_KERNEL_CACHE_DIR`` set (or ``disk_dir`` passed), the
     cache is additionally backed by the on-disk :class:`~repro.store.
     KernelStore` keyed by the same fingerprint: a memory miss first
-    tries to load the lowered IR, trace and MetricsPlans from disk, so
-    repeated processes skip lowering, synthesis and plan builds.
+    tries to load the kernel's head, trace and MetricsPlans from disk,
+    so repeated processes skip lowering, synthesis and plan builds.
     **Entries persist traced kernels**: the first replay's persist
     hook is the only writer (one write per
     new artifact set, ``publish_due``), and a kernel that is compiled
@@ -441,12 +442,15 @@ class KernelCache:
     at once unless its caller owns the commit point (a figure
     generator, a model job or a sweep point, in
     :func:`repro.store.group_commit`).  Entries are data (no
-    pickle, no code): a disk hit is read + decode, and the IR is parsed
-    and the driver re-emitted only when a rung needs them.  Anyone can
-    compute an entry's checksum, so names and trace indices are checked
-    before they become code (the emitter) or C indices
-    (:func:`stored_trace`).  Corrupt files are quarantined and counted
-    as ``disk_corrupt``, distinct from honest ``disk_misses``.
+    pickle, no code, no IR): a disk hit is read + decode, and the
+    module and driver are rebuilt, by the ``compile_fn`` the kernel was
+    looked up with, only when a rung needs them.  The lowering is a
+    function of the key, so the rebuild is the module the entry was
+    published from.  Anyone can compute an entry's checksum, so trace
+    indices are checked before they become C indices
+    (:func:`stored_trace`), and a stored name never reaches the
+    emitter.  Corrupt files are quarantined and counted as
+    ``disk_corrupt``, distinct from honest ``disk_misses``.
     """
 
     #: The instance attributes counting lookups by outcome.
@@ -526,18 +530,19 @@ class KernelCache:
             else:  # miss / io: the entry simply is not available
                 self.disk_misses += 1
 
-    def _disk_load(self, store: KernelStore,
-                   name: str) -> Optional["CompiledKernel"]:
+    def _disk_load(self, store: KernelStore, name: str,
+                   compile_fn: Callable[[], "CompiledKernel"]
+                   ) -> Optional["CompiledKernel"]:
         """Decode one stored kernel, or ``None``.
 
         The store quarantines container/codec failures; a payload of
         another KERNEL_STORE_VERSION is quarantined as ``"stale"``, one
         failing :func:`_check_host` or :func:`stored_trace` as
         ``"corrupt"``, and the next traced run republishes them.
-        Nothing is parsed, emitted or ``exec``'d here: a replay-served
-        kernel needs only the trace, and the first reader of the IR or
-        the driver rebuilds them from ``ir`` (and quarantines the entry
-        if it cannot).
+        Nothing is compiled, emitted or ``exec``'d here: a
+        replay-served kernel needs only the trace, and the first reader
+        of the module or the driver adopts those of one call of
+        ``compile_fn`` (:attr:`CompiledKernel.module`).
         """
         status, payload = store.load(name)
         if status == "hit":
@@ -561,9 +566,8 @@ class KernelCache:
             parameters=payload.get("parameters", {}),
             call_style=payload["call_style"],
             host_dma_init=payload["host_dma_init"],
-            _ir_text=payload["ir"],
         )
-        kernel.trace_state.origin = (store, name)
+        kernel.trace_state.rebuild = compile_fn
         # A persisted trace (+ its MetricsPlans) lets warm processes
         # skip synthesis and plan builds; the C decoders' plans are
         # re-derived from its stream on the first replay.
@@ -582,13 +586,10 @@ class KernelCache:
         store = self.resolve_store()
         if store is None:
             return
-        if kernel._ir_text is None:
-            kernel._ir_text = print_module(kernel.module)
         start = time.perf_counter()
         trace = kernel.trace_state.trace
         plans = plans_snapshot(trace)
         store.store(store_entry_name(key), {
-            "ir": kernel._ir_text,
             "func_name": kernel.func_name,
             "parameters": kernel.parameters,
             "plan": kernel.plan,
@@ -615,7 +616,8 @@ class KernelCache:
         kernel = None
         if store is not None:
             start = time.perf_counter()
-            kernel = self._disk_load(store, store_entry_name(key))
+            kernel = self._disk_load(store, store_entry_name(key),
+                                     compile_fn)
             add_stage_time("store_load_s", time.perf_counter() - start)
         if kernel is None:
             kernel = compile_fn()
@@ -650,11 +652,11 @@ class KernelTraceState:
 
     Lives outside the :class:`CompiledKernel` dataclass fields proper so
     that ``dataclasses.replace`` rebinds (``specialized_copies``
-    variants) share one trace, one parsed module and one driver.
+    variants) share one trace, one (rebuilt) module and one driver.
     :meth:`replay` is the trace lifecycle.
     """
 
-    __slots__ = ("lock", "trace", "failed", "persist", "module", "origin",
+    __slots__ = ("lock", "trace", "failed", "persist", "module", "rebuild",
                  "emitted", "entry_point")
 
     def __init__(self):
@@ -665,11 +667,11 @@ class KernelTraceState:
         #: the entry with the trace and MetricsPlans memory holds (see
         #: ``publish_due``).
         self.persist = None
-        #: The kernel's IR; ``None`` until a stored kernel's text is
+        #: The kernel's IR; ``None`` until a stored kernel's module is
         #: first read (:attr:`CompiledKernel.module`).
         self.module = None
-        #: ``(store, entry name)`` a disk-loaded kernel came from.
-        self.origin = None
+        #: A disk-loaded kernel's ``compile_fn``, which rebuilds it.
+        self.rebuild = None
         #: ``(driver source, schedule table)`` and the driver callable,
         #: derived from ``module`` when first read (see CompiledKernel).
         self.emitted = None
@@ -719,10 +721,10 @@ class CompiledKernel:
 
     ``module`` is an argument but not a field: it is kept in the shared
     ``trace_state``, so ``dataclasses.replace`` never reads it — which
-    would parse a stored kernel's IR that nothing else asked for.  The
+    would rebuild a stored kernel that nothing else asked for.  The
     driver — :attr:`source`, :attr:`schedule_table`, :attr:`entry_point`
     — is derived from ``module`` by one path, cached there too: emitted
-    once (at compile time, or on first read for a stored kernel) and
+    once (at compile time; a stored kernel adopts its rebuild's) and
     ``exec``'d on the first per-tile run.
 
     ``call_style`` selects the runtime's call overheads and, for
@@ -743,10 +745,6 @@ class CompiledKernel:
     trace_state: KernelTraceState = field(
         default_factory=KernelTraceState, repr=False, compare=False
     )
-    #: ``module`` as printed IR, kept from the first publish (or the
-    #: disk load it is parsed from) so later publishes never re-print.
-    _ir_text: Optional[str] = field(default=None, repr=False,
-                                    compare=False)
 
     def __init__(self, module: Optional[Module] = None, *, func_name: str,
                  plan: Optional[LoweringPlan] = None,
@@ -755,8 +753,7 @@ class CompiledKernel:
                  call_style: str = CALL_STYLE_GENERATED,
                  host_dma_init: Optional[Tuple[int, int, int, int,
                                                int]] = None,
-                 trace_state: Optional[KernelTraceState] = None,
-                 _ir_text: Optional[str] = None):
+                 trace_state: Optional[KernelTraceState] = None):
         self.func_name = func_name
         self.plan = plan
         self.specialized_copies = specialized_copies
@@ -765,17 +762,26 @@ class CompiledKernel:
         self.host_dma_init = host_dma_init
         self.trace_state = KernelTraceState() if trace_state is None \
             else trace_state
-        self._ir_text = _ir_text
         if module is not None:
             self.trace_state.module = module
 
     @property
     def module(self) -> Module:
-        """The lowered IR; a stored kernel parses its text on first read."""
+        """The lowered IR.  A stored kernel adopts, on first read, the
+        module and driver of one compile through the ``compile_fn`` it
+        was looked up with; a head naming another function than that
+        compile's raises :class:`CompileError` before anything is
+        emitted."""
         state = self.trace_state
         if state.module is None:
-            state.module = self._rebuilt(
-                "parse", lambda: parse_module(self._ir_text, verify=False))
+            # Unlocked: racing first reads each compile, to equal results.
+            fresh = state.rebuild()
+            if fresh.func_name != self.func_name:
+                raise CompileError(
+                    f"a stored kernel names {self.func_name!r}, its "
+                    f"compile {fresh.func_name!r}")
+            state.emitted = fresh.trace_state.emitted
+            state.module = fresh.module
         return state.module
 
     @property
@@ -801,27 +807,10 @@ class CompiledKernel:
     def _emitted(self):
         state = self.trace_state
         if state.emitted is None:
-            func_op = self.func_op
-            state.emitted = self._rebuilt(
-                "emit a driver", lambda: emit_function(func_op))
+            func_op = self.func_op  # a stored kernel's rebuild emits
+            if state.emitted is None:
+                state.emitted = emit_function(func_op)
         return state.emitted
-
-    def _rebuilt(self, what: str, build):
-        """``build()`` a form of the kernel from its IR.  IR that does
-        not parse or emit quarantines the entry it was loaded from,
-        stops its republication and raises :class:`CompileError`."""
-        try:
-            return build()
-        except Exception as exc:
-            state = self.trace_state
-            where = "a kernel"
-            if state.origin is not None:
-                store, name = state.origin
-                store.quarantine(name)
-                where = f"kernel-store entry {name!r} (quarantined)"
-                state.persist = None
-            raise CompileError(
-                f"the IR of {where} does not {what}: {exc}") from exc
 
     def make_runtime(self, board: Board) -> AxiRuntime:
         return AxiRuntime(board, specialized_copies=self.specialized_copies,

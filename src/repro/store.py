@@ -52,10 +52,10 @@ bytes.
 The SHA-256 is checked before anything is parsed, and there is **no
 pickle and no object dtype anywhere in the load path**, so a hostile
 manifest or array table can at worst fail to load.  Entries are data:
-a kernel entry holds its IR, never driver code (the driver is
-re-emitted from the IR by an emitter that accepts only identifiers and
-numeric literals), and no derived state the loader does not check (the
-C decoders' plans are re-derived).  The SHA-256 is computed by whoever
+a kernel entry holds neither IR nor driver code (a loaded kernel that
+needs them rebuilds both through the compile it was looked up with),
+and no derived state the loader does not check (the C decoders' plans
+are re-derived).  The SHA-256 is computed by whoever
 wrote the entry, so the kernel cache also checks a loaded trace's index
 tables and MetricsPlans before they are used
 (``repro.compiler.stored_trace``); a forged entry that passes can make

@@ -188,11 +188,46 @@ def _twin_requests():
                 layer.f_hw, layer.stride))
 
 
+def _manual_requests():
+    """(id, ``build(cache)``) for every ``cpp_MANUAL`` kernel the figure
+    suite runs: the matmul drivers of figs. 11-13 and the scaled ResNet18
+    conv layers of fig. 16."""
+    from repro.baselines.manual import manual_conv_kernel, manual_matmul_kernel
+    from repro.experiments.figures import fig16_layers
+
+    for dims in (64, 128):
+        for size in (8, 16):
+            for version in (2, 3):
+                for flow in VERSION_FLOWS[version]:
+                    yield (f"manual-v{version}-{size}-{flow}-{dims}",
+                           lambda cache, d=dims, v=version, s=size, f=flow:
+                           manual_matmul_kernel(((d, d),) * 3, v, s, f,
+                                                cache=cache))
+    for layer in fig16_layers():
+        shapes = (layer.input_shape(), layer.filter_shape(),
+                  layer.output_shape())
+        yield (f"manual-conv-{layer}",
+               lambda cache, shapes=shapes, stride=layer.stride:
+               manual_conv_kernel(shapes, stride, cache=cache))
+
+
+def _same_lowering(first, second) -> bool:
+    """Whether two kernels print the same IR and emit the same driver."""
+    from repro.ir.printer import print_module
+
+    return print_module(first.module) == print_module(second.module) \
+        and first.source == second.source \
+        and first.schedule_table == second.schedule_table
+
+
 class TestCpuTilingTwins:
     """A ``cpu_tiling`` request is keyed on whether tiling changes its
     lowering: twins whose tiling is a no-op share one kernel."""
 
     def test_shared_key_iff_equal_lowering(self):
+        """Also the precondition of a store entry holding no IR: a key's
+        lowering is deterministic, so the kernel a loaded entry rebuilds
+        through its compile is the one that was published."""
         from repro.compiler import build_conv_module, build_matmul_module
         from repro.ir.printer import print_module
 
@@ -204,6 +239,10 @@ class TestCpuTilingTwins:
                 compiler = AXI4MLIRCompiler(info, kernel_cache=cache,
                                             enable_cpu_tiling=tiling)
                 twins.append(getattr(compiler, f"compile_{kind}")(*shape))
+                again = getattr(AXI4MLIRCompiler(
+                    info, use_kernel_cache=False, enable_cpu_tiling=tiling),
+                    f"compile_{kind}")(*shape)
+                assert _same_lowering(twins[-1], again), (name, tiling)
             # The lowering the request asks for, with no key in between.
             build = build_matmul_module if kind == "matmul" \
                 else build_conv_module
@@ -216,6 +255,12 @@ class TestCpuTilingTwins:
             shared += same
             kept += not same
         assert shared >= 100 and kept >= 4
+        manual = 0
+        for name, build in _manual_requests():
+            assert _same_lowering(build(KernelCache()),
+                                  build(KernelCache())), name
+            manual += 1
+        assert manual == 39
 
     def test_tiled_request_keeps_its_own_kernel(self, cache):
         untiled = make_compiler(cache, size=16, enable_cpu_tiling=False) \
@@ -494,6 +539,36 @@ class TestDiskKernelStore:
         assert reader.disk_hits == 1
         assert (store / "kernel-deadbeef0000-abc.pkl").exists()
 
+    @pytest.mark.usefixtures("clean_faults")
+    def test_suspend_disk_store_scopes_the_calling_thread(self, tmp_path):
+        """Inside ``suspend_disk_store`` a cache has no store and a
+        traced run publishes nothing; scopes nest, and another thread
+        still sees the store."""
+        import threading
+
+        from repro.compiler import disk_store_suspended, suspend_disk_store
+
+        store = tmp_path / "repro_cache"
+        cache = KernelCache(disk_dir=str(store))
+        outside = cache.resolve_store()
+        assert outside is not None
+        seen = []
+        with suspend_disk_store():
+            assert cache.resolve_store() is None and disk_store_suspended()
+            with suspend_disk_store():
+                assert cache.resolve_store() is None
+            assert cache.resolve_store() is None and disk_store_suspended()
+            thread = threading.Thread(
+                target=lambda: seen.append(cache.resolve_store()))
+            thread.start()
+            thread.join()
+            self._run(make_compiler(cache).compile_matmul(32, 32, 32))
+            assert "disk_dir" not in cache.stats()
+        assert seen == [outside]
+        assert not disk_store_suspended() and cache.resolve_store() is outside
+        assert self.entry_files(store) == []
+        assert cache.disk_misses == 0
+
     def test_publish_leaves_no_tmp_litter(self, tmp_path):
         store = tmp_path / "repro_cache"
         cache = KernelCache(disk_dir=str(store))
@@ -528,31 +603,28 @@ class TestDiskKernelStore:
             tmp_path / "repro_cache")} - {str(entry)} <= set(fsynced)
         assert STORE_COUNTERS["store_syncs"] == syncs + 2
 
-    def test_ir_is_printed_once_per_kernel(self, tmp_path, monkeypatch):
-        """Every publish of a kernel shares one IR text, and a kernel
-        loaded from disk keeps the text it was parsed from."""
-        import repro.compiler as compiler_mod
+    @pytest.mark.usefixtures("clean_faults")
+    def test_a_publish_prints_nothing(self, tmp_path, monkeypatch):
+        """An entry holds no IR: neither a first publish nor a loaded
+        kernel's republish prints the module, or builds it."""
+        from repro.ir import printer
+        from repro.store import STORE_COUNTERS
 
         calls = []
-        real = compiler_mod.print_module
-        monkeypatch.setattr(compiler_mod, "print_module",
-                            lambda module: calls.append(1) or real(module))
+        real = printer._print_op
+        monkeypatch.setattr(printer, "_print_op",
+                            lambda *args: calls.append(1) or real(*args))
         store = str(tmp_path / "repro_cache")
-        writer = KernelCache(disk_dir=store)
-        kernel = make_compiler(writer).compile_matmul(32, 32, 32)
-        self._run(kernel)           # the one publish
-        assert calls == [1]
-        loaded = make_compiler(KernelCache(disk_dir=store)) \
-            .compile_matmul(32, 32, 32)
+        writes = STORE_COUNTERS["store_writes"]
+        self._run(make_compiler(KernelCache(disk_dir=store))
+                  .compile_matmul(32, 32, 32))    # the first publish
         slow = make_compiler(KernelCache(disk_dir=store),
                              specialized_copies=False) \
             .compile_matmul(32, 32, 32)
         self._run(slow)             # new plan key: republished
-        assert calls == [1]
-        assert loaded._ir_text == kernel._ir_text
-        # The cached text is not part of the kernel's identity.
-        assert replace(kernel, _ir_text=None) == kernel
-        assert "_ir_text" not in repr(kernel)
+        assert STORE_COUNTERS["store_writes"] == writes + 2
+        assert calls == []
+        assert slow.trace_state.module is None
 
 
 class TestPublicationRule:
@@ -593,14 +665,16 @@ HOT_KERNELS = (
 
 #: fig12 at its smoke scale: both copy panels, so every kernel is also
 #: served as a ``specialized_copies=False`` replace() variant.  Counts
-#: every IR parse, every driver emission and every ``exec`` of driver
-#: code (an audit hook sees each, whoever runs it).
+#: every IR parse, every driver emission, every ``exec`` of driver
+#: code (an audit hook sees each, whoever runs it) and every rebuild of
+#: a disk-loaded kernel.
 _FIG12_JOB = r"""
 import json
 import sys
 from repro.codegen import PythonEmitter
+from repro.compiler import KernelCache
 from repro.ir.parser import Parser
-counts = {"parses": 0, "emits": 0, "execs": 0}
+counts = {"parses": 0, "emits": 0, "execs": 0, "rebuilds": 0}
 
 def counting(name, real):
     def call(self):
@@ -616,6 +690,14 @@ def audit(event, args):
         counts["execs"] += 1
 
 sys.addaudithook(audit)
+load = KernelCache._disk_load
+
+def rebuilt(compile_fn):
+    counts["rebuilds"] += 1
+    return compile_fn()
+
+KernelCache._disk_load = lambda cache, store, name, compile_fn: load(
+    cache, store, name, lambda: rebuilt(compile_fn))
 from repro.compiler import default_kernel_cache
 from repro.experiments.figures import fig12_rows
 rows = fig12_rows(32, 8, 3)
@@ -663,10 +745,11 @@ def _observe(hw, kernel, operands, interpreted=False):
 
 @pytest.mark.usefixtures("clean_faults")
 class TestDeferredParse:
-    """A disk hit only decodes its entry: the IR is parsed when something
-    reads ``kernel.module``, the driver re-emitted from it when something
-    reads ``source``/``schedule_table`` and ``exec``'d when the per-tile
-    rung runs it.  A replay does none of the three."""
+    """A disk hit only decodes its entry, which holds no IR: the module
+    and driver are rebuilt, once, by the ``compile_fn`` the kernel was
+    looked up with when something reads ``kernel.module``, ``source`` or
+    ``schedule_table``, and the driver is ``exec``'d when the per-tile
+    rung runs it.  A replay does none of these, and nothing parses."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
@@ -677,6 +760,18 @@ class TestDeferredParse:
         real = Parser.parse_module
         monkeypatch.setattr(Parser, "parse_module",
                             lambda self: calls.append(1) or real(self))
+        return calls
+
+    @pytest.fixture
+    def rebuilds(self, monkeypatch):
+        """Every call of a disk-loaded kernel's ``compile_fn``."""
+        calls = []
+        load = KernelCache._disk_load
+
+        def counted(cache, store, name, compile_fn):
+            return load(cache, store, name,
+                        lambda: calls.append(name) or compile_fn())
+        monkeypatch.setattr(KernelCache, "_disk_load", counted)
         return calls
 
     @pytest.fixture
@@ -711,11 +806,11 @@ class TestDeferredParse:
 
         source = inspect.getsource(KernelCache._disk_load)
         for call in ("parse_module(", "emit_function(", "exec(",
-                     "compile_host_function("):
+                     "compile_host_function(", "compile_fn("):
             assert call not in source
 
     def test_replay_of_hot_kernels_parses_nothing(self, tmp_path, parses,
-                                                  drivers):
+                                                  drivers, rebuilds):
         store = str(tmp_path / "store")
         writer = KernelCache(disk_dir=store)
         built = [_hot_kernel(writer, *row, specialized)
@@ -727,13 +822,15 @@ class TestDeferredParse:
                   for row in HOT_KERNELS for specialized in (True, False)]
         served = [_observe(*case) for case in loaded]
         assert reader.disk_hits == len(HOT_KERNELS)
-        assert parses == [] and drivers == []
+        assert parses == [] and drivers == [] and rebuilds == []
         assert served == expected
-        # The driver re-emitted from the stored IR is the same driver.
+        # The driver a loaded kernel rebuilds is the same driver, emitted
+        # once per kernel and shared by its replace() variant.
         for (_, fresh, _), (_, stored, _) in zip(built, loaded):
             assert stored.source == fresh.source
             assert stored.schedule_table == fresh.schedule_table
         assert drivers == ["emit"] * len(HOT_KERNELS)
+        assert len(rebuilds) == len(HOT_KERNELS) and parses == []
 
     def test_a_stored_kernel_payload_is_data(self, tmp_path):
         from repro.store import KernelStore
@@ -743,7 +840,7 @@ class TestDeferredParse:
         (path,) = TestDiskKernelStore.entry_files(store)
         status, payload = KernelStore(store).load(path.name[:-len(".entry")])
         assert status == "hit"
-        assert set(payload) == {"ir", "func_name", "parameters", "plan",
+        assert set(payload) == {"func_name", "parameters", "plan",
                                 "call_style", "host_dma_init", "trace",
                                 "metrics_plans", "store_version"}
         assert (payload["call_style"], payload["host_dma_init"]) \
@@ -766,34 +863,43 @@ class TestDeferredParse:
             capture_output=True, text=True, timeout=300).stdout)
             for _ in range(2))
         assert warm["disk_hits"] > 0
-        assert (warm["parses"], warm["emits"], warm["execs"]) == (0, 0, 0)
+        assert (warm["parses"], warm["emits"], warm["execs"],
+                warm["rebuilds"]) == (0, 0, 0, 0)
         assert warm["rows"] == cold["rows"]
 
-    def test_module_is_parsed_on_first_read(self, tmp_path, parses):
+    def test_module_is_parsed_on_first_read(self, tmp_path, parses,
+                                            drivers, rebuilds):
+        """The first read of a loaded kernel's module is one rebuild,
+        whose module and driver the kernel adopts; nothing parses."""
         from repro.ir.printer import print_module
 
         store = str(tmp_path / "store")
         built, hw, operands, _ = self._published(store)
         loaded = make_compiler(KernelCache(disk_dir=store)) \
             .compile_matmul(32, 32, 32)
-        del parses[:]
-        assert loaded.trace_state.module is None
-        assert print_module(loaded.module) == loaded._ir_text
+        del parses[:], drivers[:]
+        assert loaded.trace_state.module is None and rebuilds == []
+        assert print_module(loaded.module) == print_module(built.module)
         assert loaded.module is loaded.module
-        assert len(parses) == 1
+        assert loaded.source == built.source
+        assert len(rebuilds) == 1 and drivers == ["emit"] and parses == []
         assert _observe(hw, loaded, operands, interpreted=True) \
             == _observe(hw, built, operands, interpreted=True)
+        assert len(rebuilds) == 1
 
-    def test_replace_variants_share_one_parse(self, tmp_path, parses):
+    def test_replace_variants_share_one_parse(self, tmp_path, parses,
+                                              rebuilds):
+        """``replace`` variants share one rebuild, whichever reads it."""
         store = str(tmp_path / "store")
         self._published(store)
         loaded = make_compiler(KernelCache(disk_dir=store)) \
             .compile_matmul(32, 32, 32)
         del parses[:]
         variant = replace(loaded, specialized_copies=False)
-        assert parses == []
+        assert rebuilds == []
         assert variant.module is loaded.module
-        assert len(parses) == 1
+        assert loaded.schedule_table is variant.schedule_table
+        assert len(rebuilds) == 1 and parses == []
         assert not variant.specialized_copies and loaded.specialized_copies
 
     def test_compiled_kernel_keeps_the_module_it_was_given(self):
@@ -804,31 +910,6 @@ class TestDeferredParse:
         kernel = CompiledKernel(module=module, func_name="matmul_call")
         assert kernel.module is module
         assert replace(kernel, specialized_copies=False).module is module
-
-    def test_unparsable_ir_still_replays_then_quarantines(self, tmp_path):
-        from repro.store import KernelStore
-        from repro.transforms import CompileError
-
-        store = tmp_path / "store"
-        _, hw, operands, expected = self._published(str(store))
-        (path,) = TestDiskKernelStore.entry_files(store)
-        name = path.name[:-len(".entry")]
-        kernel_store = KernelStore(store)
-        status, payload = kernel_store.load(name)
-        assert status == "hit"
-        payload["ir"] = "this is not IR {"
-        assert kernel_store.store(name, payload)  # a valid checksum
-
-        reader = KernelCache(disk_dir=str(store))
-        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
-        assert reader.disk_hits == 1 and reader.disk_corrupt == 0
-        assert _observe(hw, loaded, operands) == expected
-        with pytest.raises(CompileError, match=name):
-            loaded.module
-        assert not path.exists()
-        assert (store / "corrupt" / path.name).exists()
-        # The text this process cannot read is never republished.
-        assert loaded.trace_state.persist is None
 
 
 def _hostile_sym_name(ir, statement):
@@ -847,7 +928,7 @@ def _hostile_sym_name(ir, statement):
                 f'function_type = ({types}) -> ()}} ({{')
     lines.insert(2, f"  ^bb0({args}):")
     lines[-2] = "  })"
-    return "\n".join(lines), name
+    return "\n".join(lines)
 
 
 def _hostile_iv_name(ir, statement):
@@ -859,14 +940,14 @@ def _hostile_iv_name(ir, statement):
     hint = f"{{}}[{statement}]"
     head, attrs, tail = ir.rpartition('{iv_name = "m"}')
     assert attrs
-    return f"{head}{{iv_name = {StringAttr(hint)}}}{tail}", "matmul_call"
+    return f"{head}{{iv_name = {StringAttr(hint)}}}{tail}"
 
 
 @pytest.mark.usefixtures("clean_faults")
 class TestHostileEntries:
     """A store entry is data.  Anyone can compute its checksum, so an
-    entry may carry any IR and any trace; what is loaded is checked
-    before it becomes code or a C index."""
+    entry may carry any head and any trace; what is loaded is checked
+    before it becomes a C index, and no stored name becomes code."""
 
     @classmethod
     def forge(cls, tmp_path, edit):
@@ -932,44 +1013,52 @@ class TestHostileEntries:
     @pytest.mark.parametrize("rewrite", [_hostile_sym_name,
                                          _hostile_iv_name])
     def test_a_hostile_name_runs_nothing(self, tmp_path, rewrite):
+        """User IR text still reaches the emitter: compiled from text,
+        names that would run code in the driver (plus a matmul for the
+        pipeline to lower) are refused by the emitter itself."""
         from repro.codegen.python_emitter import EmitError
-        from repro.transforms import CompileError
+        from repro.ir.printer import print_module
 
         sentinel = tmp_path / "executed"
         statement = f"open({str(sentinel)!r}, 'w').close()"
-        forged = {}
-
-        def edit(payload):
-            forged["ir"], payload["func_name"] = rewrite(payload["ir"],
-                                                         statement)
-            payload["ir"] = forged["ir"]
-
-        store, path, expected, hw, operands = self.forge(tmp_path, edit)
-        name = path.name[:-len(".entry")]
-        reader = KernelCache(disk_dir=str(store))
-        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
-        assert reader.disk_hits == 1
-        # Replay needs no driver: it is served from the stored trace.
-        assert _observe(hw, loaded, operands) == expected
-        with pytest.raises(CompileError, match=name):
-            loaded.source
-        # The per-tile rung refuses the same way.
-        board = make_pynq_z2()
-        board.attach_accelerator(hw)
-        with pytest.raises(CompileError, match=name):
-            loaded.run(board, *operands, trace=False)
-        assert not path.exists()
-        assert (store / "corrupt" / path.name).exists()
-        assert loaded.trace_state.persist is None
-        # Compiled from text, the same IR (plus a matmul for the
-        # pipeline to lower) is refused by the emitter itself.
+        lowered = make_compiler(KernelCache()).compile_matmul(32, 32, 32)
+        hostile = rewrite(print_module(lowered.module), statement)
         matmul = ('    "linalg.matmul"(%arg0, %arg1, %arg2) '
                   '{operandSegmentSizes = [2, 1]} : (memref<32x32xi32>, '
                   'memref<32x32xi32>, memref<32x32xi32>)\n')
-        head, ret, tail = forged["ir"].rpartition('    "func.return"()')
+        head, ret, tail = hostile.rpartition('    "func.return"()')
         with pytest.raises(EmitError):
             make_compiler(KernelCache()).compile_module(
                 head + matmul + ret + tail)
+        assert not sentinel.exists()
+
+    def test_a_forged_func_name_runs_nothing(self, tmp_path):
+        """An entry holds no IR, so a forged head can only name another
+        function than its kernel's compile: replay is still served from
+        the trace, and the rebuild a per-tile run needs refuses the name
+        before anything is emitted or ``exec``'d."""
+        from repro.transforms import CompileError
+
+        sentinel = tmp_path / "executed"
+        name = (f"f():\n    pass\nopen({str(sentinel)!r}, 'w').close()\n"
+                f"def matmul_call")
+
+        def edit(payload):
+            payload["func_name"] = name
+
+        store, path, expected, hw, operands = self.forge(tmp_path, edit)
+        reader = KernelCache(disk_dir=str(store))
+        loaded = make_compiler(reader).compile_matmul(32, 32, 32)
+        assert reader.disk_hits == 1 and reader.disk_corrupt == 0
+        assert _observe(hw, loaded, operands) == expected
+        board = make_pynq_z2()
+        board.attach_accelerator(hw)
+        with pytest.raises(CompileError, match="stored kernel names"):
+            loaded.run(board, *operands, trace=False)
+        with pytest.raises(CompileError, match="stored kernel names"):
+            loaded.source
+        assert loaded.trace_state.module is None
+        assert loaded.trace_state.entry_point is None
         assert not sentinel.exists()
 
     def test_a_loaded_trace_is_arrays(self, tmp_path):

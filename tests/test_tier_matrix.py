@@ -18,14 +18,14 @@ interpreter's PerfCounters, output bytes, board clock and both cache
 levels' LRU digests after every step.  Since a forced rung publishes
 nothing, one more case publishes with nothing forced and then runs the
 warm pass under ``replay:fail``: every kernel the store hands back runs
-per tile on the driver re-emitted from its stored IR.  For one config a
-third pass runs the interpreter on the kernels the store hands back,
-whose IR is parsed from the stored text on that first read.
+per tile on the driver it rebuilds through the compile it was looked up
+with (an entry holds no IR).  For one config a third pass runs the
+interpreter on the kernels the store hands back, whose module is
+rebuilt the same way on that first read.
 
-Tier-1 runs the product in-process, under the ids ``in-process`` and
-``no-fork`` (a caller's no-fork rung calls the pool handler directly,
-which is the same call); ``-m matrix`` runs it again with each case
-inside a :class:`repro.pool.Pool` worker.
+Tier-1 runs the product in-process (a caller's no-fork rung calls the
+pool handler directly, which is the same call); ``-m matrix`` runs it
+again with each case inside a :class:`repro.pool.Pool` worker.
 """
 
 import contextlib
@@ -178,7 +178,7 @@ def _selected(rungs, check, store):
 
 
 #: The config whose round trip also interprets the kernel it loaded:
-#: its IR is parsed from the stored text only then, on first read.
+#: its module is rebuilt only then, on first read.
 LOADED_INTERPRETED = "matmul-v1-Ns"
 
 
@@ -204,8 +204,7 @@ def _rounds(name):
 
 
 def _submit(mode, job, workers):
-    """``job`` in-process (the no-fork rung is the same call) or in a
-    worker."""
+    """``job`` in-process or in a worker."""
     if mode != "pool-worker":
         return _two_passes(job)
     workers.submit(0, job)
@@ -234,8 +233,7 @@ def _hit_paths():
             METRICS_PLAN_COUNTERS["metrics_plan_hits"])
 
 
-MODES = ["in-process", "no-fork",
-         pytest.param("pool-worker", marks=pytest.mark.matrix)]
+MODES = ["in-process", pytest.param("pool-worker", marks=pytest.mark.matrix)]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -262,7 +260,7 @@ def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
                 assert grew["synthesized"] == grew["disk_loaded"] == 0, job
             if cold != warm:
                 # The warm kernels came from the store (and, replay
-                # refused, ran their re-emitted drivers per tile).
+                # refused, ran their rebuilt drivers per tile).
                 assert grew["disk_loaded"] == steps * (rounds - 1), job
 
 
@@ -316,14 +314,16 @@ def test_the_second_pass_takes_the_hit_paths(name, tmp_path):
 @pytest.mark.usefixtures("clean_faults")
 @pytest.mark.parametrize("name", CONFIGS)
 def test_a_stored_kernel_re_emits_the_same_driver(name, tmp_path):
-    """A store entry keeps only the IR: the driver a loaded kernel runs
-    per tile is emitted from it again, and is the compiled driver byte
-    for byte (loop names included)."""
+    """A store entry keeps no IR: the driver a loaded kernel runs per
+    tile is rebuilt through the compile it was looked up with, and is
+    the compiled driver byte for byte (loop names included)."""
     with _selected((), False, tmp_path):
         built = [make(KernelCache())[1] for make, _, _ in CONFIGS[name]]
         _run(name)  # publishes
-        loaded = [make(KernelCache())[1] for make, _, _ in CONFIGS[name]]
-    for fresh, stored in zip(built, loaded):
-        assert stored.trace_state.origin is not None
+        caches = [KernelCache() for _ in CONFIGS[name]]
+        loaded = [make(cache)[1]
+                  for cache, (make, _, _) in zip(caches, CONFIGS[name])]
+    for cache, fresh, stored in zip(caches, built, loaded):
+        assert cache.disk_hits == 1 and stored.trace_state.module is None
         assert stored.source == fresh.source
         assert stored.schedule_table == fresh.schedule_table

@@ -542,7 +542,7 @@ class KernelCache:
         Nothing is compiled, emitted or ``exec``'d here: a
         replay-served kernel needs only the trace, and the first reader
         of the module or the driver adopts those of one call of
-        ``compile_fn`` (:attr:`CompiledKernel.module`).
+        ``compile_fn`` (:attr:`CompiledKernel.module`, :meth:`_rebuild`).
         """
         status, payload = store.load(name)
         if status == "hit":
@@ -567,12 +567,38 @@ class KernelCache:
             call_style=payload["call_style"],
             host_dma_init=payload["host_dma_init"],
         )
-        kernel.trace_state.rebuild = compile_fn
+        kernel.trace_state.rebuild = \
+            lambda: self._rebuild(store, name, kernel, compile_fn)
         # A persisted trace (+ its MetricsPlans) lets warm processes
         # skip synthesis and plan builds; the C decoders' plans are
         # re-derived from its stream on the first replay.
         kernel.trace_state.trace = payload["trace"]
         return kernel
+
+    def _rebuild(self, store: KernelStore, name: str,
+                 kernel: "CompiledKernel",
+                 compile_fn: Callable[[], "CompiledKernel"]
+                 ) -> "CompiledKernel":
+        """One compile of a loaded kernel, for its first module read.
+
+        A head naming another function than that compile is forged: the
+        entry is quarantined (once), the kernel publishes nothing more
+        and leaves the memory cache, so the next lookup compiles afresh
+        — then :class:`CompileError`, before anything is emitted.
+        """
+        fresh = compile_fn()
+        if fresh.func_name == kernel.func_name:
+            return fresh
+        state = kernel.trace_state
+        if state.persist is not None:
+            state.persist = None
+            store.quarantine(name)
+            with self._lock:
+                for key in [key for key, cached in self._entries.items()
+                            if cached is kernel]:
+                    del self._entries[key]
+        raise CompileError(f"a stored kernel names {kernel.func_name!r}, "
+                           f"its compile {fresh.func_name!r}")
 
     def _disk_store(self, key: Tuple, kernel: "CompiledKernel") -> None:
         """Publish ``kernel`` with its trace and that trace's plans
@@ -670,7 +696,8 @@ class KernelTraceState:
         #: The kernel's IR; ``None`` until a stored kernel's module is
         #: first read (:attr:`CompiledKernel.module`).
         self.module = None
-        #: A disk-loaded kernel's ``compile_fn``, which rebuilds it.
+        #: A disk-loaded kernel's rebuild: one name-checked call of the
+        #: ``compile_fn`` it was looked up with (KernelCache._rebuild).
         self.rebuild = None
         #: ``(driver source, schedule table)`` and the driver callable,
         #: derived from ``module`` when first read (see CompiledKernel).
@@ -684,8 +711,10 @@ class KernelTraceState:
         The trace is loaded (by the owner) or built once, by
         ``build(arg_specs)``, under the lock.  A build that raises marks
         the state failed for good (the per-tile run surfaces any real
-        error), except :class:`TraceMismatch`, which fails loudly.  A
-        replay refusal leaves the state as it is and is counted
+        error), except :class:`TraceMismatch`, which fails loudly.  The
+        replay starts from the board's accelerator as an earlier call
+        left it (its config is part of ``decode_key``).  A replay
+        refusal leaves the state as it is and is counted
         (``replay_refused``) on every call.  A replay that served
         something the disk lacks (``publish_due``) runs ``persist``.
         """
@@ -769,17 +798,12 @@ class CompiledKernel:
     def module(self) -> Module:
         """The lowered IR.  A stored kernel adopts, on first read, the
         module and driver of one compile through the ``compile_fn`` it
-        was looked up with; a head naming another function than that
-        compile's raises :class:`CompileError` before anything is
-        emitted."""
+        was looked up with (:meth:`KernelCache._rebuild`, which
+        quarantines a forged head)."""
         state = self.trace_state
         if state.module is None:
             # Unlocked: racing first reads each compile, to equal results.
             fresh = state.rebuild()
-            if fresh.func_name != self.func_name:
-                raise CompileError(
-                    f"a stored kernel names {self.func_name!r}, its "
-                    f"compile {fresh.func_name!r}")
             state.emitted = fresh.trace_state.emitted
             state.module = fresh.module
         return state.module

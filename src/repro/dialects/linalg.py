@@ -8,13 +8,14 @@ match-and-annotate pass (step 3 of the AXI4MLIR flow, Fig. 4).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.affine import (
     AffineBinaryExpr,
-    AffineConstantExpr,
+    AffineBinaryOpKind,
     AffineDimExpr,
     AffineMap,
+    fold_expr,
 )
 from ..ir.attributes import AffineMapAttr, ArrayAttr, StringAttr, unwrap
 from ..ir.builder import Builder, InsertionPoint
@@ -151,21 +152,22 @@ def loop_ranges(op: Operation) -> Tuple[int, ...]:
     for operand, amap in zip(op.operands, maps):
         shape = operand.type.shape
         for axis, expr in enumerate(amap.results):
-            if isinstance(expr, AffineDimExpr):
-                extent = shape[axis]
-                known = ranges[expr.position]
-                if known is not None and known != extent:
-                    raise VerificationError(
-                        f"dim {expr.position} has conflicting extents "
-                        f"{known} and {extent}"
-                    )
-                ranges[expr.position] = extent
-            elif isinstance(expr, AffineBinaryExpr):
-                compound.append((expr, shape[axis]))
+            match expr:
+                case AffineDimExpr(position):
+                    extent = shape[axis]
+                    known = ranges[position]
+                    if known is not None and known != extent:
+                        raise VerificationError(
+                            f"dim {position} has conflicting extents "
+                            f"{known} and {extent}"
+                        )
+                    ranges[position] = extent
+                case AffineBinaryExpr():
+                    compound.append((expr, shape[axis]))
 
     # Second pass: solve `stride*oh + kh`-style window expressions.
     for expr, extent in compound:
-        terms = _linear_terms(expr)
+        terms = linear_form(expr)[0]
         unknown = [(d, c) for d, c in terms.items() if ranges[d] is None]
         if len(unknown) != 1:
             continue
@@ -183,26 +185,26 @@ def loop_ranges(op: Operation) -> Tuple[int, ...]:
     return tuple(int(r) for r in ranges)
 
 
-def _linear_terms(expr) -> dict:
-    """Decompose ``2*oh + kh`` into ``{oh: 2, kh: 1}``."""
-    if isinstance(expr, AffineDimExpr):
-        return {expr.position: 1}
-    if isinstance(expr, AffineConstantExpr):
-        return {}
-    if isinstance(expr, AffineBinaryExpr):
-        if expr.kind == "+":
-            left = _linear_terms(expr.lhs)
-            for d, c in _linear_terms(expr.rhs).items():
-                left[d] = left.get(d, 0) + c
-            return left
-        if expr.kind == "*":
-            if isinstance(expr.rhs, AffineConstantExpr):
-                return {d: c * expr.rhs.value
-                        for d, c in _linear_terms(expr.lhs).items()}
-            if isinstance(expr.lhs, AffineConstantExpr):
-                return {d: c * expr.lhs.value
-                        for d, c in _linear_terms(expr.rhs).items()}
-    raise VerificationError(f"non-linear indexing expression {expr}")
+def linear_form(expr) -> Tuple[Dict[int, int], int]:
+    """``2*oh + kh + 1`` as ``({oh: 2, kh: 1}, 1)``: each dim position's
+    coefficient, and the constant term."""
+
+    def binary(kind, lhs, rhs):
+        (lhs_terms, lhs_constant), (rhs_terms, rhs_constant) = lhs, rhs
+        if kind is AffineBinaryOpKind.ADD:
+            terms = dict(lhs_terms)
+            for d, c in rhs_terms.items():
+                terms[d] = terms.get(d, 0) + c
+            return terms, lhs_constant + rhs_constant
+        if kind is AffineBinaryOpKind.MUL and not (lhs_terms and rhs_terms):
+            scale, (terms, constant) = (rhs_constant, lhs) if lhs_terms \
+                else (lhs_constant, rhs)
+            return ({d: c * scale for d, c in terms.items()},
+                    constant * scale)
+        raise VerificationError(f"non-linear indexing expression {expr}")
+
+    return fold_expr(expr, lambda position: ({position: 1}, 0),
+                     lambda value: ({}, value), binary)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +241,7 @@ def conv_2d_nchw_fchw_maps(stride: int = 1) -> List[AffineMap]:
     n, f, oh, ow, c, fh, fw = (AffineDimExpr(i) for i in range(7))
 
     def strided(outer, inner):
-        if stride == 1:
-            return AffineBinaryExpr("+", outer, inner)
-        return AffineBinaryExpr(
-            "+", AffineBinaryExpr("*", outer, AffineConstantExpr(stride)), inner
-        )
+        return (outer if stride == 1 else outer * stride) + inner
 
     return [
         AffineMap(7, (n, c, strided(oh, fh), strided(ow, fw)), names),
@@ -297,9 +295,8 @@ def matches_matmul(op: Operation) -> bool:
     except VerificationError:
         return False
     want = matmul_maps()
-    got = [tuple(str(e) for e in m.results) for m in maps]
-    expected = [tuple(str(e) for e in m.results) for m in want]
-    return got == expected and body_is_multiply_accumulate(op)
+    return [m.results for m in maps] == [m.results for m in want] \
+        and body_is_multiply_accumulate(op)
 
 
 def kernel_name(op: Operation) -> Optional[str]:

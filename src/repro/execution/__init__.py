@@ -79,8 +79,10 @@ def diagnostics() -> dict:
     they have none — a nonzero ``synth_fallback`` means that many
     kernels failed synthesis and run per tile — and ``replay_refused``
     how many calls of a traced kernel replay refused (a schedule the
-    data plane does not serve, a changed argument, an injected fault),
-    each of which ran per tile.  ``metrics_plan`` counts
+    data plane does not serve, a changed argument, a pending conv
+    slice, an injected fault), each of which ran per tile.  A replay
+    starts from the accelerator's current config, so a config left by
+    an earlier call is never a refusal.  ``metrics_plan`` counts
     how replays obtained their metrics plane (cached-plan hits, fresh
     builds, injected-fault cache bypasses) — a nonzero
     ``metrics_plan_fallback`` means the plan cache was bypassed.  A hit

@@ -234,7 +234,7 @@ class Interpreter:
         maps = linalg.indexing_maps(op)
         stride = 1
         for expr in maps[0].results:
-            terms = linalg._linear_terms(expr)
+            terms = linalg.linear_form(expr)[0]
             if len(terms) == 2:
                 stride = max(terms.values())
                 break

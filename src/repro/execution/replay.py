@@ -72,7 +72,6 @@ import numpy as np
 
 from .. import faults
 from ..accelerators.conv import ConvAccelerator
-from ..accelerators.matmul import MatMulAccelerator
 from ..numerics import max_abs
 from ..soc.dma_engine import DmaEngine
 from . import metrics
@@ -100,7 +99,9 @@ _INDEX_MASK = (1 << 40) - 1
 
 def replay_kernel(trace: DriverTrace, board, rt, descriptors,
                   double_buffered: bool) -> None:
-    """Execute one invocation of a traced kernel against ``board``."""
+    """Execute one invocation of a traced kernel against ``board``,
+    decoded from the accelerator's current config (:func:`decode_key`),
+    however an earlier call left it."""
     start = time.perf_counter()
     try:
         # Fault hook: fires before any board/descriptor mutation, so
@@ -381,14 +382,10 @@ class ReplayExecutor:
             if trace.arg_specs[tile_class.arg][3] != accel_dtype:
                 raise ReplayUnsupported("tile dtype differs from stream "
                                         "dtype")
-        if type(accel) is MatMulAccelerator:
-            if (accel.tile_m, accel.tile_n, accel.tile_k) != (
-                accel.size, accel.size, accel.size
-            ):
-                raise ReplayUnsupported("accelerator not in default config")
-        elif type(accel) is ConvAccelerator:
-            if accel.ic != 1 or accel.fhw != 1 or accel._slice:
-                raise ReplayUnsupported("accelerator not in default config")
+        # The decoder starts from the accelerator's config; a conv slice
+        # pending from an earlier call is the one entry state it misses.
+        if type(accel) is ConvAccelerator and accel._slice:
+            raise ReplayUnsupported("a conv output slice is pending")
 
     # -- top level --------------------------------------------------------
     def execute(self) -> None:

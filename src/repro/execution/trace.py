@@ -327,17 +327,21 @@ def dtype_name(dtype: np.dtype) -> str:
 
 
 def decode_key(accelerator: StreamAccelerator) -> Tuple:
-    """The accelerator-configuration key a decoded plan is cached under.
+    """The key a decoded plan is cached under: the accelerator's fixed
+    parameters and its entry config (matmul ``tile_m/n/k``, conv
+    ``ic``/``fhw``), which the decoder's control unit starts from.
 
     Also folded into MetricsPlan fingerprints: the decoded plan's
     accelerator cycle charges are part of the metrics plane.
     """
     if type(accelerator) is MatMulAccelerator:
         return ("matmul", accelerator.size, accelerator.version,
-                dtype_name(accelerator.dtype))
+                dtype_name(accelerator.dtype), accelerator.tile_m,
+                accelerator.tile_n, accelerator.tile_k)
     if type(accelerator) is ConvAccelerator:
         return ("conv", accelerator.max_ic, accelerator.max_fhw,
-                accelerator.max_slice, dtype_name(accelerator.dtype))
+                accelerator.max_slice, dtype_name(accelerator.dtype),
+                accelerator.ic, accelerator.fhw)
     raise TraceUnsupported(
         f"no trace decoder for {type(accelerator).__name__}"
     )
@@ -419,7 +423,7 @@ def _decode_matmul(trace: DriverTrace,
         literals.ctypes.data_as(i64p), prog_off.ctypes.data_as(i64p),
         prog.ctypes.data_as(i64p), literals.size,
         accel.size_quantum, accel.buffer_capacity,
-        float(accel.ops_per_cycle), accel.size,
+        float(accel.ops_per_cycle), accel.tile_m, accel.tile_n, accel.tile_k,
         comp_a.ctypes.data_as(i64p), comp_b.ctypes.data_as(i64p),
         comp_m.ctypes.data_as(i64p), comp_n.ctypes.data_as(i64p),
         comp_k.ctypes.data_as(i64p), comp_push.ctypes.data_as(i64p),
@@ -478,7 +482,7 @@ def _decode_conv(trace: DriverTrace, accel: ConvAccelerator) -> DecodedPlan:
         CONV_LITERALS["sIcO"], CONV_LITERALS["sF"], CONV_LITERALS["rO"],
         CONV_LITERALS["cfg_fsize"], CONV_LITERALS["cfg_ic"],
         accel.max_ic, accel.max_fhw, accel.max_slice,
-        float(CONV_OPS_PER_CYCLE),
+        float(CONV_OPS_PER_CYCLE), accel.ic, accel.fhw,
         comp_a.ctypes.data_as(i64p), comp_b.ctypes.data_as(i64p),
         comp_k.ctypes.data_as(i64p), comp_push.ctypes.data_as(i64p),
         push_counts.ctypes.data_as(i64p), push_flush.ctypes.data_as(i64p),

@@ -15,24 +15,57 @@ with structural equality, evaluation, and a recursive-descent parser.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from enum import Enum
+from typing import Callable, Dict, List, Sequence, Tuple
+
+
+class AffineBinaryOpKind(str, Enum):
+    """The closed set of binary operators, valued as they are spelled."""
+
+    ADD = "+"
+    SUB = "-"
+    MUL = "*"
+    MOD = "mod"
+    FLOORDIV = "floordiv"
+
+
+_APPLY = {
+    AffineBinaryOpKind.ADD: operator.add,
+    AffineBinaryOpKind.SUB: operator.sub,
+    AffineBinaryOpKind.MUL: operator.mul,
+    AffineBinaryOpKind.MOD: operator.mod,
+    AffineBinaryOpKind.FLOORDIV: operator.floordiv,
+}
 
 
 class AffineExpr:
-    """Base class of affine expression nodes."""
+    """Base class of affine expression nodes; every walk is a
+    :func:`fold_expr`."""
 
     def evaluate(self, dims: Sequence[int]) -> int:
-        raise NotImplementedError
+        return fold_expr(self, dims.__getitem__, int,
+                         lambda kind, lhs, rhs: _APPLY[kind](lhs, rhs))
 
     def used_dims(self) -> frozenset:
-        raise NotImplementedError
+        return fold_expr(self, lambda position: frozenset({position}),
+                         lambda value: frozenset(),
+                         lambda kind, lhs, rhs: lhs | rhs)
+
+    def format(self, dim_name: Callable[[int], str]) -> str:
+        """The expression with dim ``p`` spelled ``dim_name(p)``."""
+        return fold_expr(self, dim_name, str,
+                         lambda kind, lhs, rhs: f"({lhs} {kind.value} {rhs})")
 
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
         return AffineBinaryExpr("+", self, _as_expr(other))
 
     def __mul__(self, other: "AffineExpr") -> "AffineExpr":
         return AffineBinaryExpr("*", self, _as_expr(other))
+
+    def __str__(self) -> str:
+        return self.format(lambda position: f"d{position}")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -52,61 +85,37 @@ class AffineDimExpr(AffineExpr):
 
     position: int
 
-    def evaluate(self, dims: Sequence[int]) -> int:
-        return dims[self.position]
-
-    def used_dims(self) -> frozenset:
-        return frozenset({self.position})
-
-    def __str__(self) -> str:
-        return f"d{self.position}"
-
 
 @dataclass(frozen=True)
 class AffineConstantExpr(AffineExpr):
     value: int
 
-    def evaluate(self, dims: Sequence[int]) -> int:
-        return self.value
-
-    def used_dims(self) -> frozenset:
-        return frozenset()
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-_BINARY_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "mod": lambda a, b: a % b,
-    "floordiv": lambda a, b: a // b,
-}
-
 
 @dataclass(frozen=True)
 class AffineBinaryExpr(AffineExpr):
-    kind: str
+    kind: AffineBinaryOpKind
     lhs: AffineExpr
     rhs: AffineExpr
 
     def __post_init__(self) -> None:
-        if self.kind not in _BINARY_OPS:
-            raise ValueError(f"unknown affine operator {self.kind!r}")
+        # A spelling outside the enum raises ValueError.
+        object.__setattr__(self, "kind", AffineBinaryOpKind(self.kind))
 
-    def evaluate(self, dims: Sequence[int]) -> int:
-        return _BINARY_OPS[self.kind](
-            self.lhs.evaluate(dims), self.rhs.evaluate(dims)
-        )
 
-    def used_dims(self) -> frozenset:
-        return self.lhs.used_dims() | self.rhs.used_dims()
-
-    def __str__(self) -> str:
-        if self.kind in ("mod", "floordiv"):
-            return f"({self.lhs} {self.kind} {self.rhs})"
-        return f"({self.lhs} {self.kind} {self.rhs})"
+def fold_expr(expr: AffineExpr, dim: Callable, constant: Callable,
+              binary: Callable):
+    """The one walker of an expression tree, bottom-up: a dim ref folds
+    to ``dim(position)``, a constant to ``constant(value)`` and a binary
+    node to ``binary(kind, lhs, rhs)`` of its operands' folds."""
+    match expr:
+        case AffineDimExpr(position):
+            return dim(position)
+        case AffineConstantExpr(value):
+            return constant(value)
+        case AffineBinaryExpr(kind, lhs, rhs):
+            return binary(kind, fold_expr(lhs, dim, constant, binary),
+                          fold_expr(rhs, dim, constant, binary))
+    raise TypeError(f"unknown affine expression {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -204,38 +213,19 @@ class AffineMap:
         perm = other.permutation_vector()
         remap: Dict[int, int] = {old: new for new, old in enumerate(perm)}
 
-        def rewrite(expr: AffineExpr) -> AffineExpr:
-            if isinstance(expr, AffineDimExpr):
-                return AffineDimExpr(remap[expr.position])
-            if isinstance(expr, AffineConstantExpr):
-                return expr
-            if isinstance(expr, AffineBinaryExpr):
-                return AffineBinaryExpr(
-                    expr.kind, rewrite(expr.lhs), rewrite(expr.rhs)
-                )
-            raise TypeError(f"unknown expr {expr!r}")
-
         names = tuple(other.dim_names[p] for p in perm) if other.dim_names else ()
         return AffineMap(
             self.num_dims,
-            tuple(rewrite(e) for e in self.results),
+            tuple(fold_expr(e, lambda p: AffineDimExpr(remap[p]),
+                            AffineConstantExpr, AffineBinaryExpr)
+                  for e in self.results),
             names or self.dim_names,
         )
 
     def __str__(self) -> str:
         names = self.dim_names or tuple(f"d{i}" for i in range(self.num_dims))
-
-        def fmt(expr: AffineExpr) -> str:
-            if isinstance(expr, AffineDimExpr):
-                return names[expr.position]
-            if isinstance(expr, AffineConstantExpr):
-                return str(expr.value)
-            if isinstance(expr, AffineBinaryExpr):
-                return f"({fmt(expr.lhs)} {expr.kind} {fmt(expr.rhs)})"
-            raise TypeError(f"unknown expr {expr!r}")
-
         dims = ", ".join(names)
-        results = ", ".join(fmt(e) for e in self.results)
+        results = ", ".join(e.format(names.__getitem__) for e in self.results)
         return f"affine_map<({dims}) -> ({results})>"
 
 

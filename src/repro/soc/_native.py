@@ -299,11 +299,12 @@ int64_t last_writers(int64_t n_items, const uint8_t *is_word,
 /* Accelerator stream decoders.  The staged stream arrives as parallel
  * arrays (is_word, value = word value or tile class, index = tile
  * ordinal within its class, cum = word-count prefix sum) plus per-flush
- * item limits.  Both decoders apply the accelerators' needs-based
- * completion rule (StreamAccelerator.process_stream) word for word;
- * any assumption violation returns nonzero, which trace.py caches as a
- * refusal, so the kernel runs per tile.  Packed operand refs are
- * (class << 40) | index, matching DecodedPlan.pack. */
+ * item limits.  Each decoder starts its control unit from the
+ * accelerator's entry config (matmul tm/tn/tk, conv ic/fhw) and applies
+ * the needs-based completion rule (StreamAccelerator.process_stream)
+ * word for word; any assumption violation returns nonzero, which
+ * trace.py caches as a refusal, so the kernel runs per tile.  Packed
+ * operand refs are (class << 40) | index, matching DecodedPlan.pack. */
 
 #define MICRO_LOAD_A 0
 #define MICRO_LOAD_B 1
@@ -318,14 +319,14 @@ int64_t decode_matmul_stream(
     const int64_t *flush_limits, int64_t n_flush,
     const int64_t *literals, const int64_t *prog_off, const int64_t *prog,
     int64_t n_opcodes,
-    int64_t quantum, int64_t capacity, double ops_per_cycle, int64_t tile0,
+    int64_t quantum, int64_t capacity, double ops_per_cycle,
+    int64_t tm, int64_t tn, int64_t tk,
     int64_t *comp_a, int64_t *comp_b, int64_t *comp_m, int64_t *comp_n,
     int64_t *comp_k, int64_t *comp_push,
     int64_t *push_counts, int64_t *push_flush, int64_t *out_words,
     double *flush_cycles, int64_t *flush_instr,
     int64_t *final_state, int64_t *counts)
 {
-    int64_t tm = tile0, tn = tile0, tk = tile0;
     int64_t a_src = -1, b_src = -1;
     int64_t n_comp = 0, n_push = 0, pending_start = 0;
     int64_t head = 0;
@@ -440,13 +441,12 @@ int64_t decode_conv_stream(
     int64_t lit_sico, int64_t lit_sf, int64_t lit_ro,
     int64_t lit_fsize, int64_t lit_ic,
     int64_t max_ic, int64_t max_fhw, int64_t max_slice,
-    double ops_per_cycle,
+    double ops_per_cycle, int64_t ic, int64_t fhw,
     int64_t *comp_a, int64_t *comp_b, int64_t *comp_k, int64_t *comp_push,
     int64_t *push_counts, int64_t *push_flush, int64_t *out_words,
     double *flush_cycles, int64_t *flush_instr,
     int64_t *final_state, int64_t *counts)
 {
-    int64_t ic = 1, fhw = 1;
     int64_t filter_src = -1, filter_words = 1;
     int64_t n_comp = 0, n_push = 0, pending_start = 0;
     int64_t head = 0;
@@ -765,7 +765,7 @@ def _load(path: str) -> ctypes.CDLL:
         i64p, ctypes.c_int64,
         i64p, i64p, i64p, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-        ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         i64p, i64p, i64p, i64p, i64p, i64p,
         i64p, i64p, i64p,
         f64p, i64p,
@@ -778,7 +778,7 @@ def _load(path: str) -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_double,
+        ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
         i64p, i64p, i64p, i64p,
         i64p, i64p, i64p,
         f64p, i64p,

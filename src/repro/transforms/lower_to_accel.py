@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dialects import accel, arith, linalg, scf
-from ..ir.affine import (
-    AffineBinaryExpr,
-    AffineConstantExpr,
-    AffineDimExpr,
-    AffineExpr,
-)
+from ..ir.affine import AffineExpr
 from ..ir.attributes import unwrap
 from ..ir.builder import Builder, InsertionPoint
 from ..ir.core import Module, Operation, Value
@@ -110,7 +105,7 @@ def _effective_tiles(dim_names: Sequence[str], extents: Dict[str, int],
 def _result_tile_size(expr: AffineExpr, tiles: Dict[str, int],
                       dim_names: Sequence[str]) -> int:
     """Subview extent along one operand axis: 1 + sum(coef * (tile-1))."""
-    terms = linalg._linear_terms(expr)
+    terms = linalg.linear_form(expr)[0]
     size = 1
     for dim_pos, coefficient in terms.items():
         size += coefficient * (tiles[dim_names[dim_pos]] - 1)
@@ -124,33 +119,21 @@ def _expr_to_ir(b: Builder, expr: AffineExpr,
     Dims without a host loop contribute 0 (their whole extent lives in
     the accelerator tile).
     """
-    if isinstance(expr, AffineConstantExpr):
-        return arith.index_constant(b, expr.value)
-    if isinstance(expr, AffineDimExpr):
-        value = iv_by_pos.get(expr.position)
-        return value if value is not None else arith.index_constant(b, 0)
-    if isinstance(expr, AffineBinaryExpr):
-        terms = linalg._linear_terms(expr)
-        result: Optional[Value] = None
-        constant_part = 0
-        for dim_pos, coefficient in sorted(terms.items()):
-            iv = iv_by_pos.get(dim_pos)
-            if iv is None:
-                continue
-            term = iv
-            if coefficient != 1:
-                term = arith.muli(
-                    b, iv, arith.index_constant(b, coefficient)
-                )
-            result = term if result is None else arith.addi(b, result, term)
-        if result is None:
-            return arith.index_constant(b, constant_part)
-        if constant_part:
-            result = arith.addi(
-                b, result, arith.index_constant(b, constant_part)
-            )
-        return result
-    raise CompileError(f"cannot lower indexing expression {expr}")
+    terms, constant = linalg.linear_form(expr)
+    result: Optional[Value] = None
+    for dim_pos, coefficient in sorted(terms.items()):
+        iv = iv_by_pos.get(dim_pos)
+        if iv is None:
+            continue
+        term = iv
+        if coefficient != 1:
+            term = arith.muli(b, iv, arith.index_constant(b, coefficient))
+        result = term if result is None else arith.addi(b, result, term)
+    if result is None:
+        return arith.index_constant(b, constant)
+    if constant:
+        result = arith.addi(b, result, arith.index_constant(b, constant))
+    return result
 
 
 class _Emitter:

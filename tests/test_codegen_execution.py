@@ -223,6 +223,30 @@ class TestInterpreter:
         interpret_function(module.lookup("matmul_call"), args)
         assert np.array_equal(args[2].view(), a @ b)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_functional_linalg_conv_fallback(self, stride, rng):
+        """The conv fallback reads its stride off the image map."""
+        from repro.compiler import build_conv_module
+        from repro.runtime import MemRefDescriptor
+        from repro.transforms import GeneralizeNamedOpsPass
+
+        module = build_conv_module(1, 3, 7, 2, 3, stride, I32)
+        GeneralizeNamedOpsPass().run(module)
+        image = rng.integers(-5, 5, (1, 3, 7, 7)).astype(np.int32)
+        weights = rng.integers(-5, 5, (2, 3, 3, 3)).astype(np.int32)
+        out_hw = (7 - 3) // stride + 1
+        expected = np.zeros((1, 2, out_hw, out_hw), np.int32)
+        for f in range(2):
+            for oh in range(out_hw):
+                for ow in range(out_hw):
+                    window = image[0, :, oh * stride:oh * stride + 3,
+                                   ow * stride:ow * stride + 3]
+                    expected[0, f, oh, ow] = np.sum(window * weights[f])
+        args = [MemRefDescriptor.from_numpy(x) for x in
+                (image, weights, np.zeros_like(expected))]
+        interpret_function(module.lookup("conv_call"), args)
+        assert np.array_equal(args[2].view(), expected)
+
 
 class TestEmitterInterpreterEquivalence:
     @pytest.mark.parametrize("version,flow", [

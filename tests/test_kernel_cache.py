@@ -1036,7 +1036,10 @@ class TestHostileEntries:
         """An entry holds no IR, so a forged head can only name another
         function than its kernel's compile: replay is still served from
         the trace, and the rebuild a per-tile run needs refuses the name
-        before anything is emitted or ``exec``'d."""
+        before anything is emitted or ``exec``'d.  The refusal
+        quarantines the entry: a later replay publishes nothing, and the
+        next lookup compiles afresh."""
+        from repro.store import STORE_COUNTERS
         from repro.transforms import CompileError
 
         sentinel = tmp_path / "executed"
@@ -1053,6 +1056,7 @@ class TestHostileEntries:
         assert _observe(hw, loaded, operands) == expected
         board = make_pynq_z2()
         board.attach_accelerator(hw)
+        quarantined = STORE_COUNTERS["store_quarantined"]
         with pytest.raises(CompileError, match="stored kernel names"):
             loaded.run(board, *operands, trace=False)
         with pytest.raises(CompileError, match="stored kernel names"):
@@ -1060,6 +1064,21 @@ class TestHostileEntries:
         assert loaded.trace_state.module is None
         assert loaded.trace_state.entry_point is None
         assert not sentinel.exists()
+        assert STORE_COUNTERS["store_quarantined"] == quarantined + 1
+        assert not path.exists()
+        assert (store / "corrupt" / path.name).exists()
+        writes = STORE_COUNTERS["store_writes"]
+        # Every plan now counts as unpublished: only the cleared persist
+        # hook keeps this replay from writing the forged head back.
+        loaded.trace_state.trace._stored_plans = frozenset()
+        assert _observe(hw, loaded, operands) == expected
+        assert STORE_COUNTERS["store_writes"] == writes
+        assert not path.exists()
+        fresh = make_compiler(reader).compile_matmul(32, 32, 32)
+        assert fresh is not loaded and reader.disk_misses == 1
+        assert fresh.source and fresh.func_name != name
+        assert _observe(hw, fresh, operands) == expected
+        assert STORE_COUNTERS["store_writes"] == writes + 1
 
     def test_a_loaded_trace_is_arrays(self, tmp_path):
         """The receive refs and flush item counts the C decoders read

@@ -57,6 +57,19 @@ class TestGeneralize:
         assert linalg.loop_ranges(ops[0]) == (1, 2, 3, 3, 4, 3, 3)
 
 
+    def test_linear_form_of_an_indexing_expression(self):
+        from repro.ir.affine import parse_affine_map
+        from repro.ir.verifier import VerificationError
+
+        exprs = parse_affine_map(
+            "affine_map<(a, b) -> (a * 2 + b + 3, 2 * (b + 1), a * b)>"
+        ).results
+        assert linalg.linear_form(exprs[0]) == ({0: 2, 1: 1}, 3)
+        assert linalg.linear_form(exprs[1]) == ({1: 2}, 2)
+        with pytest.raises(VerificationError, match="non-linear"):
+            linalg.linear_form(exprs[2])
+
+
 class TestAnnotate:
     def annotated_module(self, flow="As"):
         _, info = make_matmul_system(3, 4, flow=flow)

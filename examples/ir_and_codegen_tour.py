@@ -55,7 +55,7 @@ print("\n=== 4. emitted Python host code ===")
 print(source)
 
 print("=== 5. interpreter vs emitted code ===")
-from repro.compiler import CompiledKernel  # noqa: E402
+from repro.kernel import CompiledKernel  # noqa: E402
 
 kernel = CompiledKernel(module=module, func_name="matmul_call", plan=plan)
 assert kernel.source == source  # the kernel emits the same driver

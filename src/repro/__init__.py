@@ -24,12 +24,11 @@ from .accel_config import (
 )
 from .compiler import (
     AXI4MLIRCompiler,
-    CompiledKernel,
-    KernelCache,
     build_conv_module,
     build_matmul_module,
-    default_kernel_cache,
 )
+from .kernel import CompiledKernel
+from .kernel_cache import KernelCache, default_kernel_cache
 from .runtime import AxiRuntime, MemRefDescriptor
 from .soc import Board, PerfCounters, TimingModel, make_pynq_z2
 from .transforms import CompileError

@@ -11,8 +11,8 @@ and the manual (raw-array) copy cost style.
 Each driver is written by hand as accel-level IR — a ``func.func`` of
 ``scf.for`` tile loops, ``memref.subview`` windows of the whole operands
 and ``accel`` staging ops — that never goes through the AXI4MLIR passes.
-It is a :class:`~repro.compiler.CompiledKernel` like a generated one,
-cached in :func:`~repro.compiler.default_kernel_cache` under a
+It is a :class:`~repro.kernel.CompiledKernel` like a generated one,
+cached in :func:`~repro.kernel_cache.default_kernel_cache` under a
 ``("manual", ...)`` key, so the emitter, the trace synthesizer, the
 kernel store, replay and the interpreter serve it unchanged.  What the
 IR cannot say the kernel carries as data: its call style, and the DMA
@@ -31,7 +31,8 @@ import numpy as np
 from ..accelerators.matmul import MATMUL_LITERALS
 from ..accelerators.conv import CONV_LITERALS
 from ..codegen import emit_function
-from ..compiler import CompiledKernel, KernelCache, default_kernel_cache
+from ..kernel import CompiledKernel
+from ..kernel_cache import KernelCache, default_kernel_cache
 from ..dialects import accel, arith, func, memref, scf
 from ..execution.trace import add_stage_time
 from ..ir import MemRefType, Module, element_type_from_string

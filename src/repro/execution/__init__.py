@@ -2,6 +2,7 @@
 
 from .interpreter import Interpreter, interpret_function
 from .trace import (
+    Cause,
     STAGE_TIMINGS,
     TRACE_COUNTERS,
     TraceUnsupported,
@@ -27,7 +28,8 @@ from ..pool import MODEL_PLAN_COUNTERS, run_model_jobs
 
 #: Sections of :func:`diagnostics`, in the order it has always had.
 _DIAGNOSTICS_LAYOUT = (
-    "stage_timings", "trace_sources", "metrics_plan", "model_plan",
+    "stage_timings", "trace_sources", "served", "metrics_plan",
+    "model_plan",
     "store", "tuning", "faults", "native", "service",
 )
 
@@ -77,10 +79,13 @@ def diagnostics() -> dict:
     this process; ``trace_sources`` counts how kernels obtained their
     DriverTrace (synthesized / disk_loaded) or why
     they have none — a nonzero ``synth_fallback`` means that many
-    kernels failed synthesis and run per tile — and ``replay_refused``
-    how many calls of a traced kernel replay refused (a schedule the
-    data plane does not serve, a changed argument, a pending conv
-    slice, an injected fault), each of which ran per tile.  A replay
+    kernels failed synthesis and run per tile.  ``served`` counts every
+    ``CompiledKernel.run`` call once: ``replay``, or the
+    :class:`~repro.execution.trace.Cause` it ran per tile under (no
+    trace offered, a failed or faulted build, or a replay refusal: a
+    schedule the data plane does not serve, a changed argument, a
+    pending conv slice, an injected fault); ``trace_sources
+    ["replay_refused"]`` is the sum of its refusal causes.  A replay
     starts from the accelerator's current config, so a config left by
     an earlier call is never a refusal.  ``metrics_plan`` counts
     how replays obtained their metrics plane (cached-plan hits, fresh
@@ -128,7 +133,8 @@ def diagnostics() -> dict:
 
 __all__ = [
     "Interpreter", "interpret_function",
-    "STAGE_TIMINGS", "TRACE_COUNTERS", "TraceRecorder", "TraceUnsupported",
+    "Cause", "STAGE_TIMINGS", "TRACE_COUNTERS", "TraceRecorder",
+    "TraceUnsupported",
     "record_trace", "trace_enabled",
     "SynthesisUnsupported", "TraceMismatch", "diff_traces",
     "synthesize_trace",

@@ -18,7 +18,7 @@ end-state, and region-write summaries.  Subsequent invocations with a matching
 fingerprint apply the plan in O(state) — installing the final cache
 contents plus a handful of scalar assignments — instead of re-simulating
 O(events) work.  Plans are persisted alongside traces in the kernel
-store (see ``repro.compiler``), so warm processes skip the metrics
+store (see ``repro.kernel_cache``), so warm processes skip the metrics
 plane entirely.  A build's sequential part — the LRU classification
 of every event's cache lines, each event's charges and the clock/stall
 timeline — is one C walk over the events (``metrics_pass``), and the

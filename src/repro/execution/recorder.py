@@ -9,7 +9,7 @@ columns the synthesizer expands from a schedule table.
 :func:`~repro.execution.synthesize.assemble_trace`.
 
 Its one caller in the library is
-:meth:`repro.compiler.CompiledKernel._build_trace` under
+:meth:`repro.kernel.CompiledKernel._build_trace` under
 ``REPRO_CHECK=1``: it records every kernel it synthesized and diffs the
 two traces.  No kernel ever *runs* from a recording: when synthesis
 fails it runs per tile.
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .synthesize import assemble_trace
+from .synthesize import SynthesisUnsupported, assemble_trace
 from .trace import (
     DriverTrace,
     K_CALL,
@@ -34,7 +34,6 @@ from .trace import (
     K_RWAIT,
     K_SUB,
     K_WORD,
-    TraceUnsupported,
     add_stage_time,
 )
 
@@ -54,12 +53,12 @@ class _ShadowRef:
 
     def subview(self, offsets, sizes) -> "_ShadowRef":
         if len(offsets) != len(self.sizes) or len(sizes) != len(self.sizes):
-            raise TraceUnsupported("subview rank mismatch")
+            raise SynthesisUnsupported("subview rank mismatch")
         new_offset = self.offset
         for off, size, full, stride in zip(offsets, sizes, self.sizes,
                                            self.strides):
             if off < 0 or off + size > full:
-                raise TraceUnsupported("subview out of bounds")
+                raise SynthesisUnsupported("subview out of bounds")
             new_offset += off * stride
         return _ShadowRef(self.arg, new_offset, tuple(sizes), self.strides,
                           self.itemsize)
@@ -125,7 +124,7 @@ class TraceRecorder:
     def dma_init(self, dma_id, input_address, input_buffer_size,
                  output_address, output_buffer_size) -> None:
         if self.initialized:
-            raise TraceUnsupported("dma_init called twice")
+            raise SynthesisUnsupported("dma_init called twice")
         self.initialized = True
         self.input_size = int(input_buffer_size)
         self.output_size = int(output_buffer_size)
@@ -134,9 +133,9 @@ class TraceRecorder:
 
     def _word(self, value: int, offset: int) -> int:
         if offset % 4:
-            raise TraceUnsupported("misaligned staged word")
+            raise SynthesisUnsupported("misaligned staged word")
         if offset + 4 > self.input_size:
-            raise TraceUnsupported("staged word beyond input region")
+            raise SynthesisUnsupported("staged word beyond input region")
         pos, offsets, values = self.words
         pos.append(self._call(K_CALL, K_WORD))
         offsets.append(int(offset))
@@ -158,12 +157,12 @@ class TraceRecorder:
     def send_memref(self, desc, offset):
         self._check_init()
         if not isinstance(desc, _ShadowRef):
-            raise TraceUnsupported("send of a non-argument memref")
+            raise SynthesisUnsupported("send of a non-argument memref")
         if offset % 4 or desc.itemsize % 4:
-            raise TraceUnsupported("unstageable tile")
+            raise SynthesisUnsupported("unstageable tile")
         num_bytes = desc.num_bytes()
         if offset + num_bytes > self.input_size:
-            raise TraceUnsupported("staged tile beyond input region")
+            raise SynthesisUnsupported("staged tile beyond input region")
         self._row(self.sends, (desc.arg, desc.sizes, desc.strides),
                   self._call(K_CALL, K_COPY), desc, offset)
         return offset + num_bytes
@@ -180,11 +179,11 @@ class TraceRecorder:
     def recv_memref(self, desc, offset, accumulate=False):
         self._check_init()
         if not isinstance(desc, _ShadowRef):
-            raise TraceUnsupported("recv into a non-argument memref")
+            raise SynthesisUnsupported("recv into a non-argument memref")
         if offset % 4 or desc.itemsize % 4:
-            raise TraceUnsupported("unstageable receive tile")
+            raise SynthesisUnsupported("unstageable receive tile")
         if offset + desc.num_bytes() > self.output_size:
-            raise TraceUnsupported("receive beyond output region")
+            raise SynthesisUnsupported("receive beyond output region")
         self._row(self.recvs,
                   (desc.arg, desc.sizes, desc.strides, bool(accumulate)),
                   self._call(K_RWAIT, K_CALL, K_RECV, K_COPY), desc, offset)
@@ -197,7 +196,7 @@ class TraceRecorder:
 
     def _check_init(self) -> None:
         if not self.initialized:
-            raise TraceUnsupported("library call before dma_init")
+            raise SynthesisUnsupported("library call before dma_init")
 
     # Anything else the driver might call on the runtime is unsupported:
     # attribute errors propagate and the caller falls back to per-tile.
@@ -236,10 +235,11 @@ def record_trace(entry_point, arg_specs,
         recorder = TraceRecorder(arg_specs, preinitialized=preinitialized)
         entry_point(recorder, *recorder.make_args())
         if not recorder.initialized:
-            raise TraceUnsupported("driver never initialized the DMA engine")
+            raise SynthesisUnsupported(
+                "driver never initialized the DMA engine")
         if expected_events is not None \
                 and recorder.calls != expected_events:
-            raise TraceUnsupported(
+            raise SynthesisUnsupported(
                 f"recorded {recorder.calls} calls, schedule table "
                 f"predicts {expected_events}"
             )

@@ -57,10 +57,10 @@ split into two explicit planes:
   workers report stage-timing deltas that merge back into the parent,
   so the accounting is placement-independent.
 
-Any assumption violation raises :class:`ReplayUnsupported` — from a
-cached schedule as from a fresh one — before anything is mutated; the
-caller counts it (``trace_sources["replay_refused"]``) and falls back to
-per-tile execution.
+Any assumption violation raises :class:`ReplayUnsupported` of one
+:class:`~repro.execution.trace.Cause` — from a cached schedule as from a
+fresh one — before anything is mutated; the caller runs the call per
+tile and counts it under that cause (``diagnostics()["served"]``).
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from ..numerics import max_abs
 from ..soc.dma_engine import DmaEngine
 from . import metrics
 from .trace import (
+    Cause,
     DecodedPlan,
     DriverTrace,
     TraceUnsupported,
@@ -107,11 +108,8 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
         # Fault hook: fires before any board/descriptor mutation, so
         # the per-tile fallback starts from an untouched state.
         if faults.fires("replay") == "fail":
-            raise ReplayUnsupported("injected replay fault")
-        accelerator = board.accelerator
-        if accelerator is None:
-            raise ReplayUnsupported("no accelerator attached")
-        plan = decode_for_accelerator(trace, accelerator)
+            raise ReplayUnsupported(Cause.REPLAY_FAULT)
+        plan = decode_for_accelerator(trace, board.accelerator)
         executor = ReplayExecutor(trace, plan, board, rt, descriptors,
                                   double_buffered)
         executor.execute()
@@ -150,7 +148,7 @@ class DataSchedule:
     def __init__(self, trace: DriverTrace, plan: DecodedPlan):
         if any(np.dtype(spec[3]).kind not in "iu"
                for spec in trace.arg_specs):
-            raise ReplayUnsupported("non-integer arguments")
+            raise ReplayUnsupported(Cause.NON_INTEGER)
         #: Per send class ``(uniq, rows)``: the distinct tile starts and
         #: each tile's row among them — or ``(None, starts)`` for a
         #: class too large to gather whole.  Rows are kept 32-bit when
@@ -178,7 +176,7 @@ class DataSchedule:
         if push_counts.size and int(push_counts.min()) == 0:
             # A push with no contributing computes has no payload the
             # functional batch can reconstruct.
-            raise ReplayUnsupported("push with an empty compute set")
+            raise ReplayUnsupported(Cause.EMPTY_PUSH)
         comp_a = np.asarray(plan.compute_a, dtype=np.int64)
         n_computes = comp_a.size
         if n_computes == 0:
@@ -224,7 +222,7 @@ class DataSchedule:
                 # sequence is sorted: first occurrences mark the pushes.
                 pushes = push_ids[np.r_[True, push_ids[1:] != push_ids[:-1]]]
                 if int(push_counts[pushes].sum()) != kept.size:
-                    raise ReplayUnsupported("push runs split across blocks")
+                    raise ReplayUnsupported(Cause.SPLIT_PUSH)
                 block = _Block()
                 block.tm, block.tn, block.tk = tm, tn, tk
                 block.a = self._side(comp_a[kept])
@@ -239,8 +237,7 @@ class DataSchedule:
             counts = push_counts[ordinals]
             classes = refs[ordinals, 0]
             if (counts != counts[0]).any() or (classes != classes[0]).any():
-                raise ReplayUnsupported("a block's pushes differ in size "
-                                        "or receive class")
+                raise ReplayUnsupported(Cause.UNEVEN_PUSHES)
             # One write per block, into one run of rows when they are
             # consecutive.
             rows = refs[ordinals, 1]
@@ -253,7 +250,7 @@ class DataSchedule:
 
     def _side(self, packed: np.ndarray):
         if packed[0] < 0:
-            raise ReplayUnsupported("a compute on a never-loaded operand")
+            raise ReplayUnsupported(Cause.UNLOADED_OPERAND)
         class_id = int(packed[0] >> 40)
         return class_id, self.send[class_id][1][packed & _INDEX_MASK]
 
@@ -285,13 +282,13 @@ class DataSchedule:
         would have to land in event order."""
         args = [tile_class.arg for tile_class in trace.recv_classes]
         if len(set(args)) < len(args):
-            raise ReplayUnsupported("two receive classes on one argument")
+            raise ReplayUnsupported(Cause.SHARED_RECEIVE_ARGUMENT)
         #: ``(recv class, target starts, None or the payloads' start
         #: order and its reduceat offsets)`` — every target is unique.
         self.scatters = []
         for class_id, tile_class in enumerate(trace.recv_classes):
             if not trace.recv_disjoint[class_id]:
-                raise ReplayUnsupported("overlapping receive tiles")
+                raise ReplayUnsupported(Cause.OVERLAPPING_RECEIVES)
             starts = tile_class.starts
             order, firsts = _start_groups(starts)
             if firsts.size == starts.size:
@@ -300,13 +297,10 @@ class DataSchedule:
                 self.scatters.append((class_id, starts[order[firsts]],
                                       (order, firsts)))
             else:
-                raise ReplayUnsupported("a receive overwrites a repeated "
-                                        "tile")
+                raise ReplayUnsupported(Cause.OVERWRITTEN_REPEAT)
 
 
 def _extent(tile_class):
-    if min(tile_class.strides, default=0) < 0:
-        raise ReplayUnsupported("negative tile stride")
     span = sum((size - 1) * stride for size, stride
                in zip(tile_class.sizes, tile_class.strides))
     return span, int(tile_class.starts.max())
@@ -318,16 +312,16 @@ def data_schedule(trace: DriverTrace, plan: DecodedPlan) -> DataSchedule:
     Kept on the plan under a private name: it shares the plan's
     lifetime, and private attributes are left out of both the store
     codec and the pickle state.  A schedule-time refusal is cached as
-    its message, so later calls refuse as cheaply.
+    its cause, so later calls refuse as cheaply.
     """
     schedule = getattr(plan, "_data_schedule", None)
     if schedule is None:
         try:
             schedule = DataSchedule(trace, plan)
         except ReplayUnsupported as exc:
-            schedule = str(exc)
+            schedule = exc.cause
         plan._data_schedule = schedule
-    if isinstance(schedule, str):
+    if type(schedule) is Cause:
         raise ReplayUnsupported(schedule)
     return schedule
 
@@ -352,40 +346,28 @@ class ReplayExecutor:
     # -- validation -------------------------------------------------------
     def _validate(self) -> None:
         trace, board = self.trace, self.board
-        if len(self.descriptors) != len(trace.arg_specs):
-            raise ReplayUnsupported("argument arity changed")
-        for desc, (sizes, strides, itemsize, dtype) in zip(
-            self.descriptors, trace.arg_specs
-        ):
-            if (desc.sizes != sizes or desc.strides != strides
-                    or desc.itemsize != itemsize
-                    or dtype_name(desc.dtype) != dtype):
-                raise ReplayUnsupported("argument shape changed")
+        if len(self.descriptors) != len(trace.arg_specs) or any(
+                desc.sizes != sizes or desc.strides != strides
+                or desc.itemsize != itemsize
+                or dtype_name(desc.dtype) != dtype
+                for desc, (sizes, strides, itemsize, dtype)
+                in zip(self.descriptors, trace.arg_specs)):
+            raise ReplayUnsupported(Cause.ARGUMENTS_CHANGED)
         if board.caches.line_size < 8:
-            raise ReplayUnsupported("sub-word cache lines")
-        if trace.init_params is None:
-            # Preinitialized (manual-driver) trace: the live engine the
-            # replay will reuse must exist and match the recorded
-            # region geometry.  Checked here — before any mutation —
-            # so execute()'s fallback guarantee holds.
-            engine = self.rt.dma
-            if engine is None:
-                raise ReplayUnsupported("runtime engine not initialized")
-            if (engine.input_region.size, engine.output_region.size) \
-                    != trace.region_sizes:
-                raise ReplayUnsupported("engine region sizes changed")
+            raise ReplayUnsupported(Cause.SUB_WORD_LINES)
+        # A preinitialized trace replays on the engine the host's
+        # dma_init made, of its region sizes (CompiledKernel._bind).
         accel = board.accelerator
         if len(accel.in_fifo) or len(accel.out_fifo):
-            raise ReplayUnsupported("accelerator streams not drained")
+            raise ReplayUnsupported(Cause.STREAMS_NOT_DRAINED)
         accel_dtype = dtype_name(accel.dtype)
         for tile_class in trace.send_classes + trace.recv_classes:
             if trace.arg_specs[tile_class.arg][3] != accel_dtype:
-                raise ReplayUnsupported("tile dtype differs from stream "
-                                        "dtype")
+                raise ReplayUnsupported(Cause.TILE_DTYPE)
         # The decoder starts from the accelerator's config; a conv slice
         # pending from an earlier call is the one entry state it misses.
         if type(accel) is ConvAccelerator and accel._slice:
-            raise ReplayUnsupported("a conv output slice is pending")
+            raise ReplayUnsupported(Cause.PENDING_CONV_SLICE)
 
     # -- top level --------------------------------------------------------
     def execute(self) -> None:
@@ -438,16 +420,12 @@ class ReplayExecutor:
         item = desc.itemsize
         length = desc.allocated.size - desc.offset - span
         if last_start >= length:
-            raise ReplayUnsupported("tiles reach beyond argument storage")
-        try:
-            return np.ndarray(
-                (length,) + tuple(tile_class.sizes), desc.dtype,
-                desc.allocated, desc.offset * item,
-                (item,) + tuple(s * item for s in tile_class.strides),
-            )
-        except (TypeError, ValueError):
-            raise ReplayUnsupported("argument storage is not one flat "
-                                    "buffer") from None
+            raise ReplayUnsupported(Cause.TILES_BEYOND_STORAGE)
+        return np.ndarray(
+            (length,) + tuple(tile_class.sizes), desc.dtype,
+            desc.allocated, desc.offset * item,
+            (item,) + tuple(s * item for s in tile_class.strides),
+        )
 
     def _values(self, class_id: int, cast=None) -> np.ndarray:
         """Distinct tiles of a send class as one (tiles, elements) matrix.

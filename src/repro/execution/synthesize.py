@@ -45,6 +45,7 @@ import numpy as np
 
 from .. import faults
 from .trace import (
+    Cause,
     DriverTrace,
     K_CALL,
     K_COPY,
@@ -67,7 +68,11 @@ _MAX_EVENTS = 1 << 26
 
 
 class SynthesisUnsupported(TraceUnsupported):
-    """The schedule contains a construct synthesis cannot prove."""
+    """The schedule contains a construct synthesis cannot prove, or a
+    driver the recorder cannot record; ``detail`` says which."""
+
+    def __init__(self, detail: str):
+        super().__init__(Cause.SYNTHESIS_FAILED, detail)
 
 
 class TraceMismatch(RuntimeError):
@@ -511,7 +516,7 @@ def assemble_trace(arg_specs, kinds: np.ndarray, words, sends, recvs,
     ``dma_init`` arguments, or ``None`` for a preinitialized body, whose
     ``region_sizes`` are the live engine's ``(input, output)`` sizes.
 
-    Raises :class:`TraceUnsupported` for a driver that sends an argument
+    Raises :class:`SynthesisUnsupported` for a driver that sends an argument
     after receiving into it: replay gathers all staged tile data up
     front, so it cannot replay from that snapshot.
     """
@@ -568,7 +573,7 @@ def assemble_trace(arg_specs, kinds: np.ndarray, words, sends, recvs,
                                  tc.event_pos[0])
     for tc in trace.send_classes:
         if tc.arg in first_recv and tc.event_pos[-1] > first_recv[tc.arg]:
-            raise TraceUnsupported(
+            raise SynthesisUnsupported(
                 "argument is sent after being received (read-after-write)"
             )
     trace.recv_disjoint = [_scatter_is_disjoint(tc)
@@ -623,12 +628,14 @@ def synthesize_trace(schedule_table: Optional[dict], arg_specs,
     the trace replays against the runtime's live engine, exactly as
     :func:`~repro.execution.recorder.record_trace` records one.
     Raises :class:`SynthesisUnsupported` when the schedule cannot be
-    proven static/affine; the kernel then runs per tile.
+    proven static/affine (or ``synth:fail`` fires: a
+    :class:`TraceUnsupported` of cause ``synth_fault``); the kernel then
+    runs per tile.
     """
     start = time.perf_counter()
     try:
         if faults.fires("synth") == "fail":
-            raise SynthesisUnsupported("injected synthesis fault")
+            raise TraceUnsupported(Cause.SYNTH_FAULT)
         if not schedule_table:
             raise SynthesisUnsupported("no schedule side table")
         try:

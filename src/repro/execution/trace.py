@@ -32,6 +32,7 @@ tracing is always an optimization, never a semantics change.
 from __future__ import annotations
 
 import ctypes
+import enum
 import os
 from collections import OrderedDict
 from functools import lru_cache
@@ -101,8 +102,8 @@ def add_stage_time(stage: str, seconds: float) -> None:
 #: ``synth_fallback`` (synthesis failed, so the kernel runs per tile),
 #: ``disk_loaded`` (deserialized from the kernel store) — generated
 #: kernels and the hand-written baselines alike — and, per call,
-#: ``replay_refused`` (a traced kernel's replay refused, so that call
-#: ran per tile).  ``recorded`` is never
+#: ``replay_refused``: the calls :data:`SERVED_COUNTERS` counts under a
+#: replay refusal (:data:`REFUSALS`).  ``recorded`` is never
 #: incremented — a kernel never runs from a recording — and stays
 #: declared for a frozen reader (the list is at
 #: ``repro.execution.diagnostics``).
@@ -124,8 +125,56 @@ def trace_enabled() -> bool:
         and _native.native_lib() is not None
 
 
+class Cause(str, enum.Enum):
+    """Why one call of a kernel ran per tile: a closed set, one member
+    per refusal site, each counted in ``diagnostics()["served"]``."""
+
+    # No trace to replay (not a replay refusal):
+    NO_TRACE = "no_trace"  # REPRO_NO_TRACE, a runtime subclass, no C lib
+    SYNTH_FAULT = "synth_fault"  # REPRO_FAULTS="synth:fail"
+    SYNTHESIS_FAILED = "synthesis_failed"  # detail: the exception's text
+    # Replay refusals of the call's input or entry state:
+    REPLAY_FAULT = "replay_fault"  # REPRO_FAULTS="replay:fail"
+    NO_DECODER = "no_decoder"  # no accelerator, or not an exact class
+    ARGUMENTS_CHANGED = "arguments_changed"  # arity, shape or dtype
+    SUB_WORD_LINES = "sub_word_lines"  # cache lines under 8 bytes
+    STREAMS_NOT_DRAINED = "streams_not_drained"  # an earlier call's words
+    TILE_DTYPE = "tile_dtype"  # a tile's dtype is not the stream's
+    PENDING_CONV_SLICE = "pending_conv_slice"  # left by an earlier call
+    TILES_BEYOND_STORAGE = "tiles_beyond_storage"  # a forged entry's
+    # Replay refusals of a schedule the data plane does not serve:
+    DECODER_REFUSED = "decoder_refused"  # by the C stream decoder
+    PUSHES_UNMATCHED = "pushes_unmatched"  # receives: count, size, order
+    NON_INTEGER = "non_integer"
+    EMPTY_PUSH = "empty_push"
+    SPLIT_PUSH = "split_push"  # one push over two operand classes
+    UNEVEN_PUSHES = "uneven_pushes"
+    UNLOADED_OPERAND = "unloaded_operand"
+    SHARED_RECEIVE_ARGUMENT = "shared_receive_argument"
+    OVERLAPPING_RECEIVES = "overlapping_receives"
+    OVERWRITTEN_REPEAT = "overwritten_repeat"
+
+
+#: The causes a replay raises; ``trace_sources["replay_refused"]`` is
+#: their sum in ``diagnostics()["served"]``.
+REFUSALS = frozenset(Cause) - {Cause.NO_TRACE, Cause.SYNTH_FAULT,
+                               Cause.SYNTHESIS_FAILED}
+
+
+#: Per call of ``CompiledKernel.run``, what served it: ``replay``, or
+#: per tile under one :class:`Cause` (by its value).
+SERVED_COUNTERS: Dict[str, int] = counters.section(
+    "served", dict.fromkeys(["replay"] + [cause.value for cause in Cause],
+                            0))
+
+
 class TraceUnsupported(RuntimeError):
-    """The driver did something the trace compiler cannot replay."""
+    """The trace machinery cannot build or replay this call: ``cause``
+    names why; the message is ``detail``, else the cause's value."""
+
+    def __init__(self, cause: Cause, detail: str = ""):
+        super().__init__(detail or cause.value)
+        self.cause = cause
 
 
 # -- event kinds (cost-stream entries, one per charge step) ---------------
@@ -342,192 +391,123 @@ def decode_key(accelerator: StreamAccelerator) -> Tuple:
         return ("conv", accelerator.max_ic, accelerator.max_fhw,
                 accelerator.max_slice, dtype_name(accelerator.dtype),
                 accelerator.ic, accelerator.fhw)
-    raise TraceUnsupported(
-        f"no trace decoder for {type(accelerator).__name__}"
-    )
+    raise TraceUnsupported(Cause.NO_DECODER)
 
 
 def decode_for_accelerator(trace: DriverTrace,
                            accelerator: StreamAccelerator) -> DecodedPlan:
     """Build (or fetch) the instruction plan for one accelerator config.
 
-    A refusal of the C decoder is cached like a plan.  Without the C
-    library there is no replay to plan for: that refusal is not cached,
-    since a :func:`~repro.soc._native.suspend_native` scope ends.
+    A refusal of the C decoder is cached like a plan, as its cause.
+    Without the C library there is no replay to plan for: that refusal
+    is not cached, since a :func:`~repro.soc._native.suspend_native`
+    scope ends.
     """
     if _native.native_lib() is None:
-        raise TraceUnsupported("the C kernels are unavailable")
+        raise TraceUnsupported(Cause.NO_TRACE)
     key = decode_key(accelerator)
     if key not in trace.decoded:
-        decode = _decode_matmul if key[0] == "matmul" else _decode_conv
         try:
-            trace.decoded[key] = decode(trace, accelerator)
+            trace.decoded[key] = _decode(trace, accelerator)
         except TraceUnsupported as exc:
-            trace.decoded[key] = exc
+            trace.decoded[key] = exc.cause
     plan = trace.decoded[key]
-    if isinstance(plan, TraceUnsupported):
-        raise plan
+    if type(plan) is Cause:
+        raise TraceUnsupported(plan)
     return plan
-
-
-def _stream_arrays(trace: DriverTrace):
-    """Contiguous stream arrays + word prefix sum for the C decoders."""
-    is_word = np.ascontiguousarray(trace.staged_is_word)
-    values = np.ascontiguousarray(trace.staged_values)
-    indices = np.ascontiguousarray(trace.staged_indices)
-    cum = np.zeros(trace.num_staged_items + 1, dtype=np.int64)
-    np.cumsum(trace.staged_widths, out=cum[1:])
-    limits = np.ascontiguousarray(trace.flush_item_counts)
-    return is_word, values, indices, cum, limits
 
 
 _MICRO_CODES = {"load_a": 0, "load_b": 1, "compute": 2, "push_c": 3,
                 "configure": 4, "reset": 5}
 
 
-def _decode_matmul(trace: DriverTrace,
-                   accel: MatMulAccelerator) -> DecodedPlan:
-    """The matmul control unit's stream decoder (a C kernel)."""
-    is_word, values, indices, cum, limits = _stream_arrays(trace)
-    names = VERSION_OPCODES[accel.version]
-    literals = np.asarray([MATMUL_LITERALS[n] for n in names],
-                          dtype=np.int64)
-    progs = [[_MICRO_CODES[p] for p in _MICRO_OPS[n]] for n in names]
-    prog_off = np.zeros(len(progs) + 1, dtype=np.int64)
-    np.cumsum([len(p) for p in progs], out=prog_off[1:])
-    prog = np.asarray([c for p in progs for c in p], dtype=np.int64)
-
+def _decode(trace: DriverTrace, accel: StreamAccelerator) -> DecodedPlan:
+    """The accelerator's control unit as a stream decoder (a C kernel
+    per kind), started from its entry config."""
     n_items = trace.num_staged_items
-    cap = max(n_items, 1)
-    comp_a = np.empty(cap, dtype=np.int64)
-    comp_b = np.empty(cap, dtype=np.int64)
-    comp_m = np.empty(cap, dtype=np.int64)
-    comp_n = np.empty(cap, dtype=np.int64)
-    comp_k = np.empty(cap, dtype=np.int64)
-    comp_push = np.empty(cap, dtype=np.int64)
-    push_counts = np.empty(cap, dtype=np.int64)
-    push_flush = np.empty(cap, dtype=np.int64)
-    out_words = np.empty(cap, dtype=np.int64)
+    cum = np.zeros(n_items + 1, dtype=np.int64)  # words before each item
+    np.cumsum(trace.staged_widths, out=cum[1:])
+    is_word, values, indices, limits = map(np.ascontiguousarray, (
+        trace.staged_is_word, trace.staged_values, trace.staged_indices,
+        trace.flush_item_counts))
+    # Per compute: operands, geometry, push; per push: its computes, its
+    # flush and its words.
+    (comp_a, comp_b, comp_m, comp_n, comp_k, comp_push, push_counts,
+     push_flush, out_words) = np.empty((9, max(n_items, 1)), dtype=np.int64)
     flush_cycles = np.zeros(limits.size, dtype=np.float64)
     flush_instr = np.zeros(limits.size, dtype=np.int64)
     final_state = np.zeros(5, dtype=np.int64)
     counts = np.zeros(2, dtype=np.int64)
 
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    f64p = ctypes.POINTER(ctypes.c_double)
-    error = _native.native_lib().decode_matmul_stream(
-        is_word.ctypes.data_as(u8p), values.ctypes.data_as(i64p),
-        indices.ctypes.data_as(i64p), cum.ctypes.data_as(i64p), n_items,
-        limits.ctypes.data_as(i64p), limits.size,
-        literals.ctypes.data_as(i64p), prog_off.ctypes.data_as(i64p),
-        prog.ctypes.data_as(i64p), literals.size,
-        accel.size_quantum, accel.buffer_capacity,
-        float(accel.ops_per_cycle), accel.tile_m, accel.tile_n, accel.tile_k,
-        comp_a.ctypes.data_as(i64p), comp_b.ctypes.data_as(i64p),
-        comp_m.ctypes.data_as(i64p), comp_n.ctypes.data_as(i64p),
-        comp_k.ctypes.data_as(i64p), comp_push.ctypes.data_as(i64p),
-        push_counts.ctypes.data_as(i64p), push_flush.ctypes.data_as(i64p),
-        out_words.ctypes.data_as(i64p),
-        flush_cycles.ctypes.data_as(f64p), flush_instr.ctypes.data_as(i64p),
-        final_state.ctypes.data_as(i64p), counts.ctypes.data_as(i64p),
-    )
+    def ptr(*arrays, kind=ctypes.c_int64):
+        return [a.ctypes.data_as(ctypes.POINTER(kind)) for a in arrays]
+
+    stream = ptr(is_word, kind=ctypes.c_uint8) \
+        + ptr(values, indices, cum) + [n_items] + ptr(limits) + [limits.size]
+    ends = ptr(flush_cycles, kind=ctypes.c_double) \
+        + ptr(flush_instr, final_state, counts)
+    lib = _native.native_lib()
+    conv = type(accel) is ConvAccelerator
+    if conv:
+        error = lib.decode_conv_stream(
+            *stream, CONV_LITERALS["sIcO"], CONV_LITERALS["sF"],
+            CONV_LITERALS["rO"], CONV_LITERALS["cfg_fsize"],
+            CONV_LITERALS["cfg_ic"], accel.max_ic, accel.max_fhw,
+            accel.max_slice, float(CONV_OPS_PER_CYCLE), accel.ic, accel.fhw,
+            *ptr(comp_a, comp_b, comp_k, comp_push, push_counts, push_flush,
+                 out_words), *ends)
+    else:
+        names = VERSION_OPCODES[accel.version]
+        literals = np.asarray([MATMUL_LITERALS[n] for n in names],
+                              dtype=np.int64)
+        progs = [[_MICRO_CODES[p] for p in _MICRO_OPS[n]] for n in names]
+        prog_off = np.zeros(len(progs) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in progs], out=prog_off[1:])
+        prog = np.asarray([c for p in progs for c in p], dtype=np.int64)
+        error = lib.decode_matmul_stream(
+            *stream, *ptr(literals, prog_off, prog), literals.size,
+            accel.size_quantum, accel.buffer_capacity,
+            float(accel.ops_per_cycle), accel.tile_m, accel.tile_n,
+            accel.tile_k, *ptr(comp_a, comp_b, comp_m, comp_n, comp_k,
+                               comp_push, push_counts, push_flush,
+                               out_words), *ends)
     if error:
-        raise TraceUnsupported("the C decoder refused the staged stream")
+        raise TraceUnsupported(Cause.DECODER_REFUSED)
     n_comp, n_push = int(counts[0]), int(counts[1])
     plan = DecodedPlan()
     plan.flush_cycles = flush_cycles
     plan.flush_instructions = flush_instr
     plan.compute_a = comp_a[:n_comp].copy()
     plan.compute_b = comp_b[:n_comp].copy()
-    plan.compute_geom = np.stack(
-        [comp_m[:n_comp], comp_n[:n_comp], comp_k[:n_comp]], axis=1
-    ) if n_comp else np.zeros((0, 3), dtype=np.int64)
     plan.compute_push = comp_push[:n_comp].copy()
     plan.push_counts = push_counts[:n_push].copy()
     plan.push_flush = push_flush[:n_push].copy()
     plan.out_words_per_push = out_words[:n_push].copy()
-    plan.final_config = (int(final_state[0]), int(final_state[1]),
-                         int(final_state[2]))
-    plan.final_a = int(final_state[3])
-    plan.final_b = int(final_state[4])
-    _match_pushes_to_recvs(trace, plan)
-    return plan
-
-
-def _decode_conv(trace: DriverTrace, accel: ConvAccelerator) -> DecodedPlan:
-    """The conv control unit's stream decoder (a C kernel)."""
-    is_word, values, indices, cum, limits = _stream_arrays(trace)
-    n_items = trace.num_staged_items
-    cap = max(n_items, 1)
-    comp_a = np.empty(cap, dtype=np.int64)
-    comp_b = np.empty(cap, dtype=np.int64)
-    comp_k = np.empty(cap, dtype=np.int64)
-    comp_push = np.empty(cap, dtype=np.int64)
-    push_counts = np.empty(cap, dtype=np.int64)
-    push_flush = np.empty(cap, dtype=np.int64)
-    out_words = np.empty(cap, dtype=np.int64)
-    flush_cycles = np.zeros(limits.size, dtype=np.float64)
-    flush_instr = np.zeros(limits.size, dtype=np.int64)
-    final_state = np.zeros(3, dtype=np.int64)
-    counts = np.zeros(2, dtype=np.int64)
-
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    f64p = ctypes.POINTER(ctypes.c_double)
-    error = _native.native_lib().decode_conv_stream(
-        is_word.ctypes.data_as(u8p), values.ctypes.data_as(i64p),
-        indices.ctypes.data_as(i64p), cum.ctypes.data_as(i64p), n_items,
-        limits.ctypes.data_as(i64p), limits.size,
-        CONV_LITERALS["sIcO"], CONV_LITERALS["sF"], CONV_LITERALS["rO"],
-        CONV_LITERALS["cfg_fsize"], CONV_LITERALS["cfg_ic"],
-        accel.max_ic, accel.max_fhw, accel.max_slice,
-        float(CONV_OPS_PER_CYCLE), accel.ic, accel.fhw,
-        comp_a.ctypes.data_as(i64p), comp_b.ctypes.data_as(i64p),
-        comp_k.ctypes.data_as(i64p), comp_push.ctypes.data_as(i64p),
-        push_counts.ctypes.data_as(i64p), push_flush.ctypes.data_as(i64p),
-        out_words.ctypes.data_as(i64p),
-        flush_cycles.ctypes.data_as(f64p), flush_instr.ctypes.data_as(i64p),
-        final_state.ctypes.data_as(i64p), counts.ctypes.data_as(i64p),
-    )
-    if error:
-        raise TraceUnsupported("the C decoder refused the staged stream")
-    n_comp, n_push = int(counts[0]), int(counts[1])
-    plan = DecodedPlan()
-    plan.kind = "conv"
-    plan.flush_cycles = flush_cycles
-    plan.flush_instructions = flush_instr
-    plan.compute_a = comp_a[:n_comp].copy()
-    plan.compute_b = comp_b[:n_comp].copy()
-    geom = np.ones((n_comp, 3), dtype=np.int64)
-    geom[:, 2] = comp_k[:n_comp]
-    plan.compute_geom = geom
-    plan.compute_push = comp_push[:n_comp].copy()
-    plan.push_counts = push_counts[:n_push].copy()
-    plan.push_flush = push_flush[:n_push].copy()
-    plan.out_words_per_push = out_words[:n_push].copy()
-    plan.final_config = (int(final_state[0]), int(final_state[1]))
-    plan.final_b = int(final_state[2])
+    final = [int(v) for v in final_state]
+    if conv:
+        plan.kind = "conv"
+        plan.compute_geom = np.ones((n_comp, 3), dtype=np.int64)
+        plan.compute_geom[:, 2] = comp_k[:n_comp]
+        plan.final_config, plan.final_b = tuple(final[:2]), final[2]
+    else:
+        plan.compute_geom = np.stack(
+            [comp_m[:n_comp], comp_n[:n_comp], comp_k[:n_comp]], axis=1)
+        plan.final_config = tuple(final[:3])
+        plan.final_a, plan.final_b = final[3:]
     _match_pushes_to_recvs(trace, plan)
     return plan
 
 
 def _match_pushes_to_recvs(trace: DriverTrace, plan: DecodedPlan) -> None:
-    """Receives pop pushed outputs in FIFO order; sizes must line up."""
-    n = len(trace.recv_refs)
-    if len(plan.out_words_per_push) != n:
-        raise TraceUnsupported("push/receive count mismatch")
-    if n == 0:
-        return
-    class_ids = trace.recv_refs[:, 0]
+    """Receives pop pushed outputs in FIFO order: one push per receive,
+    of its class's size, flushed no later than the receive."""
     class_words = np.asarray(
         [tc.num_elements() * tc.itemsize // 4
          for tc in trace.recv_classes], dtype=np.int64,
     )
     out_words = np.asarray(plan.out_words_per_push, dtype=np.int64)
-    if (out_words != class_words[class_ids]).any():
-        raise TraceUnsupported("push/receive size mismatch")
-    # FIFO discipline: each push must precede its receive in time.
     push_flush = np.asarray(plan.push_flush, dtype=np.int64)
-    if (trace.flush_pos[push_flush] > trace.recv_pos).any():
-        raise TraceUnsupported("receive precedes its pushed output")
+    if out_words.size != len(trace.recv_refs) or out_words.size and (
+            (out_words != class_words[trace.recv_refs[:, 0]]).any()
+            or (trace.flush_pos[push_flush] > trace.recv_pos).any()):
+        raise TraceUnsupported(Cause.PUSHES_UNMATCHED)

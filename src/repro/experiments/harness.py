@@ -21,7 +21,7 @@ request served remotely lowers and runs through exactly the code a
 local measurement would.
 
 Compilation goes through the process-wide kernel cache
-(:func:`repro.compiler.default_kernel_cache`): figures that sweep the
+(:func:`repro.kernel_cache.default_kernel_cache`): figures that sweep the
 same (accelerator, shape, flow) configuration with different *runtime*
 knobs (fig11's unspecialized copies vs fig12/13's specialized ones)
 lower each kernel exactly once and share the compiled entry point.
@@ -50,7 +50,8 @@ from ..baselines import (
     manual_conv_driver,
     manual_matmul_driver,
 )
-from ..compiler import AXI4MLIRCompiler, default_kernel_cache
+from ..compiler import AXI4MLIRCompiler
+from ..kernel_cache import default_kernel_cache
 from ..soc import PerfCounters, make_pynq_z2
 
 

@@ -1,6 +1,6 @@
 """Crash-safe, concurrency-safe, corruption-tolerant kernel store.
 
-This is the disk half of :class:`repro.compiler.KernelCache`, split out
+This is the disk half of :class:`repro.kernel_cache.KernelCache`, split out
 so its failure semantics can be reasoned about (and fault-injected)
 independently of the compilation pipeline.  Design points:
 
@@ -27,17 +27,19 @@ fails its SHA-256 and is quarantined and rebuilt.
 
 **Entry container.**  Each ``.entry`` file is::
 
-    REPRO-KSTORE-2\\n
-    <sha256 hex of manifest+segment>\\n
-    <manifest byte length>\\n
-    <JSON manifest><zlib stream>
+    REPRO-KSTORE-3\\n
+    <sha256 hex of the sizes line and both streams>\\n
+    <manifest byte length> <manifest stream byte length>\\n
+    <zlib stream of the JSON manifest><zlib stream of the segment>
 
 The manifest and segment are the store's :class:`Codec`'s (see the
 codec below): a JSON manifest holding the payload's whitelisted tagged
 tree, one ``[dtype.str, shape, offset, stored, base]`` row per array,
 and the segment's size; the segment is the 8-byte-aligned
-concatenation of every ndarray member's C-contiguous bytes, stored as
-**one** zlib stream.  An integer array is stored narrowed: as its
+concatenation of every ndarray member's C-contiguous bytes.  Each is
+stored as **one** zlib stream and inflated once, bounded by its
+declared size (the manifest's in the sizes line, the segment's in the
+manifest).  An integer array is stored narrowed: as its
 values or as its first differences (from ``base``), in the narrowest
 of ``u1/i1/u2/i2/u4/i4`` that holds them (``stored``), or as it is when
 neither form is narrower (both columns null).  Decode inflates the
@@ -58,7 +60,7 @@ and no derived state the loader does not check (the C decoders' plans
 are re-derived).  The SHA-256 is computed by whoever
 wrote the entry, so the kernel cache also checks a loaded trace's index
 tables and MetricsPlans before they are used
-(``repro.compiler.stored_trace``); a forged entry that passes can make
+(``repro.kernel_cache.stored_trace``); a forged entry that passes can make
 results wrong, not run code.  Any violation (bad magic, short file,
 checksum mismatch, malformed JSON, an inflated size other than the
 declared one, bytes after the stream, a bad table row, an unknown tag,
@@ -67,7 +69,7 @@ status ``"corrupt"``, which callers count separately from an honest
 miss.
 
 **What gets published.**  Traced kernels only, from the kernel cache's
-persist hook (:class:`repro.compiler.KernelCache`); processes racing on
+persist hook (:class:`repro.kernel_cache.KernelCache`); processes racing on
 one key each publish atomically and the entry converges.
 
 **Garbage collection.**  ``gc(max_bytes)`` (env:
@@ -100,7 +102,7 @@ from .envutil import env_int
 
 #: Container magic line; bump with the container *framing*, not the
 #: payload schema (that is KERNEL_STORE_VERSION in the manifest).
-MAGIC = b"REPRO-KSTORE-2\n"
+MAGIC = b"REPRO-KSTORE-3\n"
 
 #: Env knob: total bytes the object tree may occupy before the LRU
 #: garbage collector evicts oldest-used entries.  Unset/empty = no cap.
@@ -547,20 +549,23 @@ def decode_payload(manifest: bytes, stream: bytes) -> Any:
 
     The stream is inflated once, bounded by the declared size.
     """
+    return _store_codec().decode(manifest, lambda size: bytearray(
+        _inflate(stream, size, "array segment")))
 
-    def inflate(size: int) -> bytearray:
-        inflater = zlib.decompressobj()
-        try:
-            data = inflater.decompress(stream, size + 1)
-        except zlib.error as exc:
-            raise StoreFormatError(f"bad array segment: {exc}") from None
-        if len(data) != size or not inflater.eof:
-            raise StoreFormatError("array segment is not the declared size")
-        if inflater.unused_data:
-            raise StoreFormatError("trailing bytes after the array segment")
-        return bytearray(data)
 
-    return _store_codec().decode(manifest, inflate)
+def _inflate(stream: bytes, size: int, what: str) -> bytes:
+    """The ``size`` bytes ``stream`` inflates to, inflating at most one
+    byte more; raises StoreFormatError unless that is all of it."""
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(stream, size + 1)
+    except zlib.error as exc:
+        raise StoreFormatError(f"bad {what}: {exc}") from None
+    if len(data) != size or not inflater.eof:
+        raise StoreFormatError(f"{what} is not the declared size")
+    if inflater.unused_data:
+        raise StoreFormatError(f"trailing bytes after the {what}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -568,29 +573,30 @@ def decode_payload(manifest: bytes, stream: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 def pack_entry(manifest: bytes, stream: bytes) -> bytes:
-    digest = hashlib.sha256(manifest + stream).hexdigest()
-    header = MAGIC + digest.encode() + b"\n" + \
-        str(len(manifest)).encode() + b"\n"
-    return header + manifest + stream
+    """The entry file of :func:`encode_payload`'s pair: the manifest is
+    deflated here (it is most of a small entry's bytes)."""
+    packed = zlib.compress(manifest)
+    body = b"%d %d\n" % (len(manifest), len(packed)) + packed + stream
+    return MAGIC + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
 def unpack_entry(blob: bytes) -> Tuple[bytes, bytes]:
+    """Inverse of :func:`pack_entry`.  The checksum is checked before
+    anything is inflated, and the manifest inflates to its declared
+    size or fails."""
     if not blob.startswith(MAGIC):
         raise StoreFormatError("bad magic")
-    rest = blob[len(MAGIC):]
     try:
-        digest_line, rest = rest.split(b"\n", 1)
-        length_line, rest = rest.split(b"\n", 1)
-        manifest_len = int(length_line)
+        digest_line, body = blob[len(MAGIC):].split(b"\n", 1)
+        sizes, rest = body.split(b"\n", 1)
+        size, packed_len = (int(value) for value in sizes.split(b" "))
     except ValueError:
         raise StoreFormatError("truncated header") from None
-    if manifest_len < 0 or manifest_len > len(rest):
-        raise StoreFormatError("truncated entry")
-    manifest, stream = rest[:manifest_len], rest[manifest_len:]
-    actual = hashlib.sha256(manifest + stream).hexdigest().encode()
-    if actual != digest_line:
+    if hashlib.sha256(body).hexdigest().encode() != digest_line:
         raise StoreFormatError("checksum mismatch")
-    return manifest, stream
+    if size < 0 or not 0 <= packed_len <= len(rest):
+        raise StoreFormatError("truncated entry")
+    return _inflate(rest[:packed_len], size, "manifest"), rest[packed_len:]
 
 
 # ---------------------------------------------------------------------------

@@ -507,7 +507,7 @@ class SweepDriver:
         finally:
             count("tuning_workers_merged", workers.shutdown())
             if restarted:  # a dead worker never synced its entries
-                from ..compiler import default_kernel_cache
+                from ..kernel_cache import default_kernel_cache
                 disk = default_kernel_cache().resolve_store()
                 if disk is not None:
                     disk.sync(since=started - 1.0)

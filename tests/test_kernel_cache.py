@@ -372,14 +372,14 @@ class TestDiskKernelStore:
 
     def test_store_version_bump_invalidates_entries(self, tmp_path,
                                                     monkeypatch):
-        import repro.compiler as compiler_mod
+        import repro.kernel_cache as kernel_cache_mod
 
         store = str(tmp_path / "repro_cache")
         writer = KernelCache(disk_dir=store)
         self._run(make_compiler(writer).compile_matmul(16, 16, 16), size=16)
         assert len(self.entry_files(store)) == 1
-        monkeypatch.setattr(compiler_mod, "KERNEL_STORE_VERSION",
-                            compiler_mod.KERNEL_STORE_VERSION + 1)
+        monkeypatch.setattr(kernel_cache_mod, "KERNEL_STORE_VERSION",
+                            kernel_cache_mod.KERNEL_STORE_VERSION + 1)
         reader = KernelCache(disk_dir=store)
         make_compiler(reader).compile_matmul(16, 16, 16)
         assert reader.disk_hits == 0  # old-format entry never loads
@@ -546,7 +546,8 @@ class TestDiskKernelStore:
         still sees the store."""
         import threading
 
-        from repro.compiler import disk_store_suspended, suspend_disk_store
+        from repro.kernel_cache import (disk_store_suspended,
+                                        suspend_disk_store)
 
         store = tmp_path / "repro_cache"
         cache = KernelCache(disk_dir=str(store))
@@ -644,11 +645,11 @@ class TestPublicationRule:
 
     def test_the_store_is_written_from_one_place(self):
         (site,) = self.call_sites(r"\bstore\.store\(")
-        assert site[0] == "repro/compiler.py"
+        assert site[0] == "repro/kernel_cache.py"
 
     def test_persist_hook_is_the_only_disk_store_caller(self):
         (site,) = self.call_sites(r"\b_disk_store\(")
-        assert site[0] == "repro/compiler.py" and "lambda" in site[1]
+        assert site[0] == "repro/kernel_cache.py" and "lambda" in site[1]
 
 
 #: The eight kernels ``steady_replay`` keeps hot: (kind, shape, system).
@@ -777,16 +778,16 @@ class TestDeferredParse:
     @pytest.fixture
     def drivers(self, monkeypatch):
         """Every driver emission and ``exec`` in this process."""
-        import repro.compiler as compiler_mod
+        import repro.kernel as kernel_mod
         from repro.codegen import PythonEmitter
 
         calls = []
         emit = PythonEmitter.emit
         monkeypatch.setattr(PythonEmitter, "emit",
                             lambda self: calls.append("emit") or emit(self))
-        build = compiler_mod.compile_host_function
+        build = kernel_mod.compile_host_function
         monkeypatch.setattr(
-            compiler_mod, "compile_host_function",
+            kernel_mod, "compile_host_function",
             lambda *args: calls.append("exec") or build(*args))
         return calls
 
@@ -903,7 +904,8 @@ class TestDeferredParse:
         assert not variant.specialized_copies and loaded.specialized_copies
 
     def test_compiled_kernel_keeps_the_module_it_was_given(self):
-        from repro.compiler import CompiledKernel, build_matmul_module
+        from repro.compiler import build_matmul_module
+        from repro.kernel import CompiledKernel
         from repro.ir import element_type_from_string
 
         module = build_matmul_module(4, 4, 4, element_type_from_string("i32"))
@@ -1084,7 +1086,7 @@ class TestHostileEntries:
         """The receive refs and flush item counts the C decoders read
         load as int64 ndarrays: one ``(class, tile)`` pair per receive,
         one item count per flush."""
-        from repro.compiler import stored_trace
+        from repro.kernel_cache import stored_trace
         from repro.store import KernelStore
 
         store = tmp_path / "store"
@@ -1349,7 +1351,7 @@ class TestManualTraceEntries:
             self, monkeypatch):
         """The one payload check: a checksum-valid payload of another
         KERNEL_STORE_VERSION under a current name never loads."""
-        from repro.compiler import KERNEL_STORE_VERSION
+        from repro.kernel_cache import KERNEL_STORE_VERSION
         from repro.store import KernelStore
 
         fresh = self.run()
@@ -1372,10 +1374,11 @@ class TestManualTraceEntries:
     @pytest.mark.usefixtures("clean_faults")
     def test_entry_from_another_source_digest_is_ignored(self,
                                                          monkeypatch):
-        import repro.compiler as compiler_mod
+        import repro.kernel_cache as kernel_cache_mod
 
         fresh = self.run()
-        monkeypatch.setattr(compiler_mod, "_SOURCE_TREE_DIGEST", "f" * 64)
+        monkeypatch.setattr(kernel_cache_mod, "_SOURCE_TREE_DIGEST",
+                            "f" * 64)
         self.fresh_process(monkeypatch)
         from repro.execution import TRACE_COUNTERS
         synthesized = TRACE_COUNTERS["synthesized"]

@@ -245,6 +245,36 @@ class TestContainer:
         with pytest.raises(StoreFormatError):
             unpack_entry(blob)
 
+    @pytest.mark.parametrize("resealed", [False, True])
+    def test_a_forged_manifest_size_is_quarantined(self, resealed, tmp_path,
+                                                  monkeypatch):
+        """The manifest is deflated in the entry and declared by size.
+        A forged size fails the checksum before anything is inflated;
+        resealed with a checksum to match, its inflate stops one byte
+        past the stream's true size.  Either way: quarantined."""
+        from repro import store as store_mod
+
+        manifest, npz = encode_payload({"k": np.arange(3)})
+        blob = pack_entry(manifest, npz)
+        digest, sizes, rest = blob[len(store_mod.MAGIC):].split(b"\n", 2)
+        size, packed = sizes.split(b" ")
+        assert int(size) == len(manifest) and int(packed) < len(manifest)
+        body = str(1 << 40).encode() + b" " + packed + b"\n" + rest
+        if resealed:
+            digest = hashlib.sha256(body).hexdigest().encode()
+        forged = store_mod.MAGIC + digest + b"\n" + body
+        inflated = []
+        real = zlib.decompressobj
+        monkeypatch.setattr(zlib, "decompressobj",
+                            lambda: inflated.append(1) or real())
+        store = KernelStore(tmp_path)
+        path = store.entry_path("entry")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(forged)
+        assert store.load("entry") == ("corrupt", None)
+        assert not path.exists() and len(inflated) == int(resealed)
+        assert len(list(store.corrupt_dir().iterdir())) == 1
+
 
 # -- hostile containers -----------------------------------------------------
 #
@@ -414,7 +444,7 @@ class TestHostileContainers:
         """An entry under the previous magic never reaches the codec."""
         manifest, stream = encode_payload(_hostile_payload())
         blob = pack_entry(manifest, stream)
-        old = blob.replace(b"REPRO-KSTORE-2", b"REPRO-KSTORE-1", 1)
+        old = blob.replace(b"REPRO-KSTORE-3", b"REPRO-KSTORE-2", 1)
         with pytest.raises(StoreFormatError, match="bad magic"):
             unpack_entry(old)
         store = KernelStore(tmp_path)

@@ -39,7 +39,8 @@ from repro import faults, pool
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.baselines.manual import manual_conv_kernel, manual_matmul_kernel
 from repro.compiler import AXI4MLIRCompiler, KernelCache
-from repro.execution import METRICS_PLAN_COUNTERS, TRACE_COUNTERS
+from repro.execution import METRICS_PLAN_COUNTERS, TRACE_COUNTERS, Cause
+from repro.execution.trace import SERVED_COUNTERS
 from repro.execution.metrics import _cache_digest
 from repro.runtime import DoubleBufferedRuntime
 from repro.soc import _native, make_pynq_z2
@@ -233,6 +234,23 @@ def _hit_paths():
             METRICS_PLAN_COUNTERS["metrics_plan_hits"])
 
 
+def _served_grew(before):
+    """The ``diagnostics()["served"]`` counts that grew since ``before``."""
+    return {key: SERVED_COUNTERS[key] - before[key]
+            for key in SERVED_COUNTERS
+            if SERVED_COUNTERS[key] != before[key]}
+
+
+def _cause(rungs):
+    """What serves every call of a pass under ``rungs``: synthesis runs
+    (and fails) before a replay could be refused."""
+    if "synth:fail" in rungs:
+        return Cause.SYNTH_FAULT.value
+    if "replay:fail" in rungs:
+        return Cause.REPLAY_FAULT.value
+    return "replay"
+
+
 MODES = ["in-process", pytest.param("pool-worker", marks=pytest.mark.matrix)]
 
 
@@ -246,9 +264,15 @@ def test_every_selection_matches_the_interpreter(name, mode, tmp_path):
         for case, (cold, warm, check) in enumerate(PRODUCT):
             job = {"name": name, "rungs": (cold, warm), "check": check,
                    "store": str(tmp_path / str(case))}
-            sources = dict(TRACE_COUNTERS)
+            sources, served = dict(TRACE_COUNTERS), dict(SERVED_COUNTERS)
             reply = _submit(mode, job, workers)
             assert reply["passes"] == [oracle] * rounds, job
+            # Each call counted once, under the cause its pass forced.
+            expected = {}
+            for rungs in (cold, warm):
+                expected[_cause(rungs)] = \
+                    expected.get(_cause(rungs), 0) + steps
+            assert _served_grew(served) == expected, job
             assert reply["native"] == ["ok"] * 2, job
             # A kernel is never recorded; one that fails synthesis has
             # no trace and ran per tile, both passes.
@@ -276,11 +300,34 @@ def test_without_the_c_library_every_kernel_runs_per_tile(name, mode,
     job = {"name": name, "rungs": (NO_C_LIBRARY, NO_C_LIBRARY),
            "check": False, "store": str(tmp_path)}
     with _workers(mode) as workers:
-        sources = dict(TRACE_COUNTERS)
+        sources, served = dict(TRACE_COUNTERS), dict(SERVED_COUNTERS)
         reply = _submit(mode, job, workers)
     assert reply["passes"] == [oracle] * rounds
     assert reply["native"] == ["fault-injected"] * 2
     assert TRACE_COUNTERS["synthesized"] == sources["synthesized"]
+    assert _served_grew(served) \
+        == {Cause.NO_TRACE.value: 2 * len(CONFIGS[name])}
+    assert not list(tmp_path.rglob("*.entry"))
+
+
+@pytest.mark.usefixtures("clean_faults")
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_under_repro_no_trace_every_call_runs_per_tile(name, mode, tmp_path,
+                                                      monkeypatch):
+    """``REPRO_NO_TRACE=1``, the one per-tier switch: every call runs per
+    tile, counted as ``no_trace``; nothing is synthesized or published."""
+    oracle = _run(name, interpreted=True)
+    monkeypatch.setenv("REPRO_NO_TRACE", "1")
+    job = {"name": name, "rungs": ((), ()), "check": False,
+           "store": str(tmp_path)}
+    with _workers(mode) as workers:
+        sources, served = dict(TRACE_COUNTERS), dict(SERVED_COUNTERS)
+        reply = _submit(mode, job, workers)
+    assert reply["passes"] == [oracle] * _rounds(name)
+    assert TRACE_COUNTERS["synthesized"] == sources["synthesized"]
+    assert _served_grew(served) \
+        == {Cause.NO_TRACE.value: 2 * len(CONFIGS[name])}
     assert not list(tmp_path.rglob("*.entry"))
 
 

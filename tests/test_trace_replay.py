@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.accelerators import make_conv_system, make_matmul_system
 from repro.compiler import AXI4MLIRCompiler, KernelCache
 from repro.execution import (
+    Cause,
     TraceUnsupported,
     interpret_function,
     record_trace,
@@ -136,7 +137,7 @@ class TestMatmulEquivalence:
         for flow in ("Cs", "Ns"):
             case = _compiled_case("matmul", version=3, size=8, flow=flow,
                                   dtype=np.float32, shape=(32, 32, 32))
-            _assert_refused(case, "non-integer arguments",
+            _assert_refused(case, Cause.NON_INTEGER,
                             np.random.default_rng(11))
 
     def test_unspecialized_copies(self):
@@ -289,8 +290,9 @@ class TestFallbacks:
         board, _ = fresh_board()
         rt = AxiRuntime(board)
         descriptors = [rt.make_memref(array) for array in operands]
-        with pytest.raises(TraceUnsupported, match="C kernels"):
+        with pytest.raises(TraceUnsupported) as refusal:
             replay_kernel(trace, board, rt, descriptors, False)
+        assert refusal.value.cause is Cause.NO_TRACE
         assert board.dma is None and board.clock == 0.0
 
     def test_send_after_receive_is_unsupported(self):
@@ -625,12 +627,12 @@ _CASE_NAMES = ["v1", "v2", "v3", "v4-flex", "conv", "conv-stride",
 #: The hand-written schedules no host driver emits, and the refusal
 #: each meets when its DataSchedule is built.
 _REFUSALS = {
-    "conv-two-classes": "two receive classes on one argument",
-    "conv-overlap": "overlapping receive tiles",
-    "conv-overwrite": "a receive overwrites a repeated tile",
-    "conv-uneven": "two receive classes on one argument",
-    "v3-corners": "a compute on a never-loaded operand",
-    "v3-uneven": "a block's pushes differ in size or receive class",
+    "conv-two-classes": Cause.SHARED_RECEIVE_ARGUMENT,
+    "conv-overlap": Cause.OVERLAPPING_RECEIVES,
+    "conv-overwrite": Cause.OVERWRITTEN_REPEAT,
+    "conv-uneven": Cause.SHARED_RECEIVE_ARGUMENT,
+    "v3-corners": Cause.UNLOADED_OPERAND,
+    "v3-uneven": Cause.UNEVEN_PUSHES,
 }
 
 
@@ -639,15 +641,16 @@ def _schedules(trace):
             for plan in trace.decoded.values()]
 
 
-def _refused(case, trace, arrays, pads, match):
-    """Replay refuses with ``match`` and leaves the board, the arguments
+def _refused(case, trace, arrays, pads, cause):
+    """Replay refuses with ``cause`` and leaves the board, the arguments
     and the accelerator exactly as the per-tile path expects; returns
     that per-tile run."""
     hw, board, rt, descriptors = _fresh(case, arrays, pads)
     before = ([d.allocated.tobytes() for d in descriptors],
               _accel_state(hw), _board_state(board, hw))
-    with pytest.raises(TraceUnsupported, match=match):
+    with pytest.raises(TraceUnsupported) as refusal:
         replay_kernel(trace, board, rt, descriptors, False)
+    assert refusal.value.cause is cause
     assert ([d.allocated.tobytes() for d in descriptors],
             _accel_state(hw), _board_state(board, hw)) == before
     assert board.dma is None and rt.dma is None
@@ -948,7 +951,7 @@ class TestRefusalsLeaveNoTrace:
         faults.reset_faults()
         try:
             assert _refused(case, case.trace(), arrays, (4, 0, 2),
-                            "injected replay fault") == reference
+                            Cause.REPLAY_FAULT) == reference
         finally:
             monkeypatch.delenv("REPRO_FAULTS")
             faults.reset_faults()
@@ -968,9 +971,8 @@ class TestRefusalsLeaveNoTrace:
         reference = _invoke("per_tile", case, arrays, (4, 0))
         for _ in range(3):  # builds the verdict, then serves it twice
             assert _refused(case, case.trace(), arrays, (4, 0),
-                            "empty compute set") == reference
-            assert _schedules(case.trace()) \
-                == ["push with an empty compute set"]
+                            Cause.EMPTY_PUSH) == reference
+            assert _schedules(case.trace()) == [Cause.EMPTY_PUSH]
 
     def test_storage_too_short_for_the_tiles(self):
         case = _case("v3")
@@ -980,6 +982,7 @@ class TestRefusalsLeaveNoTrace:
         short = descriptors[2]
         short.allocated = short.aligned = short.allocated[:-8].copy()
         before = _board_state(board, hw)
-        with pytest.raises(TraceUnsupported, match="beyond argument"):
+        with pytest.raises(TraceUnsupported) as refusal:
             replay_kernel(case.trace(), board, rt, descriptors, False)
+        assert refusal.value.cause is Cause.TILES_BEYOND_STORAGE
         assert _board_state(board, hw) == before and board.dma is None

@@ -33,7 +33,7 @@ from repro.accelerators import (
 from repro.baselines.manual import manual_conv_driver, manual_matmul_driver
 from repro.codegen import schedule_event_count
 from repro.compiler import AXI4MLIRCompiler, KernelCache, default_kernel_cache
-from repro.execution import TRACE_COUNTERS, diagnostics
+from repro.execution import TRACE_COUNTERS, Cause, diagnostics
 from repro.execution.synthesize import (
     SynthesisUnsupported,
     TraceMismatch,
@@ -263,16 +263,18 @@ class TestTraceSources:
         kernel.run(board, a, b, np.zeros((16, 16), np.int32))
         assert TRACE_COUNTERS["recorded"] == before["recorded"]
         assert TRACE_COUNTERS["synthesized"] == before["synthesized"]
-        assert kernel.trace_state.failed
+        assert kernel.trace_state.failed is Cause.SYNTH_FAULT
         # The forced rung is visible as what it is: a fallback.
         assert TRACE_COUNTERS["synth_fallback"] \
             == before["synth_fallback"] + 1
 
     def test_diagnostics_shape(self):
         report = diagnostics()
-        assert set(report) == {"stage_timings", "trace_sources",
+        assert set(report) == {"stage_timings", "trace_sources", "served",
                                "metrics_plan", "model_plan", "store",
                                "tuning", "faults", "native", "service"}
+        assert set(report["served"]) \
+            == {"replay"} | {cause.value for cause in Cause}
         assert "trace_synth_s" in report["stage_timings"]
         assert "manual_record_s" in report["stage_timings"]
         assert "metrics_plan_build_s" in report["stage_timings"]
@@ -450,7 +452,7 @@ class TestManualTraceLifecycle:
     def test_a_failed_recording_is_counted_once(self, monkeypatch):
         """A trace build that fails (here: synthesis) is tried once and
         counted once; the driver runs per tile from then on."""
-        import repro.compiler as compiler_mod
+        import repro.kernel as kernel_mod
 
         reference = self.per_tile(monkeypatch)
         calls = []
@@ -459,7 +461,7 @@ class TestManualTraceLifecycle:
             calls.append(args)
             raise SynthesisUnsupported("unsynthesizable driver")
 
-        monkeypatch.setattr(compiler_mod, "synthesize_trace", refuse)
+        monkeypatch.setattr(kernel_mod, "synthesize_trace", refuse)
         before = dict(TRACE_COUNTERS)
         assert self.run() == reference
         assert self.run() == reference
@@ -468,7 +470,8 @@ class TestManualTraceLifecycle:
             == before["synth_fallback"] + 1
         assert TRACE_COUNTERS["synthesized"] == before["synthesized"]
         (kernel,) = _manual_kernels()
-        assert kernel.trace_state.failed and kernel.trace_state.trace is None
+        assert kernel.trace_state.failed is Cause.SYNTHESIS_FAILED
+        assert kernel.trace_state.trace is None
 
     def test_a_replay_refusal_keeps_the_recording(self, monkeypatch):
         reference = self.per_tile(monkeypatch)

@@ -14,10 +14,10 @@ split into two explicit planes:
     a ``(trace, decoded plan)`` pair and reused afterwards): per send
     class the distinct tile starts and each tile's row among them; the
     compute sequence cut into blocks of constant geometry and operand
-    class with their operand rows, push ids, push counts and target
-    receive rows (conv runs that differ only by filter fused into one
-    ``windows @ filters`` product; a dense multi-compute matmul block's
-    deduplicated operand panels); per receive class its one scatter.
+    class, grouped by receive tile, with their operand rows and a target
+    row per tile (conv runs that differ only by filter fused into one
+    ``windows @ filters`` product; a dense matmul block's deduplicated
+    operand panels); per receive class its distinct tiles' scatter.
     It holds tile *starts*, never element indices — tiles are reached
     through a strided window view of the argument storage — so it is
     O(tiles) resident, and descriptor offsets enter only when that view
@@ -32,15 +32,15 @@ split into two explicit planes:
     gather each send class's distinct tiles once, elect the exact-float
     type from the class maxima (modular-arithmetic-identical to the
     per-tile path; a panel product elects on its fused depth), one
-    batched product per block, fold products into pushes, scatter each
-    receive class once, write the staging-region payloads.
+    batched product per block that sums every tile's pushes, scatter
+    each receive class once, write the staging-region payloads.
 
   The data plane serves the schedules the host drivers emit: integer
   tiles, every operand loaded before it is used, pushes of one size per
-  block landing in one receive class, and per argument at most one
-  receive class whose distinct tiles are disjoint and, when a tile
-  repeats, accumulated.  Any other schedule is refused when its
-  :class:`DataSchedule` is built, and the verdict is cached with it.
+  block landing in one receive class, equally many per tile, and per
+  argument at most one receive class whose distinct tiles are disjoint
+  and, when a tile repeats, accumulated.  Any other schedule is refused
+  when its :class:`DataSchedule` is built, and the verdict is cached.
 
 * the **metrics plane** (:mod:`repro.execution.metrics`): every
   performance-model quantity — per-event copy/cache charges, the exact
@@ -122,28 +122,29 @@ def replay_kernel(trace: DriverTrace, board, rt, descriptors,
 class _Block:
     """One batched product: computes of one geometry and operand class.
 
-    ``a`` / ``b`` are ``(send class, value rows)``.  A matmul block has
+    ``a`` / ``b`` are ``(send class, value rows)``, ``slice(None)`` for
+    a class's distinct tiles in order (no gather).  A matmul block has
     one row pair per compute; a conv block has its windows in ``a`` and
-    one row per filter in ``b``, computes ordered filter-major.
-    The computes fold, in order, into pushes of ``count`` computes each,
-    whose payloads land at ``target``: ``(recv class, its rows)``.
-    ``panels`` is set on a dense multi-compute matmul block (see
-    :func:`_panels`).
+    one row per filter in ``b``, computes ordered filter-major.  The
+    computes come grouped by receive tile: ``group`` computes in ``reps``
+    pushes, summed into the tile's row of ``target``: ``(recv class, its
+    rows)``.  ``panels`` is set on a dense matmul block.
     """
 
-    __slots__ = ("tm", "tn", "tk", "a", "b", "count", "target", "panels")
+    __slots__ = ("tm", "tn", "tk", "a", "b", "group", "reps", "target",
+                 "panels")
 
 
 class DataSchedule:
     """Everything the data plane derives from ``(trace, plan)`` alone:
     per send class its distinct tiles; the compute blocks, a dense
-    multi-compute matmul block with its deduplicated operand panels and
-    each push's ``(ia, jb)`` tile of their product; per receive class
-    its one scatter.  A schedule outside what the data plane serves (see
-    the module docstring) raises :class:`ReplayUnsupported` here."""
+    matmul block with its deduplicated operand panels and each tile's
+    ``(ia, jb)`` tile of their product; per receive class its distinct
+    tiles.  A schedule outside what the data plane serves (see the
+    module docstring) raises :class:`ReplayUnsupported` here."""
 
-    __slots__ = ("send", "send_extent", "recv_extent", "blocks",
-                 "scatters")
+    __slots__ = ("send", "send_extent", "recv_extent", "recv_rows",
+                 "blocks", "scatters")
 
     def __init__(self, trace: DriverTrace, plan: DecodedPlan):
         if any(np.dtype(spec[3]).kind not in "iu"
@@ -188,7 +189,7 @@ class DataSchedule:
 
         # Segment the compute sequence into runs of constant
         # (geometry, operand class) — the generated loop nests produce
-        # long such runs — and cut each run into bounded blocks.
+        # long such runs — and cut each into blocks of whole tiles.
         key = np.stack([geom[:, 0], geom[:, 1], geom[:, 2], comp_a >> 40,
                         comp_b >> 40], axis=1)
         change = np.any(key[1:] != key[:-1], axis=1)
@@ -197,62 +198,90 @@ class DataSchedule:
             change = change | (comp_b[1:] != comp_b[:-1])
         run_starts = np.r_[0, np.flatnonzero(change) + 1, n_computes]
         for lo, hi in zip(run_starts[:-1].tolist(), run_starts[1:].tolist()):
-            tm, tn, tk = (int(v) for v in geom[lo])
-            limit = max(1, _BLOCK_ELEMENTS // max(tm * tk, tk * tn, tm * tn))
-            start = lo
-            while start < hi:
-                # Block boundaries must not split a push's compute run.
-                end = min(start + limit, hi)
-                if end < hi:
-                    while end > start and push_of[end] >= 0 \
-                            and push_of[end] == push_of[end - 1]:
-                        end -= 1
-                    if end == start:  # one push larger than the block
-                        end = start + 1
-                        while end < hi and push_of[end] == push_of[start]:
-                            end += 1
-                # Computes no push collects (reset before a push) have
-                # no observable result: drop them here, once.
-                kept = start + np.flatnonzero(push_of[start:end] >= 0)
-                start = end
-                if kept.size == 0:
-                    continue
-                push_ids = push_of[kept]
-                # Push ordinals are assigned in compute order, so the
-                # sequence is sorted: first occurrences mark the pushes.
-                pushes = push_ids[np.r_[True, push_ids[1:] != push_ids[:-1]]]
-                if int(push_counts[pushes].sum()) != kept.size:
-                    raise ReplayUnsupported(Cause.SPLIT_PUSH)
-                block = _Block()
-                block.tm, block.tn, block.tk = tm, tn, tk
-                block.a = self._side(comp_a[kept])
-                block.b = self._side(comp_b[kept[:1]] if conv
-                                     else comp_b[kept])
-                block.target = pushes
-                if not (conv and self._fuse_filter(block)):
-                    self.blocks.append(block)
-        refs = trace.recv_refs
-        for block in self.blocks:
-            ordinals = block.target
-            counts = push_counts[ordinals]
-            classes = refs[ordinals, 0]
+            # Computes no push collects (reset before a push) have no
+            # observable result: drop them here, once.
+            kept = lo + np.flatnonzero(push_of[lo:hi] >= 0)
+            if kept.size == 0:
+                continue
+            # Push ordinals are assigned in compute order, so the
+            # sequence is sorted: first occurrences mark the pushes.
+            push_ids = push_of[kept]
+            pushes = push_ids[np.r_[True, push_ids[1:] != push_ids[:-1]]]
+            counts = push_counts[pushes]
+            classes, tiles = trace.recv_refs[pushes].T
+            if int(counts.sum()) != kept.size:
+                raise ReplayUnsupported(Cause.SPLIT_PUSH)
             if (counts != counts[0]).any() or (classes != classes[0]).any():
                 raise ReplayUnsupported(Cause.UNEVEN_PUSHES)
+            class_id, count = int(classes[0]), int(counts[0])
+            # Each tile's pushes in a row (wraparound is modular, so
+            # their sum is exact in any order), equally many per tile.
+            tiles = self.recv_rows[class_id][tiles]
+            order = np.argsort(tiles, kind="stable")
+            tiles = tiles[order]
+            firsts = np.flatnonzero(np.r_[True, tiles[1:] != tiles[:-1]])
+            reps = np.diff(np.r_[firsts, tiles.size])
+            if (reps != reps[0]).any():
+                raise ReplayUnsupported(Cause.UNEVEN_PUSHES)
+            tiles, reps = tiles[firsts], int(reps[0])
+            kept = kept.reshape(-1, count)[order].reshape(-1)
+            tm, tn, tk = (int(v) for v in geom[lo])
+            group = reps * count
+            per_block = max(1, _BLOCK_ELEMENTS
+                            // max(tm * tk, tk * tn, tm * tn) // group)
+            for first in range(0, tiles.size, per_block):
+                computes = kept[first * group:(first + per_block) * group]
+                block = _Block()
+                block.tm, block.tn, block.tk = tm, tn, tk
+                block.a = self._side(comp_a[computes])
+                block.b = self._side(comp_b[computes[:1]] if conv
+                                     else comp_b[computes])
+                block.group, block.reps = group, reps
+                block.target = (class_id, tiles[first:first + per_block])
+                if not (conv and self._fuse_filter(block)):
+                    self.blocks.append(block)
+        for block in self.blocks:
+            class_id, rows = block.target
             # One write per block, into one run of rows when they are
             # consecutive.
-            rows = refs[ordinals, 1]
             if (np.diff(rows) == 1).all():
                 rows = slice(int(rows[0]), int(rows[-1]) + 1)
-            block.target = (int(classes[0]), rows)
-            block.count = int(counts[0])
-            block.panels = _panels(block) if block.count > 1 and not conv \
-                else None
+            block.target = (class_id, rows)
+            block.panels = None if conv or block.group == 1 \
+                else self._panels(block)
+            if block.panels is None:
+                block.a = (block.a[0], self._in_order(*block.a))
+                block.b = (block.b[0], self._in_order(*block.b))
 
     def _side(self, packed: np.ndarray):
         if packed[0] < 0:
             raise ReplayUnsupported(Cause.UNLOADED_OPERAND)
         class_id = int(packed[0] >> 40)
         return class_id, self.send[class_id][1][packed & _INDEX_MASK]
+
+    def _panels(self, block: _Block):
+        """``(A panel rows, ia, B panel rows, jb)``, rows flat: a tile's
+        ``group`` products ``A_j @ B_j`` sum to one product of the panels
+        ``[A_0 .. A_group-1]`` and ``[B_0; ..; B_group-1]``, tiles with
+        equal row sequences share a panel, and tile ``t`` is tile
+        ``(ia[t], jb[t])`` of ``A panels @ B panels``.  ``None`` when
+        that product exceeds twice the tiles' own."""
+        (a_cls, a_rows), (b_cls, b_rows) = block.a, block.b
+        a_rows, ia = np.unique(a_rows.reshape(-1, block.group), axis=0,
+                               return_inverse=True)
+        b_rows, jb = np.unique(b_rows.reshape(-1, block.group), axis=0,
+                               return_inverse=True)
+        if len(a_rows) * len(b_rows) > 2 * ia.size:
+            return None
+        return (self._in_order(a_cls, a_rows.reshape(-1)), ia.reshape(-1),
+                self._in_order(b_cls, b_rows.reshape(-1)), jb.reshape(-1))
+
+    def _in_order(self, class_id: int, rows: np.ndarray):
+        uniq = self.send[class_id][0]
+        if uniq is not None and rows.size == uniq.size \
+                and (rows == np.arange(rows.size)).all():
+            return slice(None)
+        return rows
 
     def _fuse_filter(self, block: _Block) -> bool:
         """Fold a conv block into its predecessor when only the filter
@@ -263,41 +292,39 @@ class DataSchedule:
         last = self.blocks[-1]
         (a_cls, a_rows), (b_cls, b_rows) = block.a, block.b
         if last.tk != block.tk or last.a[0] != a_cls or last.b[0] != b_cls \
-                or not np.array_equal(last.a[1], a_rows):
+                or (last.group, last.reps) != (block.group, block.reps) \
+                or not np.array_equal(last.a[1], a_rows) \
+                or np.isin(block.target[1], last.target[1]).any():
             return False
         filters = last.b[1].size + 1
         if filters * max(block.tk, a_rows.size) > _BLOCK_ELEMENTS:
             return False
         last.b = (b_cls, np.r_[last.b[1], b_rows])
-        last.target = np.r_[last.target, block.target]
+        last.target = (last.target[0],
+                       np.r_[last.target[1], block.target[1]])
         return True
 
     # -- receive scatter --------------------------------------------------
     def _plan_scatter(self, trace: DriverTrace) -> None:
         """One write per receive class.  That needs at most one class on
         the argument and disjoint tiles; a repeated tile needs an
-        accumulate, which sums its payloads first (``reduceat`` over the
-        start order, in the argument's dtype: wraparound is modular, so
-        any order is exact).  Anything else is refused: the receives
-        would have to land in event order."""
+        accumulate, which the blocks sum in their products (wraparound
+        is modular, so any order is exact).  Anything else is refused:
+        the receives would have to land in event order."""
         args = [tile_class.arg for tile_class in trace.recv_classes]
         if len(set(args)) < len(args):
             raise ReplayUnsupported(Cause.SHARED_RECEIVE_ARGUMENT)
-        #: ``(recv class, target starts, None or the payloads' start
-        #: order and its reduceat offsets)`` — every target is unique.
-        self.scatters = []
+        #: ``(recv class, distinct tile starts)``, a payload row each, and
+        #: per class each receive's row among them.
+        self.scatters, self.recv_rows = [], []
         for class_id, tile_class in enumerate(trace.recv_classes):
             if not trace.recv_disjoint[class_id]:
                 raise ReplayUnsupported(Cause.OVERLAPPING_RECEIVES)
-            starts = tile_class.starts
-            order, firsts = _start_groups(starts)
-            if firsts.size == starts.size:
-                self.scatters.append((class_id, starts, None))
-            elif tile_class.accumulate:
-                self.scatters.append((class_id, starts[order[firsts]],
-                                      (order, firsts)))
-            else:
+            tiles, rows = np.unique(tile_class.starts, return_inverse=True)
+            if tiles.size < rows.size and not tile_class.accumulate:
                 raise ReplayUnsupported(Cause.OVERWRITTEN_REPEAT)
+            self.scatters.append((class_id, tiles))
+            self.recv_rows.append(rows)
 
 
 def _extent(tile_class):
@@ -476,7 +503,7 @@ class ReplayExecutor:
         """Exact-float election for one integer compute block.
 
         Every partial sum of a product of reduction depth ``depth``
-        (``tk``, or ``count * tk`` for a fused panel product) is bounded
+        (``tk``, or ``group * tk`` for a panel product) is bounded
         by ``depth * max|a| * max|b|``; below 2**24 every such integer
         is exactly representable in float32, below 2**53 in float64, so
         the BLAS product is rounding-free and bit-identical to the
@@ -497,19 +524,20 @@ class ReplayExecutor:
         return None
 
     def _operand(self, side, shape, cast) -> np.ndarray:
-        """Gather one operand side of a block."""
+        """Gather one operand side of a block (in order: a view)."""
         class_id, rows = side
         tiles = self._values(class_id, cast)[rows]
         if cast is not None:
             tiles = tiles.astype(cast, copy=False)  # live-window gathers
-        return tiles.reshape((rows.size,) + shape)
+        return tiles.reshape((-1,) + shape)
 
-    def _products(self, block: _Block, conv: bool) -> np.ndarray:
-        """All products of a block, in compute order.
-
-        Any exact-or-modular path is bit-identical to the per-tile
-        accumulation (wraparound is mod 2^32 regardless of where it
-        happens)."""
+    def _tile_payloads(self, block: _Block, conv: bool, dtype) -> np.ndarray:
+        """Every tile of a block without panels, from its computes'
+        products: a matmul push drains the *sum* of its products, a conv
+        push the *stack* of its window dots (the slice buffer), and a
+        tile sums its ``reps`` pushes.  Any exact-or-modular path is
+        bit-identical to the per-tile accumulation (wraparound is mod
+        2^32 regardless of where it happens)."""
         tm, tn, tk = block.tm, block.tn, block.tk
         if conv:
             # One dot product per (filter, window) — replicates
@@ -527,49 +555,52 @@ class ReplayExecutor:
             products = (a @ b).astype(np.int64)
         else:
             products = a.astype(np.int64) @ b.astype(np.int64)
-        # conv: (windows, filters) -> filter-major compute order.
-        return products.T.reshape(-1) if conv else products
+        if conv:  # (windows, filters) -> filter-major compute order
+            products = products.T.reshape(-1)
+        return products.reshape(len(products) // block.group,
+                                block.reps if conv else block.group, -1) \
+            .sum(axis=1).astype(dtype)
 
     def _panel_payloads(self, block: _Block, dtype) -> np.ndarray:
-        """Every push of a block with panels, from one product
+        """Every tile of a block with panels, from one product
         of panels built (and cast) from the classes' distinct tiles.
         Stacked A panels make numpy issue one GEMM per panel, which for
         a 128**3 problem stays under OpenBLAS's threading threshold: as
         one threaded GEMM it waited 0.1-1.2 ms for its worker thread on
         a loaded 2-CPU host."""
         a_rows, ia, b_rows, jb = block.panels
-        tm, tn, tk, count = block.tm, block.tn, block.tk, block.count
-        cast = self._elect_cast(block, count * tk) or np.int64
-        n_a, n_b = len(a_rows), len(b_rows)
-        a = np.empty((n_a, tm, count, tk), cast)
-        a[...] = self._values(block.a[0])[a_rows] \
-            .reshape(n_a, count, tm, tk).transpose(0, 2, 1, 3)
-        b = np.empty((count, tk, n_b, tn), cast)
-        b[...] = self._values(block.b[0])[b_rows] \
-            .reshape(n_b, count, tk, tn).transpose(1, 2, 0, 3)
-        product = a.reshape(n_a, tm, -1) @ b.reshape(-1, n_b * tn)
-        tiles = product.reshape(n_a, tm, n_b, tn)[ia, :, jb]
+        tm, tn, tk, group = block.tm, block.tn, block.tk, block.group
+        cast = self._elect_cast(block, group * tk) or np.int64
+        a_tiles = self._values(block.a[0])[a_rows].reshape(-1, group, tm, tk)
+        b_tiles = self._values(block.b[0])[b_rows].reshape(-1, group, tk, tn)
+        a = np.empty((len(a_tiles), tm, group, tk), cast)
+        a[...] = a_tiles.transpose(0, 2, 1, 3)
+        b = np.empty((group, tk, len(b_tiles), tn), cast)
+        b[...] = b_tiles.transpose(1, 2, 0, 3)
+        product = a.reshape(len(a), tm, -1) @ b.reshape(group * tk, -1)
+        tiles = product.reshape(len(a), tm, -1, tn)[ia, :, jb]
         if cast is np.float64:
             tiles = tiles.astype(np.int64)
         return tiles.reshape(ia.size, -1).astype(dtype)
 
-    def _fold(self, block: _Block, products, conv: bool, dtype):
-        """One payload row per push of the block, preserving order.
-
-        A matmul push drains the *sum* of its tile products, a conv push
-        the *stack* of its window dots (the slice buffer).
-        """
-        pushes = len(products) // block.count
-        stacked = products.reshape(pushes, block.count, -1)
-        if conv:
-            return stacked.reshape(pushes, -1).astype(dtype, copy=False)
-        return stacked.sum(axis=1).astype(dtype)
+    def _lone_payload(self, ordinal: int) -> np.ndarray:
+        """Push ``ordinal``'s own payload, exactly in int64."""
+        plan = self.plan
+        computes = np.flatnonzero(plan.compute_push == ordinal)
+        tm, tn, tk = plan.compute_geom[computes[0]]
+        a, b = (self._tiles(packed[0] >> 40, packed & _INDEX_MASK)
+                .astype(np.int64) for packed
+                in (plan.compute_a[computes], plan.compute_b[computes]))
+        products = a.reshape(-1, tm, tk) @ b.reshape(-1, tk, tn)
+        if plan.kind != "conv":  # a conv push is the stack of its dots
+            products = products.sum(axis=0)
+        return products.reshape(-1).astype(self.board.accelerator.dtype)
 
     def _compute_functional(self) -> None:
         """All accelerator outputs, one batched product per block.
 
-        Push payloads are written straight into per-receive-class row
-        matrices (``self._recv_buffers``, rows in tile-index order), so
+        Tile payloads are added straight into per-receive-class row
+        matrices (``self._recv_buffers``, a row per distinct tile), so
         the scatter stage applies a whole class with zero re-packing.
         """
         trace, schedule = self.trace, self.schedule
@@ -583,32 +614,26 @@ class ReplayExecutor:
             self._window(tile_class, extent) for tile_class, extent
             in zip(trace.recv_classes, schedule.recv_extent)
         ]
+        # Zeroed: a tile may take payloads from more than one block.
         self._recv_buffers = [
-            np.empty((tile_class.starts.size, tile_class.num_elements()),
-                     dtype=dtype)
-            for tile_class in trace.recv_classes
+            np.zeros((tiles.size, tile_class.num_elements()), dtype=dtype)
+            for (_, tiles), tile_class
+            in zip(schedule.scatters, trace.recv_classes)
         ]
         for block in schedule.blocks:
-            if block.panels is not None:
-                rows = self._panel_payloads(block, dtype)
-            else:
-                rows = self._fold(block, self._products(block, conv), conv,
-                                  dtype)
+            rows = self._tile_payloads(block, conv, dtype) \
+                if block.panels is None else self._panel_payloads(block, dtype)
             class_id, target = block.target
-            self._recv_buffers[class_id][target] = rows
+            self._recv_buffers[class_id][target] += rows
 
     def _scatter_receives(self) -> None:
         trace = self.trace
-        for class_id, starts, repeats in self.schedule.scatters:
+        for class_id, starts in self.schedule.scatters:
             tile_class = trace.recv_classes[class_id]
             desc = self.descriptors[tile_class.arg]
             window = self._recv_windows[class_id]
-            data = self._recv_buffers[class_id].view(desc.dtype)
-            if repeats is not None:
-                order, firsts = repeats
-                data = np.add.reduceat(data[order], firsts, axis=0,
-                                       dtype=data.dtype)
-            tiles = data.reshape((starts.size,) + window.shape[1:])
+            tiles = self._recv_buffers[class_id].view(desc.dtype) \
+                .reshape((starts.size,) + window.shape[1:])
             if tile_class.accumulate:
                 window[starts] += tiles
             else:
@@ -633,13 +658,16 @@ class ReplayExecutor:
             engine.input_words[dest_pos] = words.reshape(-1)[src_pos]
 
     def _apply_output_region(self, mplan) -> None:
-        """Write the plan's winning output-region receive payloads: a
-        push's payload is a row of its receive class's buffer."""
-        engine, refs = self.engine, self.trace.recv_refs
+        """Write the plan's winning output-region receive payloads: its
+        tile's buffer row when the tile takes one push, else its own."""
+        engine, schedule = self.engine, self.schedule
         for ordinal, dest_pos, src_pos in mplan.output_writes:
-            class_id, row = refs[ordinal]
-            data = np.ascontiguousarray(self._recv_buffers[class_id][row]) \
-                .view(np.uint32)
+            class_id, row = self.trace.recv_refs[ordinal]
+            rows = schedule.recv_rows[class_id]
+            payload = self._recv_buffers[class_id][rows[row]] \
+                if rows.size == schedule.scatters[class_id][1].size \
+                else self._lone_payload(ordinal)
+            data = np.ascontiguousarray(payload).view(np.uint32)
             engine.output_words[dest_pos] = data[src_pos]
 
     # -- accelerator end-state (data plane: final operand tiles) ----------
@@ -669,31 +697,3 @@ class ReplayExecutor:
         accel._b = last_b.reshape(tk, tn) if last_b is not None \
             else np.zeros((tk, tn), accel.dtype)
         accel._c = np.zeros((tm, tn), accel.dtype)
-
-
-def _start_groups(starts: np.ndarray):
-    """``(order, firsts)``: the events stably sorted by start, and where
-    each distinct start's run begins in that order."""
-    order = np.argsort(starts, kind="stable")
-    sorted_starts = starts[order]
-    new_group = np.empty(starts.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_starts[1:], sorted_starts[:-1], out=new_group[1:])
-    return order, np.flatnonzero(new_group)
-
-
-def _panels(block: _Block):
-    """``(A panel rows, ia, B panel rows, jb)`` of a multi-compute block.
-
-    A push's sum of ``count`` products ``A_j @ B_j`` is one product of
-    the panels ``[A_0 .. A_count-1]`` and ``[B_0; ..; B_count-1]``;
-    pushes with equal row sequences share a panel, and push ``p`` is
-    tile ``(ia[p], jb[p])`` of ``A panels @ B panels``.  ``None`` when
-    that product exceeds twice the pushes' own tiles."""
-    a_rows, ia = np.unique(block.a[1].reshape(-1, block.count), axis=0,
-                           return_inverse=True)
-    b_rows, jb = np.unique(block.b[1].reshape(-1, block.count), axis=0,
-                           return_inverse=True)
-    if len(a_rows) * len(b_rows) > 2 * ia.size:
-        return None
-    return a_rows, ia.reshape(-1), b_rows, jb.reshape(-1)

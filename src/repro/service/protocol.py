@@ -222,7 +222,7 @@ def canonical_spec_digest(spec: dict) -> str:
     Used for single-flight coalescing: two in-flight requests with
     equal digests are the same deterministic computation, so one
     execution serves both.  Array data is hashed raw (dtype/shape
-    prefixed) rather than base64-encoded for speed.
+    prefixed), from its own buffer when C-contiguous, for speed.
     """
     hasher = hashlib.sha256()
 
@@ -230,7 +230,7 @@ def canonical_spec_digest(spec: dict) -> str:
         if isinstance(value, np.ndarray):
             data = np.ascontiguousarray(value)
             hasher.update(f"nd:{data.dtype.str}:{data.shape}".encode())
-            hasher.update(data.tobytes())
+            hasher.update(data)
         elif isinstance(value, dict):
             hasher.update(b"{")
             for key in sorted(value):

@@ -42,6 +42,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 pytestmark = pytest.mark.usefixtures("clean_service_env")
 
 
+#: The service pool's spec digests, hashed together (see
+#: TestProtocol.test_service_pool_digests_are_stable).
+SERVICE_POOL_DIGEST = "97d7dfe768142410"
+
+
 def matmul_spec(m=8, n=8, k=8, seed=0, size=4, version=1, flow="Ns"):
     rng = np.random.default_rng(seed)
     return {
@@ -212,6 +217,42 @@ class TestProtocol:
             == protocol.canonical_spec_digest(spec_b)
         assert protocol.canonical_spec_digest(spec_a) \
             != protocol.canonical_spec_digest(spec_c)
+
+    def test_spec_digest_keys_on_values_not_layout(self):
+        """A contiguous input is hashed through its own buffer, a
+        Fortran-order or strided one through a C-order copy: equal values
+        give equal digests."""
+        spec = matmul_spec(m=8, n=8, k=12, seed=3)
+        base = protocol.canonical_spec_digest(spec)
+        wide = np.zeros((8, 24), np.int32)
+        wide[:, ::2] = spec["inputs"][0]
+        for a in (np.asfortranarray(spec["inputs"][0]), wide[:, ::2]):
+            assert a.tobytes() == spec["inputs"][0].tobytes()
+            assert protocol.canonical_spec_digest(
+                dict(spec, inputs=[a, spec["inputs"][1]])) == base
+
+    def test_service_pool_digests_are_stable(self):
+        """The benchmark's 12 service specs, with seeded inputs, digest as
+        they always have: coalescing keys do not move between
+        releases."""
+        import hashlib
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parent.parent / "perf" \
+            / "perfbench" / "specs.py"
+        loader = importlib.util.spec_from_file_location("perf_specs", path)
+        specs = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(specs)
+        digests = hashlib.sha256()
+        for seed, spec in enumerate(specs.SERVICE_POOL):
+            rng = np.random.default_rng(seed)
+            inputs = [rng.integers(-8, 8, shape).astype(np.int32)
+                      for shape in specs.input_shapes(spec)]
+            digests.update(protocol.canonical_spec_digest(
+                dict(spec, inputs=inputs)).encode())
+        assert len(specs.SERVICE_POOL) == 12
+        assert digests.hexdigest()[:16] == SERVICE_POOL_DIGEST
 
 
 class TestRequestValidation:

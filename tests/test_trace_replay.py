@@ -32,7 +32,9 @@ from repro.execution import (
     record_trace,
     replay_kernel,
 )
+from repro.execution.metrics import _cache_digest
 from repro.execution.synthesize import assemble_trace, trace_columns
+from repro.execution.trace import SERVED_COUNTERS
 from repro.runtime import (
     AxiRuntime,
     CALL_STYLE_MANUAL,
@@ -502,6 +504,14 @@ def _overlapping_tiles(rt, out, f, pass_):
                    accumulate=True)
 
 
+def _accumulated_repeats(rt, out, f, pass_):
+    # Every pass accumulates into the same two tiles: the filter runs of
+    # one pass fuse into one block, and each tile sums one payload from
+    # each of the three.
+    rt.recv_memref(out.subview((0, f, 0, 0), (1, 1, 2, 2)), 0,
+                   accumulate=True)
+
+
 def _conv_uneven_body(rt, image, weights, out):
     # One filter, a 4-window slice then a 2-window slice: uneven push
     # counts inside one block, landing in two receive classes on one
@@ -526,36 +536,78 @@ def _conv_uneven_body(rt, image, weights, out):
         off = 0
 
 
+def _tile(ref, row, col):
+    """The 4x4 tile at ``(row, col)`` of a hand-written matmul body."""
+    return ref.subview((4 * row, 4 * col), (4, 4))
+
+
 def _matmul_corner_body(never_loaded):
     """v3 opcodes by hand, each push accumulated into a C tile of its
     own: pushes that collect one and two products (uneven push counts
     inside one block), after, when ``never_loaded``, products on
     operand buffers the stream never loaded (zeros)."""
-    def tile(ref, row, col):
-        return ref.subview((4 * row, 4 * col), (4, 4))
-
     def body(rt, a, b, c):
         rt.dma_init(0, 0x4000_0000, 0x1000, 0x4010_0000, 0x1000)
         if never_loaded:
             off = rt.send_literal(0xF0, 0)              # cC, reset state
             rt.flush_send(rt.send_literal(0x24, off))   # rC
-            rt.recv_memref(tile(c, 0, 0), 0, accumulate=True)
-            off = rt.send_memref(tile(a, 0, 0),
+            rt.recv_memref(_tile(c, 0, 0), 0, accumulate=True)
+            off = rt.send_memref(_tile(a, 0, 0),
                                  rt.send_literal(0x22, 0))  # sA only
             off = rt.send_literal(0xF0, off)
             rt.flush_send(rt.send_literal(0x24, off))
-            rt.recv_memref(tile(c, 0, 1), 0, accumulate=True)
+            rt.recv_memref(_tile(c, 0, 1), 0, accumulate=True)
         for col, depth in ((0, 1), (1, 2)):
             off = 0
             for k in range(depth):
-                off = rt.send_memref(tile(a, 0, k),
+                off = rt.send_memref(_tile(a, 0, k),
                                      rt.send_literal(0x22, off))
-                off = rt.send_memref(tile(b, k, col),
+                off = rt.send_memref(_tile(b, k, col),
                                      rt.send_literal(0x23, off))
                 off = rt.send_literal(0xF0, off)
             rt.flush_send(rt.send_literal(0x24, off))
-            rt.recv_memref(tile(c, 1, col), 0, accumulate=True)
+            rt.recv_memref(_tile(c, 1, col), 0, accumulate=True)
     return body
+
+
+def _k_remainder_body(rt, a, b, c):
+    """v4 by hand: C (8x8) += A (8x20) @ B (20x8) on 4x4 output tiles,
+    k 0..16 at tk 8 (two pushes per tile), then the remainder 16..20 at
+    tk 4: two geometries add into every tile."""
+    rt.dma_init(0, 0x4000_0000, 0x2000, 0x4010_0000, 0x2000)
+    for ks, tk in (((0, 8), 8), ((16,), 4)):
+        off = rt.send_literal(0x30, 0)                  # cfg
+        for extent in (4, 4, tk):
+            off = rt.send_literal(extent, off)
+        rt.flush_send(off)
+        for row in range(2):
+            for col in range(2):
+                for k in ks:
+                    off = rt.send_memref(
+                        a.subview((4 * row, k), (4, tk)),
+                        rt.send_literal(0x22, 0))       # sA
+                    off = rt.send_memref(
+                        b.subview((k, 4 * col), (tk, 4)),
+                        rt.send_literal(0x23, off))     # sB
+                    off = rt.send_literal(0xF0, off)    # cC
+                    rt.flush_send(rt.send_literal(0x24, off))  # rC
+                    rt.recv_memref(_tile(c, row, col), 0,
+                                   accumulate=True)
+
+
+def _uneven_reps_body(rt, a, b, c):
+    """v3 by hand, one product per push, accumulated: C tile (0, 0)
+    takes one push and (0, 1) two, inside one block."""
+    rt.dma_init(0, 0x4000_0000, 0x1000, 0x4010_0000, 0x1000)
+    for col, depth in ((0, 1), (1, 2)):
+        for k in range(depth):
+            off = rt.send_memref(_tile(a, 0, k),
+                                 rt.send_literal(0x22, 0))
+            off = rt.send_memref(_tile(b, k, col),
+                                 rt.send_literal(0x23, off))
+            off = rt.send_literal(0xF0, off)
+            rt.flush_send(rt.send_literal(0x24, off))
+            rt.recv_memref(_tile(c, 0, col), 0, accumulate=True)
 
 
 _CASES = {}
@@ -590,6 +642,16 @@ def _case(name):
                 lambda: make_conv_system(2, 3, max_slice=4)[0],
                 _conv_body(_repeated_overwrites),
                 [(1, 2, 4, 4), (6, 2, 3, 3), (1, 2, 2, 2)]),
+            "conv-accumulate": lambda: _Case(
+                lambda: make_conv_system(2, 3, max_slice=4)[0],
+                _conv_body(_accumulated_repeats),
+                [(1, 2, 4, 4), (6, 2, 3, 3), (1, 2, 2, 2)]),
+            "v4-k-remainder": lambda: _Case(
+                lambda: make_matmul_system(4, 4)[0], _k_remainder_body,
+                [(8, 20), (20, 8), (8, 8)]),
+            "v3-uneven-reps": lambda: _Case(
+                lambda: make_matmul_system(3, 4)[0], _uneven_reps_body,
+                [(4, 8), (8, 8), (4, 8)]),
             "conv-uneven": lambda: _Case(
                 lambda: make_conv_system(2, 3, max_slice=4)[0],
                 _conv_uneven_body,
@@ -621,8 +683,9 @@ def _case(name):
 
 
 _CASE_NAMES = ["v1", "v2", "v3", "v4-flex", "conv", "conv-stride",
-               "conv-two-classes", "conv-overlap", "conv-overwrite",
-               "conv-uneven", "v3-corners", "v3-uneven"]
+               "conv-accumulate", "v4-k-remainder", "conv-two-classes",
+               "conv-overlap", "conv-overwrite", "conv-uneven",
+               "v3-corners", "v3-uneven", "v3-uneven-reps"]
 
 #: The hand-written schedules no host driver emits, and the refusal
 #: each meets when its DataSchedule is built.
@@ -633,6 +696,7 @@ _REFUSALS = {
     "conv-uneven": Cause.SHARED_RECEIVE_ARGUMENT,
     "v3-corners": Cause.UNLOADED_OPERAND,
     "v3-uneven": Cause.UNEVEN_PUSHES,
+    "v3-uneven-reps": Cause.UNEVEN_PUSHES,
 }
 
 
@@ -729,8 +793,9 @@ def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
 #
 # An integer block computes through float32 or float64 BLAS when
 # ``depth * max|a| * max|b|`` proves the product exact, else through
-# int64; a dense multi-compute block elects on its fused depth
-# ``count * tk``.  Each config runs at magnitudes in every band and just
+# int64; a dense block of more than one compute per tile elects on its
+# fused depth: the tile's ``reps`` pushes of ``count`` computes, times
+# ``tk``.  Each config runs at magnitudes in every band and just
 # below and at the 2**24 bound (constant operands, so every class max
 # is the bound's factor), against the per-tile driver and the
 # interpreter.
@@ -739,8 +804,8 @@ def test_property_scheduled_data_plane_matches_slow_tiers(name, seed, pads):
 _BAND_DEPTHS = {
     "v3-Cs-128": 8 * 16,    # dense panels: 8 computes of tk 16 per push
     "v4-Cs-64": 4 * 16,     # dense panels
-    "v1-Ns-32": 8,          # one compute per push, accumulate scatter
-    "v2-As-32": 8,          # one compute per push, accumulate scatter
+    "v1-Ns-32": 4 * 8,      # per-tile panels: 4 pushes of tk 8 per tile
+    "v2-As-32": 4 * 8,      # per-tile panels: 4 pushes of tk 8 per tile
     "conv-16ch": 16 * 3 * 3,
 }
 #: Band -> (operand magnitude, or None for the 2**24 bound; elected cast).
@@ -842,56 +907,70 @@ def test_a_rung_that_stops_wrapping_is_caught(mutant, monkeypatch):
 
 @pytest.mark.usefixtures("clean_faults")
 def test_warm_replay_working_set(monkeypatch):
-    """A warm replay of the 128**3 v3 Cs hot kernel (192 KiB of operands)
-    keeps at most 1 MiB of temporaries live: push payloads come from
-    one product of deduplicated panels, not per-compute tiles."""
+    """A warm replay of a 128**3 hot kernel (192 KiB of operands) keeps
+    at most 1 MiB of temporaries live: every tile's payload, the sum of
+    its pushes (8 computes each for v3 Cs, 16 one-compute pushes for v1
+    Ns), comes from one product of deduplicated panels, not per-compute
+    tiles."""
     from repro.execution.metrics import METRICS_PLAN_COUNTERS
     from repro.experiments.harness import compile_request
 
     monkeypatch.delenv("REPRO_CHECK", raising=False)
-    spec = {"kind": "matmul", "m": 128, "n": 128, "k": 128, "version": 3,
-            "size": 16, "flow": "Cs"}
     rng = np.random.default_rng(30)
     inputs = [rng.integers(-7, 7, (128, 128)).astype(np.int32)
               for _ in range(2)]
-    for _ in range(2):
-        compile_request(spec).run(inputs)
-    request = compile_request(spec)
-    board = make_pynq_z2()
-    board.attach_accelerator(request.hw)
-    output = np.zeros(request.output_shape, np.int32)
-    hits = METRICS_PLAN_COUNTERS["metrics_plan_hits"]
-    tracemalloc.start()
-    try:
-        request.kernel.run(board, *inputs, output)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] == hits + 1
-    assert np.array_equal(output, inputs[0] @ inputs[1])
-    assert peak <= 1 << 20, f"{peak / 1024:.0f} KiB"
+    for version, size, flow in ((3, 16, "Cs"), (1, 8, "Ns")):
+        spec = {"kind": "matmul", "m": 128, "n": 128, "k": 128,
+                "version": version, "size": size, "flow": flow}
+        for _ in range(2):
+            compile_request(spec).run(inputs)
+        request = compile_request(spec)
+        board = make_pynq_z2()
+        board.attach_accelerator(request.hw)
+        output = np.zeros(request.output_shape, np.int32)
+        hits = METRICS_PLAN_COUNTERS["metrics_plan_hits"]
+        tracemalloc.start()
+        try:
+            request.kernel.run(board, *inputs, output)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] == hits + 1
+        assert np.array_equal(output, inputs[0] @ inputs[1])
+        assert peak <= 1 << 20, f"v{version} {flow}: {peak / 1024:.0f} KiB"
 
 
 @pytest.mark.usefixtures("clean_faults")
 class TestScheduleIsDerivedState:
     def test_repeated_tiles_scatter_once_per_class(self):
-        """An integer accumulate sums each tile's payloads: one write
-        per class (an overwrite of a repeated tile is refused)."""
+        """An integer accumulate sums each tile's pushes in its product:
+        one write per distinct tile, with no repeat entry (an overwrite
+        of a repeated tile is refused)."""
         for name in ("v1-Ns-32", "v2-As-32"):
             case = _case(name)
             _invoke("replay", case, case.arrays(np.random.default_rng(0)),
                     (0, 0, 0), trace=case.trace())
             (schedule,) = _schedules(case.trace())
-            (entry,) = schedule.scatters
-            assert entry[2] is not None
+            starts = case.trace().recv_classes[0].starts
+            tiles = np.unique(starts)
+            assert starts.size == 4 * tiles.size
+            ((class_id, scattered),) = schedule.scatters
+            assert class_id == 0 and np.array_equal(scattered, tiles)
+            (block,) = schedule.blocks
+            assert (block.group, block.reps) == (4, 4)
+            assert block.target == (0, slice(0, tiles.size))
 
     def test_conv_filters_fuse_into_one_product(self):
+        """All three filters in one ``windows @ filters`` product, on
+        both operand classes whole and in order: no gather copy."""
         case = _case("conv")
         _invoke("replay", case, case.arrays(np.random.default_rng(0)),
                 (0, 0, 0), trace=case.trace())
         (schedule,) = _schedules(case.trace())
         (block,) = schedule.blocks
-        assert block.b[1].size == 3 and block.target == (0, slice(0, 3))
+        assert block.a[1] == block.b[1] == slice(None)
+        assert case.trace().send_classes[block.b[0]].starts.size == 3
+        assert block.target == (0, slice(0, 3))
 
     def test_private_attributes_never_persist(self):
         """Anything hung on a trace or plan under a private name stays
@@ -926,6 +1005,100 @@ class TestScheduleIsDerivedState:
                 == _invoke("per_tile", case, arrays, (2, 0, 5))
             (schedule,) = _schedules(trace)
             assert all(uniq is None for uniq, _ in schedule.send)
+
+
+def _three_tiers(system, shape, permutation=None):
+    """``system``'s ``m x n x k`` kernel on fresh boards: replayed, per
+    tile (``trace=False``) and interpreted.  Each call must count once in
+    ``served`` as what ran it, and all three must agree on counters,
+    output bytes, clock and both LRU digests.  Returns the kernel's
+    trace."""
+    m, n, k = shape
+    kernel = AXI4MLIRCompiler(make_matmul_system(**system)[1],
+                              permutation=permutation,
+                              kernel_cache=KernelCache()) \
+        .compile_matmul(m, n, k)
+    rng = np.random.default_rng(5)
+    a = rng.integers(-9, 9, (m, k)).astype(np.int32)
+    b = rng.integers(-9, 9, (k, n)).astype(np.int32)
+    seen = []
+    for tier, served in (("replay", {"replay": 1}),
+                         ("per_tile", {"no_trace": 1}),
+                         ("interpreted", {})):
+        board = make_pynq_z2()
+        board.attach_accelerator(make_matmul_system(**system)[0])
+        c = np.zeros((m, n), np.int32)
+        before = dict(SERVED_COUNTERS)
+        if tier == "interpreted":
+            counters = kernel.run_interpreted(board, a, b, c)
+        else:
+            counters = kernel.run(board, a, b, c, trace=tier == "replay")
+        assert {key: SERVED_COUNTERS[key] - before[key]
+                for key in before
+                if SERVED_COUNTERS[key] != before[key]} == served
+        seen.append((counters.as_dict(), c.tobytes(), board.clock,
+                     _cache_digest(board.caches.l1),
+                     _cache_digest(board.caches.l2)))
+    assert seen[0] == seen[1] == seen[2]
+    assert np.array_equal(c, a @ b)
+    return kernel.trace_state.trace
+
+
+@pytest.mark.usefixtures("clean_faults")
+class TestPerTileAccumulation:
+    """A block groups its computes by receive tile and sums each tile's
+    pushes in one product of panels; each schedule shape that grouping
+    meets, pinned to the per-tile driver and the interpreter.  (Two more
+    are hand-written bodies in the property test above:
+    ``v4-k-remainder``, where two geometries add into one tile, and
+    ``conv-accumulate``, where three blocks do; ``v3-uneven-reps``,
+    whose tiles take unequal push counts, is refused by name.)"""
+
+    NS = dict(version=1, size=8, flow="Ns")
+
+    def test_k_outermost_pushes_are_a_pass_apart(self):
+        trace = _three_tiers(self.NS, (32, 32, 32),
+                             permutation=("k", "m", "n"))
+        starts = trace.recv_classes[0].starts
+        # Each tile is received once per pass over the 16 tiles.
+        assert np.diff(np.flatnonzero(starts == starts[0])).tolist() \
+            == [16] * 3
+        (schedule,) = _schedules(trace)
+        (block,) = schedule.blocks
+        assert (block.group, block.reps) == (4, 4)
+        assert block.panels is not None
+
+    def test_block_cuts_fall_on_tile_groups(self, monkeypatch):
+        import repro.execution.replay as replay_mod
+
+        # Room for 6 of the 8x8x8 computes: the old cut fell inside the
+        # second tile's 4 pushes.
+        monkeypatch.setattr(replay_mod, "_BLOCK_ELEMENTS", 6 * 64)
+        (schedule,) = _schedules(_three_tiers(self.NS, (32, 32, 32)))
+        rows = [np.arange(16)[block.target[1]] for block in schedule.blocks]
+        assert len(rows) == 16 and all(r.size == 1 for r in rows)
+        assert sorted(np.concatenate(rows).tolist()) == list(range(16))
+        assert all(block.group == block.reps == 4 == block.a[1].size
+                   for block in schedule.blocks)
+
+    def test_pushes_of_several_computes_add_into_one_tile(self):
+        # Host cache tiling halves k: every C tile takes two pushes of
+        # 16 computes each.
+        (schedule,) = _schedules(_three_tiers(
+            dict(version=4, size=8, flow="Cs", accel_size=(8, 16, 16)),
+            (8, 128, 512)))
+        (block,) = schedule.blocks
+        assert (block.group, block.reps) == (32, 2)
+        assert block.panels is not None
+
+    def test_operands_from_the_live_window(self, monkeypatch):
+        import repro.execution.replay as replay_mod
+
+        monkeypatch.setattr(replay_mod, "_CLASS_ELEMENTS", 8)
+        (schedule,) = _schedules(_three_tiers(self.NS, (32, 32, 32)))
+        assert all(uniq is None for uniq, _ in schedule.send)
+        (block,) = schedule.blocks
+        assert block.reps == 4 and block.panels is not None
 
 
 @pytest.mark.usefixtures("clean_faults")

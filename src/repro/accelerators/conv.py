@@ -16,7 +16,6 @@ from typing import List
 
 import numpy as np
 
-from ..numerics import float64_exact_bound
 from .base import StreamAccelerator
 
 CONV_LITERALS = {
@@ -99,22 +98,6 @@ class ConvAccelerator(StreamAccelerator):
         # Wraps modulo the dtype, as the batch path and replay do.
         self._slice.append(value.astype(self.dtype))
         return 2.0 * self.window_elements / CONV_OPS_PER_CYCLE
-
-    def _send_window_batch(self, windows: np.ndarray) -> float:
-        """Vectorized fast path used by the board for whole-row streaming.
-
-        Functionally identical to repeated ``sIcO`` instructions; exists
-        so large ResNet layers simulate in reasonable time.  Small-value
-        batches (the common int8-ish quantized data) go through float64
-        BLAS — exact while every partial sum fits the f64 mantissa.
-        """
-        if float64_exact_bound(self.window_elements, windows, self._filter):
-            values = (windows.astype(np.float64)
-                      @ self._filter.astype(np.float64)).astype(np.int64)
-        else:
-            values = windows.astype(np.int64) @ self._filter.astype(np.int64)
-        self._slice.extend(np.asarray(values, dtype=self.dtype))
-        return 2.0 * self.window_elements * len(windows) / CONV_OPS_PER_CYCLE
 
     def _recv_output(self) -> float:
         if not self._slice:

@@ -14,13 +14,18 @@ the mechanism.
   fields and the counter *delta* since the previous reply.  ``None``
   asks for shutdown: the worker syncs the store entries its jobs left
   to it (:func:`repro.store.group_commit`), answers ``bye`` with its
-  residue delta and exits.  A handler may ``os._exit`` (the callers'
-  injected-crash rules) — to the parent that is a crash like any other.
+  residue delta and exits.  A handler dies as a crashed worker would by
+  raising :class:`WorkerCrash` (the callers' injected-crash rules): the
+  worker exits at once (``os._exit``), and to the parent that is a
+  crash like any other.
 * **Parent side** — :class:`Pool`: slot-stable :class:`Worker` handles
   with ``submit``, ``wait``, ``restart`` and ``shutdown``.
+* **Inline slots** — a pool asked not to fork, or that cannot (no
+  ``fork`` start method, or already inside a pool worker), runs the same
+  handler on the submitting thread behind the same four calls; counters
+  then advance directly and there is no delta to merge.  Callers keep
+  one loop either way.
 
-Without ``fork`` (or inside a pool worker) callers run the same handler
-inline; counters then advance directly and there is no delta to merge.
 A failing seam (store I/O, the C toolchain) degrades only the call that
 meets it, inside the handler; the pool keeps no memory of it.
 """
@@ -54,6 +59,9 @@ MODEL_PLAN_COUNTERS: Dict[str, int] = counters.section("model_plan", {
 #: Seconds a worker gets to answer the shutdown handshake, and a killed
 #: process to be reaped.
 _HANDSHAKE_S = 5.0
+
+#: Exit status of a worker whose handler raised :class:`WorkerCrash`.
+CRASH_EXIT_CODE = 23
 
 _in_worker = False
 
@@ -91,7 +99,12 @@ def worker_loop(conn, index: int, handler: Callable[[dict], dict]) -> None:
             sync_all()
             reply = {"op": "bye"}
         else:
-            reply = handler(job)
+            try:
+                reply = handler(job)
+            except WorkerCrash:
+                # Hard process death, skipping every Python cleanup
+                # layer: what a segfault or an OOM kill leaves behind.
+                os._exit(CRASH_EXIT_CODE)
             reply["op"] = "result"
         reply["worker"] = index
         now = counters.snapshot()
@@ -107,6 +120,10 @@ def worker_loop(conn, index: int, handler: Callable[[dict], dict]) -> None:
 
 
 # -- parent side --------------------------------------------------------------
+
+class WorkerCrash(Exception):
+    """Raised by a handler to die as a crashed worker would."""
+
 
 class WorkerDied(RuntimeError):
     """A pool worker died while running a job the caller does not retry."""
@@ -140,15 +157,29 @@ class Worker:
 
 
 class Pool:
-    """``size`` forked workers running ``handler``, at stable slots.
+    """``size`` workers running ``handler``, at stable slots.
 
     A slot holds one job at a time; the caller tracks which slots are
     busy and passes exactly those to :meth:`wait`.  Threads may share a
     pool as long as no two use the same slot (the service runs one
-    dispatcher thread per slot).
+    dispatcher thread per slot).  With ``fork`` false, without the
+    ``fork`` start method, or inside a pool worker the slots are inline
+    (``workers`` holds ``None`` for each): :meth:`submit` runs the job
+    on the calling thread, :meth:`wait` hands its reply back — ``None``
+    when the handler raised :class:`WorkerCrash` — and :meth:`restart`
+    has nothing to replace.
     """
 
-    def __init__(self, size: int, handler: Callable[[dict], dict]) -> None:
+    def __init__(self, size: int, handler: Callable[[dict], dict],
+                 fork: bool = True) -> None:
+        self._handler = handler
+        self._forked = fork and fork_available() and not in_worker()
+        self._replies: Dict[int, Optional[dict]] = {}
+        self._started = time.time()
+        self._restarted = False
+        if not self._forked:
+            self.workers: List[Optional[Worker]] = [None] * size
+            return
         # Load the native fast path once in the parent: forked workers
         # inherit the compiled library instead of each re-running the C
         # compiler probe (~0.2s of duplicated subprocess work per worker).
@@ -156,8 +187,7 @@ class Pool:
 
         native_lib()
         self._context = multiprocessing.get_context("fork")
-        self._handler = handler
-        self.workers: List[Worker] = [
+        self.workers = [
             Worker(self._context, slot, handler) for slot in range(size)
         ]
 
@@ -165,6 +195,14 @@ class Pool:
         """Send one job to the slot's worker.  If it is already dead,
         :meth:`wait` reports that (its sentinel is ready), so a failed
         send is not an error here."""
+        if not self._forked:
+            # Run now, as a worker would start now: a job stamps its
+            # deadline just before it is submitted.
+            try:
+                self._replies[slot] = self._handler(job)
+            except WorkerCrash:
+                self._replies[slot] = None
+            return
         try:
             self.workers[slot].conn.send(job)
         except (BrokenPipeError, OSError):
@@ -181,6 +219,9 @@ class Pool:
         are read: each one's counter delta is merged here, exactly once
         (the rule is at :func:`repro.counters.merge`).
         """
+        if not self._forked:
+            return [(slot, self._replies.pop(slot)) for slot in sorted(slots)
+                    if slot in self._replies]
         by_waitable: Dict[object, int] = {}
         for slot in slots:
             worker = self.workers[slot]
@@ -205,6 +246,9 @@ class Pool:
         """Kill the slot's worker and fork a fresh one at the same slot
         (after a crash or a deadline kill alike): a deterministic
         restart point, same index, same parent image."""
+        if not self._forked:
+            return
+        self._restarted = True
         self.workers[slot].kill()
         self.workers[slot] = Worker(self._context, slot, self._handler)
 
@@ -214,7 +258,12 @@ class Pool:
         Returns how many workers' residue deltas were merged.  A reply
         still in a pipe from a job the caller abandoned is merged too,
         not dropped.  Workers that do not answer in time are killed.
+        Inline slots sync this process's stores, as a worker does at
+        ``bye``, and merge nothing.
         """
+        if not self._forked:
+            sync_all()
+            return 0
         waiting = []
         for slot, worker in enumerate(self.workers):
             if worker.process.is_alive():
@@ -237,6 +286,12 @@ class Pool:
             if worker.process.is_alive() and worker.slot not in waiting:
                 worker.process.join(timeout=_HANDSHAKE_S)
             worker.kill()
+        if self._restarted:  # a dead worker never synced its entries
+            from .kernel_cache import default_kernel_cache
+
+            disk = default_kernel_cache().resolve_store()
+            if disk is not None:
+                disk.sync(since=self._started - 1.0)
         return merged
 
 
@@ -261,10 +316,9 @@ def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
     service's warmups, over the shared sharded store.  ``jobs`` is a
     sequence of ``(callable, args)`` pairs; both must be picklable
     (module-level functions, plain-data args).  Results come back in submission
-    order; a job's exception is re-raised here.  Falls back to inline
-    sequential execution — bit-identical, the jobs are deterministic —
-    when the pool is sized <= 1, fork is unavailable, or we are already
-    inside a pool worker.  A worker that dies mid-job raises
+    order; a job's exception is re-raised here.  A pool of one slot (or
+    one that cannot fork) runs the jobs inline, in order — bit-identical,
+    the jobs are deterministic.  A worker that dies mid-job raises
     :class:`WorkerDied`; nothing is retried.  Workers report counter
     *deltas* which :meth:`Pool.wait` merges back, so ``diagnostics()``
     keeps counting work that happened in workers.
@@ -275,13 +329,11 @@ def run_model_jobs(jobs: Sequence[Tuple[Callable, tuple]],
     if workers is None:
         workers = worker_count()
     workers = min(workers, len(jobs))
-    if workers <= 1 or in_worker() or not fork_available():
-        return [fn(*args) for fn, args in jobs]
     results: list = [None] * len(jobs)
     queued = deque(enumerate(jobs))
     idle = list(range(workers))
     running: Dict[int, int] = {}
-    job_pool = Pool(workers, _call_job)
+    job_pool = Pool(workers, _call_job, fork=workers > 1)
     try:
         while queued or running:
             while idle and queued:

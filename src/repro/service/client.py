@@ -21,20 +21,69 @@ and owns the client half of the robustness ladder:
 
 from __future__ import annotations
 
+import random
 import socket
 import time
 import uuid
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import (Any, Dict, FrozenSet, Iterator, Optional, Sequence,
+                    Tuple, Type)
 
 import numpy as np
 
-from ..retry import BackoffSchedule, retryable
 from ..soc import PerfCounters
 from . import errors, protocol
 
 #: Transport-level failures where the request may not have executed:
 #: always worth a retry (the idempotent request_id makes it safe).
 _TRANSIENT_WIRE = (OSError, errors.ProtocolError)
+
+
+class BackoffSchedule:
+    """Deterministic exponential backoff with bounded jitter.
+
+    The delay for attempt ``i`` (0-based) is
+    ``min(base * factor**i, max_delay) * (1 + jitter * u_i)`` with
+    ``u_i`` drawn from ``random.Random(f"{seed}:{site}")`` — the same
+    per-site stream idiom :mod:`repro.faults` uses, so one seed pins
+    the whole chaos run: fault points *and* retry timing.
+    """
+
+    def __init__(self, seed: int = 0, site: str = "client",
+                 base: float = 0.05, factor: float = 2.0,
+                 max_delay: float = 2.0, jitter: float = 0.5) -> None:
+        self.base = base
+        self.factor = factor
+        self.max_delay = max_delay
+        self.jitter = jitter
+        self._rng = random.Random(f"{seed}:{site}")
+        self._attempt = 0
+
+    def next_delay(self) -> float:
+        delay = min(self.base * self.factor ** self._attempt,
+                    self.max_delay)
+        delay *= 1.0 + self.jitter * self._rng.random()
+        self._attempt += 1
+        return delay
+
+    def delays(self, count: int) -> Iterator[float]:
+        return (self.next_delay() for _ in range(count))
+
+
+def retryable(error: Exception,
+              transient_types: Tuple[Type[BaseException], ...] = (OSError,),
+              code: Optional[str] = None,
+              retryable_codes: FrozenSet[str] = frozenset()) -> bool:
+    """Classify one failure: is another attempt worth making?
+
+    ``transient_types`` covers transport-level failures where the
+    operation may simply not have happened (connection resets, torn
+    frames).  ``code`` is an optional application-level error code
+    checked against ``retryable_codes`` — the service's ``BUSY`` /
+    ``WORKER_CRASH`` taxonomy.  An error matching neither is permanent.
+    """
+    if code is not None:
+        return code in retryable_codes
+    return isinstance(error, transient_types)
 
 
 class ServiceClient:

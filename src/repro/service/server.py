@@ -61,7 +61,7 @@ from .. import counters, faults, pool
 from ..envutil import env_float, env_int
 from ..pool import MODEL_PLAN_COUNTERS
 from . import errors, protocol
-from .worker import execute_job, warmup_job, worker_job
+from .worker import warmup_job, worker_job
 
 #: Env knobs (see README switch matrix; the pool size is
 #: ``repro.pool.WORKERS_ENV``).
@@ -177,11 +177,9 @@ class ServiceServer:
         self._stopped = False
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
-        #: None until :meth:`start`, and for good on platforms without
-        #: fork — dispatchers then run jobs inline (a ladder rung).
+        #: None until :meth:`start`; its slots are inline on platforms
+        #: without fork (a ladder rung the pool owns).
         self._pool: Optional[pool.Pool] = None
-        #: The pool's live slot list (``None`` entries without fork).
-        self._handles: List[Optional[pool.Worker]] = [None] * self.workers
         self._tmpdir: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -203,9 +201,7 @@ class ServiceServer:
             socket.socket(socket.AF_UNIX, socket.SOCK_STREAM))
         self._listener.bind(self.socket_path)
         self._listener.listen(128)
-        if pool.fork_available():
-            self._pool = pool.Pool(self.workers, worker_job)
-            self._handles = self._pool.workers
+        self._pool = pool.Pool(self.workers, worker_job)
         for index in range(self.workers):
             thread = threading.Thread(target=self._dispatch_loop,
                                       args=(index,), daemon=True,
@@ -550,13 +546,6 @@ class ServiceServer:
         worker gets a cooperative-cancellation grace window before the
         slot is recycled.
         """
-        if self._pool is None:
-            # No-fork platforms: run the job in this thread (a ladder
-            # rung).  Counters advance directly in this process, so
-            # there is no delta to merge.
-            reply = execute_job(job)
-            reply["worker"] = -1
-            return reply
         self._pool.submit(index, job)
         timed_out = False
         while True:

@@ -15,36 +15,31 @@ A ``warmup`` RPC runs :func:`warmup_job` once per spec, through
 kernel, trace and plan land in the shared store before real requests
 ask for them.
 
-The server's pool workers (:mod:`repro.pool`) run :func:`worker_job`:
+The server's pool slots (:mod:`repro.pool`) run :func:`worker_job`:
 jobs carry a decoded spec and its deadline; :func:`execute_job` turns
-the outcome into reply fields, and the pool adds the counter delta.  A
-store or native-compile failure degrades inside the request that meets
-it.  On platforms without fork the server calls :func:`execute_job` in
-its own thread.
+the outcome into reply fields, and a forked worker adds the counter
+delta.  A store or native-compile failure degrades inside the request
+that meets it.  On platforms without fork the slots are inline: the
+same handler runs on the dispatcher's thread.
 
 The ``service.worker:crash`` fault site fires at the top of each
-worker job and terminates the process with ``os._exit`` — the hardest
-failure a worker can produce short of SIGKILL — so the parent's
-crash-detection, deterministic-restart, and requeue ladder is
-chaos-testable.
+worker job and raises :class:`repro.pool.WorkerCrash`: a forked worker
+exits at once, skipping every cleanup layer (the hardest failure short
+of SIGKILL), and an inline slot reports the same death, so the parent's
+crash-detection, restart, and requeue ladder is chaos-testable on both.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import faults
+from .. import faults, pool
 from ..soc import PerfCounters
 from . import errors
-
-#: Exit code of an injected worker crash (tests assert on it).
-CRASH_EXIT_CODE = 17
-
 
 class DeadlineExceeded(errors.ServiceTimeout):
     """Cooperative cancellation: the request's deadline passed."""
@@ -211,8 +206,5 @@ def execute_job(job: Dict[str, Any]) -> Dict[str, Any]:
 def worker_job(job: Dict[str, Any]) -> Dict[str, Any]:
     """Pool handler: the injected-crash rule, then :func:`execute_job`."""
     if faults.fires("service.worker") == "crash":
-        # The chaos profile's hard worker death: skip every Python
-        # cleanup layer so the parent sees exactly what a segfault
-        # or OOM kill would produce.
-        os._exit(CRASH_EXIT_CODE)
+        raise pool.WorkerCrash("injected service.worker crash")
     return execute_job(job)

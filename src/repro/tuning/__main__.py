@@ -85,8 +85,6 @@ def main(argv=None) -> int:
                         help="prune points whose predicted traffic "
                              "exceeds ratio x group floor; <= 0 "
                              "disables pruning")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="retry-backoff jitter seed")
     args = parser.parse_args(argv)
 
     space = _build_space(args)
@@ -99,7 +97,6 @@ def main(argv=None) -> int:
         max_attempts=args.max_attempts,
         prune_ratio=args.prune_ratio if args.prune_ratio
         and args.prune_ratio > 0 else None,
-        seed=args.seed,
     )
 
     def drain(signum, frame):

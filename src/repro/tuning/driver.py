@@ -12,17 +12,17 @@ common case it is built for:
   simulating.  Plans the analyzer cannot model
   (:class:`~repro.analysis.traffic.TrafficUnsupported`) are counted
   and simulated anyway.
-* **Supervision** — points run on the supervised fork pool
+* **Supervision** — points run on the supervised pool
   (:mod:`repro.pool`: duplex pipes, crash detection via process
-  sentinels, restarts at the same slot, where the point retries).  A
-  worker death costs one attempt of one point, never the sweep.
-  Per-point deadlines are enforced both cooperatively in the worker
-  and by a hard parent-side kill.
+  sentinels, restarts at the same slot; one slot runs inline, with the
+  same ladder).  A worker death costs one attempt of one point, never
+  the sweep.  Per-point deadlines are enforced both cooperatively in
+  the worker and by a hard parent-side kill.
 * **Retries with taxonomy** — crashes and deadline kills are
-  retryable (seeded :class:`~repro.retry.BackoffSchedule` per point);
-  in-worker exceptions are permanent (``failed``).  A point whose
-  workers crash ``max_attempts`` times is quarantined as ``poisoned``
-  instead of wedging the run.
+  retryable, at once, on the slot the attempt failed on; in-worker
+  exceptions are permanent (``failed``).  A point whose workers crash
+  ``max_attempts`` times is quarantined as ``poisoned`` instead of
+  wedging the run.
 * **Degradation over abortion** — a store I/O error or a native-compile
   failure degrades only the point that meets it (a rebuild or a
   memory-only publish / the per-tile driver — bit-identical rungs).
@@ -55,15 +55,13 @@ fallback on malformed values.
 from __future__ import annotations
 
 import collections
-import os
 import time
 import traceback
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
 from .. import faults, pool, store
 from ..envutil import env_float
 from ..execution.trace import add_stage_time
-from ..retry import BackoffSchedule, retryable
 from ..service import protocol
 from .counters import count
 from .journal import SweepJournal
@@ -74,9 +72,6 @@ from .space import SweepSpace, group_floors
 TUNING_DEADLINE_ENV = "REPRO_TUNING_DEADLINE_S"
 
 _DEFAULT_DEADLINE_S = 60.0
-
-#: Exit code of an injected sweep-worker crash (tests assert on it).
-CRASH_EXIT_CODE = 23
 
 #: Crashes are quarantined as poisoned after this many attempts.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -207,15 +202,13 @@ def worker_job(job: dict) -> dict:
     """Pool handler: the injected crash/poison rule, then the point."""
     if _poisoned(job["digest"]) \
             or _injected_crash(job["digest"], job["attempt"]):
-        # Hard process death, skipping every Python cleanup layer —
-        # exactly what the parent's crash ladder must absorb.
-        os._exit(CRASH_EXIT_CODE)
+        raise pool.WorkerCrash(job["digest"])
     return evaluate_job(job)
 
 
 class _Flight(NamedTuple):
-    """One dispatched attempt: the point, its job, and — on the pool —
-    the monotonic time of its hard parent-side kill."""
+    """One dispatched attempt: the point, its job, and the monotonic
+    time of its hard parent-side kill."""
 
     point: object
     job: dict
@@ -235,9 +228,7 @@ class SweepDriver:
                  workers: Optional[int] = None,
                  deadline_s: Optional[float] = None,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 prune_ratio: Optional[float] = 4.0,
-                 seed: int = 0,
-                 sleep=time.sleep) -> None:
+                 prune_ratio: Optional[float] = 4.0) -> None:
         self.space = space
         self.journal = SweepJournal(journal_path)
         self.report_path = report_path
@@ -247,16 +238,12 @@ class SweepDriver:
             else tuning_deadline_s()
         self.max_attempts = max(1, max_attempts)
         self.prune_ratio = prune_ratio
-        self.seed = seed
-        self._sleep = sleep
         self._stop = False
         self._attempts: Dict[str, int] = {}
         self._crashes: Dict[str, int] = {}
-        self._backoffs: Dict[str, BackoffSchedule] = {}
-        #: Points backing off right now (digest -> monotonic retry
-        #: time, and the restarted slot the point waits for or None);
-        #: an entry lives from retry_later to its re-dispatch.
-        self._retry_at: Dict[str, Tuple[float, Optional[int]]] = {}
+        #: Points waiting to retry on the slot their attempt failed on
+        #: (digest -> slot); an entry lives until its re-dispatch.
+        self._held: Dict[str, int] = {}
         self._results: Dict[str, dict] = {}
         #: Unresolved points per report group (journal commit at 0).
         self._open_points: collections.Counter = collections.Counter()
@@ -267,12 +254,6 @@ class SweepDriver:
         self._stop = True
 
     # -- helpers -------------------------------------------------------------
-    def _backoff(self, digest: str) -> BackoffSchedule:
-        if digest not in self._backoffs:
-            self._backoffs[digest] = BackoffSchedule(
-                self.seed, site=f"tuning.point.{digest}")
-        return self._backoffs[digest]
-
     def _prune_thresholds(self, keyed) -> Dict[str, Optional[int]]:
         # ``prune_ratio <= 0`` disables pruning, same as the CLI flag:
         # a zero threshold would prune every point.
@@ -300,8 +281,8 @@ class SweepDriver:
                "failed": "tuning_points_failed"}[status])
 
     def _classify_failure(self, digest: str, point, code: str,
-                          error: str) -> Optional[float]:
-        """One failed attempt: retry delay, or None when final.
+                          error: str) -> bool:
+        """One failed attempt: True to retry it, False when final.
 
         Crashes and deadline kills are transient
         (:data:`RETRYABLE_OUTCOMES`); anything a worker *reported* is a
@@ -310,11 +291,9 @@ class SweepDriver:
         if code == "crash":
             self._crashes[digest] = self._crashes.get(digest, 0) + 1
         attempts = self._attempts.get(digest, 0)
-        if retryable(RuntimeError(error), code=code,
-                     retryable_codes=RETRYABLE_OUTCOMES) \
-                and attempts < self.max_attempts:
+        if code in RETRYABLE_OUTCOMES and attempts < self.max_attempts:
             count("tuning_retries")
-            return self._backoff(digest).next_delay()
+            return True
         if code == "crash" \
                 and self._crashes.get(digest, 0) >= attempts:
             self._resolve(digest, point,
@@ -323,7 +302,7 @@ class SweepDriver:
         else:
             self._resolve(digest, point,
                           {"status": "failed", "error": error})
-        return None
+        return False
 
     def _begin_attempt(self, digest: str) -> int:
         attempt = self._attempts.get(digest, 0) + 1
@@ -343,11 +322,11 @@ class SweepDriver:
         return _Flight(point, job,
                        time.monotonic() + self.deadline_s * 1.5 + 0.25)
 
-    def _settle(self, flight: _Flight, reply: dict) -> Optional[float]:
-        """Account for one attempt's reply; retry delay, or None."""
+    def _settle(self, flight: _Flight, reply: dict) -> bool:
+        """Account for one attempt's reply; True to retry it."""
         if reply["ok"]:
             self._resolve(flight.digest, flight.point, reply["outcome"])
-            return None
+            return False
         if reply["code"] == "deadline":
             count("tuning_deadline_kills")
         return self._classify_failure(flight.digest, flight.point,
@@ -382,11 +361,7 @@ class SweepDriver:
             pair for pair in keyed if pair[0] not in self._results)
         self._open_points.update(point.group for _, point in pending)
         if pending:
-            if self.workers > 1 and pool.fork_available():
-                self._run_pool(pending, thresholds)
-            else:
-                self._run_inline(pending, thresholds)
-                store.sync_all()
+            self._run_pool(pending, thresholds)
 
         complete = all(digest in self._results for digest in known)
         report = None
@@ -407,65 +382,36 @@ class SweepDriver:
             "report": report,
         }
 
-    # -- inline execution (workers <= 1 or no fork) --------------------------
-    def _run_inline(self, pending, thresholds) -> None:
-        """Sequential fallback: same classification ladder, no forks.
-
-        Injected crash/poison verdicts are simulated as failed attempts
-        (killing the only process would end the sweep, not degrade it);
-        the resulting outcome records are identical to the pool's.
-        """
-        while pending and not self._stop:
-            digest, point = pending.popleft()
-            attempt = self._begin_attempt(digest)
-            if _poisoned(digest) or _injected_crash(digest, attempt):
-                count("tuning_worker_crashes")
-                delay = self._classify_failure(digest, point, "crash",
-                                               "injected crash")
-            else:
-                flight = self._flight(digest, point, attempt, thresholds)
-                delay = self._settle(
-                    flight, evaluate_job(flight.job))
-            if delay is not None:
-                self._sleep(delay)
-                pending.appendleft((digest, point))
-
-    # -- pool execution -------------------------------------------------------
+    # -- the pool ----------------------------------------------------------
     def _run_pool(self, pending, thresholds) -> None:
         size = min(self.workers, len(pending))
-        started = time.time()
-        restarted = False
-        workers = pool.Pool(size, worker_job)
+        workers = pool.Pool(size, worker_job, fork=size > 1)
         flights: Dict[int, _Flight] = {}  # busy slot -> its attempt
 
-        def retry_later(flight: _Flight, delay: Optional[float],
-                        slot: Optional[int] = None) -> None:
-            if delay is not None:
-                self._retry_at[flight.digest] = (time.monotonic() + delay,
-                                                 slot)
-                pending.append((flight.digest, flight.point))
+        def end_attempt(slot: int, retry: bool) -> None:
+            flight = flights.pop(slot)
+            if retry:
+                self._held[flight.digest] = slot
+                pending.appendleft((flight.digest, flight.point))
 
         def replace_worker(slot: int, code: str, error: str) -> None:
             # Dead or hung alike: the attempt failed, and a fresh
             # worker takes over the same slot, and the retry with it.
-            nonlocal restarted
-            flight = flights.pop(slot)
-            retry_later(flight, self._classify_failure(
-                flight.digest, flight.point, code, error), slot)
+            flight = flights[slot]
+            end_attempt(slot, self._classify_failure(
+                flight.digest, flight.point, code, error))
             workers.restart(slot)
-            restarted = True
             count("tuning_worker_restarts")
 
         try:
             while pending or flights:
-                now = time.monotonic()
                 # Dispatch ready work onto idle workers.
                 if not self._stop:
                     busy = {flight.point.family for flight in flights.values()}
                     for slot in range(size):
                         if slot in flights:
                             continue
-                        ready = self._next_ready(pending, now, slot, busy)
+                        ready = self._next_ready(pending, slot, busy)
                         if ready is None:
                             continue
                         digest, point = ready
@@ -475,28 +421,16 @@ class SweepDriver:
                         workers.submit(slot, flight.job)
                         flights[slot] = flight
                         busy.add(point.family)
-                elif not flights:
-                    break  # drained: nothing in flight, stop dispatching
                 if not flights:
-                    wait_until = self._next_event_time()
-                    if wait_until is None:
-                        continue
-                    self._sleep(min(0.05, max(0.0,
-                                              wait_until - time.monotonic())))
-                    continue
+                    break  # drained, or stopped: nothing left in flight
                 for slot, reply in workers.wait(
                         list(flights), self._wait_timeout(flights)):
                     if reply is not None:
-                        flight = flights.pop(slot)
-                        retry_later(flight, self._settle(flight, reply))
+                        end_attempt(slot, self._settle(flights[slot], reply))
                         continue
                     # The worker died (injected crash, OOM-shaped failure).
-                    process = workers.workers[slot].process
-                    process.join(timeout=5)
                     count("tuning_worker_crashes")
-                    replace_worker(
-                        slot, "crash",
-                        f"worker {slot} crashed (exit {process.exitcode})")
+                    replace_worker(slot, "crash", "worker crashed")
                 # Hard deadline kills for hung workers.
                 now = time.monotonic()
                 for slot, flight in list(flights.items()):
@@ -506,39 +440,25 @@ class SweepDriver:
                                        "hard deadline kill")
         finally:
             count("tuning_workers_merged", workers.shutdown())
-            if restarted:  # a dead worker never synced its entries
-                from ..kernel_cache import default_kernel_cache
-                disk = default_kernel_cache().resolve_store()
-                if disk is not None:
-                    disk.sync(since=started - 1.0)
 
-    def _next_ready(self, pending, now: float, slot: int, busy):
-        """Take the first pending pair whose retry backoff has elapsed,
-        that is not held for another slot, and whose kernel family is
-        not in flight (``busy``)."""
+    def _next_ready(self, pending, slot: int, busy):
+        """Take the first pending pair that is not held for another
+        slot and whose kernel family is not in flight (``busy``)."""
         passed_over = False
         for index, (digest, point) in enumerate(pending):
-            when, held_for = self._retry_at.get(digest, (0.0, None))
-            if when > now or held_for not in (None, slot):
+            if self._held.get(digest, slot) != slot:
                 continue
             if point.family in busy:
                 passed_over = True
                 continue
             count("tuning_family_waits", int(passed_over))
             del pending[index]
-            self._retry_at.pop(digest, None)
+            self._held.pop(digest, None)
             return digest, point
         count("tuning_family_waits", int(passed_over))
         return None
 
-    def _next_event_time(self) -> Optional[float]:
-        """When the earliest backing-off point becomes dispatchable."""
-        return min((when for when, _ in self._retry_at.values()),
-                   default=None)
-
-    def _wait_timeout(self, flights) -> float:
-        deadlines = [flight.kill_at for flight in flights.values()]
-        event = self._next_event_time()
-        if event is not None:
-            deadlines.append(event)
-        return min(0.25, max(0.01, min(deadlines) - time.monotonic()))
+    @staticmethod
+    def _wait_timeout(flights) -> float:
+        deadline = min(flight.kill_at for flight in flights.values())
+        return min(0.25, max(0.01, deadline - time.monotonic()))

@@ -33,6 +33,7 @@ from repro.service import (
     errors,
 )
 from repro.service import protocol
+from repro.service.client import retryable
 from repro.service.worker import run_request
 from repro.soc import PerfCounters
 
@@ -301,6 +302,19 @@ class TestRequestValidation:
 
 
 # -- seeded backoff (satellite: retry-schedule determinism) -----------------
+
+class TestRetryable:
+    def test_retryable_by_code(self):
+        codes = frozenset({"BUSY", "WORKER_CRASH"})
+        assert retryable(RuntimeError("x"), code="BUSY",
+                         retryable_codes=codes)
+        assert not retryable(RuntimeError("x"), code="BAD_REQUEST",
+                             retryable_codes=codes)
+
+    def test_retryable_by_type(self):
+        assert retryable(OSError("io"))
+        assert not retryable(ValueError("logic"))
+
 
 class TestBackoffDeterminism:
     def test_same_seed_same_site_same_schedule(self):
@@ -596,7 +610,7 @@ class TestService:
     def test_killed_worker_is_detected_and_request_requeued(self):
         server = ServiceServer(workers=1, queue_max=4).start()
         try:
-            handle = server._handles[0]
+            handle = server._pool.workers[0]
             if handle is None:
                 pytest.skip("no fork: workers run inline")
             handle.process.kill()
@@ -622,7 +636,7 @@ class TestService:
         server = ServiceServer(workers=1, queue_max=4).start()
         client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            if server._handles[0] is None:
+            if server._pool.workers[0] is None:
                 pytest.skip("no fork: workers run inline")
             before = socket_inodes("self")
             client.connect(server.address)
@@ -636,7 +650,7 @@ class TestService:
             protocol.send_message(client, {
                 "op": "submit", "request_id": "r", "spec": matmul_spec()})
             assert protocol.recv_message(client)["status"] == "ok"
-            held = socket_inodes(server._handles[0].process.pid)
+            held = socket_inodes(server._pool.workers[0].process.pid)
             listener = os.fstat(server._listener.fileno()).st_ino
             assert not held & (server_side | {listener})
             # A frame the server cannot parse makes it drop the client.
@@ -700,10 +714,12 @@ class TestService:
 
 
 class TestNoForkRung:
-    """Platforms without fork: dispatchers run jobs in their own thread.
+    """Platforms without fork: the pool's slots are inline, and each
+    dispatcher runs its jobs in its own thread.
 
-    Same handler as the forked workers (``execute_job``), so results are
-    bit-identical."""
+    Same handler as the forked workers (``worker_job``), so results are
+    bit-identical, and an injected crash is a death the same ladder
+    absorbs."""
 
     @pytest.fixture(autouse=True)
     def _no_fork(self, monkeypatch):
@@ -721,11 +737,10 @@ class TestNoForkRung:
             + METRICS_PLAN_COUNTERS["metrics_plan_misses"]
         server = ServiceServer(workers=2, queue_max=8).start()
         try:
-            assert server._handles == [None, None]
+            assert server._pool.workers == [None, None]
             with ServiceClient(server.address) as client:
                 for spec, expected in zip(specs, direct):
                     reply = client.submit(spec)
-                    assert reply["worker"] == -1
                     assert result_tuple(reply["counters"],
                                         reply["output"]) == expected
         finally:
@@ -736,6 +751,21 @@ class TestNoForkRung:
             >= served_before + len(specs)
         assert summary["counters"]["service_workers_merged"] == 0
         assert MODEL_PLAN_COUNTERS["model_plan_workers"] == workers_before
+
+    def test_an_injected_crash_exhausts_the_requeues(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "service.worker:crash@1.0")
+        faults.reset_faults()
+        server = ServiceServer(workers=1, queue_max=4).start()
+        try:
+            with ServiceClient(server.address, max_attempts=1) as client:
+                with pytest.raises(WorkerCrashed, match="3 times"):
+                    client.submit(matmul_spec(seed=33))
+        finally:
+            summary = server.drain()
+        seen = summary["counters"]
+        assert seen["service_worker_crashes"] == 3
+        assert seen["service_requeues"] == 2
+        assert seen["service_workers_merged"] == 0
 
 
 # -- multi-client stress: the acceptance criterion --------------------------

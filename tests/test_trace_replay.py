@@ -883,19 +883,12 @@ def test_a_rung_that_stops_wrapping_is_caught(mutant, monkeypatch):
         self._slice.extend(narrow([value], self.dtype))
         return 2.0 * self.window_elements / CONV_OPS_PER_CYCLE
 
-    def send_window_batch(self, windows):
-        values = windows.astype(np.int64) @ self._filter.astype(np.int64)
-        self._slice.extend(narrow(values, self.dtype))
-        return 2.0 * self.window_elements * len(windows) / CONV_OPS_PER_CYCLE
-
     case = _case("conv-16ch")
     arrays = _band_operands(case, "2**30", _BAND_DEPTHS["conv-16ch"],
                             np.random.default_rng(len("2**30")))
     replayed = _invoke("replay", case, arrays, (1, 2, 3), trace=case.trace())
     monkeypatch.setattr(ConvAccelerator, "_send_input_compute",
                         send_input_compute)
-    monkeypatch.setattr(ConvAccelerator, "_send_window_batch",
-                        send_window_batch)
     try:
         per_tile = _invoke("per_tile", case, arrays, (1, 2, 3))
     except OverflowError:

@@ -16,7 +16,6 @@ import warnings
 import pytest
 
 from repro import counters, faults
-from repro.retry import BackoffSchedule, retryable
 from repro.tuning import (
     TUNING_COUNTERS,
     JournalMismatch,
@@ -51,7 +50,6 @@ def _clean_tuning_env(monkeypatch):
 def _driver(space, tmp_path, name="j", **kwargs):
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("deadline_s", 60.0)
-    kwargs.setdefault("sleep", lambda seconds: None)
     return SweepDriver(space, journal_path=tmp_path / f"{name}.jsonl",
                        report_path=tmp_path / f"{name}.json", **kwargs)
 
@@ -443,8 +441,7 @@ class TestPool:
             time.sleep(60)  # ignores its cooperative deadline
 
         monkeypatch.setattr(driver_module, "evaluate_point", evaluate)
-        result = _driver(SMALL, tmp_path, workers=2, deadline_s=0.1,
-                         sleep=time.sleep).run()
+        result = _driver(SMALL, tmp_path, workers=2, deadline_s=0.1).run()
         assert result["complete"]
         assert result["report"]["totals"]["completed"] \
             == len(SMALL.points())
@@ -489,6 +486,61 @@ class TestPool:
         assert seen["tuning_points_completed"] == len(SMALL.points())
         assert seen["tuning_workers_merged"] == 0
 
+    CRASHY = "tuning.worker:crash@0.5;tuning.point:poison@0.2"
+
+    def test_an_inline_retry_goes_out_at_once(self, tmp_path, monkeypatch):
+        """No backoff clock: a crashed attempt is retried on the next
+        turn of the loop, so the sweep never calls ``time.sleep``.  A
+        profile hook watches the real function, so a reference bound
+        before the test (a ``sleep=time.sleep`` default) is seen too."""
+        import sys
+
+        from repro.tuning import driver as driver_module
+
+        monkeypatch.setattr(driver_module, "evaluate_point", _fake_outcome)
+        monkeypatch.setenv("REPRO_FAULTS", self.CRASHY)
+        monkeypatch.setenv("REPRO_FAULTS_SEED", "3")
+        faults.reset_faults()
+        slept = []
+
+        def watch(frame, event, arg):
+            if event == "c_call" and arg is time.sleep:
+                slept.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            result = SweepDriver(SMALL, journal_path=tmp_path / "j.jsonl",
+                                 workers=1).run()
+        finally:
+            sys.setprofile(None)
+        assert result["complete"] and slept == []
+        assert TUNING_COUNTERS["tuning_retries"] > 0
+        assert TUNING_COUNTERS["tuning_worker_crashes"] > 0
+
+    def test_crash_reports_match_inline_pooled_and_no_fork(
+            self, tmp_path, monkeypatch):
+        from repro import pool
+
+        monkeypatch.setenv("REPRO_FAULTS", self.CRASHY)
+        monkeypatch.setenv("REPRO_FAULTS_SEED", "2")
+        tallies = {}
+        for name, workers in (("inline", 1), ("pooled", 2),
+                              ("nofork", 2)):
+            if name == "nofork":
+                monkeypatch.setattr(pool, "fork_available", lambda: False)
+            faults.reset_faults()
+            counters.reset(TUNING_COUNTERS)
+            assert _driver(SMALL, tmp_path, name=name,
+                           workers=workers).run()["complete"]
+            seen = counters.read(TUNING_COUNTERS)
+            tallies[name] = (seen["tuning_retries"],
+                             seen["tuning_worker_crashes"])
+        assert tallies["inline"][1] > 0
+        assert tallies["inline"] == tallies["pooled"] == tallies["nofork"]
+        reports = {(tmp_path / f"{name}.json").read_bytes()
+                   for name in tallies}
+        assert len(reports) == 1
+
 
 #: 224 points: enough pending work that a supervisor re-hashing the
 #: queue on every event is quadratic in plain sight.
@@ -531,13 +583,11 @@ class TestSupervisorCost:
         assert points >= 200
         hashed.clear()
         result = _driver(WIDE, tmp_path,
-                         workers=1 if rung == "inline" else 2,
-                         sleep=time.sleep if rung == "pool"
-                         else (lambda seconds: None)).run()
+                         workers=1 if rung == "inline" else 2).run()
         assert result["complete"]
         totals = result["report"]["totals"]
         assert totals["completed"] + totals["poisoned"] == points
-        if profile:  # the retry/backoff path is inside the bound
+        if profile:  # the retry path is inside the bound
             assert TUNING_COUNTERS["tuning_retries"] > 0
         assert len(hashed) <= 8 * points
 
@@ -590,7 +640,7 @@ class TestSweepStore:
         monkeypatch.setattr(os, "fsync",
                             lambda fd: fsyncs.append(fd) or real(fd))
         result = SweepDriver(space, journal_path=tmp_path / "j.jsonl",
-                             workers=1, sleep=lambda seconds: None).run()
+                             workers=1).run()
         assert result["complete"]
         groups = len({point.group for point in space.points()})
         entries = list(store.glob("objects/*/*.entry"))
@@ -815,24 +865,6 @@ class TestEnvKnobs:
         monkeypatch.setenv(TUNING_DEADLINE_ENV, "1.5")
         assert worker_count() == 2
         assert tuning_deadline_s() == 1.5
-
-
-class TestRetryModule:
-    def test_service_reexport_is_the_shared_class(self):
-        from repro.service import BackoffSchedule as service_backoff
-
-        assert service_backoff is BackoffSchedule
-
-    def test_retryable_by_code(self):
-        codes = frozenset({"crash", "deadline"})
-        assert retryable(RuntimeError("x"), code="crash",
-                         retryable_codes=codes)
-        assert not retryable(RuntimeError("x"), code="error",
-                             retryable_codes=codes)
-
-    def test_retryable_by_type(self):
-        assert retryable(OSError("io"))
-        assert not retryable(ValueError("logic"))
 
 
 class TestReport:

@@ -29,11 +29,11 @@ split into two explicit planes:
     schedule and then runs the same code as every later call.
 
   - the *payload* (every call; the only part that touches input data):
-    gather each send class's distinct tiles once, elect the exact-float
-    type from the class maxima (modular-arithmetic-identical to the
-    per-tile path; a panel product elects on its fused depth), one
-    batched product per block that sums every tile's pushes, scatter
-    each receive class once, write the staging-region payloads.
+    elect the exact type from bounds over each class's used storage
+    (modular-arithmetic-identical to the per-tile path; a panel product
+    elects on its fused depth), gather each operand once in that type,
+    one batched product per block that sums every tile's pushes,
+    scatter each receive class once, write the staging-region payloads.
 
   The data plane serves the schedules the host drivers emit: integer
   tiles, every operand loaded before it is used, pushes of one size per
@@ -52,10 +52,10 @@ split into two explicit planes:
   in O(state) on subsequent invocations.  First-time (cold) builds are
   shared: traces of equal content share their plans, and the service's
   ``warmup`` RPC can pay the whole cold path up front on a worker
-  pool.  Wherever the
-  build runs, its seconds land in ``metrics_plan_build_s`` — pool
-  workers report stage-timing deltas that merge back into the parent,
-  so the accounting is placement-independent.
+  pool.  Wherever the build runs, its seconds land in
+  ``metrics_plan_build_s`` — pool workers report stage-timing deltas
+  that merge back into the parent, so the accounting is
+  placement-independent.
 
 Any assumption violation raises :class:`ReplayUnsupported` of one
 :class:`~repro.execution.trace.Cause` — from a cached schedule as from a
@@ -144,7 +144,7 @@ class DataSchedule:
     module docstring) raises :class:`ReplayUnsupported` here."""
 
     __slots__ = ("send", "send_extent", "recv_extent", "recv_rows",
-                 "blocks", "scatters")
+                 "blocks", "scatters", "lone")
 
     def __init__(self, trace: DriverTrace, plan: DecodedPlan):
         if any(np.dtype(spec[3]).kind not in "iu"
@@ -164,12 +164,15 @@ class DataSchedule:
                 rows = rows.astype(np.int32)
             self.send.append((uniq, rows))
         #: Per class ``(tile span, furthest start)``: what its window
-        #: view is sized and bounds-checked with.
+        #: view is sized and bounds-checked with, and its used storage.
         self.send_extent = [_extent(tc) for tc in trace.send_classes]
         self.recv_extent = [_extent(tc) for tc in trace.recv_classes]
         self._plan_scatter(trace)
         self.blocks: List[_Block] = []
         self._cut_blocks(trace, plan)
+        #: Push ordinal -> its compute rows, found once: the trace fixes
+        #: which pushes an output region keeps (``_lone_payload``).
+        self.lone: Dict[int, np.ndarray] = {}
 
     # -- compute blocks ---------------------------------------------------
     def _cut_blocks(self, trace: DriverTrace, plan: DecodedPlan) -> None:
@@ -260,12 +263,13 @@ class DataSchedule:
         return class_id, self.send[class_id][1][packed & _INDEX_MASK]
 
     def _panels(self, block: _Block):
-        """``(A panel rows, ia, B panel rows, jb)``, rows flat: a tile's
-        ``group`` products ``A_j @ B_j`` sum to one product of the panels
-        ``[A_0 .. A_group-1]`` and ``[B_0; ..; B_group-1]``, tiles with
-        equal row sequences share a panel, and tile ``t`` is tile
-        ``(ia[t], jb[t])`` of ``A panels @ B panels``.  ``None`` when
-        that product exceeds twice the tiles' own."""
+        """``(A panel starts, ia, B panel starts, jb)``, tile starts
+        flat: a tile's ``group`` products ``A_j @ B_j`` sum to one
+        product of the panels ``[A_0 .. A_group-1]`` and
+        ``[B_0; ..; B_group-1]``, tiles with equal row sequences share a
+        panel, and tile ``t`` is tile ``(ia[t], jb[t])`` of
+        ``A panels @ B panels``.  ``None`` when that product exceeds
+        twice the tiles' own."""
         (a_cls, a_rows), (b_cls, b_rows) = block.a, block.b
         a_rows, ia = np.unique(a_rows.reshape(-1, block.group), axis=0,
                                return_inverse=True)
@@ -273,8 +277,12 @@ class DataSchedule:
                                return_inverse=True)
         if len(a_rows) * len(b_rows) > 2 * ia.size:
             return None
-        return (self._in_order(a_cls, a_rows.reshape(-1)), ia.reshape(-1),
-                self._in_order(b_cls, b_rows.reshape(-1)), jb.reshape(-1))
+        return (self._starts(a_cls, a_rows), ia.reshape(-1),
+                self._starts(b_cls, b_rows), jb.reshape(-1))
+
+    def _starts(self, class_id: int, rows: np.ndarray) -> np.ndarray:
+        uniq = self.send[class_id][0]
+        return (rows if uniq is None else uniq[rows]).reshape(-1)
 
     def _in_order(self, class_id: int, rows: np.ndarray):
         uniq = self.send[class_id][0]
@@ -333,6 +341,15 @@ def _extent(tile_class):
     return span, int(tile_class.starts.max())
 
 
+def _tile_view(storage: np.ndarray, offset: int, length: int,
+               tile_class) -> np.ndarray:
+    """See :meth:`ReplayExecutor._window`."""
+    item = storage.itemsize
+    return np.ndarray(
+        (length,) + tuple(tile_class.sizes), storage.dtype, storage,
+        offset * item, (item,) + tuple(s * item for s in tile_class.strides))
+
+
 def data_schedule(trace: DriverTrace, plan: DecodedPlan) -> DataSchedule:
     """The pair's :class:`DataSchedule`, built on its first replay.
 
@@ -366,7 +383,7 @@ class ReplayExecutor:
         self._validate()
         self.schedule = data_schedule(trace, plan)
         #: This call's payload: distinct tiles per (send class, cast)
-        #: and max|value| per send class.
+        #: and max|value| over each send class's used storage.
         self._values_memo: Dict = {}
         self._max_memo: Dict[int, int] = {}
 
@@ -434,69 +451,62 @@ class ReplayExecutor:
 
     # -- functional execution (data plane, payload half) ------------------
     def _window(self, tile_class, extent) -> np.ndarray:
-        """Every tile-shaped window of one class's argument storage.
-
+        """Every tile-shaped window of one class's argument storage:
         ``window[start]`` is the tile whose first element sits ``start``
-        elements past the descriptor offset: gathers and scatters index
-        it by tile start, so no per-element index lattice is ever built
-        or kept.  Checked here, before anything is mutated, against the
-        furthest start the schedule uses.
-        """
+        elements past the descriptor offset, so gathers and scatters
+        index it by tile start and no per-element index lattice is ever
+        built.  Checked here, before anything is mutated, against the
+        furthest start the schedule uses."""
         span, last_start = extent
         desc = self.descriptors[tile_class.arg]
-        item = desc.itemsize
         length = desc.allocated.size - desc.offset - span
         if last_start >= length:
             raise ReplayUnsupported(Cause.TILES_BEYOND_STORAGE)
-        return np.ndarray(
-            (length,) + tuple(tile_class.sizes), desc.dtype,
-            desc.allocated, desc.offset * item,
-            (item,) + tuple(s * item for s in tile_class.strides),
-        )
+        return _tile_view(desc.allocated, desc.offset, length, tile_class)
 
-    def _values(self, class_id: int, cast=None) -> np.ndarray:
+    def _used(self, class_id: int) -> np.ndarray:
+        """From the descriptor offset to the end of the furthest tile."""
+        span, last_start = self.schedule.send_extent[class_id]
+        desc = self.descriptors[self.trace.send_classes[class_id].arg]
+        return desc.allocated[desc.offset:desc.offset + last_start + span + 1]
+
+    def _values(self, class_id: int, cast) -> np.ndarray:
         """Distinct tiles of a send class as one (tiles, elements) matrix.
 
         Operand tiles are referenced by many computes (every tile of A
-        participates in a whole row of products), so the gather — and,
-        for the exact-float compute paths, the f32/f64 conversion — is
-        done once per *distinct* tile instead of once per reference; the
-        schedule's rows index the result.  A class too large for that
-        returns its live window, which the same rows (tile starts, then)
-        index block by block.
-        """
+        participates in a whole row of products), so they are gathered
+        once per *distinct* tile, from the class's used storage cast once
+        to ``cast``; tiles that are that storage back to back (conv
+        filters) are its reshape.  The schedule's rows index the result.
+        A class too large for that returns its live integer window,
+        which the same rows (tile starts, then) index block by block."""
         uniq = self.schedule.send[class_id][0]
         if uniq is None:
             return self._send_windows[class_id]
         key = (class_id, cast)
         values = self._values_memo.get(key)
         if values is None:
-            if cast is None:
-                values = self._send_windows[class_id][uniq] \
-                    .reshape(uniq.size, -1)
-            else:
-                values = self._values(class_id).astype(cast)
-            self._values_memo[key] = values
+            used = self._used(class_id).astype(cast)
+            tile = self._send_windows[class_id][0]
+            if not (tile.flags.c_contiguous and np.array_equal(
+                    uniq, np.arange(uniq.size) * tile.size)):
+                used = _tile_view(used, 0, uniq[-1] + 1,  # not back to back
+                                  self.trace.send_classes[class_id])[uniq]
+            values = self._values_memo[key] = used.reshape(uniq.size, -1)
         return values
 
     def _tiles(self, class_id: int, index) -> np.ndarray:
-        """Tiles (as flat element rows) for a subset of one send class."""
-        rows = self.schedule.send[class_id][1][index]
-        tiles = self._values(class_id)[rows]
-        return tiles.reshape(len(tiles), -1)
+        """A few of one send class's tiles (as flat element rows),
+        gathered from its integer window."""
+        starts = self.trace.send_classes[class_id].starts[index]
+        return self._send_windows[class_id][starts].reshape(len(starts), -1)
 
     def _class_max(self, class_id: int) -> int:
-        """max(|values|) over a whole send class (exact Python int)."""
+        """max(|values|) over a send class's used storage, a superset of
+        its tiles (exact Python int)."""
         bound = self._max_memo.get(class_id)
         if bound is None:
-            if self.schedule.send[class_id][0] is None:
-                # Too large to gather whole: bound it by the argument's
-                # whole storage — a superset of the tiles.
-                arg = self.trace.send_classes[class_id].arg
-                values = self.descriptors[arg].allocated
-            else:
-                values = self._values(class_id)
-            bound = self._max_memo[class_id] = max_abs(values)
+            bound = self._max_memo[class_id] = max_abs(self._used(class_id))
         return bound
 
     def _elect_cast(self, block: _Block, depth: int):
@@ -510,10 +520,10 @@ class ReplayExecutor:
         per-tile integer accumulation (and the remaining cases are
         modular-identical through int64; a float64 result goes through
         int64 too, as a float-to-int32 cast is undefined out of range).
-        Uses whole-class maxima, so a block whose own maximum is lower
-        may pick a wider type than the live engine's per-tile check —
-        all paths are exact or modular-identical, so outputs do not
-        change.  Returns the numpy cast dtype, or ``None`` for int64.
+        Bounds each side over its class's used storage, so a block whose
+        own maximum is lower may pick a wider type than the live engine's
+        per-tile check — all paths are exact or modular-identical, so
+        outputs do not change.  Returns the cast dtype, or ``None``.
         """
         bound = depth * self._class_max(block.a[0]) \
             * self._class_max(block.b[0])
@@ -527,9 +537,7 @@ class ReplayExecutor:
         """Gather one operand side of a block (in order: a view)."""
         class_id, rows = side
         tiles = self._values(class_id, cast)[rows]
-        if cast is not None:
-            tiles = tiles.astype(cast, copy=False)  # live-window gathers
-        return tiles.reshape((-1,) + shape)
+        return tiles.astype(cast, copy=False).reshape((-1,) + shape)
 
     def _tile_payloads(self, block: _Block, conv: bool, dtype) -> np.ndarray:
         """Every tile of a block without panels, from its computes'
@@ -539,40 +547,34 @@ class ReplayExecutor:
         bit-identical to the per-tile accumulation (wraparound is mod
         2^32 regardless of where it happens)."""
         tm, tn, tk = block.tm, block.tn, block.tk
+        cast = self._elect_cast(block, tk) or np.int64
         if conv:
-            # One dot product per (filter, window) — replicates
-            # ConvAccelerator._send_input_compute's exact int64
-            # arithmetic (exact-float BLAS when provably safe).
-            a_shape = b_shape = (tk,)
+            # One dot product per (filter, window), filter-major: the
+            # exact int64 arithmetic of ConvAccelerator's
+            # _send_input_compute (exact-float BLAS when provably safe).
+            products = (self._operand(block.b, (tk,), cast)
+                        @ self._operand(block.a, (tk,), cast).T).reshape(-1)
         else:
-            a_shape, b_shape = (tm, tk), (tk, tn)
-        cast = self._elect_cast(block, block.tk)
-        a = self._operand(block.a, a_shape, cast)
-        b = self._operand(block.b, b_shape, cast)
-        if conv:
-            b = b.T
-        if cast is not None:
-            products = (a @ b).astype(np.int64)
-        else:
-            products = a.astype(np.int64) @ b.astype(np.int64)
-        if conv:  # (windows, filters) -> filter-major compute order
-            products = products.T.reshape(-1)
+            products = self._operand(block.a, (tm, tk), cast) \
+                @ self._operand(block.b, (tk, tn), cast)
+        products = products.astype(np.int64, copy=False)
         return products.reshape(len(products) // block.group,
                                 block.reps if conv else block.group, -1) \
             .sum(axis=1).astype(dtype)
 
     def _panel_payloads(self, block: _Block, dtype) -> np.ndarray:
-        """Every tile of a block with panels, from one product
-        of panels built (and cast) from the classes' distinct tiles.
-        Stacked A panels make numpy issue one GEMM per panel, which for
-        a 128**3 problem stays under OpenBLAS's threading threshold: as
-        one threaded GEMM it waited 0.1-1.2 ms for its worker thread on
-        a loaded 2-CPU host."""
-        a_rows, ia, b_rows, jb = block.panels
+        """Every tile of a block with panels, from one product of panels
+        gathered by tile start from the classes' integer windows, cast
+        as they are laid out.  Stacked A panels make numpy issue one GEMM
+        per panel, which for a 128**3 problem stays under OpenBLAS's
+        threading threshold: as one threaded GEMM it waited 0.1-1.2 ms
+        for its worker thread on a loaded 2-CPU host."""
+        a_starts, ia, b_starts, jb = block.panels
         tm, tn, tk, group = block.tm, block.tn, block.tk, block.group
         cast = self._elect_cast(block, group * tk) or np.int64
-        a_tiles = self._values(block.a[0])[a_rows].reshape(-1, group, tm, tk)
-        b_tiles = self._values(block.b[0])[b_rows].reshape(-1, group, tk, tn)
+        windows = self._send_windows
+        a_tiles = windows[block.a[0]][a_starts].reshape(-1, group, tm, tk)
+        b_tiles = windows[block.b[0]][b_starts].reshape(-1, group, tk, tn)
         a = np.empty((len(a_tiles), tm, group, tk), cast)
         a[...] = a_tiles.transpose(0, 2, 1, 3)
         b = np.empty((group, tk, len(b_tiles), tn), cast)
@@ -585,8 +587,10 @@ class ReplayExecutor:
 
     def _lone_payload(self, ordinal: int) -> np.ndarray:
         """Push ``ordinal``'s own payload, exactly in int64."""
-        plan = self.plan
-        computes = np.flatnonzero(plan.compute_push == ordinal)
+        plan, lone = self.plan, self.schedule.lone
+        if ordinal not in lone:
+            lone[ordinal] = np.flatnonzero(plan.compute_push == ordinal)
+        computes = lone[ordinal]
         tm, tn, tk = plan.compute_geom[computes[0]]
         a, b = (self._tiles(packed[0] >> 40, packed & _INDEX_MASK)
                 .astype(np.int64) for packed
@@ -653,8 +657,7 @@ class ReplayExecutor:
                 mplan.input_word_values
         for class_id, tile_idx, dest_pos, src_pos in \
                 mplan.input_tile_writes:
-            rows = self._tiles(class_id, tile_idx)
-            words = np.ascontiguousarray(rows).view(np.uint32)
+            words = self._tiles(class_id, tile_idx).view(np.uint32)
             engine.input_words[dest_pos] = words.reshape(-1)[src_pos]
 
     def _apply_output_region(self, mplan) -> None:
@@ -671,29 +674,26 @@ class ReplayExecutor:
             engine.output_words[dest_pos] = data[src_pos]
 
     # -- accelerator end-state (data plane: final operand tiles) ----------
-    def _one_tile(self, packed: int, dtype) -> Optional[np.ndarray]:
+    def _one_tile(self, packed: int, shape, dtype, default) -> np.ndarray:
         if packed < 0:
-            return None
+            return default
         return self._tiles(packed >> 40, [packed & _INDEX_MASK])[0] \
-            .astype(dtype, copy=False)
+            .astype(dtype, copy=False).reshape(shape)
 
     def _finalize_accelerator(self, accel) -> None:
-        plan = self.plan
+        plan, dtype = self.plan, accel.dtype
         if plan.kind == "conv":
             accel.ic, accel.fhw = plan.final_config
             accel._refresh_needs()
-            last_filter = self._one_tile(plan.final_b, accel.dtype)
-            if last_filter is not None:
-                accel._filter = last_filter.reshape(-1)
+            accel._filter = self._one_tile(plan.final_b, -1, dtype,
+                                           accel._filter)
             accel._slice = []
             return
         tm, tn, tk = plan.final_config
         accel.tile_m, accel.tile_n, accel.tile_k = tm, tn, tk
         accel._refresh_needs()
-        last_a = self._one_tile(plan.final_a, accel.dtype)
-        accel._a = last_a.reshape(tm, tk) if last_a is not None \
-            else np.zeros((tm, tk), accel.dtype)
-        last_b = self._one_tile(plan.final_b, accel.dtype)
-        accel._b = last_b.reshape(tk, tn) if last_b is not None \
-            else np.zeros((tk, tn), accel.dtype)
-        accel._c = np.zeros((tm, tn), accel.dtype)
+        accel._a = self._one_tile(plan.final_a, (tm, tk), dtype,
+                                  np.zeros((tm, tk), dtype))
+        accel._b = self._one_tile(plan.final_b, (tk, tn), dtype,
+                                  np.zeros((tk, tn), dtype))
+        accel._c = np.zeros((tm, tn), dtype)

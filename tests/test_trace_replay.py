@@ -898,26 +898,45 @@ def test_a_rung_that_stops_wrapping_is_caught(mutant, monkeypatch):
         assert per_tile[1] != replayed[1], "the mutant survived"
 
 
+def _conv_reference(image, weights, stride):
+    windows = np.lib.stride_tricks.sliding_window_view(
+        image[0], weights.shape[2:], axis=(1, 2))[:, ::stride, ::stride]
+    return np.einsum("cyxij,ocij->oyx", windows.astype(np.int64),
+                     weights.astype(np.int64))[None].astype(np.int32)
+
+
+#: ``(spec, operand bound, tracemalloc peak bound)``: the 128**3 hot
+#: matmuls (192 KiB of operands) and the 256-channel hot conv (64 KiB of
+#: image whose 36 windows hold 331 KiB, 147 KiB of filters).
+_WORKING_SETS = (
+    ({"kind": "matmul", "m": 128, "n": 128, "k": 128, "version": 3,
+      "size": 16, "flow": "Cs"}, 7, 1 << 20),
+    ({"kind": "matmul", "m": 128, "n": 128, "k": 128, "version": 1,
+      "size": 8, "flow": "Ns"}, 7, 1 << 20),
+    ({"kind": "conv", "batch": 1, "in_ch": 256, "in_hw": 8, "out_ch": 16,
+      "f_hw": 3, "stride": 1}, 4, 800 << 10),
+)
+
+
 @pytest.mark.usefixtures("clean_faults")
 def test_warm_replay_working_set(monkeypatch):
-    """A warm replay of a 128**3 hot kernel (192 KiB of operands) keeps
-    at most 1 MiB of temporaries live: every tile's payload, the sum of
-    its pushes (8 computes each for v3 Cs, 16 one-compute pushes for v1
-    Ns), comes from one product of deduplicated panels, not per-compute
-    tiles."""
+    """A warm replay of a hot kernel keeps its temporaries small: every
+    matmul tile's payload, the sum of its pushes (8 computes each for v3
+    Cs, 16 one-compute pushes for v1 Ns), comes from one product of
+    deduplicated panels, not per-compute tiles; the conv gathers its
+    windows once, as float32 from a cast of the image, and its filters
+    are that cast's reshape (no int32 twin of either)."""
     from repro.execution.metrics import METRICS_PLAN_COUNTERS
     from repro.experiments.harness import compile_request
 
     monkeypatch.delenv("REPRO_CHECK", raising=False)
     rng = np.random.default_rng(30)
-    inputs = [rng.integers(-7, 7, (128, 128)).astype(np.int32)
-              for _ in range(2)]
-    for version, size, flow in ((3, 16, "Cs"), (1, 8, "Ns")):
-        spec = {"kind": "matmul", "m": 128, "n": 128, "k": 128,
-                "version": version, "size": size, "flow": flow}
+    for spec, bound, peak_bound in _WORKING_SETS:
+        request = compile_request(spec)
+        inputs = [rng.integers(-bound, bound, shape).astype(np.int32)
+                  for shape in request.input_shapes]
         for _ in range(2):
             compile_request(spec).run(inputs)
-        request = compile_request(spec)
         board = make_pynq_z2()
         board.attach_accelerator(request.hw)
         output = np.zeros(request.output_shape, np.int32)
@@ -929,8 +948,10 @@ def test_warm_replay_working_set(monkeypatch):
         finally:
             tracemalloc.stop()
         assert METRICS_PLAN_COUNTERS["metrics_plan_hits"] == hits + 1
-        assert np.array_equal(output, inputs[0] @ inputs[1])
-        assert peak <= 1 << 20, f"v{version} {flow}: {peak / 1024:.0f} KiB"
+        expected = inputs[0] @ inputs[1] if spec["kind"] == "matmul" \
+            else _conv_reference(*inputs, spec["stride"])
+        assert np.array_equal(output, expected)
+        assert peak <= peak_bound, f"{spec}: {peak / 1024:.0f} KiB"
 
 
 @pytest.mark.usefixtures("clean_faults")
@@ -964,6 +985,32 @@ class TestScheduleIsDerivedState:
         assert block.a[1] == block.b[1] == slice(None)
         assert case.trace().send_classes[block.b[0]].starts.size == 3
         assert block.target == (0, slice(0, 3))
+
+    def test_lone_payloads_sum_to_their_tiles(self):
+        """A push's own payload (what an output region keeps when its
+        tile sums several pushes) is found per ordinal: every push's,
+        asked for in turn on one schedule, sums per tile to the tile's
+        row."""
+        from repro.execution.replay import ReplayExecutor
+        from repro.execution.trace import decode_for_accelerator
+
+        for name in ("v1-Ns-32", "conv-accumulate"):
+            case = _case(name)
+            trace = case.trace()
+            _, board, rt, descriptors = _fresh(
+                case, case.arrays(np.random.default_rng(4)), (1, 2, 3))
+            executor = ReplayExecutor(
+                trace, decode_for_accelerator(trace, board.accelerator),
+                board, rt, descriptors, False)
+            executor._compute_functional()
+            rows = executor._recv_buffers
+            sums = [np.zeros(buffer.shape, np.int64) for buffer in rows]
+            for ordinal, (class_id, row) in enumerate(trace.recv_refs):
+                tile = executor.schedule.recv_rows[class_id][row]
+                sums[class_id][tile] += executor._lone_payload(ordinal)
+            assert len(executor.schedule.lone) == len(trace.recv_refs) > 1
+            for total, buffer in zip(sums, rows):
+                assert np.array_equal(total.astype(buffer.dtype), buffer)
 
     def test_private_attributes_never_persist(self):
         """Anything hung on a trace or plan under a private name stays
@@ -1000,12 +1047,38 @@ class TestScheduleIsDerivedState:
             assert all(uniq is None for uniq, _ in schedule.send)
 
 
+def _tiers_agree(kernel, make_hw, inputs, output_shape):
+    """``kernel`` on fresh boards with ``make_hw()`` attached: replayed,
+    per tile (``trace=False``) and interpreted.  Each call must count
+    once in ``served`` as what ran it, and all three must agree on
+    counters, output bytes, clock and both LRU digests.  Returns the
+    output."""
+    seen = []
+    for tier, served in (("replay", {"replay": 1}),
+                         ("per_tile", {"no_trace": 1}),
+                         ("interpreted", {})):
+        board = make_pynq_z2()
+        board.attach_accelerator(make_hw())
+        output = np.zeros(output_shape, np.int32)
+        before = dict(SERVED_COUNTERS)
+        if tier == "interpreted":
+            counters = kernel.run_interpreted(board, *inputs, output)
+        else:
+            counters = kernel.run(board, *inputs, output,
+                                  trace=tier == "replay")
+        assert {key: SERVED_COUNTERS[key] - before[key]
+                for key in before
+                if SERVED_COUNTERS[key] != before[key]} == served
+        seen.append((counters.as_dict(), output.tobytes(), board.clock,
+                     _cache_digest(board.caches.l1),
+                     _cache_digest(board.caches.l2)))
+    assert seen[0] == seen[1] == seen[2]
+    return output
+
+
 def _three_tiers(system, shape, permutation=None):
-    """``system``'s ``m x n x k`` kernel on fresh boards: replayed, per
-    tile (``trace=False``) and interpreted.  Each call must count once in
-    ``served`` as what ran it, and all three must agree on counters,
-    output bytes, clock and both LRU digests.  Returns the kernel's
-    trace."""
+    """``system``'s ``m x n x k`` kernel through :func:`_tiers_agree`.
+    Returns the kernel's trace."""
     m, n, k = shape
     kernel = AXI4MLIRCompiler(make_matmul_system(**system)[1],
                               permutation=permutation,
@@ -1014,27 +1087,40 @@ def _three_tiers(system, shape, permutation=None):
     rng = np.random.default_rng(5)
     a = rng.integers(-9, 9, (m, k)).astype(np.int32)
     b = rng.integers(-9, 9, (k, n)).astype(np.int32)
-    seen = []
-    for tier, served in (("replay", {"replay": 1}),
-                         ("per_tile", {"no_trace": 1}),
-                         ("interpreted", {})):
-        board = make_pynq_z2()
-        board.attach_accelerator(make_matmul_system(**system)[0])
-        c = np.zeros((m, n), np.int32)
-        before = dict(SERVED_COUNTERS)
-        if tier == "interpreted":
-            counters = kernel.run_interpreted(board, a, b, c)
-        else:
-            counters = kernel.run(board, a, b, c, trace=tier == "replay")
-        assert {key: SERVED_COUNTERS[key] - before[key]
-                for key in before
-                if SERVED_COUNTERS[key] != before[key]} == served
-        seen.append((counters.as_dict(), c.tobytes(), board.clock,
-                     _cache_digest(board.caches.l1),
-                     _cache_digest(board.caches.l2)))
-    assert seen[0] == seen[1] == seen[2]
+    c = _tiers_agree(kernel, lambda: make_matmul_system(**system)[0],
+                     (a, b), (m, n))
     assert np.array_equal(c, a @ b)
     return kernel.trace_state.trace
+
+
+@pytest.mark.usefixtures("clean_faults")
+def test_the_magnitude_bound_covers_unread_storage(monkeypatch):
+    """A cast is elected from each class's used storage, a superset of
+    its tiles: a stride-2 1x1 conv reads no odd row or column, and 2**30
+    there widens the elected cast to float64 but changes no output."""
+    from repro.execution.replay import ReplayExecutor
+    from repro.experiments.harness import compile_request
+
+    elected = set()
+    elect = ReplayExecutor._elect_cast
+
+    def spy(self, block, depth):
+        cast = elect(self, block, depth)
+        elected.add(cast)
+        return cast
+
+    monkeypatch.setattr(ReplayExecutor, "_elect_cast", spy)
+    spec = {"kind": "conv", "batch": 1, "in_ch": 64, "in_hw": 9,
+            "out_ch": 8, "f_hw": 1, "stride": 2}
+    rng = np.random.default_rng(9)
+    image = np.full((1, 64, 9, 9), 2 ** 30, np.int32)
+    image[..., ::2, ::2] = rng.integers(-4, 4, (1, 64, 5, 5))
+    weights = rng.integers(-4, 4, (8, 64, 1, 1)).astype(np.int32)
+    request = compile_request(spec)
+    output = _tiers_agree(request.kernel, lambda: compile_request(spec).hw,
+                          (image, weights), request.output_shape)
+    assert np.array_equal(output, _conv_reference(image, weights, 2))
+    assert elected == {np.float64}
 
 
 @pytest.mark.usefixtures("clean_faults")

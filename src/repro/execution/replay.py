@@ -31,16 +31,18 @@ split into two explicit planes:
   - the *payload* (every call; the only part that touches input data):
     elect the exact type from bounds over each class's used storage
     (modular-arithmetic-identical to the per-tile path; a panel product
-    elects on its fused depth), gather each operand once in that type,
-    one batched product per block that sums every tile's pushes,
-    scatter each receive class once, write the staging-region payloads.
+    elects on its fused depth), gather each operand once in that type
+    (both of a conv channel-innermost), one batched product per block
+    that sums every tile's pushes, scatter each receive class once,
+    write the staging-region payloads.
 
   The data plane serves the schedules the host drivers emit: integer
-  tiles, every operand loaded before it is used, pushes of one size per
-  block landing in one receive class, equally many per tile, and per
-  argument at most one receive class whose distinct tiles are disjoint
-  and, when a tile repeats, accumulated.  Any other schedule is refused
-  when its :class:`DataSchedule` is built, and the verdict is cached.
+  tiles (a conv's inside their channel planes), every operand loaded
+  before it is used, pushes of one size per block landing in one receive
+  class, equally many per tile, and per argument at most one receive
+  class whose distinct tiles are disjoint and, when a tile repeats,
+  accumulated.  Any other schedule is refused when its
+  :class:`DataSchedule` is built, and the verdict is cached.
 
 * the **metrics plane** (:mod:`repro.execution.metrics`): every
   performance-model quantity — per-event copy/cache charges, the exact
@@ -92,7 +94,7 @@ ReplayUnsupported = TraceUnsupported
 _BLOCK_ELEMENTS = 1 << 23
 
 #: Largest distinct-tile matrix of one send class gathered up front per
-#: call; beyond it operands are gathered per block from the live window.
+#: call; beyond it operands are gathered per block from its copy.
 _CLASS_ELEMENTS = 1 << 24
 
 _INDEX_MASK = (1 << 40) - 1
@@ -143,29 +145,43 @@ class DataSchedule:
     tiles.  A schedule outside what the data plane serves (see the
     module docstring) raises :class:`ReplayUnsupported` here."""
 
-    __slots__ = ("send", "send_extent", "recv_extent", "recv_rows",
-                 "blocks", "scatters", "lone")
+    __slots__ = ("send", "send_extent", "layout", "recv_extent",
+                 "recv_rows", "blocks", "scatters", "lone")
 
     def __init__(self, trace: DriverTrace, plan: DecodedPlan):
         if any(np.dtype(spec[3]).kind not in "iu"
                for spec in trace.arg_specs):
             raise ReplayUnsupported(Cause.NON_INTEGER)
-        #: Per send class ``(uniq, rows)``: the distinct tile starts and
-        #: each tile's row among them — or ``(None, starts)`` for a
-        #: class too large to gather whole.  Rows are kept 32-bit when
-        #: they fit: the blocks' operand rows are drawn from them and
-        #: are most of a schedule's resident bytes.
-        self.send = []
+        #: Per send class: ``send``, ``(uniq, rows)``, the distinct tile
+        #: starts in its copy (``layout``) and each tile's row among them,
+        #: or ``(None, starts)`` for a class too large to gather whole
+        #: (rows 32-bit when they fit: they are most of the resident
+        #: bytes); ``send_extent``, ``(tile span, furthest start)``, what
+        #: its window view is sized and checked with, and its used storage.
+        self.send, self.send_extent, self.layout = [], [], []
+        conv = plan.kind == "conv"
         for tile_class in trace.send_classes:
-            uniq, rows = np.unique(tile_class.starts, return_inverse=True)
-            if uniq.size * tile_class.num_elements() > _CLASS_ELEMENTS:
-                uniq, rows = None, tile_class.starts
+            span, last = _extent(tile_class)
+            period, planes, *view = \
+                _channel_last(tile_class, span, last) if conv else \
+                (1, last + span + 1, tile_class.sizes, tile_class.strides)
+            plane, offset = np.divmod(tile_class.starts, period)
+            starts = offset * planes + plane  # in the copy
+            uniq, rows = np.unique(starts, return_inverse=True)
+            size = tile_class.num_elements()
+            whole = size % period == 0 and period * planes == uniq.size \
+                * size and np.array_equal(uniq, np.arange(uniq.size)
+                                          * (size // period))
+            if uniq.size * size > _CLASS_ELEMENTS:
+                uniq, rows, whole = None, starts, False
             if int(rows.max()) < 2 ** 31:
                 rows = rows.astype(np.int32)
             self.send.append((uniq, rows))
-        #: Per class ``(tile span, furthest start)``: what its window
-        #: view is sized and bounds-checked with, and its used storage.
-        self.send_extent = [_extent(tc) for tc in trace.send_classes]
+            self.send_extent.append((period * planes - 1 - last, last))
+            #: ``(period, length, (sizes, strides), whole)``: each call casts
+            #: the used storage's ``period``-element planes (a conv's channel
+            #: planes, else 1) transposed, or ``whole`` tiles one by one.
+            self.layout.append((period, int(starts.max()) + 1, view, whole))
         self.recv_extent = [_extent(tc) for tc in trace.recv_classes]
         self._plan_scatter(trace)
         self.blocks: List[_Block] = []
@@ -341,13 +357,28 @@ def _extent(tile_class):
     return span, int(tile_class.starts.max())
 
 
+def _channel_last(tile_class, span: int, last: int):
+    """``(period, planes, sizes, strides)`` of a conv class: its used
+    storage as ``planes`` channel planes of ``period`` elements (the
+    tile's channel stride), and a tile in their transpose.  Every window
+    and filter a driver sends lies inside its planes; others are refused."""
+    sizes, strides = tile_class.sizes, tile_class.strides
+    if len(sizes) < 3 or any(size != 1 for size in sizes[:-3]):
+        raise ReplayUnsupported(Cause.WINDOW_OUTSIDE_PLANE)
+    (channels, fy, fx), (period, sy, sx) = sizes[-3:], strides[-3:]
+    if period < 1 or (tile_class.starts % period + span
+                      - (channels - 1) * period >= period).any():
+        raise ReplayUnsupported(Cause.WINDOW_OUTSIDE_PLANE)
+    planes = -(-(last + span + 1) // period)
+    return period, planes, (fy, fx, channels), (sy * planes, sx * planes, 1)
+
+
 def _tile_view(storage: np.ndarray, offset: int, length: int,
-               tile_class) -> np.ndarray:
+               sizes, strides) -> np.ndarray:
     """See :meth:`ReplayExecutor._window`."""
     item = storage.itemsize
-    return np.ndarray(
-        (length,) + tuple(tile_class.sizes), storage.dtype, storage,
-        offset * item, (item,) + tuple(s * item for s in tile_class.strides))
+    return np.ndarray((length, *sizes), storage.dtype, storage, offset * item,
+                      (item, *(s * item for s in strides)))
 
 
 def data_schedule(trace: DriverTrace, plan: DecodedPlan) -> DataSchedule:
@@ -462,7 +493,8 @@ class ReplayExecutor:
         length = desc.allocated.size - desc.offset - span
         if last_start >= length:
             raise ReplayUnsupported(Cause.TILES_BEYOND_STORAGE)
-        return _tile_view(desc.allocated, desc.offset, length, tile_class)
+        return _tile_view(desc.allocated, desc.offset, length,
+                          tile_class.sizes, tile_class.strides)
 
     def _used(self, class_id: int) -> np.ndarray:
         """From the descriptor offset to the end of the furthest tile."""
@@ -476,23 +508,29 @@ class ReplayExecutor:
         Operand tiles are referenced by many computes (every tile of A
         participates in a whole row of products), so they are gathered
         once per *distinct* tile, from the class's used storage cast once
-        to ``cast``; tiles that are that storage back to back (conv
-        filters) are its reshape.  The schedule's rows index the result.
-        A class too large for that returns its live integer window,
-        which the same rows (tile starts, then) index block by block."""
+        to ``cast`` — a conv's channel-last, so a window or filter row is
+        ``fy·fx`` runs of ``c`` contiguous values; tiles that are that
+        storage back to back (conv filters) are cast tile by tile.  The
+        schedule's rows index the result, or, for a class too large for
+        that, the copy's window block by block (in storage order: the
+        live window)."""
         uniq = self.schedule.send[class_id][0]
-        if uniq is None:
+        period, length, view, whole = self.schedule.layout[class_id]
+        if uniq is None and period == 1:
             return self._send_windows[class_id]
         key = (class_id, cast)
         values = self._values_memo.get(key)
-        if values is None:
-            used = self._used(class_id).astype(cast)
-            tile = self._send_windows[class_id][0]
-            if not (tile.flags.c_contiguous and np.array_equal(
-                    uniq, np.arange(uniq.size) * tile.size)):
-                used = _tile_view(used, 0, uniq[-1] + 1,  # not back to back
-                                  self.trace.send_classes[class_id])[uniq]
-            values = self._values_memo[key] = used.reshape(uniq.size, -1)
+        if values is None:  # read strided, write contiguous: one pass
+            planes = self._used(class_id).reshape(-1, period)
+            if whole and self._send_windows[class_id][0].flags.c_contiguous:
+                values = np.ascontiguousarray(planes.reshape(
+                    uniq.size, -1, period).swapaxes(1, 2), dtype=cast)
+            else:
+                values = _tile_view(np.ascontiguousarray(
+                    planes.T, dtype=cast).reshape(-1), 0, length, *view)
+                values = values if uniq is None else values[uniq]
+            values = values if uniq is None else values.reshape(uniq.size, -1)
+            self._values_memo[key] = values
         return values
 
     def _tiles(self, class_id: int, index) -> np.ndarray:
@@ -545,7 +583,8 @@ class ReplayExecutor:
         push the *stack* of its window dots (the slice buffer), and a
         tile sums its ``reps`` pushes.  Any exact-or-modular path is
         bit-identical to the per-tile accumulation (wraparound is mod
-        2^32 regardless of where it happens)."""
+        2^32 regardless of where it happens, so a dot's sum does not
+        depend on its element order: a conv's rows are ``(fy, fx, c)``)."""
         tm, tn, tk = block.tm, block.tn, block.tk
         cast = self._elect_cast(block, tk) or np.int64
         if conv:

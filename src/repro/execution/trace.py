@@ -153,6 +153,7 @@ class Cause(str, enum.Enum):
     SHARED_RECEIVE_ARGUMENT = "shared_receive_argument"
     OVERLAPPING_RECEIVES = "overlapping_receives"
     OVERWRITTEN_REPEAT = "overwritten_repeat"
+    WINDOW_OUTSIDE_PLANE = "window_outside_plane"  # a forged conv tile's
 
 
 #: The causes a replay raises; ``trace_sources["replay_refused"]`` is

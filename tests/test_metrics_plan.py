@@ -421,6 +421,44 @@ class TestEndState:
         assert _plan_traffic() == (hits + 1, misses + 1)
 
 
+    def test_a_board_differing_only_in_l2_misses_the_plan(self):
+        """Two boards equal in counters, timeline and L1 but not in L2
+        (lines the kernel reads, touched through L2 only): the second
+        call must not take the plan the first call built, and must equal
+        its per-tile twin on a board with the same history."""
+        kernel, hw_factory = _matmul_setup(3, 4, "Ns", 16, 16, 16)
+        probe = _fresh_board(hw_factory)
+        kernel.run(probe, *_operands(), trace=False)
+        lines = [line for ways in probe.caches.l2._sets for line in ways]
+
+        def l2_warmed():
+            board = _fresh_board(hw_factory)
+            for line in lines[:16]:
+                board.caches.l2.access_line(line)
+            return board
+
+        def state(board):
+            return (board.counters.as_dict(), board.clock,
+                    board.accel_ready_at, board.dma_busy_until,
+                    _cache_digest(board.caches.l1))
+
+        first, second = _fresh_board(hw_factory), l2_warmed()
+        assert state(first) == state(second)
+        assert _cache_digest(first.caches.l2) \
+            != _cache_digest(second.caches.l2)
+        kernel.run(first, *_operands())
+        hits, misses = _plan_traffic()
+        seen = []
+        for board, trace in ((second, True), (l2_warmed(), False)):
+            operands = _operands()
+            counters = kernel.run(board, *operands, trace=trace)
+            seen.append((counters.as_dict(), operands[2].tobytes(),
+                         board.clock, _cache_digest(board.caches.l1),
+                         _cache_digest(board.caches.l2)))
+        assert _plan_traffic() == (hits, misses + 1)
+        assert seen[0] == seen[1]
+
+
 class _Writes:
     """A tile class as the last-writer scan reads one."""
 

@@ -253,17 +253,22 @@ def _tile_dtype(monkeypatch, tmp_path):
 
 @scenario(Cause.PENDING_CONV_SLICE)
 def _pending_slice(monkeypatch, tmp_path):
-    hw, info = make_conv_system(4, 3)
-    kernel = AXI4MLIRCompiler(info, kernel_cache=KernelCache()) \
-        .compile_conv(1, 4, 6, 2, 3, 1)
-
     def make_hw():
         fresh = make_conv_system(4, 3)[0]
         fresh._slice = [np.int32(5), np.int32(-2)]  # an earlier stream's
         return fresh
-    return _Call(kernel, _board(make_hw),
-                 _ints(np.random.default_rng(14), (1, 4, 6, 6),
-                       (2, 4, 3, 3), (1, 2, 4, 4)))
+    return _conv_call(np.random.default_rng(14), make_hw)
+
+
+def _compile_conv(cache):
+    return AXI4MLIRCompiler(make_conv_system(4, 3)[1], kernel_cache=cache) \
+        .compile_conv(1, 4, 6, 2, 3, 1)
+
+
+def _conv_call(rng, make_hw=lambda: make_conv_system(4, 3)[0]):
+    """The 4-channel 3x3 conv over a 6x6 image."""
+    return _Call(_compile_conv(KernelCache()), _board(make_hw),
+                 _ints(rng, (1, 4, 6, 6), (2, 4, 3, 3), (1, 2, 4, 4)))
 
 
 @scenario(Cause.TILES_BEYOND_STORAGE)
@@ -271,19 +276,35 @@ def _tiles_beyond_storage(monkeypatch, tmp_path):
     def beyond(columns):
         key, pos, starts, regions = columns[3][0]
         columns[3][0] = (key, pos, starts + 10 ** 6, regions)
-    cache, call = _forged(tmp_path, beyond, np.random.default_rng(15))
+    cache, call = _forged(tmp_path, beyond,
+                          _matmul_call(np.random.default_rng(15)))
     assert cache.disk_hits == 1
     return call
 
 
-def _forged(tmp_path, forge, rng):
-    """The v3 8x8x8 kernel looked up in a cache whose store holds its
-    entry with the trace columns ``forge`` edited in place; the cache
-    and the call."""
-    call = _matmul_call(rng)
-    compiler = AXI4MLIRCompiler(_v3()[1],
-                                kernel_cache=KernelCache(disk_dir=tmp_path))
-    _Call(compiler.compile_matmul(8, 8, 8), call.make_board,
+@scenario(Cause.WINDOW_OUTSIDE_PLANE)
+def _window_outside_plane(monkeypatch, tmp_path):
+    def shifted(columns):
+        # The image's windows one pixel right: the last one (bottom
+        # right) then ends one element past its channel plane.
+        for i, (key, pos, starts, regions) in enumerate(columns[3]):
+            if key[0] == 0:
+                columns[3][i] = (key, pos, starts + 1, regions)
+    cache, call = _forged(tmp_path, shifted,
+                          _conv_call(np.random.default_rng(30)),
+                          _compile_conv)
+    assert cache.disk_hits == 1
+    return call
+
+
+def _forged(tmp_path, forge, call, compile_kernel=None):
+    """``call``'s kernel (the v3 8x8x8 one unless ``compile_kernel``
+    builds another from a cache) looked up in a cache whose store holds
+    its entry with the trace columns ``forge`` edited in place; the
+    cache and the call."""
+    compile_kernel = compile_kernel or (lambda cache: AXI4MLIRCompiler(
+        _v3()[1], kernel_cache=cache).compile_matmul(8, 8, 8))
+    _Call(compile_kernel(KernelCache(disk_dir=tmp_path)), call.make_board,
           call.arrays).outcome()
     store = KernelStore(tmp_path)
     (path,) = store.objects_dir().rglob("*.entry")
@@ -295,9 +316,7 @@ def _forged(tmp_path, forge, rng):
     payload["trace"] = tuple(columns)
     assert store.store(name, payload)
     cache = KernelCache(disk_dir=tmp_path)
-    loaded = AXI4MLIRCompiler(_v3()[1], kernel_cache=cache) \
-        .compile_matmul(8, 8, 8)
-    return cache, _Call(loaded, call.make_board, call.arrays)
+    return cache, _Call(compile_kernel(cache), call.make_board, call.arrays)
 
 
 # -- refusals: a schedule the data plane does not serve ----------------------
@@ -473,7 +492,8 @@ def test_a_negative_stored_tile_stride_is_quarantined(tmp_path):
         columns[3][0] = ((arg, sizes, (-strides[0],) + strides[1:]),
                          pos, starts, regions)
 
-    cache, call = _forged(tmp_path, negative, np.random.default_rng(29))
+    cache, call = _forged(tmp_path, negative,
+                          _matmul_call(np.random.default_rng(29)))
     assert cache.disk_corrupt == 1 and cache.disk_hits == 0
     before = _served()["replay"]
     seen = call.outcome()

@@ -35,6 +35,7 @@ from repro.execution import (
 from repro.execution.metrics import _cache_digest
 from repro.execution.synthesize import assemble_trace, trace_columns
 from repro.execution.trace import SERVED_COUNTERS
+from repro.kernel import CompiledKernel
 from repro.runtime import (
     AxiRuntime,
     CALL_STYLE_MANUAL,
@@ -900,14 +901,16 @@ def test_a_rung_that_stops_wrapping_is_caught(mutant, monkeypatch):
 
 def _conv_reference(image, weights, stride):
     windows = np.lib.stride_tricks.sliding_window_view(
-        image[0], weights.shape[2:], axis=(1, 2))[:, ::stride, ::stride]
-    return np.einsum("cyxij,ocij->oyx", windows.astype(np.int64),
-                     weights.astype(np.int64))[None].astype(np.int32)
+        image, weights.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("ncyxij,ocij->noyx", windows.astype(np.int64),
+                     weights.astype(np.int64)).astype(np.int32)
 
 
 #: ``(spec, operand bound, tracemalloc peak bound)``: the 128**3 hot
-#: matmuls (192 KiB of operands) and the 256-channel hot conv (64 KiB of
-#: image whose 36 windows hold 331 KiB, 147 KiB of filters).
+#: matmuls (192 KiB of operands), the 256-channel hot conv (64 KiB of
+#: image whose 36 windows hold 331 KiB, 147 KiB of filters) and the
+#: stride-2 conv (42 KiB of image, 36 windows of 81 KiB, 36 KiB of
+#: filters).
 _WORKING_SETS = (
     ({"kind": "matmul", "m": 128, "n": 128, "k": 128, "version": 3,
       "size": 16, "flow": "Cs"}, 7, 1 << 20),
@@ -915,6 +918,8 @@ _WORKING_SETS = (
       "size": 8, "flow": "Ns"}, 7, 1 << 20),
     ({"kind": "conv", "batch": 1, "in_ch": 256, "in_hw": 8, "out_ch": 16,
       "f_hw": 3, "stride": 1}, 4, 800 << 10),
+    ({"kind": "conv", "batch": 1, "in_ch": 64, "in_hw": 13, "out_ch": 16,
+      "f_hw": 3, "stride": 2}, 4, 425 << 10),
 )
 
 
@@ -923,9 +928,10 @@ def test_warm_replay_working_set(monkeypatch):
     """A warm replay of a hot kernel keeps its temporaries small: every
     matmul tile's payload, the sum of its pushes (8 computes each for v3
     Cs, 16 one-compute pushes for v1 Ns), comes from one product of
-    deduplicated panels, not per-compute tiles; the conv gathers its
-    windows once, as float32 from a cast of the image, and its filters
-    are that cast's reshape (no int32 twin of either)."""
+    deduplicated panels, not per-compute tiles; a conv gathers its
+    windows once, as float32 from a channel-last cast of the image, and
+    casts its filters once, each with its channel axis moved last (no
+    int32 twin of either)."""
     from repro.execution.metrics import METRICS_PLAN_COUNTERS
     from repro.experiments.harness import compile_request
 
@@ -1047,16 +1053,16 @@ class TestScheduleIsDerivedState:
             assert all(uniq is None for uniq, _ in schedule.send)
 
 
-def _tiers_agree(kernel, make_hw, inputs, output_shape):
+def _tiers_agree(kernel, make_hw, inputs, output_shape, interpreted=True):
     """``kernel`` on fresh boards with ``make_hw()`` attached: replayed,
-    per tile (``trace=False``) and interpreted.  Each call must count
-    once in ``served`` as what ran it, and all three must agree on
-    counters, output bytes, clock and both LRU digests.  Returns the
-    output."""
+    per tile (``trace=False``) and, unless it is a hand-written driver
+    with no IR, interpreted.  Each call must count once in ``served`` as
+    what ran it, and all must agree on counters, output bytes, clock
+    and both LRU digests.  Returns the output."""
     seen = []
-    for tier, served in (("replay", {"replay": 1}),
-                         ("per_tile", {"no_trace": 1}),
-                         ("interpreted", {})):
+    tiers = (("replay", {"replay": 1}), ("per_tile", {"no_trace": 1}),
+             ("interpreted", {}))
+    for tier, served in tiers[:3 if interpreted else 2]:
         board = make_pynq_z2()
         board.attach_accelerator(make_hw())
         output = np.zeros(output_shape, np.int32)
@@ -1072,7 +1078,7 @@ def _tiers_agree(kernel, make_hw, inputs, output_shape):
         seen.append((counters.as_dict(), output.tobytes(), board.clock,
                      _cache_digest(board.caches.l1),
                      _cache_digest(board.caches.l2)))
-    assert seen[0] == seen[1] == seen[2]
+    assert all(other == seen[0] for other in seen[1:])
     return output
 
 
@@ -1121,6 +1127,92 @@ def test_the_magnitude_bound_covers_unread_storage(monkeypatch):
                           (image, weights), request.output_shape)
     assert np.array_equal(output, _conv_reference(image, weights, 2))
     assert elected == {np.float64}
+
+
+#: ``(batch, in_ch, in_hw, out_ch, f_hw, stride)`` of the generated
+#: convs replay must serve channel-innermost: the hot 256-channel one,
+#: the stride-2 one, a stride-2 1x1, a single channel and a batch.
+_CONV_GEOMETRIES = {
+    "hot": (1, 256, 8, 16, 3, 1),
+    "stride-2": (1, 64, 13, 16, 3, 2),
+    "1x1-stride-2": (1, 64, 9, 8, 1, 2),
+    "in_ch-1": (1, 1, 6, 3, 3, 1),
+    "batch-2": (2, 4, 6, 3, 3, 1),
+}
+
+
+def _assert_channel_innermost(trace):
+    """Every conv block of every schedule reads both operands from its
+    class's channel-last copy: the period is the tile's channel stride
+    and the tile's channels are the copy's unit-stride axis."""
+    schedules = _schedules(trace)
+    assert schedules and all(s.blocks for s in schedules)
+    for schedule in schedules:
+        for block in schedule.blocks:
+            for class_id in (block.a[0], block.b[0]):
+                tile = trace.send_classes[class_id]
+                period, _, (sizes, strides), _ = schedule.layout[class_id]
+                assert period == tile.strides[-3]
+                assert (sizes[-1], strides[-1]) == (tile.sizes[-3], 1)
+
+
+@pytest.mark.usefixtures("clean_faults")
+@pytest.mark.parametrize("name", list(_CONV_GEOMETRIES))
+def test_conv_geometries_replay_channel_innermost(name):
+    from repro.experiments.harness import compile_request
+
+    batch, in_ch, in_hw, out_ch, f_hw, stride = _CONV_GEOMETRIES[name]
+    spec = {"kind": "conv", "batch": batch, "in_ch": in_ch,
+            "in_hw": in_hw, "out_ch": out_ch, "f_hw": f_hw,
+            "stride": stride}
+    request = compile_request(spec)
+    rng = np.random.default_rng(in_hw)
+    inputs = [rng.integers(-9, 9, shape).astype(np.int32)
+              for shape in request.input_shapes]
+    output = _tiers_agree(request.kernel, lambda: compile_request(spec).hw,
+                          inputs, request.output_shape)
+    assert np.array_equal(output, _conv_reference(*inputs, stride))
+    _assert_channel_innermost(request.kernel.trace_state.trace)
+
+
+def _row_slices_body(rt, image, weights, out):
+    """A hand-written 2-channel 3x3 conv over a 5x4 image that pushes
+    each filter's 3x2 output plane a row at a time, as an accelerator
+    whose slice holds 2 outputs must."""
+    rt.dma_init(0, 0x4000_0000, 0x2000, 0x4010_0000, 0x2000)
+    off = rt.send_literal(32, 0)                # cfg_fsize
+    off = rt.send_dim(weights, 3, off)
+    off = rt.send_literal(16, off)              # cfg_ic
+    rt.flush_send(rt.send_dim(image, 1, off))
+    for f in range(2):
+        off = rt.send_memref(weights.subview((f, 0, 0, 0), (1, 2, 3, 3)),
+                             rt.send_literal(1, 0))     # sF
+        for oh in range(3):
+            for ow in range(2):
+                off = rt.send_memref(
+                    image.subview((0, 0, oh, ow), (1, 2, 3, 3)),
+                    rt.send_literal(70, off))           # sIcO
+            rt.flush_send(rt.send_literal(8, off))      # rO
+            rt.recv_memref(out.subview((0, f, oh, 0), (1, 1, 1, 2)), 0,
+                           accumulate=False)
+            off = 0
+
+
+@pytest.mark.usefixtures("clean_faults")
+def test_conv_slices_below_the_output_plane_replay_channel_innermost():
+    shapes = [(1, 2, 5, 4), (2, 2, 3, 3), (1, 2, 3, 2)]
+    kernel = CompiledKernel(func_name="row_slices")
+    kernel.trace_state.entry_point = _row_slices_body
+    kernel.trace_state.trace = record_trace(_row_slices_body, tuple(
+        (shape, _row_major(shape), 4, "int32") for shape in shapes))
+    rng = np.random.default_rng(12)
+    inputs = [rng.integers(-9, 9, shape).astype(np.int32)
+              for shape in shapes[:2]]
+    output = _tiers_agree(
+        kernel, lambda: make_conv_system(2, 3, max_slice=2)[0], inputs,
+        shapes[2], interpreted=False)
+    assert np.array_equal(output, _conv_reference(*inputs, 1))
+    _assert_channel_innermost(kernel.trace_state.trace)
 
 
 @pytest.mark.usefixtures("clean_faults")

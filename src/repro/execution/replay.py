@@ -152,36 +152,37 @@ class DataSchedule:
         if any(np.dtype(spec[3]).kind not in "iu"
                for spec in trace.arg_specs):
             raise ReplayUnsupported(Cause.NON_INTEGER)
-        #: Per send class: ``send``, ``(uniq, rows)``, the distinct tile
-        #: starts in its copy (``layout``) and each tile's row among them,
-        #: or ``(None, starts)`` for a class too large to gather whole
-        #: (rows 32-bit when they fit: they are most of the resident
-        #: bytes); ``send_extent``, ``(tile span, furthest start)``, what
-        #: its window view is sized and checked with, and its used storage.
+        #: Per send class: ``send``, ``(uniq, rows)``, the distinct tile starts
+        #: in its copy and each tile's row among them (32-bit when they fit:
+        #: most resident bytes), or ``(None, starts)`` for a class too large to
+        #: gather whole; ``send_extent``, ``(tile span, furthest start)``, what
+        #: its window view is sized and bounds-checked with; ``layout``,
+        #: ``(period, used, length, view, whole)``: each call casts its first
+        #: ``used`` elements as ``period``-element planes (a conv's channel
+        #: planes, else 1) transposed, ``length`` tiles of ``view`` (sizes,
+        #: strides), or if ``whole`` (C-order tiles back to back) tile by tile.
         self.send, self.send_extent, self.layout = [], [], []
         conv = plan.kind == "conv"
         for tile_class in trace.send_classes:
+            sizes, strides = tile_class.sizes, tile_class.strides
             span, last = _extent(tile_class)
-            period, planes, *view = \
-                _channel_last(tile_class, span, last) if conv else \
-                (1, last + span + 1, tile_class.sizes, tile_class.strides)
+            period, planes, *view = _channel_last(tile_class, span, last) \
+                if conv else (1, last + span + 1, sizes, strides)
             plane, offset = np.divmod(tile_class.starts, period)
             starts = offset * planes + plane  # in the copy
             uniq, rows = np.unique(starts, return_inverse=True)
-            size = tile_class.num_elements()
-            whole = size % period == 0 and period * planes == uniq.size \
-                * size and np.array_equal(uniq, np.arange(uniq.size)
-                                          * (size // period))
+            size, used = tile_class.num_elements(), period * planes
+            whole = used == uniq.size * size and size % period == 0 and all(
+                stride == np.prod(sizes[axis + 1:]) for axis, (n, stride)
+                in enumerate(zip(sizes, strides)) if n != 1) \
+                and np.array_equal(uniq, np.arange(uniq.size) * size // period)
             if uniq.size * size > _CLASS_ELEMENTS:
                 uniq, rows, whole = None, starts, False
             if int(rows.max()) < 2 ** 31:
                 rows = rows.astype(np.int32)
             self.send.append((uniq, rows))
-            self.send_extent.append((period * planes - 1 - last, last))
-            #: ``(period, length, (sizes, strides), whole)``: each call casts
-            #: the used storage's ``period``-element planes (a conv's channel
-            #: planes, else 1) transposed, or ``whole`` tiles one by one.
-            self.layout.append((period, int(starts.max()) + 1, view, whole))
+            self.send_extent.append((span, last))
+            self.layout.append((period, used, starts.max() + 1, view, whole))
         self.recv_extent = [_extent(tc) for tc in trace.recv_classes]
         self._plan_scatter(trace)
         self.blocks: List[_Block] = []
@@ -481,26 +482,26 @@ class ReplayExecutor:
         self.rt.dma = self.engine
 
     # -- functional execution (data plane, payload half) ------------------
-    def _window(self, tile_class, extent) -> np.ndarray:
+    def _window(self, tile_class, extent, used: int = 0) -> np.ndarray:
         """Every tile-shaped window of one class's argument storage:
         ``window[start]`` is the tile whose first element sits ``start``
         elements past the descriptor offset, so gathers and scatters
         index it by tile start and no per-element index lattice is ever
         built.  Checked here, before anything is mutated, against the
-        furthest start the schedule uses."""
+        furthest start the schedule uses and a send class's ``used``."""
         span, last_start = extent
         desc = self.descriptors[tile_class.arg]
         length = desc.allocated.size - desc.offset - span
-        if last_start >= length:
+        if last_start >= length or used > desc.allocated.size - desc.offset:
             raise ReplayUnsupported(Cause.TILES_BEYOND_STORAGE)
         return _tile_view(desc.allocated, desc.offset, length,
                           tile_class.sizes, tile_class.strides)
 
     def _used(self, class_id: int) -> np.ndarray:
-        """From the descriptor offset to the end of the furthest tile."""
-        span, last_start = self.schedule.send_extent[class_id]
+        """The storage a send class's copy is cast from: ``used`` elements."""
+        used = self.schedule.layout[class_id][1]
         desc = self.descriptors[self.trace.send_classes[class_id].arg]
-        return desc.allocated[desc.offset:desc.offset + last_start + span + 1]
+        return desc.allocated[desc.offset:desc.offset + used]
 
     def _values(self, class_id: int, cast) -> np.ndarray:
         """Distinct tiles of a send class as one (tiles, elements) matrix.
@@ -512,17 +513,16 @@ class ReplayExecutor:
         ``fy·fx`` runs of ``c`` contiguous values; tiles that are that
         storage back to back (conv filters) are cast tile by tile.  The
         schedule's rows index the result, or, for a class too large for
-        that, the copy's window block by block (in storage order: the
-        live window)."""
+        that, the copy's window (a matmul's: the live one) per block."""
         uniq = self.schedule.send[class_id][0]
-        period, length, view, whole = self.schedule.layout[class_id]
+        period, _, length, view, whole = self.schedule.layout[class_id]
         if uniq is None and period == 1:
             return self._send_windows[class_id]
         key = (class_id, cast)
         values = self._values_memo.get(key)
         if values is None:  # read strided, write contiguous: one pass
             planes = self._used(class_id).reshape(-1, period)
-            if whole and self._send_windows[class_id][0].flags.c_contiguous:
+            if whole:
                 values = np.ascontiguousarray(planes.reshape(
                     uniq.size, -1, period).swapaxes(1, 2), dtype=cast)
             else:
@@ -604,10 +604,11 @@ class ReplayExecutor:
     def _panel_payloads(self, block: _Block, dtype) -> np.ndarray:
         """Every tile of a block with panels, from one product of panels
         gathered by tile start from the classes' integer windows, cast
-        as they are laid out.  Stacked A panels make numpy issue one GEMM
-        per panel, which for a 128**3 problem stays under OpenBLAS's
-        threading threshold: as one threaded GEMM it waited 0.1-1.2 ms
-        for its worker thread on a loaded 2-CPU host."""
+        as they are laid out (copy starts: storage starts, as panels are
+        cut for matmul blocks only, whose classes have period 1).  Stacked
+        A panels make numpy issue one GEMM per panel, which for a 128**3
+        problem stays under OpenBLAS's threading threshold: as one threaded
+        GEMM it waited 0.1-1.2 ms for its worker on a loaded 2-CPU host."""
         a_starts, ia, b_starts, jb = block.panels
         tm, tn, tk, group = block.tm, block.tn, block.tk, block.group
         cast = self._elect_cast(block, group * tk) or np.int64
@@ -649,10 +650,9 @@ class ReplayExecutor:
         trace, schedule = self.trace, self.schedule
         dtype = self.board.accelerator.dtype
         conv = self.plan.kind == "conv"
-        self._send_windows = [
-            self._window(tile_class, extent) for tile_class, extent
-            in zip(trace.send_classes, schedule.send_extent)
-        ]
+        self._send_windows = [self._window(*args) for args in zip(
+            trace.send_classes, schedule.send_extent,
+            (layout[1] for layout in schedule.layout))]
         self._recv_windows = [
             self._window(tile_class, extent) for tile_class, extent
             in zip(trace.recv_classes, schedule.recv_extent)

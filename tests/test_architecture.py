@@ -29,16 +29,16 @@ STEPS = {
     # measures; neither do the separate classifier and timeline
     # kernels and the per-event cost tables the one pass replaced.
     # Timings come from perf/run.py alone, so the pytest timing record
-    # and its guard stay gone too.  (Whole names: ``_word_lines`` is not
-    # ``Cause.SUB_WORD_LINES``.)
+    # and its guard stay gone too.  (``_word_lines`` not after a
+    # letter: ``Cause.SUB_WORD_LINES`` is ``"sub_word_lines"``.)
     "Replay is the C kernels": [(
-        r"\b(_decode_matmul_inner|_decode_conv_inner|_ItemQueue"
+        r"_decode_matmul_inner|_decode_conv_inner|_ItemQueue"
         r"|_chunked_line_streams|_ways_from_sim_state|REPRO_NO_NATIVE"
         r"|BENCH_perf|perf_guard|lru_copy_event_stream|timeline_batch"
         r"|_run_timeline|_scan_last_writers|_WINNER_BLOCK_WORDS"
         r"|_WINNER_BLOCK_MIN_WORDS|_winning_items|_cost_tables"
         r"|_CostTables|_classify_cache|_line_groups|_flat_streams"
-        r"|_word_lines)\b", TREE)],
+        r"|(?<![A-Za-z])_word_lines", TREE)],
     # The replay data plane (execution/replay.py) is integer-only.  A
     # float argument, an overwrite of a repeated tile, two receive
     # classes on one argument, overlapping tiles, uneven pushes in a

@@ -1151,7 +1151,7 @@ def _assert_channel_innermost(trace):
         for block in schedule.blocks:
             for class_id in (block.a[0], block.b[0]):
                 tile = trace.send_classes[class_id]
-                period, _, (sizes, strides), _ = schedule.layout[class_id]
+                period, _, _, (sizes, strides), _ = schedule.layout[class_id]
                 assert period == tile.strides[-3]
                 assert (sizes[-1], strides[-1]) == (tile.sizes[-3], 1)
 
